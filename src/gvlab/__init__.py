@@ -7,9 +7,8 @@ with the InvarTG balancing loop, random-erasing parameter laws, and a
 deterministic experiment harness.
 """
 
-from .core import (BinningPolicy, Dataset, Exemplar, ExemplarTable, GeneratingFn,
-                   VariableSpec, build_table, marginalize, read_dataset_csv,
-                   write_dataset_csv)
+from .core import (BinningPolicy, Dataset, Exemplar, ExemplarTable, VariableSpec,
+                   build_table, marginalize, read_dataset_csv, write_dataset_csv)
 from .errors import GvlabError
 from .info import LABELS, Nats, conditional_entropy, entropy, mutual_information
 from .models import (LinearModel, RiskReport, TrainConfig, TrainResult, VectorDataset,

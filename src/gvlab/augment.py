@@ -26,7 +26,7 @@ clipped to the grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Literal, Mapping, Sequence
 
@@ -75,7 +75,8 @@ class AugmentDistribution:
     """Parameter law for erasing draws: mixture weight, intervals, position law."""
 
     alpha: float = 0.0
-    label_intervals: Mapping[int, tuple[tuple[float, float], tuple[float, float]]] = LABEL_INTERVALS
+    label_intervals: Mapping[int, tuple[tuple[float, float], tuple[float, float]]] = field(
+        default_factory=lambda: dict(LABEL_INTERVALS))
     position_law: PositionLaw = "uniform"
     area_range: tuple[float, float] = (0.02, 0.40)
     aspect_range: tuple[float, float] = (1 / 3, 3.0)

@@ -16,7 +16,7 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -109,6 +109,16 @@ def _write(path: Path, text: str) -> None:
         raise GvlabError("io-error", f"cannot write {path}: {err}") from err
 
 
+def _group_means(rows: Sequence, key: Callable[[object], Hashable],
+                 fields: Sequence[str]) -> dict[Hashable, tuple[float, ...]]:
+    """Mean of each named row field per group, groups keyed by ``key(row)``."""
+    groups: dict[Hashable, list] = {}
+    for r in rows:
+        groups.setdefault(key(r), []).append(r)
+    return {k: tuple(float(np.mean([getattr(r, f) for r in group])) for f in fields)
+            for k, group in groups.items()}
+
+
 def _toy_protocol(args: argparse.Namespace, config: Mapping[str, str]) -> experiments.ToyProtocol:
     base = experiments.ToyProtocol()
     return replace(
@@ -136,11 +146,9 @@ def _cmd_toy_influence(args: argparse.Namespace, config: Mapping[str, str]) -> i
                      f"{r.rank_est},{r.rank_true}")
     _write(out / "influence.csv", "\n".join(lines) + "\n")
     if args.plot:
-        by_true: dict[int, list[int]] = {}
-        for r in result.rows:
-            by_true.setdefault(r.rank_true, []).append(r.rank_est)
+        by_true = _group_means(result.rows, lambda r: r.rank_true, ("rank_est",))
         xs = sorted(by_true)
-        ys = [float(np.mean(by_true[x])) for x in xs]
+        ys = [by_true[x][0] for x in xs]
         _write(out / "influence_rank.svg",
                svgplot.chart([("estimated rank", xs, ys)], "Influence rank agreement",
                              "ground-truth rank (|weight|)", "estimated rank (cond. entropy)",
@@ -159,12 +167,10 @@ def _cmd_toy_balance(args: argparse.Namespace, config: Mapping[str, str]) -> int
         lines.append(f"{r.dataset},{r.dim},{r.w_before!r},{r.w_after!r},"
                      f"{r.acc_before!r},{r.acc_after!r}")
     _write(out / "balance.csv", "\n".join(lines) + "\n")
-    ranks = sorted({r.rank_true for r in rows})
-    by_rank = {rank: [r for r in rows if r.rank_true == rank] for rank in ranks}
-    w_before = [float(np.mean([r.w_before for r in by_rank[r_]])) for r_ in ranks]
-    w_after = [float(np.mean([r.w_after for r in by_rank[r_]])) for r_ in ranks]
-    a_before = [float(np.mean([r.acc_before for r in by_rank[r_]])) for r_ in ranks]
-    a_after = [float(np.mean([r.acc_after for r in by_rank[r_]])) for r_ in ranks]
+    by_rank = _group_means(rows, lambda r: r.rank_true,
+                           ("w_before", "w_after", "acc_before", "acc_after"))
+    ranks = sorted(by_rank)
+    w_before, w_after, a_before, a_after = ([by_rank[r][i] for r in ranks] for i in range(4))
     if args.plot:
         _write(out / "balance_weights.svg",
                svgplot.chart([("before", ranks, w_before), ("after", ranks, w_after)],
@@ -175,8 +181,8 @@ def _cmd_toy_balance(args: argparse.Namespace, config: Mapping[str, str]) -> int
                              "Test accuracy before/after balancing",
                              "ground-truth influence rank", "mean test accuracy"))
     for rank in ranks[:3]:
-        print(f"rank {rank}: mean |w| {w_before[rank - 1]:.4f} -> {w_after[rank - 1]:.4f}, "
-              f"mean accuracy {a_before[rank - 1]:.4f} -> {a_after[rank - 1]:.4f}")
+        wb, wa, ab, aa = by_rank[rank]
+        print(f"rank {rank}: mean |w| {wb:.4f} -> {wa:.4f}, mean accuracy {ab:.4f} -> {aa:.4f}")
     return 0
 
 
@@ -235,16 +241,11 @@ def _cmd_augment_sweep(args: argparse.Namespace, config: Mapping[str, str]) -> i
     for r in rows:
         lines.append(f"{r.alpha!r},{r.law},{r.changing_ratio!r},{r.test_error!r},{r.seed}")
     _write(out / "augment.csv", "\n".join(lines) + "\n")
+    by_cell = _group_means(rows, lambda r: (r.law, r.alpha), ("changing_ratio", "test_error"))
     if args.plot:
-        ratio_series, error_series = [], []
-        for law in laws:
-            xs = list(alphas)
-            ratios = [float(np.mean([r.changing_ratio for r in rows
-                                     if r.law == law and r.alpha == a])) for a in xs]
-            errors = [float(np.mean([r.test_error for r in rows
-                                     if r.law == law and r.alpha == a])) for a in xs]
-            ratio_series.append((law, xs, ratios))
-            error_series.append((law, xs, errors))
+        xs = list(alphas)
+        ratio_series = [(law, xs, [by_cell[law, a][0] for a in xs]) for law in laws]
+        error_series = [(law, xs, [by_cell[law, a][1] for a in xs]) for law in laws]
         _write(out / "augment_ratio.svg",
                svgplot.chart(ratio_series, "Prediction changing ratio vs mixture weight",
                              "alpha", "changing ratio"))
@@ -253,10 +254,8 @@ def _cmd_augment_sweep(args: argparse.Namespace, config: Mapping[str, str]) -> i
                              "alpha", "test error"))
     for law in laws:
         for a in alphas:
-            cell = [r for r in rows if r.law == law and r.alpha == a]
-            print(f"alpha={a} law={law}: changing_ratio="
-                  f"{float(np.mean([r.changing_ratio for r in cell])):.4f} "
-                  f"test_error={float(np.mean([r.test_error for r in cell])):.4f}")
+            ratio, error = by_cell[law, a]
+            print(f"alpha={a} law={law}: changing_ratio={ratio:.4f} test_error={error:.4f}")
     return 0
 
 

@@ -31,6 +31,11 @@ Correlation = Literal["task_correlated", "task_uncorrelated", "unknown"]
 TableKey = tuple[tuple[int, ...], int]
 
 
+def derive_seed(base: int, *path: int) -> int:
+    """Stable 64-bit seed for a (base seed, purpose path) pair."""
+    return int(np.random.SeedSequence((base,) + path).generate_state(1)[0])
+
+
 @dataclass(frozen=True)
 class VariableSpec:
     """Description of one generative variable.
@@ -79,38 +84,6 @@ class Exemplar:
 
     g: tuple[float, ...]
     y: int
-
-
-@dataclass(frozen=True)
-class GeneratingFn:
-    """Map from a generative-variable configuration to a model input.
-
-    The identity kind requires the input dimension to equal the variable
-    count and returns the configuration unchanged; it covers tasks whose
-    inputs *are* the generative variables.  The synthetic-image kind names
-    a renderer-backed task and carries its renderer parameters (grid side,
-    pattern side, noise level, ...); rendering itself lives with the grid
-    task builder in :mod:`gvlab.experiments`.
-    """
-
-    kind: Literal["identity", "synthetic_image"]
-    n_variables: int
-    renderer: Mapping[str, float] | None = None
-
-    def __post_init__(self):
-        if self.kind == "identity" and self.renderer is not None:
-            raise GvlabError("bad-variable", "identity takes no renderer parameters")
-        if self.renderer is not None:
-            object.__setattr__(self, "renderer", MappingProxyType(dict(self.renderer)))
-
-    def apply(self, g: Sequence[float]) -> np.ndarray:
-        if len(g) != self.n_variables:
-            raise GvlabError("bad-input-dim",
-                             f"expected {self.n_variables} variable values, got {len(g)}")
-        if self.kind != "identity":
-            raise GvlabError("bad-variable",
-                             "only the identity generating function maps configurations directly")
-        return np.asarray(g, dtype=np.float64)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ Every run is keyed by (base seed, dataset index, purpose tag) through
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -28,18 +29,13 @@ import numpy as np
 
 from .augment import AugmentDistribution, GridTensor, PositionLaw, erase_batch, \
     prediction_changing_ratio
-from .core import BinningPolicy, ExemplarTable, build_table, marginalize
+from .core import BinningPolicy, Dataset, ExemplarTable, build_table, derive_seed, marginalize
 from .errors import GvlabError
 from .info import conditional_entropy, entropy
 from .models import LinearModel, TrainConfig, VectorDataset, risk, train
 from .synth import ToyData, as_variable_dataset, balance_substitute, generate_toy, \
     influence_rank, random_toy_spec
 from . import theory
-
-
-def derive_seed(base: int, *path: int) -> int:
-    """Stable 64-bit seed for a (base seed, purpose path) pair."""
-    return int(np.random.SeedSequence((base,) + path).generate_state(1)[0])
 
 
 def parallel_map(fn: Callable, items: Sequence, jobs: int = 1) -> list:
@@ -148,6 +144,18 @@ def _rank_positions(values: Sequence[float], ids: Sequence[int], ascending: bool
     return {var_id: position + 1 for position, (_, var_id) in enumerate(keyed)}
 
 
+def _nuisance_ranks(view: Dataset, model: LinearModel, protocol: ToyProtocol
+                    ) -> tuple[dict[int, float], dict[int, float], dict[int, int], dict[int, int]]:
+    """Per nuisance dimension: H(label | dim), |trained weight|, and the
+    estimated (ascending entropy) and true (descending |weight|) ranks."""
+    dims = protocol.nuisance_dims
+    h_by_id = dict(influence_rank(view, dims, protocol.binning))
+    weights = {j: abs(float(model.weights[0, j])) for j in dims}
+    rank_est = _rank_positions([h_by_id[j] for j in dims], dims, ascending=True)
+    rank_true = _rank_positions([weights[j] for j in dims], dims, ascending=False)
+    return h_by_id, weights, rank_est, rank_true
+
+
 def _influence_worker(args: tuple[int, int, ToyProtocol]) -> tuple:
     base_seed, index, protocol = args
     data = _toy_dataset(base_seed, index, protocol)
@@ -155,10 +163,7 @@ def _influence_worker(args: tuple[int, int, ToyProtocol]) -> tuple:
     model = train(data.train, trainer).model
     dims = protocol.nuisance_dims
     view = as_variable_dataset(data.train, protocol.task_correlated_dims)
-    h_by_id = dict(influence_rank(view, dims, protocol.binning))
-    weights = {j: abs(float(model.weights[0, j])) for j in dims}
-    rank_est = _rank_positions([h_by_id[j] for j in dims], dims, ascending=True)
-    rank_true = _rank_positions([weights[j] for j in dims], dims, ascending=False)
+    h_by_id, weights, rank_est, rank_true = _nuisance_ranks(view, model, protocol)
     rows = tuple(InfluenceRow(index, j, h_by_id[j], weights[j], rank_est[j], rank_true[j])
                  for j in dims)
     corr = spearman([rank_est[j] for j in dims], [rank_true[j] for j in dims])
@@ -195,14 +200,10 @@ def _balance_worker(args: tuple[int, int, ToyProtocol]) -> tuple[BalanceRow, ...
     trainer = protocol.trainer(derive_seed(base_seed, 12, index))
     original = train(data.train, trainer).model
     acc_before = 1.0 - risk(original, data.test).zero_one_error
-    dims = protocol.nuisance_dims
     view = as_variable_dataset(data.train, protocol.task_correlated_dims)
-    h_by_id = dict(influence_rank(view, dims, protocol.binning))
-    rank_est = _rank_positions([h_by_id[j] for j in dims], dims, ascending=True)
-    weights = {j: abs(float(original.weights[0, j])) for j in dims}
-    rank_true = _rank_positions([weights[j] for j in dims], dims, ascending=False)
+    _, weights, rank_est, rank_true = _nuisance_ranks(view, original, protocol)
     rows = []
-    for j in dims:
+    for j in protocol.nuisance_dims:
         balanced = balance_substitute(data.train, j, derive_seed(base_seed, 13, index, j))
         retrained = train(balanced, trainer).model
         rows.append(BalanceRow(
@@ -482,7 +483,7 @@ class CheckResult:
     detail: str
 
 
-def _check_max_prob_bound(rng: np.random.Generator, corrupt: bool) -> CheckResult:
+def check_max_prob_bound(rng: np.random.Generator, corrupt: bool = False) -> CheckResult:
     draws = 100_000
     per_k = draws // 9
     worst = 0.0
@@ -499,7 +500,8 @@ def _check_max_prob_bound(rng: np.random.Generator, corrupt: bool) -> CheckResul
                        f"sweep of {draws} random label distributions, K in 2..10")
 
 
-def _check_optimal_outputs(rng: np.random.Generator, corrupt: bool, tables: int) -> CheckResult:
+def check_optimal_outputs(rng: np.random.Generator, tables: int,
+                          corrupt: bool = False) -> CheckResult:
     groups: dict[int, list] = {2: [], 3: [], 4: []}
     for index in range(tables):
         table = random_count_table(rng)
@@ -522,7 +524,7 @@ def _check_optimal_outputs(rng: np.random.Generator, corrupt: bool, tables: int)
                        f"{tables} random tables vs projected-gradient minimizer")
 
 
-def _check_training_error(rng: np.random.Generator, tables: int) -> CheckResult:
+def check_training_error(rng: np.random.Generator, tables: int) -> CheckResult:
     worst = 0.0
     for _ in range(tables):
         table = random_count_table(rng)
@@ -535,7 +537,7 @@ def _check_training_error(rng: np.random.Generator, tables: int) -> CheckResult:
                        f"{tables} random tables, argmax predictor vs estimate")
 
 
-def _check_strict_invariance(rng: np.random.Generator, tables: int) -> CheckResult:
+def check_strict_invariance(rng: np.random.Generator, tables: int) -> CheckResult:
     worst = 0.0
     missed = 0
     for _ in range(tables):
@@ -555,7 +557,7 @@ def _check_strict_invariance(rng: np.random.Generator, tables: int) -> CheckResu
                        f"misclassified: {missed}")
 
 
-def _check_addition_rule(seed: int) -> CheckResult:
+def check_addition_rule(seed: int) -> CheckResult:
     sweep = addition_rule_sweep(seed)
     detail = (f"{sweep.violations}/{sweep.cases} violations"
               + (f"; first worst case: {sweep.worst_case}" if sweep.violations else ""))
@@ -563,9 +565,14 @@ def _check_addition_rule(seed: int) -> CheckResult:
                        sweep.worst_violation, detail)
 
 
-def _check_gap_bound() -> CheckResult:
-    spot = abs(theory.gap_bound(2, 2, 1000, 0.05) - 0.10740876124221685)
-    worst = spot
+def check_gap_bound() -> CheckResult:
+    frozen = {
+        (2, 2, 1000, 0.05): 0.10740876124221685,
+        (1, 2, 100, 0.1): 0.2716203031481239,
+        (4, 3, 5000, 0.01): 0.07189697171010037,
+        (5, 4, 20000, 0.2): math.sqrt(2 * (20 * math.log(2.0) + math.log(5.0)) / 20000),
+    }
+    worst = max(abs(theory.gap_bound(*args) - value) for args, value in frozen.items())
     ts = ks = (1, 2, 3, 4, 5)
     ns = (100, 200, 400, 800, 1600)
     deltas = (0.01, 0.05, 0.1, 0.2, 0.4)
@@ -573,11 +580,11 @@ def _check_gap_bound() -> CheckResult:
                       for k in ks] for t in ts])
     monotone = (np.all(np.diff(grid, axis=0) > 0) and np.all(np.diff(grid, axis=1) > 0)
                 and np.all(np.diff(grid, axis=2) < 0) and np.all(np.diff(grid, axis=3) < 0))
-    return CheckResult("gap-bound-grid", spot <= 1e-6 and bool(monotone), worst,
+    return CheckResult("gap-bound-grid", worst <= 1e-6 and bool(monotone), worst,
                        "closed-form spot value and monotonicity on a 5^4 grid")
 
 
-def _check_excess_risk() -> CheckResult:
+def check_excess_risk() -> CheckResult:
     worst = 0.0
     for t, k, n, d in ((1, 2, 100, 0.1), (2, 2, 1000, 0.05), (4, 3, 5000, 0.01)):
         gap = theory.gap_bound(t, k, n, d)
@@ -588,9 +595,8 @@ def _check_excess_risk() -> CheckResult:
                        "zero-dependence and ln2-dependence composition identities")
 
 
-THEORY_CHECKS = ("max-prob-bound", "optimal-outputs-closed-form", "training-error-equality",
-                 "strict-invariance", "addition-rule-inequality", "gap-bound-grid",
-                 "excess-risk-composition")
+#: The checks whose closed form ``theory_check_run(corrupt=...)`` can perturb.
+CORRUPTIBLE_CHECKS = ("max-prob-bound", "optimal-outputs-closed-form")
 
 
 def theory_check_run(seed: int = 0, corrupt: str | None = None,
@@ -598,18 +604,18 @@ def theory_check_run(seed: int = 0, corrupt: str | None = None,
     """Run every closed-form verification sweep; ``corrupt`` is a test hook
     that perturbs one named check's closed form to prove the harness fails
     loudly."""
-    if corrupt is not None and corrupt not in THEORY_CHECKS:
-        raise GvlabError("bad-variable",
-                         f"unknown check {corrupt!r}; known: {list(THEORY_CHECKS)}")
+    if corrupt is not None and corrupt not in CORRUPTIBLE_CHECKS:
+        raise GvlabError("bad-variable", f"check {corrupt!r} has no corrupt hook; "
+                                         f"hooked: {list(CORRUPTIBLE_CHECKS)}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 51)))
     return (
-        _check_max_prob_bound(rng, corrupt == "max-prob-bound"),
-        _check_optimal_outputs(rng, corrupt == "optimal-outputs-closed-form", tables),
-        _check_training_error(rng, 500),
-        _check_strict_invariance(rng, 100),
-        _check_addition_rule(seed),
-        _check_gap_bound(),
-        _check_excess_risk(),
+        check_max_prob_bound(rng, corrupt == "max-prob-bound"),
+        check_optimal_outputs(rng, tables, corrupt == "optimal-outputs-closed-form"),
+        check_training_error(rng, 500),
+        check_strict_invariance(rng, 100),
+        check_addition_rule(seed),
+        check_gap_bound(),
+        check_excess_risk(),
     )
 
 

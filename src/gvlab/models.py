@@ -121,7 +121,6 @@ class TrainConfig:
     batch_size: int = 256
     epochs: int = 100
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         # learning_rate 0 is allowed so a no-update run stays expressible.
@@ -161,36 +160,16 @@ def train(data: VectorDataset, config: TrainConfig) -> TrainResult:
     b = np.zeros(rows)
     vw = np.zeros_like(w)
     vb = np.zeros_like(b)
-    onehot = np.eye(data.k)[data.y] if head == "softmax" else None
 
     losses, estimated_errors = [], []
     with np.errstate(over="ignore", invalid="ignore"):  # divergence detected per epoch
         for epoch in range(config.epochs):
-            order = _epoch_rng(config.seed, epoch).permutation(data.n) if config.shuffle \
-                else np.arange(data.n)
+            order = _epoch_rng(config.seed, epoch).permutation(data.n)
             loss_sum = 0.0
             for start in range(0, data.n, config.batch_size):
                 idx = order[start:start + config.batch_size]
-                xb = data.x[idx]
-                if head == "sigmoid":
-                    yb = data.y[idx].astype(np.float64)
-                    z = xb @ w[0] + b[0]
-                    loss_sum += float(np.sum(np.maximum(z, 0.0) - z * yb
-                                             + np.log1p(np.exp(-np.abs(z)))))
-                    gz = (_sigmoid(z) - yb) / idx.size
-                    gw = (gz @ xb)[None, :]
-                    gb = np.array([gz.sum()])
-                else:
-                    yb = onehot[idx]
-                    logits = xb @ w.T + b
-                    shifted = logits - logits.max(axis=1, keepdims=True)
-                    lse = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
-                    loss_sum += float(np.sum(lse - logits[np.arange(idx.size), data.y[idx]]))
-                    probs = np.exp(shifted)
-                    probs /= probs.sum(axis=1, keepdims=True)
-                    gl = (probs - yb) / idx.size
-                    gw = gl.T @ xb
-                    gb = gl.sum(axis=0)
+                batch_loss, gw, gb = _loss_sum_and_gradients(w, b, head, data.x[idx], data.y[idx])
+                loss_sum += batch_loss
                 vw = config.momentum * vw + gw
                 vb = config.momentum * vb + gb
                 w = w - config.learning_rate * vw
@@ -225,20 +204,31 @@ def loss_and_gradients(model: LinearModel, x: np.ndarray, y: np.ndarray
     y = np.asarray(y, dtype=np.int64)
     if x.ndim != 2 or x.shape[1] != model.d:
         raise GvlabError("bad-input-dim", f"expected inputs of dimension {model.d}")
+    loss_sum, gw, gb = _loss_sum_and_gradients(model.weights, model.bias, model.head, x, y)
+    return loss_sum / x.shape[0], gw, gb
+
+
+def _loss_sum_and_gradients(w: np.ndarray, b: np.ndarray, head: Head, x: np.ndarray,
+                            y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Summed cross-entropy on a batch and the gradients of its mean.
+
+    This is the one gradient: ``train`` steps with it and
+    ``loss_and_gradients`` exposes it for checking.
+    """
     n = x.shape[0]
-    if model.head == "sigmoid":
-        z = x @ model.weights[0] + model.bias[0]
+    if head == "sigmoid":
+        z = x @ w[0] + b[0]
         yf = y.astype(np.float64)
-        loss = float(np.mean(np.maximum(z, 0.0) - z * yf + np.log1p(np.exp(-np.abs(z)))))
+        loss = float(np.sum(np.maximum(z, 0.0) - z * yf + np.log1p(np.exp(-np.abs(z)))))
         gz = (_sigmoid(z) - yf) / n
         return loss, (gz @ x)[None, :], np.array([gz.sum()])
-    logits = x @ model.weights.T + model.bias
+    logits = x @ w.T + b
     shifted = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
-    loss = float(np.mean(lse - logits[np.arange(n), y]))
+    loss = float(np.sum(lse - logits[np.arange(n), y]))
     probs = np.exp(shifted)
     probs /= probs.sum(axis=1, keepdims=True)
-    gl = (probs - np.eye(model.k)[y]) / n
+    gl = (probs - np.eye(w.shape[0])[y]) / n
     return loss, gl.T @ x, gl.sum(axis=0)
 
 

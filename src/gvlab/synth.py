@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BinningPolicy, Dataset, VariableSpec, build_table
+from .core import BinningPolicy, Dataset, VariableSpec, build_table, derive_seed
 from .errors import GvlabError
 from .info import Nats, conditional_entropy
 from .models import LinearModel, TrainConfig, TrainResult, VectorDataset, train
@@ -230,10 +230,6 @@ class InvarTGResult:
     training: TrainResult
 
 
-def _derived_seed(base: int, *path: int) -> int:
-    return int(np.random.SeedSequence((base,) + path).generate_state(1)[0])
-
-
 def invar_tg(data: VectorDataset, candidate_ids: Sequence[int], config: InvarTGConfig,
              trainer: TrainConfig, task_correlated_dims: int | None = None) -> InvarTGResult:
     """Iteratively balance the most influential candidate, then train once.
@@ -260,7 +256,7 @@ def invar_tg(data: VectorDataset, candidate_ids: Sequence[int], config: InvarTGC
         if h_before > config.threshold:
             break
         current = balance_substitute(current, chosen,
-                                     _derived_seed(trainer.seed, 101, round_index, chosen))
+                                     derive_seed(trainer.seed, 101, round_index, chosen))
         table = build_table(as_variable_dataset(current, tc), [chosen], config.binning)
         h_after = conditional_entropy(table, "labels", [chosen])
         log.append(RoundRecord(round_index, chosen, h_before, h_after))

@@ -12,27 +12,24 @@ criterion fails; see the repository notes for the analysis.  The test is
 kept faithful rather than weakened.
 """
 
-import math
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from gvlab import theory
 from gvlab.augment import (LABEL_INTERVALS, AugmentDistribution, sample_params,
                            sample_params_traced, sample_position)
 from gvlab.cli import main as cli_main
 from gvlab.experiments import (GridProtocol, ToyProtocol, addition_rule_sweep,
-                               argmax_zero_one_error, augment_sweep_run, derive_seed,
-                               label_equals_variable_table, product_table,
-                               random_count_table, toy_balance_run, toy_influence_run)
+                               augment_sweep_run, check_gap_bound, check_max_prob_bound,
+                               check_optimal_outputs, check_strict_invariance,
+                               check_training_error, derive_seed, toy_balance_run,
+                               toy_influence_run)
 from gvlab.models import LinearModel, loss_and_gradients
 
 SEED = 20240501
 JOBS = 2
-LN2 = math.log(2.0)
 
 
 def report(number: int, ok: bool, detail: str, started: float) -> bool:
@@ -62,75 +59,28 @@ def augment_law_rows():
                              GridProtocol(), jobs=JOBS)
 
 
-def test_criterion_01_max_probability_lower_bound_sweep():
+def run_check(number: int, check, *args) -> None:
+    """Run one ``experiments`` theory sweep and report its verdict."""
     started = time.time()
-    rng = np.random.default_rng(derive_seed(SEED, 1))
-    draws = 100_000
-    per_k = draws // 9
-    worst = -np.inf
-    for k in range(2, 11):
-        n = per_k if k < 10 else draws - 8 * per_k
-        p = rng.dirichlet(np.ones(k), size=n)
-        h = -(np.where(p > 0, p * np.log(np.maximum(p, 1e-300)), 0.0)).sum(axis=1)
-        bound = np.maximum(0.0, 1.0 - h / (2.0 * LN2))
-        worst = max(worst, float((bound - p.max(axis=1)).max()))
-    tightness = abs(theory.max_prob_lower_bound(LN2) - 0.5)
-    ok = worst <= 1e-12 and tightness <= 1e-12
-    assert report(1, ok, f"{draws} draws, worst violation {worst:.2e}, "
-                         f"binary tightness {tightness:.2e}", started)
+    result = check(*args)
+    assert report(number, result.passed,
+                  f"{result.detail}; max deviation {result.max_deviation:.2e}", started)
+
+
+def test_criterion_01_max_probability_lower_bound_sweep():
+    run_check(1, check_max_prob_bound, np.random.default_rng(derive_seed(SEED, 1)))
 
 
 def test_criterion_02_optimal_outputs_match_numeric_minimizer():
-    started = time.time()
-    rng = np.random.default_rng(derive_seed(SEED, 2))
-    stacks: dict[int, list[np.ndarray]] = {2: [], 3: [], 4: []}
-    for _ in range(200):
-        table = random_count_table(rng)
-        closed = theory.optimal_outputs(table, table.variable_ids)
-        stacks[table.k].extend(closed.outputs[c] for c in sorted(closed.outputs))
-    worst = 0.0
-    for k, rows in stacks.items():
-        if not rows:
-            continue
-        target = np.vstack(rows)
-        numeric = theory.pgd_conditionals(target, step=0.1, iterations=10_000)
-        worst = max(worst, float((0.5 * np.abs(numeric - target).sum(axis=1)).max()))
-    ok = worst <= 1e-4
-    assert report(2, ok, f"200 tables, worst per-configuration TV {worst:.2e}", started)
+    run_check(2, check_optimal_outputs, np.random.default_rng(derive_seed(SEED, 2)), 200)
 
 
 def test_criterion_03_training_error_equals_argmax_error_exactly():
-    started = time.time()
-    rng = np.random.default_rng(derive_seed(SEED, 3))
-    worst = 0.0
-    for _ in range(500):
-        table = random_count_table(rng)
-        ids = table.variable_ids[:int(rng.integers(0, len(table.variable_ids))) + 1]
-        estimate = theory.estimated_training_error(theory.optimal_outputs(table, ids), table)
-        exact = argmax_zero_one_error(table, ids)
-        assert isinstance(exact, Fraction)
-        worst = max(worst, abs(estimate - float(exact)))
-    ok = worst <= 1e-12
-    assert report(3, ok, f"500 tables, worst |estimate - exact| {worst:.2e}", started)
+    run_check(3, check_training_error, np.random.default_rng(derive_seed(SEED, 3)), 500)
 
 
 def test_criterion_04_independence_implies_strict_invariance():
-    started = time.time()
-    rng = np.random.default_rng(derive_seed(SEED, 4))
-    worst = 0.0
-    false_negatives = false_positives = 0
-    for _ in range(100):
-        table, gt = product_table(rng)
-        result = theory.check_strict_invariance(table, table.variable_ids, (gt,))
-        worst = max(worst, result.max_deviation)
-        false_negatives += not result.is_invariant
-    for _ in range(100):
-        table, gt = label_equals_variable_table(rng)
-        if theory.check_strict_invariance(table, table.variable_ids, (gt,)).is_invariant:
-            false_positives += 1
-    ok = worst <= 1e-12 and false_negatives == 0 and false_positives == 0
-    assert report(4, ok, f"product-table worst deviation {worst:.2e}, "
-                         f"misclassified {false_negatives + false_positives}", started)
+    run_check(4, check_strict_invariance, np.random.default_rng(derive_seed(SEED, 4)), 100)
 
 
 def test_criterion_05_addition_rule_inequality_brute_force():
@@ -145,23 +95,7 @@ def test_criterion_05_addition_rule_inequality_brute_force():
 
 
 def test_criterion_06_gap_bound_closed_form_and_monotonicity():
-    started = time.time()
-    frozen = {
-        (2, 2, 1000, 0.05): 0.10740876124221685,
-        (1, 2, 100, 0.1): 0.2716203031481239,
-        (4, 3, 5000, 0.01): 0.07189697171010037,
-        (5, 4, 20000, 0.2): math.sqrt(2 * (20 * LN2 + math.log(5.0)) / 20000),
-    }
-    worst = max(abs(theory.gap_bound(*args) - value) for args, value in frozen.items())
-    ts = ks = (1, 2, 3, 4, 5)
-    ns = (100, 200, 400, 800, 1600)
-    deltas = (0.01, 0.05, 0.1, 0.2, 0.4)
-    grid = np.array([[[[theory.gap_bound(t, k, n, d) for d in deltas] for n in ns]
-                      for k in ks] for t in ts])
-    monotone = bool(np.all(np.diff(grid, axis=0) > 0) and np.all(np.diff(grid, axis=1) > 0)
-                    and np.all(np.diff(grid, axis=2) < 0) and np.all(np.diff(grid, axis=3) < 0))
-    ok = worst <= 1e-6 and monotone
-    assert report(6, ok, f"grid worst error {worst:.2e}, monotone={monotone}", started)
+    run_check(6, check_gap_bound)
 
 
 def test_criterion_07_toy_influence_rank_agreement(influence_result):

@@ -126,6 +126,13 @@ class TestTheoryCheckCommand:
         assert code == 1
         assert "max-prob-bound" in captured.err
 
+    def test_corrupt_name_without_hook_exits_nonzero(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run(["theory-check", "--out", str(out), "--corrupt", "gap-bound-grid"])
+        assert code == 1
+        assert "gap-bound-grid" in capsys.readouterr().err
+        assert not (out / "theory_report.csv").exists()
+
     def test_deterministic_report(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         run(["theory-check", "--seed", "3", "--tables", "25", "--out", str(out1)])

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gvlab.core import (BinningPolicy, Dataset, Exemplar, ExemplarTable, GeneratingFn,
-                        VariableSpec, build_table, marginalize, read_dataset_csv,
-                        write_dataset_csv)
+from gvlab.core import (BinningPolicy, Dataset, Exemplar, ExemplarTable, VariableSpec,
+                        build_table, marginalize, read_dataset_csv, write_dataset_csv)
 from gvlab.errors import GvlabError
 
 
@@ -56,17 +55,6 @@ class TestDataset:
         assert ds.exemplar(1) == Exemplar((1.0, 0.0), 1)
         rebuilt = Dataset.from_exemplars(ds.specs, [ds.exemplar(i) for i in range(ds.n)], ds.k)
         assert np.array_equal(rebuilt.values, ds.values)
-
-
-class TestGeneratingFn:
-    def test_identity_maps_configuration(self):
-        fn = GeneratingFn("identity", 3)
-        np.testing.assert_array_equal(fn.apply((1.0, 2.0, 3.0)), [1.0, 2.0, 3.0])
-
-    def test_identity_requires_matching_dimension(self):
-        with pytest.raises(GvlabError) as err:
-            GeneratingFn("identity", 3).apply((1.0,))
-        assert err.value.code == "bad-input-dim"
 
 
 class TestBuildTable:

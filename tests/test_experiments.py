@@ -4,7 +4,7 @@ import scipy.stats
 
 from gvlab import experiments
 from gvlab.errors import GvlabError
-from gvlab.experiments import (AdditionRuleSweep, GridProtocol, ToyProtocol,
+from gvlab.experiments import (CORRUPTIBLE_CHECKS, AdditionRuleSweep, GridProtocol, ToyProtocol,
                                addition_rule_sweep, argmax_zero_one_error, derive_seed,
                                label_equals_variable_table, make_grid_task, parallel_map,
                                product_table, random_count_table, spearman,
@@ -166,13 +166,17 @@ class TestTheoryChecks:
                 assert result.passed, f"{name}: {result.detail}"
 
     def test_corrupt_hook_fails_named_check(self):
-        results = theory_check_run(seed=0, corrupt="max-prob-bound", tables=10)
-        by_name = {r.name: r for r in results}
-        assert not by_name["max-prob-bound"].passed
+        for name in CORRUPTIBLE_CHECKS:
+            results = theory_check_run(seed=0, corrupt=name, tables=10)
+            by_name = {r.name: r for r in results}
+            assert not by_name[name].passed
 
     def test_unknown_corrupt_name_rejected(self):
-        with pytest.raises(GvlabError):
-            theory_check_run(seed=0, corrupt="no-such-check", tables=10)
+        """A check without a corrupt hook is rejected, not silently passed."""
+        for name in ("no-such-check", "gap-bound-grid"):
+            with pytest.raises(GvlabError) as err:
+                theory_check_run(seed=0, corrupt=name, tables=10)
+            assert err.value.code == "bad-variable"
 
     def test_report_csv_layout(self):
         results = theory_check_run(seed=0, tables=10)

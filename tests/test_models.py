@@ -85,9 +85,23 @@ class TestTrain:
         the loss."""
         rng = np.random.default_rng(9)
         data = VectorDataset(rng.normal(size=(40, 3)), rng.integers(0, 2, 40), 2)
-        result = train(data, TrainConfig(1e-3, 0.0, 40, 60, seed=0, shuffle=False))
+        result = train(data, TrainConfig(1e-3, 0.0, 40, 60, seed=0))
         diffs = np.diff(result.loss_curve)
         assert np.all(diffs <= 1e-12)
+
+    def test_full_batch_epoch_steps_by_the_checked_gradient(self):
+        """From the zero model, one full-batch epoch without momentum moves the
+        parameters by exactly -lr times the gradient that loss_and_gradients
+        reports, so the checked gradient is the one that trains."""
+        rng = np.random.default_rng(13)
+        for k, head in ((2, "sigmoid"), (3, "softmax")):
+            data = VectorDataset(rng.normal(size=(24, 4)), rng.integers(0, k, 24), k)
+            rows = 1 if head == "sigmoid" else k
+            zero = LinearModel(np.zeros((rows, 4)), np.zeros(rows), head)
+            _, gw, gb = loss_and_gradients(zero, data.x, data.y)
+            model = train(data, TrainConfig(0.5, 0.0, 24, 1, seed=4)).model
+            np.testing.assert_allclose(model.weights, -0.5 * gw, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(model.bias, -0.5 * gb, rtol=0, atol=1e-12)
 
     def test_estimated_error_curve_tracks_mean_max_output(self):
         data = separable_data()
