@@ -12,9 +12,9 @@ from .core import (BinningPolicy, Dataset, Exemplar, ExemplarTable, VariableSpec
 from .errors import GvlabError
 from .info import LABELS, Nats, conditional_entropy, entropy, mutual_information
 from .models import (LinearModel, RiskReport, TrainConfig, TrainResult, VectorDataset,
-                     load_model, risk, save_model, train)
+                     load_model, risk, save_model, train, train_lockstep)
 from .synth import (InvarTGConfig, InvarTGResult, ToyData, ToySpec, as_variable_dataset,
-                    balance_substitute, generate_toy, influence_rank, invar_tg,
+                    balance_column, balance_substitute, generate_toy, influence_rank, invar_tg,
                     random_toy_spec)
 from .theory import (AdditionRule, BoundReport, InvarianceReport, OptimalOutputs,
                      addition_rule, bound_report_csv, check_strict_invariance,

@@ -70,34 +70,45 @@ def _str_list(text: str) -> tuple[str, ...]:
     return tuple(v.strip() for v in text.split(",") if v.strip() != "")
 
 
+def _from_config(config: Mapping[str, str], name: str, cast, default):
+    """Config value cast to its type, else default; a value that does not
+    cast raises ``bad-config``."""
+    if name not in config:
+        return default
+    try:
+        return cast(config[name])
+    except (ValueError, argparse.ArgumentTypeError) as err:
+        raise GvlabError("bad-config", f"{name} = {config[name]!r}: {err}") from None
+
+
 def _resolved(args: argparse.Namespace, config: Mapping[str, str], name: str,
               cast, default):
     """Flag value if given, else config value, else default."""
     flag = getattr(args, name, None)
-    if flag is not None:
-        return flag
-    if name in config:
-        return cast(config[name])
-    return default
+    return flag if flag is not None else _from_config(config, name, cast, default)
+
+
+def _interval_pair(text: str) -> tuple[tuple[float, float], tuple[float, float]]:
+    values = _float_list(text)
+    if len(values) != 4:
+        raise ValueError(f"expected a1,b1,a2,b2, got {len(values)} values")
+    return (values[0], values[1]), (values[2], values[3])
 
 
 def distribution_from_config(config: Mapping[str, str], alpha: float | None = None,
                              position_law: str | None = None) -> AugmentDistribution:
     """Build an erasing-parameter law from config keys, with overrides."""
-    intervals = dict(LABEL_INTERVALS)
-    for label in range(10):
-        key = f"interval_{label}"
-        if key in config:
-            a1, b1, a2, b2 = (float(v) for v in config[key].split(","))
-            intervals[label] = ((a1, b1), (a2, b2))
+    intervals = {label: _from_config(config, f"interval_{label}", _interval_pair, pair)
+                 for label, pair in LABEL_INTERVALS.items()}
     return AugmentDistribution(
-        alpha=float(config.get("alpha", 0.0)) if alpha is None else alpha,
+        alpha=_from_config(config, "alpha", float, 0.0) if alpha is None else alpha,
         label_intervals=intervals,
         position_law=(config.get("position_law", "uniform")
                       if position_law is None else position_law),
-        area_range=(float(config.get("area_lo", 0.02)), float(config.get("area_hi", 0.40))),
-        aspect_range=(float(config.get("aspect_lo", 1 / 3)),
-                      float(config.get("aspect_hi", 3.0))),
+        area_range=(_from_config(config, "area_lo", float, 0.02),
+                    _from_config(config, "area_hi", float, 0.40)),
+        aspect_range=(_from_config(config, "aspect_lo", float, 1 / 3),
+                      _from_config(config, "aspect_hi", float, 3.0)),
     )
 
 
@@ -125,14 +136,14 @@ def _toy_protocol(args: argparse.Namespace, config: Mapping[str, str]) -> experi
         base,
         per_class=_resolved(args, config, "per_class", int, base.per_class),
         epochs=_resolved(args, config, "epochs", int, base.epochs),
-        batch_size=int(config.get("batch_size", base.batch_size)),
-        learning_rate=float(config.get("learning_rate", base.learning_rate)),
-        momentum=float(config.get("momentum", base.momentum)),
-        bins=int(config.get("bins", base.bins)),
-        test_mean_lo=float(config.get("test_mean_lo", base.test_mean_lo)),
-        test_mean_hi=float(config.get("test_mean_hi", base.test_mean_hi)),
-        coupling_var=float(config.get("coupling_var", base.coupling_var)),
-        residual_var=float(config.get("residual_var", base.residual_var)),
+        batch_size=_from_config(config, "batch_size", int, base.batch_size),
+        learning_rate=_from_config(config, "learning_rate", float, base.learning_rate),
+        momentum=_from_config(config, "momentum", float, base.momentum),
+        bins=_from_config(config, "bins", int, base.bins),
+        test_mean_lo=_from_config(config, "test_mean_lo", float, base.test_mean_lo),
+        test_mean_hi=_from_config(config, "test_mean_hi", float, base.test_mean_hi),
+        coupling_var=_from_config(config, "coupling_var", float, base.coupling_var),
+        residual_var=_from_config(config, "residual_var", float, base.residual_var),
     )
 
 

@@ -270,13 +270,19 @@ def write_dataset_csv(dataset: Dataset, path: str) -> None:
 def read_dataset_csv(path: str, specs: Sequence[VariableSpec], k: int) -> Dataset:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         expected = [f"g{j}" for j in range(len(specs))] + ["y"]
         if header != expected:
             raise GvlabError("bad-variable", f"unexpected CSV header {header}")
         values, labels = [], []
         for row in reader:
-            values.append([float(v) for v in row[:-1]])
-            labels.append(int(row[-1]))
+            if len(row) != len(expected):
+                raise GvlabError("bad-csv", f"{path}:{reader.line_num}: expected "
+                                            f"{len(expected)} fields, got {len(row)}")
+            try:
+                values.append([float(v) for v in row[:-1]])
+                labels.append(int(row[-1]))
+            except ValueError as err:
+                raise GvlabError("bad-csv", f"{path}:{reader.line_num}: {err}") from None
     data = np.array(values, dtype=np.float64).reshape(len(labels), len(specs))
     return Dataset(tuple(specs), data, np.array(labels, dtype=np.int64), k)

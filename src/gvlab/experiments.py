@@ -32,8 +32,8 @@ from .augment import AugmentDistribution, GridTensor, PositionLaw, erase_batch, 
 from .core import BinningPolicy, Dataset, ExemplarTable, build_table, derive_seed, marginalize
 from .errors import GvlabError
 from .info import conditional_entropy, entropy
-from .models import LinearModel, TrainConfig, VectorDataset, risk, train
-from .synth import ToyData, as_variable_dataset, balance_substitute, generate_toy, \
+from .models import LinearModel, TrainConfig, VectorDataset, risk, train, train_lockstep
+from .synth import ToyData, as_variable_dataset, balance_column, generate_toy, \
     influence_rank, random_toy_spec
 from . import theory
 
@@ -195,26 +195,28 @@ def toy_influence_run(base_seed: int, n_datasets: int, protocol: ToyProtocol = T
 
 
 def _balance_worker(args: tuple[int, int, ToyProtocol]) -> tuple[BalanceRow, ...]:
+    """Train the original model and one retrained model per balanced
+    nuisance dimension, all in one lockstep SGD loop."""
     base_seed, index, protocol = args
     data = _toy_dataset(base_seed, index, protocol)
     trainer = protocol.trainer(derive_seed(base_seed, 12, index))
-    original = train(data.train, trainer).model
+    dims = protocol.nuisance_dims
+    substitutions = [(j, balance_column(data.train.n, derive_seed(base_seed, 13, index, j)))
+                     for j in dims]
+    original, *retrained = (r.model for r in train_lockstep(data.train, trainer, substitutions))
     acc_before = 1.0 - risk(original, data.test).zero_one_error
     view = as_variable_dataset(data.train, protocol.task_correlated_dims)
     _, weights, rank_est, rank_true = _nuisance_ranks(view, original, protocol)
-    rows = []
-    for j in protocol.nuisance_dims:
-        balanced = balance_substitute(data.train, j, derive_seed(base_seed, 13, index, j))
-        retrained = train(balanced, trainer).model
-        rows.append(BalanceRow(
+    return tuple(
+        BalanceRow(
             index, j,
             weights[j],
-            abs(float(retrained.weights[0, j])),
+            abs(float(model.weights[0, j])),
             acc_before,
-            1.0 - risk(retrained, data.test).zero_one_error,
+            1.0 - risk(model, data.test).zero_one_error,
             rank_est[j], rank_true[j],
-        ))
-    return tuple(rows)
+        )
+        for j, model in zip(dims, retrained))
 
 
 def toy_balance_run(base_seed: int, n_datasets: int, protocol: ToyProtocol = ToyProtocol(),

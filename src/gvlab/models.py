@@ -8,13 +8,16 @@ under cross-entropy loss, deterministic given the config seed:
 - weights and bias start at zero, so repeated runs share the optimum of
   the convex objective and 100-run averages are reproducible;
 - each epoch shuffles with a generator seeded by (base seed, epoch);
-- the loss uses log-sum-exp / log1p-of-exp stabilized forms.
+- the loss uses log-sum-exp / log1p-of-exp stabilized forms;
+- models whose data differ only in substituted columns train in one
+  lockstep loop (:func:`train_lockstep`), bit-identical to separate runs.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Literal
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -93,25 +96,30 @@ class LinearModel:
         batch = x[None, :] if single else x
         if batch.ndim != 2 or batch.shape[1] != self.d:
             raise GvlabError("bad-input-dim", f"expected inputs of dimension {self.d}")
-        if self.head == "sigmoid":
-            z = batch @ self.weights[0] + self.bias[0]
-            s = _sigmoid(z)
-            probs = np.column_stack([1.0 - s, s])
-        else:
-            logits = batch @ self.weights.T + self.bias
-            logits -= logits.max(axis=1, keepdims=True)
-            e = np.exp(logits)
-            probs = e / e.sum(axis=1, keepdims=True)
+        probs = _probs(self.weights[None], self.bias[None], self.head, batch[None])[0]
         return probs[0] if single else probs
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _sigmoid_terms(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``exp(-|z|)`` and the sigmoid of ``z``, both from that one exp.
+
+    Each branch of the ``where`` is the stable form for its sign of ``z``,
+    so the values equal the textbook masked evaluation bit for bit.
+    """
+    e = np.exp(-np.abs(z))
+    return e, np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _probs(w: np.ndarray, b: np.ndarray, head: Head, x: np.ndarray) -> np.ndarray:
+    """Score vectors (models, rows, k) of stacked models ``w`` (models, rows_w, d),
+    ``b`` (models, rows_w) on stacked inputs ``x`` (models, rows, d)."""
+    if head == "sigmoid":
+        _, s = _sigmoid_terms((x @ w[:, 0, :, None])[..., 0] + b)
+        return np.stack([1.0 - s, s], axis=-1)
+    logits = x @ w.transpose(0, 2, 1) + b[:, None, :]
+    logits -= logits.max(axis=2, keepdims=True)
+    e = np.exp(logits)
+    return e / e.sum(axis=2, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -150,36 +158,100 @@ def train(data: VectorDataset, config: TrainConfig) -> TrainResult:
     error curve holds 1 minus the mean maximum score over the training
     inputs at the end of each epoch.
     """
+    return train_lockstep(data, config)[0]
+
+
+def train_lockstep(data: VectorDataset, config: TrainConfig,
+                   substitutions: Sequence[tuple[int, np.ndarray]] = ()
+                   ) -> tuple[TrainResult, ...]:
+    """Train ``1 + len(substitutions)`` models in one SGD loop.
+
+    Model 0 trains on ``data``; model ``i`` trains on ``data`` with column
+    ``substitutions[i-1][0]`` replaced by the length-n column
+    ``substitutions[i-1][1]``.  All models start from zero under one seed,
+    so they share every epoch's permutation, and each result is
+    bit-identical to ``train`` on its own substituted dataset: stacked
+    ``matmul`` calls BLAS once per model and every reduction runs along one
+    model's row.  No stacked copy of the dataset is made: each minibatch is
+    gathered from the shared rows, and scoring reuses one buffer.
+    A model that diverges raises at the epoch where that ``train`` call
+    would; with several, the first model in order decides.
+    """
     if data.n == 0:
         raise GvlabError("empty-dataset", "cannot train on an empty dataset")
     if config.batch_size > data.n:
         raise GvlabError("bad-config", f"batch size {config.batch_size} exceeds n={data.n}")
+    dims = np.array([int(j) for j, _ in substitutions], dtype=np.int64)
+    noise = np.empty((data.n, len(dims)))
+    for i, (j, column) in enumerate(substitutions):
+        if not 0 <= j < data.d:
+            raise GvlabError("bad-variable", f"dimension {j} outside 0..{data.d - 1}")
+        column = np.asarray(column, dtype=np.float64)
+        if column.shape != (data.n,):
+            raise GvlabError("bad-input-dim", f"substitute for dimension {j} must have "
+                                              f"shape ({data.n},), got {column.shape}")
+        noise[:, i] = column
+    models = len(dims) + 1
+    substituted = np.arange(1, models)
+    buffer = data.x.copy() if len(dims) else None
     head: Head = "sigmoid" if data.k == 2 else "softmax"
     rows = 1 if head == "sigmoid" else data.k
-    w = np.zeros((rows, data.d))
-    b = np.zeros(rows)
+    w = np.zeros((models, rows, data.d))
+    b = np.zeros((models, rows))
     vw = np.zeros_like(w)
     vb = np.zeros_like(b)
 
-    losses, estimated_errors = [], []
+    losses = np.empty((config.epochs, models))
+    estimated_errors = np.empty((config.epochs, models))
+    diverged_at = np.full(models, -1)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence detected per epoch
         for epoch in range(config.epochs):
             order = _epoch_rng(config.seed, epoch).permutation(data.n)
-            loss_sum = 0.0
+            loss_sum = np.zeros(models)
             for start in range(0, data.n, config.batch_size):
                 idx = order[start:start + config.batch_size]
-                batch_loss, gw, gb = _loss_sum_and_gradients(w, b, head, data.x[idx], data.y[idx])
+                x = np.repeat(data.x[idx][None], models, axis=0)
+                x[substituted, :, dims] = noise[idx].T
+                batch_loss, gw, gb = _loss_sum_and_gradients(w, b, head, x, data.y[idx])
                 loss_sum += batch_loss
                 vw = config.momentum * vw + gw
                 vb = config.momentum * vb + gb
                 w = w - config.learning_rate * vw
                 b = b - config.learning_rate * vb
-            if not (np.isfinite(w).all() and np.isfinite(b).all() and np.isfinite(loss_sum)):
-                raise GvlabError("diverged", f"non-finite parameters or loss at epoch {epoch}")
-            losses.append(loss_sum / data.n)
-            model = LinearModel(w, b, head)
-            estimated_errors.append(1.0 - float(model.forward(data.x).max(axis=1).mean()))
-    return TrainResult(LinearModel(w, b, head), tuple(losses), tuple(estimated_errors))
+            finite = np.isfinite(w).all(axis=(1, 2)) & np.isfinite(b).all(axis=1) \
+                & np.isfinite(loss_sum)
+            diverged_at[(diverged_at < 0) & ~finite] = epoch
+            if (diverged_at >= 0).all():
+                break
+            losses[epoch] = loss_sum / data.n
+            for i, inputs in enumerate(_model_inputs(data.x, dims, noise, buffer)):
+                scores = _probs(w[i:i + 1], b[i:i + 1], head, inputs[None])[0]
+                # Column-wise maximum: the values of scores.max(axis=1), without
+                # numpy's slow reduction over a short contiguous axis.
+                best = functools.reduce(np.maximum, scores.T)
+                estimated_errors[epoch, i] = 1.0 - best.mean()
+    if (diverged_at >= 0).any():
+        epoch = diverged_at[diverged_at >= 0][0]
+        raise GvlabError("diverged", f"non-finite parameters or loss at epoch {epoch}")
+    return tuple(TrainResult(LinearModel(w[i], b[i], head), tuple(losses[:, i].tolist()),
+                             tuple(estimated_errors[:, i].tolist()))
+                 for i in range(models))
+
+
+def _model_inputs(x: np.ndarray, dims: np.ndarray, noise: np.ndarray,
+                  buffer: np.ndarray | None) -> Iterator[np.ndarray]:
+    """Each lockstep model's full training inputs in turn.
+
+    The substituted ones are put together in ``buffer`` one at a time, so
+    each model is scored by one matmul over all n rows, exactly as a
+    single-model run scores it (a BLAS call's rounding can depend on how
+    many rows it gets, so scoring in row chunks would move bits).
+    """
+    yield x
+    for i, j in enumerate(dims):
+        buffer[:, j] = noise[:, i]
+        yield buffer
+        buffer[:, j] = x[:, j]
 
 
 @dataclass(frozen=True)
@@ -204,32 +276,35 @@ def loss_and_gradients(model: LinearModel, x: np.ndarray, y: np.ndarray
     y = np.asarray(y, dtype=np.int64)
     if x.ndim != 2 or x.shape[1] != model.d:
         raise GvlabError("bad-input-dim", f"expected inputs of dimension {model.d}")
-    loss_sum, gw, gb = _loss_sum_and_gradients(model.weights, model.bias, model.head, x, y)
-    return loss_sum / x.shape[0], gw, gb
+    loss_sum, gw, gb = _loss_sum_and_gradients(model.weights[None], model.bias[None],
+                                               model.head, x[None], y)
+    return float(loss_sum[0]) / x.shape[0], gw[0], gb[0]
 
 
 def _loss_sum_and_gradients(w: np.ndarray, b: np.ndarray, head: Head, x: np.ndarray,
-                            y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Summed cross-entropy on a batch and the gradients of its mean.
+                            y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-model summed cross-entropy on a batch and the gradients of its mean.
 
-    This is the one gradient: ``train`` steps with it and
-    ``loss_and_gradients`` exposes it for checking.
+    Stacked shapes: ``w`` (models, rows, d), ``b`` (models, rows), ``x``
+    (models, n, d) with shared labels ``y`` (n,).  This is the one
+    gradient: ``train_lockstep`` steps with it and ``loss_and_gradients``
+    exposes it for checking.
     """
-    n = x.shape[0]
+    n = x.shape[1]
     if head == "sigmoid":
-        z = x @ w[0] + b[0]
+        z = (x @ w[:, 0, :, None])[..., 0] + b
         yf = y.astype(np.float64)
-        loss = float(np.sum(np.maximum(z, 0.0) - z * yf + np.log1p(np.exp(-np.abs(z)))))
-        gz = (_sigmoid(z) - yf) / n
-        return loss, (gz @ x)[None, :], np.array([gz.sum()])
-    logits = x @ w.T + b
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
-    loss = float(np.sum(lse - logits[np.arange(n), y]))
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=1, keepdims=True)
-    gl = (probs - np.eye(w.shape[0])[y]) / n
-    return loss, gl.T @ x, gl.sum(axis=0)
+        e, s = _sigmoid_terms(z)
+        loss = (np.maximum(z, 0.0) - z * yf + np.log1p(e)).sum(axis=1)
+        gz = (s - yf) / n
+        return loss, gz[:, None, :] @ x, gz.sum(axis=1)[:, None]
+    logits = x @ w.transpose(0, 2, 1) + b[:, None, :]
+    top = logits.max(axis=2, keepdims=True)
+    e = np.exp(logits - top)
+    total = e.sum(axis=2, keepdims=True)
+    loss = (np.log(total[..., 0]) + top[..., 0] - logits[:, np.arange(n), y]).sum(axis=1)
+    gl = (e / total - np.eye(w.shape[1])[y]) / n
+    return loss, gl.transpose(0, 2, 1) @ x, gl.sum(axis=1)
 
 
 def save_model(model: LinearModel, path: str) -> None:
@@ -241,8 +316,15 @@ def save_model(model: LinearModel, path: str) -> None:
 
 
 def load_model(path: str) -> LinearModel:
-    with open(path) as fh:
-        rows = [np.array([float(v) for v in line.split()]) for line in fh if line.strip()]
-    weights = np.vstack(rows[:-1])
+    """Read a model written by :func:`save_model`."""
+    try:
+        with open(path) as fh:
+            rows = [[float(v) for v in line.split()] for line in fh if line.strip()]
+    except ValueError as err:
+        raise GvlabError("bad-model-file", f"{path}: {err}") from None
+    if len(rows) < 2 or len({len(row) for row in rows[:-1]}) != 1:
+        raise GvlabError("bad-model-file",
+                         f"{path}: need weight rows of one length, then a bias line")
+    weights = np.array(rows[:-1])
     head: Head = "sigmoid" if weights.shape[0] == 1 else "softmax"
-    return LinearModel(weights, rows[-1], head)
+    return LinearModel(weights, np.array(rows[-1]), head)

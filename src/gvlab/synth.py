@@ -192,12 +192,17 @@ def influence_rank(dataset: Dataset, candidate_ids: Sequence[int],
     return tuple(sorted(scored, key=lambda pair: (pair[1], pair[0])))
 
 
+def balance_column(n: int, seed: int) -> np.ndarray:
+    """The Balance operation's substitute column: n i.i.d. Uniform(0,1) draws."""
+    return np.random.default_rng(seed).uniform(0.0, 1.0, n)
+
+
 def balance_substitute(data: VectorDataset, dim: int, seed: int) -> VectorDataset:
-    """Copy of ``data`` with column ``dim`` replaced by i.i.d. Uniform(0,1) draws."""
+    """Copy of ``data`` with column ``dim`` replaced by ``balance_column(n, seed)``."""
     if not 0 <= dim < data.d:
         raise GvlabError("bad-variable", f"dimension {dim} outside 0..{data.d - 1}")
     x = data.x.copy()
-    x[:, dim] = np.random.default_rng(seed).uniform(0.0, 1.0, data.n)
+    x[:, dim] = balance_column(data.n, seed)
     return VectorDataset(x, data.y, data.k)
 
 

@@ -37,6 +37,21 @@ class TestConfigFile:
         body = (out / "bounds.csv").read_text().splitlines()
         assert body[1].startswith("2,2,1000,")
 
+    @pytest.mark.parametrize("command, line", [
+        ("bounds", "seed = abc"),
+        ("augment-sweep", "interval_3 = 0.1,0.2"),
+    ])
+    def test_unparsable_value_exits_with_bad_config(self, tmp_path, capsys, command, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code = run([command, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                    "--datasets", "1", "--plot", "false"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad-config:")
+        assert line.split(" =")[0] in err
+        assert "Traceback" not in err
+
     def test_distribution_from_config_overrides(self):
         config = {"alpha": "0.4", "position_law": "center_m1", "area_lo": "0.0",
                   "area_hi": "0.5", "interval_0": "0.1,0.2,0.3,0.4"}

@@ -182,3 +182,15 @@ def test_dataset_csv_roundtrip(tmp_path):
     back = read_dataset_csv(str(path), specs, 2)
     np.testing.assert_array_equal(back.values, ds.values)
     np.testing.assert_array_equal(back.labels, ds.labels)
+
+
+@pytest.mark.parametrize("row", ["1,0.5", "1,abc,0"])
+def test_dataset_csv_malformed_row_rejected(tmp_path, row):
+    specs = (VariableSpec.discrete(0, "g0", 3),
+             VariableSpec.continuous(1, "g1", -1.0, 1.0))
+    path = tmp_path / "data.csv"
+    path.write_text(f"g0,g1,y\n0,0.25,1\n{row}\n")
+    with pytest.raises(GvlabError) as err:
+        read_dataset_csv(str(path), specs, 2)
+    assert err.value.code == "bad-csv"
+    assert ":3:" in str(err.value)

@@ -9,6 +9,8 @@ from gvlab.experiments import (CORRUPTIBLE_CHECKS, AdditionRuleSweep, GridProtoc
                                label_equals_variable_table, make_grid_task, parallel_map,
                                product_table, random_count_table, spearman,
                                theory_check_run, theory_report_csv)
+from gvlab.models import risk, train
+from gvlab.synth import balance_substitute
 from gvlab.theory import estimated_training_error, optimal_outputs
 
 SMALL_TOY = ToyProtocol(per_class=300, epochs=8)
@@ -105,6 +107,18 @@ class TestToyRunners:
         accs = {r.acc_before for r in rows}
         assert len(accs) == 1  # one trained original per dataset
         assert all(0.0 <= r.acc_after <= 1.0 for r in rows)
+
+    def test_balance_rows_match_sequential_retraining(self):
+        """The lockstep worker retrains exactly the models that ``train`` gives
+        on ``balance_substitute``'s datasets, the Balance operation InvarTG uses."""
+        rows = experiments.toy_balance_run(123, 1, SMALL_TOY, jobs=1)
+        data = experiments._toy_dataset(123, 0, SMALL_TOY)
+        trainer = SMALL_TOY.trainer(derive_seed(123, 12, 0))
+        for r in rows:
+            balanced = balance_substitute(data.train, r.dim, derive_seed(123, 13, 0, r.dim))
+            model = train(balanced, trainer).model
+            assert r.w_after == abs(float(model.weights[0, r.dim]))
+            assert r.acc_after == 1.0 - risk(model, data.test).zero_one_error
 
     def test_balance_deterministic_across_job_counts(self):
         serial = experiments.toy_balance_run(123, 2, SMALL_TOY, jobs=1)

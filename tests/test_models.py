@@ -3,7 +3,8 @@ import pytest
 
 from gvlab.errors import GvlabError
 from gvlab.models import (LinearModel, TrainConfig, VectorDataset, load_model,
-                          loss_and_gradients, risk, save_model, train)
+                          loss_and_gradients, risk, save_model, train, train_lockstep)
+from gvlab.synth import balance_column, balance_substitute
 
 
 def sigmoid_model(weights, bias):
@@ -123,6 +124,115 @@ class TestTrain:
         assert err.value.code == "bad-config"
 
 
+def reference_train(data, config):
+    """One model's SGD written with plain 2-D numpy and a masked sigmoid:
+    the reference that the stacked kernel must match bit for bit."""
+    def sigmoid(z):
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
+    def probs(w, b, x):
+        if data.k == 2:
+            s = sigmoid(x @ w[0] + b[0])
+            return np.column_stack([1.0 - s, s])
+        logits = x @ w.T + b
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    rows = 1 if data.k == 2 else data.k
+    w, b = np.zeros((rows, data.d)), np.zeros(rows)
+    vw, vb = np.zeros_like(w), np.zeros_like(b)
+    losses, errors = [], []
+    for epoch in range(config.epochs):
+        rng = np.random.default_rng(np.random.SeedSequence((config.seed, epoch)))
+        order = rng.permutation(data.n)
+        loss_sum = 0.0
+        for start in range(0, data.n, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            x, y = data.x[idx], data.y[idx]
+            if data.k == 2:
+                z = x @ w[0] + b[0]
+                yf = y.astype(np.float64)
+                loss_sum += float(np.sum(np.maximum(z, 0.0) - z * yf
+                                         + np.log1p(np.exp(-np.abs(z)))))
+                gz = (sigmoid(z) - yf) / len(idx)
+                gw, gb = (gz @ x)[None, :], np.array([gz.sum()])
+            else:
+                logits = x @ w.T + b
+                shifted = logits - logits.max(axis=1, keepdims=True)
+                lse = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
+                loss_sum += float(np.sum(lse - logits[np.arange(len(idx)), y]))
+                gl = (probs(w, b, x) - np.eye(rows)[y]) / len(idx)
+                gw, gb = gl.T @ x, gl.sum(axis=0)
+            vw = config.momentum * vw + gw
+            vb = config.momentum * vb + gb
+            w = w - config.learning_rate * vw
+            b = b - config.learning_rate * vb
+        losses.append(loss_sum / data.n)
+        errors.append(1.0 - float(probs(w, b, data.x).max(axis=1).mean()))
+    return w, b, tuple(losses), tuple(errors)
+
+
+class TestTrainLockstep:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_sequential_training_bit_for_bit(self, k):
+        """K substitutions trained in lockstep give exactly the K+1 models
+        that sequential ``train`` calls give on the substituted datasets,
+        and both match the plain single-model reference loop."""
+        rng = np.random.default_rng(17)
+        data = VectorDataset(rng.normal(size=(70, 5)), rng.integers(0, k, 70), k)
+        config = TrainConfig(0.1, 0.9, 16, 6, seed=8)  # 70 rows: a ragged last batch of 6
+        dims = (4, 1, 2)
+        lockstep = train_lockstep(data, config,
+                                  [(j, balance_column(data.n, 30 + j)) for j in dims])
+        datasets = [data] + [balance_substitute(data, j, 30 + j) for j in dims]
+        assert len(lockstep) == len(datasets)
+        for got, dataset in zip(lockstep, datasets):
+            for result in (got, train(dataset, config)):
+                w, b, losses, errors = reference_train(dataset, config)
+                assert np.array_equal(result.model.weights, w)
+                assert np.array_equal(result.model.bias, b)
+                assert result.loss_curve == losses
+                assert result.estimated_error_curve == errors
+
+    @pytest.mark.parametrize("dim, length, code", [
+        (2, 60, "bad-variable"),
+        (-1, 60, "bad-variable"),
+        (1, 59, "bad-input-dim"),
+    ])
+    def test_bad_substitution_rejected(self, dim, length, code):
+        data = separable_data(n=60)
+        with pytest.raises(GvlabError) as err:
+            train_lockstep(data, TrainConfig(0.1, 0.9, 16, 2), [(dim, np.zeros(length))])
+        assert err.value.code == code
+
+    def test_divergence_names_the_epoch_of_the_first_diverging_model(self):
+        """Scaled-up substitutes make models 1 and 2 diverge at different
+        epochs; as in sequential training, model 1's epoch is reported even
+        though model 2 diverges first."""
+        data = separable_data()
+        config = TrainConfig(0.05, 0.9, 16, 12, seed=0)
+        column = balance_column(data.n, 5)
+        substitutions = [(1, column * 10.0 ** 154.5), (1, column * 1e155)]
+        messages = []
+        for dim, substitute in substitutions:
+            x = data.x.copy()
+            x[:, dim] = substitute
+            with pytest.raises(GvlabError) as err:
+                train(VectorDataset(x, data.y, 2), config)
+            messages.append(str(err.value))
+        first_epochs = [int(message.rsplit(" ", 1)[1]) for message in messages]
+        assert first_epochs[0] > first_epochs[1]
+        with pytest.raises(GvlabError) as err:
+            train_lockstep(data, config, substitutions)
+        assert err.value.code == "diverged"
+        assert str(err.value) == messages[0]
+
+
 class TestRisk:
     def test_perfect_model(self):
         data = separable_data()
@@ -185,6 +295,15 @@ class TestSerialization:
         assert back.head == "softmax"
         np.testing.assert_array_equal(back.weights, model.weights)
         np.testing.assert_array_equal(back.bias, model.bias)
+
+    @pytest.mark.parametrize("text", ["", "1.0 2.0\n", "1.0 2.0\n3.0\n0.5 0.5\n",
+                                      "1.0 abc\n0.5\n"])
+    def test_malformed_file_rejected(self, tmp_path, text):
+        path = tmp_path / "model.txt"
+        path.write_text(text)
+        with pytest.raises(GvlabError) as err:
+            load_model(str(path))
+        assert err.value.code == "bad-model-file"
 
     def test_single_row_loads_as_sigmoid(self, tmp_path):
         model = sigmoid_model([0.25, -1.5], 0.75)
