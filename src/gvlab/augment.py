@@ -21,11 +21,18 @@ ratio log-uniform over ``aspect_lo..aspect_hi`` with defaults 1/3..3.
 Erased pixels are filled with i.i.d. Uniform(0,1) noise so the fill adds
 no label information; rectangles are centered at the position draw and
 clipped to the grid.
+
+A batch is erased in one vectorized pass over the stacked grids.  Its
+random stream is laid out as all parameters first, one ``(n, 5)`` unit
+draw whose row i holds the coin, area, aspect, pos_x and pos_y of grid i,
+then the fill noise of every erased pixel in row-major order over
+(grid, y, x, channel).  The single-draw functions (``sample_params``,
+``apply_erasing``, ...) are that batch path at n = 1, so they consume
+the stream exactly as five scalar draws followed by the rectangle's fill.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Literal, Mapping, Sequence
@@ -98,38 +105,52 @@ class AugmentDistribution:
             raise GvlabError("bad-variable", "aspect range must be positive with lo <= hi")
 
 
-def sample_position(law: PositionLaw, rng: np.random.Generator) -> float:
-    """Inverse-CDF draw from the selected position density on [0,1]."""
-    q = float(rng.random())
+def _position(law: PositionLaw, q):
+    """Inverse CDF of the position law, elementwise on unit draws ``q``."""
     if law == "uniform":
         return q
     if law == "periphery_m0":
-        if q <= 0.5:
-            return (1.0 - math.sqrt(1.0 - 2.0 * q)) / 2.0
-        return (1.0 + math.sqrt(2.0 * q - 1.0)) / 2.0
+        # |1 - 2q| is bit-equal to 2q - 1 above the middle
+        s = np.sqrt(np.abs(1.0 - 2.0 * q))
+        return np.where(q <= 0.5, (1.0 - s) / 2.0, (1.0 + s) / 2.0)
     if law == "center_m1":
-        if q <= 0.5:
-            return math.sqrt(q / 2.0)
-        return 1.0 - math.sqrt((1.0 - q) / 2.0)
+        return np.where(q <= 0.5, np.sqrt(q / 2.0), 1.0 - np.sqrt((1.0 - q) / 2.0))
     raise GvlabError("bad-variable", f"unknown position law {law!r}")
+
+
+def sample_position(law: PositionLaw, rng: np.random.Generator) -> float:
+    """Inverse-CDF draw from the selected position density on [0,1]."""
+    return float(_position(law, rng.random()))
+
+
+def _draw_params(dist: AugmentDistribution, labels: np.ndarray,
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Erasing parameters for a batch of labels, from one ``(n, 5)`` unit draw.
+
+    Row i's draws are its coin, area, aspect, pos_x and pos_y in that order.
+    Returns the ``(n, 4)`` columns area_u, aspect_u, pos_x, pos_y and the
+    flags of the rows that used the label-dependent law.
+    """
+    unknown = set(labels.tolist()) - dist.label_intervals.keys()
+    if unknown:
+        raise GvlabError("bad-label", f"no interval entry for label {min(unknown)}")
+    keys = np.array(sorted(dist.label_intervals))
+    table = np.array([dist.label_intervals[k] for k in keys.tolist()])
+    rows = table[keys.searchsorted(labels)]
+    lo, hi = rows[..., 0], rows[..., 1]
+    q = rng.random((len(labels), 5))
+    dependent = q[:, 0] < dist.alpha
+    params = np.empty((len(labels), 4))
+    params[:, :2] = np.where(dependent[:, None], lo + q[:, 1:3] * (hi - lo), q[:, 1:3])
+    params[:, 2:] = _position(dist.position_law, q[:, 3:5])
+    return params, dependent
 
 
 def sample_params_traced(dist: AugmentDistribution, label: int,
                          rng: np.random.Generator) -> tuple[ErasingParams, bool]:
     """Draw erasing parameters; also report whether the label-dependent branch fired."""
-    if label not in dist.label_intervals:
-        raise GvlabError("bad-label", f"no interval entry for label {label}")
-    dependent = bool(rng.random() < dist.alpha)
-    if dependent:
-        (a1, b1), (a2, b2) = dist.label_intervals[label]
-        area_u = a1 + float(rng.random()) * (b1 - a1)
-        aspect_u = a2 + float(rng.random()) * (b2 - a2)
-    else:
-        area_u = float(rng.random())
-        aspect_u = float(rng.random())
-    pos_x = sample_position(dist.position_law, rng)
-    pos_y = sample_position(dist.position_law, rng)
-    return ErasingParams(area_u, aspect_u, pos_x, pos_y), dependent
+    params, dependent = _draw_params(dist, np.array([label]), rng)
+    return ErasingParams(*params[0].tolist()), bool(dependent[0])
 
 
 def sample_params(dist: AugmentDistribution, label: int,
@@ -167,53 +188,95 @@ class GridTensor:
         return self.values.reshape(-1)
 
 
+def _rectangles(width: int, height: int, params: np.ndarray,
+                area_range: tuple[float, float],
+                aspect_range: tuple[float, float]) -> np.ndarray:
+    """Pixel rectangles ``(n, 4)`` of columns x0, x1, y0, y1 for ``(n, 4)`` draws.
+
+    Half-up rounding of the side lengths, center placement, clipping to
+    the grid bounds; an empty rectangle is all zeros.
+    """
+    area_lo, area_hi = area_range
+    aspect_lo, aspect_hi = aspect_range
+    area_u, aspect_u, pos_x, pos_y = params.T
+    area_px = (area_lo + area_u * (area_hi - area_lo)) * width * height
+    ratio = aspect_lo * (aspect_hi / aspect_lo) ** aspect_u
+    w = np.floor(np.sqrt(area_px * ratio) + 0.5)
+    h = np.floor(np.sqrt(area_px / ratio) + 0.5)
+    x0 = np.floor(pos_x * width - w / 2.0 + 0.5)
+    y0 = np.floor(pos_y * height - h / 2.0 + 0.5)
+    rects = np.stack([np.maximum(x0, 0), np.minimum(x0 + w, width),
+                      np.maximum(y0, 0), np.minimum(y0 + h, height)], axis=1).astype(np.int64)
+    empty = (w < 1) | (h < 1) | (rects[:, 0] >= rects[:, 1]) | (rects[:, 2] >= rects[:, 3])
+    rects[empty] = 0
+    return rects
+
+
+def _erase(values: np.ndarray, rects: np.ndarray, rng: np.random.Generator) -> None:
+    """Fill each row's rectangle of the stacked grids in place with Uniform(0,1)
+    noise, drawn in row-major order over (row, y, x, channel)."""
+    rows = np.arange(values.shape[1])[:, None]
+    cols = np.arange(values.shape[2])
+    x0, x1, y0, y1 = (r[:, None, None] for r in rects.T)
+    mask = ((y0 <= rows) & (rows < y1)) & ((x0 <= cols) & (cols < x1))
+    mask = np.broadcast_to(mask[..., None], values.shape)
+    values[mask] = rng.random(np.count_nonzero(mask))
+
+
+def _params_row(params: ErasingParams) -> np.ndarray:
+    return np.array([[params.area_u, params.aspect_u, params.pos_x, params.pos_y]])
+
+
 def erasing_rectangle(width: int, height: int, params: ErasingParams,
                       area_range: tuple[float, float] = (0.02, 0.40),
                       aspect_range: tuple[float, float] = (1 / 3, 3.0)
                       ) -> tuple[int, int, int, int] | None:
-    """Pixel rectangle (x0, x1, y0, y1) for the given draw, or None if empty.
-
-    Half-up rounding of the side lengths, center placement, clipping to
-    the grid bounds.
-    """
-    area_lo, area_hi = area_range
-    aspect_lo, aspect_hi = aspect_range
-    area_px = (area_lo + params.area_u * (area_hi - area_lo)) * width * height
-    ratio = aspect_lo * (aspect_hi / aspect_lo) ** params.aspect_u
-    w = int(math.floor(math.sqrt(area_px * ratio) + 0.5))
-    h = int(math.floor(math.sqrt(area_px / ratio) + 0.5))
-    if w < 1 or h < 1:
-        return None
-    x0 = int(math.floor(params.pos_x * width - w / 2.0 + 0.5))
-    y0 = int(math.floor(params.pos_y * height - h / 2.0 + 0.5))
-    xa, xb = max(x0, 0), min(x0 + w, width)
-    ya, yb = max(y0, 0), min(y0 + h, height)
-    if xa >= xb or ya >= yb:
-        return None
-    return xa, xb, ya, yb
+    """Pixel rectangle (x0, x1, y0, y1) for the given draw, or None if empty."""
+    rect = _rectangles(width, height, _params_row(params), area_range, aspect_range)[0]
+    return tuple(rect.tolist()) if rect[1] > rect[0] else None
 
 
 def apply_erasing(grid: GridTensor, params: ErasingParams, rng: np.random.Generator,
                   area_range: tuple[float, float] = (0.02, 0.40),
                   aspect_range: tuple[float, float] = (1 / 3, 3.0)) -> GridTensor:
     """Copy of the grid with the drawn rectangle filled by Uniform(0,1) noise."""
-    rect = erasing_rectangle(grid.width, grid.height, params, area_range, aspect_range)
-    if rect is None:
-        return GridTensor(grid.values.copy())
-    xa, xb, ya, yb = rect
-    values = grid.values.copy()
-    values[ya:yb, xa:xb, :] = rng.random((yb - ya, xb - xa, grid.channels))
-    return GridTensor(values)
+    values = grid.values[None].copy()
+    _erase(values, _rectangles(grid.width, grid.height, _params_row(params), area_range,
+                               aspect_range), rng)
+    return GridTensor(values[0])
 
 
-def erase_batch(grids: Sequence[GridTensor], labels: np.ndarray, dist: AugmentDistribution,
-                rng: np.random.Generator) -> np.ndarray:
-    """Erase every grid with freshly drawn parameters; rows are flattened grids."""
-    out = np.empty((len(grids), grids[0].flat.size))
-    for i, grid in enumerate(grids):
-        params = sample_params(dist, int(labels[i]), rng)
-        out[i] = apply_erasing(grid, params, rng, dist.area_range, dist.aspect_range).flat
-    return out
+def _stack(grids: np.ndarray | Sequence[GridTensor]) -> np.ndarray:
+    """Fresh ``(n, height, width, channels)`` array of a non-empty batch of
+    equally shaped grids."""
+    if isinstance(grids, np.ndarray):
+        if grids.ndim != 4 or 0 in grids.shape:
+            raise GvlabError("bad-input-dim",
+                             "stacked grids must be a non-empty (n, height, width, channels)")
+        return np.array(grids, dtype=np.float64)
+    if len(grids) == 0:
+        raise GvlabError("bad-input-dim", "empty batch of grids")
+    if len({g.values.shape for g in grids}) > 1:
+        raise GvlabError("bad-input-dim", "grids of mixed shapes in one batch")
+    return np.stack([g.values for g in grids])
+
+
+def erase_batch(grids: np.ndarray | Sequence[GridTensor], labels: np.ndarray,
+                dist: AugmentDistribution, rng: np.random.Generator) -> np.ndarray:
+    """Erase every grid with freshly drawn parameters; rows are flattened grids.
+
+    ``grids`` is a sequence of grids or their stacked
+    ``(n, height, width, channels)`` array, with one label per grid.
+    """
+    values = _stack(grids)
+    labels = np.asarray(labels)
+    if labels.shape != (len(values),):
+        raise GvlabError("bad-input-dim",
+                         f"{labels.size} labels for a batch of {len(values)} grids")
+    params, _ = _draw_params(dist, labels.astype(np.int64), rng)
+    _erase(values, _rectangles(values.shape[2], values.shape[1], params, dist.area_range,
+                               dist.aspect_range), rng)
+    return values.reshape(len(values), -1)
 
 
 def prediction_changing_ratio(model: LinearModel, grids: Sequence[GridTensor],
@@ -229,10 +292,11 @@ def prediction_changing_ratio(model: LinearModel, grids: Sequence[GridTensor],
     if repeats < 1:
         raise GvlabError("bad-config", "repeats must be >= 1")
     rng = np.random.default_rng(0) if rng is None else rng
-    labels = np.asarray(labels, dtype=np.int64)
-    base = model.forward(np.stack([g.flat for g in grids])).argmax(axis=1)
+    labels = np.asarray(labels)
+    stacked = _stack(grids)
+    base = model.forward(stacked.reshape(len(stacked), -1)).argmax(axis=1)
     changed = 0.0
     for _ in range(repeats):
-        erased = erase_batch(grids, labels, dist, rng)
+        erased = erase_batch(stacked, labels, dist, rng)
         changed += float((model.forward(erased).argmax(axis=1) != base).mean())
     return changed / repeats

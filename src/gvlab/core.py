@@ -284,5 +284,8 @@ def read_dataset_csv(path: str, specs: Sequence[VariableSpec], k: int) -> Datase
                 labels.append(int(row[-1]))
             except ValueError as err:
                 raise GvlabError("bad-csv", f"{path}:{reader.line_num}: {err}") from None
+            if not 0 <= labels[-1] < k:
+                raise GvlabError("bad-csv", f"{path}:{reader.line_num}: label {labels[-1]} "
+                                            f"outside 0..{k - 1}")
     data = np.array(values, dtype=np.float64).reshape(len(labels), len(specs))
     return Dataset(tuple(specs), data, np.array(labels, dtype=np.int64), k)

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from gvlab.augment import (LABEL_INTERVALS, AugmentDistribution, ErasingParams, GridTensor,
-                           apply_erasing, erase_batch, erasing_rectangle,
-                           prediction_changing_ratio, sample_params, sample_params_traced,
-                           sample_position)
+from gvlab.augment import (LABEL_INTERVALS, POSITION_LAWS, AugmentDistribution, ErasingParams,
+                           GridTensor, _draw_params, apply_erasing, erase_batch,
+                           erasing_rectangle, prediction_changing_ratio, sample_params,
+                           sample_params_traced, sample_position)
 from gvlab.errors import GvlabError
 from gvlab.models import LinearModel
 
@@ -182,6 +182,215 @@ class TestPredictionChangingRatio:
         with pytest.raises(GvlabError):
             prediction_changing_ratio(model, self.grids, AugmentDistribution(),
                                       self.labels, repeats=0)
+
+
+# Frozen copy of the per-sample erasing code that the batch path replaced.
+
+def reference_position(law, rng):
+    q = float(rng.random())
+    if law == "uniform":
+        return q
+    if law == "periphery_m0":
+        if q <= 0.5:
+            return (1.0 - math.sqrt(1.0 - 2.0 * q)) / 2.0
+        return (1.0 + math.sqrt(2.0 * q - 1.0)) / 2.0
+    if q <= 0.5:
+        return math.sqrt(q / 2.0)
+    return 1.0 - math.sqrt((1.0 - q) / 2.0)
+
+
+def reference_params_traced(dist, label, rng):
+    dependent = bool(rng.random() < dist.alpha)
+    if dependent:
+        (a1, b1), (a2, b2) = dist.label_intervals[label]
+        area_u = a1 + float(rng.random()) * (b1 - a1)
+        aspect_u = a2 + float(rng.random()) * (b2 - a2)
+    else:
+        area_u = float(rng.random())
+        aspect_u = float(rng.random())
+    pos_x = reference_position(dist.position_law, rng)
+    pos_y = reference_position(dist.position_law, rng)
+    return (area_u, aspect_u, pos_x, pos_y), dependent
+
+
+def reference_rectangle(width, height, params, area_range, aspect_range):
+    area_u, aspect_u, pos_x, pos_y = params
+    area_lo, area_hi = area_range
+    aspect_lo, aspect_hi = aspect_range
+    area_px = (area_lo + area_u * (area_hi - area_lo)) * width * height
+    ratio = aspect_lo * (aspect_hi / aspect_lo) ** aspect_u
+    w = int(math.floor(math.sqrt(area_px * ratio) + 0.5))
+    h = int(math.floor(math.sqrt(area_px / ratio) + 0.5))
+    if w < 1 or h < 1:
+        return None
+    x0 = int(math.floor(pos_x * width - w / 2.0 + 0.5))
+    y0 = int(math.floor(pos_y * height - h / 2.0 + 0.5))
+    xa, xb = max(x0, 0), min(x0 + w, width)
+    ya, yb = max(y0, 0), min(y0 + h, height)
+    if xa >= xb or ya >= yb:
+        return None
+    return xa, xb, ya, yb
+
+
+def reference_erase_batch(values, labels, dist, rng):
+    """The batch stream layout on the reference code: every row's parameters,
+    then every rectangle's fill in row order."""
+    out = values.copy()
+    height, width, channels = values.shape[1:]
+    params = [reference_params_traced(dist, int(label), rng)[0] for label in labels]
+    rects = [reference_rectangle(width, height, p, dist.area_range, dist.aspect_range)
+             for p in params]
+    for grid, rect in zip(out, rects):
+        if rect is not None:
+            xa, xb, ya, yb = rect
+            grid[ya:yb, xa:xb, :] = rng.random((yb - ya, xb - xa, channels))
+    return out, rects
+
+
+class ScriptedRng:
+    """Generator whose first unit draws are scripted; later ones come from a seed."""
+
+    def __init__(self, values, seed=0):
+        self.values = list(values)
+        self.rest = np.random.default_rng(seed)
+
+    def random(self, size=None):
+        count = 1 if size is None else int(np.prod(size))
+        head, self.values = self.values[:count], self.values[count:]
+        draws = np.concatenate([head, self.rest.random(count - len(head))])
+        return float(draws[0]) if size is None else draws.reshape(size)
+
+
+def random_grids(n, shape=(7, 9, 2), seed=8):
+    return np.random.default_rng(seed).random((n, *shape))
+
+
+class TestBatchMatchesReference:
+    @pytest.mark.parametrize("law", POSITION_LAWS)
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_single_draw_matches_reference(self, law, alpha):
+        dist = AugmentDistribution(alpha=alpha, position_law=law)
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        for i in range(300):
+            params, dependent = sample_params_traced(dist, i % 10, rng)
+            expected, expected_dependent = reference_params_traced(dist, i % 10, ref_rng)
+            drawn = (params.area_u, params.aspect_u, params.pos_x, params.pos_y)
+            assert drawn == expected and dependent == expected_dependent
+            for width, height in ((16, 16), (5, 9)):
+                assert erasing_rectangle(width, height, params) == reference_rectangle(
+                    width, height, expected, dist.area_range, dist.aspect_range)
+
+    @pytest.mark.parametrize("law", POSITION_LAWS)
+    def test_one_grid_batch_matches_reference(self, law):
+        dist = AugmentDistribution(alpha=0.5, position_law=law)
+        rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
+        for i, values in enumerate(random_grids(100)):
+            out = erase_batch(values[None], [i % 10], dist, rng)
+            expected, _ = reference_erase_batch(values[None], [i % 10], dist, ref_rng)
+            assert out.tobytes() == expected.reshape(1, -1).tobytes()
+
+    def test_mixed_label_batch_uses_each_row_interval(self):
+        labels = np.arange(200) % 10
+        params, dependent = _draw_params(AugmentDistribution(alpha=1.0), labels,
+                                         np.random.default_rng(13))
+        assert dependent.all()
+        for (area_u, aspect_u, _, _), label in zip(params, labels):
+            (a1, b1), (a2, b2) = LABEL_INTERVALS[label]
+            assert a1 <= area_u <= b1 and a2 <= aspect_u <= b2
+
+    @pytest.mark.parametrize("law", POSITION_LAWS)
+    def test_changes_stay_inside_reference_rectangles(self, law):
+        values = random_grids(300)
+        labels = np.arange(300) % 10
+        dist = AugmentDistribution(alpha=0.5, position_law=law)
+        out = erase_batch(values, labels, dist, np.random.default_rng(14))
+        expected, rects = reference_erase_batch(values, labels, dist, np.random.default_rng(14))
+        assert out.tobytes() == expected.reshape(300, -1).tobytes()
+        out = out.reshape(values.shape)
+        for grid, erased, rect in zip(values, out, rects):
+            inside = np.zeros(grid.shape, dtype=bool)
+            if rect is not None:
+                xa, xb, ya, yb = rect
+                inside[ya:yb, xa:xb, :] = True
+            assert np.array_equal(erased[~inside], grid[~inside])
+            assert np.all((erased[inside] >= 0.0) & (erased[inside] < 1.0))
+        assert sum(rect is None for rect in rects) < 300
+
+    def test_empty_rectangles_leave_the_batch_unchanged(self):
+        values = random_grids(20)
+        dist = AugmentDistribution(alpha=0.0, area_range=(0.0, 0.0))
+        rng = np.random.default_rng(15)
+        out = erase_batch(values, np.zeros(20, dtype=int), dist, rng)
+        assert out.tobytes() == values.reshape(20, -1).tobytes()
+        after = np.random.default_rng(15)
+        after.random((20, 5))  # the parameter draw is all the batch consumed
+        assert rng.random() == after.random()
+
+    def test_corner_rectangles_are_clipped_like_the_reference(self):
+        # coin, area, aspect, pos_x, pos_y per row: centres on the four corners
+        corners = [(0.0, 0.0), (0.999, 0.0), (0.0, 0.999), (0.999, 0.999)]
+        script = [v for x, y in corners for v in (0.9, 0.8, 0.5, x, y)]
+        values = random_grids(4)
+        dist = AugmentDistribution(alpha=0.0)
+        out = erase_batch(values, [0, 1, 2, 3], dist, ScriptedRng(script))
+        expected, rects = reference_erase_batch(values, [0, 1, 2, 3], dist,
+                                                ScriptedRng(script))
+        assert out.tobytes() == expected.reshape(4, -1).tobytes()
+        height, width = values.shape[1:3]
+        assert [(r[0] == 0, r[1] == width, r[2] == 0, r[3] == height) for r in rects] == [
+            (True, False, True, False), (False, True, True, False),
+            (True, False, False, True), (False, True, False, True)]
+
+    def test_stacked_array_and_grid_sequence_agree(self):
+        values = random_grids(12)
+        grids = [GridTensor(v) for v in values]
+        dist = AugmentDistribution(alpha=0.5)
+        a = erase_batch(values, np.arange(12) % 10, dist, np.random.default_rng(16))
+        b = erase_batch(grids, np.arange(12) % 10, dist, np.random.default_rng(16))
+        assert a.tobytes() == b.tobytes()
+        assert np.array_equal(values, np.stack([g.values for g in grids]))  # input untouched
+
+
+def _grids_and_labels(case):
+    grids = [GridTensor(v) for v in random_grids(4, shape=(4, 4, 1))]
+    return {
+        "empty": ([], []),
+        "short-labels": (grids, [0, 1, 0]),
+        "long-labels": (grids, [0, 1, 0, 1, 0]),
+        "mixed-shapes": (grids[:3] + [GridTensor(np.zeros((4, 5, 1)))], [0, 1, 0, 1]),
+    }[case]
+
+
+class TestBatchBoundaries:
+    CASES = ["empty", "short-labels", "long-labels", "mixed-shapes"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_erase_batch_rejects(self, case):
+        grids, labels = _grids_and_labels(case)
+        with pytest.raises(GvlabError) as err:
+            erase_batch(grids, labels, AugmentDistribution(), np.random.default_rng(0))
+        assert err.value.code == "bad-input-dim"
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_prediction_changing_ratio_rejects(self, case):
+        grids, labels = _grids_and_labels(case)
+        model = LinearModel(np.zeros((1, 16)), np.zeros(1), "sigmoid")
+        with pytest.raises(GvlabError) as err:
+            prediction_changing_ratio(model, grids, AugmentDistribution(), labels, repeats=2)
+        assert err.value.code == "bad-input-dim"
+
+    @pytest.mark.parametrize("shape", [(4, 4, 1), (0, 4, 4, 1)])
+    def test_stacked_array_must_be_a_nonempty_batch(self, shape):
+        with pytest.raises(GvlabError) as err:
+            erase_batch(np.zeros(shape), [0] * shape[0], AugmentDistribution(),
+                        np.random.default_rng(0))
+        assert err.value.code == "bad-input-dim"
+
+    def test_unknown_label_rejected(self):
+        grids, _ = _grids_and_labels("short-labels")
+        with pytest.raises(GvlabError) as err:
+            erase_batch(grids, [0, 1, 10, 0], AugmentDistribution(), np.random.default_rng(0))
+        assert err.value.code == "bad-label"
 
 
 def test_erase_batch_shapes_and_determinism():
