@@ -20,7 +20,8 @@ Contents:
 - ``addition_rule``: per-variable conditional-information sum and the
   prediction entropy given the task block, for deterministic predictors.
 - ``numeric_optimal_outputs``: independent projected-gradient minimizer
-  of the empirical cross-entropy, used only to validate the closed form.
+  of the empirical cross-entropy, used only to validate the closed form;
+  it stops on a duality-gap certificate.
 
 Entropies are in nats throughout; ``ln2`` converts the binary-log
 constants of the source bounds.
@@ -43,6 +44,11 @@ LN2 = math.log(2.0)
 
 #: Output vectors differing by at most this total variation count as equal.
 INVARIANCE_TOL = 1e-9
+
+#: Frank-Wolfe duality gap at which :func:`pgd_conditionals` stops.  The gap
+#: bounds ``KL(q || psi)``, so by Pinsker the total variation to the optimum
+#: is at most ``sqrt(GAP_TOL / 2)``.
+GAP_TOL = 1e-14
 
 
 def gap_bound(t: int, k: int, n: int, delta: float) -> float:
@@ -254,7 +260,7 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     css = np.cumsum(u, axis=1)
     j = np.arange(1, v.shape[1] + 1)
     feasible = u + (1.0 - css) / j > 0.0
-    rho = np.where(feasible, np.arange(v.shape[1]), -1).max(axis=1)
+    rho = feasible.sum(axis=1) - 1  # the feasible set is a prefix of the sorted row
     lam = (1.0 - css[np.arange(v.shape[0]), rho]) / (rho + 1.0)
     return np.maximum(v + lam[:, None], 0.0)
 
@@ -265,14 +271,22 @@ def pgd_conditionals(q: np.ndarray, step: float = 0.1, iterations: int = 10_000)
     Each row of ``q`` is an independent target distribution; iterates start
     from the uniform vector.  A fixed step limit-cycles around optima with
     small positive probabilities, so the step decays harmonically from
-    ``step`` (0.1/(1+t/50) reaches machine-precision agreement within the
-    default iteration budget).
+    ``step``.
+
+    The minimizer stops on a certificate that does not use the closed-form
+    optimum: the Frank-Wolfe duality gap ``max_y q_y / psi_y - 1``, which
+    bounds ``KL(q || psi)`` (Jaggi, ICML 2013).  It returns the first iterate whose gap, taken
+    over all rows, is at most :data:`GAP_TOL`.  ``iterations`` is a hard
+    cap; reaching it raises ``GvlabError("not-converged")``.
     """
     psi = np.full_like(q, 1.0 / q.shape[1])
     for t in range(iterations):
         grad = np.where(q > 0.0, q / np.maximum(psi, 1e-300), 0.0)
+        if grad.max() - 1.0 <= GAP_TOL:
+            return psi
         psi = project_to_simplex(psi + (step / (1.0 + t / 50.0)) * grad)
-    return psi
+    raise GvlabError("not-converged", f"duality gap above {GAP_TOL} after {iterations} "
+                                      "projected-gradient iterations")
 
 
 def numeric_optimal_outputs(table: ExemplarTable, determining_ids: Sequence[int],

@@ -1,17 +1,21 @@
+from itertools import product
+
 import numpy as np
 import pytest
 import scipy.stats
 
 from gvlab import experiments
+from gvlab.core import ExemplarTable
 from gvlab.errors import GvlabError
-from gvlab.experiments import (CORRUPTIBLE_CHECKS, AdditionRuleSweep, GridProtocol, ToyProtocol,
-                               addition_rule_sweep, argmax_zero_one_error, derive_seed,
-                               label_equals_variable_table, make_grid_task, parallel_map,
-                               product_table, random_count_table, spearman,
-                               theory_check_run, theory_report_csv)
+from gvlab.experiments import (ADDITION_SPLITS, CORRUPTIBLE_CHECKS, AdditionRuleSweep,
+                               GridProtocol, ToyProtocol, addition_rule_margins,
+                               addition_rule_sweep, argmax_zero_one_error, block_entropies,
+                               derive_seed, label_equals_variable_table, make_grid_task,
+                               parallel_map, product_table, random_count_table, spearman,
+                               theory_check_run, theory_report_csv, truth_table_counts)
 from gvlab.models import risk, train
 from gvlab.synth import balance_substitute
-from gvlab.theory import estimated_training_error, optimal_outputs
+from gvlab.theory import addition_rule, estimated_training_error, optimal_outputs
 
 SMALL_TOY = ToyProtocol(per_class=300, epochs=8)
 SMALL_GRID = GridProtocol(train_per_class=12, test_per_class=6, epochs=6, repeats=5,
@@ -159,6 +163,9 @@ class TestAdditionRuleSweep:
         assert isinstance(sweep, AdditionRuleSweep)
         assert sweep.cases == 256 * 7
 
+    def test_sweep_without_laws_has_no_cases(self):
+        assert addition_rule_sweep(0, laws_per_case=0) == AdditionRuleSweep(0, 0, 0.0, "")
+
     def test_sweep_finds_parity_violations(self):
         """Parity predictors carry synergy that the per-variable information
         sum misses, so the sweep must surface violating cases."""
@@ -166,6 +173,105 @@ class TestAdditionRuleSweep:
         assert sweep.violations > 0
         assert sweep.worst_violation > 0.1
         assert "truth_table" in sweep.worst_case
+
+
+#: The acceptance seed; criterion 05 reports its first worst counterexample.
+SEED = 20240501
+
+
+def sweep_laws(seed: int) -> np.ndarray:
+    """The four joint laws ``addition_rule_sweep(seed)`` draws."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 41)))
+    return np.array([rng.integers(1, 17, size=8) for _ in range(4)])
+
+
+class TestVectorizedAdditionRule:
+    def test_margins_match_the_table_addition_rule(self):
+        laws = sweep_laws(SEED)
+        margins = addition_rule_margins(laws)
+        reference = np.empty_like(margins)
+        configs = list(product(range(2), repeat=3))
+        for bits in range(256):
+            for index, law in enumerate(laws):
+                counts = {(config, (bits >> i) & 1): int(law[i]) for i, config in enumerate(configs)}
+                table = ExemplarTable((0, 1, 2), (2, 2, 2), counts, int(law.sum()), 2)
+                for split, (task, nuisance) in enumerate(ADDITION_SPLITS):
+                    result = addition_rule(table, task, nuisance)
+                    reference[bits, index, split] = (result.influence_sum
+                                                     - result.entropy_given_task)
+        assert margins.shape == (256, 4, 7)
+        assert np.abs(margins - reference).max() <= 1e-12
+        assert np.array_equal(margins < -1e-10, reference < -1e-10)
+
+    def test_complement_truth_tables_have_bit_equal_margins(self):
+        margins = addition_rule_margins(sweep_laws(SEED))
+        assert margins.tobytes() == np.ascontiguousarray(margins[::-1]).tobytes()
+
+    def test_acceptance_seed_counterexample_is_pinned(self):
+        sweep = addition_rule_sweep(SEED)
+        assert (sweep.violations, sweep.cases) == (3304, 7168)
+        assert sweep.worst_case == ("truth_table=01100110 task=() nuisance=(0, 1, 2) "
+                                    "counts=[9, 5, 15, 7, 9, 11, 4, 10]")
+        assert sweep.worst_violation == pytest.approx(0.6845524330113413, abs=1e-12)
+
+
+def conditional_information(entropies, given, var_id):
+    """I(prediction; var_id | given) from ``block_entropies``."""
+    h_pred_given, h_given = entropies[tuple(sorted(given))]
+    h_pred_joint, h_joint = entropies[tuple(sorted(given + (var_id,)))]
+    return h_pred_given - h_given - h_pred_joint + h_joint
+
+
+def chain_rule_deviation(entropies, condition_on_earlier=True):
+    """Largest |H(pred | task) - sum_i I(pred; u_i | task, u_<i)| over splits."""
+    worst = 0.0
+    for task, nuisance in ADDITION_SPLITS:
+        h_pred_task, h_task = entropies[task]
+        total = sum(conditional_information(
+            entropies, task + (nuisance[:i] if condition_on_earlier else ()), u)
+            for i, u in enumerate(nuisance))
+        worst = max(worst, float(np.abs(h_pred_task - h_task - total).max()))
+    return worst
+
+
+def subadditivity_excess(entropies):
+    """Largest sum_i I(pred; u_i | task) - H(pred | task) over splits."""
+    worst = -np.inf
+    for task, nuisance in ADDITION_SPLITS:
+        h_pred_task, h_task = entropies[task]
+        total = sum(conditional_information(entropies, task, u) for u in nuisance)
+        worst = max(worst, float((total - (h_pred_task - h_task)).max()))
+    return worst
+
+
+def product_laws() -> np.ndarray:
+    """Every law p(g0) p(g1) p(g2) whose factors have weight ratios from 1:1 to 3:1."""
+    weights = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]
+    return np.array([[a[g0] * b[g1] * c[g2] for g0, g1, g2 in product(range(2), repeat=3)]
+                     for a in weights for b in weights for c in weights])
+
+
+class TestAdditionStatementsThatHold:
+    """The addition statements that do hold for deterministic predictors,
+    beside the per-variable inequality that criterion 05 shows failing.  The
+    gap between the chain rule and the per-variable sum is the synergy minus
+    the redundancy of Williams & Beer (arXiv:1004.2515)."""
+
+    def test_chain_rule_is_exact(self):
+        entropies = block_entropies(truth_table_counts(sweep_laws(SEED)))
+        assert chain_rule_deviation(entropies) <= 1e-12
+
+    def test_chain_rule_without_earlier_variables_fails(self):
+        entropies = block_entropies(truth_table_counts(sweep_laws(SEED)))
+        assert chain_rule_deviation(entropies, condition_on_earlier=False) > 0.1
+
+    def test_subadditive_under_product_laws(self):
+        entropies = block_entropies(truth_table_counts(product_laws()))
+        assert subadditivity_excess(entropies) <= 1e-12
+
+    def test_subadditivity_fails_under_dependent_laws(self):
+        entropies = block_entropies(truth_table_counts(sweep_laws(SEED)))
+        assert subadditivity_excess(entropies) > 0.01
 
 
 class TestTheoryChecks:

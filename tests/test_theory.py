@@ -5,7 +5,8 @@ import pytest
 
 from gvlab.core import ExemplarTable
 from gvlab.errors import GvlabError
-from gvlab.theory import (BoundReport, addition_rule, bound_report_csv,
+from gvlab.experiments import theory_check_run
+from gvlab.theory import (GAP_TOL, BoundReport, addition_rule, bound_report_csv,
                           check_strict_invariance, estimated_training_error,
                           excess_risk_bound, gap_bound, max_prob_lower_bound,
                           numeric_optimal_outputs, optimal_outputs, pgd_conditionals,
@@ -230,10 +231,67 @@ class TestSimplexProjection:
             best = np.min(((candidates - row) ** 2).sum(axis=1))
             assert ((proj - row) ** 2).sum() <= best + 1e-9
 
+    @pytest.mark.parametrize("kind", ["random", "tied", "one-hot"])
+    def test_prefix_count_matches_the_masked_maximum(self, kind):
+        """``rho`` as the size of the feasible prefix equals the largest
+        feasible index, so the projection is bit-identical to the reference
+        that takes the masked maximum."""
+        rng = np.random.default_rng(12)
+        if kind == "random":
+            v = rng.normal(0, 2, size=(300, 5))
+        elif kind == "tied":
+            v = np.repeat(rng.integers(-3, 4, size=(300, 1)) / 4.0, 5, axis=1)
+            v[::2, 0] += 0.5
+        else:
+            v = np.eye(5)[rng.integers(0, 5, 300)] * rng.choice([1.0, 2.0, -1.0], (300, 1))
+        assert project_to_simplex(v).tobytes() == masked_maximum_projection(v).tobytes()
+
     def test_pgd_recovers_targets_with_zeros_and_small_mass(self):
         q = np.array([[0.5, 0.5, 0.0], [1 / 64, 63 / 64, 0.0], [0.2, 0.3, 0.5]])
         psi = pgd_conditionals(q)
         assert 0.5 * np.abs(psi - q).sum(axis=1).max() <= 1e-6
+
+
+class TestOracleCertificate:
+    def test_returned_iterate_carries_the_certificate(self):
+        """Rows like the theory-check tables: label counts up to 16, some zero."""
+        rng = np.random.default_rng(4)
+        counts = rng.integers(0, 17, size=(60, 4))
+        counts[counts.sum(axis=1) == 0, 0] = 1
+        q = counts / counts.sum(axis=1, keepdims=True)
+        psi = pgd_conditionals(q)
+        gap = np.where(q > 0.0, q / np.maximum(psi, 1e-300), 0.0).max() - 1.0
+        assert gap <= GAP_TOL
+        assert 0.5 * np.abs(psi - q).sum(axis=1).max() <= math.sqrt(GAP_TOL / 2)
+
+    def test_cap_reached_before_the_certificate_raises(self):
+        q = np.array([[0.2, 0.3, 0.5], [0.9, 0.1, 0.0]])
+        with pytest.raises(GvlabError) as err:
+            pgd_conditionals(q, iterations=5)
+        assert err.value.code == "not-converged"
+
+    def test_uniform_target_stops_at_the_start(self):
+        q = np.full((3, 4), 0.25)
+        assert np.array_equal(pgd_conditionals(q, iterations=1), q)
+
+    def test_corrupted_closed_form_still_fails(self):
+        results = {r.name: r for r in theory_check_run(seed=0, tables=20)}
+        corrupted = {r.name: r for r in theory_check_run(
+            seed=0, corrupt="optimal-outputs-closed-form", tables=20)}
+        assert results["optimal-outputs-closed-form"].passed
+        assert results["optimal-outputs-closed-form"].max_deviation <= 1e-13
+        assert not corrupted["optimal-outputs-closed-form"].passed
+
+
+def masked_maximum_projection(v):
+    """The simplex projection with ``rho`` as the largest feasible index."""
+    u = np.sort(v, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1)
+    j = np.arange(1, v.shape[1] + 1)
+    feasible = u + (1.0 - css) / j > 0.0
+    rho = np.where(feasible, np.arange(v.shape[1]), -1).max(axis=1)
+    lam = (1.0 - css[np.arange(v.shape[0]), rho]) / (rho + 1.0)
+    return np.maximum(v + lam[:, None], 0.0)
 
 
 class TestBoundReport:
