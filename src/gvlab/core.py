@@ -30,6 +30,8 @@ Correlation = Literal["task_correlated", "task_uncorrelated", "unknown"]
 #: Table key: (variable-configuration tuple, label code).
 TableKey = tuple[tuple[int, ...], int]
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 def derive_seed(base: int, *path: int) -> int:
     """Stable 64-bit seed for a (base seed, purpose path) pair."""
@@ -61,9 +63,10 @@ class VariableSpec:
                 raise GvlabError("bad-variable", f"discrete variable {self.var_id} needs cardinality >= 1")
         elif self.kind == "continuous":
             if (self.lo is None or self.hi is None or not self.lo < self.hi
-                    or not (math.isfinite(self.lo) and math.isfinite(self.hi))):
+                    or not math.isfinite(self.hi - self.lo)):
                 raise GvlabError("bad-variable",
-                                 f"continuous variable {self.var_id} needs finite lo < hi")
+                                 f"continuous variable {self.var_id} needs lo < hi "
+                                 f"with a finite width")
         else:
             raise GvlabError("bad-variable", f"unknown variable kind {self.kind!r}")
 
@@ -202,9 +205,30 @@ def _column_codes(dataset: Dataset, spec: VariableSpec, binning: BinningPolicy) 
     col = dataset.values[:, spec.var_id]
     if spec.kind == "discrete":
         return col.astype(np.int64)
+    # Out-of-range values land in the boundary bins; clamping before the
+    # division keeps far-out values from overflowing to inf.
     width = (spec.hi - spec.lo) / binning.bins
-    codes = np.floor((col - spec.lo) / width).astype(np.int64)
-    return np.clip(codes, 0, binning.bins - 1)  # out-of-range values land in boundary bins
+    codes = np.floor((np.clip(col, spec.lo, spec.hi) - spec.lo) / width)
+    return np.minimum(codes, binning.bins - 1).astype(np.int64)
+
+
+def _cell_codes(columns: Sequence[np.ndarray], sizes: Sequence[int]) -> np.ndarray:
+    """One int64 code per row: C-order mixed radix over ``sizes``.
+
+    Codes sort in the lexicographic order of the rows.  Where the running
+    radix would pass int64, the partial code and the next column are first
+    re-ranked to dense codes; ranking keeps the order, so it never overflows.
+    """
+    code = np.zeros(len(columns[0]), dtype=np.int64)
+    radix = 1
+    for col, size in zip(columns, sizes):
+        if radix * size > _INT64_MAX:
+            code = np.unique(code, return_inverse=True)[1]
+            col = np.unique(col, return_inverse=True)[1]
+            radix, size = int(code.max()) + 1, int(col.max()) + 1
+        code = code * size + col
+        radix *= size
+    return code
 
 
 def build_table(dataset: Dataset, variable_ids: Sequence[int],
@@ -225,15 +249,14 @@ def build_table(dataset: Dataset, variable_ids: Sequence[int],
     if len(set(variable_ids)) != len(tuple(variable_ids)):
         raise GvlabError("bad-variable", "duplicate variable ids")
 
-    columns = [_column_codes(dataset, s, binning) for s in specs]
-    stacked = np.column_stack(columns + [dataset.labels]) if columns else dataset.labels[:, None]
-    rows, counts = np.unique(stacked, axis=0, return_counts=True)
-
-    table_counts: dict[TableKey, int] = {}
-    for row, count in zip(rows, counts):
-        key = (tuple(int(v) for v in row[:-1]), int(row[-1]))
-        table_counts[key] = int(count)
+    columns = [_column_codes(dataset, s, binning) for s in specs] + [dataset.labels]
     sizes = tuple(s.cardinality if s.kind == "discrete" else binning.bins for s in specs)
+    # One sort of flat cell codes; each key is read back from the first row
+    # of its code.  Keys come out in the lexicographic order of the rows.
+    _, first, counts = np.unique(_cell_codes(columns, sizes + (dataset.k,)),
+                                 return_index=True, return_counts=True)
+    cells = zip(*(col[first].tolist() for col in columns))
+    table_counts = {(cell[:-1], cell[-1]): count for cell, count in zip(cells, counts.tolist())}
     return ExemplarTable(tuple(variable_ids), sizes, table_counts, dataset.n, dataset.k)
 
 

@@ -34,8 +34,7 @@ from .core import BinningPolicy, Dataset, ExemplarTable, build_table, derive_see
 from .errors import GvlabError
 from .info import conditional_entropy, entropy
 from .models import LinearModel, TrainConfig, VectorDataset, risk, train, train_lockstep
-from .synth import ToyData, as_variable_dataset, balance_column, generate_toy, \
-    influence_rank, random_toy_spec
+from .synth import ToyData, as_variable_dataset, balance_column, generate_toy, random_toy_spec
 from . import theory
 
 
@@ -146,15 +145,18 @@ def _rank_positions(values: Sequence[float], ids: Sequence[int], ascending: bool
 
 
 def _nuisance_ranks(view: Dataset, model: LinearModel, protocol: ToyProtocol
-                    ) -> tuple[dict[int, float], dict[int, float], dict[int, int], dict[int, int]]:
-    """Per nuisance dimension: H(label | dim), |trained weight|, and the
-    estimated (ascending entropy) and true (descending |weight|) ranks."""
+                    ) -> tuple[dict[int, ExemplarTable], dict[int, float], dict[int, float],
+                               dict[int, int], dict[int, int]]:
+    """Per nuisance dimension: its (dim, label) table, H(label | dim),
+    |trained weight|, and the estimated (ascending entropy) and true
+    (descending |weight|) ranks."""
     dims = protocol.nuisance_dims
-    h_by_id = dict(influence_rank(view, dims, protocol.binning))
+    tables = {j: build_table(view, [j], protocol.binning) for j in dims}
+    h_by_id = {j: conditional_entropy(tables[j], "labels", [j]) for j in dims}
     weights = {j: abs(float(model.weights[0, j])) for j in dims}
     rank_est = _rank_positions([h_by_id[j] for j in dims], dims, ascending=True)
     rank_true = _rank_positions([weights[j] for j in dims], dims, ascending=False)
-    return h_by_id, weights, rank_est, rank_true
+    return tables, h_by_id, weights, rank_est, rank_true
 
 
 def _influence_worker(args: tuple[int, int, ToyProtocol]) -> tuple:
@@ -164,7 +166,7 @@ def _influence_worker(args: tuple[int, int, ToyProtocol]) -> tuple:
     model = train(data.train, trainer).model
     dims = protocol.nuisance_dims
     view = as_variable_dataset(data.train, protocol.task_correlated_dims)
-    h_by_id, weights, rank_est, rank_true = _nuisance_ranks(view, model, protocol)
+    label_tables, h_by_id, weights, rank_est, rank_true = _nuisance_ranks(view, model, protocol)
     rows = tuple(InfluenceRow(index, j, h_by_id[j], weights[j], rank_est[j], rank_true[j])
                  for j in dims)
     corr = spearman([rank_est[j] for j in dims], [rank_true[j] for j in dims])
@@ -177,9 +179,8 @@ def _influence_worker(args: tuple[int, int, ToyProtocol]) -> tuple:
                                     protocol.task_correlated_dims)
     gaps = []
     for j in dims:
-        label_table = build_table(view, [j], protocol.binning)
         pred_table = build_table(pred_view, [j], protocol.binning)
-        mi_label = entropy(label_table) - conditional_entropy(label_table, "labels", [j])
+        mi_label = entropy(label_tables[j]) - h_by_id[j]
         mi_pred = entropy(pred_table) - conditional_entropy(pred_table, "labels", [j])
         gaps.append(abs(mi_label - mi_pred))
     return rows, corr, float(np.mean(gaps))
@@ -207,7 +208,7 @@ def _balance_worker(args: tuple[int, int, ToyProtocol]) -> tuple[BalanceRow, ...
     original, *retrained = (r.model for r in train_lockstep(data.train, trainer, substitutions))
     acc_before = 1.0 - risk(original, data.test).zero_one_error
     view = as_variable_dataset(data.train, protocol.task_correlated_dims)
-    _, weights, rank_est, rank_true = _nuisance_ranks(view, original, protocol)
+    _, _, weights, rank_est, rank_true = _nuisance_ranks(view, original, protocol)
     return tuple(
         BalanceRow(
             index, j,

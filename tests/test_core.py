@@ -1,10 +1,15 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gvlab.core import (BinningPolicy, Dataset, Exemplar, ExemplarTable, VariableSpec,
-                        build_table, marginalize, read_dataset_csv, write_dataset_csv)
+                        _column_codes, build_table, marginalize, read_dataset_csv,
+                        write_dataset_csv)
 from gvlab.errors import GvlabError
+from gvlab.synth import as_variable_dataset, generate_toy, random_toy_spec
 
 
 def discrete_dataset(values, labels, cards, k):
@@ -29,6 +34,11 @@ class TestVariableSpec:
     def test_continuous_range_must_be_finite(self):
         with pytest.raises(GvlabError):
             VariableSpec.continuous(0, "g0", 0.0, float("inf"))
+
+    def test_continuous_width_must_be_finite(self):
+        with pytest.raises(GvlabError) as err:
+            VariableSpec.continuous(0, "g", -1e308, 1e308)
+        assert err.value.code == "bad-variable"
 
 
 class TestDataset:
@@ -82,6 +92,26 @@ class TestBuildTable:
         table = build_table(ds, [0], BinningPolicy(bins=4))
         assert table.counts == {((0,), 0): 1, ((3,), 1): 1}
         assert table.total == 2
+
+    def test_far_out_values_clamp_without_overflow(self):
+        specs = (VariableSpec.continuous(0, "g0", 0.0, 1e-300),)
+        ds = Dataset(specs, np.array([[1e10], [-1e10], [0.6e-300]]), np.array([0, 1, 1]), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = build_table(ds, [0], BinningPolicy(bins=4))
+        assert table.counts == {((0,), 1): 1, ((2,), 1): 1, ((3,), 0): 1}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-1e6, 1e6), st.floats(1e-6, 1e6), st.integers(2, 50), st.data())
+    def test_in_range_bins_are_plain_floor(self, lo, span, bins, data):
+        hi = lo + span
+        assume(lo < hi)
+        values = data.draw(st.lists(st.floats(lo, hi), min_size=1, max_size=20))
+        spec = VariableSpec.continuous(0, "g0", lo, hi)
+        ds = Dataset((spec,), np.array(values)[:, None], np.zeros(len(values), dtype=int), 1)
+        width = (hi - lo) / bins
+        expected = np.minimum(np.floor((np.array(values) - lo) / width), bins - 1)
+        np.testing.assert_array_equal(_column_codes(ds, spec, BinningPolicy(bins)), expected)
 
     def test_empty_dataset_rejected(self):
         ds = discrete_dataset(np.zeros((0, 1)), [], cards=[2], k=2)
@@ -137,6 +167,76 @@ def small_discrete_datasets(draw):
     values = [[draw(st.integers(0, c - 1)) for c in cards] for _ in range(n)]
     labels = [draw(st.integers(0, k - 1)) for _ in range(n)]
     return discrete_dataset(values, labels, cards, k)
+
+
+def reference_counts(dataset, variable_ids, binning=BinningPolicy()):
+    """Row-sort counting: keys in the lexicographic order of (config, label) rows."""
+    columns = [_column_codes(dataset, dataset.specs[j], binning) for j in variable_ids]
+    stacked = np.column_stack(columns + [dataset.labels])
+    rows, counts = np.unique(stacked, axis=0, return_counts=True)
+    table_counts = {}
+    for row, count in zip(rows, counts):
+        table_counts[(tuple(int(v) for v in row[:-1]), int(row[-1]))] = int(count)
+    return table_counts
+
+
+def assert_matches_reference(dataset, variable_ids, binning=BinningPolicy()):
+    table = build_table(dataset, variable_ids, binning)
+    reference = reference_counts(dataset, variable_ids, binning)
+    assert list(table.counts.items()) == list(reference.items())
+    specs = [dataset.specs[j] for j in variable_ids]
+    assert table.axis_sizes == tuple(s.cardinality if s.kind == "discrete" else binning.bins
+                                     for s in specs)
+    assert table.total == dataset.n
+
+
+@st.composite
+def mixed_datasets(draw):
+    m = draw(st.integers(1, 4))
+    specs, columns = [], []
+    for j in range(m):
+        if draw(st.booleans()):
+            card = draw(st.integers(1, 4))
+            specs.append(VariableSpec.discrete(j, f"g{j}", card))
+            columns.append(("discrete", card))
+        else:
+            specs.append(VariableSpec.continuous(j, f"g{j}", -1.0, 1.0))
+            columns.append(("continuous", None))
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 30))
+    values = [[draw(st.integers(0, card - 1)) if kind == "discrete"
+               else draw(st.floats(-1.5, 1.5)) for kind, card in columns] for _ in range(n)]
+    labels = [draw(st.integers(0, k - 1)) for _ in range(n)]
+    return Dataset(tuple(specs), np.array(values, dtype=float), np.array(labels), k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_datasets(), st.data(), st.integers(2, 5))
+def test_counts_keep_row_sort_order(ds, data, bins):
+    """Keys, axis sizes and total match the row-sort reference, order included."""
+    ids = data.draw(st.permutations(range(ds.m)).flatmap(
+        lambda perm: st.integers(0, len(perm)).map(lambda size: perm[:size])))
+    assert_matches_reference(ds, ids, BinningPolicy(bins))
+
+
+def test_wide_toy_view_matches_reference():
+    data = generate_toy(random_toy_spec(seed=3, dims=20, task_correlated_dims=10, per_class=400))
+    view = as_variable_dataset(data.train, task_correlated_dims=10)
+    for ids in (list(range(20)), list(range(19, -1, -1)), [12, 3, 7], []):
+        assert_matches_reference(view, ids)
+
+
+@pytest.mark.parametrize("cards", [[2 ** 40, 2 ** 40, 3], [5, 2 ** 64, 7]])
+def test_cell_space_beyond_int64_matches_reference(cards):
+    """Tables whose cardinality product passes 2**63 are counted without overflow."""
+    rng = np.random.default_rng(11)
+    n = 200
+    values = np.column_stack([rng.integers(0, min(c, 2 ** 40), n) for c in cards])
+    values[n // 2:] = values[:n - n // 2]  # repeated rows give counts above 1
+    ds = discrete_dataset(values, rng.integers(0, 3, n), cards=cards, k=3)
+    assert math.prod(cards) * ds.k > 2 ** 63
+    assert_matches_reference(ds, [0, 1, 2])
+    assert_matches_reference(ds, [2, 0, 1])
 
 
 @settings(max_examples=60, deadline=None)

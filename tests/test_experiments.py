@@ -5,7 +5,7 @@ import pytest
 import scipy.stats
 
 from gvlab import experiments
-from gvlab.core import ExemplarTable
+from gvlab.core import ExemplarTable, build_table
 from gvlab.errors import GvlabError
 from gvlab.experiments import (ADDITION_SPLITS, CORRUPTIBLE_CHECKS, AdditionRuleSweep,
                                GridProtocol, ToyProtocol, addition_rule_margins,
@@ -80,7 +80,7 @@ class TestRandomTables:
 
     def test_argmax_error_oracle_on_known_table(self):
         from fractions import Fraction
-        from gvlab.core import ExemplarTable
+        from gvlab.core import ExemplarTable, build_table
         counts = {((0,), 0): 3, ((0,), 1): 1, ((1,), 0): 1, ((1,), 1): 1}
         table = ExemplarTable((0,), (2,), counts, 6, 2)
         assert argmax_zero_one_error(table, (0,)) == Fraction(1, 3)
@@ -104,6 +104,18 @@ class TestToyRunners:
         serial = experiments.toy_influence_run(123, 2, SMALL_TOY, jobs=1)
         parallel = experiments.toy_influence_run(123, 2, SMALL_TOY, jobs=2)
         assert serial.rows == parallel.rows
+
+    def test_influence_builds_each_table_once(self, monkeypatch):
+        built = []
+
+        def counting_build_table(dataset, variable_ids, binning):
+            built.append((id(dataset), tuple(variable_ids)))
+            return build_table(dataset, variable_ids, binning)
+
+        monkeypatch.setattr(experiments, "build_table", counting_build_table)
+        experiments._influence_worker((123, 0, SMALL_TOY))
+        assert len(built) == 2 * len(SMALL_TOY.nuisance_dims)  # label and prediction tables
+        assert len(set(built)) == len(built)
 
     def test_balance_rows(self):
         rows = experiments.toy_balance_run(123, 1, SMALL_TOY, jobs=1)
