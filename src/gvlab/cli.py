@@ -345,3 +345,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entry() -> None:  # console-script shim
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

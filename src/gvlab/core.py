@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Literal, Mapping, Sequence
@@ -208,6 +209,9 @@ def _column_codes(dataset: Dataset, spec: VariableSpec, binning: BinningPolicy) 
     # Out-of-range values land in the boundary bins; clamping before the
     # division keeps far-out values from overflowing to inf.
     width = (spec.hi - spec.lo) / binning.bins
+    if width < sys.float_info.min:
+        raise GvlabError("bad-variable", f"variable {spec.name!r}: range [{spec.lo}, {spec.hi}] "
+                                         f"is too narrow for {binning.bins} bins")
     codes = np.floor((np.clip(col, spec.lo, spec.hi) - spec.lo) / width)
     return np.minimum(codes, binning.bins - 1).astype(np.int64)
 

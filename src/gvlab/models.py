@@ -9,15 +9,16 @@ under cross-entropy loss, deterministic given the config seed:
   the convex objective and 100-run averages are reproducible;
 - each epoch shuffles with a generator seeded by (base seed, epoch);
 - the loss uses log-sum-exp / log1p-of-exp stabilized forms;
+- training records each epoch's mean loss; the mean-max-output error
+  estimate is taken once, from :func:`risk` on the trained model;
 - models whose data differ only in substituted columns train in one
   lockstep loop (:func:`train_lockstep`), bit-identical to separate runs.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Iterator, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -144,7 +145,6 @@ class TrainConfig:
 class TrainResult:
     model: LinearModel
     loss_curve: tuple[float, ...]
-    estimated_error_curve: tuple[float, ...]
 
 
 def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
@@ -154,9 +154,7 @@ def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
 def train(data: VectorDataset, config: TrainConfig) -> TrainResult:
     """Mini-batch SGD with momentum from zero initialization.
 
-    The loss curve holds each epoch's mean sample loss; the estimated
-    error curve holds 1 minus the mean maximum score over the training
-    inputs at the end of each epoch.
+    The loss curve holds each epoch's mean sample loss.
     """
     return train_lockstep(data, config)[0]
 
@@ -173,7 +171,7 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
     bit-identical to ``train`` on its own substituted dataset: stacked
     ``matmul`` calls BLAS once per model and every reduction runs along one
     model's row.  No stacked copy of the dataset is made: each minibatch is
-    gathered from the shared rows, and scoring reuses one buffer.
+    gathered from the shared rows.
     A model that diverges raises at the epoch where that ``train`` call
     would; with several, the first model in order decides.
     """
@@ -193,7 +191,6 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
         noise[:, i] = column
     models = len(dims) + 1
     substituted = np.arange(1, models)
-    buffer = data.x.copy() if len(dims) else None
     head: Head = "sigmoid" if data.k == 2 else "softmax"
     rows = 1 if head == "sigmoid" else data.k
     w = np.zeros((models, rows, data.d))
@@ -202,7 +199,6 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
     vb = np.zeros_like(b)
 
     losses = np.empty((config.epochs, models))
-    estimated_errors = np.empty((config.epochs, models))
     diverged_at = np.full(models, -1)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence detected per epoch
         for epoch in range(config.epochs):
@@ -224,34 +220,11 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
             if (diverged_at >= 0).all():
                 break
             losses[epoch] = loss_sum / data.n
-            for i, inputs in enumerate(_model_inputs(data.x, dims, noise, buffer)):
-                scores = _probs(w[i:i + 1], b[i:i + 1], head, inputs[None])[0]
-                # Column-wise maximum: the values of scores.max(axis=1), without
-                # numpy's slow reduction over a short contiguous axis.
-                best = functools.reduce(np.maximum, scores.T)
-                estimated_errors[epoch, i] = 1.0 - best.mean()
     if (diverged_at >= 0).any():
         epoch = diverged_at[diverged_at >= 0][0]
         raise GvlabError("diverged", f"non-finite parameters or loss at epoch {epoch}")
-    return tuple(TrainResult(LinearModel(w[i], b[i], head), tuple(losses[:, i].tolist()),
-                             tuple(estimated_errors[:, i].tolist()))
+    return tuple(TrainResult(LinearModel(w[i], b[i], head), tuple(losses[:, i].tolist()))
                  for i in range(models))
-
-
-def _model_inputs(x: np.ndarray, dims: np.ndarray, noise: np.ndarray,
-                  buffer: np.ndarray | None) -> Iterator[np.ndarray]:
-    """Each lockstep model's full training inputs in turn.
-
-    The substituted ones are put together in ``buffer`` one at a time, so
-    each model is scored by one matmul over all n rows, exactly as a
-    single-model run scores it (a BLAS call's rounding can depend on how
-    many rows it gets, so scoring in row chunks would move bits).
-    """
-    yield x
-    for i, j in enumerate(dims):
-        buffer[:, j] = noise[:, i]
-        yield buffer
-        buffer[:, j] = x[:, j]
 
 
 @dataclass(frozen=True)

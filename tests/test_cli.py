@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +192,18 @@ class TestAugmentSweepCommand:
                     "--repeats", "4", "--out", str(out), "--plot", "false"]) == 0
         line = (out / "augment.csv").read_text().splitlines()[1]
         assert float(line.split(",")[2]) == 0.0
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    """``python -m gvlab.cli`` runs a subcommand and writes what ``main`` writes."""
+    argv = ["bounds", "--n-grid", "100,400", "--gamma-grid", "0.1", "--plot", "false"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "gvlab.cli", *argv, "--out",
+                           str(tmp_path / "module")], env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr
+    assert run([*argv, "--out", str(tmp_path / "main")]) == 0
+    assert (tmp_path / "module" / "bounds.csv").read_bytes() == \
+        (tmp_path / "main" / "bounds.csv").read_bytes()
 
 
 def test_unwritable_output_reports_path(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -100,6 +101,23 @@ class TestBuildTable:
             warnings.simplefilter("error")
             table = build_table(ds, [0], BinningPolicy(bins=4))
         assert table.counts == {((0,), 1): 1, ((2,), 1): 1, ((3,), 0): 1}
+
+    def test_range_too_narrow_to_bin_rejected(self):
+        """A bin width that underflows below the smallest normal float is
+        ``bad-variable`` naming the variable, not a division by zero."""
+        specs = (VariableSpec.continuous(0, "g", 0.0, 5e-324),)
+        ds = Dataset(specs, np.array([[0.0], [5e-324]]), np.array([0, 1]), 2)
+        with pytest.raises(GvlabError) as err:
+            build_table(ds, [0], BinningPolicy(bins=4))
+        assert err.value.code == "bad-variable"
+        assert "'g'" in str(err.value)
+
+    def test_narrowest_binnable_range_is_accepted(self):
+        tiny = sys.float_info.min
+        specs = (VariableSpec.continuous(0, "g", 0.0, 4 * tiny),)
+        ds = Dataset(specs, np.array([[0.0], [1.5 * tiny], [4 * tiny]]), np.array([0, 1, 1]), 2)
+        table = build_table(ds, [0], BinningPolicy(bins=4))
+        assert table.counts == {((0,), 0): 1, ((1,), 1): 1, ((3,), 1): 1}
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(-1e6, 1e6), st.floats(1e-6, 1e6), st.integers(2, 50), st.data())

@@ -104,12 +104,6 @@ class TestTrain:
             np.testing.assert_allclose(model.weights, -0.5 * gw, rtol=0, atol=1e-12)
             np.testing.assert_allclose(model.bias, -0.5 * gb, rtol=0, atol=1e-12)
 
-    def test_estimated_error_curve_tracks_mean_max_output(self):
-        data = separable_data()
-        result = train(data, TrainConfig(0.05, 0.9, 16, 10, seed=2))
-        expected = 1.0 - risk(result.model, data).mean_max_output
-        assert result.estimated_error_curve[-1] == pytest.approx(expected, abs=1e-12)
-
     def test_divergence_is_reported_with_epoch(self):
         data = separable_data()
         with pytest.raises(GvlabError) as err:
@@ -135,18 +129,10 @@ def reference_train(data, config):
         out[~pos] = ez / (1.0 + ez)
         return out
 
-    def probs(w, b, x):
-        if data.k == 2:
-            s = sigmoid(x @ w[0] + b[0])
-            return np.column_stack([1.0 - s, s])
-        logits = x @ w.T + b
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        return e / e.sum(axis=1, keepdims=True)
-
     rows = 1 if data.k == 2 else data.k
     w, b = np.zeros((rows, data.d)), np.zeros(rows)
     vw, vb = np.zeros_like(w), np.zeros_like(b)
-    losses, errors = [], []
+    losses = []
     for epoch in range(config.epochs):
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, epoch)))
         order = rng.permutation(data.n)
@@ -163,18 +149,18 @@ def reference_train(data, config):
                 gw, gb = (gz @ x)[None, :], np.array([gz.sum()])
             else:
                 logits = x @ w.T + b
-                shifted = logits - logits.max(axis=1, keepdims=True)
-                lse = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
+                e = np.exp(logits - logits.max(axis=1, keepdims=True))
+                total = e.sum(axis=1, keepdims=True)
+                lse = np.log(total[:, 0]) + logits.max(axis=1)
                 loss_sum += float(np.sum(lse - logits[np.arange(len(idx)), y]))
-                gl = (probs(w, b, x) - np.eye(rows)[y]) / len(idx)
+                gl = (e / total - np.eye(rows)[y]) / len(idx)
                 gw, gb = gl.T @ x, gl.sum(axis=0)
             vw = config.momentum * vw + gw
             vb = config.momentum * vb + gb
             w = w - config.learning_rate * vw
             b = b - config.learning_rate * vb
         losses.append(loss_sum / data.n)
-        errors.append(1.0 - float(probs(w, b, data.x).max(axis=1).mean()))
-    return w, b, tuple(losses), tuple(errors)
+    return w, b, tuple(losses)
 
 
 class TestTrainLockstep:
@@ -193,11 +179,10 @@ class TestTrainLockstep:
         assert len(lockstep) == len(datasets)
         for got, dataset in zip(lockstep, datasets):
             for result in (got, train(dataset, config)):
-                w, b, losses, errors = reference_train(dataset, config)
+                w, b, losses = reference_train(dataset, config)
                 assert np.array_equal(result.model.weights, w)
                 assert np.array_equal(result.model.bias, b)
                 assert result.loss_curve == losses
-                assert result.estimated_error_curve == errors
 
     @pytest.mark.parametrize("dim, length, code", [
         (2, 60, "bad-variable"),
