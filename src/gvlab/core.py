@@ -168,7 +168,7 @@ class BinningPolicy:
 class ExemplarTable:
     """Empirical joint counts over a variable subset and the label.
 
-    ``counts`` maps ``(configuration tuple, label)`` to a positive count;
+    ``counts`` maps ``(configuration tuple, label)`` to a non-negative count;
     configurations never observed are simply absent.  ``axis_sizes`` gives
     the number of distinct cells per variable axis (cardinality for
     discrete variables, bin count for binned continuous ones).
@@ -267,6 +267,8 @@ def build_table(dataset: Dataset, variable_ids: Sequence[int],
 def marginalize(table: ExemplarTable, keep_ids: Sequence[int]) -> ExemplarTable:
     """Sum counts over every variable not in ``keep_ids``; total preserved."""
     keep = tuple(keep_ids)
+    if keep == table.variable_ids:  # tables are immutable, so a copy buys nothing
+        return table
     if len(set(keep)) != len(keep) or not set(keep) <= set(table.variable_ids):
         raise GvlabError("bad-variable", f"keep ids {keep} not a subset of {table.variable_ids}")
     positions = [table.variable_ids.index(var_id) for var_id in keep]

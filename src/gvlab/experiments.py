@@ -368,12 +368,9 @@ def random_count_table(rng: np.random.Generator, max_count: int = 16) -> Exempla
     """Random table with at most 8 configurations, K <= 4, cell counts <= max_count."""
     shape = _TABLE_SHAPES[rng.integers(len(_TABLE_SHAPES))]
     k = int(rng.integers(2, 5))
-    counts: dict = {}
-    for config in np.ndindex(*shape):
-        for label in range(k):
-            c = int(rng.integers(0, max_count + 1))
-            if c:
-                counts[(tuple(int(v) for v in config), label)] = c
+    cells = rng.integers(0, max_count + 1, size=shape + (k,))
+    counts = {(tuple(cell[:-1]), cell[-1]): c  # nonzero cells in C order
+              for cell, c in zip(np.argwhere(cells).tolist(), cells[cells > 0].tolist())}
     if not counts:
         counts[(tuple(0 for _ in shape), 0)] = 1
     total = sum(counts.values())
@@ -555,24 +552,21 @@ def check_max_prob_bound(rng: np.random.Generator, corrupt: bool = False) -> Che
 
 def check_optimal_outputs(rng: np.random.Generator, tables: int,
                           corrupt: bool = False) -> CheckResult:
-    groups: dict[int, list] = {2: [], 3: [], 4: []}
-    for index in range(tables):
+    """Closed-form optimal outputs against one projected-gradient run over every
+    table's vectors, padded with zero-mass labels to the widest ``k``: such labels
+    add no cross-entropy, so each row keeps its optimum and one certificate covers all."""
+    rows = []
+    for _ in range(tables):
         table = random_count_table(rng)
-        ids = table.variable_ids
-        closed = theory.optimal_outputs(table, ids)
-        order = sorted(closed.outputs)
-        raw = np.array([closed.outputs[c] for c in order])
-        groups[table.k].append((index, order, raw))
-    worst = 0.0
-    for k, entries in groups.items():
-        if not entries:
-            continue
-        stacked = np.vstack([raw for _, _, raw in entries])
-        numeric = theory.pgd_conditionals(stacked, step=0.1, iterations=10_000)
-        if corrupt:
-            numeric = numeric + 0.002
-        tv = 0.5 * np.abs(numeric - stacked).sum(axis=1)
-        worst = max(worst, float(tv.max()))
+        closed = theory.optimal_outputs(table, table.variable_ids)
+        rows.extend(closed.outputs[c] for c in sorted(closed.outputs))
+    stacked = np.zeros((len(rows), max(map(len, rows))))
+    for i, row in enumerate(rows):
+        stacked[i, :len(row)] = row
+    numeric = theory.pgd_conditionals(stacked, step=0.1, iterations=10_000)
+    if corrupt:
+        numeric = numeric + 0.002
+    worst = float((0.5 * np.abs(numeric - stacked).sum(axis=1)).max())
     return CheckResult("optimal-outputs-closed-form", worst <= 1e-4, worst,
                        f"{tables} random tables vs projected-gradient minimizer")
 
@@ -660,6 +654,8 @@ def theory_check_run(seed: int = 0, corrupt: str | None = None,
     if corrupt is not None and corrupt not in CORRUPTIBLE_CHECKS:
         raise GvlabError("bad-variable", f"check {corrupt!r} has no corrupt hook; "
                                          f"hooked: {list(CORRUPTIBLE_CHECKS)}")
+    if tables < 1:
+        raise GvlabError("bad-config", f"tables must be >= 1, got {tables}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 51)))
     return (
         check_max_prob_bound(rng, corrupt == "max-prob-bound"),

@@ -152,6 +152,13 @@ class TestTheoryCheckCommand:
         assert "gap-bound-grid" in capsys.readouterr().err
         assert not (out / "theory_report.csv").exists()
 
+    def test_fewer_than_one_table_exits_nonzero(self, tmp_path, capsys):
+        for tables in ("0", "-1"):
+            out = tmp_path / tables
+            assert run(["theory-check", "--tables", tables, "--out", str(out)]) == 1
+            assert "bad-config" in capsys.readouterr().err
+            assert not (out / "theory_report.csv").exists()
+
     def test_deterministic_report(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         run(["theory-check", "--seed", "3", "--tables", "25", "--out", str(out1)])

@@ -166,6 +166,15 @@ class TestMarginalize:
         marg = marginalize(self.table, [0, 1])
         assert marg.counts == self.table.counts
 
+    def test_keeping_all_ids_in_order_returns_the_table(self):
+        assert marginalize(self.table, self.table.variable_ids) is self.table
+
+    def test_permuted_keep_builds_a_new_table(self):
+        marg = marginalize(self.table, [1, 0])
+        assert marg is not self.table
+        assert marg.variable_ids == (1, 0)
+        assert marg.counts == build_table(self.ds, [1, 0]).counts
+
     def test_full_marginalization_keeps_label_counts(self):
         marg = marginalize(self.table, [])
         assert marg.counts == build_table(self.ds, []).counts

@@ -55,6 +55,21 @@ def _square(i):
     return i * i
 
 
+def per_cell_count_table(rng, max_count=16):
+    """Reference for ``random_count_table``: one scalar draw per cell, in C order."""
+    shape = experiments._TABLE_SHAPES[rng.integers(len(experiments._TABLE_SHAPES))]
+    k = int(rng.integers(2, 5))
+    counts = {}
+    for config in np.ndindex(*shape):
+        for label in range(k):
+            c = int(rng.integers(0, max_count + 1))
+            if c:
+                counts[(tuple(int(v) for v in config), label)] = c
+    if not counts:
+        counts[(tuple(0 for _ in shape), 0)] = 1
+    return ExemplarTable(tuple(range(len(shape))), shape, counts, sum(counts.values()), k)
+
+
 class TestRandomTables:
     def test_random_count_table_within_limits(self):
         rng = np.random.default_rng(1)
@@ -64,6 +79,18 @@ class TestRandomTables:
             assert 2 <= table.k <= 4
             assert all(c <= 16 for c in table.counts.values())
             assert table.total == sum(table.counts.values())
+
+    def test_random_count_table_matches_per_cell_draws(self):
+        """One vector draw per table consumes the stream like one scalar draw per cell."""
+        for seed in (0, 1, 7, 20240501):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(60):
+                table, ref = random_count_table(rng), per_cell_count_table(ref_rng)
+                assert table.variable_ids == ref.variable_ids
+                assert table.axis_sizes == ref.axis_sizes
+                assert list(table.counts.items()) == list(ref.counts.items())
+                assert (table.total, table.k) == (ref.total, ref.k)
+            assert rng.random() == ref_rng.random()
 
     def test_product_table_is_independent(self):
         rng = np.random.default_rng(2)
@@ -309,6 +336,12 @@ class TestTheoryChecks:
             with pytest.raises(GvlabError) as err:
                 theory_check_run(seed=0, corrupt=name, tables=10)
             assert err.value.code == "bad-variable"
+
+    def test_fewer_than_one_table_rejected(self):
+        for tables in (0, -1):
+            with pytest.raises(GvlabError) as err:
+                theory_check_run(seed=0, tables=tables)
+            assert err.value.code == "bad-config"
 
     def test_report_csv_layout(self):
         results = theory_check_run(seed=0, tables=10)

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from gvlab import theory
 from gvlab.core import ExemplarTable
 from gvlab.errors import GvlabError
-from gvlab.experiments import theory_check_run
+from gvlab.experiments import check_optimal_outputs, theory_check_run
 from gvlab.theory import (GAP_TOL, BoundReport, addition_rule, bound_report_csv,
                           check_strict_invariance, estimated_training_error,
                           excess_risk_bound, gap_bound, max_prob_lower_bound,
@@ -273,6 +274,33 @@ class TestOracleCertificate:
     def test_uniform_target_stops_at_the_start(self):
         q = np.full((3, 4), 0.25)
         assert np.array_equal(pgd_conditionals(q, iterations=1), q)
+
+    def test_zero_padded_mixed_label_counts_meet_the_certificate(self):
+        """2-, 3- and 4-label rows padded to width 4, as theory-check stacks them."""
+        rng = np.random.default_rng(9)
+        rows = []
+        for k in (2, 3, 4) * 20:
+            counts = rng.integers(0, 17, size=k)
+            counts[0] += counts.sum() == 0
+            rows.append(np.pad(counts / counts.sum(), (0, 4 - k)))
+        q = np.array(rows)
+        psi = pgd_conditionals(q)
+        gap = np.where(q > 0.0, q / np.maximum(psi, 1e-300), 0.0).max(axis=1) - 1.0
+        assert (gap <= GAP_TOL).all()
+        for row, k in zip(psi, (2, 3, 4) * 20):
+            assert (row[k:] == 0.0).all()
+
+    def test_theory_check_runs_the_oracle_once(self, monkeypatch):
+        calls = []
+
+        def counting(q, *args, **kwargs):
+            calls.append(q.shape)
+            return pgd_conditionals(q, *args, **kwargs)
+
+        monkeypatch.setattr(theory, "pgd_conditionals", counting)
+        result = check_optimal_outputs(np.random.default_rng(3), 40)
+        assert result.passed
+        assert len(calls) == 1 and calls[0][1] == 4
 
     def test_corrupted_closed_form_still_fails(self):
         results = {r.name: r for r in theory_check_run(seed=0, tables=20)}
