@@ -20,9 +20,8 @@ from .theory import (AdditionRule, BoundReport, InvarianceReport, OptimalOutputs
                      addition_rule, bound_report_csv, check_strict_invariance,
                      estimated_training_error, excess_risk_bound, gap_bound,
                      max_prob_lower_bound, numeric_optimal_outputs, optimal_outputs)
-from .augment import (LABEL_INTERVALS, POSITION_LAWS, AugmentDistribution, ErasingParams,
-                      GridTensor, apply_erasing, prediction_changing_ratio,
-                      sample_params, sample_position)
+from .augment import (LABEL_INTERVALS, POSITION_LAWS, AugmentDistribution, draw_params,
+                      position_inverse_cdf, prediction_changing_ratio)
 
 __version__ = "0.1.0"
 

@@ -22,20 +22,21 @@ Erased pixels are filled with i.i.d. Uniform(0,1) noise so the fill adds
 no label information; rectangles are centered at the position draw and
 clipped to the grid.
 
-A batch is erased in one vectorized pass over the stacked grids.  Its
-random stream is laid out as all parameters first, one ``(n, 5)`` unit
-draw whose row i holds the coin, area, aspect, pos_x and pos_y of grid i,
-then the fill noise of every erased pixel in row-major order over
-(grid, y, x, channel).  The single-draw functions (``sample_params``,
-``apply_erasing``, ...) are that batch path at n = 1, so they consume
-the stream exactly as five scalar draws followed by the rectangle's fill.
+A batch is erased in one vectorized pass over the stacked
+``(n, height, width, channels)`` grids.  Its random stream is laid out as
+all parameters first, one ``(n, 5)`` unit draw whose row i holds the coin,
+area, aspect, pos_x and pos_y of grid i, then the fill noise of every
+erased pixel in row-major order over (grid, y, x, channel).  The
+prediction-changing-ratio probe consumes ``repeats`` such streams back to
+back, exactly as ``repeats`` consecutive ``erase_batch`` calls.  No path
+erases a single grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Literal, Mapping, Sequence
+from typing import Literal, Mapping
 
 import numpy as np
 
@@ -60,21 +61,10 @@ LABEL_INTERVALS: Mapping[int, tuple[tuple[float, float], tuple[float, float]]] =
     9: ((0.0, 0.0), (0.0, 0.0)),
 })
 
-
-@dataclass(frozen=True)
-class ErasingParams:
-    """One draw of the four erasing variables, all in [0,1]."""
-
-    area_u: float
-    aspect_u: float
-    pos_x: float
-    pos_y: float
-
-    def __post_init__(self):
-        for name in ("area_u", "aspect_u", "pos_x", "pos_y"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise GvlabError("bad-variable", f"{name}={v} outside [0,1]")
+#: Grid values the probe erases and scores at once (about 1 000 grids of
+#: 8x8x1): several repeats share a mask and a forward pass while the peak
+#: allocation stays far below a stack of every repeat.
+PROBE_CHUNK_VALUES = 64_000
 
 
 @dataclass(frozen=True)
@@ -105,7 +95,7 @@ class AugmentDistribution:
             raise GvlabError("bad-variable", "aspect range must be positive with lo <= hi")
 
 
-def _position(law: PositionLaw, q):
+def position_inverse_cdf(law: PositionLaw, q):
     """Inverse CDF of the position law, elementwise on unit draws ``q``."""
     if law == "uniform":
         return q
@@ -118,74 +108,39 @@ def _position(law: PositionLaw, q):
     raise GvlabError("bad-variable", f"unknown position law {law!r}")
 
 
-def sample_position(law: PositionLaw, rng: np.random.Generator) -> float:
-    """Inverse-CDF draw from the selected position density on [0,1]."""
-    return float(_position(law, rng.random()))
-
-
-def _draw_params(dist: AugmentDistribution, labels: np.ndarray,
-                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Erasing parameters for a batch of labels, from one ``(n, 5)`` unit draw.
-
-    Row i's draws are its coin, area, aspect, pos_x and pos_y in that order.
-    Returns the ``(n, 4)`` columns area_u, aspect_u, pos_x, pos_y and the
-    flags of the rows that used the label-dependent law.
-    """
+def _bounds(dist: AugmentDistribution, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper ends ``(n, 2)`` of each label's (area, aspect) intervals."""
     unknown = set(labels.tolist()) - dist.label_intervals.keys()
     if unknown:
         raise GvlabError("bad-label", f"no interval entry for label {min(unknown)}")
     keys = np.array(sorted(dist.label_intervals))
     table = np.array([dist.label_intervals[k] for k in keys.tolist()])
     rows = table[keys.searchsorted(labels)]
-    lo, hi = rows[..., 0], rows[..., 1]
-    q = rng.random((len(labels), 5))
+    return rows[..., 0], rows[..., 1]
+
+
+def _draw(dist: AugmentDistribution, lo: np.ndarray, hi: np.ndarray,
+          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    q = rng.random((len(lo), 5))
     dependent = q[:, 0] < dist.alpha
-    params = np.empty((len(labels), 4))
+    params = np.empty((len(lo), 4))
     params[:, :2] = np.where(dependent[:, None], lo + q[:, 1:3] * (hi - lo), q[:, 1:3])
-    params[:, 2:] = _position(dist.position_law, q[:, 3:5])
+    params[:, 2:] = position_inverse_cdf(dist.position_law, q[:, 3:5])
     return params, dependent
 
 
-def sample_params_traced(dist: AugmentDistribution, label: int,
-                         rng: np.random.Generator) -> tuple[ErasingParams, bool]:
-    """Draw erasing parameters; also report whether the label-dependent branch fired."""
-    params, dependent = _draw_params(dist, np.array([label]), rng)
-    return ErasingParams(*params[0].tolist()), bool(dependent[0])
+def draw_params(dist: AugmentDistribution, labels,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Erasing parameters for a batch of labels, from one ``(n, 5)`` unit draw.
 
-
-def sample_params(dist: AugmentDistribution, label: int,
-                  rng: np.random.Generator) -> ErasingParams:
-    return sample_params_traced(dist, label, rng)[0]
-
-
-@dataclass(frozen=True)
-class GridTensor:
-    """Dense (height, width, channels) grid with values in [0,1]."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 3 or min(v.shape) < 1:
-            raise GvlabError("bad-input-dim", "grid values must be (height, width, channels)")
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.values.shape[2]
-
-    @property
-    def flat(self) -> np.ndarray:
-        return self.values.reshape(-1)
+    Row i's draws are its coin, area, aspect, pos_x and pos_y in that order.
+    Returns the ``(n, 4)`` columns area_u, aspect_u, pos_x, pos_y and the
+    flags of the rows that used the label-dependent law.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.ndim != 1:
+        raise GvlabError("bad-input-dim", f"labels must be one-dimensional, got {labels.shape}")
+    return _draw(dist, *_bounds(dist, labels), rng)
 
 
 def _rectangles(width: int, height: int, params: np.ndarray,
@@ -212,91 +167,89 @@ def _rectangles(width: int, height: int, params: np.ndarray,
     return rects
 
 
-def _erase(values: np.ndarray, rects: np.ndarray, rng: np.random.Generator) -> None:
-    """Fill each row's rectangle of the stacked grids in place with Uniform(0,1)
-    noise, drawn in row-major order over (row, y, x, channel)."""
-    rows = np.arange(values.shape[1])[:, None]
-    cols = np.arange(values.shape[2])
-    x0, x1, y0, y1 = (r[:, None, None] for r in rects.T)
-    mask = ((y0 <= rows) & (rows < y1)) & ((x0 <= cols) & (cols < x1))
-    mask = np.broadcast_to(mask[..., None], values.shape)
-    values[mask] = rng.random(np.count_nonzero(mask))
+def _erase_copies(grids: np.ndarray, bounds: tuple[np.ndarray, np.ndarray],
+                  dist: AugmentDistribution, copies: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """``copies`` erased copies ``(copies, n, height, width, channels)`` of the
+    stacked grids.
 
-
-def _params_row(params: ErasingParams) -> np.ndarray:
-    return np.array([[params.area_u, params.aspect_u, params.pos_x, params.pos_y]])
-
-
-def erasing_rectangle(width: int, height: int, params: ErasingParams,
-                      area_range: tuple[float, float] = (0.02, 0.40),
-                      aspect_range: tuple[float, float] = (1 / 3, 3.0)
-                      ) -> tuple[int, int, int, int] | None:
-    """Pixel rectangle (x0, x1, y0, y1) for the given draw, or None if empty."""
-    rect = _rectangles(width, height, _params_row(params), area_range, aspect_range)[0]
-    return tuple(rect.tolist()) if rect[1] > rect[0] else None
-
-
-def apply_erasing(grid: GridTensor, params: ErasingParams, rng: np.random.Generator,
-                  area_range: tuple[float, float] = (0.02, 0.40),
-                  aspect_range: tuple[float, float] = (1 / 3, 3.0)) -> GridTensor:
-    """Copy of the grid with the drawn rectangle filled by Uniform(0,1) noise."""
-    values = grid.values[None].copy()
-    _erase(values, _rectangles(grid.width, grid.height, _params_row(params), area_range,
-                               aspect_range), rng)
-    return GridTensor(values[0])
-
-
-def _stack(grids: np.ndarray | Sequence[GridTensor]) -> np.ndarray:
-    """Fresh ``(n, height, width, channels)`` array of a non-empty batch of
-    equally shaped grids."""
-    if isinstance(grids, np.ndarray):
-        if grids.ndim != 4 or 0 in grids.shape:
-            raise GvlabError("bad-input-dim",
-                             "stacked grids must be a non-empty (n, height, width, channels)")
-        return np.array(grids, dtype=np.float64)
-    if len(grids) == 0:
-        raise GvlabError("bad-input-dim", "empty batch of grids")
-    if len({g.values.shape for g in grids}) > 1:
-        raise GvlabError("bad-input-dim", "grids of mixed shapes in one batch")
-    return np.stack([g.values for g in grids])
-
-
-def erase_batch(grids: np.ndarray | Sequence[GridTensor], labels: np.ndarray,
-                dist: AugmentDistribution, rng: np.random.Generator) -> np.ndarray:
-    """Erase every grid with freshly drawn parameters; rows are flattened grids.
-
-    ``grids`` is a sequence of grids or their stacked
-    ``(n, height, width, channels)`` array, with one label per grid.
+    Each copy consumes the stream of one ``erase_batch`` call, its parameter
+    draw and then its fill, before the next copy draws.  One mask over all
+    copies then enumerates the pixels in (copy, grid, y, x, channel) order,
+    the order in which the fills were drawn.
     """
-    values = _stack(grids)
+    n, height, width, channels = grids.shape
+    rects = np.empty((copies, n, 4), dtype=np.int64)
+    fills = []
+    for rect in rects:
+        rect[:] = _rectangles(width, height, _draw(dist, *bounds, rng)[0], dist.area_range,
+                              dist.aspect_range)
+        pixels = int(((rect[:, 1] - rect[:, 0]) * (rect[:, 3] - rect[:, 2])).sum())
+        fills.append(rng.random(pixels * channels))
+    out = np.broadcast_to(grids, (copies,) + grids.shape).copy()
+    # built (y, x, grid) so that each comparison runs along all the grids
+    x0, x1, y0, y1 = rects.reshape(-1, 4).T
+    rows = np.arange(height)[:, None, None]
+    cols = np.arange(width)[:, None]
+    mask = ((y0 <= rows) & (rows < y1)) & ((x0 <= cols) & (cols < x1))
+    mask = np.moveaxis(mask, -1, 0).reshape(out.shape[:-1] + (1,))
+    out[np.broadcast_to(mask, out.shape)] = np.concatenate(fills)
+    return out
+
+
+def _batch(grids, labels) -> tuple[np.ndarray, np.ndarray]:
+    """The grids as one float64 ``(n, height, width, channels)`` array (not a
+    copy when they already are one) and their n labels as int64."""
+    try:
+        values = np.asarray(grids, dtype=np.float64)
+    except ValueError:
+        raise GvlabError("bad-input-dim", "grids of mixed shapes in one batch") from None
+    if values.ndim != 4 or 0 in values.shape:
+        raise GvlabError("bad-input-dim",
+                         "stacked grids must be a non-empty (n, height, width, channels)")
     labels = np.asarray(labels)
     if labels.shape != (len(values),):
         raise GvlabError("bad-input-dim",
                          f"{labels.size} labels for a batch of {len(values)} grids")
-    params, _ = _draw_params(dist, labels.astype(np.int64), rng)
-    _erase(values, _rectangles(values.shape[2], values.shape[1], params, dist.area_range,
-                               dist.aspect_range), rng)
-    return values.reshape(len(values), -1)
+    return values, labels.astype(np.int64)
 
 
-def prediction_changing_ratio(model: LinearModel, grids: Sequence[GridTensor],
-                              dist: AugmentDistribution, labels: Sequence[int],
+def erase_batch(grids: np.ndarray, labels: np.ndarray, dist: AugmentDistribution,
+                rng: np.random.Generator) -> np.ndarray:
+    """Erase every grid with freshly drawn parameters; rows are flattened grids.
+
+    ``grids`` is the stacked ``(n, height, width, channels)`` batch, with one
+    label per grid; it is left unchanged.
+    """
+    values, labels = _batch(grids, labels)
+    erased = _erase_copies(values, _bounds(dist, labels), dist, 1, rng)
+    return erased.reshape(len(values), -1)
+
+
+def prediction_changing_ratio(model: LinearModel, grids: np.ndarray,
+                              dist: AugmentDistribution, labels: np.ndarray,
                               repeats: int = 100,
                               rng: np.random.Generator | None = None) -> float:
     """Mean fraction of inputs whose argmax prediction changes under erasing.
 
     For each repeat the whole batch is erased with fresh parameter draws
     and re-scored; the fraction differing from the clean-input predictions
-    is averaged over repeats.
+    is averaged over repeats.  Repeats are erased and scored
+    ``PROBE_CHUNK_VALUES`` grid values at a time.
     """
     if repeats < 1:
         raise GvlabError("bad-config", "repeats must be >= 1")
     rng = np.random.default_rng(0) if rng is None else rng
-    labels = np.asarray(labels)
-    stacked = _stack(grids)
-    base = model.forward(stacked.reshape(len(stacked), -1)).argmax(axis=1)
+    values, labels = _batch(grids, labels)
+    bounds = _bounds(dist, labels)
+    n = len(values)
+    base = model.forward(values.reshape(n, -1)).argmax(axis=1)
+    per_chunk = max(1, PROBE_CHUNK_VALUES // values.size)
     changed = 0.0
-    for _ in range(repeats):
-        erased = erase_batch(stacked, labels, dist, rng)
-        changed += float((model.forward(erased).argmax(axis=1) != base).mean())
+    for done in range(0, repeats, per_chunk):
+        erased = _erase_copies(values, bounds, dist, min(per_chunk, repeats - done), rng)
+        scores = model.forward(erased.reshape(-1, values[0].size))
+        # one float per repeat, added in repeat order, as repeat-by-repeat scoring adds them
+        for fraction in (scores.argmax(axis=1).reshape(-1, n) != base).mean(axis=1).tolist():
+            changed += fraction
     return changed / repeats

@@ -305,7 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theory-check", help="run the closed-form verification sweeps")
     common(p)
-    p.add_argument("--tables", type=int, default=None)
+    p.add_argument("--tables", type=int, default=None,
+                   help="random tables for optimal-outputs-closed-form (default 200); "
+                        "training-error-equality always uses 500 and strict-invariance "
+                        "100 product and 100 dependent tables")
     p.add_argument("--corrupt", type=str, default=None,
                    help="test hook: corrupt the named check's closed form")
 

@@ -28,8 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .augment import AugmentDistribution, GridTensor, PositionLaw, erase_batch, \
-    prediction_changing_ratio
+from .augment import AugmentDistribution, PositionLaw, erase_batch, prediction_changing_ratio
 from .core import BinningPolicy, Dataset, ExemplarTable, build_table, derive_seed, marginalize
 from .errors import GvlabError
 from .info import conditional_entropy, entropy
@@ -264,9 +263,12 @@ class GridProtocol:
 
 @dataclass(frozen=True)
 class GridTask:
-    train_grids: tuple[GridTensor, ...]
+    """Both halves of the grid task: read-only ``(n, side, side, 1)`` float64
+    grid stacks, and the same grids flattened to rows with their labels."""
+
+    train_grids: np.ndarray
     train: VectorDataset
-    test_grids: tuple[GridTensor, ...]
+    test_grids: np.ndarray
     test: VectorDataset
 
 
@@ -275,24 +277,25 @@ def make_grid_task(seed: int, protocol: GridProtocol = GridProtocol()) -> GridTa
 
     The central ``pattern_side`` square is the prototype of the class with
     Gaussian perturbation (clipped to [0,1]); every other pixel is dim
-    Uniform(0, background) noise, independent of the label.
+    Uniform(0, background) noise, independent of the label.  Each sample
+    draws its background and then its block perturbation, class by class.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, 31)))
     side, ps = protocol.side, protocol.pattern_side
     lo = (side - ps) // 2
     prototypes = rng.random((protocol.classes, ps, ps))
 
-    def batch(per_class: int) -> tuple[tuple[GridTensor, ...], VectorDataset]:
-        grids, labels = [], []
-        for c in range(protocol.classes):
-            for _ in range(per_class):
-                values = protocol.background * rng.random((side, side, 1))
-                block = prototypes[c] + rng.normal(0.0, protocol.noise_sd, (ps, ps))
-                values[lo:lo + ps, lo:lo + ps, 0] = np.clip(block, 0.0, 1.0)
-                grids.append(GridTensor(values))
-                labels.append(c)
-        x = np.stack([g.flat for g in grids])
-        return tuple(grids), VectorDataset(x, np.array(labels), protocol.classes)
+    def batch(per_class: int) -> tuple[np.ndarray, VectorDataset]:
+        labels = np.repeat(np.arange(protocol.classes), per_class)
+        grids = np.empty((len(labels), side, side, 1))
+        blocks = np.empty((len(labels), ps, ps))
+        for grid, block in zip(grids, blocks):
+            rng.random(out=grid)
+            block[:] = rng.normal(0.0, protocol.noise_sd, (ps, ps))
+        grids *= protocol.background
+        grids[:, lo:lo + ps, lo:lo + ps, 0] = np.clip(prototypes[labels] + blocks, 0.0, 1.0)
+        grids.setflags(write=False)
+        return grids, VectorDataset(grids.reshape(len(labels), -1), labels, protocol.classes)
 
     train_grids, train_data = batch(protocol.train_per_class)
     test_grids, test_data = batch(protocol.test_per_class)

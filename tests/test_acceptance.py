@@ -18,8 +18,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from gvlab.augment import (LABEL_INTERVALS, AugmentDistribution, sample_params,
-                           sample_params_traced, sample_position)
+from gvlab.augment import LABEL_INTERVALS, AugmentDistribution, draw_params
 from gvlab.cli import main as cli_main
 from gvlab.experiments import (GridProtocol, ToyProtocol, addition_rule_sweep,
                                augment_sweep_run, check_gap_bound, check_max_prob_bound,
@@ -176,24 +175,20 @@ def test_criterion_10_augmentation_parameter_laws():
     threshold = scipy.stats.chi2.ppf(0.999, bins - 1)
     stats = {}
     for law, cdf in (("periphery_m0", _cdf_m0), ("center_m1", _cdf_m1)):
-        sample = np.array([sample_position(law, rng) for _ in range(draws)])
-        observed, edges = np.histogram(sample, bins=bins, range=(0.0, 1.0))
+        params, _ = draw_params(AugmentDistribution(position_law=law),
+                                np.zeros(draws, dtype=int), rng)
+        observed, edges = np.histogram(params[:, 2], bins=bins, range=(0.0, 1.0))
         expected = draws * np.diff([cdf(e) for e in edges])
         stats[law] = float(((observed - expected) ** 2 / expected).sum())
     gof_ok = all(stat < threshold for stat in stats.values())
 
-    dependent = AugmentDistribution(alpha=1.0)
-    containment_ok = True
-    for label in range(10):
-        (a1, b1), (a2, b2) = LABEL_INTERVALS[label]
-        for _ in range(2000):
-            p = sample_params(dependent, label, rng)
-            if not (a1 <= p.area_u <= b1 and a2 <= p.aspect_u <= b2):
-                containment_ok = False
+    labels = np.repeat(np.arange(10), 2000)
+    params, _ = draw_params(AugmentDistribution(alpha=1.0), labels, rng)
+    lo, hi = np.array([LABEL_INTERVALS[k] for k in range(10)])[labels].transpose(2, 0, 1)
+    containment_ok = bool(np.all((lo <= params[:, :2]) & (params[:, :2] <= hi)))
 
-    mixture = AugmentDistribution(alpha=0.3)
-    hits = sum(sample_params_traced(mixture, 4, rng)[1] for _ in range(draws))
-    fraction = hits / draws
+    _, dependent = draw_params(AugmentDistribution(alpha=0.3), np.full(draws, 4), rng)
+    fraction = float(dependent.mean())
     mixture_ok = abs(fraction - 0.3) <= 0.01
 
     ok = gof_ok and containment_ok and mixture_ok

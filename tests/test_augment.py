@@ -1,49 +1,41 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gvlab.augment import (LABEL_INTERVALS, POSITION_LAWS, AugmentDistribution, ErasingParams,
-                           GridTensor, _draw_params, apply_erasing, erase_batch,
-                           erasing_rectangle, prediction_changing_ratio, sample_params,
-                           sample_params_traced, sample_position)
+from gvlab.augment import (LABEL_INTERVALS, POSITION_LAWS, PROBE_CHUNK_VALUES,
+                           AugmentDistribution, _rectangles, draw_params, erase_batch,
+                           position_inverse_cdf, prediction_changing_ratio)
 from gvlab.errors import GvlabError
 from gvlab.models import LinearModel
 
 
-class FixedRng:
-    """Stub generator yielding a scripted sequence of unit draws."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def random(self):
-        return self.values.pop(0)
+def quantile(law, q):
+    return float(position_inverse_cdf(law, np.float64(q)))
 
 
 class TestSamplePosition:
     def test_median_is_center_for_both_laws(self):
-        assert sample_position("periphery_m0", FixedRng([0.5])) == pytest.approx(0.5)
-        assert sample_position("center_m1", FixedRng([0.5])) == pytest.approx(0.5)
+        assert quantile("periphery_m0", 0.5) == pytest.approx(0.5)
+        assert quantile("center_m1", 0.5) == pytest.approx(0.5)
 
     def test_periphery_law_inverse_cdf(self):
-        x = sample_position("periphery_m0", FixedRng([0.125]))
-        assert x == pytest.approx(0.0669872981077807, abs=1e-12)
+        assert quantile("periphery_m0", 0.125) == pytest.approx(0.0669872981077807, abs=1e-12)
 
     def test_center_law_inverse_cdf(self):
-        assert sample_position("center_m1", FixedRng([0.125])) == pytest.approx(0.25, abs=1e-12)
+        assert quantile("center_m1", 0.125) == pytest.approx(0.25, abs=1e-12)
 
     def test_symmetry_of_upper_branch(self):
-        low = sample_position("periphery_m0", FixedRng([0.125]))
-        high = sample_position("periphery_m0", FixedRng([0.875]))
+        low = quantile("periphery_m0", 0.125)
+        high = quantile("periphery_m0", 0.875)
         assert high == pytest.approx(1.0 - low, abs=1e-12)
 
     def test_uniform_law_passes_the_draw_through(self):
-        assert sample_position("uniform", FixedRng([0.37])) == 0.37
+        assert quantile("uniform", 0.37) == 0.37
 
     def test_histogram_matches_density(self):
-        rng = np.random.default_rng(0)
-        draws = np.array([sample_position("center_m1", rng) for _ in range(20000)])
+        draws = position_inverse_cdf("center_m1", np.random.default_rng(0).random(20000))
         hist, edges = np.histogram(draws, bins=10, range=(0, 1))
         centers = (edges[:-1] + edges[1:]) / 2
         cell_probability = (2 - 4 * np.abs(centers - 0.5)) * 0.1  # density is linear per cell
@@ -52,93 +44,93 @@ class TestSamplePosition:
 
 class TestSampleParams:
     def test_independent_law_ignores_labels(self):
-        rng = np.random.default_rng(1)
-        dist = AugmentDistribution(alpha=0.0)
-        draws = [sample_params(dist, 0, rng) for _ in range(500)]
-        assert any(p.area_u > 1 / 3 for p in draws)  # not confined to label 0's interval
-        assert all(0.0 <= p.area_u <= 1.0 for p in draws)
+        params, _ = draw_params(AugmentDistribution(alpha=0.0), np.zeros(500, dtype=int),
+                                np.random.default_rng(1))
+        assert np.any(params[:, 0] > 1 / 3)  # not confined to label 0's interval
+        assert np.all((0.0 <= params) & (params <= 1.0))
 
     def test_dependent_law_respects_label_interval(self):
-        rng = np.random.default_rng(2)
-        dist = AugmentDistribution(alpha=1.0)
+        labels = np.repeat(np.arange(9), 200)
+        params, _ = draw_params(AugmentDistribution(alpha=1.0), labels, np.random.default_rng(2))
         for label in range(9):
             (a1, b1), (a2, b2) = LABEL_INTERVALS[label]
-            for _ in range(200):
-                p = sample_params(dist, label, rng)
-                assert a1 <= p.area_u <= b1
-                assert a2 <= p.aspect_u <= b2
+            area_u, aspect_u = params[labels == label, :2].T
+            assert np.all((a1 <= area_u) & (area_u <= b1))
+            assert np.all((a2 <= aspect_u) & (aspect_u <= b2))
 
     def test_degenerate_interval_is_exactly_zero(self):
-        rng = np.random.default_rng(3)
-        dist = AugmentDistribution(alpha=1.0)
-        for _ in range(50):
-            p = sample_params(dist, 9, rng)
-            assert p.area_u == 0.0 and p.aspect_u == 0.0
+        params, _ = draw_params(AugmentDistribution(alpha=1.0), np.full(50, 9),
+                                np.random.default_rng(3))
+        assert np.all(params[:, :2] == 0.0)
 
     def test_missing_label_rejected(self):
         with pytest.raises(GvlabError) as err:
-            sample_params(AugmentDistribution(), 10, np.random.default_rng(0))
+            draw_params(AugmentDistribution(), [10], np.random.default_rng(0))
         assert err.value.code == "bad-label"
 
+    def test_two_dimensional_labels_rejected(self):
+        with pytest.raises(GvlabError) as err:
+            draw_params(AugmentDistribution(), np.zeros((3, 2), dtype=int),
+                        np.random.default_rng(0))
+        assert err.value.code == "bad-input-dim"
+
     def test_mixture_fraction_tracks_alpha(self):
-        rng = np.random.default_rng(4)
-        dist = AugmentDistribution(alpha=0.3)
-        dependent = sum(sample_params_traced(dist, 1, rng)[1] for _ in range(20000))
-        assert abs(dependent / 20000 - 0.3) < 0.01
-
-    def test_params_validated(self):
-        with pytest.raises(GvlabError):
-            ErasingParams(1.5, 0.0, 0.0, 0.0)
+        _, dependent = draw_params(AugmentDistribution(alpha=0.3), np.ones(20000, dtype=int),
+                                   np.random.default_rng(4))
+        assert abs(dependent.mean() - 0.3) < 0.01
 
 
-def flat_grid(value=0.0, side=8):
-    return GridTensor(np.full((side, side, 1), float(value)))
+def erase_one(grid, script, **law):
+    """``grid`` erased alone; ``script`` gives its coin, area, aspect, pos_x and pos_y."""
+    out = erase_batch(grid[None], [0], AugmentDistribution(**law), ScriptedRng(script))
+    return out.reshape(grid.shape)
 
 
 class TestApplyErasing:
     def test_zero_area_with_zero_lower_bound_is_identity(self):
-        grid = flat_grid(0.3)
-        params = ErasingParams(0.0, 0.5, 0.5, 0.5)
-        out = apply_erasing(grid, params, np.random.default_rng(0), area_range=(0.0, 0.4))
-        np.testing.assert_array_equal(out.values, grid.values)
+        grid = np.full((8, 8, 1), 0.3)
+        out = erase_one(grid, [0.9, 0.0, 0.5, 0.5, 0.5], area_range=(0.0, 0.4))
+        np.testing.assert_array_equal(out, grid)
 
     def test_full_area_replaces_everything(self):
-        grid = flat_grid(0.3)
-        params = ErasingParams(1.0, 0.5, 0.5, 0.5)
-        out = apply_erasing(grid, params, np.random.default_rng(0),
-                            area_range=(0.02, 1.0), aspect_range=(1.0, 1.0))
-        assert np.all(out.values != 0.3)
-
-    def test_fixed_seed_is_deterministic(self):
-        grid = flat_grid(0.3)
-        params = ErasingParams(0.7, 0.2, 0.4, 0.6)
-        a = apply_erasing(grid, params, np.random.default_rng(42))
-        b = apply_erasing(grid, params, np.random.default_rng(42))
-        assert a.values.tobytes() == b.values.tobytes()
+        grid = np.full((8, 8, 1), 0.3)
+        out = erase_one(grid, [0.9, 1.0, 0.5, 0.5, 0.5], area_range=(0.02, 1.0),
+                        aspect_range=(1.0, 1.0))
+        assert np.all(out != 0.3)
 
     def test_source_grid_untouched(self):
-        grid = flat_grid(0.3)
-        apply_erasing(grid, ErasingParams(0.9, 0.5, 0.5, 0.5), np.random.default_rng(1))
-        assert np.all(grid.values == 0.3)
-
-    def test_rectangle_clipped_at_corner(self):
-        rect = erasing_rectangle(8, 8, ErasingParams(1.0, 0.5, 0.0, 0.0),
-                                 area_range=(0.02, 0.5), aspect_range=(1.0, 1.0))
-        xa, xb, ya, yb = rect
-        assert (xa, ya) == (0, 0)
-        assert xb < 8 and yb < 8  # centered at the corner, half clipped away
+        grids = np.full((3, 8, 8, 1), 0.3)
+        erase_batch(grids, [0, 1, 2], AugmentDistribution(area_range=(0.3, 0.4)),
+                    np.random.default_rng(1))
+        assert np.all(grids == 0.3)
 
     def test_degenerate_rectangle_leaves_grid_unchanged(self):
-        grid = flat_grid(0.5, side=2)
-        params = ErasingParams(0.0, 0.0, 0.9, 0.9)
-        out = apply_erasing(grid, params, np.random.default_rng(0), area_range=(0.0, 0.0))
-        np.testing.assert_array_equal(out.values, grid.values)
+        grid = np.full((2, 2, 1), 0.5)
+        out = erase_one(grid, [0.0, 0.0, 0.0, 0.9, 0.9], area_range=(0.0, 0.0))
+        np.testing.assert_array_equal(out, grid)
+
+
+def reference_changing_ratio(model, grids, dist, labels, repeats, rng):
+    """The probe one repeat at a time: one ``erase_batch`` and one forward each."""
+    base = model.forward(grids.reshape(len(grids), -1)).argmax(axis=1)
+    changed = 0.0
+    for _ in range(repeats):
+        erased = erase_batch(grids, labels, dist, rng)
+        changed += float((model.forward(erased).argmax(axis=1) != base).mean())
+    return changed / repeats
+
+
+def probe_case(n, shape, seed):
+    rng = np.random.default_rng(seed)
+    grids = rng.random((n, *shape))
+    model = LinearModel(rng.normal(size=(10, grids[0].size)), np.zeros(10), "softmax")
+    return model, grids, np.arange(n) % 10
 
 
 class TestPredictionChangingRatio:
     def setup_method(self):
         rng = np.random.default_rng(7)
-        self.grids = [GridTensor(rng.random((4, 4, 1))) for _ in range(20)]
+        self.grids = rng.random((20, 4, 4, 1))
         self.labels = rng.integers(0, 2, 20)
 
     def test_identity_augmentation_gives_zero(self):
@@ -161,11 +153,11 @@ class TestPredictionChangingRatio:
         """Model reads only pixel 0 of a 1x2 grid; a unit-square erase lands on
         pixel 0 with probability 1/2 and flips the prediction when the noise
         falls below the threshold 0.5, so the ratio converges to 1/4."""
-        grid = GridTensor(np.array([[[0.9], [0.2]]]))
+        grid = np.array([[[0.9], [0.2]]])
         model = LinearModel(np.array([[1.0, 0.0]]), np.array([-0.5]), "sigmoid")
         dist = AugmentDistribution(alpha=0.0, area_range=(0.5, 0.5),
                                    aspect_range=(1.0, 1.0))
-        ratio = prediction_changing_ratio(model, [grid], dist, [0], repeats=4000,
+        ratio = prediction_changing_ratio(model, grid[None], dist, [0], repeats=4000,
                                           rng=np.random.default_rng(3))
         assert ratio == pytest.approx(0.25, abs=0.04)
 
@@ -182,6 +174,41 @@ class TestPredictionChangingRatio:
         with pytest.raises(GvlabError):
             prediction_changing_ratio(model, self.grids, AugmentDistribution(),
                                       self.labels, repeats=0)
+
+
+class TestChunkedProbeMatchesReference:
+    """The chunked probe equals the repeat-by-repeat loop bit for bit."""
+
+    @pytest.mark.parametrize("n, shape, repeats, dist", [
+        # three repeats per chunk, the last chunk holds one
+        (300, (8, 8, 1), 7, AugmentDistribution()),
+        # one batch is larger than a chunk
+        (1100, (8, 8, 1), 3, AugmentDistribution()),
+        (150, (5, 7, 2), 9, AugmentDistribution(area_range=(0.1, 0.6))),
+        (200, (8, 8, 1), 11, AugmentDistribution(alpha=0.5, position_law="center_m1")),
+    ], ids=["partial-last-chunk", "batch-above-chunk", "two-channels", "dependent-center"])
+    def test_equals_reference(self, n, shape, repeats, dist):
+        model, grids, labels = probe_case(n, shape, seed=n)
+        ratio = prediction_changing_ratio(model, grids, dist, labels, repeats,
+                                          np.random.default_rng(18))
+        assert ratio == reference_changing_ratio(model, grids, dist, labels, repeats,
+                                                 np.random.default_rng(18))
+
+    def test_cases_straddle_the_chunk_bound(self):
+        assert PROBE_CHUNK_VALUES // (300 * 64) == 3  # 7 repeats: chunks of 3, 3 and 1
+        assert PROBE_CHUNK_VALUES < 1100 * 64
+
+    def test_peak_allocation_is_far_below_a_full_stack(self):
+        model, grids, labels = probe_case(500, (8, 8, 1), seed=19)
+        full_stack = 100 * grids.nbytes  # every repeat's erased copy at once: 25.6 MB
+        tracemalloc.start()
+        try:
+            prediction_changing_ratio(model, grids, AugmentDistribution(), labels, 100,
+                                      np.random.default_rng(20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < full_stack / 8, peak
 
 
 # Frozen copy of the per-sample erasing code that the batch path replaced.
@@ -270,15 +297,18 @@ class TestBatchMatchesReference:
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
     def test_single_draw_matches_reference(self, law, alpha):
         dist = AugmentDistribution(alpha=alpha, position_law=law)
-        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-        for i in range(300):
-            params, dependent = sample_params_traced(dist, i % 10, rng)
-            expected, expected_dependent = reference_params_traced(dist, i % 10, ref_rng)
-            drawn = (params.area_u, params.aspect_u, params.pos_x, params.pos_y)
-            assert drawn == expected and dependent == expected_dependent
+        labels = np.arange(300) % 10
+        params, dependent = draw_params(dist, labels, np.random.default_rng(11))
+        ref_rng = np.random.default_rng(11)
+        for row, flag, label in zip(params, dependent, labels):
+            expected, expected_dependent = reference_params_traced(dist, label, ref_rng)
+            assert tuple(row.tolist()) == expected and flag == expected_dependent
             for width, height in ((16, 16), (5, 9)):
-                assert erasing_rectangle(width, height, params) == reference_rectangle(
-                    width, height, expected, dist.area_range, dist.aspect_range)
+                rect = _rectangles(width, height, row[None], dist.area_range,
+                                   dist.aspect_range)[0]
+                assert (tuple(rect.tolist()) if rect[1] > rect[0] else None) == \
+                    reference_rectangle(width, height, expected, dist.area_range,
+                                        dist.aspect_range)
 
     @pytest.mark.parametrize("law", POSITION_LAWS)
     def test_one_grid_batch_matches_reference(self, law):
@@ -291,8 +321,8 @@ class TestBatchMatchesReference:
 
     def test_mixed_label_batch_uses_each_row_interval(self):
         labels = np.arange(200) % 10
-        params, dependent = _draw_params(AugmentDistribution(alpha=1.0), labels,
-                                         np.random.default_rng(13))
+        params, dependent = draw_params(AugmentDistribution(alpha=1.0), labels,
+                                        np.random.default_rng(13))
         assert dependent.all()
         for (area_u, aspect_u, _, _), label in zip(params, labels):
             (a1, b1), (a2, b2) = LABEL_INTERVALS[label]
@@ -343,21 +373,21 @@ class TestBatchMatchesReference:
 
     def test_stacked_array_and_grid_sequence_agree(self):
         values = random_grids(12)
-        grids = [GridTensor(v) for v in values]
+        grids = list(values.copy())
         dist = AugmentDistribution(alpha=0.5)
         a = erase_batch(values, np.arange(12) % 10, dist, np.random.default_rng(16))
         b = erase_batch(grids, np.arange(12) % 10, dist, np.random.default_rng(16))
         assert a.tobytes() == b.tobytes()
-        assert np.array_equal(values, np.stack([g.values for g in grids]))  # input untouched
+        assert np.array_equal(values, np.stack(grids))  # input untouched
 
 
 def _grids_and_labels(case):
-    grids = [GridTensor(v) for v in random_grids(4, shape=(4, 4, 1))]
+    grids = list(random_grids(4, shape=(4, 4, 1)))
     return {
         "empty": ([], []),
         "short-labels": (grids, [0, 1, 0]),
         "long-labels": (grids, [0, 1, 0, 1, 0]),
-        "mixed-shapes": (grids[:3] + [GridTensor(np.zeros((4, 5, 1)))], [0, 1, 0, 1]),
+        "mixed-shapes": (grids[:3] + [np.zeros((4, 5, 1))], [0, 1, 0, 1]),
     }[case]
 
 
@@ -394,8 +424,7 @@ class TestBatchBoundaries:
 
 
 def test_erase_batch_shapes_and_determinism():
-    rng = np.random.default_rng(8)
-    grids = [GridTensor(rng.random((4, 4, 1))) for _ in range(6)]
+    grids = np.random.default_rng(8).random((6, 4, 4, 1))
     labels = np.arange(6) % 2
     dist = AugmentDistribution(alpha=0.5)
     a = erase_batch(grids, labels, dist, np.random.default_rng(9))

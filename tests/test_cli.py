@@ -159,6 +159,15 @@ class TestTheoryCheckCommand:
             assert "bad-config" in capsys.readouterr().err
             assert not (out / "theory_report.csv").exists()
 
+    def test_help_says_tables_sizes_only_the_optimal_outputs_check(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            run(["theory-check", "--help"])
+        assert exit_.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert ("--tables TABLES random tables for optimal-outputs-closed-form (default 200); "
+                "training-error-equality always uses 500 and strict-invariance 100 product "
+                "and 100 dependent tables") in text
+
     def test_deterministic_report(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         run(["theory-check", "--seed", "3", "--tables", "25", "--out", str(out1)])

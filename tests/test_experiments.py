@@ -169,7 +169,37 @@ class TestToyRunners:
         assert serial == parallel
 
 
+def reference_grid_task(seed, protocol):
+    """The per-sample loop that built the grid task one grid at a time."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 31)))
+    side, ps = protocol.side, protocol.pattern_side
+    lo = (side - ps) // 2
+    prototypes = rng.random((protocol.classes, ps, ps))
+    halves = []
+    for per_class in (protocol.train_per_class, protocol.test_per_class):
+        grids, labels = [], []
+        for c in range(protocol.classes):
+            for _ in range(per_class):
+                values = protocol.background * rng.random((side, side, 1))
+                block = prototypes[c] + rng.normal(0.0, protocol.noise_sd, (ps, ps))
+                values[lo:lo + ps, lo:lo + ps, 0] = np.clip(block, 0.0, 1.0)
+                grids.append(values)
+                labels.append(c)
+        halves.append((np.stack(grids), np.array(labels)))
+    return halves
+
+
 class TestGridTask:
+    @pytest.mark.parametrize("protocol", [SMALL_GRID, GridProtocol(),
+                                          GridProtocol(side=9, pattern_side=3, classes=3)])
+    def test_matches_the_per_sample_reference(self, protocol):
+        task = make_grid_task(8, protocol)
+        halves = ((task.train_grids, task.train), (task.test_grids, task.test))
+        for (grids, data), (expected, labels) in zip(halves, reference_grid_task(8, protocol)):
+            assert grids.shape == expected.shape and grids.tobytes() == expected.tobytes()
+            assert data.x.tobytes() == expected.reshape(len(expected), -1).tobytes()
+            assert np.array_equal(data.y, labels)
+
     def test_shapes_and_determinism(self):
         task = make_grid_task(5, SMALL_GRID)
         assert len(task.train_grids) == 12 * 10
@@ -180,7 +210,7 @@ class TestGridTask:
 
     def test_pattern_block_is_brighter_than_periphery(self):
         task = make_grid_task(6, SMALL_GRID)
-        values = task.train_grids[0].values[:, :, 0]
+        values = task.train_grids[0][:, :, 0]
         periphery = np.concatenate([values[:2].ravel(), values[6:].ravel()])
         assert values[2:6, 2:6].mean() > periphery.mean()
 
