@@ -555,7 +555,7 @@ def check_max_prob_bound(rng: np.random.Generator, corrupt: bool = False) -> Che
 
 def check_optimal_outputs(rng: np.random.Generator, tables: int,
                           corrupt: bool = False) -> CheckResult:
-    """Closed-form optimal outputs against one projected-gradient run over every
+    """Closed-form optimal outputs against one mirror-descent run over every
     table's vectors, padded with zero-mass labels to the widest ``k``: such labels
     add no cross-entropy, so each row keeps its optimum and one certificate covers all."""
     rows = []
@@ -566,12 +566,12 @@ def check_optimal_outputs(rng: np.random.Generator, tables: int,
     stacked = np.zeros((len(rows), max(map(len, rows))))
     for i, row in enumerate(rows):
         stacked[i, :len(row)] = row
-    numeric = theory.pgd_conditionals(stacked, step=0.1, iterations=10_000)
+    numeric = theory.pgd_conditionals(stacked)
     if corrupt:
         numeric = numeric + 0.002
     worst = float((0.5 * np.abs(numeric - stacked).sum(axis=1)).max())
     return CheckResult("optimal-outputs-closed-form", worst <= 1e-4, worst,
-                       f"{tables} random tables vs projected-gradient minimizer")
+                       f"{tables} random tables vs mirror-descent minimizer")
 
 
 def check_training_error(rng: np.random.Generator, tables: int) -> CheckResult:

@@ -19,9 +19,9 @@ Contents:
   subset (zero total-variation spread across its values).
 - ``addition_rule``: per-variable conditional-information sum and the
   prediction entropy given the task block, for deterministic predictors.
-- ``numeric_optimal_outputs``: independent projected-gradient minimizer
-  of the empirical cross-entropy, used only to validate the closed form;
-  it stops on a duality-gap certificate.
+- ``numeric_optimal_outputs``: independent entropic mirror-descent
+  minimizer of the empirical cross-entropy, used only to validate the
+  closed form; it stops on a duality-gap certificate.
 
 Entropies are in nats throughout; ``ln2`` converts the binary-log
 constants of the source bounds.
@@ -45,9 +45,9 @@ LN2 = math.log(2.0)
 #: Output vectors differing by at most this total variation count as equal.
 INVARIANCE_TOL = 1e-9
 
-#: Frank-Wolfe duality gap at which :func:`pgd_conditionals` stops.  The gap
-#: bounds ``KL(q || psi)``, so by Pinsker the total variation to the optimum
-#: is at most ``sqrt(GAP_TOL / 2)``.
+#: Frank-Wolfe duality gap at which the mirror descent of
+#: :func:`pgd_conditionals` stops.  The gap bounds ``KL(q || psi)``, so by
+#: Pinsker the total variation to the optimum is at most ``sqrt(GAP_TOL / 2)``.
 GAP_TOL = 1e-14
 
 
@@ -249,48 +249,45 @@ def addition_rule(table: ExemplarTable, task_ids: Sequence[int],
 # Numeric reference minimizer (validation only)
 # ---------------------------------------------------------------------------
 
-def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row of ``v`` onto the probability simplex.
+def pgd_conditionals(q: np.ndarray, iterations: int = 10_000) -> np.ndarray:
+    """Entropic mirror-descent minimizer of ``-sum_y q_y log psi_y`` per row.
 
-    Sort-and-shift method: with the row sorted descending, find the largest
-    prefix whose shifted values stay positive and clip the rest to zero.
-    """
-    v = np.atleast_2d(v)
-    u = np.sort(v, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1)
-    j = np.arange(1, v.shape[1] + 1)
-    feasible = u + (1.0 - css) / j > 0.0
-    rho = feasible.sum(axis=1) - 1  # the feasible set is a prefix of the sorted row
-    lam = (1.0 - css[np.arange(v.shape[0]), rho]) / (rho + 1.0)
-    return np.maximum(v + lam[:, None], 0.0)
-
-
-def pgd_conditionals(q: np.ndarray, step: float = 0.1, iterations: int = 10_000) -> np.ndarray:
-    """Projected-gradient minimizer of ``-sum_y q_y log psi_y`` per row.
-
-    Each row of ``q`` is an independent target distribution; iterates start
-    from the uniform vector.  A fixed step limit-cycles around optima with
-    small positive probabilities, so the step decays harmonically from
-    ``step``.
+    Each row of ``q`` is an independent target distribution.  Iterates start
+    uniform on the row's support and stay exactly 0 off it (mass there only
+    adds cross-entropy).  Each step is exponentiated gradient (Kivinen &
+    Warmuth 1997; Beck & Teboulle 2003): add ``g / max_y g``, with
+    ``g = q / psi``, to ``log psi`` and renormalize by log-sum-exp.
 
     The minimizer stops on a certificate that does not use the closed-form
     optimum: the Frank-Wolfe duality gap ``max_y q_y / psi_y - 1``, which
-    bounds ``KL(q || psi)`` (Jaggi, ICML 2013).  It returns the first iterate whose gap, taken
-    over all rows, is at most :data:`GAP_TOL`.  ``iterations`` is a hard
-    cap; reaching it raises ``GvlabError("not-converged")``.
+    bounds ``KL(q || psi)`` (Jaggi, ICML 2013).  It returns the first iterate
+    whose gap, taken over all rows, is at most :data:`GAP_TOL`.
+    ``iterations`` is a hard cap; reaching it raises ``GvlabError("not-converged")``.
+    Input other than a stack of probability rows raises ``GvlabError("bad-variable")``.
     """
-    psi = np.full_like(q, 1.0 / q.shape[1])
-    for t in range(iterations):
-        grad = np.where(q > 0.0, q / np.maximum(psi, 1e-300), 0.0)
-        if grad.max() - 1.0 <= GAP_TOL:
+    q = np.asarray(q, dtype=np.float64)
+    if (q.ndim != 2 or q.size == 0 or not np.isfinite(q).all() or (q < 0.0).any()
+            or (np.abs(q.sum(axis=1) - 1.0) > 1e-12).any()):
+        raise GvlabError("bad-variable", "oracle input must be a non-empty 2-D stack of "
+                                         f"probability vectors, got shape {q.shape}")
+    support = q > 0.0
+    psi = support / support.sum(axis=1, keepdims=True)
+    log_psi = np.log(psi, out=np.full_like(psi, -np.inf), where=support)
+    for _ in range(iterations):
+        grad = np.divide(q, psi, out=np.zeros_like(q), where=support)
+        top = grad.max(axis=1, keepdims=True)
+        if top.max() - 1.0 <= GAP_TOL:
             return psi
-        psi = project_to_simplex(psi + (step / (1.0 + t / 50.0)) * grad)
+        log_psi += grad / top
+        log_psi -= log_psi.max(axis=1, keepdims=True)
+        log_psi -= np.log(np.exp(log_psi).sum(axis=1, keepdims=True))
+        psi = np.exp(log_psi)
     raise GvlabError("not-converged", f"duality gap above {GAP_TOL} after {iterations} "
-                                      "projected-gradient iterations")
+                                      "mirror-descent iterations")
 
 
 def numeric_optimal_outputs(table: ExemplarTable, determining_ids: Sequence[int],
-                            step: float = 0.1, iterations: int = 10_000) -> OptimalOutputs:
+                            iterations: int = 10_000) -> OptimalOutputs:
     """Minimize the empirical cross-entropy numerically, per configuration.
 
     Independent reference for :func:`optimal_outputs`: the training
@@ -308,5 +305,5 @@ def numeric_optimal_outputs(table: ExemplarTable, determining_ids: Sequence[int]
         configs.setdefault(config, np.zeros(marg.k))[label] += count
     order = sorted(configs)
     q = np.array([configs[c] / configs[c].sum() for c in order])
-    psi = pgd_conditionals(q, step, iterations)
+    psi = pgd_conditionals(q, iterations)
     return OptimalOutputs(tuple(determining_ids), dict(zip(order, psi)), marg.k)

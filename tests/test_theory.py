@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gvlab import theory
 from gvlab.core import ExemplarTable
@@ -10,8 +12,7 @@ from gvlab.experiments import check_optimal_outputs, theory_check_run
 from gvlab.theory import (GAP_TOL, BoundReport, addition_rule, bound_report_csv,
                           check_strict_invariance, estimated_training_error,
                           excess_risk_bound, gap_bound, max_prob_lower_bound,
-                          numeric_optimal_outputs, optimal_outputs, pgd_conditionals,
-                          project_to_simplex)
+                          numeric_optimal_outputs, optimal_outputs, pgd_conditionals)
 
 LN2 = math.log(2.0)
 
@@ -215,38 +216,6 @@ class TestAdditionRule:
 
 
 class TestSimplexProjection:
-    def test_interior_point_is_fixed(self):
-        v = np.array([[0.2, 0.3, 0.5]])
-        np.testing.assert_allclose(project_to_simplex(v), v, atol=1e-15)
-
-    def test_projection_properties(self):
-        rng = np.random.default_rng(8)
-        v = rng.normal(0, 3, size=(50, 4))
-        p = project_to_simplex(v)
-        assert np.all(p >= 0)
-        np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
-        # projection is the closest simplex point: compare against a fine
-        # random search around each projected point
-        for row, proj in zip(v[:5], p[:5]):
-            candidates = project_to_simplex(proj + rng.normal(0, 0.05, size=(200, 4)))
-            best = np.min(((candidates - row) ** 2).sum(axis=1))
-            assert ((proj - row) ** 2).sum() <= best + 1e-9
-
-    @pytest.mark.parametrize("kind", ["random", "tied", "one-hot"])
-    def test_prefix_count_matches_the_masked_maximum(self, kind):
-        """``rho`` as the size of the feasible prefix equals the largest
-        feasible index, so the projection is bit-identical to the reference
-        that takes the masked maximum."""
-        rng = np.random.default_rng(12)
-        if kind == "random":
-            v = rng.normal(0, 2, size=(300, 5))
-        elif kind == "tied":
-            v = np.repeat(rng.integers(-3, 4, size=(300, 1)) / 4.0, 5, axis=1)
-            v[::2, 0] += 0.5
-        else:
-            v = np.eye(5)[rng.integers(0, 5, 300)] * rng.choice([1.0, 2.0, -1.0], (300, 1))
-        assert project_to_simplex(v).tobytes() == masked_maximum_projection(v).tobytes()
-
     def test_pgd_recovers_targets_with_zeros_and_small_mass(self):
         q = np.array([[0.5, 0.5, 0.0], [1 / 64, 63 / 64, 0.0], [0.2, 0.3, 0.5]])
         psi = pgd_conditionals(q)
@@ -311,15 +280,75 @@ class TestOracleCertificate:
         assert not corrupted["optimal-outputs-closed-form"].passed
 
 
-def masked_maximum_projection(v):
-    """The simplex projection with ``rho`` as the largest feasible index."""
-    u = np.sort(v, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1)
-    j = np.arange(1, v.shape[1] + 1)
-    feasible = u + (1.0 - css) / j > 0.0
-    rho = np.where(feasible, np.arange(v.shape[1]), -1).max(axis=1)
-    lam = (1.0 - css[np.arange(v.shape[0]), rho]) / (rho + 1.0)
-    return np.maximum(v + lam[:, None], 0.0)
+def certified(q, psi):
+    """Duality gap below the tolerance, TV to the target within Pinsker's bound,
+    and exact zeros off the target's support."""
+    gap = np.divide(q, psi, out=np.zeros_like(q), where=q > 0.0).max() - 1.0
+    tv = 0.5 * np.abs(psi - q).sum(axis=1).max()
+    return gap <= GAP_TOL and tv <= math.sqrt(GAP_TOL / 2) and (psi[q == 0.0] == 0.0).all()
+
+
+def seeded_sweep_rows():
+    """400 single rows, k in 2..5 and label counts 0..64.  Rows with a small
+    positive mass are the hard case for a minimizer that can clip a label of
+    the support to zero."""
+    rng = np.random.default_rng(0)
+    for _ in range(400):
+        counts = rng.integers(0, 65, size=int(rng.integers(2, 6)))
+        counts[0] += counts.sum() == 0
+        yield (counts / counts.sum())[None]
+
+
+class TestMirrorDescentOracle:
+    def test_small_mass_row_converges(self):
+        """A Euclidean projection step clips the 1/64 label to zero here; mirror
+        descent keeps every label of the support positive."""
+        q = np.array([[1 / 64, 31 / 64, 1 / 2]])
+        assert certified(q, pgd_conditionals(q))
+        with pytest.raises(GvlabError) as err:
+            pgd_conditionals(q, iterations=1)
+        assert err.value.code == "not-converged"
+
+    def test_seeded_single_row_sweep_converges(self):
+        for q in seeded_sweep_rows():
+            assert certified(q, pgd_conditionals(q)), q
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 10).flatmap(lambda k: st.lists(
+        st.one_of(st.just(0), st.integers(0, 1000)), min_size=k, max_size=k)
+        .filter(any)))
+    def test_random_count_rows_converge_without_warnings(self, counts):
+        counts = np.array(counts, dtype=np.float64)
+        q = (counts / counts.sum())[None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psi = pgd_conditionals(q)
+        assert certified(q, psi)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_theory_check_rows_certify_within_32_iterations(self, monkeypatch, seed):
+        """The stacked closed-form rows of a theory-check need about 9 steps."""
+        def capped(q, iterations=10_000):
+            return pgd_conditionals(q, iterations=32)
+
+        monkeypatch.setattr(theory, "pgd_conditionals", capped)
+        results = {r.name: r for r in theory_check_run(seed=seed)}
+        assert results["optimal-outputs-closed-form"].passed
+
+    @pytest.mark.parametrize("q", [
+        np.array([0.5, 0.5]),
+        np.zeros((2, 2, 2)),
+        np.zeros((0, 3)),
+        np.array([[0.5, np.nan]]),
+        np.array([[0.5, np.inf]]),
+        np.array([[1.5, -0.5]]),
+        np.array([[0.5, 0.5], [0.0, 0.0]]),
+        np.array([[0.5, 0.5 + 1e-9]]),
+    ], ids=["1-d", "3-d", "no-rows", "nan", "inf", "negative", "no-mass", "sum-off"])
+    def test_rejects_input_that_is_not_a_stack_of_distributions(self, q):
+        with pytest.raises(GvlabError) as err:
+            pgd_conditionals(q)
+        assert err.value.code == "bad-variable"
 
 
 class TestBoundReport:
