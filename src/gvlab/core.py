@@ -186,20 +186,27 @@ class ExemplarTable:
             raise GvlabError("bad-variable", "axis sizes must align with variable ids")
         if len(set(self.variable_ids)) != len(self.variable_ids):
             raise GvlabError("bad-variable", "table variable ids must be unique")
-        running = 0
-        for (config, label), count in self.counts.items():
-            if count < 0:
-                raise GvlabError("bad-variable", "counts must be non-negative")
-            if len(config) != len(self.variable_ids):
-                raise GvlabError("bad-variable", "configuration arity mismatch")
-            if any(not 0 <= v < size for v, size in zip(config, self.axis_sizes)):
-                raise GvlabError("bad-variable", f"configuration {config} outside axis sizes")
-            if not 0 <= label < self.k:
-                raise GvlabError("bad-variable", f"label {label} outside 0..{self.k - 1}")
-            running += count
+        configs, labels = tuple(zip(*self.counts)) or ((), ())
+        if min(self.counts.values(), default=0) < 0:
+            raise GvlabError("bad-variable", "counts must be non-negative")
+        if set(map(len, configs)) - {len(self.variable_ids)}:
+            raise GvlabError("bad-variable", "configuration arity mismatch")
+        for var_id, axis, size in zip(self.variable_ids, zip(*configs), self.axis_sizes):
+            if min(axis) < 0 or max(axis) >= size:
+                raise GvlabError("bad-variable", f"variable {var_id} outside 0..{size - 1}")
+        if labels and (min(labels) < 0 or max(labels) >= self.k):
+            raise GvlabError("bad-variable", f"labels outside 0..{self.k - 1}")
+        running = sum(self.counts.values())
         if running != self.total:
             raise GvlabError("bad-variable",
                              f"total {self.total} does not match summed counts {running}")
+
+
+def _unchecked(cls, *values):
+    """``cls(*values)`` without ``__post_init__``: for values derived from checked input."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
 
 
 def _column_codes(dataset: Dataset, spec: VariableSpec, binning: BinningPolicy) -> np.ndarray:
@@ -261,7 +268,8 @@ def build_table(dataset: Dataset, variable_ids: Sequence[int],
                                  return_index=True, return_counts=True)
     cells = zip(*(col[first].tolist() for col in columns))
     table_counts = {(cell[:-1], cell[-1]): count for cell, count in zip(cells, counts.tolist())}
-    return ExemplarTable(tuple(variable_ids), sizes, table_counts, dataset.n, dataset.k)
+    return _unchecked(ExemplarTable, tuple(variable_ids), sizes, MappingProxyType(table_counts),
+                      dataset.n, dataset.k)
 
 
 def marginalize(table: ExemplarTable, keep_ids: Sequence[int]) -> ExemplarTable:
@@ -277,7 +285,7 @@ def marginalize(table: ExemplarTable, keep_ids: Sequence[int]) -> ExemplarTable:
         key = (tuple(config[p] for p in positions), label)
         merged[key] = merged.get(key, 0) + count
     sizes = tuple(table.axis_sizes[p] for p in positions)
-    return ExemplarTable(keep, sizes, merged, table.total, table.k)
+    return _unchecked(ExemplarTable, keep, sizes, MappingProxyType(merged), table.total, table.k)
 
 
 # ---------------------------------------------------------------------------

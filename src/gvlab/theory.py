@@ -36,7 +36,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import ExemplarTable, marginalize
+from .core import ExemplarTable, _unchecked, marginalize
 from .errors import GvlabError
 from .info import Nats, _group_entropy
 
@@ -133,39 +133,43 @@ class OptimalOutputs:
         object.__setattr__(self, "outputs", MappingProxyType(frozen))
 
 
+def _label_counts(table: ExemplarTable, ids: Sequence[int]) -> tuple[list, np.ndarray]:
+    """Observed configurations over ``ids``, in marginal order, and their (configs, k) counts."""
+    if table.total <= 0:
+        raise GvlabError("empty-table", "optimal outputs need a non-empty table")
+    marg = marginalize(table, ids)
+    cells = [(config, label, count) for (config, label), count in marg.counts.items() if count]
+    index: dict[tuple[int, ...], int] = {}
+    rows = [index.setdefault(config, len(index)) for config, _, _ in cells]
+    counts = np.zeros((len(index), marg.k))
+    counts[rows, [label for _, label, _ in cells]] = [count for _, _, count in cells]
+    return list(index), counts
+
+
 def optimal_outputs(table: ExemplarTable, determining_ids: Sequence[int]) -> OptimalOutputs:
     """Empirical conditional label distribution per determining configuration.
 
     Configurations without observations are absent: training cross-entropy
-    never queries them, so the optimum does not constrain them.
+    never queries them, so the optimum does not constrain them.  Each
+    output is a read-only row of one frozen array.
     """
-    if table.total <= 0:
-        raise GvlabError("empty-table", "optimal outputs need a non-empty table")
-    marg = marginalize(table, determining_ids)
-    vectors: dict[tuple[int, ...], np.ndarray] = {}
-    for (config, label), count in marg.counts.items():
-        if count == 0:
-            continue
-        vec = vectors.setdefault(config, np.zeros(marg.k))
-        vec[label] += count
-    for config, vec in vectors.items():
-        vectors[config] = vec / vec.sum()
-    return OptimalOutputs(tuple(determining_ids), vectors, marg.k)
+    configs, counts = _label_counts(table, determining_ids)
+    q = counts / counts.sum(axis=1, keepdims=True)
+    q.setflags(write=False)
+    return _unchecked(OptimalOutputs, tuple(determining_ids),
+                      MappingProxyType(dict(zip(configs, q))), table.k)
 
 
 def estimated_training_error(opt: OptimalOutputs, table: ExemplarTable) -> float:
     """Training error of the optimal hypothesis: 1 - E_g max_y q(y|g)."""
     if not set(opt.variable_ids) <= set(table.variable_ids):
         raise GvlabError("table-mismatch", "outputs were built over different variables")
-    marg = marginalize(table, opt.variable_ids)
-    config_totals: dict[tuple[int, ...], int] = {}
-    for (config, _), count in marg.counts.items():
-        if count:
-            config_totals[config] = config_totals.get(config, 0) + count
-    if set(config_totals) != set(opt.outputs):
+    configs, counts = _label_counts(table, opt.variable_ids)
+    if set(configs) != set(opt.outputs):
         raise GvlabError("table-mismatch", "configuration sets differ between outputs and table")
-    hit = sum(config_totals[c] * float(opt.outputs[c].max()) for c in config_totals)
-    return 1.0 - hit / marg.total
+    top = np.array([opt.outputs[c] for c in configs]).max(axis=1)
+    hit = sum(n * q for n, q in zip(counts.sum(axis=1).tolist(), top.tolist()))
+    return 1.0 - hit / table.total
 
 
 @dataclass(frozen=True)
@@ -188,14 +192,11 @@ def check_strict_invariance(table: ExemplarTable, determining_ids: Sequence[int]
         raise GvlabError("bad-variable", "invariant ids must be a subset of determining ids")
     opt = optimal_outputs(table, det)
     kept = [i for i, var_id in enumerate(det) if var_id not in inv]
-    groups: dict[tuple[int, ...], list[np.ndarray]] = {}
-    for config, vec in opt.outputs.items():
-        groups.setdefault(tuple(config[i] for i in kept), []).append(vec)
-    worst = 0.0
-    for vectors in groups.values():
-        for i in range(len(vectors)):
-            for j in range(i + 1, len(vectors)):
-                worst = max(worst, 0.5 * float(np.abs(vectors[i] - vectors[j]).sum()))
+    configs = np.array(list(opt.outputs))
+    q = np.array(list(opt.outputs.values()))
+    # Pairwise total variation, masked to pairs that agree on the kept variables.
+    same = (configs[:, None, kept] == configs[None, :, kept]).all(axis=2)
+    worst = float(0.5 * np.abs(q[:, None] - q[None]).sum(axis=2)[same].max())
     return InvarianceReport(worst <= INVARIANCE_TOL, worst)
 
 
@@ -295,15 +296,6 @@ def numeric_optimal_outputs(table: ExemplarTable, determining_ids: Sequence[int]
     configuration, each solved by :func:`pgd_conditionals`.  Exists solely
     to validate the closed form.
     """
-    if table.total <= 0:
-        raise GvlabError("empty-table", "numeric minimizer needs a non-empty table")
-    marg = marginalize(table, determining_ids)
-    configs: dict[tuple[int, ...], np.ndarray] = {}
-    for (config, label), count in marg.counts.items():
-        if count == 0:
-            continue
-        configs.setdefault(config, np.zeros(marg.k))[label] += count
-    order = sorted(configs)
-    q = np.array([configs[c] / configs[c].sum() for c in order])
-    psi = pgd_conditionals(q, iterations)
-    return OptimalOutputs(tuple(determining_ids), dict(zip(order, psi)), marg.k)
+    configs, counts = _label_counts(table, determining_ids)
+    psi = pgd_conditionals(counts / counts.sum(axis=1, keepdims=True), iterations)
+    return OptimalOutputs(tuple(determining_ids), dict(zip(configs, psi)), table.k)

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gvlab.cli import distribution_from_config, main, parse_config
+from gvlab.cli import _CONFIG_KEYS, distribution_from_config, main, parse_config
 from gvlab.errors import GvlabError
 
 TOY_ARGS = ["--datasets", "1", "--per-class", "600", "--epochs", "6", "--seed", "5"]
@@ -30,6 +31,14 @@ class TestConfigFile:
         with pytest.raises(GvlabError) as err:
             parse_config(str(cfg))
         assert err.value.code == "bad-config"
+
+    def test_readme_lists_every_config_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme[readme.index("Config files hold"):]
+        section = section[:section.index("\n\n")]
+        documented = set(re.findall(r"`([^`= ]+)(?: = [^`]*)?`", section))
+        keys = {re.sub(r"^interval_\d+$", "interval_<label>", key) for key in _CONFIG_KEYS}
+        assert keys - documented == set()
 
     def test_flags_override_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -215,6 +215,11 @@ def assert_matches_reference(dataset, variable_ids, binning=BinningPolicy()):
     assert table.axis_sizes == tuple(s.cardinality if s.kind == "discrete" else binning.bins
                                      for s in specs)
     assert table.total == dataset.n
+    # build_table skips the constructor's checks; the checked build agrees.
+    assert table == ExemplarTable(table.variable_ids, table.axis_sizes, reference,
+                                  dataset.n, dataset.k)
+    with pytest.raises(TypeError):
+        table.counts[next(iter(table.counts))] = 0
 
 
 @st.composite
@@ -292,8 +297,26 @@ def test_expand_and_rebuild_roundtrip(ds):
 
 
 def test_exemplar_table_total_validated():
-    with pytest.raises(GvlabError):
+    with pytest.raises(GvlabError) as err:
         ExemplarTable((0,), (2,), {((0,), 0): 1}, total=5, k=2)
+    assert err.value.code == "bad-variable"
+
+
+@pytest.mark.parametrize("ids, sizes, counts, total, k", [
+    pytest.param((0, 1), (2,), {((0, 0), 0): 1}, 1, 2, id="axis-sizes-vs-ids"),
+    pytest.param((0, 0), (2, 2), {((0, 0), 0): 1}, 1, 2, id="duplicate-ids"),
+    pytest.param((0,), (2,), {((0,), 0): 3, ((1,), 1): -1}, 2, 2, id="negative-count"),
+    pytest.param((0,), (2,), {((0,), 0): 1, ((0, 1), 1): 1}, 2, 2, id="arity-mismatch"),
+    pytest.param((0, 1), (2, 3), {((0, 0), 0): 1, ((1, 3), 0): 1}, 2, 2, id="config-too-large"),
+    pytest.param((0, 1), (2, 3), {((0, 0), 0): 1, ((-1, 0), 0): 1}, 2, 2,
+                 id="config-negative"),
+    pytest.param((0,), (2,), {((0,), 0): 1, ((1,), 2): 1}, 2, 2, id="label-too-large"),
+    pytest.param((0,), (2,), {((0,), -1): 1, ((1,), 0): 1}, 2, 2, id="label-negative"),
+])
+def test_exemplar_table_rejects_bad_input(ids, sizes, counts, total, k):
+    with pytest.raises(GvlabError) as err:
+        ExemplarTable(ids, sizes, counts, total, k)
+    assert err.value.code == "bad-variable"
 
 
 def test_dataset_csv_roundtrip(tmp_path):

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gvlab import theory
-from gvlab.core import ExemplarTable
+from gvlab.core import ExemplarTable, marginalize
 from gvlab.errors import GvlabError
-from gvlab.experiments import check_optimal_outputs, theory_check_run
-from gvlab.theory import (GAP_TOL, BoundReport, addition_rule, bound_report_csv,
-                          check_strict_invariance, estimated_training_error,
+from gvlab.experiments import (check_optimal_outputs, label_equals_variable_table,
+                               product_table, random_count_table, theory_check_run)
+from gvlab.theory import (GAP_TOL, INVARIANCE_TOL, BoundReport, OptimalOutputs, addition_rule,
+                          bound_report_csv, check_strict_invariance, estimated_training_error,
                           excess_risk_bound, gap_bound, max_prob_lower_bound,
                           numeric_optimal_outputs, optimal_outputs, pgd_conditionals)
 
@@ -111,14 +112,89 @@ class TestOptimalOutputs:
         np.testing.assert_allclose(opt.outputs[(0,)], np.full(4, 0.25), atol=1e-15)
 
     def test_empty_table_rejected(self):
-        with pytest.raises(GvlabError) as err:
-            optimal_outputs(ExemplarTable((0,), (2,), {}, 0, 2), [0])
-        assert err.value.code == "empty-table"
+        empty = ExemplarTable((0,), (2,), {}, 0, 2)
+        no_outputs = OptimalOutputs((0,), {}, 2)
+        for call in (lambda: optimal_outputs(empty, [0]),
+                     lambda: numeric_optimal_outputs(empty, [0]),
+                     lambda: estimated_training_error(no_outputs, empty)):
+            with pytest.raises(GvlabError) as err:
+                call()
+            assert err.value.code == "empty-table"
 
     def test_zero_count_configurations_absent(self):
         table = table_from_counts({((0,), 0): 2}, (3,), 2)
         opt = optimal_outputs(table, [0])
         assert set(opt.outputs) == {(0,)}
+
+    @pytest.mark.parametrize("vector", [
+        pytest.param([0.5, 0.25, 0.25], id="wrong-shape"),
+        pytest.param([1.25, -0.25], id="negative-entry"),
+        pytest.param([0.5, 0.5 + 2e-12], id="row-sum-off"),
+    ])
+    def test_public_constructor_rejects_non_distributions(self, vector):
+        with pytest.raises(GvlabError) as err:
+            OptimalOutputs((0,), {(0,): [0.5, 0.5], (1,): vector}, 2)
+        assert err.value.code == "bad-variable"
+
+    def test_public_constructor_accepts_rounding_within_tolerance(self):
+        opt = OptimalOutputs((0,), {(0,): [0.5, 0.5 + 5e-13]}, 2)
+        assert not opt.outputs[(0,)].flags.writeable
+
+
+def keep_ids(ids):
+    """Strategy: an ordered subset of ``ids``, possibly empty."""
+    return st.permutations(ids).flatmap(
+        lambda perm: st.integers(0, len(perm)).map(lambda size: tuple(perm[:size])))
+
+
+def reference_marginal(table, ids):
+    """Per-cell accumulation of the counts over ``ids``, in first-appearance order."""
+    positions = [table.variable_ids.index(var_id) for var_id in ids]
+    merged = {}
+    for (config, label), count in table.counts.items():
+        key = (tuple(config[p] for p in positions), label)
+        merged[key] = merged.get(key, 0) + count
+    return merged
+
+
+def reference_optimal_outputs(table, ids):
+    """Per-configuration ``vec / vec.sum()`` over the dict of counts."""
+    vectors = {}
+    for (config, label), count in reference_marginal(table, ids).items():
+        if count:
+            vectors.setdefault(config, np.zeros(table.k))[label] += count
+    return {config: vec / vec.sum() for config, vec in vectors.items()}
+
+
+class TestDerivedObjects:
+    """``marginalize`` and ``optimal_outputs`` skip the public constructors'
+    checks; what they build must equal what the checked path builds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.data())
+    def test_match_the_checked_construction(self, seed, data):
+        table = random_count_table(np.random.default_rng(seed))
+        keep = data.draw(keep_ids(table.variable_ids))
+        marg = marginalize(table, keep)
+        reference = reference_marginal(table, keep)
+        sizes = tuple(table.axis_sizes[table.variable_ids.index(v)] for v in keep)
+        assert marg == ExemplarTable(keep, sizes, reference, table.total, table.k)
+        assert list(marg.counts) == list(reference)
+        with pytest.raises(TypeError):
+            marg.counts[next(iter(marg.counts))] = 1
+
+        opt = optimal_outputs(table, keep)
+        expected = reference_optimal_outputs(table, keep)
+        assert (opt.variable_ids, opt.k) == (keep, table.k)
+        assert list(opt.outputs) == list(expected)
+        for config, vec in opt.outputs.items():
+            assert vec.shape == (table.k,)
+            assert vec.tobytes() == expected[config].tobytes()
+            assert not vec.flags.writeable
+            with pytest.raises(ValueError):
+                vec[0] = 0.5
+        with pytest.raises(TypeError):
+            opt.outputs[next(iter(opt.outputs))] = expected[next(iter(expected))]
 
 
 class TestEstimatedTrainingError:
@@ -147,6 +223,22 @@ class TestEstimatedTrainingError:
         assert err.value.code == "table-mismatch"
 
 
+def reference_max_deviation(table, determining_ids, invariant_ids):
+    """Worst within-group total variation by a Python double loop over output pairs."""
+    det, inv = tuple(determining_ids), set(invariant_ids)
+    opt = optimal_outputs(table, det)
+    kept = [i for i, var_id in enumerate(det) if var_id not in inv]
+    groups = {}
+    for config, vec in opt.outputs.items():
+        groups.setdefault(tuple(config[i] for i in kept), []).append(vec)
+    worst = 0.0
+    for vectors in groups.values():
+        for i in range(len(vectors)):
+            for j in range(i + 1, len(vectors)):
+                worst = max(worst, 0.5 * float(np.abs(vectors[i] - vectors[j]).sum()))
+    return worst
+
+
 class TestStrictInvariance:
     def test_product_table_is_invariant(self):
         counts = {}
@@ -165,6 +257,28 @@ class TestStrictInvariance:
         report = check_strict_invariance(table, [0, 1], [0])
         assert not report.is_invariant
         assert report.max_deviation == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("make", [
+        product_table, label_equals_variable_table,
+        lambda rng: (random_count_table(rng), None)], ids=["product", "dependent", "random"])
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_stacked_deviation_equals_the_double_loop(self, make, seed, data):
+        table, _ = make(np.random.default_rng(seed))
+        det = data.draw(keep_ids(table.variable_ids))
+        inv = data.draw(st.lists(st.sampled_from(det), unique=True)) if det else []
+        report = check_strict_invariance(table, det, inv)
+        worst = reference_max_deviation(table, det, inv)
+        assert report.max_deviation.hex() == worst.hex()
+        assert report.is_invariant == (worst <= INVARIANCE_TOL)
+
+    def test_groups_of_one_have_no_deviation(self):
+        counts = {((0, 0), 0): 3, ((1, 1), 1): 2}  # one configuration per value of variable 1
+        table = table_from_counts(counts, (2, 2), 2)
+        for inv in ([], [0]):
+            assert reference_max_deviation(table, [0, 1], inv) == 0.0
+            report = check_strict_invariance(table, [0, 1], inv)
+            assert report.is_invariant and report.max_deviation == 0.0
 
     def test_invariant_ids_must_be_subset(self):
         table = table_from_counts({((0, 0), 0): 1}, (2, 2), 2)
