@@ -12,7 +12,7 @@ from .core import (BinningPolicy, Dataset, Exemplar, ExemplarTable, VariableSpec
 from .errors import GvlabError
 from .info import LABELS, Nats, conditional_entropy, entropy, mutual_information
 from .models import (LinearModel, RiskReport, TrainConfig, TrainResult, VectorDataset,
-                     load_model, risk, save_model, train, train_lockstep)
+                     load_model, loss_and_gradients, risk, save_model, train, train_lockstep)
 from .synth import (InvarTGConfig, InvarTGResult, ToyData, ToySpec, as_variable_dataset,
                     balance_column, balance_substitute, generate_toy, influence_rank, invar_tg,
                     random_toy_spec)

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Literal, Mapping, Sequence
 
@@ -186,11 +188,17 @@ class ExemplarTable:
             raise GvlabError("bad-variable", "axis sizes must align with variable ids")
         if len(set(self.variable_ids)) != len(self.variable_ids):
             raise GvlabError("bad-variable", "table variable ids must be unique")
+        if not _all_integers((self.total, self.k, *self.axis_sizes)):
+            raise GvlabError("bad-variable", "axis sizes, total and k must be integers")
         configs, labels = tuple(zip(*self.counts)) or ((), ())
+        if not _all_integers(self.counts.values()):
+            raise GvlabError("bad-variable", "counts must be integers")
         if min(self.counts.values(), default=0) < 0:
             raise GvlabError("bad-variable", "counts must be non-negative")
         if set(map(len, configs)) - {len(self.variable_ids)}:
             raise GvlabError("bad-variable", "configuration arity mismatch")
+        if not _all_integers(chain(labels, *configs)):
+            raise GvlabError("bad-variable", "configurations and labels must be integer codes")
         for var_id, axis, size in zip(self.variable_ids, zip(*configs), self.axis_sizes):
             if min(axis) < 0 or max(axis) >= size:
                 raise GvlabError("bad-variable", f"variable {var_id} outside 0..{size - 1}")
@@ -200,6 +208,10 @@ class ExemplarTable:
         if running != self.total:
             raise GvlabError("bad-variable",
                              f"total {self.total} does not match summed counts {running}")
+
+
+def _all_integers(values: Iterable) -> bool:
+    return all(issubclass(t, numbers.Integral) for t in set(map(type, values)))
 
 
 def _unchecked(cls, *values):

@@ -24,12 +24,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
+from types import MappingProxyType
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .augment import AugmentDistribution, PositionLaw, erase_batch, prediction_changing_ratio
-from .core import BinningPolicy, Dataset, ExemplarTable, build_table, derive_seed, marginalize
+from .core import (BinningPolicy, Dataset, ExemplarTable, _unchecked, build_table, derive_seed,
+                   marginalize)
 from .errors import GvlabError
 from .info import conditional_entropy, entropy
 from .models import LinearModel, TrainConfig, VectorDataset, risk, train, train_lockstep
@@ -371,13 +373,7 @@ def random_count_table(rng: np.random.Generator, max_count: int = 16) -> Exempla
     """Random table with at most 8 configurations, K <= 4, cell counts <= max_count."""
     shape = _TABLE_SHAPES[rng.integers(len(_TABLE_SHAPES))]
     k = int(rng.integers(2, 5))
-    cells = rng.integers(0, max_count + 1, size=shape + (k,))
-    counts = {(tuple(cell[:-1]), cell[-1]): c  # nonzero cells in C order
-              for cell, c in zip(np.argwhere(cells).tolist(), cells[cells > 0].tolist())}
-    if not counts:
-        counts[(tuple(0 for _ in shape), 0)] = 1
-    total = sum(counts.values())
-    return ExemplarTable(tuple(range(len(shape))), shape, counts, total, k)
+    return _cell_table(rng.integers(0, max_count + 1, size=shape + (k,)))
 
 
 def product_table(rng: np.random.Generator) -> tuple[ExemplarTable, int]:
@@ -387,27 +383,29 @@ def product_table(rng: np.random.Generator) -> tuple[ExemplarTable, int]:
     k = int(rng.integers(2, 5))
     u = rng.integers(1, 6, card_t)
     v = rng.integers(0, 7, (card_c, k))
-    counts = {}
-    for gt in range(card_t):
-        for gc in range(card_c):
-            for label in range(k):
-                c = int(u[gt] * v[gc, label])
-                if c:
-                    counts[((gt, gc), label)] = c
-    if not counts:
-        counts[((0, 0), 0)] = 1
-    return ExemplarTable((0, 1), (card_t, card_c), counts, sum(counts.values()), k), 0
+    return _cell_table(u[:, None, None] * v), 0
 
 
 def label_equals_variable_table(rng: np.random.Generator) -> tuple[ExemplarTable, int]:
     """Table where the label deterministically copies variable 0."""
     card_t = int(rng.integers(2, 5))
     card_c = int(rng.integers(2, 5))
-    counts = {}
-    for gt in range(card_t):
-        for gc in range(card_c):
-            counts[((gt, gc), gt)] = int(rng.integers(1, 9))
-    return ExemplarTable((0, 1), (card_t, card_c), counts, sum(counts.values()), card_t), 0
+    cells = np.zeros((card_t, card_c, card_t), dtype=np.int64)
+    diagonal = np.arange(card_t)  # the label axis copies variable 0
+    cells[diagonal, :, diagonal] = rng.integers(1, 9, size=(card_t, card_c))
+    return _cell_table(cells), 0
+
+
+def _cell_table(cells: np.ndarray) -> ExemplarTable:
+    """Table over variables ``0..m-1`` from a dense ``config + (label,)`` count
+    array; its nonzero cells become the keys, in C order.  An all-zero array
+    gives one count at the first cell."""
+    counts = {(tuple(cell[:-1]), cell[-1]): c
+              for cell, c in zip(np.argwhere(cells).tolist(), cells[cells > 0].tolist())}
+    if not counts:
+        counts[(tuple(0 for _ in cells.shape[:-1]), 0)] = 1
+    return _unchecked(ExemplarTable, tuple(range(cells.ndim - 1)), cells.shape[:-1],
+                      MappingProxyType(counts), sum(counts.values()), cells.shape[-1])
 
 
 def argmax_zero_one_error(table: ExemplarTable, determining_ids: Sequence[int]) -> Fraction:

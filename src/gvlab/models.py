@@ -9,8 +9,9 @@ under cross-entropy loss, deterministic given the config seed:
   the convex objective and 100-run averages are reproducible;
 - each epoch shuffles with a generator seeded by (base seed, epoch);
 - the loss uses log-sum-exp / log1p-of-exp stabilized forms;
-- training records each epoch's mean loss; the mean-max-output error
-  estimate is taken once, from :func:`risk` on the trained model;
+- training records each epoch's mean loss, computed once per epoch from
+  the forward terms its steps stored; the mean-max-output error estimate
+  is taken once, from :func:`risk` on the trained model;
 - models whose data differ only in substituted columns train in one
   lockstep loop (:func:`train_lockstep`), bit-identical to separate runs.
 """
@@ -101,26 +102,91 @@ class LinearModel:
         return probs[0] if single else probs
 
 
-def _sigmoid_terms(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``exp(-|z|)`` and the sigmoid of ``z``, both from that one exp.
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """Sigmoid of ``z`` from one ``exp(-|z|)``.
 
-    Each branch of the ``where`` is the stable form for its sign of ``z``,
-    so the values equal the textbook masked evaluation bit for bit.
+    The numerator picks the stable form for each sign of ``z``, so the
+    values equal the textbook masked evaluation bit for bit.
     """
     e = np.exp(-np.abs(z))
-    return e, np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def _forward_terms(w: np.ndarray, b: np.ndarray, head: Head, x: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Pre-activation terms of stacked models ``w`` (models, rows_w, d), ``b``
+    (models, rows_w) on stacked inputs ``x`` (models, rows, d): sigmoid ``z``
+    (models, rows) or softmax logits (models, rows, k), written into ``out``
+    when given."""
+    if head == "sigmoid":
+        out = np.matmul(x, w[:, 0, :, None], out=None if out is None else out[..., None])[..., 0]
+        out += b
+    else:
+        out = np.matmul(x, w.transpose(0, 2, 1), out=out)
+        out += b[:, None, :]
+    return out
 
 
 def _probs(w: np.ndarray, b: np.ndarray, head: Head, x: np.ndarray) -> np.ndarray:
-    """Score vectors (models, rows, k) of stacked models ``w`` (models, rows_w, d),
-    ``b`` (models, rows_w) on stacked inputs ``x`` (models, rows, d)."""
+    """Score vectors (models, rows, k) of stacked models on stacked inputs."""
+    terms = _forward_terms(w, b, head, x)
     if head == "sigmoid":
-        _, s = _sigmoid_terms((x @ w[:, 0, :, None])[..., 0] + b)
+        s = _sigmoid(terms)
         return np.stack([1.0 - s, s], axis=-1)
-    logits = x @ w.transpose(0, 2, 1) + b[:, None, :]
-    logits -= logits.max(axis=2, keepdims=True)
-    e = np.exp(logits)
+    terms -= terms.max(axis=2, keepdims=True)
+    e = np.exp(terms)
     return e / e.sum(axis=2, keepdims=True)
+
+
+def _gradients(terms: np.ndarray, head: Head, x: np.ndarray, y: np.ndarray,
+               gw: np.ndarray, gb: np.ndarray) -> None:
+    """Write the gradients of each model's mean batch loss into ``gw``
+    (models, rows_w, d) and ``gb`` (models, rows_w).
+
+    ``terms`` come from :func:`_forward_terms` on ``x`` and are left intact;
+    labels ``y`` are floats for the sigmoid head and integers for softmax.
+    This is the one gradient: ``train_lockstep`` steps with it and
+    ``loss_and_gradients`` exposes it for checking.
+    """
+    n = x.shape[1]
+    if head == "sigmoid":
+        g = _sigmoid(terms)
+        g -= y
+        g /= n
+        np.matmul(g[:, None, :], x, out=gw)
+        g.sum(axis=1, out=gb[:, 0])
+    else:
+        g = terms - terms.max(axis=2, keepdims=True)
+        np.exp(g, out=g)
+        g /= g.sum(axis=2, keepdims=True)
+        g[:, np.arange(n), y] -= 1.0
+        g /= n
+        np.matmul(g.transpose(0, 2, 1), x, out=gw)
+        g.sum(axis=1, out=gb)
+
+
+def _sample_losses(terms: np.ndarray, head: Head, y: np.ndarray) -> np.ndarray:
+    """Cross-entropy (models, rows) of each sample from its forward terms, in
+    the log1p-of-exp / log-sum-exp stabilized forms."""
+    if head == "sigmoid":
+        loss = np.maximum(terms, 0.0)
+        loss -= terms * y
+        softplus = np.abs(terms)  # in place, so one temporary of the buffer's size
+        np.negative(softplus, out=softplus)
+        np.exp(softplus, out=softplus)
+        loss += np.log1p(softplus, out=softplus)
+        return loss
+    top = terms.max(axis=2)
+    shifted = terms - top[..., None]
+    loss = np.log(np.exp(shifted, out=shifted).sum(axis=2))
+    loss += top
+    loss -= terms[:, np.arange(terms.shape[1]), y]
+    return loss
+
+
+def _labels(head: Head, y: np.ndarray) -> np.ndarray:
+    """Labels as the head's loss reads them: floats for sigmoid, codes for softmax."""
+    return y.astype(np.float64) if head == "sigmoid" else y
 
 
 @dataclass(frozen=True)
@@ -171,7 +237,10 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
     bit-identical to ``train`` on its own substituted dataset: stacked
     ``matmul`` calls BLAS once per model and every reduction runs along one
     model's row.  No stacked copy of the dataset is made: each minibatch is
-    gathered from the shared rows.
+    gathered from the shared rows, and copied per model only when there
+    are substitutions.  Each step stores its forward terms in one epoch
+    buffer; the epoch's losses are computed from that buffer once, after
+    its last step, and summed batch by batch in step order.
     A model that diverges raises at the epoch where that ``train`` call
     would; with several, the first model in order decides.
     """
@@ -193,29 +262,36 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
     substituted = np.arange(1, models)
     head: Head = "sigmoid" if data.k == 2 else "softmax"
     rows = 1 if head == "sigmoid" else data.k
-    w = np.zeros((models, rows, data.d))
-    b = np.zeros((models, rows))
-    vw = np.zeros_like(w)
-    vb = np.zeros_like(b)
+    # Weights and bias share one array, so momentum updates both at once.
+    params = np.zeros((models, rows, data.d + 1))
+    velocity = np.zeros_like(params)
+    grads = np.empty_like(params)
+    w, b = params[..., :data.d], params[..., data.d]
+    gw, gb = grads[..., :data.d], grads[..., data.d]
+    # The forward terms of a whole epoch, in epoch order: the losses are
+    # computed from them once after the epoch's last step.
+    terms = np.empty((models, data.n) if head == "sigmoid" else (models, data.n, rows))
 
     losses = np.empty((config.epochs, models))
     diverged_at = np.full(models, -1)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence detected per epoch
         for epoch in range(config.epochs):
             order = _epoch_rng(config.seed, epoch).permutation(data.n)
-            loss_sum = np.zeros(models)
+            labels = _labels(head, data.y[order])
             for start in range(0, data.n, config.batch_size):
-                idx = order[start:start + config.batch_size]
-                x = np.repeat(data.x[idx][None], models, axis=0)
-                x[substituted, :, dims] = noise[idx].T
-                batch_loss, gw, gb = _loss_sum_and_gradients(w, b, head, x, data.y[idx])
-                loss_sum += batch_loss
-                vw = config.momentum * vw + gw
-                vb = config.momentum * vb + gb
-                w = w - config.learning_rate * vw
-                b = b - config.learning_rate * vb
-            finite = np.isfinite(w).all(axis=(1, 2)) & np.isfinite(b).all(axis=1) \
-                & np.isfinite(loss_sum)
+                stop = start + config.batch_size
+                idx = order[start:stop]
+                x = data.x[idx][None]
+                if len(dims):
+                    x = np.repeat(x, models, axis=0)
+                    x[substituted, :, dims] = noise[idx].T
+                batch_terms = _forward_terms(w, b, head, x, out=terms[:, start:stop])
+                _gradients(batch_terms, head, x, labels[start:stop], gw, gb)
+                velocity *= config.momentum
+                velocity += grads
+                params -= config.learning_rate * velocity
+            loss_sum = _epoch_loss_sums(_sample_losses(terms, head, labels), config.batch_size)
+            finite = np.isfinite(params).all(axis=(1, 2)) & np.isfinite(loss_sum)
             diverged_at[(diverged_at < 0) & ~finite] = epoch
             if (diverged_at >= 0).all():
                 break
@@ -225,6 +301,18 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
         raise GvlabError("diverged", f"non-finite parameters or loss at epoch {epoch}")
     return tuple(TrainResult(LinearModel(w[i], b[i], head), tuple(losses[:, i].tolist()))
                  for i in range(models))
+
+
+def _epoch_loss_sums(sample_losses: np.ndarray, batch_size: int) -> np.ndarray:
+    """Each model's summed epoch loss from its per-sample losses (models, n):
+    one sum per batch, then the batch sums added in step order, exactly as
+    per-step accumulation would."""
+    models, n = sample_losses.shape
+    full = n - n % batch_size
+    sums = sample_losses[:, :full].reshape(models, -1, batch_size).sum(axis=2)
+    if full < n:
+        sums = np.concatenate([sums, sample_losses[:, full:].sum(axis=1, keepdims=True)], axis=1)
+    return np.add.accumulate(sums, axis=1)[:, -1]
 
 
 @dataclass(frozen=True)
@@ -244,40 +332,36 @@ def risk(model: LinearModel, data: VectorDataset) -> RiskReport:
 
 def loss_and_gradients(model: LinearModel, x: np.ndarray, y: np.ndarray
                        ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean cross-entropy on a batch with analytic parameter gradients."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    """Mean cross-entropy on a batch with analytic parameter gradients.
+
+    Runs the training step's forward terms, gradient and per-sample losses
+    on one model.  ``x`` is a non-empty real (n, d) batch, ``y`` holds n
+    integral labels in 0..k-1.
+    """
+    x, y = np.asarray(x), np.asarray(y)
+    if x.dtype.kind not in "biuf" or y.dtype.kind not in "biuf":
+        raise GvlabError("bad-variable", "inputs and labels must be real numbers")
     if x.ndim != 2 or x.shape[1] != model.d:
         raise GvlabError("bad-input-dim", f"expected inputs of dimension {model.d}")
-    loss_sum, gw, gb = _loss_sum_and_gradients(model.weights[None], model.bias[None],
-                                               model.head, x[None], y)
-    return float(loss_sum[0]) / x.shape[0], gw[0], gb[0]
-
-
-def _loss_sum_and_gradients(w: np.ndarray, b: np.ndarray, head: Head, x: np.ndarray,
-                            y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-model summed cross-entropy on a batch and the gradients of its mean.
-
-    Stacked shapes: ``w`` (models, rows, d), ``b`` (models, rows), ``x``
-    (models, n, d) with shared labels ``y`` (n,).  This is the one
-    gradient: ``train_lockstep`` steps with it and ``loss_and_gradients``
-    exposes it for checking.
-    """
-    n = x.shape[1]
-    if head == "sigmoid":
-        z = (x @ w[:, 0, :, None])[..., 0] + b
-        yf = y.astype(np.float64)
-        e, s = _sigmoid_terms(z)
-        loss = (np.maximum(z, 0.0) - z * yf + np.log1p(e)).sum(axis=1)
-        gz = (s - yf) / n
-        return loss, gz[:, None, :] @ x, gz.sum(axis=1)[:, None]
-    logits = x @ w.transpose(0, 2, 1) + b[:, None, :]
-    top = logits.max(axis=2, keepdims=True)
-    e = np.exp(logits - top)
-    total = e.sum(axis=2, keepdims=True)
-    loss = (np.log(total[..., 0]) + top[..., 0] - logits[:, np.arange(n), y]).sum(axis=1)
-    gl = (e / total - np.eye(w.shape[1])[y]) / n
-    return loss, gl.transpose(0, 2, 1) @ x, gl.sum(axis=1)
+    if y.shape != (x.shape[0],):
+        raise GvlabError("bad-input-dim", f"expected {x.shape[0]} labels, got shape {y.shape}")
+    if x.shape[0] == 0:
+        raise GvlabError("empty-dataset", "loss needs a non-empty batch")
+    if y.dtype.kind == "f" and not np.array_equal(y, np.floor(y)):
+        raise GvlabError("bad-variable", "labels must be integers")
+    if y.min() < 0 or y.max() >= model.k:
+        raise GvlabError("bad-variable", f"labels must lie in 0..{model.k - 1}")
+    labels = _labels(model.head, y.astype(np.int64))
+    gw, gb = np.empty((1,) + model.weights.shape), np.empty((1,) + model.bias.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite results raise below
+        x = x.astype(np.float64)
+        terms = _forward_terms(model.weights[None], model.bias[None], model.head, x[None])
+        _gradients(terms, model.head, x[None], labels, gw, gb)
+        loss = float(_sample_losses(terms, model.head, labels)[0].sum()) / len(y)
+    if not (np.isfinite(loss) and np.isfinite(gw).all() and np.isfinite(gb).all()):
+        raise GvlabError("bad-variable", "loss or gradient is not finite: inputs must be "
+                                         "finite and small enough for this model")
+    return loss, gw[0], gb[0]
 
 
 def save_model(model: LinearModel, path: str) -> None:

@@ -312,11 +312,25 @@ def test_exemplar_table_total_validated():
                  id="config-negative"),
     pytest.param((0,), (2,), {((0,), 0): 1, ((1,), 2): 1}, 2, 2, id="label-too-large"),
     pytest.param((0,), (2,), {((0,), -1): 1, ((1,), 0): 1}, 2, 2, id="label-negative"),
+    pytest.param((0,), (2,), {((0.5,), 0): 0.5, ((1,), 1): 0.5}, 1, 2, id="fractional-cells"),
+    pytest.param((0,), (2,), {((0,), 0): 0.5, ((1,), 1): 1.5}, 2, 2, id="fractional-count"),
+    pytest.param((0,), (2,), {((0,), 0): 2.0, ((1,), 1): 1}, 3, 2, id="float-count"),
+    pytest.param((0,), (2,), {((0.5,), 0): 1, ((1,), 1): 1}, 2, 2, id="fractional-config"),
+    pytest.param((0,), (2,), {((0,), 0.0): 1, ((1,), 1): 1}, 2, 2, id="float-label"),
+    pytest.param((0,), (2,), {((0,), 0): 1, ((1,), 1): 1}, 2.0, 2, id="float-total"),
+    pytest.param((0,), (2.0,), {((0,), 0): 1, ((1,), 1): 1}, 2, 2, id="float-axis-size"),
+    pytest.param((0,), (2,), {((0,), 0): 1, ((1,), 1): 1}, 2, 2.0, id="float-k"),
 ])
 def test_exemplar_table_rejects_bad_input(ids, sizes, counts, total, k):
     with pytest.raises(GvlabError) as err:
         ExemplarTable(ids, sizes, counts, total, k)
     assert err.value.code == "bad-variable"
+
+
+def test_exemplar_table_accepts_numpy_integers():
+    counts = {((np.int64(1),), np.int64(0)): np.int64(3), ((0,), 1): 2}
+    table = ExemplarTable((0,), (np.int64(2),), counts, np.int64(5), 2)
+    assert table.total == 5
 
 
 def test_dataset_csv_roundtrip(tmp_path):

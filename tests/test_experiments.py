@@ -70,6 +70,31 @@ def per_cell_count_table(rng, max_count=16):
     return ExemplarTable(tuple(range(len(shape))), shape, counts, sum(counts.values()), k)
 
 
+def looped_product_table(rng):
+    """Reference for ``product_table``: one loop per axis, checked constructor."""
+    card_t, card_c, k = (int(rng.integers(2, 5)) for _ in range(3))
+    u = rng.integers(1, 6, card_t)
+    v = rng.integers(0, 7, (card_c, k))
+    counts = {}
+    for gt in range(card_t):
+        for gc in range(card_c):
+            for label in range(k):
+                c = int(u[gt] * v[gc, label])
+                if c:
+                    counts[((gt, gc), label)] = c
+    if not counts:
+        counts[((0, 0), 0)] = 1
+    return ExemplarTable((0, 1), (card_t, card_c), counts, sum(counts.values()), k), 0
+
+
+def looped_label_copy_table(rng):
+    """Reference for ``label_equals_variable_table``: one scalar draw per cell."""
+    card_t, card_c = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+    counts = {((gt, gc), gt): int(rng.integers(1, 9))
+              for gt in range(card_t) for gc in range(card_c)}
+    return ExemplarTable((0, 1), (card_t, card_c), counts, sum(counts.values()), card_t), 0
+
+
 class TestRandomTables:
     def test_random_count_table_within_limits(self):
         rng = np.random.default_rng(1)
@@ -86,10 +111,27 @@ class TestRandomTables:
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(60):
                 table, ref = random_count_table(rng), per_cell_count_table(ref_rng)
+                assert table == ref
                 assert table.variable_ids == ref.variable_ids
                 assert table.axis_sizes == ref.axis_sizes
                 assert list(table.counts.items()) == list(ref.counts.items())
                 assert (table.total, table.k) == (ref.total, ref.k)
+            assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("generator, reference", [
+        (product_table, looped_product_table),
+        (label_equals_variable_table, looped_label_copy_table),
+    ], ids=["product", "label-copy"])
+    def test_generators_match_the_checked_construction(self, generator, reference):
+        """The dense-cell generators give the tables of one draw per cell
+        through the checked constructor, keys in order, and leave the
+        stream where the per-cell loops leave it."""
+        for seed in range(200):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            (table, gt), (ref, ref_gt) = generator(rng), reference(ref_rng)
+            assert table == ref and gt == ref_gt
+            assert list(table.counts.items()) == list(ref.counts.items())
+            assert all(type(v) is int for key in table.counts for v in (*key[0], key[1]))
             assert rng.random() == ref_rng.random()
 
     def test_product_table_is_independent(self):

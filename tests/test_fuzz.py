@@ -1,4 +1,5 @@
-"""Fuzz the user-facing input boundaries: config, dataset-CSV and model-file text.
+"""Fuzz the user-facing input boundaries: config, dataset-CSV and model-file
+text, and the batches given to ``loss_and_gradients``.
 
 Every input either parses or raises a coded ``GvlabError``; no other
 exception may escape.  Text is drawn both from arbitrary characters and
@@ -7,14 +8,17 @@ examples reach the casts and validators behind the tokenizers.
 """
 
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gvlab import cli
 from gvlab.core import VariableSpec, read_dataset_csv
 from gvlab.errors import GvlabError
-from gvlab.models import load_model
+from gvlab.models import LinearModel, load_model, loss_and_gradients
 
 FUZZ = settings(max_examples=60, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -82,6 +86,43 @@ def test_model_file_text_parses_or_raises_coded_error(tmp_path, lines):
     model = _parsed_or_coded(load_model, str(path))
     if model is not None:
         assert all(math.isfinite(v) for v in model.weights.ravel())
+
+
+BATCH_DTYPES = st.sampled_from([np.float64, np.float32, np.float16, np.int64, np.int8,
+                                np.uint8, np.bool_, np.complex128, np.str_])
+
+
+@st.composite
+def batches(draw):
+    """A model and a batch of drawn shape, dtypes and values, near-valid on purpose."""
+    k = draw(st.integers(2, 4))
+    d = draw(st.integers(1, 4))
+    rows = 1 if k == 2 else k
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    model = LinearModel(rng.normal(size=(rows, d)), rng.normal(size=rows),
+                        "sigmoid" if k == 2 else "softmax")
+    n = draw(st.integers(0, 5))
+    x = draw(hnp.arrays(BATCH_DTYPES, st.sampled_from([(n, d), (n, d + 1), (n,), (n, d, 1)])))
+    label_shape = draw(st.sampled_from([(n,), (n + 1,), (n, 1)]))
+    if draw(st.booleans()):
+        y = draw(hnp.arrays(BATCH_DTYPES, label_shape))
+    else:  # label values near the valid range
+        codes = st.one_of(st.integers(-2, 5), st.floats(-2, 5), st.just(k - 1))
+        y = np.array(draw(st.lists(codes, min_size=label_shape[0], max_size=label_shape[0])))
+    return model, x, y
+
+
+@FUZZ
+@given(batches())
+def test_loss_and_gradients_returns_or_raises_coded_error(batch):
+    model, x, y = batch
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning escapes as an uncoded exception
+        result = _parsed_or_coded(loss_and_gradients, model, x, y)
+    if result is not None:
+        loss, gw, gb = result
+        assert math.isfinite(loss) and loss >= 0.0
+        assert gw.shape == model.weights.shape and gb.shape == model.bias.shape
 
 
 @pytest.mark.parametrize("label", ["99999999999999999999", "2", "-1"])

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gvlab.errors import GvlabError
 from gvlab.models import (LinearModel, TrainConfig, VectorDataset, load_model,
@@ -118,9 +121,9 @@ class TestTrain:
         assert err.value.code == "bad-config"
 
 
-def reference_train(data, config):
-    """One model's SGD written with plain 2-D numpy and a masked sigmoid:
-    the reference that the stacked kernel must match bit for bit."""
+def reference_batch(w, b, x, y):
+    """One model's summed batch loss and the gradients of its mean, written
+    with plain 2-D numpy, a masked sigmoid and one-hot labels."""
     def sigmoid(z):
         out = np.empty_like(z)
         pos = z >= 0
@@ -129,6 +132,25 @@ def reference_train(data, config):
         out[~pos] = ez / (1.0 + ez)
         return out
 
+    if len(w) == 1:
+        z = x @ w[0] + b[0]
+        yf = y.astype(np.float64)
+        loss_sum = float(np.sum(np.maximum(z, 0.0) - z * yf + np.log1p(np.exp(-np.abs(z)))))
+        gz = (sigmoid(z) - yf) / len(y)
+        return loss_sum, (gz @ x)[None, :], np.array([gz.sum()])
+    logits = x @ w.T + b
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    total = e.sum(axis=1, keepdims=True)
+    lse = np.log(total[:, 0]) + logits.max(axis=1)
+    loss_sum = float(np.sum(lse - logits[np.arange(len(y)), y]))
+    gl = (e / total - np.eye(len(w))[y]) / len(y)
+    return loss_sum, gl.T @ x, gl.sum(axis=0)
+
+
+def reference_train(data, config):
+    """One model's SGD written with plain 2-D numpy, accumulating each
+    step's loss: the reference that the stacked kernel must match bit for
+    bit."""
     rows = 1 if data.k == 2 else data.k
     w, b = np.zeros((rows, data.d)), np.zeros(rows)
     vw, vb = np.zeros_like(w), np.zeros_like(b)
@@ -139,28 +161,31 @@ def reference_train(data, config):
         loss_sum = 0.0
         for start in range(0, data.n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            x, y = data.x[idx], data.y[idx]
-            if data.k == 2:
-                z = x @ w[0] + b[0]
-                yf = y.astype(np.float64)
-                loss_sum += float(np.sum(np.maximum(z, 0.0) - z * yf
-                                         + np.log1p(np.exp(-np.abs(z)))))
-                gz = (sigmoid(z) - yf) / len(idx)
-                gw, gb = (gz @ x)[None, :], np.array([gz.sum()])
-            else:
-                logits = x @ w.T + b
-                e = np.exp(logits - logits.max(axis=1, keepdims=True))
-                total = e.sum(axis=1, keepdims=True)
-                lse = np.log(total[:, 0]) + logits.max(axis=1)
-                loss_sum += float(np.sum(lse - logits[np.arange(len(idx)), y]))
-                gl = (e / total - np.eye(rows)[y]) / len(idx)
-                gw, gb = gl.T @ x, gl.sum(axis=0)
+            batch_loss, gw, gb = reference_batch(w, b, data.x[idx], data.y[idx])
+            loss_sum += batch_loss
             vw = config.momentum * vw + gw
             vb = config.momentum * vb + gb
             w = w - config.learning_rate * vw
             b = b - config.learning_rate * vb
         losses.append(loss_sum / data.n)
     return w, b, tuple(losses)
+
+
+@st.composite
+def training_cases(draw):
+    """A dataset with a ragged last batch, a short config and substitutions."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(8, 60))
+    d = draw(st.integers(1, 5))
+    batch_size = draw(st.integers(2, n - 1).filter(lambda size: n % size))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    data = VectorDataset(rng.normal(size=(n, d)), rng.integers(0, k, n), k)
+    config = TrainConfig(draw(st.sampled_from([0.05, 0.3])), draw(st.sampled_from([0.0, 0.9])),
+                         batch_size, draw(st.integers(1, 4)), seed)
+    substitutions = [(int(rng.integers(d)), rng.normal(size=n))
+                     for _ in range(draw(st.integers(0, 3)))]
+    return data, config, substitutions
 
 
 class TestTrainLockstep:
@@ -183,6 +208,30 @@ class TestTrainLockstep:
                 assert np.array_equal(result.model.weights, w)
                 assert np.array_equal(result.model.bias, b)
                 assert result.loss_curve == losses
+
+    @settings(max_examples=60, deadline=None)
+    @given(training_cases())
+    def test_matches_the_reference_bit_for_bit(self, case):
+        """Every lockstep model equals the per-step reference loop on its own
+        substituted dataset: weights, bias and loss curve."""
+        data, config, substitutions = case
+        results = train_lockstep(data, config, substitutions)
+        datasets = [data]
+        for j, column in substitutions:
+            x = data.x.copy()
+            x[:, j] = column
+            datasets.append(VectorDataset(x, data.y, data.k))
+        for result, dataset in zip(results, datasets, strict=True):
+            w, b, losses = reference_train(dataset, config)
+            assert result.model.weights.tobytes() == w.tobytes()
+            assert result.model.bias.tobytes() == b.tobytes()
+            assert result.loss_curve == losses
+            model = LinearModel(w, b, result.model.head)
+            loss, gw, gb = loss_and_gradients(model, dataset.x, dataset.y)
+            ref_loss, ref_gw, ref_gb = reference_batch(w, b, dataset.x, dataset.y)
+            assert loss == ref_loss / dataset.n
+            assert gw.tobytes() == ref_gw.tobytes()
+            assert gb.tobytes() == ref_gb.tobytes()
 
     @pytest.mark.parametrize("dim, length, code", [
         (2, 60, "bad-variable"),
@@ -268,6 +317,46 @@ class TestGradients:
                 lp, _, _ = loss_and_gradients(LinearModel(w, bp, head), x, y)
                 lm, _, _ = loss_and_gradients(LinearModel(w, bm, head), x, y)
                 assert gb[i] == pytest.approx((lp - lm) / (2 * step), rel=1e-5, abs=1e-8)
+
+
+    @pytest.mark.parametrize("head, x, y, code", [
+        pytest.param("sigmoid", np.zeros((0, 2)), np.zeros(0, int), "empty-dataset", id="empty"),
+        pytest.param("sigmoid", np.zeros((3, 2)), np.zeros(2, int), "bad-input-dim",
+                     id="misaligned-labels"),
+        pytest.param("sigmoid", np.zeros((3, 3)), np.zeros(3, int), "bad-input-dim",
+                     id="wrong-dimension"),
+        pytest.param("softmax", np.zeros((2, 2)), np.array([0, 7]), "bad-variable",
+                     id="softmax-label-7"),
+        pytest.param("sigmoid", np.zeros((2, 2)), np.array([0, 5]), "bad-variable",
+                     id="sigmoid-label-5"),
+        pytest.param("sigmoid", np.zeros((2, 2)), np.array([0.0, 0.5]), "bad-variable",
+                     id="sigmoid-label-0.5"),
+        pytest.param("sigmoid", np.zeros((2, 2)), np.array([-1, 0]), "bad-variable",
+                     id="negative-label"),
+        pytest.param("sigmoid", np.array([[0.0, np.nan], [1.0, 1.0]]), np.array([0, 1]),
+                     "bad-variable", id="non-finite-input"),
+        pytest.param("sigmoid", np.array([["a", "b"]]), np.array([0]), "bad-variable",
+                     id="text-input"),
+        pytest.param("sigmoid", np.full((2, 2), 1e308), np.array([0, 1]), "bad-variable",
+                     id="overflowing-input"),
+    ])
+    def test_bad_batch_rejected(self, head, x, y, code):
+        rows = 1 if head == "sigmoid" else 3
+        model = LinearModel(np.ones((rows, 2)), np.zeros(rows), head)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GvlabError) as err:
+                loss_and_gradients(model, x, y)
+        assert err.value.code == code
+
+    def test_integral_float_labels_accepted(self):
+        model = LinearModel(np.ones((3, 2)), np.zeros(3), "softmax")
+        x = np.array([[0.5, -1.0], [2.0, 0.25]])
+        as_floats = loss_and_gradients(model, x, np.array([2.0, 0.0]))
+        as_ints = loss_and_gradients(model, x, np.array([2, 0]))
+        assert as_floats[0] == as_ints[0]
+        assert np.array_equal(as_floats[1], as_ints[1])
+        assert np.array_equal(as_floats[2], as_ints[2])
 
 
 class TestSerialization:
