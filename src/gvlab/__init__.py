@@ -10,7 +10,7 @@ deterministic experiment harness.
 from .core import (BinningPolicy, Dataset, Exemplar, ExemplarTable, VariableSpec,
                    build_table, marginalize, read_dataset_csv, write_dataset_csv)
 from .errors import GvlabError
-from .info import LABELS, Nats, conditional_entropy, entropy, mutual_information
+from .info import LABELS, Nats, conditional_entropy, count_entropy, entropy, mutual_information
 from .models import (LinearModel, RiskReport, TrainConfig, TrainResult, VectorDataset,
                      load_model, loss_and_gradients, risk, save_model, train, train_lockstep)
 from .synth import (InvarTGConfig, InvarTGResult, ToyData, ToySpec, as_variable_dataset,

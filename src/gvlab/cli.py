@@ -35,8 +35,12 @@ _CONFIG_KEYS = {
 
 
 def parse_config(path: str) -> dict[str, str]:
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as err:
+        raise GvlabError("bad-config", f"{path} is not UTF-8 text: {err}") from None
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -86,6 +90,12 @@ def _resolved(args: argparse.Namespace, config: Mapping[str, str], name: str,
     """Flag value if given, else config value, else default."""
     flag = getattr(args, name, None)
     return flag if flag is not None else _from_config(config, name, cast, default)
+
+
+def _nonempty(values: tuple, name: str) -> tuple:
+    if not values:
+        raise GvlabError("bad-config", f"{name} must list at least one value")
+    return values
 
 
 def _interval_pair(text: str) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -148,19 +158,18 @@ def _toy_protocol(args: argparse.Namespace, config: Mapping[str, str]) -> experi
 
 
 def _cmd_toy_influence(args: argparse.Namespace, config: Mapping[str, str]) -> int:
-    out = Path(_resolved(args, config, "out", str, "out"))
     result = experiments.toy_influence_run(
         args.seed, args.datasets, _toy_protocol(args, config), args.jobs)
     lines = ["dataset,dim,h_cond,abs_weight,rank_est,rank_true"]
     for r in result.rows:
         lines.append(f"{r.dataset},{r.dim},{r.h_cond!r},{r.abs_weight!r},"
                      f"{r.rank_est},{r.rank_true}")
-    _write(out / "influence.csv", "\n".join(lines) + "\n")
+    _write(args.out / "influence.csv", "\n".join(lines) + "\n")
     if args.plot:
         by_true = _group_means(result.rows, lambda r: r.rank_true, ("rank_est",))
         xs = sorted(by_true)
         ys = [by_true[x][0] for x in xs]
-        _write(out / "influence_rank.svg",
+        _write(args.out / "influence_rank.svg",
                svgplot.chart([("estimated rank", xs, ys)], "Influence rank agreement",
                              "ground-truth rank (|weight|)", "estimated rank (cond. entropy)",
                              mode="scatter", diagonal=True))
@@ -170,24 +179,23 @@ def _cmd_toy_influence(args: argparse.Namespace, config: Mapping[str, str]) -> i
 
 
 def _cmd_toy_balance(args: argparse.Namespace, config: Mapping[str, str]) -> int:
-    out = Path(_resolved(args, config, "out", str, "out"))
     rows = experiments.toy_balance_run(
         args.seed, args.datasets, _toy_protocol(args, config), args.jobs)
     lines = ["dataset,dim,w_before,w_after,acc_before,acc_after"]
     for r in rows:
         lines.append(f"{r.dataset},{r.dim},{r.w_before!r},{r.w_after!r},"
                      f"{r.acc_before!r},{r.acc_after!r}")
-    _write(out / "balance.csv", "\n".join(lines) + "\n")
+    _write(args.out / "balance.csv", "\n".join(lines) + "\n")
     by_rank = _group_means(rows, lambda r: r.rank_true,
                            ("w_before", "w_after", "acc_before", "acc_after"))
     ranks = sorted(by_rank)
     w_before, w_after, a_before, a_after = ([by_rank[r][i] for r in ranks] for i in range(4))
     if args.plot:
-        _write(out / "balance_weights.svg",
+        _write(args.out / "balance_weights.svg",
                svgplot.chart([("before", ranks, w_before), ("after", ranks, w_after)],
                              "Absolute weight before/after balancing",
                              "ground-truth influence rank", "mean |weight|"))
-        _write(out / "balance_accuracy.svg",
+        _write(args.out / "balance_accuracy.svg",
                svgplot.chart([("before", ranks, a_before), ("after", ranks, a_after)],
                              "Test accuracy before/after balancing",
                              "ground-truth influence rank", "mean test accuracy"))
@@ -198,29 +206,23 @@ def _cmd_toy_balance(args: argparse.Namespace, config: Mapping[str, str]) -> int
 
 
 def _cmd_bounds(args: argparse.Namespace, config: Mapping[str, str]) -> int:
-    out = Path(_resolved(args, config, "out", str, "out"))
     t = _resolved(args, config, "T", int, 2)
     k = _resolved(args, config, "K", int, 2)
     delta = _resolved(args, config, "delta", float, 0.05)
-    n_grid = _resolved(args, config, "n_grid", _int_list, (1000,))
+    n_grid = _nonempty(_resolved(args, config, "n_grid", _int_list, (1000,)), "n_grid")
     gamma_grid = _resolved(args, config, "gamma_grid", _float_list, ())
-    reports = []
-    for n in n_grid:
-        if gamma_grid:
-            reports.extend(theory.BoundReport.evaluate(t, k, n, delta, g) for g in gamma_grid)
-        else:
-            reports.append(theory.BoundReport.evaluate(t, k, n, delta))
-    _write(out / "bounds.csv", theory.bound_report_csv(reports))
-    print(f"wrote {len(reports)} bound rows to {out / 'bounds.csv'}")
+    reports = [theory.BoundReport.evaluate(t, k, n, delta, gamma)
+               for n in n_grid for gamma in gamma_grid or (None,)]
+    _write(args.out / "bounds.csv", theory.bound_report_csv(reports))
+    print(f"wrote {len(reports)} bound rows to {args.out / 'bounds.csv'}")
     return 0
 
 
 def _cmd_theory_check(args: argparse.Namespace, config: Mapping[str, str]) -> int:
-    out = Path(_resolved(args, config, "out", str, "out"))
     results = experiments.theory_check_run(
         args.seed, corrupt=args.corrupt,
         tables=_resolved(args, config, "tables", int, 200))
-    _write(out / "theory_report.csv", experiments.theory_report_csv(results))
+    _write(args.out / "theory_report.csv", experiments.theory_report_csv(results))
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "pass" if r.passed else "FAIL"
@@ -233,9 +235,8 @@ def _cmd_theory_check(args: argparse.Namespace, config: Mapping[str, str]) -> in
 
 
 def _cmd_augment_sweep(args: argparse.Namespace, config: Mapping[str, str]) -> int:
-    out = Path(_resolved(args, config, "out", str, "out"))
-    alphas = _resolved(args, config, "alphas", _float_list, (0.0, 0.5, 1.0))
-    laws = _resolved(args, config, "laws", _str_list, ("uniform",))
+    alphas = _nonempty(_resolved(args, config, "alphas", _float_list, (0.0, 0.5, 1.0)), "alphas")
+    laws = _nonempty(_resolved(args, config, "laws", _str_list, ("uniform",)), "laws")
     for law in laws:
         if law not in POSITION_LAWS:
             raise GvlabError("bad-variable", f"unknown position law {law!r}")
@@ -251,16 +252,16 @@ def _cmd_augment_sweep(args: argparse.Namespace, config: Mapping[str, str]) -> i
     lines = ["alpha,law,changing_ratio,test_error,seed"]
     for r in rows:
         lines.append(f"{r.alpha!r},{r.law},{r.changing_ratio!r},{r.test_error!r},{r.seed}")
-    _write(out / "augment.csv", "\n".join(lines) + "\n")
+    _write(args.out / "augment.csv", "\n".join(lines) + "\n")
     by_cell = _group_means(rows, lambda r: (r.law, r.alpha), ("changing_ratio", "test_error"))
     if args.plot:
         xs = list(alphas)
         ratio_series = [(law, xs, [by_cell[law, a][0] for a in xs]) for law in laws]
         error_series = [(law, xs, [by_cell[law, a][1] for a in xs]) for law in laws]
-        _write(out / "augment_ratio.svg",
+        _write(args.out / "augment_ratio.svg",
                svgplot.chart(ratio_series, "Prediction changing ratio vs mixture weight",
                              "alpha", "changing ratio"))
-        _write(out / "augment_error.svg",
+        _write(args.out / "augment_error.svg",
                svgplot.chart(error_series, "Test error vs mixture weight",
                              "alpha", "test error"))
     for law in laws:
@@ -285,15 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit SVG charts (true/false)")
         p.add_argument("--config", type=str, default=None, help="key = value config file")
 
-    p = sub.add_parser("toy-influence", help="influence-rank agreement experiment")
-    common(p)
-    p.add_argument("--per-class", dest="per_class", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-
-    p = sub.add_parser("toy-balance", help="balance-and-retrain sweep")
-    common(p)
-    p.add_argument("--per-class", dest="per_class", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
+    for name, text in (("toy-influence", "influence-rank agreement experiment"),
+                       ("toy-balance", "balance-and-retrain sweep")):
+        p = sub.add_parser(name, help=text)
+        common(p)
+        p.add_argument("--per-class", dest="per_class", type=int, default=None)
+        p.add_argument("--epochs", type=int, default=None)
 
     p = sub.add_parser("bounds", help="evaluate generalization bounds over grids")
     common(p)
@@ -338,8 +336,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.datasets = _resolved(args, config, "datasets", int, 100)
         args.jobs = _resolved(args, config, "jobs", int, 1)
         args.plot = _resolved(args, config, "plot", _parse_bool, True)
+        args.out = Path(_resolved(args, config, "out", str, "out"))
         if args.datasets < 1:
             raise GvlabError("bad-config", "datasets must be >= 1")
+        if args.jobs < 1:
+            raise GvlabError("bad-config", f"jobs must be >= 1, got {args.jobs}")
         return _HANDLERS[args.command](args, config)
     except (GvlabError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -20,18 +20,14 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from itertools import chain
-from types import MappingProxyType
-from typing import Iterable, Literal, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
 from .errors import GvlabError
 
 Correlation = Literal["task_correlated", "task_uncorrelated", "unknown"]
-
-#: Table key: (variable-configuration tuple, label code).
-TableKey = tuple[tuple[int, ...], int]
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -168,50 +164,56 @@ class BinningPolicy:
 
 @dataclass(frozen=True)
 class ExemplarTable:
-    """Empirical joint counts over a variable subset and the label.
+    """Empirical joint counts over a variable subset and the label, in coordinate form.
 
-    ``counts`` maps ``(configuration tuple, label)`` to a non-negative count;
-    configurations never observed are simply absent.  ``axis_sizes`` gives
-    the number of distinct cells per variable axis (cardinality for
-    discrete variables, bin count for binned continuous ones).
+    ``cells`` is an ``(m, v + 1)`` int64 array of the observed
+    ``(configuration..., label)`` cells in strictly increasing lexicographic
+    order and ``counts`` the ``(m,)`` int64 array of their positive counts;
+    both are read-only.  ``axis_sizes`` gives the number of codes per
+    variable axis (cardinality for discrete variables, bin count for binned
+    continuous ones).
     """
 
     variable_ids: tuple[int, ...]
     axis_sizes: tuple[int, ...]
-    counts: Mapping[TableKey, int]
-    total: int
+    cells: np.ndarray
+    counts: np.ndarray
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
         if len(self.axis_sizes) != len(self.variable_ids):
             raise GvlabError("bad-variable", "axis sizes must align with variable ids")
         if len(set(self.variable_ids)) != len(self.variable_ids):
             raise GvlabError("bad-variable", "table variable ids must be unique")
-        if not _all_integers((self.total, self.k, *self.axis_sizes)):
-            raise GvlabError("bad-variable", "axis sizes, total and k must be integers")
-        configs, labels = tuple(zip(*self.counts)) or ((), ())
-        if not _all_integers(self.counts.values()):
-            raise GvlabError("bad-variable", "counts must be integers")
-        if min(self.counts.values(), default=0) < 0:
-            raise GvlabError("bad-variable", "counts must be non-negative")
-        if set(map(len, configs)) - {len(self.variable_ids)}:
-            raise GvlabError("bad-variable", "configuration arity mismatch")
-        if not _all_integers(chain(labels, *configs)):
-            raise GvlabError("bad-variable", "configurations and labels must be integer codes")
-        for var_id, axis, size in zip(self.variable_ids, zip(*configs), self.axis_sizes):
-            if min(axis) < 0 or max(axis) >= size:
-                raise GvlabError("bad-variable", f"variable {var_id} outside 0..{size - 1}")
-        if labels and (min(labels) < 0 or max(labels) >= self.k):
-            raise GvlabError("bad-variable", f"labels outside 0..{self.k - 1}")
-        running = sum(self.counts.values())
-        if running != self.total:
-            raise GvlabError("bad-variable",
-                             f"total {self.total} does not match summed counts {running}")
+        sizes = (*self.axis_sizes, self.k)
+        arrays = np.asarray(self.cells), np.asarray(self.counts)
+        if not all(isinstance(size, numbers.Integral) for size in sizes) or any(
+                a.dtype.kind not in "iu" or not np.can_cast(a.dtype, np.int64) for a in arrays):
+            raise GvlabError("bad-variable", "axis sizes, k, cells and counts must be integers")
+        cells, counts = (_freeze(a.astype(np.int64)) for a in arrays)
+        if cells.ndim != 2 or cells.shape[1] != len(sizes) or counts.shape != cells.shape[:1]:
+            raise GvlabError("bad-variable", f"need (m, {len(sizes)}) cells and (m,) counts, "
+                                             f"got {cells.shape} and {counts.shape}")
+        if len(cells):
+            names = [f"variable {var_id}" for var_id in self.variable_ids] + ["labels"]
+            for name, lo, hi, size in zip(names, cells.min(axis=0).tolist(),
+                                          cells.max(axis=0).tolist(), sizes):
+                if lo < 0 or hi >= size:
+                    raise GvlabError("bad-variable", f"{name} outside 0..{size - 1}")
+            if counts.min() < 1 or (np.diff(_cell_codes(cells.T, sizes)) <= 0).any():
+                raise GvlabError("bad-variable", "counts must be positive and cells distinct "
+                                                 "and in lexicographic order")
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "counts", counts)
 
+    @cached_property
+    def total(self) -> int:
+        return int(self.counts.sum())
 
-def _all_integers(values: Iterable) -> bool:
-    return all(issubclass(t, numbers.Integral) for t in set(map(type, values)))
+    def __eq__(self, other):  # field by field: ``==`` on the arrays is elementwise
+        return isinstance(other, ExemplarTable) and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in self.__dataclass_fields__)
 
 
 def _unchecked(cls, *values):
@@ -248,7 +250,7 @@ def _cell_codes(columns: Sequence[np.ndarray], sizes: Sequence[int]) -> np.ndarr
         if radix * size > _INT64_MAX:
             code = np.unique(code, return_inverse=True)[1]
             col = np.unique(col, return_inverse=True)[1]
-            radix, size = int(code.max()) + 1, int(col.max()) + 1
+            radix, size = int(code.max(initial=-1)) + 1, int(col.max(initial=-1)) + 1
         code = code * size + col
         radix *= size
     return code
@@ -274,14 +276,13 @@ def build_table(dataset: Dataset, variable_ids: Sequence[int],
 
     columns = [_column_codes(dataset, s, binning) for s in specs] + [dataset.labels]
     sizes = tuple(s.cardinality if s.kind == "discrete" else binning.bins for s in specs)
-    # One sort of flat cell codes; each key is read back from the first row
-    # of its code.  Keys come out in the lexicographic order of the rows.
+    # One sort of flat cell codes; each cell is read back from the first row
+    # of its code, so cells come out in the lexicographic order of the rows.
     _, first, counts = np.unique(_cell_codes(columns, sizes + (dataset.k,)),
                                  return_index=True, return_counts=True)
-    cells = zip(*(col[first].tolist() for col in columns))
-    table_counts = {(cell[:-1], cell[-1]): count for cell, count in zip(cells, counts.tolist())}
-    return _unchecked(ExemplarTable, tuple(variable_ids), sizes, MappingProxyType(table_counts),
-                      dataset.n, dataset.k)
+    cells = np.column_stack([col[first] for col in columns])
+    return _unchecked(ExemplarTable, tuple(variable_ids), sizes, _freeze(cells), _freeze(counts),
+                      dataset.k)
 
 
 def marginalize(table: ExemplarTable, keep_ids: Sequence[int]) -> ExemplarTable:
@@ -291,13 +292,21 @@ def marginalize(table: ExemplarTable, keep_ids: Sequence[int]) -> ExemplarTable:
         return table
     if len(set(keep)) != len(keep) or not set(keep) <= set(table.variable_ids):
         raise GvlabError("bad-variable", f"keep ids {keep} not a subset of {table.variable_ids}")
-    positions = [table.variable_ids.index(var_id) for var_id in keep]
-    merged: dict[TableKey, int] = {}
-    for (config, label), count in table.counts.items():
-        key = (tuple(config[p] for p in positions), label)
-        merged[key] = merged.get(key, 0) + count
-    sizes = tuple(table.axis_sizes[p] for p in positions)
-    return _unchecked(ExemplarTable, keep, sizes, MappingProxyType(merged), table.total, table.k)
+    positions = [table.variable_ids.index(var_id) for var_id in keep] + [-1]
+    selected = table.cells[:, positions]
+    sizes = tuple(table.axis_sizes[p] for p in positions[:-1])
+    _, first, inverse = np.unique(_cell_codes(selected.T, sizes + (table.k,)),
+                                  return_index=True, return_inverse=True)
+    counts = np.bincount(inverse, weights=table.counts).astype(np.int64)  # exact below 2**53
+    return _unchecked(ExemplarTable, keep, sizes, _freeze(selected[first]), _freeze(counts),
+                      table.k)
+
+
+def _run_heads(rows: np.ndarray) -> np.ndarray:
+    """Whether each row differs from the one before it.  Cells sort by
+    configuration first, so on ``cells[:, :r]`` each head starts the run of
+    cells that share a configuration of the first ``r`` variables."""
+    return np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))[:len(rows)]
 
 
 # ---------------------------------------------------------------------------

@@ -13,4 +13,7 @@ class GvlabError(ValueError):
 
     def __init__(self, code: str, message: str):
         super().__init__(f"{code}: {message}")
-        self.code = code
+        self.code, self.message = code, message
+
+    def __reduce__(self):  # so an error raised in a worker process reaches the caller intact
+        return type(self), (self.code, self.message)

@@ -24,16 +24,15 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
-from types import MappingProxyType
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .augment import AugmentDistribution, PositionLaw, erase_batch, prediction_changing_ratio
-from .core import (BinningPolicy, Dataset, ExemplarTable, _unchecked, build_table, derive_seed,
-                   marginalize)
+from .core import (BinningPolicy, Dataset, ExemplarTable, _freeze, _run_heads, _unchecked,
+                   build_table, derive_seed, marginalize)
 from .errors import GvlabError
-from .info import conditional_entropy, entropy
+from .info import conditional_entropy, count_entropy, entropy
 from .models import LinearModel, TrainConfig, VectorDataset, risk, train, train_lockstep
 from .synth import ToyData, as_variable_dataset, balance_column, generate_toy, random_toy_spec
 from . import theory
@@ -396,28 +395,24 @@ def label_equals_variable_table(rng: np.random.Generator) -> tuple[ExemplarTable
     return _cell_table(cells), 0
 
 
-def _cell_table(cells: np.ndarray) -> ExemplarTable:
+def _cell_table(dense: np.ndarray) -> ExemplarTable:
     """Table over variables ``0..m-1`` from a dense ``config + (label,)`` count
-    array; its nonzero cells become the keys, in C order.  An all-zero array
-    gives one count at the first cell."""
-    counts = {(tuple(cell[:-1]), cell[-1]): c
-              for cell, c in zip(np.argwhere(cells).tolist(), cells[cells > 0].tolist())}
-    if not counts:
-        counts[(tuple(0 for _ in cells.shape[:-1]), 0)] = 1
-    return _unchecked(ExemplarTable, tuple(range(cells.ndim - 1)), cells.shape[:-1],
-                      MappingProxyType(counts), sum(counts.values()), cells.shape[-1])
+    array; its nonzero cells, in C order, become the table's cells.  An
+    all-zero array gives one count at the first cell."""
+    index = dense.nonzero()
+    cells, counts = np.array(index).T, dense[index]
+    if not len(counts):
+        cells, counts = np.zeros((1, dense.ndim), dtype=np.int64), np.ones(1, dtype=np.int64)
+    return _unchecked(ExemplarTable, tuple(range(dense.ndim - 1)), dense.shape[:-1],
+                      _freeze(cells), _freeze(counts), dense.shape[-1])
 
 
 def argmax_zero_one_error(table: ExemplarTable, determining_ids: Sequence[int]) -> Fraction:
     """Exact 0/1 training error of the argmax-of-conditional predictor."""
     marg = marginalize(table, determining_ids)
-    per_config: dict[tuple[int, ...], dict[int, int]] = {}
-    for (config, label), count in marg.counts.items():
-        if count:
-            bucket = per_config.setdefault(config, {})
-            bucket[label] = bucket.get(label, 0) + count
-    hits = sum(max(by_label.values()) for by_label in per_config.values())
-    return 1 - Fraction(hits, marg.total)
+    starts = _run_heads(marg.cells[:, :-1]).nonzero()[0]
+    hits = int(np.maximum.reduceat(marg.counts, starts).sum())  # integer maxima per configuration
+    return Fraction(marg.total - hits, marg.total)
 
 
 # ---------------------------------------------------------------------------
@@ -468,13 +463,9 @@ def block_entropies(counts: np.ndarray) -> dict[tuple[int, ...], tuple[np.ndarra
             dropped = tuple(2 + i for i in range(3) if i not in block)
             joint = counts.sum(axis=dropped).reshape(counts.shape[:2] + (2 ** len(block), 2))
             total = joint.sum(axis=(2, 3))[..., None]
-            result[block] = (_neg_plogp(joint / total[..., None]).sum(axis=3).sum(axis=2),
-                             _neg_plogp(joint.sum(axis=3) / total).sum(axis=2))
+            result[block] = (count_entropy(joint, total[..., None], group_axes=2),
+                             count_entropy(joint.sum(axis=3), total))
     return result
-
-
-def _neg_plogp(p: np.ndarray) -> np.ndarray:
-    return -p * np.log(np.where(p > 0.0, p, 1.0))
 
 
 def addition_rule_margins(laws: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ so the first-block marginal is exactly the training marginal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -60,6 +61,13 @@ class ToySpec:
         for mean, cov in zip(self.class_means, self.class_covariances):
             if mean.shape != (self.dims,) or cov.shape != (self.dims, self.dims):
                 raise GvlabError("bad-variable", "mean/covariance shapes must match dims")
+        lo, hi = self.test_mean_range
+        if not (self.per_class >= 1 and -math.inf < lo <= hi < math.inf
+                and 0.0 <= self.coupling_var < math.inf and 0.0 <= self.residual_var < math.inf):
+            raise GvlabError("bad-config", "need per_class >= 1, finite test means lo <= hi and "
+                                           f"finite variances >= 0; got per_class={self.per_class}, "
+                                           f"test means ({lo}, {hi}), variances "
+                                           f"({self.coupling_var}, {self.residual_var})")
 
 
 def random_toy_spec(seed: int, dims: int = 20, task_correlated_dims: int = 10,

@@ -36,7 +36,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import ExemplarTable, _unchecked, marginalize
+from .core import ExemplarTable, _run_heads, _unchecked, marginalize
 from .errors import GvlabError
 from .info import Nats, _group_entropy
 
@@ -134,16 +134,17 @@ class OptimalOutputs:
 
 
 def _label_counts(table: ExemplarTable, ids: Sequence[int]) -> tuple[list, np.ndarray]:
-    """Observed configurations over ``ids``, in marginal order, and their (configs, k) counts."""
-    if table.total <= 0:
+    """Observed configurations over ``ids``, sorted, and their (configs, k) label counts."""
+    if not len(table.counts):
         raise GvlabError("empty-table", "optimal outputs need a non-empty table")
-    marg = marginalize(table, ids)
-    cells = [(config, label, count) for (config, label), count in marg.counts.items() if count]
-    index: dict[tuple[int, ...], int] = {}
-    rows = [index.setdefault(config, len(index)) for config, _, _ in cells]
-    counts = np.zeros((len(index), marg.k))
-    counts[rows, [label for _, label, _ in cells]] = [count for _, _, count in cells]
-    return list(index), counts
+    ids = tuple(ids)
+    # On a prefix of its variables the table's own cells already run by configuration.
+    marg = table if ids == table.variable_ids[:len(ids)] else marginalize(table, ids)
+    cells = marg.cells
+    starts = _run_heads(cells[:, :len(ids)]).nonzero()[0]
+    by_label = np.zeros((len(cells), marg.k))
+    by_label[np.arange(len(cells)), cells[:, -1]] = marg.counts
+    return list(map(tuple, cells[starts, :len(ids)].tolist())), np.add.reduceat(by_label, starts)
 
 
 def optimal_outputs(table: ExemplarTable, determining_ids: Sequence[int]) -> OptimalOutputs:
@@ -226,13 +227,10 @@ def addition_rule(table: ExemplarTable, task_ids: Sequence[int],
         raise GvlabError("overlapping-variables", "task and nuisance ids overlap")
     if set(task) | set(nuisance) != set(table.variable_ids):
         raise GvlabError("bad-variable", "task + nuisance ids must cover the table variables")
-    seen: dict[tuple[int, ...], int] = {}
-    for (config, label), count in table.counts.items():
-        if count == 0:
-            continue
-        if seen.setdefault(config, label) != label:
-            raise GvlabError("not-a-hypothesis",
-                             f"configuration {config} maps to several predictions")
+    same_config = ~_run_heads(table.cells[:, :-1])
+    if same_config.any():
+        config = tuple(table.cells[same_config.argmax(), :-1].tolist())
+        raise GvlabError("not-a-hypothesis", f"configuration {config} maps to several predictions")
     # I(pred; u | task) = H(pred,task) - H(task) - H(pred,task,u) + H(task,u);
     # the task-only terms are shared across the sum.
     h_pred_task = _group_entropy(table, task, True)

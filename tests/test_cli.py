@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -64,6 +65,30 @@ class TestConfigFile:
         assert err.startswith("error: bad-config:")
         assert line.split(" =")[0] in err
         assert "Traceback" not in err
+
+    def test_non_utf8_config_is_bad_config(self, tmp_path, capsys):
+        cfg = tmp_path / "utf16.cfg"
+        cfg.write_bytes(b"\xff\xfes\x00e\x00e\x00d\x00")
+        code = run(["theory-check", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad-config:")
+        assert str(cfg) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_lists_every_error_code(self):
+        root = Path(__file__).resolve().parents[1]
+        raised = set()
+        for module in (root / "src" / "gvlab").glob("*.py"):
+            raised |= set(re.findall(r'GvlabError\(\s*"([^"]+)"', module.read_text()))
+        readme = (root / "README.md").read_text()
+        section = readme[readme.index("## Error codes"):]
+        section = section[:section.index("\n## ", 1)]
+        documented = set(re.findall(r"^\| `([^`]+)` \|", section, re.MULTILINE))
+        assert len(raised) >= 19
+        assert raised - documented == set()
+        assert documented - raised == set()
 
     def test_distribution_from_config_overrides(self):
         config = {"alpha": "0.4", "position_law": "center_m1", "area_lo": "0.0",
@@ -243,6 +268,74 @@ def test_missing_config_file_exits_cleanly(tmp_path, capsys):
     code = run(["bounds", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
     assert code == 1
     assert "nope.cfg" in capsys.readouterr().err
+
+
+def assert_bad_config(code, capsys):
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad-config:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags, line", [
+    pytest.param(["--per-class", "-5"], None, id="negative-per-class"),
+    pytest.param(["--per-class", "0"], None, id="zero-per-class"),
+    pytest.param([], "test_mean_lo = 2", id="reversed-test-means"),
+    pytest.param([], "test_mean_lo = nan", id="nan-test-mean"),
+    pytest.param([], "test_mean_hi = inf", id="infinite-test-mean"),
+    pytest.param([], "coupling_var = -1", id="negative-coupling-var"),
+    pytest.param([], "residual_var = -1", id="negative-residual-var"),
+    pytest.param([], "residual_var = nan", id="nan-residual-var"),
+])
+@pytest.mark.parametrize("command", ["toy-influence", "toy-balance"])
+def test_bad_toy_protocol_values_are_bad_config(tmp_path, capsys, command, flags, line):
+    argv = [command, "--datasets", "1", "--out", str(tmp_path / "out"), *flags]
+    if line is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        argv += ["--config", str(cfg)]
+    assert_bad_config(run(argv), capsys)
+    assert not (tmp_path / "out").exists()
+
+
+def test_worker_errors_keep_their_code(tmp_path, capsys):
+    """A GvlabError raised in a worker process reaches the CLI with its code."""
+    argv = ["toy-influence", "--datasets", "2", "--jobs", "2", "--per-class", "-5",
+            "--out", str(tmp_path)]
+    assert_bad_config(run(argv), capsys)
+
+
+def test_errors_survive_pickling():
+    err = pickle.loads(pickle.dumps(GvlabError("bad-config", "jobs must be >= 1")))
+    assert (err.code, str(err)) == ("bad-config", "bad-config: jobs must be >= 1")
+
+
+@pytest.mark.parametrize("argv, line", [
+    pytest.param(["augment-sweep", "--alphas="], None, id="alphas-flag"),
+    pytest.param(["augment-sweep", "--laws="], None, id="laws-flag"),
+    pytest.param(["augment-sweep", "--laws", ","], None, id="laws-flag-commas"),
+    pytest.param(["bounds", "--n-grid="], None, id="n-grid-flag"),
+    pytest.param(["augment-sweep"], "alphas =", id="alphas-key"),
+    pytest.param(["augment-sweep"], "laws =", id="laws-key"),
+    pytest.param(["bounds"], "n_grid = ,", id="n-grid-key"),
+])
+def test_empty_sweep_lists_are_bad_config(tmp_path, capsys, argv, line):
+    if line is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        argv = [*argv, "--config", str(cfg)]
+    assert_bad_config(run([*argv, "--datasets", "1", "--out", str(tmp_path / "out")]), capsys)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_fewer_than_one_job_rejected(tmp_path, capsys, jobs):
+    assert_bad_config(run(["bounds", "--jobs", jobs, "--out", str(tmp_path / "out")]), capsys)
+    assert not (tmp_path / "out").exists()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"jobs = {jobs}\n")
+    assert_bad_config(run(["bounds", "--config", str(cfg), "--out", str(tmp_path / "out")]),
+                      capsys)
 
 
 def test_nonpositive_datasets_rejected(tmp_path, capsys):

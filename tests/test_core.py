@@ -12,6 +12,8 @@ from gvlab.core import (BinningPolicy, Dataset, Exemplar, ExemplarTable, Variabl
 from gvlab.errors import GvlabError
 from gvlab.synth import as_variable_dataset, generate_toy, random_toy_spec
 
+from dict_tables import table_dict, table_from_dict
+
 
 def discrete_dataset(values, labels, cards, k):
     specs = tuple(VariableSpec.discrete(j, f"g{j}", c) for j, c in enumerate(cards))
@@ -72,26 +74,26 @@ class TestBuildTable:
     def test_direct_counting(self):
         ds = discrete_dataset([[0], [0], [1], [1]], [0, 0, 1, 1], cards=[2], k=2)
         table = build_table(ds, [0])
-        assert table.counts == {((0,), 0): 2, ((1,), 1): 2}
+        assert table_dict(table) == {((0,), 0): 2, ((1,), 1): 2}
         assert table.total == 4
 
     def test_empty_id_list_gives_label_marginals(self):
         ds = discrete_dataset([[0], [1], [1]], [0, 1, 1], cards=[2], k=2)
         table = build_table(ds, [])
-        assert table.counts == {((), 0): 1, ((), 1): 2}
+        assert table_dict(table) == {((), 0): 1, ((), 1): 2}
         assert table.total == 3
 
     def test_equal_width_binning(self):
         specs = (VariableSpec.continuous(0, "g0", 0.0, 1.0),)
         ds = Dataset(specs, np.array([[0.1], [0.9]]), np.array([0, 1]), 2)
         table = build_table(ds, [0], BinningPolicy(bins=2))
-        assert table.counts == {((0,), 0): 1, ((1,), 1): 1}
+        assert table_dict(table) == {((0,), 0): 1, ((1,), 1): 1}
 
     def test_out_of_range_values_clamp_to_boundary_bins(self):
         specs = (VariableSpec.continuous(0, "g0", 0.0, 1.0),)
         ds = Dataset(specs, np.array([[-5.0], [7.0]]), np.array([0, 1]), 2)
         table = build_table(ds, [0], BinningPolicy(bins=4))
-        assert table.counts == {((0,), 0): 1, ((3,), 1): 1}
+        assert table_dict(table) == {((0,), 0): 1, ((3,), 1): 1}
         assert table.total == 2
 
     def test_far_out_values_clamp_without_overflow(self):
@@ -100,7 +102,7 @@ class TestBuildTable:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             table = build_table(ds, [0], BinningPolicy(bins=4))
-        assert table.counts == {((0,), 1): 1, ((2,), 1): 1, ((3,), 0): 1}
+        assert table_dict(table) == {((0,), 1): 1, ((2,), 1): 1, ((3,), 0): 1}
 
     def test_range_too_narrow_to_bin_rejected(self):
         """A bin width that underflows below the smallest normal float is
@@ -117,7 +119,7 @@ class TestBuildTable:
         specs = (VariableSpec.continuous(0, "g", 0.0, 4 * tiny),)
         ds = Dataset(specs, np.array([[0.0], [1.5 * tiny], [4 * tiny]]), np.array([0, 1, 1]), 2)
         table = build_table(ds, [0], BinningPolicy(bins=4))
-        assert table.counts == {((0,), 0): 1, ((1,), 1): 1, ((3,), 1): 1}
+        assert table_dict(table) == {((0,), 0): 1, ((1,), 1): 1, ((3,), 1): 1}
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(-1e6, 1e6), st.floats(1e-6, 1e6), st.integers(2, 50), st.data())
@@ -158,13 +160,11 @@ class TestMarginalize:
 
     def test_sums_over_dropped_variable(self):
         marg = marginalize(self.table, [0])
-        direct = build_table(self.ds, [0])
-        assert marg.counts == direct.counts
+        assert marg == build_table(self.ds, [0])
         assert marg.total == self.table.total
 
     def test_keeping_all_ids_is_identity(self):
-        marg = marginalize(self.table, [0, 1])
-        assert marg.counts == self.table.counts
+        assert marginalize(self.table, [0, 1]) == self.table
 
     def test_keeping_all_ids_in_order_returns_the_table(self):
         assert marginalize(self.table, self.table.variable_ids) is self.table
@@ -173,11 +173,10 @@ class TestMarginalize:
         marg = marginalize(self.table, [1, 0])
         assert marg is not self.table
         assert marg.variable_ids == (1, 0)
-        assert marg.counts == build_table(self.ds, [1, 0]).counts
+        assert marg == build_table(self.ds, [1, 0])
 
     def test_full_marginalization_keeps_label_counts(self):
-        marg = marginalize(self.table, [])
-        assert marg.counts == build_table(self.ds, []).counts
+        assert marginalize(self.table, []) == build_table(self.ds, [])
 
     def test_non_subset_rejected(self):
         with pytest.raises(GvlabError) as err:
@@ -210,16 +209,17 @@ def reference_counts(dataset, variable_ids, binning=BinningPolicy()):
 def assert_matches_reference(dataset, variable_ids, binning=BinningPolicy()):
     table = build_table(dataset, variable_ids, binning)
     reference = reference_counts(dataset, variable_ids, binning)
-    assert list(table.counts.items()) == list(reference.items())
+    assert list(table_dict(table).items()) == list(reference.items())
     specs = [dataset.specs[j] for j in variable_ids]
     assert table.axis_sizes == tuple(s.cardinality if s.kind == "discrete" else binning.bins
                                      for s in specs)
     assert table.total == dataset.n
     # build_table skips the constructor's checks; the checked build agrees.
-    assert table == ExemplarTable(table.variable_ids, table.axis_sizes, reference,
-                                  dataset.n, dataset.k)
-    with pytest.raises(TypeError):
-        table.counts[next(iter(table.counts))] = 0
+    assert table == table_from_dict(reference, table.axis_sizes, dataset.k, table.variable_ids)
+    assert table.cells.dtype == table.counts.dtype == np.int64
+    for array in (table.cells, table.counts):
+        with pytest.raises(ValueError):
+            array[0] = 0
 
 
 @st.composite
@@ -278,7 +278,7 @@ def test_build_then_marginalize_equals_direct_build(ds, data):
     table = build_table(ds, list(range(ds.m)))
     marg = marginalize(table, keep)
     direct = build_table(ds, keep)
-    assert marg.counts == direct.counts
+    assert marg == direct
     assert marg.total == direct.total == ds.n
 
 
@@ -288,49 +288,80 @@ def test_expand_and_rebuild_roundtrip(ds):
     """Expanding a table to weighted exemplars and recounting reproduces it."""
     table = build_table(ds, list(range(ds.m)))
     exemplars = []
-    for (config, label), count in table.counts.items():
+    for (config, label), count in table_dict(table).items():
         exemplars.extend([Exemplar(tuple(float(v) for v in config), label)] * count)
     rebuilt = build_table(Dataset.from_exemplars(ds.specs, exemplars, ds.k),
                           list(range(ds.m)))
-    assert rebuilt.counts == table.counts
-    assert rebuilt.total == table.total
+    assert rebuilt == table
 
 
-def test_exemplar_table_total_validated():
-    with pytest.raises(GvlabError) as err:
-        ExemplarTable((0,), (2,), {((0,), 0): 1}, total=5, k=2)
-    assert err.value.code == "bad-variable"
-
-
-@pytest.mark.parametrize("ids, sizes, counts, total, k", [
-    pytest.param((0, 1), (2,), {((0, 0), 0): 1}, 1, 2, id="axis-sizes-vs-ids"),
-    pytest.param((0, 0), (2, 2), {((0, 0), 0): 1}, 1, 2, id="duplicate-ids"),
-    pytest.param((0,), (2,), {((0,), 0): 3, ((1,), 1): -1}, 2, 2, id="negative-count"),
-    pytest.param((0,), (2,), {((0,), 0): 1, ((0, 1), 1): 1}, 2, 2, id="arity-mismatch"),
-    pytest.param((0, 1), (2, 3), {((0, 0), 0): 1, ((1, 3), 0): 1}, 2, 2, id="config-too-large"),
-    pytest.param((0, 1), (2, 3), {((0, 0), 0): 1, ((-1, 0), 0): 1}, 2, 2,
-                 id="config-negative"),
-    pytest.param((0,), (2,), {((0,), 0): 1, ((1,), 2): 1}, 2, 2, id="label-too-large"),
-    pytest.param((0,), (2,), {((0,), -1): 1, ((1,), 0): 1}, 2, 2, id="label-negative"),
-    pytest.param((0,), (2,), {((0.5,), 0): 0.5, ((1,), 1): 0.5}, 1, 2, id="fractional-cells"),
-    pytest.param((0,), (2,), {((0,), 0): 0.5, ((1,), 1): 1.5}, 2, 2, id="fractional-count"),
-    pytest.param((0,), (2,), {((0,), 0): 2.0, ((1,), 1): 1}, 3, 2, id="float-count"),
-    pytest.param((0,), (2,), {((0.5,), 0): 1, ((1,), 1): 1}, 2, 2, id="fractional-config"),
-    pytest.param((0,), (2,), {((0,), 0.0): 1, ((1,), 1): 1}, 2, 2, id="float-label"),
-    pytest.param((0,), (2,), {((0,), 0): 1, ((1,), 1): 1}, 2.0, 2, id="float-total"),
-    pytest.param((0,), (2.0,), {((0,), 0): 1, ((1,), 1): 1}, 2, 2, id="float-axis-size"),
-    pytest.param((0,), (2,), {((0,), 0): 1, ((1,), 1): 1}, 2, 2.0, id="float-k"),
+@pytest.mark.parametrize("ids, sizes, cells, counts, k", [
+    pytest.param((0, 1), (2,), [[0, 0, 0]], [1], 2, id="axis-sizes-vs-ids"),
+    pytest.param((0, 0), (2, 2), [[0, 0, 0]], [1], 2, id="duplicate-ids"),
+    pytest.param((0,), (2,), [[0, 0], [1, 1]], [3, -1], 2, id="negative-count"),
+    pytest.param((0,), (2,), [[0, 0], [1, 1]], [3, 0], 2, id="zero-count"),
+    pytest.param((0,), (2,), [[0, 0, 0], [0, 1, 1]], [1, 1], 2, id="arity-mismatch"),
+    pytest.param((0,), (2,), [0, 1], [1], 2, id="one-dimensional-cells"),
+    pytest.param((0,), (2,), [[0, 0], [1, 1]], [2], 2, id="counts-vs-cells"),
+    pytest.param((0, 1), (2, 3), [[0, 0, 0], [1, 3, 0]], [1, 1], 2, id="config-too-large"),
+    pytest.param((0, 1), (2, 3), [[0, 0, 0], [1, 7, 0]], [1, 1], 2, id="config-beyond-size"),
+    pytest.param((0, 1), (2, 3), [[-1, 0, 0], [0, 0, 0]], [1, 1], 2, id="config-negative"),
+    pytest.param((0,), (2,), [[0, 0], [1, 2]], [1, 1], 2, id="label-too-large"),
+    pytest.param((0,), (2,), [[0, 0], [1, 5]], [1, 1], 2, id="label-beyond-k"),
+    pytest.param((0,), (2,), [[0, -1], [1, 0]], [1, 1], 2, id="label-negative"),
+    pytest.param((0,), (2,), [[1, 1], [0, 0]], [1, 1], 2, id="unsorted-cells"),
+    pytest.param((0,), (2,), [[0, 1], [0, 0]], [1, 1], 2, id="unsorted-labels"),
+    pytest.param((0,), (2,), [[0, 0], [0, 0]], [1, 1], 2, id="duplicate-cells"),
+    pytest.param((0,), (2,), [[0.5, 0], [1, 1]], [0.5, 0.5], 2, id="fractional-cells"),
+    pytest.param((0,), (2,), [[0, 0], [1, 1]], [0.5, 1.5], 2, id="fractional-count"),
+    pytest.param((0,), (2,), [[0, 0], [1, 1]], [2.0, 1.0], 2, id="float-count"),
+    pytest.param((0,), (2,), [[0.5, 0], [1, 1]], [1, 1], 2, id="fractional-config"),
+    pytest.param((0,), (2,), [[0, 0.0], [1, 1]], [1, 1], 2, id="float-label"),
+    pytest.param((0,), (2,), [[0, 0], [1, 1]], [True, True], 2, id="bool-count"),
+    pytest.param((0,), (2.0,), [[0, 0], [1, 1]], [1, 1], 2, id="float-axis-size"),
+    pytest.param((0,), (2,), [[0, 0], [1, 1]], [1, 1], 2.0, id="float-k"),
 ])
-def test_exemplar_table_rejects_bad_input(ids, sizes, counts, total, k):
+def test_exemplar_table_rejects_bad_input(ids, sizes, cells, counts, k):
     with pytest.raises(GvlabError) as err:
-        ExemplarTable(ids, sizes, counts, total, k)
+        ExemplarTable(ids, sizes, cells, counts, k)
     assert err.value.code == "bad-variable"
 
 
 def test_exemplar_table_accepts_numpy_integers():
-    counts = {((np.int64(1),), np.int64(0)): np.int64(3), ((0,), 1): 2}
-    table = ExemplarTable((0,), (np.int64(2),), counts, np.int64(5), 2)
+    cells = np.array([[0, 1], [1, 0]], dtype=np.int32)
+    table = ExemplarTable((0,), (np.int64(2),), cells, np.array([2, 3], dtype=np.uint8),
+                          np.int64(2))
     assert table.total == 5
+    assert table.cells.dtype == table.counts.dtype == np.int64
+
+
+def test_exemplar_table_owns_read_only_arrays():
+    cells, counts = np.array([[0, 1], [1, 0]]), np.array([2, 3])
+    table = ExemplarTable((0,), (2,), cells, counts, 2)
+    cells[0, 0], counts[0] = 1, 9  # the caller's arrays stay the caller's
+    assert table_dict(table) == {((0,), 1): 2, ((1,), 0): 3}
+    with pytest.raises(ValueError):
+        table.counts[0] = 1
+
+
+def test_exemplar_table_equality_compares_fields():
+    table = ExemplarTable((0,), (2,), [[0, 1], [1, 0]], [2, 3], 2)
+    assert table == ExemplarTable((0,), (2,), [[0, 1], [1, 0]], [2, 3], 2)
+    assert table != ExemplarTable((0,), (2,), [[0, 1], [1, 0]], [2, 4], 2)
+    assert table != ExemplarTable((0,), (2,), [[0, 1], [1, 1]], [2, 3], 2)
+    assert table != ExemplarTable((0,), (2,), [[0, 1], [1, 0]], [2, 3], 3)
+    assert table != ExemplarTable((1,), (2,), [[0, 1], [1, 0]], [2, 3], 2)
+    assert table != "table"
+
+
+@pytest.mark.parametrize("sizes", [(2, 3), (2 ** 40, 2 ** 40)])
+def test_empty_table_has_zero_total(sizes):
+    table = ExemplarTable((0, 1), sizes, np.zeros((0, 3), dtype=np.int64),
+                          np.zeros(0, dtype=np.int64), 3)
+    assert table.total == 0
+    for keep in ([], [1, 0]):
+        marg = marginalize(table, keep)
+        assert marg.cells.shape == (0, len(keep) + 1) and marg.total == 0
 
 
 def test_dataset_csv_roundtrip(tmp_path):

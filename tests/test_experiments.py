@@ -5,7 +5,7 @@ import pytest
 import scipy.stats
 
 from gvlab import experiments
-from gvlab.core import ExemplarTable, build_table
+from gvlab.core import build_table
 from gvlab.errors import GvlabError
 from gvlab.experiments import (ADDITION_SPLITS, CORRUPTIBLE_CHECKS, AdditionRuleSweep,
                                GridProtocol, ToyProtocol, addition_rule_margins,
@@ -16,6 +16,8 @@ from gvlab.experiments import (ADDITION_SPLITS, CORRUPTIBLE_CHECKS, AdditionRule
 from gvlab.models import risk, train
 from gvlab.synth import balance_substitute
 from gvlab.theory import addition_rule, estimated_training_error, optimal_outputs
+
+from dict_tables import table_dict, table_from_dict
 
 SMALL_TOY = ToyProtocol(per_class=300, epochs=8)
 SMALL_GRID = GridProtocol(train_per_class=12, test_per_class=6, epochs=6, repeats=5,
@@ -67,7 +69,7 @@ def per_cell_count_table(rng, max_count=16):
                 counts[(tuple(int(v) for v in config), label)] = c
     if not counts:
         counts[(tuple(0 for _ in shape), 0)] = 1
-    return ExemplarTable(tuple(range(len(shape))), shape, counts, sum(counts.values()), k)
+    return table_from_dict(counts, shape, k)
 
 
 def looped_product_table(rng):
@@ -84,7 +86,7 @@ def looped_product_table(rng):
                     counts[((gt, gc), label)] = c
     if not counts:
         counts[((0, 0), 0)] = 1
-    return ExemplarTable((0, 1), (card_t, card_c), counts, sum(counts.values()), k), 0
+    return table_from_dict(counts, (card_t, card_c), k), 0
 
 
 def looped_label_copy_table(rng):
@@ -92,7 +94,7 @@ def looped_label_copy_table(rng):
     card_t, card_c = int(rng.integers(2, 5)), int(rng.integers(2, 5))
     counts = {((gt, gc), gt): int(rng.integers(1, 9))
               for gt in range(card_t) for gc in range(card_c)}
-    return ExemplarTable((0, 1), (card_t, card_c), counts, sum(counts.values()), card_t), 0
+    return table_from_dict(counts, (card_t, card_c), card_t), 0
 
 
 class TestRandomTables:
@@ -102,8 +104,8 @@ class TestRandomTables:
             table = random_count_table(rng)
             assert int(np.prod(table.axis_sizes)) <= 8
             assert 2 <= table.k <= 4
-            assert all(c <= 16 for c in table.counts.values())
-            assert table.total == sum(table.counts.values())
+            assert all(0 < c <= 16 for c in table.counts.tolist())
+            assert table.total == sum(table.counts.tolist())
 
     def test_random_count_table_matches_per_cell_draws(self):
         """One vector draw per table consumes the stream like one scalar draw per cell."""
@@ -114,7 +116,7 @@ class TestRandomTables:
                 assert table == ref
                 assert table.variable_ids == ref.variable_ids
                 assert table.axis_sizes == ref.axis_sizes
-                assert list(table.counts.items()) == list(ref.counts.items())
+                assert list(table_dict(table).items()) == list(table_dict(ref).items())
                 assert (table.total, table.k) == (ref.total, ref.k)
             assert rng.random() == ref_rng.random()
 
@@ -130,8 +132,9 @@ class TestRandomTables:
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             (table, gt), (ref, ref_gt) = generator(rng), reference(ref_rng)
             assert table == ref and gt == ref_gt
-            assert list(table.counts.items()) == list(ref.counts.items())
-            assert all(type(v) is int for key in table.counts for v in (*key[0], key[1]))
+            assert list(table_dict(table).items()) == list(table_dict(ref).items())
+            assert table.cells.dtype == table.counts.dtype == np.int64
+            assert type(table.k) is int and all(type(v) is int for v in table.axis_sizes)
             assert rng.random() == ref_rng.random()
 
     def test_product_table_is_independent(self):
@@ -144,14 +147,13 @@ class TestRandomTables:
     def test_label_copy_table(self):
         rng = np.random.default_rng(3)
         table, gt = label_equals_variable_table(rng)
-        for (config, label), count in table.counts.items():
+        for (config, label), count in table_dict(table).items():
             assert label == config[gt]
 
     def test_argmax_error_oracle_on_known_table(self):
         from fractions import Fraction
-        from gvlab.core import ExemplarTable, build_table
         counts = {((0,), 0): 3, ((0,), 1): 1, ((1,), 0): 1, ((1,), 1): 1}
-        table = ExemplarTable((0,), (2,), counts, 6, 2)
+        table = table_from_dict(counts, (2,), 2)
         assert argmax_zero_one_error(table, (0,)) == Fraction(1, 3)
         opt = optimal_outputs(table, (0,))
         assert estimated_training_error(opt, table) == pytest.approx(1 / 3, abs=1e-15)
@@ -305,7 +307,7 @@ class TestVectorizedAdditionRule:
         for bits in range(256):
             for index, law in enumerate(laws):
                 counts = {(config, (bits >> i) & 1): int(law[i]) for i, config in enumerate(configs)}
-                table = ExemplarTable((0, 1, 2), (2, 2, 2), counts, int(law.sum()), 2)
+                table = table_from_dict(counts, (2, 2, 2), 2)
                 for split, (task, nuisance) in enumerate(ADDITION_SPLITS):
                     result = addition_rule(table, task, nuisance)
                     reference[bits, index, split] = (result.influence_sum

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gvlab.core import ExemplarTable
+from gvlab.core import ExemplarTable, marginalize
 from gvlab.errors import GvlabError
-from gvlab.info import LABELS, conditional_entropy, entropy, mutual_information
+from gvlab.experiments import block_entropies, random_count_table, truth_table_counts
+from gvlab.info import LABELS, conditional_entropy, count_entropy, entropy, mutual_information
+from gvlab.theory import addition_rule
+
+from dict_tables import reference_entropy, reference_marginal, table_dict
+from dict_tables import table_from_dict as table_from_counts
 
 LN2 = math.log(2.0)
-
-
-def table_from_counts(counts, axis_sizes, k):
-    total = sum(counts.values())
-    return ExemplarTable(tuple(range(len(axis_sizes))), tuple(axis_sizes), counts, total, k)
 
 
 def random_table(rng, max_vars=3, max_card=4, max_k=4):
@@ -52,7 +52,8 @@ class TestEntropy:
         assert entropy(table, "joint") == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_empty_table_rejected(self):
-        table = ExemplarTable((0,), (2,), {}, 0, 2)
+        table = ExemplarTable((0,), (2,), np.zeros((0, 2), dtype=np.int64),
+                              np.zeros(0, dtype=np.int64), 2)
         with pytest.raises(GvlabError) as err:
             entropy(table, "labels")
         assert err.value.code == "empty-table"
@@ -175,3 +176,99 @@ def test_label_information_identity(seed):
     lhs = mutual_information(table, [LABELS], ids)
     rhs = entropy(table, "labels") - conditional_entropy(table, "labels", ids)
     assert lhs == pytest.approx(max(rhs, 0.0), abs=1e-12)
+
+
+class TestCountEntropy:
+    def test_sums_each_group_axis_in_sequence(self):
+        counts = np.array([1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
+        p = counts / counts.sum()
+        expected = 0.0
+        for term in (-p * np.log(p)).tolist():
+            expected += term
+        assert count_entropy(counts, counts.sum()) == expected
+
+    def test_zero_counts_and_empty_groups_add_nothing(self):
+        assert count_entropy(np.array([0, 4, 0, 4]), 8) == pytest.approx(LN2, abs=1e-15)
+        assert count_entropy(np.zeros(0), 1) == 0.0
+
+    def test_leading_axes_are_independent_distributions(self):
+        counts = np.array([[[3, 1], [0, 4]], [[2, 2], [2, 2]]])
+        joint = count_entropy(counts, counts.sum(axis=(1, 2))[:, None, None], group_axes=2)
+        for row, h in zip(counts, joint):
+            assert h == count_entropy(row.ravel(), row.sum())
+
+    def test_block_entropies_use_it(self):
+        """Criterion 05's block entropies are this function on the summed count array."""
+        laws = np.array([[9, 5, 15, 7, 9, 11, 4, 10]])
+        counts = truth_table_counts(laws)
+        h_pred_block, h_block = block_entropies(counts)[(0, 2)]
+        joint = counts.sum(axis=3).reshape(256, 1, 4, 2)
+        total = joint.sum(axis=(2, 3))
+        assert h_pred_block.tobytes() == count_entropy(joint, total[..., None, None], 2).tobytes()
+        assert h_block.tobytes() == count_entropy(joint.sum(axis=3), total[..., None]).tobytes()
+
+
+def keep_ids(ids):
+    """Strategy: an ordered subset of ``ids``, possibly empty."""
+    return st.permutations(ids).flatmap(
+        lambda perm: st.integers(0, len(perm)).map(lambda size: tuple(perm[:size])))
+
+
+def one_prediction_per_configuration(table):
+    """The table with each configuration's cells cut to its first label."""
+    kept = {}
+    for (config, label), count in table_dict(table).items():
+        if all(key[0] != config for key in kept):
+            kept[(config, label)] = count
+    return table_from_counts(kept, table.axis_sizes, table.k)
+
+
+def reference_information(table, a, b, c, with_labels=False):
+    """I(A; B | C) from dict-loop entropies, with the label joining side A if asked."""
+    h = reference_entropy
+    return max((h(table, a + c, with_labels) - h(table, c, False))
+               - (h(table, a + b + c, with_labels) - h(table, b + c, False)), 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.data())
+def test_array_tables_match_the_dict_reference(seed, data):
+    """Marginals, entropies, information and the addition rule on the arrays
+    equal the dict loops they replaced: exactly for counts, to 1e-12 in nats."""
+    table = random_count_table(np.random.default_rng(seed))
+    keep = data.draw(keep_ids(table.variable_ids))
+    rest = tuple(v for v in table.variable_ids if v not in keep)
+
+    marg = marginalize(table, keep)
+    assert list(table_dict(marg).items()) == sorted(reference_marginal(table, keep).items())
+    assert marg.total == table.total
+
+    ids = table.variable_ids
+    for over, ref_ids, with_labels in (("labels", (), True), ("variables", ids, False),
+                                       ("joint", ids, True)):
+        assert entropy(table, over) == pytest.approx(
+            max(reference_entropy(table, ref_ids, with_labels), 0.0), abs=1e-12)
+    assert conditional_entropy(table, "labels", keep) == pytest.approx(
+        max(reference_entropy(table, keep, True) - reference_entropy(table, keep, False), 0.0),
+        abs=1e-12)
+    assert mutual_information(table, [LABELS], keep) == pytest.approx(
+        reference_information(table, (), keep, (), with_labels=True), abs=1e-12)
+    if keep and rest:
+        assert mutual_information(table, keep[:1], rest, keep[1:]) == pytest.approx(
+            reference_information(table, keep[:1], rest, keep[1:]), abs=1e-12)
+
+    hypothesis = one_prediction_per_configuration(table)
+    if rest:
+        result = addition_rule(hypothesis, keep, rest)
+        task_term = (reference_entropy(hypothesis, keep, True)
+                     - reference_entropy(hypothesis, keep, False))
+        influence = sum(max(task_term - reference_entropy(hypothesis, keep + (v,), True)
+                            + reference_entropy(hypothesis, keep + (v,), False), 0.0)
+                        for v in rest)
+        assert result.influence_sum == pytest.approx(influence, abs=1e-12)
+        assert result.entropy_given_task == pytest.approx(max(task_term, 0.0), abs=1e-12)
+    several = len({config for config, _ in table_dict(table)}) < len(table.counts)
+    if rest and several:
+        with pytest.raises(GvlabError) as err:
+            addition_rule(table, keep, rest)
+        assert err.value.code == "not-a-hypothesis"
