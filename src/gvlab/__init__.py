@@ -8,7 +8,7 @@ deterministic experiment harness.
 """
 
 from .core import (BinningPolicy, Dataset, Exemplar, ExemplarTable, VariableSpec,
-                   build_table, marginalize, read_dataset_csv, write_dataset_csv)
+                   build_table, marginalize, read_dataset_csv, rows_csv, write_dataset_csv)
 from .errors import GvlabError
 from .info import LABELS, Nats, conditional_entropy, count_entropy, entropy, mutual_information
 from .models import (LinearModel, RiskReport, TrainConfig, TrainResult, VectorDataset,
@@ -17,7 +17,7 @@ from .synth import (InvarTGConfig, InvarTGResult, ToyData, ToySpec, as_variable_
                     balance_column, balance_substitute, generate_toy, influence_rank, invar_tg,
                     random_toy_spec)
 from .theory import (AdditionRule, BoundReport, InvarianceReport, OptimalOutputs,
-                     addition_rule, bound_report_csv, check_strict_invariance,
+                     addition_rule, check_strict_invariance,
                      estimated_training_error, excess_risk_bound, gap_bound,
                      max_prob_lower_bound, numeric_optimal_outputs, optimal_outputs)
 from .augment import (LABEL_INTERVALS, POSITION_LAWS, AugmentDistribution, draw_params,

@@ -4,10 +4,11 @@ Subcommands: ``toy-influence``, ``toy-balance``, ``bounds``,
 ``theory-check``, ``augment-sweep``.  Common flags: ``--seed``,
 ``--datasets``, ``--out``, ``--jobs``, ``--plot``, ``--config``.
 
-All CSV outputs are deterministic byte-for-byte given (seed, flags);
-SVG charts are derived artifacts and never alter CSV contents.  Config
-files hold one ``key = value`` per line with ``#`` comments; explicit
-flags override file values, which override built-in defaults.
+All CSV outputs are written by ``core.rows_csv`` and are deterministic
+byte-for-byte given (seed, flags); SVG charts are derived artifacts and
+never alter CSV contents.  Config files hold one ``key = value`` per line
+with ``#`` comments; explicit flags override file values, which override
+built-in defaults.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 
 from . import experiments, svgplot, theory
 from .augment import LABEL_INTERVALS, AugmentDistribution, POSITION_LAWS
+from .core import rows_csv
 from .errors import GvlabError
 
 _CONFIG_KEYS = {
@@ -160,11 +162,8 @@ def _toy_protocol(args: argparse.Namespace, config: Mapping[str, str]) -> experi
 def _cmd_toy_influence(args: argparse.Namespace, config: Mapping[str, str]) -> int:
     result = experiments.toy_influence_run(
         args.seed, args.datasets, _toy_protocol(args, config), args.jobs)
-    lines = ["dataset,dim,h_cond,abs_weight,rank_est,rank_true"]
-    for r in result.rows:
-        lines.append(f"{r.dataset},{r.dim},{r.h_cond!r},{r.abs_weight!r},"
-                     f"{r.rank_est},{r.rank_true}")
-    _write(args.out / "influence.csv", "\n".join(lines) + "\n")
+    _write(args.out / "influence.csv",
+           rows_csv("dataset,dim,h_cond,abs_weight,rank_est,rank_true", result.rows))
     if args.plot:
         by_true = _group_means(result.rows, lambda r: r.rank_true, ("rank_est",))
         xs = sorted(by_true)
@@ -181,11 +180,8 @@ def _cmd_toy_influence(args: argparse.Namespace, config: Mapping[str, str]) -> i
 def _cmd_toy_balance(args: argparse.Namespace, config: Mapping[str, str]) -> int:
     rows = experiments.toy_balance_run(
         args.seed, args.datasets, _toy_protocol(args, config), args.jobs)
-    lines = ["dataset,dim,w_before,w_after,acc_before,acc_after"]
-    for r in rows:
-        lines.append(f"{r.dataset},{r.dim},{r.w_before!r},{r.w_after!r},"
-                     f"{r.acc_before!r},{r.acc_after!r}")
-    _write(args.out / "balance.csv", "\n".join(lines) + "\n")
+    _write(args.out / "balance.csv",
+           rows_csv("dataset,dim,w_before,w_after,acc_before,acc_after", rows))
     by_rank = _group_means(rows, lambda r: r.rank_true,
                            ("w_before", "w_after", "acc_before", "acc_after"))
     ranks = sorted(by_rank)
@@ -213,7 +209,7 @@ def _cmd_bounds(args: argparse.Namespace, config: Mapping[str, str]) -> int:
     gamma_grid = _resolved(args, config, "gamma_grid", _float_list, ())
     reports = [theory.BoundReport.evaluate(t, k, n, delta, gamma)
                for n in n_grid for gamma in gamma_grid or (None,)]
-    _write(args.out / "bounds.csv", theory.bound_report_csv(reports))
+    _write(args.out / "bounds.csv", rows_csv("T,K,n,delta,gamma,thm1_gap,thm2_excess", reports))
     print(f"wrote {len(reports)} bound rows to {args.out / 'bounds.csv'}")
     return 0
 
@@ -222,7 +218,7 @@ def _cmd_theory_check(args: argparse.Namespace, config: Mapping[str, str]) -> in
     results = experiments.theory_check_run(
         args.seed, corrupt=args.corrupt,
         tables=_resolved(args, config, "tables", int, 200))
-    _write(args.out / "theory_report.csv", experiments.theory_report_csv(results))
+    _write(args.out / "theory_report.csv", rows_csv("check,passed,max_deviation", results))
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "pass" if r.passed else "FAIL"
@@ -249,10 +245,7 @@ def _cmd_augment_sweep(args: argparse.Namespace, config: Mapping[str, str]) -> i
     rows = experiments.augment_sweep_run(args.seed, args.datasets, alphas, laws,
                                          protocol, args.jobs,
                                          base_dist=distribution_from_config(config))
-    lines = ["alpha,law,changing_ratio,test_error,seed"]
-    for r in rows:
-        lines.append(f"{r.alpha!r},{r.law},{r.changing_ratio!r},{r.test_error!r},{r.seed}")
-    _write(args.out / "augment.csv", "\n".join(lines) + "\n")
+    _write(args.out / "augment.csv", rows_csv("alpha,law,changing_ratio,test_error,seed", rows))
     by_cell = _group_means(rows, lambda r: (r.law, r.alpha), ("changing_ratio", "test_error"))
     if args.plot:
         xs = list(alphas)

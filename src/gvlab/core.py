@@ -19,7 +19,7 @@ import csv
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Literal, Sequence
 
@@ -310,8 +310,31 @@ def _run_heads(rows: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization: header g0,...,g{m-1},y; continuous values as decimal text.
+# CSV serialization: datasets as g0,...,g{m-1},y; reports from row dataclasses.
 # ---------------------------------------------------------------------------
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def rows_csv(header: str, rows: Iterable) -> str:
+    """CSV text of ``header`` and one line per dataclass row.
+
+    A line holds the row's first ``len(header.split(","))`` fields: floats
+    (numpy floats too) as ``repr(float(v))``, bools in lower case, ``None``
+    as an empty cell and anything else with ``str``.  Cells are not quoted.
+    """
+    width = header.count(",") + 1
+    lines = [",".join(_csv_cell(getattr(row, f.name)) for f in fields(row)[:width])
+             for row in rows]
+    return "\n".join([header, *lines]) + "\n"
+
 
 def write_dataset_csv(dataset: Dataset, path: str) -> None:
     with open(path, "w", newline="") as fh:

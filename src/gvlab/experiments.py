@@ -34,7 +34,8 @@ from .core import (BinningPolicy, Dataset, ExemplarTable, _freeze, _run_heads, _
 from .errors import GvlabError
 from .info import conditional_entropy, count_entropy, entropy
 from .models import LinearModel, TrainConfig, VectorDataset, risk, train, train_lockstep
-from .synth import ToyData, as_variable_dataset, balance_column, generate_toy, random_toy_spec
+from .synth import (ToyData, as_variable_dataset, balance_column, generate_toy, influence_rank,
+                    random_toy_spec)
 from . import theory
 
 
@@ -145,18 +146,15 @@ def _rank_positions(values: Sequence[float], ids: Sequence[int], ascending: bool
 
 
 def _nuisance_ranks(view: Dataset, model: LinearModel, protocol: ToyProtocol
-                    ) -> tuple[dict[int, ExemplarTable], dict[int, float], dict[int, float],
-                               dict[int, int], dict[int, int]]:
-    """Per nuisance dimension: its (dim, label) table, H(label | dim),
-    |trained weight|, and the estimated (ascending entropy) and true
-    (descending |weight|) ranks."""
+                    ) -> tuple[dict[int, float], dict[int, float], dict[int, int], dict[int, int]]:
+    """Per nuisance dimension: H(label | dim), |trained weight|, and the
+    estimated (:func:`influence_rank` order) and true (descending |weight|) ranks."""
     dims = protocol.nuisance_dims
-    tables = {j: build_table(view, [j], protocol.binning) for j in dims}
-    h_by_id = {j: conditional_entropy(tables[j], "labels", [j]) for j in dims}
+    ranked = influence_rank(view, dims, protocol.binning)
     weights = {j: abs(float(model.weights[0, j])) for j in dims}
-    rank_est = _rank_positions([h_by_id[j] for j in dims], dims, ascending=True)
+    rank_est = {var_id: position for position, (var_id, _) in enumerate(ranked, 1)}
     rank_true = _rank_positions([weights[j] for j in dims], dims, ascending=False)
-    return tables, h_by_id, weights, rank_est, rank_true
+    return dict(ranked), weights, rank_est, rank_true
 
 
 def _influence_worker(args: tuple[int, int, ToyProtocol]) -> tuple:
@@ -166,7 +164,7 @@ def _influence_worker(args: tuple[int, int, ToyProtocol]) -> tuple:
     model = train(data.train, trainer).model
     dims = protocol.nuisance_dims
     view = as_variable_dataset(data.train, protocol.task_correlated_dims)
-    label_tables, h_by_id, weights, rank_est, rank_true = _nuisance_ranks(view, model, protocol)
+    h_by_id, weights, rank_est, rank_true = _nuisance_ranks(view, model, protocol)
     rows = tuple(InfluenceRow(index, j, h_by_id[j], weights[j], rank_est[j], rank_true[j])
                  for j in dims)
     corr = spearman([rank_est[j] for j in dims], [rank_true[j] for j in dims])
@@ -177,12 +175,13 @@ def _influence_worker(args: tuple[int, int, ToyProtocol]) -> tuple:
     predictions = model.forward(data.train.x).argmax(axis=1).astype(np.int64)
     pred_view = as_variable_dataset(VectorDataset(data.train.x, predictions, data.train.k),
                                     protocol.task_correlated_dims)
+    h_label = entropy(build_table(view, [], protocol.binning))
+    h_pred = entropy(build_table(pred_view, [], protocol.binning))
     gaps = []
     for j in dims:
         pred_table = build_table(pred_view, [j], protocol.binning)
-        mi_label = entropy(label_tables[j]) - h_by_id[j]
-        mi_pred = entropy(pred_table) - conditional_entropy(pred_table, "labels", [j])
-        gaps.append(abs(mi_label - mi_pred))
+        mi_pred = h_pred - conditional_entropy(pred_table, "labels", [j])
+        gaps.append(abs(h_label - h_by_id[j] - mi_pred))
     return rows, corr, float(np.mean(gaps))
 
 
@@ -208,7 +207,7 @@ def _balance_worker(args: tuple[int, int, ToyProtocol]) -> tuple[BalanceRow, ...
     original, *retrained = (r.model for r in train_lockstep(data.train, trainer, substitutions))
     acc_before = 1.0 - risk(original, data.test).zero_one_error
     view = as_variable_dataset(data.train, protocol.task_correlated_dims)
-    _, _, weights, rank_est, rank_true = _nuisance_ranks(view, original, protocol)
+    _, weights, rank_est, rank_true = _nuisance_ranks(view, original, protocol)
     return tuple(
         BalanceRow(
             index, j,
@@ -658,10 +657,3 @@ def theory_check_run(seed: int = 0, corrupt: str | None = None,
         check_gap_bound(),
         check_excess_risk(),
     )
-
-
-def theory_report_csv(results: Sequence[CheckResult]) -> str:
-    lines = ["check,passed,max_deviation"]
-    for r in results:
-        lines.append(f"{r.name},{str(r.passed).lower()},{r.max_deviation!r}")
-    return "\n".join(lines) + "\n"

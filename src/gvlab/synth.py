@@ -277,10 +277,3 @@ def invar_tg(data: VectorDataset, candidate_ids: Sequence[int], config: InvarTGC
         remaining.remove(chosen)
     result = train(current, trainer)
     return InvarTGResult(result.model, tuple(balanced), tuple(log), result)
-
-
-def invar_tg_log_csv(log: Sequence[RoundRecord]) -> str:
-    lines = ["round,chosen_id,h_before,h_after"]
-    for r in log:
-        lines.append(f"{r.round},{r.chosen_id},{r.h_before!r},{r.h_after!r}")
-    return "\n".join(lines) + "\n"

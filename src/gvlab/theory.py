@@ -101,17 +101,9 @@ class BoundReport:
     @staticmethod
     def evaluate(t: int, k: int, n: int, delta: float, gamma: Nats | None = None) -> "BoundReport":
         gap = gap_bound(t, k, n, delta)
+        gamma = None if gamma is None else float(gamma)  # an integer gamma reads back as 0.0
         excess = None if gamma is None else excess_risk_bound(t, k, n, delta, gamma)
         return BoundReport(t, k, n, delta, gamma, gap, excess)
-
-
-def bound_report_csv(reports: Sequence[BoundReport]) -> str:
-    lines = ["T,K,n,delta,gamma,thm1_gap,thm2_excess"]
-    for r in reports:
-        gamma = "" if r.gamma is None else repr(float(r.gamma))
-        excess = "" if r.thm2_excess is None else repr(float(r.thm2_excess))
-        lines.append(f"{r.t},{r.k},{r.n},{r.delta!r},{gamma},{r.thm1_gap!r},{excess}")
-    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -125,7 +117,7 @@ class OptimalOutputs:
     def __post_init__(self):
         frozen = {}
         for config, vec in self.outputs.items():
-            v = np.asarray(vec, dtype=np.float64)
+            v = np.array(vec, dtype=np.float64)  # a copy: the caller's array stays writable
             if v.shape != (self.k,) or v.min() < 0.0 or abs(v.sum() - 1.0) > 1e-12:
                 raise GvlabError("bad-variable", f"output at {config} is not a probability vector")
             v.setflags(write=False)

@@ -90,6 +90,24 @@ class TestConfigFile:
         assert raised - documented == set()
         assert documented - raised == set()
 
+    def test_readme_outputs_table_lists_every_csv_header(self, tmp_path):
+        out = tmp_path / "out"
+        for argv in (["toy-influence", "--per-class", "600", "--epochs", "1"],
+                     ["toy-balance", "--per-class", "600", "--epochs", "1"],
+                     ["bounds", "--gamma-grid", "0.1"],
+                     ["theory-check", "--tables", "1"],
+                     ["augment-sweep", "--alphas", "0", "--laws", "uniform",
+                      "--epochs", "1", "--repeats", "1"]):
+            run([*argv, "--datasets", "1", "--plot", "false", "--out", str(out)])
+        written = {path.name: path.read_text().splitlines()[0] for path in out.glob("*.csv")}
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme[readme.index("## Outputs"):]
+        section = section[:section.index("\n## ", 1)]
+        documented = dict(re.findall(r"^\| `([^`]+\.csv)` \| `[^`]+` \| `([^`]+)` \|$",
+                                     section, re.MULTILINE))
+        assert len(written) == 5
+        assert written == documented
+
     def test_distribution_from_config_overrides(self):
         config = {"alpha": "0.4", "position_law": "center_m1", "area_lo": "0.0",
                   "area_hi": "0.5", "interval_0": "0.1,0.2,0.3,0.4"}

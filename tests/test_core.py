@@ -1,6 +1,8 @@
 import math
 import sys
+import types
 import warnings
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -8,10 +10,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gvlab.core import (BinningPolicy, Dataset, Exemplar, ExemplarTable, VariableSpec,
                         _column_codes, build_table, marginalize, read_dataset_csv,
-                        write_dataset_csv)
+                        rows_csv, write_dataset_csv)
 from gvlab.errors import GvlabError
+from gvlab.experiments import CheckResult
 from gvlab.synth import as_variable_dataset, generate_toy, random_toy_spec
+from gvlab.theory import BoundReport
 
+from csv_reference import REFERENCE
 from dict_tables import table_dict, table_from_dict
 
 
@@ -389,3 +394,38 @@ def test_dataset_csv_malformed_row_rejected(tmp_path, row):
         read_dataset_csv(str(path), specs, 2)
     assert err.value.code == "bad-csv"
     assert ":3:" in str(err.value)
+
+
+#: Floats with the edge cases of ``repr`` mixed in: signed zeros, the
+#: smallest subnormal and values near the top of the range.
+CSV_FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300]))
+
+
+def field_values(hint):
+    """Strategy for one dataclass field from its resolved type hint."""
+    if get_origin(hint) is Literal:
+        return st.sampled_from(get_args(hint))
+    if get_origin(hint) is types.UnionType:
+        return st.one_of(*map(field_values, get_args(hint)))
+    return {bool: st.booleans(), int: st.integers(), float: CSV_FLOATS, str: st.text(),
+            type(None): st.none()}[hint]
+
+
+@pytest.mark.parametrize("report", sorted(REFERENCE))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rows_csv_matches_reference_formatters(report, data):
+    cls, header, reference = REFERENCE[report]
+    hints = get_type_hints(cls)
+    rows = data.draw(st.lists(st.builds(cls, **{name: field_values(hint)
+                                                for name, hint in hints.items()}), max_size=4))
+    assert rows_csv(header, rows) == reference(rows)
+
+
+def test_rows_csv_writes_numpy_scalars_as_python_values():
+    report = BoundReport.evaluate(2, 2, np.int64(1000), np.float64(0.05), np.float64(0.1))
+    cells = rows_csv("T,K,n,delta,gamma,thm1_gap,thm2_excess", [report]).splitlines()[1]
+    assert cells.split(",")[2:5] == ["1000", "0.05", "0.1"]
+    check = CheckResult("c", np.bool_(True), np.float64(0.05), "detail")
+    assert rows_csv("check,passed,max_deviation", [check]) == (
+        "check,passed,max_deviation\nc,true,0.05\n")

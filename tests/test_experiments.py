@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from gvlab import experiments
-from gvlab.core import build_table
+from gvlab import experiments, synth
+from gvlab.core import build_table, rows_csv
 from gvlab.errors import GvlabError
 from gvlab.experiments import (ADDITION_SPLITS, CORRUPTIBLE_CHECKS, AdditionRuleSweep,
                                GridProtocol, ToyProtocol, addition_rule_margins,
                                addition_rule_sweep, argmax_zero_one_error, block_entropies,
                                derive_seed, label_equals_variable_table, make_grid_task,
                                parallel_map, product_table, random_count_table, spearman,
-                               theory_check_run, theory_report_csv, truth_table_counts)
+                               theory_check_run, truth_table_counts)
 from gvlab.models import risk, train
 from gvlab.synth import balance_substitute
 from gvlab.theory import addition_rule, estimated_training_error, optimal_outputs
@@ -183,9 +183,12 @@ class TestToyRunners:
             built.append((id(dataset), tuple(variable_ids)))
             return build_table(dataset, variable_ids, binning)
 
-        monkeypatch.setattr(experiments, "build_table", counting_build_table)
+        for module in (experiments, synth):  # synth.influence_rank builds the label tables
+            monkeypatch.setattr(module, "build_table", counting_build_table)
         experiments._influence_worker((123, 0, SMALL_TOY))
-        assert len(built) == 2 * len(SMALL_TOY.nuisance_dims)  # label and prediction tables
+        # A label and a prediction table per nuisance dimension, and the label
+        # marginal of each, which H(label) and H(prediction) are taken from.
+        assert len(built) == 2 * len(SMALL_TOY.nuisance_dims) + 2
         assert len(set(built)) == len(built)
 
     def test_balance_rows(self):
@@ -419,7 +422,7 @@ class TestTheoryChecks:
 
     def test_report_csv_layout(self):
         results = theory_check_run(seed=0, tables=10)
-        lines = theory_report_csv(results).splitlines()
+        lines = rows_csv("check,passed,max_deviation", results).splitlines()
         assert lines[0] == "check,passed,max_deviation"
         assert len(lines) == len(results) + 1
         assert all(line.split(",")[1] in ("true", "false") for line in lines[1:])

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from gvlab.core import BinningPolicy, Dataset, VariableSpec, build_table
+from gvlab.core import BinningPolicy, Dataset, VariableSpec, build_table, rows_csv
 from gvlab.errors import GvlabError
 from gvlab.info import conditional_entropy, entropy
 from gvlab.models import TrainConfig, VectorDataset
 from gvlab.synth import (InvarTGConfig, ToySpec, as_variable_dataset, balance_substitute,
                          generate_toy, influence_rank, instance_covariance, invar_tg,
-                         invar_tg_log_csv, random_toy_spec, _cholesky_or_raise)
+                         random_toy_spec, _cholesky_or_raise)
 
 LN2 = math.log(2.0)
 
@@ -212,7 +212,7 @@ class TestInvarTG:
     def test_log_csv_layout(self):
         data = vectors_label_copy()
         result = invar_tg(data, [1], InvarTGConfig(threshold=LN2 / 2), self.trainer)
-        text = invar_tg_log_csv(result.log)
+        text = rows_csv("round,chosen_id,h_before,h_after", result.log)
         lines = text.splitlines()
         assert lines[0] == "round,chosen_id,h_before,h_after"
         assert lines[1].startswith("0,1,")

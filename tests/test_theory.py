@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gvlab import theory
-from gvlab.core import ExemplarTable, marginalize
+from gvlab.core import ExemplarTable, marginalize, rows_csv
 from gvlab.errors import GvlabError
 from gvlab.experiments import (check_optimal_outputs, label_equals_variable_table,
                                product_table, random_count_table, theory_check_run)
 from gvlab.theory import (GAP_TOL, INVARIANCE_TOL, BoundReport, OptimalOutputs, addition_rule,
-                          bound_report_csv, check_strict_invariance, estimated_training_error,
+                          check_strict_invariance, estimated_training_error,
                           excess_risk_bound, gap_bound, max_prob_lower_bound,
                           numeric_optimal_outputs, optimal_outputs, pgd_conditionals)
 
@@ -138,6 +138,13 @@ class TestOptimalOutputs:
     def test_public_constructor_accepts_rounding_within_tolerance(self):
         opt = OptimalOutputs((0,), {(0,): [0.5, 0.5 + 5e-13]}, 2)
         assert not opt.outputs[(0,)].flags.writeable
+
+    def test_public_constructor_leaves_caller_arrays_writable(self):
+        vec = np.array([0.25, 0.75])
+        opt = OptimalOutputs((0,), {(0,): vec}, 2)
+        assert vec.flags.writeable
+        vec[0] = 1.0
+        np.testing.assert_array_equal(opt.outputs[(0,)], [0.25, 0.75])
 
 
 def keep_ids(ids):
@@ -461,9 +468,12 @@ class TestBoundReport:
         assert report.thm2_excess == excess_risk_bound(2, 2, 1000, 0.05, 0.1)
 
     def test_csv_layout(self):
-        text = bound_report_csv([BoundReport.evaluate(2, 2, 1000, 0.05),
-                                 BoundReport.evaluate(2, 2, 1000, 0.05, 0.0)])
+        text = rows_csv("T,K,n,delta,gamma,thm1_gap,thm2_excess",
+                        [BoundReport.evaluate(2, 2, 1000, 0.05),
+                         BoundReport.evaluate(2, 2, 1000, 0.05, 0.0),
+                         BoundReport.evaluate(2, 2, 1000, 0.05, 0)])
         lines = text.splitlines()
         assert lines[0] == "T,K,n,delta,gamma,thm1_gap,thm2_excess"
         assert lines[1].startswith("2,2,1000,0.05,,0.1074087")
         assert lines[2].split(",")[4] == "0.0"
+        assert lines[3] == lines[2]
