@@ -88,6 +88,11 @@ class ToyProtocol:
     coupling_var: float = 0.1
     residual_var: float = 1.0
 
+    def __post_init__(self):
+        if not 0 < self.task_correlated_dims < self.dims:  # the runs rank nuisance dimensions
+            raise GvlabError("bad-config", "need 0 < task_correlated_dims < dims; got "
+                                           f"{self.task_correlated_dims} of {self.dims}")
+
     def trainer(self, seed: int) -> TrainConfig:
         return TrainConfig(self.learning_rate, self.momentum, self.batch_size,
                            self.epochs, seed)

@@ -101,7 +101,7 @@ class BoundReport:
     @staticmethod
     def evaluate(t: int, k: int, n: int, delta: float, gamma: Nats | None = None) -> "BoundReport":
         gap = gap_bound(t, k, n, delta)
-        gamma = None if gamma is None else float(gamma)  # an integer gamma reads back as 0.0
+        gamma = None if gamma is None else float(gamma)  # so rows_csv writes an int gamma 0 as 0.0
         excess = None if gamma is None else excess_risk_bound(t, k, n, delta, gamma)
         return BoundReport(t, k, n, delta, gamma, gap, excess)
 

@@ -176,6 +176,12 @@ class TestToyRunners:
         parallel = experiments.toy_influence_run(123, 2, SMALL_TOY, jobs=2)
         assert serial.rows == parallel.rows
 
+    @pytest.mark.parametrize("tcd", [0, 20, 21])
+    def test_protocol_rejects_no_nuisance_dims(self, tcd):
+        with pytest.raises(GvlabError) as err:
+            ToyProtocol(dims=20, task_correlated_dims=tcd)
+        assert err.value.code == "bad-config"
+
     def test_influence_builds_each_table_once(self, monkeypatch):
         built = []
 
