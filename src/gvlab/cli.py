@@ -330,6 +330,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.jobs = _resolved(args, config, "jobs", int, 1)
         args.plot = _resolved(args, config, "plot", _parse_bool, True)
         args.out = Path(_resolved(args, config, "out", str, "out"))
+        if args.seed < 0:
+            raise GvlabError("bad-config", f"seed must be >= 0, got {args.seed}")
         if args.datasets < 1:
             raise GvlabError("bad-config", "datasets must be >= 1")
         if args.jobs < 1:

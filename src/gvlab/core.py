@@ -33,7 +33,10 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def derive_seed(base: int, *path: int) -> int:
-    """Stable 64-bit seed for a (base seed, purpose path) pair."""
+    """Stable 64-bit seed for a (base seed, purpose path) pair of
+    non-negative integers."""
+    if min((base, *path)) < 0:
+        raise GvlabError("bad-variable", f"seed keys must be >= 0, got {(base, *path)}")
     return int(np.random.SeedSequence((base,) + path).generate_state(1)[0])
 
 

@@ -40,10 +40,11 @@ from . import theory
 
 
 def parallel_map(fn: Callable, items: Sequence, jobs: int = 1) -> list:
-    """Order-preserving map, fanned out over processes when jobs > 1."""
+    """Order-preserving map, fanned out over at most ``min(jobs, len(items))``
+    processes when both exceed 1."""
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(fn, items))
 
 

@@ -18,13 +18,21 @@ training block S11 fixed, a random coupling W and residual factor D give
 
 whose Schur complement is D @ D.T + 1e-6 I >= 0.  Sampling uses the
 conditional decomposition x2 = mu2 + W.T (x1 - mu1) + D xi + sqrt(1e-6) z,
-so the first-block marginal is exactly the training marginal.
+so the first-block marginal is exactly the training marginal; the
+covariance itself is never assembled.
+
+The two halves come from independent streams keyed by the spec's seed:
+the training half from ``SeedSequence((seed, 1))``, drawn by
+:func:`generate_toy`, and the test half from ``SeedSequence((seed, 2))``,
+drawn on first access of ``ToyData.test``.  Reading the test half, or not,
+never changes the training bytes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -98,8 +106,14 @@ def random_toy_spec(seed: int, dims: int = 20, task_correlated_dims: int = 10,
 
 @dataclass(frozen=True)
 class ToyData:
+    """Both halves of one toy dataset; the test half is drawn on first use."""
+
+    spec: ToySpec
     train: VectorDataset
-    test: VectorDataset
+
+    @cached_property
+    def test(self) -> VectorDataset:
+        return _sample_test(self.spec)
 
 
 def _cholesky_or_raise(cov: np.ndarray) -> np.ndarray:
@@ -109,39 +123,35 @@ def _cholesky_or_raise(cov: np.ndarray) -> np.ndarray:
         raise GvlabError("not-psd", "covariance failed the PSD factorization check") from None
 
 
-def instance_covariance(s11: np.ndarray, coupling: np.ndarray,
-                        residual: np.ndarray) -> np.ndarray:
-    """Assemble one per-instance held-out covariance from its factors."""
-    q = s11.shape[0]
-    p = coupling.shape[1]
-    cov = np.empty((q + p, q + p))
-    cov[:q, :q] = s11
-    cross = s11 @ coupling
-    cov[:q, q:] = cross
-    cov[q:, :q] = cross.T
-    cov[q:, q:] = coupling.T @ s11 @ coupling + residual @ residual.T + _SCHUR_FLOOR * np.eye(p)
-    return cov
-
-
 def generate_toy(spec: ToySpec) -> ToyData:
-    """Sample the training and test halves of the synthetic task.
+    """Sample the training half of the synthetic task: ``per_class / 2``
+    samples per class from N(mean, cov), deterministic given ``spec.seed``.
 
-    Training: ``per_class / 2`` samples per class from N(mean, cov).
-    Test: each instance gets its own distribution preserving the
-    task-correlated block; deterministic given ``spec.seed``.
+    Every class covariance is factorized here, so a non-PSD spec raises
+    ``not-psd`` before any test instance is drawn.
     """
+    n_half = spec.per_class // 2
+    rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 1)))
+    train_x = [mean + rng.standard_normal((n_half, spec.dims)) @ _cholesky_or_raise(cov).T
+               for mean, cov in zip(spec.class_means, spec.class_covariances)]
+    return ToyData(spec, VectorDataset(np.vstack(train_x), _class_labels(spec), spec.classes))
+
+
+def _class_labels(spec: ToySpec) -> np.ndarray:
+    return np.repeat(np.arange(spec.classes, dtype=np.int64), spec.per_class // 2)
+
+
+def _sample_test(spec: ToySpec) -> VectorDataset:
+    """The test half: ``per_class / 2`` instances per class, each from its own
+    distribution that keeps the task-correlated block of the training law."""
     q = spec.task_correlated_dims
     p = spec.dims - q
     n_half = spec.per_class // 2
-    rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 1)))
+    rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 2)))
 
-    train_x, train_y, test_x, test_y = [], [], [], []
-    for c in range(spec.classes):
-        mean, cov = spec.class_means[c], spec.class_covariances[c]
+    test_x = []
+    for mean, cov in zip(spec.class_means, spec.class_covariances):
         chol = _cholesky_or_raise(cov)
-        train_x.append(mean + rng.standard_normal((n_half, spec.dims)) @ chol.T)
-        train_y.append(np.full(n_half, c, dtype=np.int64))
-
         if p == 0:
             test_x.append(mean + rng.standard_normal((n_half, spec.dims)) @ chol.T)
         else:
@@ -157,12 +167,7 @@ def generate_toy(spec: ToySpec) -> ToyData:
                   + np.einsum("nij,nj->ni", residual, xi)
                   + np.sqrt(_SCHUR_FLOOR) * z)
             test_x.append(np.hstack([x1, x2]))
-        test_y.append(np.full(n_half, c, dtype=np.int64))
-
-    return ToyData(
-        VectorDataset(np.vstack(train_x), np.concatenate(train_y), spec.classes),
-        VectorDataset(np.vstack(test_x), np.concatenate(test_y), spec.classes),
-    )
+    return VectorDataset(np.vstack(test_x), _class_labels(spec), spec.classes)
 
 
 def as_variable_dataset(data: VectorDataset, task_correlated_dims: int) -> Dataset:

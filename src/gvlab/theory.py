@@ -69,8 +69,8 @@ def gap_bound(t: int, k: int, n: int, delta: float) -> float:
 
 def excess_risk_bound(t: int, k: int, n: int, delta: float, gamma: Nats) -> float:
     """Excess risk over the best in-class hypothesis: 2*gap + gamma/ln2."""
-    if gamma < 0.0:
-        raise GvlabError("bad-gamma", f"dependence level must be >= 0, got {gamma}")
+    if not 0.0 <= gamma < math.inf:
+        raise GvlabError("bad-gamma", f"dependence level must be finite and >= 0, got {gamma}")
     return 2.0 * gap_bound(t, k, n, delta) + gamma / LN2
 
 

@@ -356,6 +356,27 @@ def test_fewer_than_one_job_rejected(tmp_path, capsys, jobs):
                       capsys)
 
 
+@pytest.mark.parametrize("command", ["toy-influence", "theory-check", "augment-sweep"])
+def test_negative_seed_rejected(tmp_path, capsys, command):
+    assert_bad_config(run([command, "--seed", "-1", "--datasets", "1",
+                           "--out", str(tmp_path / "out")]), capsys)
+    assert not (tmp_path / "out").exists()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = -5\n")
+    assert_bad_config(run([command, "--config", str(cfg), "--datasets", "1",
+                           "--out", str(tmp_path / "out")]), capsys)
+
+
+@pytest.mark.parametrize("grid", ["nan", "inf", "0.1,-inf", "nan,inf"])
+def test_non_finite_gamma_rejected(tmp_path, capsys, grid):
+    code = run(["bounds", "--gamma-grid", grid, "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad-gamma:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "bounds.csv").exists()
+
+
 def test_nonpositive_datasets_rejected(tmp_path, capsys):
     code = run(["toy-influence", "--datasets", "0", "--out", str(tmp_path)])
     assert code == 1

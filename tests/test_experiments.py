@@ -48,9 +48,39 @@ def test_derive_seed_is_stable_and_path_sensitive():
     assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
 
 
+def test_derive_seed_rejects_negative_keys():
+    for base, path in ((-1, ()), (1, (2, -3))):
+        with pytest.raises(GvlabError) as err:
+            derive_seed(base, *path)
+        assert err.value.code == "bad-variable"
+
+
 def test_parallel_map_matches_serial():
     items = list(range(7))
     assert parallel_map(_square, items, jobs=2) == [i * i for i in items]
+
+
+@pytest.mark.parametrize("jobs, items, workers", [(64, 3, 3), (2, 5, 2), (1_000_000, 2, 2)])
+def test_parallel_map_starts_no_more_workers_than_items(monkeypatch, jobs, items, workers):
+    """The pool is stubbed, so no process is started."""
+    started = []
+
+    class StubPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, seq):
+            return map(fn, seq)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", StubPool)
+    assert parallel_map(_square, list(range(items)), jobs) == [i * i for i in range(items)]
+    assert started == [workers]
 
 
 def _square(i):
@@ -175,6 +205,13 @@ class TestToyRunners:
         serial = experiments.toy_influence_run(123, 2, SMALL_TOY, jobs=1)
         parallel = experiments.toy_influence_run(123, 2, SMALL_TOY, jobs=2)
         assert serial.rows == parallel.rows
+
+    def test_influence_never_draws_the_test_half(self, monkeypatch):
+        def refuse(spec):
+            raise AssertionError("toy-influence read the test half")
+
+        monkeypatch.setattr(synth, "_sample_test", refuse)
+        assert len(experiments.toy_influence_run(123, 1, SMALL_TOY, jobs=1).rows) == 10
 
     @pytest.mark.parametrize("tcd", [0, 20, 21])
     def test_protocol_rejects_no_nuisance_dims(self, tcd):

@@ -1,17 +1,34 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gvlab import synth
 from gvlab.core import BinningPolicy, Dataset, VariableSpec, build_table, rows_csv
 from gvlab.errors import GvlabError
 from gvlab.info import conditional_entropy, entropy
 from gvlab.models import TrainConfig, VectorDataset
 from gvlab.synth import (InvarTGConfig, ToySpec, as_variable_dataset, balance_substitute,
-                         generate_toy, influence_rank, instance_covariance, invar_tg,
-                         random_toy_spec, _cholesky_or_raise)
+                         generate_toy, influence_rank, invar_tg, random_toy_spec,
+                         _cholesky_or_raise)
 
 LN2 = math.log(2.0)
+
+
+def instance_covariance(s11: np.ndarray, coupling: np.ndarray,
+                        residual: np.ndarray) -> np.ndarray:
+    """Reference: one per-instance test covariance assembled from the factors
+    that the sampler's conditional decomposition uses."""
+    q = s11.shape[0]
+    p = coupling.shape[1]
+    cov = np.empty((q + p, q + p))
+    cov[:q, :q] = s11
+    cross = s11 @ coupling
+    cov[:q, q:] = cross
+    cov[q:, :q] = cross.T
+    cov[q:, q:] = coupling.T @ s11 @ coupling + residual @ residual.T + 1e-6 * np.eye(p)
+    return cov
 
 
 class TestToyGeneration:
@@ -85,10 +102,40 @@ class TestToyGeneration:
             np.testing.assert_allclose(np.cov(tr.T), np.cov(te.T), atol=0.08)
 
     def test_determinism(self):
-        a = generate_toy(random_toy_spec(seed=9, per_class=100))
-        b = generate_toy(random_toy_spec(seed=9, per_class=100))
+        """Both halves are fixed by the seed, and reading the test half, early,
+        late or never, leaves the training bytes alone."""
+        spec = random_toy_spec(seed=9, per_class=100)
+        untouched = generate_toy(spec)
+        early = generate_toy(spec)
+        early_test = early.test.x.tobytes()
+        late = generate_toy(spec)
+        train_bytes = late.train.x.tobytes()
+        late_test = late.test.x.tobytes()
+        assert late.train.x.tobytes() == train_bytes
+        assert early.train.x.tobytes() == untouched.train.x.tobytes() == train_bytes
+        assert early.train.y.tobytes() == untouched.train.y.tobytes()
+        assert early_test == late_test
+        assert generate_toy(random_toy_spec(seed=10, per_class=100)).test.x.tobytes() != late_test
+
+    def test_test_half_is_drawn_on_first_use(self, monkeypatch):
+        calls = []
+        real = synth._sample_test
+        monkeypatch.setattr(synth, "_sample_test", lambda spec: calls.append(spec) or real(spec))
+        spec = random_toy_spec(seed=4, per_class=40)
+        data = generate_toy(spec)
+        assert calls == []
+        first = data.test
+        assert data.test is first and first.n == 40
+        assert calls == [spec]
+
+    def test_halves_come_from_separate_streams(self):
+        """Changing only the test law moves the test half, never the training half."""
+        spec = random_toy_spec(seed=6, per_class=60)
+        wide = replace(spec, test_mean_range=(-5.0, 5.0))
+        a, b = generate_toy(spec), generate_toy(wide)
         assert a.train.x.tobytes() == b.train.x.tobytes()
-        assert a.test.x.tobytes() == b.test.x.tobytes()
+        assert a.test.x.tobytes() != b.test.x.tobytes()
+        np.testing.assert_array_equal(a.test.x[:, :10], b.test.x[:, :10])
 
 
 def label_copy_dataset(n=400, seed=0):

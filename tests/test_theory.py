@@ -70,6 +70,12 @@ class TestExcessRiskBound:
             excess_risk_bound(2, 2, 1000, 0.05, -0.1)
         assert err.value.code == "bad-gamma"
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_dependence_rejected(self, gamma):
+        with pytest.raises(GvlabError) as err:
+            excess_risk_bound(2, 2, 1000, 0.05, gamma)
+        assert err.value.code == "bad-gamma"
+
 
 class TestMaxProbLowerBound:
     def test_zero_entropy_forces_point_mass(self):
