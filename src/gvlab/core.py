@@ -32,11 +32,17 @@ Correlation = Literal["task_correlated", "task_uncorrelated", "unknown"]
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
+def check_seed_keys(*keys: int) -> None:
+    """Raise ``bad-variable`` unless every seed key is >= 0, as numpy's
+    seeding requires."""
+    if min(keys) < 0:
+        raise GvlabError("bad-variable", f"seed keys must be >= 0, got {keys}")
+
+
 def derive_seed(base: int, *path: int) -> int:
     """Stable 64-bit seed for a (base seed, purpose path) pair of
     non-negative integers."""
-    if min((base, *path)) < 0:
-        raise GvlabError("bad-variable", f"seed keys must be >= 0, got {(base, *path)}")
+    check_seed_keys(base, *path)
     return int(np.random.SeedSequence((base,) + path).generate_state(1)[0])
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .augment import AugmentDistribution, PositionLaw, erase_batch, prediction_changing_ratio
 from .core import (BinningPolicy, Dataset, ExemplarTable, _freeze, _run_heads, _unchecked,
-                   build_table, derive_seed, marginalize)
+                   build_table, check_seed_keys, derive_seed, marginalize)
 from .errors import GvlabError
 from .info import conditional_entropy, count_entropy, entropy
 from .models import LinearModel, TrainConfig, VectorDataset, risk, train, train_lockstep
@@ -286,6 +286,7 @@ def make_grid_task(seed: int, protocol: GridProtocol = GridProtocol()) -> GridTa
     Uniform(0, background) noise, independent of the label.  Each sample
     draws its background and then its block perturbation, class by class.
     """
+    check_seed_keys(seed)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 31)))
     side, ps = protocol.side, protocol.pattern_side
     lo = (side - ps) // 2

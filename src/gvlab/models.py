@@ -18,6 +18,7 @@ under cross-entropy loss, deterministic given the config seed:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -105,11 +106,12 @@ class LinearModel:
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """Sigmoid of ``z`` from one ``exp(-|z|)``.
 
-    The numerator picks the stable form for each sign of ``z``, so the
-    values equal the textbook masked evaluation bit for bit.
+    The numerator picks the stable form for each sign of ``z``: 1 where
+    ``z >= 0`` (``e <= 1`` there) and ``e`` elsewhere, NaN staying NaN, so
+    the values equal the textbook masked evaluation bit for bit.
     """
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, z >= 0) / (1.0 + e)
 
 
 def _forward_terms(w: np.ndarray, b: np.ndarray, head: Head, x: np.ndarray,
@@ -203,8 +205,18 @@ class TrainConfig:
             raise GvlabError("bad-config", "learning rate must be >= 0")
         if not 0.0 <= self.momentum < 1.0:
             raise GvlabError("bad-config", "momentum must lie in [0, 1)")
+        if not all(_is_int(v) for v in (self.batch_size, self.epochs, self.seed)):
+            raise GvlabError("bad-config", "batch size, epochs and seed must be integers, got "
+                                           f"{self.batch_size!r}, {self.epochs!r}, {self.seed!r}")
         if self.batch_size < 1 or self.epochs < 1:
             raise GvlabError("bad-config", "batch size and epochs must be >= 1")
+        if self.seed < 0:
+            raise GvlabError("bad-config", f"seed must be >= 0, got {self.seed}")
+
+
+def _is_int(value) -> bool:
+    """True for a Python or numpy integer; a bool is not taken as one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -236,9 +248,12 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
     so they share every epoch's permutation, and each result is
     bit-identical to ``train`` on its own substituted dataset: stacked
     ``matmul`` calls BLAS once per model and every reduction runs along one
-    model's row.  No stacked copy of the dataset is made: each minibatch is
-    gathered from the shared rows, and copied per model only when there
-    are substitutions.  Each step stores its forward terms in one epoch
+    model's row.  At the start of each epoch its permutation of the rows,
+    and of the substitute columns, is gathered once into buffers reused by
+    every epoch, so each step's batch is a contiguous slice.  With
+    substitutions, each step writes its per-model batches into one stacked
+    buffer allocated once per call: the shared rows, then the step's
+    substitute columns.  Each step stores its forward terms in one epoch
     buffer; the epoch's losses are computed from that buffer once, after
     its last step, and summed batch by batch in step order.
     A model that diverges raises at the epoch where that ``train`` call
@@ -248,16 +263,18 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
         raise GvlabError("empty-dataset", "cannot train on an empty dataset")
     if config.batch_size > data.n:
         raise GvlabError("bad-config", f"batch size {config.batch_size} exceeds n={data.n}")
-    dims = np.array([int(j) for j, _ in substitutions], dtype=np.int64)
-    noise = np.empty((data.n, len(dims)))
+    dims = np.empty(len(substitutions), dtype=np.int64)
+    noise = np.empty((len(dims), data.n))
     for i, (j, column) in enumerate(substitutions):
-        if not 0 <= j < data.d:
-            raise GvlabError("bad-variable", f"dimension {j} outside 0..{data.d - 1}")
+        if not (_is_int(j) and 0 <= j < data.d):
+            raise GvlabError("bad-variable", f"dimension {j!r} is not an integer in "
+                                             f"0..{data.d - 1}")
         column = np.asarray(column, dtype=np.float64)
         if column.shape != (data.n,):
             raise GvlabError("bad-input-dim", f"substitute for dimension {j} must have "
                                               f"shape ({data.n},), got {column.shape}")
-        noise[:, i] = column
+        dims[i] = j
+        noise[i] = column
     models = len(dims) + 1
     substituted = np.arange(1, models)
     head: Head = "sigmoid" if data.k == 2 else "softmax"
@@ -266,30 +283,39 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
     params = np.zeros((models, rows, data.d + 1))
     velocity = np.zeros_like(params)
     grads = np.empty_like(params)
+    step = np.empty_like(params)
     w, b = params[..., :data.d], params[..., data.d]
     gw, gb = grads[..., :data.d], grads[..., data.d]
     # The forward terms of a whole epoch, in epoch order: the losses are
     # computed from them once after the epoch's last step.
     terms = np.empty((models, data.n) if head == "sigmoid" else (models, data.n, rows))
+    epoch_x, epoch_noise = np.empty_like(data.x), np.empty_like(noise)
+    # A ragged last batch uses the leading rows, so BLAS sees the row count
+    # of a sequential run.
+    stacked = np.empty((models, config.batch_size, data.d)) if len(dims) else None
 
     losses = np.empty((config.epochs, models))
     diverged_at = np.full(models, -1)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence detected per epoch
         for epoch in range(config.epochs):
             order = _epoch_rng(config.seed, epoch).permutation(data.n)
+            # "clip" never clips a permutation; unlike "raise" it writes
+            # straight into ``out`` without a temporary.
+            np.take(data.x, order, axis=0, out=epoch_x, mode="clip")
+            np.take(noise, order, axis=1, out=epoch_noise, mode="clip")
             labels = _labels(head, data.y[order])
             for start in range(0, data.n, config.batch_size):
                 stop = start + config.batch_size
-                idx = order[start:stop]
-                x = data.x[idx][None]
-                if len(dims):
-                    x = np.repeat(x, models, axis=0)
-                    x[substituted, :, dims] = noise[idx].T
+                x = epoch_x[None, start:stop]
+                if stacked is not None:
+                    x = stacked[:, :x.shape[1]]
+                    x[...] = epoch_x[start:stop]
+                    x[substituted, :, dims] = epoch_noise[:, start:stop]
                 batch_terms = _forward_terms(w, b, head, x, out=terms[:, start:stop])
                 _gradients(batch_terms, head, x, labels[start:stop], gw, gb)
                 velocity *= config.momentum
                 velocity += grads
-                params -= config.learning_rate * velocity
+                params -= np.multiply(velocity, config.learning_rate, out=step)
             loss_sum = _epoch_loss_sums(_sample_losses(terms, head, labels), config.batch_size)
             finite = np.isfinite(params).all(axis=(1, 2)) & np.isfinite(loss_sum)
             diverged_at[(diverged_at < 0) & ~finite] = epoch

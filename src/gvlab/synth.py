@@ -37,7 +37,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BinningPolicy, Dataset, VariableSpec, build_table, derive_seed
+from .core import (BinningPolicy, Dataset, VariableSpec, build_table, check_seed_keys,
+                   derive_seed)
 from .errors import GvlabError
 from .info import Nats, conditional_entropy
 from .models import LinearModel, TrainConfig, TrainResult, VectorDataset, train
@@ -76,6 +77,8 @@ class ToySpec:
                                            f"finite variances >= 0; got per_class={self.per_class}, "
                                            f"test means ({lo}, {hi}), variances "
                                            f"({self.coupling_var}, {self.residual_var})")
+        if self.seed < 0:
+            raise GvlabError("bad-config", f"seed must be >= 0, got {self.seed}")
 
 
 def random_toy_spec(seed: int, dims: int = 20, task_correlated_dims: int = 10,
@@ -93,6 +96,7 @@ def random_toy_spec(seed: int, dims: int = 20, task_correlated_dims: int = 10,
     while the influence ranking stays recoverable and balanced dimensions
     retrain to near-zero weight.
     """
+    check_seed_keys(seed)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     means, covs = [], []
     for _ in range(classes):
@@ -207,6 +211,7 @@ def influence_rank(dataset: Dataset, candidate_ids: Sequence[int],
 
 def balance_column(n: int, seed: int) -> np.ndarray:
     """The Balance operation's substitute column: n i.i.d. Uniform(0,1) draws."""
+    check_seed_keys(seed)
     return np.random.default_rng(seed).uniform(0.0, 1.0, n)
 
 

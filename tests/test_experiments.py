@@ -298,6 +298,11 @@ class TestGridTask:
         again = make_grid_task(5, SMALL_GRID)
         assert task.train.x.tobytes() == again.train.x.tobytes()
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(GvlabError) as err:
+            make_grid_task(-1, SMALL_GRID)
+        assert err.value.code == "bad-variable"
+
     def test_pattern_block_is_brighter_than_periphery(self):
         task = make_grid_task(6, SMALL_GRID)
         values = task.train_grids[0][:, :, 0]

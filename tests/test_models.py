@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from gvlab.errors import GvlabError
 from gvlab.models import (LinearModel, TrainConfig, VectorDataset, load_model,
                           loss_and_gradients, risk, save_model, train, train_lockstep)
-from gvlab.synth import balance_column, balance_substitute
+from gvlab.synth import balance_column, balance_substitute, generate_toy, random_toy_spec
 
 
 def sigmoid_model(weights, bias):
@@ -120,6 +120,15 @@ class TestTrain:
             train(data, TrainConfig(0.1, 0.9, 64, 5, seed=0))
         assert err.value.code == "bad-config"
 
+    @pytest.mark.parametrize("field", [{"seed": -1}, {"batch_size": 2.5}, {"epochs": 1.5},
+                                       {"seed": 0.5}, {"epochs": True}],
+                             ids=["negative-seed", "fractional-batch", "fractional-epochs",
+                                  "fractional-seed", "bool-epochs"])
+    def test_bad_config_rejected(self, field):
+        with pytest.raises(GvlabError) as err:
+            TrainConfig(**field)
+        assert err.value.code == "bad-config"
+
 
 def reference_batch(w, b, x, y):
     """One model's summed batch loss and the gradients of its mean, written
@@ -169,6 +178,22 @@ def reference_train(data, config):
             b = b - config.learning_rate * vb
         losses.append(loss_sum / data.n)
     return w, b, tuple(losses)
+
+
+def substituted(data, substitutions):
+    """``data`` followed by one copy per substitution with its column replaced."""
+    datasets = [data]
+    for j, column in substitutions:
+        x = data.x.copy()
+        x[:, j] = column
+        datasets.append(VectorDataset(x, data.y, data.k))
+    return datasets
+
+
+def assert_bit_equal(result, w, b, losses):
+    assert result.model.weights.tobytes() == w.tobytes()
+    assert result.model.bias.tobytes() == b.tobytes()
+    assert result.loss_curve == losses
 
 
 @st.composite
@@ -237,12 +262,59 @@ class TestTrainLockstep:
         (2, 60, "bad-variable"),
         (-1, 60, "bad-variable"),
         (1, 59, "bad-input-dim"),
+        (1.7, 60, "bad-variable"),
+        (True, 60, "bad-variable"),
     ])
     def test_bad_substitution_rejected(self, dim, length, code):
         data = separable_data(n=60)
         with pytest.raises(GvlabError) as err:
             train_lockstep(data, TrainConfig(0.1, 0.9, 16, 2), [(dim, np.zeros(length))])
         assert err.value.code == code
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_one_row_last_batch_matches_the_reference(self, k):
+        """With n = batch_size + 1 the last step trains every model on one
+        row, taken from the leading row of the stacked batch buffer."""
+        rng = np.random.default_rng(23)
+        data = VectorDataset(rng.normal(size=(17, 4)), rng.integers(0, k, 17), k)
+        config = TrainConfig(0.1, 0.9, 16, 3, seed=2)
+        substitutions = [(3, rng.normal(size=17)), (0, rng.normal(size=17))]
+        results = train_lockstep(data, config, substitutions)
+        for result, dataset in zip(results, substituted(data, substitutions), strict=True):
+            assert_bit_equal(result, *reference_train(dataset, config))
+
+    def test_toy_scale_matches_sequential_training(self):
+        """At the toy protocols' scale (d = 20, batches of 256 rows, 10
+        balanced dimensions) BLAS runs other kernels than in the small
+        cases above; every model still equals its own ``train`` run and the
+        plain reference loop."""
+        data = generate_toy(random_toy_spec(seed=2)).train
+        assert (data.n, data.d) == (5000, 20)
+        config = TrainConfig(0.01, 0.9, 256, 2, seed=4)
+        substitutions = [(j, balance_column(data.n, 40 + j)) for j in range(10, 20)]
+        lockstep = train_lockstep(data, config, substitutions)
+        for got, dataset in zip(lockstep, substituted(data, substitutions), strict=True):
+            expected = reference_train(dataset, config)
+            assert_bit_equal(got, *expected)
+            assert_bit_equal(train(dataset, config), *expected)
+
+    def test_calls_share_no_state(self):
+        """Training on A, then on B, then on A again returns A's results
+        unchanged, and the caller's substitute columns stay as they were."""
+        rng = np.random.default_rng(29)
+        a = VectorDataset(rng.normal(size=(50, 3)), rng.integers(0, 2, 50), 2)
+        b = VectorDataset(rng.normal(size=(41, 5)), rng.integers(0, 3, 41), 3)
+        subs_a = [(0, rng.normal(size=50)), (2, rng.normal(size=50))]
+        subs_b = [(4, rng.normal(size=41))]
+        columns = [column.copy() for _, column in subs_a + subs_b]
+        config = TrainConfig(0.1, 0.9, 16, 3, seed=6)
+        first = train_lockstep(a, config, subs_a)
+        train_lockstep(b, config, subs_b)
+        again = train_lockstep(a, config, subs_a)
+        for x, y in zip(first, again, strict=True):
+            assert_bit_equal(x, y.model.weights, y.model.bias, y.loss_curve)
+        for (_, column), before in zip(subs_a + subs_b, columns, strict=True):
+            assert column.tobytes() == before.tobytes()
 
     def test_divergence_names_the_epoch_of_the_first_diverging_model(self):
         """Scaled-up substitutes make models 1 and 2 diverge at different

@@ -67,6 +67,17 @@ class TestToyGeneration:
         # per-instance Uniform(-1,1) means average to ~0, not the class mean
         np.testing.assert_allclose(c0[:, 10:].mean(axis=0), 0.0, atol=0.15)
 
+    def test_spec_with_negative_seed_rejected(self):
+        spec = random_toy_spec(seed=0, dims=4, task_correlated_dims=2, per_class=10)
+        with pytest.raises(GvlabError) as err:
+            generate_toy(replace(spec, seed=-1))
+        assert err.value.code == "bad-config"
+
+    def test_random_spec_rejects_negative_seed(self):
+        with pytest.raises(GvlabError) as err:
+            random_toy_spec(-1)
+        assert err.value.code == "bad-variable"
+
     def test_non_psd_covariance_rejected(self):
         bad = -np.eye(4)
         spec = ToySpec(4, 2, 2, 10, (np.zeros(4), np.zeros(4)), (bad, bad), seed=0)
@@ -206,6 +217,11 @@ class TestBalanceSubstitute:
         before = data.x.copy()
         balance_substitute(data, 1, seed=5)
         np.testing.assert_array_equal(data.x, before)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(GvlabError) as err:
+            synth.balance_column(10, -1)
+        assert err.value.code == "bad-variable"
 
     def test_values_are_unit_uniform(self):
         data = VectorDataset(np.zeros((2000, 1)), np.zeros(2000, dtype=int), 2)
