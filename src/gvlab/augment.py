@@ -34,6 +34,7 @@ erases a single grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Literal, Mapping
@@ -91,8 +92,10 @@ class AugmentDistribution:
             raise GvlabError("bad-variable", f"unknown position law {self.position_law!r}")
         if not 0.0 <= self.area_range[0] <= self.area_range[1] <= 1.0:
             raise GvlabError("bad-variable", "area range must satisfy 0 <= lo <= hi <= 1")
-        if not 0.0 < self.aspect_range[0] <= self.aspect_range[1]:
-            raise GvlabError("bad-variable", "aspect range must be positive with lo <= hi")
+        lo, hi = self.aspect_range
+        if not (0.0 < lo <= hi and hi / lo < math.inf):
+            raise GvlabError("bad-variable", "aspect range must be positive with lo <= hi "
+                                             "and a finite hi / lo")
 
 
 def position_inverse_cdf(law: PositionLaw, q):
@@ -149,15 +152,18 @@ def _rectangles(width: int, height: int, params: np.ndarray,
     """Pixel rectangles ``(n, 4)`` of columns x0, x1, y0, y1 for ``(n, 4)`` draws.
 
     Half-up rounding of the side lengths, center placement, clipping to
-    the grid bounds; an empty rectangle is all zeros.
+    the grid bounds; an empty rectangle is all zeros.  A side past twice
+    the grid side spans the grid wherever it is centred, so sides are
+    capped there, and a side that overflows spans the grid too.
     """
     area_lo, area_hi = area_range
     aspect_lo, aspect_hi = aspect_range
     area_u, aspect_u, pos_x, pos_y = params.T
     area_px = (area_lo + area_u * (area_hi - area_lo)) * width * height
     ratio = aspect_lo * (aspect_hi / aspect_lo) ** aspect_u
-    w = np.floor(np.sqrt(area_px * ratio) + 0.5)
-    h = np.floor(np.sqrt(area_px / ratio) + 0.5)
+    with np.errstate(over="ignore"):
+        w = np.minimum(np.floor(np.sqrt(area_px * ratio) + 0.5), 2 * width + 2)
+        h = np.minimum(np.floor(np.sqrt(area_px / ratio) + 0.5), 2 * height + 2)
     x0 = np.floor(pos_x * width - w / 2.0 + 0.5)
     y0 = np.floor(pos_y * height - h / 2.0 + 0.5)
     rects = np.stack([np.maximum(x0, 0), np.minimum(x0 + w, width),

@@ -32,11 +32,16 @@ Correlation = Literal["task_correlated", "task_uncorrelated", "unknown"]
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
+def _is_int(value) -> bool:
+    """True for a Python or numpy integer; a bool is not taken as one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_seed_keys(*keys: int) -> None:
-    """Raise ``bad-variable`` unless every seed key is >= 0, as numpy's
-    seeding requires."""
-    if min(keys) < 0:
-        raise GvlabError("bad-variable", f"seed keys must be >= 0, got {keys}")
+    """Raise ``bad-variable`` unless every seed key is an integer >= 0, as
+    numpy's seeding requires."""
+    if not all(_is_int(key) and key >= 0 for key in keys):
+        raise GvlabError("bad-variable", f"seed keys must be integers >= 0, got {keys}")
 
 
 def derive_seed(base: int, *path: int) -> int:
@@ -103,6 +108,20 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _equal_fields(self, other) -> bool:
+    """``==`` of array records, field by field: ``==`` on arrays is elementwise."""
+    return type(other) is type(self) and all(
+        np.array_equal(getattr(self, name), getattr(other, name))
+        for name in self.__dataclass_fields__)
+
+
+def _check_row_order(rows: np.ndarray, what: str) -> None:
+    """Raise ``bad-variable`` unless the rows of a 2-D array are distinct and in
+    increasing lexicographic order (so at most one row of width 0)."""
+    if not np.array_equal(np.unique(rows, axis=0), rows):
+        raise GvlabError("bad-variable", f"{what} must be distinct and in lexicographic order")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Exemplar collection with its variable specs and label count.
@@ -162,13 +181,14 @@ class Dataset:
 
 @dataclass(frozen=True)
 class BinningPolicy:
-    """Equal-width binning for continuous variables (bin count >= 2)."""
+    """Equal-width binning for continuous variables (bin count in 2..2**53, so
+    that every bin code is an exact float)."""
 
     bins: int = 10
 
     def __post_init__(self):
-        if self.bins < 2:
-            raise GvlabError("bad-binning", f"bin count must be >= 2, got {self.bins}")
+        if not 2 <= self.bins <= 2**53:
+            raise GvlabError("bad-binning", f"bin count must lie in 2..2**53, got {self.bins}")
 
 
 @dataclass(frozen=True)
@@ -209,20 +229,17 @@ class ExemplarTable:
                                           cells.max(axis=0).tolist(), sizes):
                 if lo < 0 or hi >= size:
                     raise GvlabError("bad-variable", f"{name} outside 0..{size - 1}")
-            if counts.min() < 1 or (np.diff(_cell_codes(cells.T, sizes)) <= 0).any():
-                raise GvlabError("bad-variable", "counts must be positive and cells distinct "
-                                                 "and in lexicographic order")
+            if counts.min() < 1:
+                raise GvlabError("bad-variable", "counts must be positive")
+            _check_row_order(cells, "cells")
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "counts", counts)
+
+    __eq__ = _equal_fields
 
     @cached_property
     def total(self) -> int:
         return int(self.counts.sum())
-
-    def __eq__(self, other):  # field by field: ``==`` on the arrays is elementwise
-        return isinstance(other, ExemplarTable) and all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in self.__dataclass_fields__)
 
 
 def _unchecked(cls, *values):

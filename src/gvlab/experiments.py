@@ -553,14 +553,12 @@ def check_optimal_outputs(rng: np.random.Generator, tables: int,
     """Closed-form optimal outputs against one mirror-descent run over every
     table's vectors, padded with zero-mass labels to the widest ``k``: such labels
     add no cross-entropy, so each row keeps its optimum and one certificate covers all."""
-    rows = []
-    for _ in range(tables):
-        table = random_count_table(rng)
-        closed = theory.optimal_outputs(table, table.variable_ids)
-        rows.extend(closed.outputs[c] for c in sorted(closed.outputs))
-    stacked = np.zeros((len(rows), max(map(len, rows))))
-    for i, row in enumerate(rows):
-        stacked[i, :len(row)] = row
+    probs = [theory.optimal_outputs(table, table.variable_ids).probs
+             for table in (random_count_table(rng) for _ in range(tables))]
+    ends = np.cumsum([len(p) for p in probs])
+    stacked = np.zeros((ends[-1], max(p.shape[1] for p in probs)))
+    for p, end in zip(probs, ends):
+        stacked[end - len(p):end, :p.shape[1]] = p
     numeric = theory.pgd_conditionals(stacked)
     if corrupt:
         numeric = numeric + 0.002

@@ -18,12 +18,13 @@ under cross-entropy loss, deterministic given the config seed:
 
 from __future__ import annotations
 
-import numbers
+import math
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
 
+from .core import _is_int
 from .errors import GvlabError
 
 Head = Literal["sigmoid", "softmax"]
@@ -201,8 +202,9 @@ class TrainConfig:
 
     def __post_init__(self):
         # learning_rate 0 is allowed so a no-update run stays expressible.
-        if self.learning_rate < 0.0:
-            raise GvlabError("bad-config", "learning rate must be >= 0")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise GvlabError("bad-config", f"learning rate must be finite and >= 0, "
+                                           f"got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise GvlabError("bad-config", "momentum must lie in [0, 1)")
         if not all(_is_int(v) for v in (self.batch_size, self.epochs, self.seed)):
@@ -212,11 +214,6 @@ class TrainConfig:
             raise GvlabError("bad-config", "batch size and epochs must be >= 1")
         if self.seed < 0:
             raise GvlabError("bad-config", f"seed must be >= 0, got {self.seed}")
-
-
-def _is_int(value) -> bool:
-    """True for a Python or numpy integer; a bool is not taken as one."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

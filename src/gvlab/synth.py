@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (BinningPolicy, Dataset, VariableSpec, build_table, check_seed_keys,
+from .core import (BinningPolicy, Dataset, VariableSpec, _is_int, build_table, check_seed_keys,
                    derive_seed)
 from .errors import GvlabError
 from .info import Nats, conditional_entropy
@@ -77,8 +77,8 @@ class ToySpec:
                                            f"finite variances >= 0; got per_class={self.per_class}, "
                                            f"test means ({lo}, {hi}), variances "
                                            f"({self.coupling_var}, {self.residual_var})")
-        if self.seed < 0:
-            raise GvlabError("bad-config", f"seed must be >= 0, got {self.seed}")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise GvlabError("bad-config", f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 def random_toy_spec(seed: int, dims: int = 20, task_correlated_dims: int = 10,
@@ -162,8 +162,9 @@ def _sample_test(spec: ToySpec) -> VectorDataset:
             chol11 = chol[:q, :q]  # leading block of the factor is chol(S11 + jitter)
             x1 = mean[:q] + rng.standard_normal((n_half, q)) @ chol11.T
             mu2 = rng.uniform(*spec.test_mean_range, (n_half, p))
-            coupling = rng.normal(0.0, np.sqrt(spec.coupling_var), (n_half, q, p))
-            residual = rng.normal(0.0, np.sqrt(spec.residual_var), (n_half, p, p))
+            # abs: numpy rejects a scale of -0.0, which the spec accepts as a variance
+            coupling = rng.normal(0.0, np.sqrt(abs(spec.coupling_var)), (n_half, q, p))
+            residual = rng.normal(0.0, np.sqrt(abs(spec.residual_var)), (n_half, p, p))
             xi = rng.standard_normal((n_half, p))
             z = rng.standard_normal((n_half, p))
             x2 = (mu2

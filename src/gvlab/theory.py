@@ -31,12 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import ExemplarTable, _run_heads, _unchecked, marginalize
+from .core import (ExemplarTable, _check_row_order, _equal_fields, _freeze, _run_heads,
+                   _unchecked, marginalize)
 from .errors import GvlabError
 from .info import Nats, _group_entropy
 
@@ -58,19 +58,27 @@ def gap_bound(t: int, k: int, n: int, delta: float) -> float:
     the label count, ``n`` the sample count, ``delta`` the failure
     probability.
     """
-    if not 0.0 < delta < 1.0:
-        raise GvlabError("bad-delta", f"delta must lie in (0,1), got {delta}")
+    if not (0.0 < delta < 1.0 and 1.0 / delta < math.inf):
+        raise GvlabError("bad-delta", f"delta must lie in (0,1) with a finite 1/delta, "
+                                      f"got {delta}")
     if n < 1:
         raise GvlabError("bad-n", f"sample count must be >= 1, got {n}")
     if t < 1 or k < 1:
         raise GvlabError("bad-variable", f"t and k must be >= 1, got t={t} k={k}")
-    return math.sqrt(2.0 * (t * k * LN2 + math.log(1.0 / delta)) / n)
+    try:
+        gap = math.sqrt(2.0 * (t * k * LN2 + math.log(1.0 / delta)) / n)
+    except OverflowError:  # an integer past the float range
+        gap = math.inf
+    if gap == math.inf:
+        raise GvlabError("bad-variable", f"t={t}, k={k}, n={n} put the bound past the float range")
+    return gap
 
 
 def excess_risk_bound(t: int, k: int, n: int, delta: float, gamma: Nats) -> float:
     """Excess risk over the best in-class hypothesis: 2*gap + gamma/ln2."""
-    if not 0.0 <= gamma < math.inf:
-        raise GvlabError("bad-gamma", f"dependence level must be finite and >= 0, got {gamma}")
+    if not 0.0 <= gamma / LN2 < math.inf:
+        raise GvlabError("bad-gamma", f"dependence level must be >= 0 with a finite gamma/ln2, "
+                                      f"got {gamma}")
     return 2.0 * gap_bound(t, k, n, delta) + gamma / LN2
 
 
@@ -108,25 +116,38 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class OptimalOutputs:
-    """Cross-entropy-optimal score vectors per determining configuration."""
+    """Cross-entropy-optimal score vectors in coordinate form: ``configs`` is a
+    read-only ``(c, len(variable_ids))`` int64 array of the configurations in
+    strictly increasing lexicographic order, ``probs`` the read-only ``(c, k)``
+    float64 array of their output vectors."""
 
     variable_ids: tuple[int, ...]
-    outputs: Mapping[tuple[int, ...], np.ndarray]
+    configs: np.ndarray
+    probs: np.ndarray
     k: int
 
+    __eq__ = _equal_fields
+
     def __post_init__(self):
-        frozen = {}
-        for config, vec in self.outputs.items():
-            v = np.array(vec, dtype=np.float64)  # a copy: the caller's array stays writable
-            if v.shape != (self.k,) or v.min() < 0.0 or abs(v.sum() - 1.0) > 1e-12:
-                raise GvlabError("bad-variable", f"output at {config} is not a probability vector")
-            v.setflags(write=False)
-            frozen[config] = v
-        object.__setattr__(self, "outputs", MappingProxyType(frozen))
+        try:  # np.array and astype copy: the caller's arrays stay writable
+            configs, probs = np.asarray(self.configs), _freeze(np.array(self.probs, dtype=float))
+        except (TypeError, ValueError) as err:  # ragged rows or non-numbers
+            raise GvlabError("bad-variable", f"configs and probs must be arrays: {err}") from None
+        if configs.dtype.kind not in "iu" or not np.can_cast(configs.dtype, np.int64):
+            raise GvlabError("bad-variable", "configurations must be integers")
+        configs = _freeze(configs.astype(np.int64))
+        if probs.shape[1:] != (self.k,) or configs.shape != (len(probs), len(self.variable_ids)):
+            raise GvlabError("bad-variable", f"configs {configs.shape} and probs {probs.shape} "
+                                             f"must be (c, {len(self.variable_ids)}), (c, {self.k})")
+        if not ((probs >= 0.0).all() and (np.abs(probs.sum(axis=1) - 1.0) <= 1e-12).all()):
+            raise GvlabError("bad-variable", "every output must be a probability vector")
+        _check_row_order(configs, "configurations")
+        object.__setattr__(self, "configs", configs)
+        object.__setattr__(self, "probs", probs)
 
 
-def _label_counts(table: ExemplarTable, ids: Sequence[int]) -> tuple[list, np.ndarray]:
-    """Observed configurations over ``ids``, sorted, and their (configs, k) label counts."""
+def _label_counts(table: ExemplarTable, ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Observed configurations over ``ids``, sorted and read-only, and their (c, k) label counts."""
     if not len(table.counts):
         raise GvlabError("empty-table", "optimal outputs need a non-empty table")
     ids = tuple(ids)
@@ -136,21 +157,18 @@ def _label_counts(table: ExemplarTable, ids: Sequence[int]) -> tuple[list, np.nd
     starts = _run_heads(cells[:, :len(ids)]).nonzero()[0]
     by_label = np.zeros((len(cells), marg.k))
     by_label[np.arange(len(cells)), cells[:, -1]] = marg.counts
-    return list(map(tuple, cells[starts, :len(ids)].tolist())), np.add.reduceat(by_label, starts)
+    return _freeze(cells[starts, :len(ids)]), np.add.reduceat(by_label, starts)
 
 
 def optimal_outputs(table: ExemplarTable, determining_ids: Sequence[int]) -> OptimalOutputs:
     """Empirical conditional label distribution per determining configuration.
 
     Configurations without observations are absent: training cross-entropy
-    never queries them, so the optimum does not constrain them.  Each
-    output is a read-only row of one frozen array.
+    never queries them, so the optimum does not constrain them.
     """
     configs, counts = _label_counts(table, determining_ids)
-    q = counts / counts.sum(axis=1, keepdims=True)
-    q.setflags(write=False)
-    return _unchecked(OptimalOutputs, tuple(determining_ids),
-                      MappingProxyType(dict(zip(configs, q))), table.k)
+    return _unchecked(OptimalOutputs, tuple(determining_ids), configs,
+                      _freeze(counts / counts.sum(axis=1, keepdims=True)), table.k)
 
 
 def estimated_training_error(opt: OptimalOutputs, table: ExemplarTable) -> float:
@@ -158,10 +176,9 @@ def estimated_training_error(opt: OptimalOutputs, table: ExemplarTable) -> float
     if not set(opt.variable_ids) <= set(table.variable_ids):
         raise GvlabError("table-mismatch", "outputs were built over different variables")
     configs, counts = _label_counts(table, opt.variable_ids)
-    if set(configs) != set(opt.outputs):
+    if not np.array_equal(configs, opt.configs):
         raise GvlabError("table-mismatch", "configuration sets differ between outputs and table")
-    top = np.array([opt.outputs[c] for c in configs]).max(axis=1)
-    hit = sum(n * q for n, q in zip(counts.sum(axis=1).tolist(), top.tolist()))
+    hit = sum(n * q for n, q in zip(counts.sum(axis=1).tolist(), opt.probs.max(axis=1).tolist()))
     return 1.0 - hit / table.total
 
 
@@ -185,8 +202,7 @@ def check_strict_invariance(table: ExemplarTable, determining_ids: Sequence[int]
         raise GvlabError("bad-variable", "invariant ids must be a subset of determining ids")
     opt = optimal_outputs(table, det)
     kept = [i for i, var_id in enumerate(det) if var_id not in inv]
-    configs = np.array(list(opt.outputs))
-    q = np.array(list(opt.outputs.values()))
+    configs, q = opt.configs, opt.probs
     # Pairwise total variation, masked to pairs that agree on the kept variables.
     same = (configs[:, None, kept] == configs[None, :, kept]).all(axis=2)
     worst = float(0.5 * np.abs(q[:, None] - q[None]).sum(axis=2)[same].max())
@@ -288,4 +304,4 @@ def numeric_optimal_outputs(table: ExemplarTable, determining_ids: Sequence[int]
     """
     configs, counts = _label_counts(table, determining_ids)
     psi = pgd_conditionals(counts / counts.sum(axis=1, keepdims=True), iterations)
-    return OptimalOutputs(tuple(determining_ids), dict(zip(configs, psi)), table.k)
+    return OptimalOutputs(tuple(determining_ids), configs, psi, table.k)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -438,3 +439,29 @@ def test_table_one_default_intervals():
     assert LABEL_INTERVALS[5] == ((1 / 3, 2 / 3), (2 / 3, 1.0))
     assert LABEL_INTERVALS[9] == ((0.0, 0.0), (0.0, 0.0))
     assert len(LABEL_INTERVALS) == 10
+
+
+class TestExtremeAspectRanges:
+    @pytest.mark.parametrize("aspect", [(1 / 3, 3.0), (1e-3, 1e3), (1e-6, 1e6)])
+    def test_capped_sides_match_the_uncapped_reference(self, aspect):
+        """Sides past twice the grid side are capped; no rectangle moves."""
+        params = np.random.default_rng(5).random((400, 4))
+        rects = _rectangles(8, 8, params, (0.02, 1.0), aspect)
+        for p, rect in zip(params, rects.tolist()):
+            assert tuple(rect) == (reference_rectangle(8, 8, p, (0.02, 1.0), aspect)
+                                   or (0, 0, 0, 0))
+
+    @pytest.mark.parametrize("aspect", [(1e308, 1e308), (5e-324, 1e-300)])
+    def test_overflowing_sides_give_empty_rectangles_without_warnings(self, aspect):
+        params = np.random.default_rng(6).random((50, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rects = _rectangles(8, 8, params, (0.0, 1.0), aspect)
+        assert (rects == 0).all()  # the other side rounds below one pixel
+
+    @pytest.mark.parametrize("aspect", [(5e-324, 3.0), (1.0, math.inf), (1e-300, 1e300),
+                                        (math.nan, 1.0)])
+    def test_aspect_ratio_span_must_be_finite(self, aspect):
+        with pytest.raises(GvlabError) as err:
+            AugmentDistribution(aspect_range=aspect)
+        assert err.value.code == "bad-variable"

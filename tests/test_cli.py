@@ -367,6 +367,16 @@ def test_negative_seed_rejected(tmp_path, capsys, command):
                            "--out", str(tmp_path / "out")]), capsys)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_learning_rate_rejected(tmp_path, capsys, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"learning_rate = {value}\n")
+    assert_bad_config(run(["toy-influence", "--config", str(cfg), "--per-class", "600",
+                           "--epochs", "2", "--datasets", "1", "--out", str(tmp_path / "out")]),
+                      capsys)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("grid", ["nan", "inf", "0.1,-inf", "nan,inf"])
 def test_non_finite_gamma_rejected(tmp_path, capsys, grid):
     code = run(["bounds", "--gamma-grid", grid, "--out", str(tmp_path / "out")])

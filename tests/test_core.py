@@ -155,6 +155,13 @@ class TestBuildTable:
             BinningPolicy(bins=1)
         assert err.value.code == "bad-binning"
 
+    def test_binning_policy_caps_bins_at_exact_float_codes(self):
+        assert BinningPolicy(bins=2**53).bins == 2**53
+        for bins in (2**53 + 1, 2**63, 10**30):
+            with pytest.raises(GvlabError) as err:
+                BinningPolicy(bins=bins)
+            assert err.value.code == "bad-binning"
+
 
 class TestMarginalize:
     def setup_method(self):

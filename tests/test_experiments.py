@@ -55,6 +55,18 @@ def test_derive_seed_rejects_negative_keys():
         assert err.value.code == "bad-variable"
 
 
+@pytest.mark.parametrize("base, path", [(1.5, (2,)), (1, (2.0,)), (True, ()),
+                                        (3, (np.float64(1),)), ("7", ())])
+def test_derive_seed_rejects_non_integer_keys(base, path):
+    with pytest.raises(GvlabError) as err:
+        derive_seed(base, *path)
+    assert err.value.code == "bad-variable"
+
+
+def test_derive_seed_accepts_numpy_integers():
+    assert derive_seed(np.int64(1), np.uint8(2)) == derive_seed(1, 2)
+
+
 def test_parallel_map_matches_serial():
     items = list(range(7))
     assert parallel_map(_square, items, jobs=2) == [i * i for i in items]

@@ -8,11 +8,14 @@ examples reach the casts and validators behind the tokenizers.
 """
 
 import math
+import re
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gvlab import cli
@@ -133,3 +136,130 @@ def test_dataset_csv_label_out_of_range_rejected(tmp_path, label):
         read_dataset_csv(str(path), SPECS, 2)
     assert err.value.code == "bad-csv"
     assert ":3:" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# The CLI end to end: boundary values in flags and config files.
+# ---------------------------------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+ERROR_CODES = set(re.findall(r"^\| `([a-z-]+)` \|", README.read_text().split("## Error codes")[1],
+                             re.MULTILINE))
+
+INTS = st.sampled_from(["-1", "0", "1", "2", str(2**63), str(10**30)])  # negative, 0, 1, huge
+SIZES = st.sampled_from(["-1", "0", "1", "2", "8"])  # scale knobs stay tiny
+FLOATS = st.sampled_from(["nan", "inf", "-inf", "-0.0", "0.0", "5e-324", "2e-308", "0.25",
+                          "1.0", "1e308"])  # with subnormals
+FLOAT_LISTS = st.one_of(st.sampled_from(["", ","]), st.lists(FLOATS, min_size=1, max_size=2)
+                        .map(",".join))
+INT_LISTS = st.one_of(st.sampled_from(["", ","]), st.lists(INTS, min_size=1, max_size=2)
+                      .map(",".join))
+LAWS = st.one_of(st.sampled_from(["", ","]), st.lists(
+    st.sampled_from(["uniform", "center_m1", "periphery_m0", "nope"]), min_size=1, max_size=2)
+    .map(",".join))
+MALFORMED = st.sampled_from(["", "abc", "1e3", "0x10", "1,,2", "a,b", ",", "1,2,3", "true"])
+
+TOY_FLAGS = {"--per-class": SIZES, "--epochs": SIZES}
+TOY_KEYS = {"per_class": SIZES, "epochs": SIZES, "batch_size": SIZES, "bins": INTS,
+            **{key: FLOATS for key in ("learning_rate", "momentum", "test_mean_lo",
+                                       "test_mean_hi", "coupling_var", "residual_var")}}
+#: Per subcommand: tiny-scale base flags and config, then the flags and
+#: config keys that the examples draw.
+COMMANDS = {
+    "toy-influence": (["--per-class", "8", "--epochs", "1"], {"batch_size": "4"},
+                      TOY_FLAGS, TOY_KEYS),
+    "toy-balance": (["--per-class", "8", "--epochs", "1"], {"batch_size": "4"},
+                    TOY_FLAGS, TOY_KEYS),
+    "bounds": ([], {}, {"--T": INTS, "--K": INTS, "--delta": FLOATS, "--n-grid": INT_LISTS,
+                        "--gamma-grid": FLOAT_LISTS},
+               {"T": INTS, "K": INTS, "delta": FLOATS, "n_grid": INT_LISTS,
+                "gamma_grid": FLOAT_LISTS}),
+    "theory-check": (["--tables", "2"], {}, {"--tables": SIZES, "--corrupt": st.sampled_from(
+        ["max-prob-bound", "optimal-outputs-closed-form", "", "nope"])}, {"tables": SIZES}),
+    "augment-sweep": (["--epochs", "1", "--repeats", "1", "--alphas", "0.5"], {},
+                      {"--alphas": FLOAT_LISTS, "--laws": LAWS, "--epochs": SIZES,
+                       "--repeats": SIZES},
+                      {"alphas": FLOAT_LISTS, "laws": LAWS, "epochs": SIZES, "repeats": SIZES,
+                       "position_law": LAWS, "interval_3": FLOAT_LISTS,
+                       "interval_9": st.lists(FLOATS, min_size=4, max_size=4).map(",".join),
+                       **{key: FLOATS for key in ("alpha", "area_lo", "area_hi", "aspect_lo",
+                                                  "aspect_hi")}}),
+}
+COMMON_FLAGS = {"--seed": INTS, "--datasets": st.sampled_from(["-1", "0", "1"]),
+                "--jobs": st.sampled_from(["-1", "0", "1", "2"]),
+                "--plot": st.sampled_from(["true", "false"])}
+COMMON_KEYS = {"seed": INTS, "datasets": SIZES, "jobs": st.sampled_from(["-1", "0", "1", "2"]),
+               "plot": st.sampled_from(["true", "false", "maybe"])}
+
+
+@st.composite
+def cli_runs(draw):
+    """A subcommand with drawn flags and config lines, at tiny scale."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    base_flags, base_config, flags, keys = COMMANDS[command]
+    argv = [command, "--datasets", "1", "--jobs", "1", "--plot", "false", *base_flags]
+    for flag, values in {**COMMON_FLAGS, **flags}.items():
+        if draw(st.integers(0, 3)) == 0:
+            argv.append(f"{flag}={draw(values)}")  # so "-inf" is not read as a flag
+    config = dict(base_config)
+    for key, values in {**COMMON_KEYS, **keys}.items():
+        if draw(st.integers(0, 4)) == 0:
+            config[key] = draw(st.one_of(values, MALFORMED))
+    return argv, config
+
+
+def _finite_csv_cells(path):
+    for line in path.read_text().splitlines()[1:]:
+        for cell in line.split(","):
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            assert math.isfinite(value), f"{path.name}: {line}"
+
+
+def _tiny(command, *flags, **config):
+    """One example run: the subcommand's tiny base plus the given flags and config."""
+    base_flags, base_config = COMMANDS[command][:2]
+    return ([command, "--datasets", "1", "--jobs", "1", "--plot", "false", *base_flags, *flags],
+            {**base_config, **config})
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cli_runs())
+# Holes that random runs of this test found, kept as fixed examples.
+@example(_tiny("toy-balance", bins=str(2**63)))
+@example(_tiny("toy-balance", residual_var="-0.0"))
+@example(_tiny("bounds", "--delta=5e-324"))
+@example(_tiny("bounds", f"--n-grid={10**400}"))
+@example(_tiny("bounds", "--gamma-grid=1.7e308"))
+@example(_tiny("augment-sweep", aspect_lo="1e308", aspect_hi="1e308"))
+def test_cli_run_succeeds_or_exits_with_coded_error(tmp_path, capsys, run):
+    """Exit 0 with finite CSVs, a coded error with exit 1, or theory-check's
+    failed-check verdict with exit 1.  Derandomized, so every run tries the
+    same examples; raise ``max_examples`` for a longer search."""
+    argv, config = run
+    root = Path(tempfile.mkdtemp(dir=tmp_path))
+    (root / "run.cfg").write_text("".join(f"{key} = {value}\n" for key, value in config.items()))
+    # Drawn datasets and jobs stay at most 1 and 2: each run stays in process
+    # unless an augment-sweep spreads a few cells over two workers.
+    argv = [*argv, "--config", str(root / "run.cfg"), "--out", str(root / "out")]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(argv)
+    err = capsys.readouterr().err
+    csvs = sorted((root / "out").glob("*.csv"))
+    if code == 0:
+        assert csvs, argv
+    else:
+        assert code == 1, argv
+        failed_checks = re.fullmatch(r"\d+ check\(s\) failed: [a-z, -]+\n", err)
+        if argv[0] == "theory-check" and failed_checks:
+            assert csvs, argv  # failed checks are a verdict, written like a pass
+        else:
+            match = re.match(r"error: ([a-z-]+): ", err)
+            assert match and match.group(1) in ERROR_CODES, (argv, config, err)
+    for path in csvs:
+        _finite_csv_cells(path)

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -121,9 +122,11 @@ class TestTrain:
         assert err.value.code == "bad-config"
 
     @pytest.mark.parametrize("field", [{"seed": -1}, {"batch_size": 2.5}, {"epochs": 1.5},
-                                       {"seed": 0.5}, {"epochs": True}],
+                                       {"seed": 0.5}, {"epochs": True},
+                                       {"learning_rate": math.nan}, {"learning_rate": math.inf}],
                              ids=["negative-seed", "fractional-batch", "fractional-epochs",
-                                  "fractional-seed", "bool-epochs"])
+                                  "fractional-seed", "bool-epochs", "nan-learning-rate",
+                                  "inf-learning-rate"])
     def test_bad_config_rejected(self, field):
         with pytest.raises(GvlabError) as err:
             TrainConfig(**field)

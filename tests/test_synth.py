@@ -78,6 +78,22 @@ class TestToyGeneration:
             random_toy_spec(-1)
         assert err.value.code == "bad-variable"
 
+    def test_negative_zero_variances_draw_like_zero(self):
+        spec = random_toy_spec(seed=2, dims=4, task_correlated_dims=2, per_class=10)
+        zero = generate_toy(replace(spec, coupling_var=0.0, residual_var=0.0)).test
+        negative_zero = generate_toy(replace(spec, coupling_var=-0.0, residual_var=-0.0)).test
+        assert negative_zero.x.tobytes() == zero.x.tobytes()
+
+    @pytest.mark.parametrize("seed", [2.5, 2.0, True])
+    def test_non_integral_seed_rejected(self, seed):
+        with pytest.raises(GvlabError) as err:
+            random_toy_spec(seed)
+        assert err.value.code == "bad-variable"
+        spec = random_toy_spec(seed=0, dims=4, task_correlated_dims=2, per_class=10)
+        with pytest.raises(GvlabError) as err:
+            replace(spec, seed=seed)
+        assert err.value.code == "bad-config"
+
     def test_non_psd_covariance_rejected(self):
         bad = -np.eye(4)
         spec = ToySpec(4, 2, 2, 10, (np.zeros(4), np.zeros(4)), (bad, bad), seed=0)
@@ -221,6 +237,12 @@ class TestBalanceSubstitute:
     def test_negative_seed_rejected(self):
         with pytest.raises(GvlabError) as err:
             synth.balance_column(10, -1)
+        assert err.value.code == "bad-variable"
+
+    @pytest.mark.parametrize("seed", [1.5, np.float64(2.0), False])
+    def test_non_integral_seed_rejected(self, seed):
+        with pytest.raises(GvlabError) as err:
+            synth.balance_column(5, seed)
         assert err.value.code == "bad-variable"
 
     def test_values_are_unit_uniform(self):

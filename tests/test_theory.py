@@ -46,6 +46,20 @@ class TestGapBound:
             gap_bound(2, 2, 0, 0.05)
         assert err.value.code == "bad-n"
 
+    def test_delta_with_infinite_reciprocal_rejected(self):
+        assert math.isfinite(gap_bound(2, 2, 100, 1e-300))
+        with pytest.raises(GvlabError) as err:
+            gap_bound(2, 2, 100, 5e-324)
+        assert err.value.code == "bad-delta"
+
+    @pytest.mark.parametrize("t, k, n", [(10**200, 10**200, 1), (2, 2, 10**400),
+                                         (17 * 10**307, 1, 1)],
+                             ids=["huge-t-times-k", "huge-n", "float-overflow"])
+    def test_bound_past_the_float_range_rejected(self, t, k, n):
+        with pytest.raises(GvlabError) as err:
+            gap_bound(t, k, n, 0.05)
+        assert err.value.code == "bad-variable"
+
     def test_monotonicity(self):
         assert gap_bound(3, 2, 100, 0.05) > gap_bound(2, 2, 100, 0.05)
         assert gap_bound(2, 3, 100, 0.05) > gap_bound(2, 2, 100, 0.05)
@@ -70,7 +84,7 @@ class TestExcessRiskBound:
             excess_risk_bound(2, 2, 1000, 0.05, -0.1)
         assert err.value.code == "bad-gamma"
 
-    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, 1.7e308])
     def test_non_finite_dependence_rejected(self, gamma):
         with pytest.raises(GvlabError) as err:
             excess_risk_bound(2, 2, 1000, 0.05, gamma)
@@ -93,32 +107,33 @@ class TestOptimalOutputs:
     def test_conditional_distribution(self):
         table = table_from_counts({((0,), 0): 3, ((0,), 1): 1}, (1,), 2)
         opt = optimal_outputs(table, [0])
-        np.testing.assert_allclose(opt.outputs[(0,)], [0.75, 0.25], atol=1e-15)
+        np.testing.assert_array_equal(opt.configs, [[0]])
+        np.testing.assert_allclose(opt.probs, [[0.75, 0.25]], atol=1e-15)
 
     def test_matches_numeric_minimizer(self):
         table = table_from_counts(
             {((0,), 0): 3, ((0,), 1): 1, ((1,), 1): 2, ((1,), 2): 5}, (2,), 3)
         opt = optimal_outputs(table, [0])
         numeric = numeric_optimal_outputs(table, [0])
-        for config, vec in opt.outputs.items():
-            tv = 0.5 * np.abs(numeric.outputs[config] - vec).sum()
-            assert tv <= 1e-4
+        assert np.array_equal(numeric.configs, opt.configs)
+        tv = 0.5 * np.abs(numeric.probs - opt.probs).sum(axis=1)
+        assert tv.shape == (2,) and (tv <= 1e-4).all()
 
     def test_deterministic_table_gives_one_hot(self):
         table = table_from_counts({((0,), 1): 4, ((1,), 0): 4}, (2,), 2)
         opt = optimal_outputs(table, [0])
-        np.testing.assert_array_equal(opt.outputs[(0,)], [0.0, 1.0])
-        np.testing.assert_array_equal(opt.outputs[(1,)], [1.0, 0.0])
+        np.testing.assert_array_equal(opt.configs, [[0], [1]])
+        np.testing.assert_array_equal(opt.probs, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_uniform_labels_give_uniform_vector(self):
         table = table_from_counts({((0,), y): 2 for y in range(4)}, (1,), 4)
         opt = optimal_outputs(table, [0])
-        np.testing.assert_allclose(opt.outputs[(0,)], np.full(4, 0.25), atol=1e-15)
+        np.testing.assert_allclose(opt.probs, np.full((1, 4), 0.25), atol=1e-15)
 
     def test_empty_table_rejected(self):
         empty = ExemplarTable((0,), (2,), np.zeros((0, 2), dtype=np.int64),
                               np.zeros(0, dtype=np.int64), 2)
-        no_outputs = OptimalOutputs((0,), {}, 2)
+        no_outputs = OptimalOutputs((0,), np.zeros((0, 1), dtype=np.int64), np.zeros((0, 2)), 2)
         for call in (lambda: optimal_outputs(empty, [0]),
                      lambda: numeric_optimal_outputs(empty, [0]),
                      lambda: estimated_training_error(no_outputs, empty)):
@@ -129,28 +144,66 @@ class TestOptimalOutputs:
     def test_zero_count_configurations_absent(self):
         table = table_from_counts({((0,), 0): 2}, (3,), 2)
         opt = optimal_outputs(table, [0])
-        assert set(opt.outputs) == {(0,)}
+        np.testing.assert_array_equal(opt.configs, [[0]])
+        assert opt.probs.shape == (1, 2)
 
-    @pytest.mark.parametrize("vector", [
-        pytest.param([0.5, 0.25, 0.25], id="wrong-shape"),
-        pytest.param([1.25, -0.25], id="negative-entry"),
-        pytest.param([0.5, 0.5 + 2e-12], id="row-sum-off"),
+    @pytest.mark.parametrize("configs, probs", [
+        pytest.param([[0], [1]], [[0.5, 0.5], [0.5, 0.25, 0.25]], id="wrong-shape"),
+        pytest.param([[0], [1]], [[0.5, 0.5], [1.25, -0.25]], id="negative-entry"),
+        pytest.param([[0], [1]], [[0.5, 0.5], [0.5, 0.5 + 2e-12]], id="row-sum-off"),
+        pytest.param([[0], [1]], [[0.5, 0.5], [np.nan, np.nan]], id="nan-row"),
+        pytest.param([[0], [1]], [[0.5, 0.5]], id="configs-vs-probs"),
+        pytest.param([[0, 0], [1, 0]], [[0.5, 0.5], [0.5, 0.5]], id="configs-vs-ids"),
+        pytest.param([0, 1], [[0.5, 0.5], [0.5, 0.5]], id="one-dimensional-configs"),
+        pytest.param([[0], [1]], [0.5, 0.5], id="one-dimensional-probs"),
+        pytest.param([[0.5], [1]], [[0.5, 0.5], [0.5, 0.5]], id="fractional-config"),
     ])
-    def test_public_constructor_rejects_non_distributions(self, vector):
+    def test_public_constructor_rejects_non_distributions(self, configs, probs):
         with pytest.raises(GvlabError) as err:
-            OptimalOutputs((0,), {(0,): [0.5, 0.5], (1,): vector}, 2)
+            OptimalOutputs((0,), configs, probs, 2)
         assert err.value.code == "bad-variable"
 
+    @pytest.mark.parametrize("configs", [
+        pytest.param([[1], [0]], id="unsorted"),
+        pytest.param([[0], [0]], id="duplicate"),
+        pytest.param([[0, 1], [0, 0]], id="unsorted-last-column"),
+        pytest.param(np.zeros((2, 0), dtype=np.int64), id="two-empty-configurations"),
+    ])
+    def test_public_constructor_rejects_duplicate_and_unsorted_configs(self, configs):
+        ids = tuple(range(np.shape(configs)[1]))
+        with pytest.raises(GvlabError) as err:
+            OptimalOutputs(ids, configs, [[0.5, 0.5], [0.25, 0.75]], 2)
+        assert err.value.code == "bad-variable"
+
+    def test_public_constructor_accepts_no_variables(self):
+        table = table_from_counts({((0,), 0): 3, ((1,), 1): 1}, (2,), 2)
+        opt = OptimalOutputs((), np.zeros((1, 0), dtype=np.int64), [[0.75, 0.25]], 2)
+        assert opt.configs.shape == (1, 0)
+        assert opt == optimal_outputs(table, [])
+        assert estimated_training_error(opt, table) == 0.25
+
     def test_public_constructor_accepts_rounding_within_tolerance(self):
-        opt = OptimalOutputs((0,), {(0,): [0.5, 0.5 + 5e-13]}, 2)
-        assert not opt.outputs[(0,)].flags.writeable
+        opt = OptimalOutputs((0,), [[0]], [[0.5, 0.5 + 5e-13]], 2)
+        assert not opt.probs.flags.writeable
+        assert not opt.configs.flags.writeable
 
     def test_public_constructor_leaves_caller_arrays_writable(self):
-        vec = np.array([0.25, 0.75])
-        opt = OptimalOutputs((0,), {(0,): vec}, 2)
-        assert vec.flags.writeable
-        vec[0] = 1.0
-        np.testing.assert_array_equal(opt.outputs[(0,)], [0.25, 0.75])
+        configs, probs = np.array([[0]]), np.array([[0.25, 0.75]])
+        opt = OptimalOutputs((0,), configs, probs, 2)
+        assert configs.flags.writeable and probs.flags.writeable
+        configs[0, 0], probs[0, 0] = 1, 1.0
+        np.testing.assert_array_equal(opt.configs, [[0]])
+        np.testing.assert_array_equal(opt.probs, [[0.25, 0.75]])
+
+    def test_equality_is_field_by_field(self):
+        table = table_from_counts({((0,), 0): 3, ((0,), 1): 1, ((1,), 1): 2}, (2,), 2)
+        opt = optimal_outputs(table, [0])
+        same = OptimalOutputs((0,), [[0], [1]], [[0.75, 0.25], [0.0, 1.0]], 2)
+        assert opt == same and not opt != same
+        assert opt != OptimalOutputs((0,), [[0], [1]], [[0.5, 0.5], [0.0, 1.0]], 2)
+        assert opt != OptimalOutputs((1,), [[0], [1]], [[0.75, 0.25], [0.0, 1.0]], 2)
+        assert opt != OptimalOutputs((0,), [[0]], [[0.75, 0.25]], 2)
+        assert opt != table
 
 
 def keep_ids(ids):
@@ -188,15 +241,17 @@ class TestDerivedObjects:
         opt = optimal_outputs(table, keep)
         expected = reference_optimal_outputs(table, keep)
         assert (opt.variable_ids, opt.k) == (keep, table.k)
-        assert list(opt.outputs) == list(expected)
-        for config, vec in opt.outputs.items():
-            assert vec.shape == (table.k,)
-            assert vec.tobytes() == expected[config].tobytes()
-            assert not vec.flags.writeable
+        assert opt.configs.shape == (len(expected), len(keep))
+        assert opt.probs.shape == (len(expected), table.k)
+        assert (opt.configs.dtype, opt.probs.dtype) == (np.int64, np.float64)
+        assert list(map(tuple, opt.configs.tolist())) == list(expected)
+        for vec, reference in zip(opt.probs, expected.values()):
+            assert vec.tobytes() == reference.tobytes()
+        for array in (opt.configs, opt.probs):
+            assert not array.flags.writeable
             with pytest.raises(ValueError):
-                vec[0] = 0.5
-        with pytest.raises(TypeError):
-            opt.outputs[next(iter(opt.outputs))] = expected[next(iter(expected))]
+                array[0] = 0
+        assert opt == OptimalOutputs(keep, opt.configs, opt.probs, table.k)
 
 
 class TestEstimatedTrainingError:
@@ -231,7 +286,7 @@ def reference_max_deviation(table, determining_ids, invariant_ids):
     opt = optimal_outputs(table, det)
     kept = [i for i, var_id in enumerate(det) if var_id not in inv]
     groups = {}
-    for config, vec in opt.outputs.items():
+    for config, vec in zip(opt.configs.tolist(), opt.probs):
         groups.setdefault(tuple(config[i] for i in kept), []).append(vec)
     worst = 0.0
     for vectors in groups.values():
