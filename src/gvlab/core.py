@@ -215,7 +215,10 @@ class ExemplarTable:
         if len(set(self.variable_ids)) != len(self.variable_ids):
             raise GvlabError("bad-variable", "table variable ids must be unique")
         sizes = (*self.axis_sizes, self.k)
-        arrays = np.asarray(self.cells), np.asarray(self.counts)
+        try:
+            arrays = np.asarray(self.cells), np.asarray(self.counts)
+        except ValueError as err:  # ragged rows
+            raise GvlabError("bad-variable", f"cells and counts must be arrays: {err}") from None
         if not all(isinstance(size, numbers.Integral) for size in sizes) or any(
                 a.dtype.kind not in "iu" or not np.can_cast(a.dtype, np.int64) for a in arrays):
             raise GvlabError("bad-variable", "axis sizes, k, cells and counts must be integers")

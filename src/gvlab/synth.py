@@ -26,6 +26,14 @@ the training half from ``SeedSequence((seed, 1))``, drawn by
 :func:`generate_toy`, and the test half from ``SeedSequence((seed, 2))``,
 drawn on first access of ``ToyData.test``.  Reading the test half, or not,
 never changes the training bytes.
+
+The test half is drawn class by class into one preallocated array, so one
+class's per-instance tensors are freed before the next class draws.  The
+(n, q, p) coupling tensor is drawn and contracted in blocks of 256
+instances; consecutive draws continue one stream, so the bytes equal one
+whole draw.  The (n, p, p) residual tensor is drawn whole: its contraction
+needs ``xi``, which the stream draws after it, so blocking it would mean
+replaying the stream.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ from .models import LinearModel, TrainConfig, TrainResult, VectorDataset, train
 
 _JITTER = 1e-9
 _SCHUR_FLOOR = 1e-6
+_TEST_BLOCK = 256  # test instances per coupling block: 200 KB at q = p = 10
 
 
 @dataclass(frozen=True)
@@ -77,6 +86,10 @@ class ToySpec:
                                            f"finite variances >= 0; got per_class={self.per_class}, "
                                            f"test means ({lo}, {hi}), variances "
                                            f"({self.coupling_var}, {self.residual_var})")
+        half_bytes = self.classes * (self.per_class // 2) * self.dims * 8
+        if half_bytes > np.iinfo(np.intp).max:  # numpy cannot even shape such an array
+            raise GvlabError("bad-config", f"per_class={self.per_class} makes each half "
+                                           f"{half_bytes} bytes, beyond numpy's array limit")
         if not (_is_int(self.seed) and self.seed >= 0):
             raise GvlabError("bad-config", f"seed must be an integer >= 0, got {self.seed!r}")
 
@@ -147,32 +160,41 @@ def _class_labels(spec: ToySpec) -> np.ndarray:
 
 def _sample_test(spec: ToySpec) -> VectorDataset:
     """The test half: ``per_class / 2`` instances per class, each from its own
-    distribution that keeps the task-correlated block of the training law."""
-    q = spec.task_correlated_dims
-    p = spec.dims - q
+    distribution that keeps the task-correlated block of the training law;
+    drawn class by class and block by block as the module docstring says."""
     n_half = spec.per_class // 2
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 2)))
+    x = np.empty((spec.classes * n_half, spec.dims))
+    for c, (mean, cov) in enumerate(zip(spec.class_means, spec.class_covariances)):
+        _fill_test_class(x[c * n_half:(c + 1) * n_half], spec, mean, cov, rng)
+    return VectorDataset(x, _class_labels(spec), spec.classes)
 
-    test_x = []
-    for mean, cov in zip(spec.class_means, spec.class_covariances):
-        chol = _cholesky_or_raise(cov)
-        if p == 0:
-            test_x.append(mean + rng.standard_normal((n_half, spec.dims)) @ chol.T)
-        else:
-            chol11 = chol[:q, :q]  # leading block of the factor is chol(S11 + jitter)
-            x1 = mean[:q] + rng.standard_normal((n_half, q)) @ chol11.T
-            mu2 = rng.uniform(*spec.test_mean_range, (n_half, p))
-            # abs: numpy rejects a scale of -0.0, which the spec accepts as a variance
-            coupling = rng.normal(0.0, np.sqrt(abs(spec.coupling_var)), (n_half, q, p))
-            residual = rng.normal(0.0, np.sqrt(abs(spec.residual_var)), (n_half, p, p))
-            xi = rng.standard_normal((n_half, p))
-            z = rng.standard_normal((n_half, p))
-            x2 = (mu2
-                  + np.einsum("nqp,nq->np", coupling, x1 - mean[:q])
-                  + np.einsum("nij,nj->ni", residual, xi)
-                  + np.sqrt(_SCHUR_FLOOR) * z)
-            test_x.append(np.hstack([x1, x2]))
-    return VectorDataset(np.vstack(test_x), _class_labels(spec), spec.classes)
+
+def _fill_test_class(out: np.ndarray, spec: ToySpec, mean: np.ndarray, cov: np.ndarray,
+                     rng: np.random.Generator) -> None:
+    """Draw one class's test instances into ``out``, its rows of the test half.
+
+    ``x2`` sums in place in a fixed order, which the output bytes depend on:
+    mu2, coupling term, residual term, floor noise."""
+    n_half, q = len(out), spec.task_correlated_dims
+    p = spec.dims - q
+    chol = _cholesky_or_raise(cov)
+    if p == 0:
+        out[:] = mean + rng.standard_normal((n_half, spec.dims)) @ chol.T
+        return
+    x1, x2 = out[:, :q], out[:, q:]
+    x1[:] = mean[:q] + rng.standard_normal((n_half, q)) @ chol[:q, :q].T  # chol(S11 + jitter)
+    x2[:] = rng.uniform(*spec.test_mean_range, (n_half, p))
+    # abs: numpy rejects a scale of -0.0, which the spec accepts as a variance
+    coupling_scale = np.sqrt(abs(spec.coupling_var))
+    for lo in range(0, n_half, _TEST_BLOCK):
+        hi = min(lo + _TEST_BLOCK, n_half)
+        coupling = rng.normal(0.0, coupling_scale, (hi - lo, q, p))
+        x2[lo:hi] += np.einsum("nqp,nq->np", coupling, x1[lo:hi] - mean[:q])
+    # drawn whole: its contraction needs xi, which the stream draws after it
+    residual = rng.normal(0.0, np.sqrt(abs(spec.residual_var)), (n_half, p, p))
+    x2 += np.einsum("nij,nj->ni", residual, rng.standard_normal((n_half, p)))
+    x2 += np.sqrt(_SCHUR_FLOOR) * rng.standard_normal((n_half, p))
 
 
 def as_variable_dataset(data: VectorDataset, task_correlated_dims: int) -> Dataset:

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +9,8 @@ from gvlab.augment import (LABEL_INTERVALS, POSITION_LAWS, PROBE_CHUNK_VALUES,
                            position_inverse_cdf, prediction_changing_ratio)
 from gvlab.errors import GvlabError
 from gvlab.models import LinearModel
+
+from memory import traced_peak
 
 
 def quantile(law, q):
@@ -202,13 +203,8 @@ class TestChunkedProbeMatchesReference:
     def test_peak_allocation_is_far_below_a_full_stack(self):
         model, grids, labels = probe_case(500, (8, 8, 1), seed=19)
         full_stack = 100 * grids.nbytes  # every repeat's erased copy at once: 25.6 MB
-        tracemalloc.start()
-        try:
-            prediction_changing_ratio(model, grids, AugmentDistribution(), labels, 100,
-                                      np.random.default_rng(20))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(prediction_changing_ratio, model, grids, AugmentDistribution(),
+                           labels, 100, np.random.default_rng(20))
         assert peak < full_stack / 8, peak
 
 

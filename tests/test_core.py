@@ -332,6 +332,9 @@ def test_expand_and_rebuild_roundtrip(ds):
     pytest.param((0,), (2,), [[0, 0], [1, 1]], [True, True], 2, id="bool-count"),
     pytest.param((0,), (2.0,), [[0, 0], [1, 1]], [1, 1], 2, id="float-axis-size"),
     pytest.param((0,), (2,), [[0, 0], [1, 1]], [1, 1], 2.0, id="float-k"),
+    pytest.param((0,), (2,), [[0, 0], [1]], [1, 1], 2, id="ragged-cells"),
+    pytest.param((0,), (2,), [[0, 0], [1, 1]], [[1], [1, 2]], 2, id="ragged-counts"),
+    pytest.param((0,), (2,), [[0, 0], [1, 1]], [[1, 1], 1], 2, id="ragged-count-depth"),
 ])
 def test_exemplar_table_rejects_bad_input(ids, sizes, cells, counts, k):
     with pytest.raises(GvlabError) as err:

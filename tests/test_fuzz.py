@@ -235,6 +235,8 @@ def _tiny(command, *flags, **config):
 @example(_tiny("bounds", f"--n-grid={10**400}"))
 @example(_tiny("bounds", "--gamma-grid=1.7e308"))
 @example(_tiny("augment-sweep", aspect_lo="1e308", aspect_hi="1e308"))
+@example(_tiny("toy-influence", "--per-class=1000000000000000000000000000000"))
+@example(_tiny("toy-influence", f"--per-class={2**58}"))
 def test_cli_run_succeeds_or_exits_with_coded_error(tmp_path, capsys, run):
     """Exit 0 with finite CSVs, a coded error with exit 1, or theory-check's
     failed-check verdict with exit 1.  Derandomized, so every run tries the

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gvlab import synth
 from gvlab.core import BinningPolicy, Dataset, VariableSpec, build_table, rows_csv
@@ -12,6 +13,8 @@ from gvlab.models import TrainConfig, VectorDataset
 from gvlab.synth import (InvarTGConfig, ToySpec, as_variable_dataset, balance_substitute,
                          generate_toy, influence_rank, invar_tg, random_toy_spec,
                          _cholesky_or_raise)
+
+from memory import traced_peak
 
 LN2 = math.log(2.0)
 
@@ -163,6 +166,62 @@ class TestToyGeneration:
         assert a.train.x.tobytes() == b.train.x.tobytes()
         assert a.test.x.tobytes() != b.test.x.tobytes()
         np.testing.assert_array_equal(a.test.x[:, :10], b.test.x[:, :10])
+
+
+
+def reference_sample_test(spec):
+    """The one-shot sampler that drew each class's whole tensors and stacked the classes."""
+    q = spec.task_correlated_dims
+    p = spec.dims - q
+    n_half = spec.per_class // 2
+    rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 2)))
+    test_x = []
+    for mean, cov in zip(spec.class_means, spec.class_covariances):
+        chol = _cholesky_or_raise(cov)
+        if p == 0:
+            test_x.append(mean + rng.standard_normal((n_half, spec.dims)) @ chol.T)
+        else:
+            x1 = mean[:q] + rng.standard_normal((n_half, q)) @ chol[:q, :q].T
+            mu2 = rng.uniform(*spec.test_mean_range, (n_half, p))
+            coupling = rng.normal(0.0, np.sqrt(abs(spec.coupling_var)), (n_half, q, p))
+            residual = rng.normal(0.0, np.sqrt(abs(spec.residual_var)), (n_half, p, p))
+            xi = rng.standard_normal((n_half, p))
+            z = rng.standard_normal((n_half, p))
+            x2 = (mu2
+                  + np.einsum("nqp,nq->np", coupling, x1 - mean[:q])
+                  + np.einsum("nij,nj->ni", residual, xi)
+                  + np.sqrt(1e-6) * z)
+            test_x.append(np.hstack([x1, x2]))
+    return np.vstack(test_x)
+
+
+class TestBlockedTestHalf:
+    @settings(max_examples=40, deadline=None)
+    @given(n_half=st.sampled_from([0, 1, 255, 256, 257, 2500]), odd=st.integers(0, 1),
+           seed=st.integers(0, 2**32), dims=st.integers(1, 12), split=st.floats(0.0, 1.0),
+           classes=st.integers(2, 3),
+           variances=st.sampled_from([(0.1, 1.0), (-0.0, -0.0), (0.0, 0.0), (2.0, -0.0)]))
+    @example(n_half=257, odd=0, seed=3, dims=20, split=0.5, classes=2, variances=(0.1, 1.0))
+    @example(n_half=257, odd=1, seed=3, dims=20, split=1.0, classes=2, variances=(0.1, 1.0))
+    @example(n_half=2500, odd=0, seed=0, dims=20, split=0.5, classes=2, variances=(-0.0, 0.0))
+    def test_equals_the_one_shot_reference(self, n_half, odd, seed, dims, split, classes,
+                                           variances):
+        """Class row blocks and coupling blocks draw the same bytes as one whole
+        draw per class, across block edges, the p == 0 branch and zero variances."""
+        q = 1 + round(split * (dims - 1))  # q == dims is the p == 0 branch
+        base = random_toy_spec(seed, dims=dims, task_correlated_dims=q, classes=classes,
+                               per_class=max(1, 2 * n_half + odd))
+        spec = replace(base, coupling_var=variances[0], residual_var=variances[1])
+        data = synth._sample_test(spec)
+        expected = reference_sample_test(spec)
+        assert data.x.shape == expected.shape == (classes * n_half, dims)
+        assert data.x.tobytes() == expected.tobytes()
+
+    def test_peak_allocation_at_default_scale(self):
+        """One class's coupling and residual tensors (2 MB each) are never alive
+        together with the next class's: the one-shot sampler peaked at 7.06 MB."""
+        spec = random_toy_spec(seed=0)
+        assert traced_peak(synth._sample_test, spec) < 4_000_000
 
 
 def label_copy_dataset(n=400, seed=0):
