@@ -260,6 +260,10 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
         raise GvlabError("empty-dataset", "cannot train on an empty dataset")
     if config.batch_size > data.n:
         raise GvlabError("bad-config", f"batch size {config.batch_size} exceeds n={data.n}")
+    loss_bytes = config.epochs * (len(substitutions) + 1) * 8
+    if loss_bytes > np.iinfo(np.intp).max:  # numpy cannot even shape the loss array
+        raise GvlabError("bad-config", f"epochs={config.epochs} makes the loss array "
+                                       f"{loss_bytes} bytes, beyond numpy's array limit")
     dims = np.empty(len(substitutions), dtype=np.int64)
     noise = np.empty((len(dims), data.n))
     for i, (j, column) in enumerate(substitutions):

@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gvlab.cli import _CONFIG_KEYS, distribution_from_config, main, parse_config
+from gvlab.augment import AugmentDistribution
+from gvlab.cli import (_COMMANDS, _COMMON_FLAGS, _CONFIG_KEYS, _cast, distribution_from_config,
+                       main, parse_config)
 from gvlab.errors import GvlabError
 
 TOY_ARGS = ["--datasets", "1", "--per-class", "600", "--epochs", "6", "--seed", "5"]
@@ -51,9 +53,20 @@ class TestConfigFile:
         body = (out / "bounds.csv").read_text().splitlines()
         assert body[1].startswith("2,2,1000,")
 
+    @pytest.mark.parametrize("flag, key", [(["--T", "abc"], "T"), (["--plot", "maybe"], "plot"),
+                                           (["--n-grid", "1,x"], "n_grid")])
+    def test_malformed_flag_is_bad_config_naming_the_key(self, tmp_path, capsys, flag, key):
+        code = run(["bounds", *flag, "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"error: bad-config: {key} = ")
+        assert "usage" not in captured.out + captured.err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command, line", [
         ("bounds", "seed = abc"),
         ("augment-sweep", "interval_3 = 0.1,0.2"),
+        ("bounds", "alphas = x"),  # cast although bounds never reads it
     ])
     def test_unparsable_value_exits_with_bad_config(self, tmp_path, capsys, command, line):
         cfg = tmp_path / "run.cfg"
@@ -110,14 +123,16 @@ class TestConfigFile:
 
     def test_distribution_from_config_overrides(self):
         config = {"alpha": "0.4", "position_law": "center_m1", "area_lo": "0.0",
-                  "area_hi": "0.5", "interval_0": "0.1,0.2,0.3,0.4"}
-        dist = distribution_from_config(config)
+                  "area_hi": "0.5", "aspect_hi": "2.0", "interval_0": "0.1,0.2,0.3,0.4"}
+        dist = distribution_from_config(_cast(config))
+        default = AugmentDistribution()
         assert dist.alpha == 0.4
         assert dist.position_law == "center_m1"
         assert dist.area_range == (0.0, 0.5)
+        assert dist.aspect_range == (default.aspect_range[0], 2.0)
         assert dist.label_intervals[0] == ((0.1, 0.2), (0.3, 0.4))
-        assert dist.label_intervals[9] == ((0.0, 0.0), (0.0, 0.0))
-        assert distribution_from_config(config, alpha=1.0).alpha == 1.0
+        assert dist.label_intervals[9] == default.label_intervals[9] == ((0.0, 0.0), (0.0, 0.0))
+        assert distribution_from_config({}) == default
 
 
 class TestBoundsCommand:
@@ -283,9 +298,14 @@ def test_unwritable_output_reports_path(tmp_path, capsys):
 
 
 def test_missing_config_file_exits_cleanly(tmp_path, capsys):
-    code = run(["bounds", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
-    assert code == 1
-    assert "nope.cfg" in capsys.readouterr().err
+    (tmp_path / "folder").mkdir()
+    for path in (tmp_path / "nope.cfg", tmp_path / "folder"):
+        code = run(["bounds", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad-config: cannot read {path}: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 def assert_bad_config(code, capsys):
@@ -400,3 +420,32 @@ def test_plot_flag_never_changes_csv_bytes(tmp_path):
     run(["toy-influence", *TOY_ARGS, "--out", str(without), "--plot", "false"])
     assert (with_plot / "influence.csv").read_bytes() == \
         (without / "influence.csv").read_bytes()
+
+
+#: One tiny-scale text per setting that a flag can give; each differs from
+#: its default where the outputs can show it.
+TINY = {"seed": "3", "datasets": "1", "jobs": "1", "plot": "false", "per_class": "40",
+        "epochs": "2", "T": "3", "K": "4", "delta": "0.1", "n_grid": "50,60",
+        "gamma_grid": "0.1", "tables": "2", "alphas": "0.5", "laws": "center_m1",
+        "repeats": "1"}
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command, (_, _, keys) in _COMMANDS.items()
+    for key in _COMMON_FLAGS + keys if key in _CONFIG_KEYS])
+def test_flag_and_config_line_write_the_same_csvs(tmp_path, capsys, command, key):
+    """A flag and a config line share one cast, so the same text gives the
+    same exit status and CSV bytes either way."""
+    keys = _COMMON_FLAGS + _COMMANDS[command][2]
+    written = []
+    for source in ("flag", "config"):
+        text = {k: TINY[k] for k in keys if k in TINY} | {"out": str(tmp_path / source)}
+        line = f"{key} = {text.pop(key)}" if source == "config" else ""
+        cfg = tmp_path / f"{source}.cfg"
+        cfg.write_text(f"batch_size = 8\n{line}\n")
+        code = run([command, "--config", str(cfg),
+                    *(f"--{k.replace('_', '-')}={v}" for k, v in text.items())])
+        written.append((code, {path.name: path.read_bytes()
+                               for path in (tmp_path / source).glob("*.csv")}))
+    assert written[0][1], capsys.readouterr().err
+    assert written[0] == written[1]

@@ -61,10 +61,10 @@ def test_config_text_parses_or_raises_coded_error(tmp_path, text):
     config = _parsed_or_coded(cli.parse_config, str(path))
     if config is None:
         return
-    _parsed_or_coded(cli.distribution_from_config, config)
-    for name, cast in (("seed", int), ("learning_rate", float), ("plot", cli._parse_bool),
-                       ("alphas", cli._float_list), ("n_grid", cli._int_list)):
-        _parsed_or_coded(cli._from_config, config, name, cast, None)
+    settings = {}
+    for key, value in config.items():  # each key through its own cast
+        settings.update(_parsed_or_coded(cli._cast, {key: value}) or {})
+    _parsed_or_coded(cli.distribution_from_config, settings)
 
 
 SPECS = (VariableSpec.discrete(0, "g0", 3), VariableSpec.continuous(1, "g1", -1.0, 1.0))
@@ -200,7 +200,9 @@ def cli_runs(draw):
     argv = [command, "--datasets", "1", "--jobs", "1", "--plot", "false", *base_flags]
     for flag, values in {**COMMON_FLAGS, **flags}.items():
         if draw(st.integers(0, 3)) == 0:
-            argv.append(f"{flag}={draw(values)}")  # so "-inf" is not read as a flag
+            # "=" so "-inf" is not read as a flag; flags are cast like config
+            # lines, so they draw malformed text too
+            argv.append(f"{flag}={draw(st.one_of(values, MALFORMED))}")
     config = dict(base_config)
     for key, values in {**COMMON_KEYS, **keys}.items():
         if draw(st.integers(0, 4)) == 0:
@@ -237,6 +239,8 @@ def _tiny(command, *flags, **config):
 @example(_tiny("augment-sweep", aspect_lo="1e308", aspect_hi="1e308"))
 @example(_tiny("toy-influence", "--per-class=1000000000000000000000000000000"))
 @example(_tiny("toy-influence", f"--per-class={2**58}"))
+@example(_tiny("augment-sweep", "--epochs=1000000000000000000000000000000"))
+@example(_tiny("toy-balance", "--epochs=1000000000000000000000000000000"))
 def test_cli_run_succeeds_or_exits_with_coded_error(tmp_path, capsys, run):
     """Exit 0 with finite CSVs, a coded error with exit 1, or theory-check's
     failed-check verdict with exit 1.  Derandomized, so every run tries the
@@ -265,3 +269,17 @@ def test_cli_run_succeeds_or_exits_with_coded_error(tmp_path, capsys, run):
             assert match and match.group(1) in ERROR_CODES, (argv, config, err)
     for path in csvs:
         _finite_csv_cells(path)
+
+
+def test_cli_fuzz_pools_draw_every_setting_and_flag():
+    """A setting or flag missing from the pools above would escape fuzzing.
+    ``--out`` and ``--config`` are given by every run; of the interval
+    labels, 3 and 9 stand for the rest."""
+    exempt = {"out"} | {f"interval_{label}" for label in (0, 1, 2, 4, 5, 6, 7, 8)}
+    drawn = set(COMMON_KEYS).union(*(keys for *_, keys in COMMANDS.values()))
+    assert drawn == set(cli._CONFIG_KEYS) - exempt
+    assert COMMANDS.keys() == cli._COMMANDS.keys()
+    for command, (_, _, flags, _) in COMMANDS.items():
+        keys = cli._COMMON_FLAGS + cli._COMMANDS[command][2]
+        assert {*COMMON_FLAGS, *flags, "--out", "--config"} == \
+            {"--" + key.replace("_", "-") for key in keys}
