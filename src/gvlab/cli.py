@@ -10,7 +10,9 @@ never alter CSV contents.  Config files hold one ``key = value`` per line
 with ``#`` comments.  A flag and a config line give the same key as text,
 the flag winning, and ``_CONFIG_KEYS`` holds the one cast of each key.  A
 value that does not cast is ``bad-config`` with exit status 1, whichever
-source it came from and whether or not the subcommand reads the key.  A key
+source it came from and whether or not the subcommand reads the key, and so
+is every error of the argparse parser (an unknown flag, a missing
+subcommand).  A key
 given nowhere keeps its owner's default: ``ToyProtocol``, ``GridProtocol``,
 ``AugmentDistribution`` and ``theory_check_run`` own theirs, and
 ``_DEFAULTS`` holds the harness's own.
@@ -281,10 +283,18 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose errors (an unknown flag, a missing subcommand)
+    raise ``bad-config`` instead of printing usage and exiting 2; its
+    subparsers share the class."""
+
+    def error(self, message: str):
+        raise GvlabError("bad-config", message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Flags keep their text; ``main`` casts it together with the config file's."""
-    parser = argparse.ArgumentParser(prog="gvlab",
-                                     description="generative-variable experiment harness")
+    parser = _Parser(prog="gvlab", description="generative-variable experiment harness")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, text, keys) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
@@ -294,9 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    flags = vars(build_parser().parse_args(argv))
-    handler, path = _COMMANDS[flags.pop("command")][0], flags.pop("config")
     try:
+        flags = vars(build_parser().parse_args(argv))
+        handler, path = _COMMANDS[flags.pop("command")][0], flags.pop("config")
         text = parse_config(path) if path else {}
         text.update((key, value) for key, value in flags.items() if value is not None)
         settings = {**_DEFAULTS, **_cast(text)}

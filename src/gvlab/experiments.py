@@ -40,6 +40,25 @@ from .synth import (ToyData, as_variable_dataset, balance_column, generate_toy, 
 from . import theory
 
 
+#: Bytes a run may set aside for records that grow with its item count and
+#: live until it ends; a count past it is ``bad-config`` before any work.
+RECORD_BUDGET = 2**29
+
+#: Upper bounds of those records per item (``tracemalloc`` measured about
+#: 4.5 KB, 1 KB and 1.3 KB): a toy dataset's work tuple, ten result rows and
+#: their CSV text; an augmentation cell's; a random table's block in
+#: :func:`check_optimal_outputs`, at the oracle's peak.
+_DATASET_BYTES, _CELL_BYTES, _TABLE_BYTES = 8192, 2048, 2048
+
+
+def _check_records(what: str, count: int, item_bytes: int) -> None:
+    if count * item_bytes > RECORD_BUDGET:
+        raise GvlabError("bad-config", f"{what} = {count} would set aside about "
+                                       f"{count * item_bytes} bytes of records, past the "
+                                       f"{RECORD_BUDGET}-byte budget; at most "
+                                       f"{RECORD_BUDGET // item_bytes}")
+
+
 def parallel_map(fn: Callable, items: Sequence, jobs: int = 1) -> list:
     """Order-preserving map, fanned out over at most ``min(jobs, len(items))``
     processes when both exceed 1."""
@@ -194,6 +213,7 @@ def _influence_worker(args: tuple[int, int, ToyProtocol]) -> tuple:
 
 def toy_influence_run(base_seed: int, n_datasets: int, protocol: ToyProtocol = ToyProtocol(),
                       jobs: int = 1) -> InfluenceResult:
+    _check_records("datasets", n_datasets, _DATASET_BYTES)
     results = parallel_map(_influence_worker,
                            [(base_seed, i, protocol) for i in range(n_datasets)], jobs)
     rows = tuple(row for result in results for row in result[0])
@@ -229,6 +249,7 @@ def _balance_worker(args: tuple[int, int, ToyProtocol]) -> tuple[BalanceRow, ...
 
 def toy_balance_run(base_seed: int, n_datasets: int, protocol: ToyProtocol = ToyProtocol(),
                     jobs: int = 1) -> tuple[BalanceRow, ...]:
+    _check_records("datasets", n_datasets, _DATASET_BYTES)
     results = parallel_map(_balance_worker,
                            [(base_seed, i, protocol) for i in range(n_datasets)], jobs)
     return tuple(row for rows in results for row in rows)
@@ -362,6 +383,7 @@ def augment_sweep_run(base_seed: int, n_seeds: int, alphas: Sequence[float],
     ``base_dist`` carries the non-swept law settings (area/aspect ranges,
     per-label intervals); each cell overrides its alpha and position law.
     """
+    _check_records("datasets x alphas x laws", n_seeds * len(alphas) * len(laws), _CELL_BYTES)
     cells = [(base_seed, s, float(a), law, protocol, base_dist)
              for s in range(n_seeds) for a in alphas for law in laws]
     return tuple(parallel_map(_augment_worker, cells, jobs))
@@ -375,51 +397,89 @@ _TABLE_SHAPES: tuple[tuple[int, ...], ...] = (
     (2,), (3,), (4,), (5,), (6,), (7,), (8,), (2, 2), (2, 3), (2, 4), (2, 2, 2))
 
 
-def random_count_table(rng: np.random.Generator, max_count: int = 16) -> ExemplarTable:
-    """Random table with at most 8 configurations, K <= 4, cell counts <= max_count."""
+def _random_counts(rng: np.random.Generator, max_count: int = 16) -> np.ndarray:
+    """Dense ``config + (label,)`` counts: at most 8 configurations, K <= 4,
+    cell counts <= max_count."""
     shape = _TABLE_SHAPES[rng.integers(len(_TABLE_SHAPES))]
     k = int(rng.integers(2, 5))
-    return _cell_table(rng.integers(0, max_count + 1, size=shape + (k,)))
+    return rng.integers(0, max_count + 1, size=shape + (k,))
 
 
-def product_table(rng: np.random.Generator) -> tuple[ExemplarTable, int]:
-    """Table where variable 0 is independent of (variable 1, label) by construction."""
+def random_count_table(rng: np.random.Generator, max_count: int = 16) -> ExemplarTable:
+    """Random table with at most 8 configurations, K <= 4, cell counts <= max_count."""
+    return _cell_table(_random_counts(rng, max_count))
+
+
+def _product_counts(rng: np.random.Generator) -> np.ndarray:
     card_t = int(rng.integers(2, 5))
     card_c = int(rng.integers(2, 5))
     k = int(rng.integers(2, 5))
     u = rng.integers(1, 6, card_t)
     v = rng.integers(0, 7, (card_c, k))
-    return _cell_table(u[:, None, None] * v), 0
+    return u[:, None, None] * v
 
 
-def label_equals_variable_table(rng: np.random.Generator) -> tuple[ExemplarTable, int]:
-    """Table where the label deterministically copies variable 0."""
+def product_table(rng: np.random.Generator) -> tuple[ExemplarTable, int]:
+    """Table where variable 0 is independent of (variable 1, label) by construction."""
+    return _cell_table(_product_counts(rng)), 0
+
+
+def _label_copy_counts(rng: np.random.Generator) -> np.ndarray:
     card_t = int(rng.integers(2, 5))
     card_c = int(rng.integers(2, 5))
     cells = np.zeros((card_t, card_c, card_t), dtype=np.int64)
     diagonal = np.arange(card_t)  # the label axis copies variable 0
     cells[diagonal, :, diagonal] = rng.integers(1, 9, size=(card_t, card_c))
-    return _cell_table(cells), 0
+    return cells
+
+
+def label_equals_variable_table(rng: np.random.Generator) -> tuple[ExemplarTable, int]:
+    """Table where the label deterministically copies variable 0."""
+    return _cell_table(_label_copy_counts(rng)), 0
+
+
+def _nonempty(dense: np.ndarray) -> np.ndarray:
+    """``dense``, or if it is all zero one count at its first cell: a table needs a cell."""
+    if not dense.any():
+        dense = dense.copy()
+        dense.flat[0] = 1
+    return dense
 
 
 def _cell_table(dense: np.ndarray) -> ExemplarTable:
     """Table over variables ``0..m-1`` from a dense ``config + (label,)`` count
-    array; its nonzero cells, in C order, become the table's cells.  An
-    all-zero array gives one count at the first cell."""
+    array; its nonzero cells, in C order, become the table's cells (see
+    :func:`_nonempty` for an all-zero array)."""
+    dense = _nonempty(dense)
     index = dense.nonzero()
-    cells, counts = np.array(index).T, dense[index]
-    if not len(counts):
-        cells, counts = np.zeros((1, dense.ndim), dtype=np.int64), np.ones(1, dtype=np.int64)
     return _unchecked(ExemplarTable, tuple(range(dense.ndim - 1)), dense.shape[:-1],
-                      _freeze(cells), _freeze(counts), dense.shape[-1])
+                      _freeze(np.column_stack(index)), _freeze(dense[index]), dense.shape[-1])
 
 
-def argmax_zero_one_error(table: ExemplarTable, determining_ids: Sequence[int]) -> Fraction:
-    """Exact 0/1 training error of the argmax-of-conditional predictor."""
+def _stacked_table(blocks: Sequence[np.ndarray], shape: tuple[int, ...]) -> ExemplarTable:
+    """One table of dense count blocks, each zero-padded to ``shape`` (labels
+    last): variable 0 is the block index and the rest are the block's axes."""
+    stack = np.zeros((len(blocks),) + shape, dtype=np.int64)
+    for t, block in enumerate(blocks):
+        stack[(t,) + tuple(map(slice, block.shape))] = _nonempty(block)
+    return _cell_table(stack)
+
+
+def argmax_zero_one_error(table: ExemplarTable, determining_ids: Sequence[int],
+                          grouped: bool = False) -> Fraction | tuple[Fraction, ...]:
+    """Exact 0/1 training error of the argmax-of-conditional predictor.
+
+    With ``grouped``, one error per value of the leading determining
+    variable, as in :func:`theory.estimated_training_error`.
+    """
     marg = marginalize(table, determining_ids)
     starts = _run_heads(marg.cells[:, :-1]).nonzero()[0]
-    hits = int(np.maximum.reduceat(marg.counts, starts).sum())  # integer maxima per configuration
-    return Fraction(marg.total - hits, marg.total)
+    groups = _run_heads(marg.cells[starts, :int(grouped)]).nonzero()[0]
+    # integer maxima per configuration, summed per group
+    hits = np.add.reduceat(np.maximum.reduceat(marg.counts, starts), groups).tolist()
+    totals = np.add.reduceat(marg.counts, starts[groups]).tolist()
+    errors = tuple(Fraction(total - hit, total) for hit, total in zip(hits, totals))
+    return errors if grouped else errors[0]
 
 
 # ---------------------------------------------------------------------------
@@ -581,32 +641,33 @@ def check_optimal_outputs(rng: np.random.Generator, tables: int,
 
 
 def check_training_error(rng: np.random.Generator, tables: int) -> CheckResult:
-    worst = 0.0
+    """Each random table, with its determining ids a random prefix of its
+    variables, becomes the configurations (table, prefix code, rest code) of
+    one stack: in C order a prefix configuration is a run of flat ones."""
+    blocks = []
     for _ in range(tables):
-        table = random_count_table(rng)
-        ids = table.variable_ids[:int(rng.integers(0, len(table.variable_ids))) + 1]
-        opt = theory.optimal_outputs(table, ids)
-        estimate = theory.estimated_training_error(opt, table)
-        exact = argmax_zero_one_error(table, ids)
-        worst = max(worst, abs(estimate - float(exact)))
+        dense = _random_counts(rng)
+        prefix = int(rng.integers(0, dense.ndim - 1)) + 1
+        blocks.append(dense.reshape(math.prod(dense.shape[:prefix]), -1, dense.shape[-1]))
+    stack = _stacked_table(blocks, (8, 8, 4))
+    estimates = theory.estimated_training_error(theory.optimal_outputs(stack, (0, 1)), stack,
+                                                grouped=True)
+    exact = argmax_zero_one_error(stack, (0, 1), grouped=True)
+    worst = max(abs(e - float(x)) for e, x in zip(estimates.tolist(), exact))
     return CheckResult("training-error-equality", worst <= 1e-12, worst,
                        f"{tables} random tables, argmax predictor vs estimate")
 
 
 def check_strict_invariance(rng: np.random.Generator, tables: int) -> CheckResult:
-    worst = 0.0
-    missed = 0
-    for _ in range(tables):
-        table, gt = product_table(rng)
-        report = theory.check_strict_invariance(table, table.variable_ids, (gt,))
-        worst = max(worst, report.max_deviation)
-        if not report.is_invariant:
-            missed += 1
-    for _ in range(tables):
-        table, gt = label_equals_variable_table(rng)
-        report = theory.check_strict_invariance(table, table.variable_ids, (gt,))
-        if report.is_invariant:
-            missed += 1
+    """One stack of product tables, then one of dependent tables, each table
+    over (table index, g_t, g_c) with g_t the candidate invariant variable."""
+    def reports(draw: Callable[[np.random.Generator], np.ndarray]):
+        stack = _stacked_table([draw(rng) for _ in range(tables)], (4, 4, 4))
+        return theory.check_strict_invariance(stack, (0, 1, 2), (1,), grouped=True)
+
+    products, dependent = reports(_product_counts), reports(_label_copy_counts)
+    worst = max(r.max_deviation for r in products)
+    missed = sum(not r.is_invariant for r in products) + sum(r.is_invariant for r in dependent)
     passed = worst <= 1e-12 and missed == 0
     return CheckResult("strict-invariance", passed, worst,
                        f"{tables} product tables and {tables} dependent tables; "
@@ -665,6 +726,7 @@ def theory_check_run(seed: int = 0, corrupt: str | None = None,
                                          f"hooked: {list(CORRUPTIBLE_CHECKS)}")
     if tables < 1:
         raise GvlabError("bad-config", f"tables must be >= 1, got {tables}")
+    _check_records("tables", tables, _TABLE_BYTES)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 51)))
     return (
         check_max_prob_bound(rng, corrupt == "max-prob-bound"),

@@ -23,6 +23,14 @@ Contents:
   minimizer of the empirical cross-entropy, used only to validate the
   closed form; it stops on a duality-gap certificate.
 
+Many small tables are evaluated as one: stacked into one table whose
+leading variable is the table index, and with ``k`` padded to the widest.
+``optimal_outputs`` of the stack holds every table's vectors (padded labels
+at zero mass), and ``estimated_training_error`` and
+``check_strict_invariance`` with ``grouped=True`` return one result per
+table, each equal to the result of the call on that table alone.  The
+single-table calls are the case of one group.
+
 Entropies are in nats throughout; ``ln2`` converts the binary-log
 constants of the source bounds.
 """
@@ -171,15 +179,39 @@ def optimal_outputs(table: ExemplarTable, determining_ids: Sequence[int]) -> Opt
                       _freeze(counts / counts.sum(axis=1, keepdims=True)), table.k)
 
 
-def estimated_training_error(opt: OptimalOutputs, table: ExemplarTable) -> float:
-    """Training error of the optimal hypothesis: 1 - E_g max_y q(y|g)."""
+def _padded_groups(values: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """``values`` as ``(groups, widest group, ...)``: the rows of each run that
+    ``heads`` starts, in order, then zeros."""
+    group = np.cumsum(heads) - 1
+    starts = heads.nonzero()[0]
+    slot = np.arange(len(values)) - starts[group]
+    padded = np.zeros((len(starts), int(slot.max()) + 1) + values.shape[1:], values.dtype)
+    padded[group, slot] = values
+    return padded
+
+
+def estimated_training_error(opt: OptimalOutputs, table: ExemplarTable,
+                             grouped: bool = False) -> float | np.ndarray:
+    """Training error of the optimal hypothesis: 1 - E_g max_y q(y|g).
+
+    With ``grouped``, the leading determining variable indexes tables
+    stacked in ``table``; the result holds one error per observed value, each
+    the float that the call on that table alone returns.
+    """
     if not set(opt.variable_ids) <= set(table.variable_ids):
         raise GvlabError("table-mismatch", "outputs were built over different variables")
+    if grouped and not opt.variable_ids:
+        raise GvlabError("bad-variable", "grouped outputs need a leading variable to group by")
     configs, counts = _label_counts(table, opt.variable_ids)
     if not np.array_equal(configs, opt.configs):
         raise GvlabError("table-mismatch", "configuration sets differ between outputs and table")
-    hit = sum(n * q for n, q in zip(counts.sum(axis=1).tolist(), opt.probs.max(axis=1).tolist()))
-    return 1.0 - hit / table.total
+    n = counts.sum(axis=1)
+    heads = _run_heads(configs[:, :int(grouped)])  # one run of all rows when not grouped
+    # The builtin sum adds each group's n * max q strictly in configuration
+    # order; numpy's sum would pair the additions from 8 terms on.
+    hits = sum(_padded_groups(n * opt.probs.max(axis=1), heads).T)
+    errors = 1.0 - hits / np.add.reduceat(n, heads.nonzero()[0])
+    return errors if grouped else float(errors[0])
 
 
 @dataclass(frozen=True)
@@ -189,24 +221,41 @@ class InvarianceReport:
 
 
 def check_strict_invariance(table: ExemplarTable, determining_ids: Sequence[int],
-                            invariant_ids: Sequence[int]) -> InvarianceReport:
+                            invariant_ids: Sequence[int], grouped: bool = False
+                            ) -> InvarianceReport | tuple[InvarianceReport, ...]:
     """Do the optimal outputs ignore ``invariant_ids``?
 
     Groups the determining configurations by the values of the remaining
     variables and reports the maximum total-variation distance between
-    output vectors within any group.
+    output vectors within any group.  With ``grouped``, the leading
+    determining variable indexes tables stacked in ``table`` and must not be
+    invariant; the result holds one report per observed value, each the
+    report of the call on that table alone.
     """
     det = tuple(determining_ids)
     inv = set(invariant_ids)
     if not inv <= set(det):
         raise GvlabError("bad-variable", "invariant ids must be a subset of determining ids")
+    if grouped and (not det or det[0] in inv):
+        raise GvlabError("bad-variable", "grouping needs a leading determining variable "
+                                         "that is not invariant")
     opt = optimal_outputs(table, det)
     kept = [i for i, var_id in enumerate(det) if var_id not in inv]
-    configs, q = opt.configs, opt.probs
-    # Pairwise total variation, masked to pairs that agree on the kept variables.
-    same = (configs[:, None, kept] == configs[None, :, kept]).all(axis=2)
-    worst = float(0.5 * np.abs(q[:, None] - q[None]).sum(axis=2)[same].max())
-    return InvarianceReport(worst <= INVARIANCE_TOL, worst)
+    # Pairwise total variation within each set of configurations that agree
+    # on the kept variables; the sets are padded to the largest, and pairs
+    # with a padding slot are masked out.
+    keys, members = np.unique(opt.configs[:, kept], axis=0, return_inverse=True)
+    order = np.argsort(members, kind="stable")
+    heads = _run_heads(members[order, None])
+    q = _padded_groups(opt.probs[order], heads)
+    present = _padded_groups(np.ones(len(order), dtype=bool), heads)
+    spread = 0.5 * np.abs(q[:, :, None] - q[:, None]).sum(axis=3)
+    spread[~(present[:, :, None] & present[:, None])] = 0.0
+    # Keys sort by the leading kept variable, the table index when grouped.
+    worst = np.maximum.reduceat(spread.max(axis=(1, 2)),
+                                _run_heads(keys[:, :int(grouped)]).nonzero()[0]).tolist()
+    reports = tuple(InvarianceReport(w <= INVARIANCE_TOL, w) for w in worst)
+    return reports if grouped else reports[0]
 
 
 @dataclass(frozen=True)

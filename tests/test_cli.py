@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import pickle
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gvlab import cli, experiments
 from gvlab.augment import AugmentDistribution
 from gvlab.cli import (_COMMANDS, _COMMON_FLAGS, _CONFIG_KEYS, _cast, distribution_from_config,
                        main, parse_config)
@@ -62,6 +64,31 @@ class TestConfigFile:
         assert captured.err.startswith(f"error: bad-config: {key} = ")
         assert "usage" not in captured.out + captured.err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bounds", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        ([], "the following arguments are required: command"),
+        (["nope"], "argument command: invalid choice: 'nope'"),
+    ], ids=["unknown-flag", "no-subcommand", "unknown-subcommand"])
+    def test_argparse_errors_are_bad_config(self, capsys, argv, message):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"error: bad-config: {message}")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert "usage" not in captured.err
+
+    @pytest.mark.parametrize("argv", [["--help"]] + [[name, "--help"] for name in _COMMANDS])
+    def test_help_exits_0_with_the_plain_argparse_text(self, monkeypatch, capsys, argv):
+        texts = []
+        for parser_class in (cli._Parser, argparse.ArgumentParser):
+            monkeypatch.setattr(cli, "_Parser", parser_class)
+            with pytest.raises(SystemExit) as exit_:
+                run(argv)
+            assert exit_.value.code == 0
+            texts.append(capsys.readouterr())
+        assert texts[0].out.startswith("usage: gvlab") and texts[0].err == ""
+        assert texts[0] == texts[1]
 
     @pytest.mark.parametrize("command, line", [
         ("bounds", "seed = abc"),
@@ -241,6 +268,28 @@ class TestTheoryCheckCommand:
         run(["theory-check", "--seed", "3", "--tables", "25", "--out", str(out2)])
         assert (out1 / "theory_report.csv").read_bytes() == \
             (out2 / "theory_report.csv").read_bytes()
+
+
+class TestItemCounts:
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(fn, items, jobs=1):
+            raise AssertionError("a run built its work items past the record budget")
+
+        monkeypatch.setattr(experiments, "parallel_map", refuse)
+
+    @pytest.mark.parametrize("argv, cap", [
+        (["toy-influence", "--datasets", "65537"], 65536),
+        (["toy-balance", "--datasets", "65537"], 65536),
+        (["augment-sweep", "--datasets", "87382", "--laws", "uniform,periphery_m0,center_m1",
+          "--alphas", "0.5"], 262144),
+        (["theory-check", "--tables", "262145"], 262144),
+    ], ids=["toy-influence", "toy-balance", "augment-sweep", "theory-check"])
+    def test_count_just_past_the_cap_is_bad_config(self, tmp_path, capsys, argv, cap):
+        assert run([*argv, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad-config:") and f"at most {cap}" in err
+        assert not (tmp_path / "out").exists()
 
 
 AUG_ARGS = ["--datasets", "2", "--alphas", "0.0,1.0", "--laws", "uniform",

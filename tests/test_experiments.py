@@ -15,11 +15,12 @@ from gvlab.experiments import (ADDITION_SPLITS, CORRUPTIBLE_CHECKS, AdditionRule
                                spearman, theory_check_run, truth_table_counts)
 from gvlab.models import risk, train
 from gvlab.synth import balance_substitute
-from gvlab.theory import (addition_rule, estimated_training_error, max_prob_lower_bound,
-                          optimal_outputs)
+from gvlab.theory import (addition_rule, check_strict_invariance, estimated_training_error,
+                          max_prob_lower_bound, optimal_outputs)
 
 from dict_tables import table_dict, table_from_dict
 from memory import traced_peak
+from theory_loops import looped_check_strict_invariance, looped_check_training_error
 
 SMALL_TOY = ToyProtocol(per_class=300, epochs=8)
 SMALL_GRID = GridProtocol(train_per_class=12, test_per_class=6, epochs=6, repeats=5,
@@ -517,3 +518,115 @@ class TestTheoryChecks:
         assert lines[0] == "check,passed,max_deviation"
         assert len(lines) == len(results) + 1
         assert all(line.split(",")[1] in ("true", "false") for line in lines[1:])
+
+    def test_table_count_past_the_record_budget_rejected_before_any_draw(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a check ran past the record budget")
+
+        monkeypatch.setattr(experiments, "check_max_prob_bound", refuse)
+        cap = experiments.RECORD_BUDGET // experiments._TABLE_BYTES
+        with pytest.raises(GvlabError) as err:
+            theory_check_run(seed=0, tables=cap + 1)
+        assert err.value.code == "bad-config" and f"at most {cap}" in err.value.message
+
+
+class TestRecordBudget:
+    """Runs refuse an item count whose records would pass the budget before
+    they build a single work item."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(fn, items, jobs=1):
+            raise AssertionError("a run built its work items past the record budget")
+
+        monkeypatch.setattr(experiments, "parallel_map", refuse)
+
+    @pytest.mark.parametrize("runner", [experiments.toy_influence_run,
+                                        experiments.toy_balance_run])
+    def test_toy_datasets_just_past_the_cap(self, runner):
+        cap = experiments.RECORD_BUDGET // experiments._DATASET_BYTES
+        with pytest.raises(GvlabError) as err:
+            runner(0, cap + 1, SMALL_TOY)
+        assert err.value.code == "bad-config" and f"at most {cap}" in err.value.message
+
+    def test_augment_cells_just_past_the_cap(self):
+        cap = experiments.RECORD_BUDGET // experiments._CELL_BYTES
+        laws = ("uniform", "periphery_m0", "center_m1")
+        seeds = -(-(cap + 1) // len(laws))  # the fewest seeds whose cells pass the cap
+        assert (seeds - 1) * len(laws) <= cap < seeds * len(laws)
+        with pytest.raises(GvlabError) as err:
+            experiments.augment_sweep_run(0, seeds, (0.5,), laws, SMALL_GRID)
+        assert err.value.code == "bad-config" and f"at most {cap}" in err.value.message
+
+
+class TestStackedChecks:
+    """The stacked theory checks against the per-table loops they replaced
+    (``tests/theory_loops.py``)."""
+
+    @pytest.mark.parametrize("tables", [1, 7, 500])
+    @pytest.mark.parametrize("check, reference", [
+        (experiments.check_training_error, looped_check_training_error),
+        (experiments.check_strict_invariance, looped_check_strict_invariance),
+    ], ids=["training-error", "strict-invariance"])
+    def test_equal_to_the_per_table_loop(self, check, reference, tables):
+        for seed in range(6):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            result, expected = check(rng, tables), reference(ref_rng, tables)
+            assert result == expected
+            assert result.max_deviation.hex() == expected.max_deviation.hex()
+            assert type(result.max_deviation) is float
+            assert rng.random() == ref_rng.random()
+
+    def test_one_dependent_table_in_the_product_stack_is_one_miss(self, monkeypatch):
+        """Fails loudly: a dependent table among product tables is counted,
+        and its deviation, the one it gives alone, is reported."""
+        product_counts, calls, alone = experiments._product_counts, [], []
+
+        def third_is_dependent(rng):
+            calls.append(rng)
+            if len(calls) != 3:
+                return product_counts(rng)
+            dense = experiments._label_copy_counts(rng)
+            alone.append(check_strict_invariance(experiments._cell_table(dense), (0, 1), (0,)))
+            return dense
+
+        monkeypatch.setattr(experiments, "_product_counts", third_is_dependent)
+        result = experiments.check_strict_invariance(np.random.default_rng(4), 5)
+        assert len(calls) == 5 and not alone[0].is_invariant
+        assert result.max_deviation == alone[0].max_deviation > 0.5
+        assert result.detail.endswith("misclassified: 1") and not result.passed
+
+    def test_grouped_reports_count_the_one_dependent_table(self):
+        rng = np.random.default_rng(9)
+        blocks = [experiments._product_counts(rng) for _ in range(6)]
+        dependent = experiments._label_copy_counts(rng)
+        blocks.insert(2, dependent)
+        stack = experiments._stacked_table(blocks, (4, 4, 4))
+        reports = check_strict_invariance(stack, (0, 1, 2), (1,), grouped=True)
+        assert len(reports) == 7
+        assert [r.is_invariant for r in reports] == [True, True, False, True, True, True, True]
+        alone = check_strict_invariance(experiments._cell_table(dependent), (0, 1), (0,))
+        assert reports[2] == alone
+
+    def test_outputs_of_another_stack_raise_table_mismatch(self):
+        rng = np.random.default_rng(2)
+        dense = [experiments._random_counts(rng) for _ in range(10)]
+        stacks = [experiments._stacked_table([d.reshape(-1, 1, d.shape[-1]) for d in half],
+                                             (8, 1, 4)) for half in (dense[:5], dense[5:])]
+        opt = optimal_outputs(stacks[0], (0, 1))
+        with pytest.raises(GvlabError) as err:
+            estimated_training_error(opt, stacks[1], grouped=True)
+        assert err.value.code == "table-mismatch"
+
+    def test_all_zero_block_keeps_the_one_count_fallback(self):
+        """An all-zero table has one count at its first cell, alone and in a stack."""
+        rng = np.random.default_rng(3)
+        zero = np.zeros((2, 3, 2), dtype=np.int64)
+        blocks = [experiments._product_counts(rng), zero, experiments._product_counts(rng)]
+        stack = experiments._stacked_table(blocks, (4, 4, 4))
+        alone = experiments._cell_table(zero)
+        assert alone.cells.tolist() == [[0, 0, 0]] and alone.counts.tolist() == [1]
+        in_stack = stack.cells[:, 0] == 1
+        assert stack.cells[in_stack].tolist() == [[1, 0, 0, 0]]
+        assert stack.counts[in_stack].tolist() == [1]
+        assert not zero.any()  # the caller's array is left as it was

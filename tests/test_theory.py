@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from gvlab import theory
 from gvlab.core import ExemplarTable, marginalize, rows_csv
 from gvlab.errors import GvlabError
-from gvlab.experiments import (check_optimal_outputs, label_equals_variable_table,
-                               product_table, random_count_table, theory_check_run)
+from gvlab.experiments import (argmax_zero_one_error, check_optimal_outputs,
+                               label_equals_variable_table, product_table, random_count_table,
+                               theory_check_run)
 from gvlab.theory import (GAP_TOL, INVARIANCE_TOL, BoundReport, OptimalOutputs, addition_rule,
                           check_strict_invariance, estimated_training_error,
                           excess_risk_bound, gap_bound, max_prob_lower_bound,
@@ -17,6 +18,7 @@ from gvlab.theory import (GAP_TOL, INVARIANCE_TOL, BoundReport, OptimalOutputs, 
 
 from dict_tables import reference_marginal, table_dict
 from dict_tables import table_from_dict as table_from_counts
+from theory_loops import single_argmax_error, single_strict_invariance, single_training_error
 
 LN2 = math.log(2.0)
 
@@ -341,6 +343,164 @@ class TestStrictInvariance:
         table = table_from_counts({((0, 0), 0): 1}, (2, 2), 2)
         with pytest.raises(GvlabError) as err:
             check_strict_invariance(table, [0], [1])
+        assert err.value.code == "bad-variable"
+
+
+def stack_of(tables_cells, axis_sizes, k):
+    """Checked table of several tables' ``(config..., label)`` cells, each
+    behind its index in the list; the counts follow the cells."""
+    cells = np.concatenate([np.column_stack([np.full(len(c), t), c])
+                            for t, (c, _) in enumerate(tables_cells)])
+    counts = np.concatenate([n for _, n in tables_cells])
+    return ExemplarTable(tuple(range(cells.shape[1] - 1)), (len(tables_cells),) + axis_sizes,
+                         cells, counts, k)
+
+
+def prefix_rest_cells(table, prefix):
+    """A table's cells as (prefix code, rest code, label): C order over its
+    first ``prefix`` variables and over the others."""
+    shape, cells = table.axis_sizes, table.cells
+    rest = (np.ravel_multi_index(cells[:, prefix:-1].T, shape[prefix:])
+            if prefix < len(shape) else np.zeros(len(cells), dtype=np.int64))
+    return np.column_stack([np.ravel_multi_index(cells[:, :prefix].T, shape[:prefix]),
+                            rest, cells[:, -1]]), table.counts
+
+
+def one_cell_table():
+    return ExemplarTable((0,), (3,), [[2, 1]], [5], 2)
+
+
+def eight_configuration_table(rng):
+    """A (2, 2, 2) table with every configuration and label observed."""
+    dense = rng.integers(1, 17, size=(2, 2, 2, 4))
+    cells = np.array(np.nonzero(dense)).T
+    return ExemplarTable((0, 1, 2), (2, 2, 2), cells, dense[tuple(cells.T)], 4)
+
+
+def two_variable_table(rng):
+    """A random table over two variables, sparse enough to miss configurations."""
+    shape = tuple(int(v) for v in rng.integers(1, 5, size=2)) + (int(rng.integers(1, 5)),)
+    dense = rng.integers(0, 2, size=shape) * rng.integers(1, 9, size=shape)
+    cells = np.array(np.nonzero(dense)).T
+    if not len(cells):
+        return one_cell_table_2d()
+    return ExemplarTable((0, 1), shape[:2], cells, dense[tuple(cells.T)], shape[2])
+
+
+def one_cell_table_2d():
+    return ExemplarTable((0, 1), (2, 3), [[1, 2, 0]], [4], 1)
+
+
+class TestGroupedForms:
+    """A stack of tables, each behind its index, gives per group exactly what
+    the single-table calls give on each table, and those equal the
+    single-table closed forms as they were before the grouped forms
+    (``tests/theory_loops.py``).  The stacks hold absent configurations,
+    labels padded to 4, a one-cell table and a group of 8 configurations."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seeds=st.lists(st.integers(0, 2 ** 32 - 1), max_size=8), data=st.data())
+    def test_training_error_groups_equal_single_tables(self, seeds, data):
+        entries = [(one_cell_table(), 1),
+                   (eight_configuration_table(np.random.default_rng(len(seeds))), 3)]
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            table = random_count_table(rng, max_count=data.draw(st.sampled_from([1, 16])))
+            entries.append((table, data.draw(st.integers(1, len(table.variable_ids)))))
+        entries = data.draw(st.permutations(entries))
+        stack = stack_of([prefix_rest_cells(t, p) for t, p in entries], (8, 8), 4)
+        opt = optimal_outputs(stack, (0, 1))
+        estimates = estimated_training_error(opt, stack, grouped=True)
+        exact = argmax_zero_one_error(stack, (0, 1), grouped=True)
+        assert len(estimates) == len(exact) == len(entries)
+        assert any(len(opt.configs[opt.configs[:, 0] == g]) == 8 for g in range(len(entries)))
+        for g, (table, prefix) in enumerate(entries):
+            ids = table.variable_ids[:prefix]
+            single = optimal_outputs(table, ids)
+            rows = opt.configs[:, 0] == g
+            codes = np.ravel_multi_index(single.configs.T, table.axis_sizes[:prefix])
+            assert opt.configs[rows, 1].tolist() == codes.tolist()
+            assert opt.probs[rows, :table.k].tobytes() == single.probs.tobytes()
+            assert not opt.probs[rows, table.k:].any()
+            estimate = estimated_training_error(single, table)
+            assert type(estimate) is float
+            assert estimates[g].hex() == estimate.hex() == single_training_error(single, table).hex()
+            assert exact[g] == argmax_zero_one_error(table, ids) == single_argmax_error(table, ids)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seeds=st.lists(st.tuples(st.sampled_from(["product", "dependent", "sparse"]),
+                                    st.integers(0, 2 ** 32 - 1)), max_size=8),
+           data=st.data())
+    def test_strict_invariance_groups_equal_single_tables(self, seeds, data):
+        make = {"product": lambda rng: product_table(rng)[0],
+                "dependent": lambda rng: label_equals_variable_table(rng)[0],
+                "sparse": two_variable_table}
+        tables = [one_cell_table_2d()] + [make[kind](np.random.default_rng(seed))
+                                          for kind, seed in seeds]
+        tables = data.draw(st.permutations(tables))
+        det = data.draw(keep_ids((0, 1)))
+        inv = data.draw(st.lists(st.sampled_from(det), unique=True)) if det else []
+        stack = stack_of([(t.cells, t.counts) for t in tables], (4, 4), 4)
+        reports = check_strict_invariance(stack, (0,) + tuple(v + 1 for v in det),
+                                          [v + 1 for v in inv], grouped=True)
+        assert len(reports) == len(tables)
+        for report, table in zip(reports, tables):
+            single = check_strict_invariance(table, det, inv)
+            assert report == single == single_strict_invariance(table, det, inv)
+            assert report.max_deviation.hex() == single.max_deviation.hex()
+
+    def test_a_group_of_one_is_the_single_table_call(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            table = random_count_table(rng)
+            stack = stack_of([prefix_rest_cells(table, len(table.variable_ids))], (8, 1), 4)
+            estimate = estimated_training_error(optimal_outputs(stack, (0, 1)), stack,
+                                                grouped=True)
+            single = optimal_outputs(table, table.variable_ids)
+            assert estimate.tolist() == [single_training_error(single, table)]
+            pair, _ = product_table(rng)
+            (report,) = check_strict_invariance(stack_of([(pair.cells, pair.counts)], (4, 4), 4),
+                                                (0, 1, 2), (1,), grouped=True)
+            assert report == single_strict_invariance(pair, (0, 1), (0,))
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_terms_add_in_configuration_order(self, grouped):
+        """From 8 terms on numpy's sum pairs the additions.  Optimal outputs
+        make each ``n * max q`` a near-integer whose sum no order changes, so
+        these outputs are Dirichlet rows: the error of any outputs must still
+        add its terms in configuration order."""
+        rng = np.random.default_rng(11)
+        reordered = 0
+        for _ in range(20):
+            dense = rng.integers(1, 50, size=(3, 11, 3))  # 3 groups of 11 configurations
+            cells = np.array(np.nonzero(dense)).T
+            table = ExemplarTable((0, 1), (3, 11), cells, dense[tuple(cells.T)], 3)
+            configs = optimal_outputs(table, (0, 1)).configs
+            opt = OptimalOutputs((0, 1), configs, rng.dirichlet(np.ones(3), size=33), 3)
+            if grouped:
+                got = estimated_training_error(opt, table, grouped=True).tolist()
+                expected = []
+                for g in range(3):
+                    rows, in_g = configs[:, 0] == g, cells[:, 0] == g
+                    alone = ExemplarTable((0,), (11,), cells[in_g, 1:], table.counts[in_g], 3)
+                    expected.append(single_training_error(
+                        OptimalOutputs((0,), configs[rows, 1:], opt.probs[rows], 3), alone))
+            else:
+                got = [estimated_training_error(opt, table)]
+                expected = [single_training_error(opt, table)]
+            assert [v.hex() for v in got] == [v.hex() for v in expected]
+            terms = dense.sum(axis=2) * opt.probs.max(axis=1).reshape(3, 11)
+            reordered += (terms.sum(axis=1) != [sum(row) for row in terms.tolist()]).any()
+        assert reordered  # the cases tell the two orders apart
+
+    @pytest.mark.parametrize("call", [
+        lambda t: check_strict_invariance(t, (0, 1), (0,), grouped=True),
+        lambda t: check_strict_invariance(t, (), (), grouped=True),
+        lambda t: estimated_training_error(optimal_outputs(t, ()), t, grouped=True),
+    ], ids=["invariant-group-variable", "no-variables", "no-output-variables"])
+    def test_grouping_needs_a_kept_leading_variable(self, call):
+        with pytest.raises(GvlabError) as err:
+            call(one_cell_table_2d())
         assert err.value.code == "bad-variable"
 
 
