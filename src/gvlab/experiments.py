@@ -411,6 +411,7 @@ def random_count_table(rng: np.random.Generator, max_count: int = 16) -> Exempla
 
 
 def _product_counts(rng: np.random.Generator) -> np.ndarray:
+    """Dense counts where variable 0 is independent of (variable 1, label) by construction."""
     card_t = int(rng.integers(2, 5))
     card_c = int(rng.integers(2, 5))
     k = int(rng.integers(2, 5))
@@ -419,23 +420,14 @@ def _product_counts(rng: np.random.Generator) -> np.ndarray:
     return u[:, None, None] * v
 
 
-def product_table(rng: np.random.Generator) -> tuple[ExemplarTable, int]:
-    """Table where variable 0 is independent of (variable 1, label) by construction."""
-    return _cell_table(_product_counts(rng)), 0
-
-
 def _label_copy_counts(rng: np.random.Generator) -> np.ndarray:
+    """Dense counts where the label deterministically copies variable 0."""
     card_t = int(rng.integers(2, 5))
     card_c = int(rng.integers(2, 5))
     cells = np.zeros((card_t, card_c, card_t), dtype=np.int64)
     diagonal = np.arange(card_t)  # the label axis copies variable 0
     cells[diagonal, :, diagonal] = rng.integers(1, 9, size=(card_t, card_c))
     return cells
-
-
-def label_equals_variable_table(rng: np.random.Generator) -> tuple[ExemplarTable, int]:
-    """Table where the label deterministically copies variable 0."""
-    return _cell_table(_label_copy_counts(rng)), 0
 
 
 def _nonempty(dense: np.ndarray) -> np.ndarray:
@@ -465,21 +457,20 @@ def _stacked_table(blocks: Sequence[np.ndarray], shape: tuple[int, ...]) -> Exem
     return _cell_table(stack)
 
 
-def argmax_zero_one_error(table: ExemplarTable, determining_ids: Sequence[int],
-                          grouped: bool = False) -> Fraction | tuple[Fraction, ...]:
-    """Exact 0/1 training error of the argmax-of-conditional predictor.
-
-    With ``grouped``, one error per value of the leading determining
-    variable, as in :func:`theory.estimated_training_error`.
-    """
-    marg = marginalize(table, determining_ids)
+def argmax_zero_one_error(table: ExemplarTable,
+                          determining_ids: Sequence[int]) -> tuple[Fraction, ...]:
+    """Exact 0/1 training error of the argmax-of-conditional predictor, one
+    per value of the leading determining variable, the index of tables
+    stacked as in :func:`theory.estimated_training_error` (one error when
+    there is no determining variable)."""
+    ids = tuple(determining_ids)
+    marg = marginalize(table, ids)
     starts = _run_heads(marg.cells[:, :-1]).nonzero()[0]
-    groups = _run_heads(marg.cells[starts, :int(grouped)]).nonzero()[0]
+    groups = _run_heads(marg.cells[starts, :min(len(ids), 1)]).nonzero()[0]
     # integer maxima per configuration, summed per group
     hits = np.add.reduceat(np.maximum.reduceat(marg.counts, starts), groups).tolist()
     totals = np.add.reduceat(marg.counts, starts[groups]).tolist()
-    errors = tuple(Fraction(total - hit, total) for hit, total in zip(hits, totals))
-    return errors if grouped else errors[0]
+    return tuple(Fraction(total - hit, total) for hit, total in zip(hits, totals))
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +643,7 @@ def check_training_error(rng: np.random.Generator, tables: int) -> CheckResult:
     stack = _stacked_table(blocks, (8, 8, 4))
     estimates = theory.estimated_training_error(theory.optimal_outputs(stack, (0, 1)), stack,
                                                 grouped=True)
-    exact = argmax_zero_one_error(stack, (0, 1), grouped=True)
+    exact = argmax_zero_one_error(stack, (0, 1))
     worst = max(abs(e - float(x)) for e, x in zip(estimates.tolist(), exact))
     return CheckResult("training-error-equality", worst <= 1e-12, worst,
                        f"{tables} random tables, argmax predictor vs estimate")

@@ -179,17 +179,6 @@ def optimal_outputs(table: ExemplarTable, determining_ids: Sequence[int]) -> Opt
                       _freeze(counts / counts.sum(axis=1, keepdims=True)), table.k)
 
 
-def _padded_groups(values: np.ndarray, heads: np.ndarray) -> np.ndarray:
-    """``values`` as ``(groups, widest group, ...)``: the rows of each run that
-    ``heads`` starts, in order, then zeros."""
-    group = np.cumsum(heads) - 1
-    starts = heads.nonzero()[0]
-    slot = np.arange(len(values)) - starts[group]
-    padded = np.zeros((len(starts), int(slot.max()) + 1) + values.shape[1:], values.dtype)
-    padded[group, slot] = values
-    return padded
-
-
 def estimated_training_error(opt: OptimalOutputs, table: ExemplarTable,
                              grouped: bool = False) -> float | np.ndarray:
     """Training error of the optimal hypothesis: 1 - E_g max_y q(y|g).
@@ -206,11 +195,12 @@ def estimated_training_error(opt: OptimalOutputs, table: ExemplarTable,
     if not np.array_equal(configs, opt.configs):
         raise GvlabError("table-mismatch", "configuration sets differ between outputs and table")
     n = counts.sum(axis=1)
-    heads = _run_heads(configs[:, :int(grouped)])  # one run of all rows when not grouped
+    starts = _run_heads(configs[:, :int(grouped)]).nonzero()[0]  # one run when not grouped
     # The builtin sum adds each group's n * max q strictly in configuration
     # order; numpy's sum would pair the additions from 8 terms on.
-    hits = sum(_padded_groups(n * opt.probs.max(axis=1), heads).T)
-    errors = 1.0 - hits / np.add.reduceat(n, heads.nonzero()[0])
+    terms, bounds = (n * opt.probs.max(axis=1)).tolist(), starts.tolist() + [len(n)]
+    hits = np.array([sum(terms[a:b]) for a, b in zip(bounds, bounds[1:])])
+    errors = 1.0 - hits / np.add.reduceat(n, starts)
     return errors if grouped else float(errors[0])
 
 
@@ -242,18 +232,19 @@ def check_strict_invariance(table: ExemplarTable, determining_ids: Sequence[int]
     opt = optimal_outputs(table, det)
     kept = [i for i, var_id in enumerate(det) if var_id not in inv]
     # Pairwise total variation within each set of configurations that agree
-    # on the kept variables; the sets are padded to the largest, and pairs
-    # with a padding slot are masked out.
+    # on the kept variables, one array per set size: never a pair across sets.
     keys, members = np.unique(opt.configs[:, kept], axis=0, return_inverse=True)
     order = np.argsort(members, kind="stable")
-    heads = _run_heads(members[order, None])
-    q = _padded_groups(opt.probs[order], heads)
-    present = _padded_groups(np.ones(len(order), dtype=bool), heads)
-    spread = 0.5 * np.abs(q[:, :, None] - q[:, None]).sum(axis=3)
-    spread[~(present[:, :, None] & present[:, None])] = 0.0
+    sizes = np.bincount(members)
+    starts = np.cumsum(sizes) - sizes
+    spread = np.zeros(len(keys))  # a set of one has no spread
+    # A Python set: numpy's 1-D integer unique keeps heap in use after its first call.
+    for size in set(sizes.tolist()) - {1}:
+        sets = (sizes == size).nonzero()[0]
+        q = opt.probs[order[starts[sets, None] + np.arange(size)]]
+        spread[sets] = (0.5 * np.abs(q[:, :, None] - q[:, None]).sum(axis=3)).max(axis=(1, 2))
     # Keys sort by the leading kept variable, the table index when grouped.
-    worst = np.maximum.reduceat(spread.max(axis=(1, 2)),
-                                _run_heads(keys[:, :int(grouped)]).nonzero()[0]).tolist()
+    worst = np.maximum.reduceat(spread, _run_heads(keys[:, :int(grouped)]).nonzero()[0]).tolist()
     reports = tuple(InvarianceReport(w <= INVARIANCE_TOL, w) for w in worst)
     return reports if grouped else reports[0]
 

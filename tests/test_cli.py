@@ -271,12 +271,16 @@ class TestTheoryCheckCommand:
 
 
 class TestItemCounts:
+    """Each runner refuses a count whose records would pass the budget before
+    it builds a work item or draws a table."""
+
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch):
-        def refuse(fn, items, jobs=1):
-            raise AssertionError("a run built its work items past the record budget")
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run started work past the record budget")
 
         monkeypatch.setattr(experiments, "parallel_map", refuse)
+        monkeypatch.setattr(experiments, "check_max_prob_bound", refuse)
 
     @pytest.mark.parametrize("argv, cap", [
         (["toy-influence", "--datasets", "65537"], 65536),

@@ -9,10 +9,11 @@ from gvlab.core import build_table, rows_csv
 from gvlab.errors import GvlabError
 from gvlab.experiments import (ADDITION_SPLITS, CORRUPTIBLE_CHECKS, AdditionRuleSweep,
                                GridProtocol, ToyProtocol, addition_rule_margins,
+                               _cell_table, _label_copy_counts, _product_counts,
                                addition_rule_sweep, argmax_zero_one_error, block_entropies,
-                               check_max_prob_bound, derive_seed, label_equals_variable_table,
-                               make_grid_task, parallel_map, product_table, random_count_table,
-                               spearman, theory_check_run, truth_table_counts)
+                               check_max_prob_bound, derive_seed, make_grid_task, parallel_map,
+                               random_count_table, spearman, theory_check_run,
+                               truth_table_counts)
 from gvlab.models import risk, train
 from gvlab.synth import balance_substitute
 from gvlab.theory import (addition_rule, check_strict_invariance, estimated_training_error,
@@ -118,7 +119,8 @@ def per_cell_count_table(rng, max_count=16):
 
 
 def looped_product_table(rng):
-    """Reference for ``product_table``: one loop per axis, checked constructor."""
+    """Reference for ``_cell_table(_product_counts(rng))``: one loop per axis,
+    checked constructor."""
     card_t, card_c, k = (int(rng.integers(2, 5)) for _ in range(3))
     u = rng.integers(1, 6, card_t)
     v = rng.integers(0, 7, (card_c, k))
@@ -131,15 +133,15 @@ def looped_product_table(rng):
                     counts[((gt, gc), label)] = c
     if not counts:
         counts[((0, 0), 0)] = 1
-    return table_from_dict(counts, (card_t, card_c), k), 0
+    return table_from_dict(counts, (card_t, card_c), k)
 
 
 def looped_label_copy_table(rng):
-    """Reference for ``label_equals_variable_table``: one scalar draw per cell."""
+    """Reference for ``_cell_table(_label_copy_counts(rng))``: one scalar draw per cell."""
     card_t, card_c = int(rng.integers(2, 5)), int(rng.integers(2, 5))
     counts = {((gt, gc), gt): int(rng.integers(1, 9))
               for gt in range(card_t) for gc in range(card_c)}
-    return table_from_dict(counts, (card_t, card_c), card_t), 0
+    return table_from_dict(counts, (card_t, card_c), card_t)
 
 
 class TestRandomTables:
@@ -165,18 +167,18 @@ class TestRandomTables:
                 assert (table.total, table.k) == (ref.total, ref.k)
             assert rng.random() == ref_rng.random()
 
-    @pytest.mark.parametrize("generator, reference", [
-        (product_table, looped_product_table),
-        (label_equals_variable_table, looped_label_copy_table),
+    @pytest.mark.parametrize("draw, reference", [
+        (_product_counts, looped_product_table),
+        (_label_copy_counts, looped_label_copy_table),
     ], ids=["product", "label-copy"])
-    def test_generators_match_the_checked_construction(self, generator, reference):
+    def test_generators_match_the_checked_construction(self, draw, reference):
         """The dense-cell generators give the tables of one draw per cell
         through the checked constructor, keys in order, and leave the
         stream where the per-cell loops leave it."""
         for seed in range(200):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            (table, gt), (ref, ref_gt) = generator(rng), reference(ref_rng)
-            assert table == ref and gt == ref_gt
+            table, ref = _cell_table(draw(rng)), reference(ref_rng)
+            assert table == ref
             assert list(table_dict(table).items()) == list(table_dict(ref).items())
             assert table.cells.dtype == table.counts.dtype == np.int64
             assert type(table.k) is int and all(type(v) is int for v in table.axis_sizes)
@@ -186,21 +188,22 @@ class TestRandomTables:
         rng = np.random.default_rng(2)
         from gvlab.info import mutual_information
         for _ in range(20):
-            table, gt = product_table(rng)
-            assert mutual_information(table, [gt], [1 - gt]) <= 1e-12
+            table = _cell_table(_product_counts(rng))
+            assert mutual_information(table, [0], [1]) <= 1e-12
 
     def test_label_copy_table(self):
         rng = np.random.default_rng(3)
-        table, gt = label_equals_variable_table(rng)
+        table = _cell_table(_label_copy_counts(rng))
         for (config, label), count in table_dict(table).items():
-            assert label == config[gt]
+            assert label == config[0]
 
     def test_argmax_error_oracle_on_known_table(self):
         from fractions import Fraction
-        counts = {((0,), 0): 3, ((0,), 1): 1, ((1,), 0): 1, ((1,), 1): 1}
-        table = table_from_dict(counts, (2,), 2)
-        assert argmax_zero_one_error(table, (0,)) == Fraction(1, 3)
-        opt = optimal_outputs(table, (0,))
+        counts = {((0, 0), 0): 3, ((0, 0), 1): 1, ((0, 1), 0): 1, ((0, 1), 1): 1}
+        table = table_from_dict(counts, (1, 2), 2)  # a stack of one table over variable 1
+        assert argmax_zero_one_error(table, (0, 1)) == (Fraction(1, 3),)
+        assert argmax_zero_one_error(table, (1,)) == (Fraction(1, 4), Fraction(1, 2))
+        opt = optimal_outputs(table, (0, 1))
         assert estimated_training_error(opt, table) == pytest.approx(1 / 3, abs=1e-15)
 
 
@@ -518,45 +521,6 @@ class TestTheoryChecks:
         assert lines[0] == "check,passed,max_deviation"
         assert len(lines) == len(results) + 1
         assert all(line.split(",")[1] in ("true", "false") for line in lines[1:])
-
-    def test_table_count_past_the_record_budget_rejected_before_any_draw(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a check ran past the record budget")
-
-        monkeypatch.setattr(experiments, "check_max_prob_bound", refuse)
-        cap = experiments.RECORD_BUDGET // experiments._TABLE_BYTES
-        with pytest.raises(GvlabError) as err:
-            theory_check_run(seed=0, tables=cap + 1)
-        assert err.value.code == "bad-config" and f"at most {cap}" in err.value.message
-
-
-class TestRecordBudget:
-    """Runs refuse an item count whose records would pass the budget before
-    they build a single work item."""
-
-    @pytest.fixture(autouse=True)
-    def no_work(self, monkeypatch):
-        def refuse(fn, items, jobs=1):
-            raise AssertionError("a run built its work items past the record budget")
-
-        monkeypatch.setattr(experiments, "parallel_map", refuse)
-
-    @pytest.mark.parametrize("runner", [experiments.toy_influence_run,
-                                        experiments.toy_balance_run])
-    def test_toy_datasets_just_past_the_cap(self, runner):
-        cap = experiments.RECORD_BUDGET // experiments._DATASET_BYTES
-        with pytest.raises(GvlabError) as err:
-            runner(0, cap + 1, SMALL_TOY)
-        assert err.value.code == "bad-config" and f"at most {cap}" in err.value.message
-
-    def test_augment_cells_just_past_the_cap(self):
-        cap = experiments.RECORD_BUDGET // experiments._CELL_BYTES
-        laws = ("uniform", "periphery_m0", "center_m1")
-        seeds = -(-(cap + 1) // len(laws))  # the fewest seeds whose cells pass the cap
-        assert (seeds - 1) * len(laws) <= cap < seeds * len(laws)
-        with pytest.raises(GvlabError) as err:
-            experiments.augment_sweep_run(0, seeds, (0.5,), laws, SMALL_GRID)
-        assert err.value.code == "bad-config" and f"at most {cap}" in err.value.message
 
 
 class TestStackedChecks:

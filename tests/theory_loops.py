@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from gvlab.core import _run_heads, marginalize
-from gvlab.experiments import (CheckResult, label_equals_variable_table, product_table,
+from gvlab.experiments import (CheckResult, _cell_table, _label_copy_counts, _product_counts,
                                random_count_table)
 from gvlab.theory import INVARIANCE_TOL, InvarianceReport, _label_counts, optimal_outputs
 
@@ -60,13 +60,13 @@ def looped_check_strict_invariance(rng, tables):
     worst = 0.0
     missed = 0
     for _ in range(tables):
-        table, gt = product_table(rng)
-        report = single_strict_invariance(table, table.variable_ids, (gt,))
+        table = _cell_table(_product_counts(rng))
+        report = single_strict_invariance(table, table.variable_ids, (0,))
         worst = max(worst, report.max_deviation)
         missed += not report.is_invariant
     for _ in range(tables):
-        table, gt = label_equals_variable_table(rng)
-        missed += single_strict_invariance(table, table.variable_ids, (gt,)).is_invariant
+        table = _cell_table(_label_copy_counts(rng))
+        missed += single_strict_invariance(table, table.variable_ids, (0,)).is_invariant
     return CheckResult("strict-invariance", worst <= 1e-12 and missed == 0, worst,
                        f"{tables} product tables and {tables} dependent tables; "
                        f"misclassified: {missed}")
