@@ -45,10 +45,13 @@ from . import theory
 RECORD_BUDGET = 2**29
 
 #: Upper bounds of those records per item (``tracemalloc`` measured about
-#: 4.5 KB, 1 KB and 1.3 KB): a toy dataset's work tuple, ten result rows and
-#: their CSV text; an augmentation cell's; a random table's block in
-#: :func:`check_optimal_outputs`, at the oracle's peak.
+#: 4.5 KB, 1 KB and 1.75 KB): a toy dataset's work tuple, ten result rows and
+#: their CSV text; an augmentation cell's; a random table's block and its
+#: rows of the stack in :func:`check_optimal_outputs`, at the oracle's peak.
 _DATASET_BYTES, _CELL_BYTES, _TABLE_BYTES = 8192, 2048, 2048
+
+#: Rows per Dirichlet draw of the max-prob sweep; consecutive draws read the stream as one does.
+_MAX_PROB_BLOCK = 4096
 
 
 def _check_records(what: str, count: int, item_bytes: int) -> None:
@@ -405,11 +408,6 @@ def _random_counts(rng: np.random.Generator, max_count: int = 16) -> np.ndarray:
     return rng.integers(0, max_count + 1, size=shape + (k,))
 
 
-def random_count_table(rng: np.random.Generator, max_count: int = 16) -> ExemplarTable:
-    """Random table with at most 8 configurations, K <= 4, cell counts <= max_count."""
-    return _cell_table(_random_counts(rng, max_count))
-
-
 def _product_counts(rng: np.random.Generator) -> np.ndarray:
     """Dense counts where variable 0 is independent of (variable 1, label) by construction."""
     card_t = int(rng.integers(2, 5))
@@ -430,19 +428,19 @@ def _label_copy_counts(rng: np.random.Generator) -> np.ndarray:
     return cells
 
 
-def _nonempty(dense: np.ndarray) -> np.ndarray:
-    """``dense``, or if it is all zero one count at its first cell: a table needs a cell."""
-    if not dense.any():
-        dense = dense.copy()
-        dense.flat[0] = 1
-    return dense
+def _nonempty(stack: np.ndarray) -> np.ndarray:
+    """C-contiguous ``stack`` of dense blocks along axis 0, each all-zero block
+    given one count at its first cell, in place: a table needs a cell."""
+    flat = stack.reshape(len(stack), -1)
+    flat[:, 0] += ~flat.any(axis=1)
+    return stack
 
 
 def _cell_table(dense: np.ndarray) -> ExemplarTable:
     """Table over variables ``0..m-1`` from a dense ``config + (label,)`` count
-    array; its nonzero cells, in C order, become the table's cells (see
-    :func:`_nonempty` for an all-zero array)."""
-    dense = _nonempty(dense)
+    array; its nonzero cells, in C order, become the table's cells (an all-zero
+    array is a stack of one block to :func:`_nonempty`)."""
+    dense = dense if dense.any() else _nonempty(dense[None].copy())[0]
     index = dense.nonzero()
     return _unchecked(ExemplarTable, tuple(range(dense.ndim - 1)), dense.shape[:-1],
                       _freeze(np.column_stack(index)), _freeze(dense[index]), dense.shape[-1])
@@ -453,8 +451,8 @@ def _stacked_table(blocks: Sequence[np.ndarray], shape: tuple[int, ...]) -> Exem
     last): variable 0 is the block index and the rest are the block's axes."""
     stack = np.zeros((len(blocks),) + shape, dtype=np.int64)
     for t, block in enumerate(blocks):
-        stack[(t,) + tuple(map(slice, block.shape))] = _nonempty(block)
-    return _cell_table(stack)
+        stack[(t,) + tuple(map(slice, block.shape))] = block
+    return _cell_table(_nonempty(stack))
 
 
 def argmax_zero_one_error(table: ExemplarTable,
@@ -589,7 +587,9 @@ def check_max_prob_bound(rng: np.random.Generator, corrupt: bool = False) -> Che
     worst = 0.0
     for k in range(2, 11):
         n = per_k if k < 10 else draws - 8 * per_k
-        worst = max(worst, _max_prob_gap(rng.dirichlet(np.ones(k), size=n), corrupt))
+        for start in range(0, n, _MAX_PROB_BLOCK):
+            p = rng.dirichlet(np.ones(k), size=min(_MAX_PROB_BLOCK, n - start))
+            worst = max(worst, _max_prob_gap(p, corrupt))
     worst = max(worst, abs(theory.max_prob_lower_bound(np.log(2.0)) - 0.5))
     return CheckResult("max-prob-bound", worst <= 1e-12, worst,
                        f"sweep of {draws} random label distributions, K in 2..10")
@@ -614,19 +614,15 @@ def _max_prob_gap(p: np.ndarray, corrupt: bool) -> float:
 
 def check_optimal_outputs(rng: np.random.Generator, tables: int,
                           corrupt: bool = False) -> CheckResult:
-    """Closed-form optimal outputs against one mirror-descent run over every
-    table's vectors, padded with zero-mass labels to the widest ``k``: such labels
-    add no cross-entropy, so each row keeps its optimum and one certificate covers all."""
-    probs = [theory.optimal_outputs(table, table.variable_ids).probs
-             for table in (random_count_table(rng) for _ in range(tables))]
-    ends = np.cumsum([len(p) for p in probs])
-    stacked = np.zeros((ends[-1], max(p.shape[1] for p in probs)))
-    for p, end in zip(probs, ends):
-        stacked[end - len(p):end, :p.shape[1]] = p
-    numeric = theory.pgd_conditionals(stacked)
+    """One closed-form call on the stack of all tables over (table, flat configuration) against
+    one oracle run on its rows, padded to the widest ``k`` by labels of zero mass and zero cost."""
+    blocks = [d.reshape(-1, d.shape[-1]) for d in (_random_counts(rng) for _ in range(tables))]
+    widest = max(block.shape[1] for block in blocks)
+    closed = theory.optimal_outputs(_stacked_table(blocks, (8, 4)), (0, 1)).probs[:, :widest]
+    numeric = theory.pgd_conditionals(closed)
     if corrupt:
         numeric = numeric + 0.002
-    worst = float((0.5 * np.abs(numeric - stacked).sum(axis=1)).max())
+    worst = float((0.5 * np.abs(numeric - closed).sum(axis=1)).max())
     return CheckResult("optimal-outputs-closed-form", worst <= 1e-4, worst,
                        f"{tables} random tables vs mirror-descent minimizer")
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -311,6 +312,8 @@ def pgd_conditionals(q: np.ndarray, iterations: int = 10_000) -> np.ndarray:
     whose gap, taken over all rows, is at most :data:`GAP_TOL`.
     ``iterations`` is a hard cap; reaching it raises ``GvlabError("not-converged")``.
     Input other than a stack of probability rows raises ``GvlabError("bad-variable")``.
+    Row maxima are column folds (exact: a maximum ignores order); the log-sum-exp
+    keeps the row sum, whose pairwise order from 8 labels on a fold would change.
     """
     q = np.asarray(q, dtype=np.float64)
     if (q.ndim != 2 or q.size == 0 or not np.isfinite(q).all() or (q < 0.0).any()
@@ -320,13 +323,14 @@ def pgd_conditionals(q: np.ndarray, iterations: int = 10_000) -> np.ndarray:
     support = q > 0.0
     psi = support / support.sum(axis=1, keepdims=True)
     log_psi = np.log(psi, out=np.full_like(psi, -np.inf), where=support)
+    grad = np.zeros_like(q)  # off the fixed support it stays 0
     for _ in range(iterations):
-        grad = np.divide(q, psi, out=np.zeros_like(q), where=support)
-        top = grad.max(axis=1, keepdims=True)
+        np.divide(q, psi, out=grad, where=support)
+        top = reduce(np.maximum, grad.T)[:, None]
         if top.max() - 1.0 <= GAP_TOL:
             return psi
         log_psi += grad / top
-        log_psi -= log_psi.max(axis=1, keepdims=True)
+        log_psi -= reduce(np.maximum, log_psi.T)[:, None]
         log_psi -= np.log(np.exp(log_psi).sum(axis=1, keepdims=True))
         psi = np.exp(log_psi)
     raise GvlabError("not-converged", f"duality gap above {GAP_TOL} after {iterations} "

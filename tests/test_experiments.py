@@ -1,3 +1,4 @@
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -10,9 +11,9 @@ from gvlab.errors import GvlabError
 from gvlab.experiments import (ADDITION_SPLITS, CORRUPTIBLE_CHECKS, AdditionRuleSweep,
                                GridProtocol, ToyProtocol, addition_rule_margins,
                                _cell_table, _label_copy_counts, _product_counts,
-                               addition_rule_sweep, argmax_zero_one_error, block_entropies,
-                               check_max_prob_bound, derive_seed, make_grid_task, parallel_map,
-                               random_count_table, spearman, theory_check_run,
+                               _random_counts, addition_rule_sweep, argmax_zero_one_error,
+                               block_entropies, check_max_prob_bound, derive_seed,
+                               make_grid_task, parallel_map, spearman, theory_check_run,
                                truth_table_counts)
 from gvlab.models import risk, train
 from gvlab.synth import balance_substitute
@@ -21,7 +22,8 @@ from gvlab.theory import (addition_rule, check_strict_invariance, estimated_trai
 
 from dict_tables import table_dict, table_from_dict
 from memory import traced_peak
-from theory_loops import looped_check_strict_invariance, looped_check_training_error
+from theory_loops import (looped_check_optimal_outputs, looped_check_strict_invariance,
+                          looped_check_training_error)
 
 SMALL_TOY = ToyProtocol(per_class=300, epochs=8)
 SMALL_GRID = GridProtocol(train_per_class=12, test_per_class=6, epochs=6, repeats=5,
@@ -104,7 +106,7 @@ def _square(i):
 
 
 def per_cell_count_table(rng, max_count=16):
-    """Reference for ``random_count_table``: one scalar draw per cell, in C order."""
+    """Reference for ``_cell_table(_random_counts(rng))``: one scalar draw per cell, in C order."""
     shape = experiments._TABLE_SHAPES[rng.integers(len(experiments._TABLE_SHAPES))]
     k = int(rng.integers(2, 5))
     counts = {}
@@ -148,7 +150,7 @@ class TestRandomTables:
     def test_random_count_table_within_limits(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            table = random_count_table(rng)
+            table = _cell_table(_random_counts(rng))
             assert int(np.prod(table.axis_sizes)) <= 8
             assert 2 <= table.k <= 4
             assert all(0 < c <= 16 for c in table.counts.tolist())
@@ -159,7 +161,7 @@ class TestRandomTables:
         for seed in (0, 1, 7, 20240501):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(60):
-                table, ref = random_count_table(rng), per_cell_count_table(ref_rng)
+                table, ref = _cell_table(_random_counts(rng)), per_cell_count_table(ref_rng)
                 assert table == ref
                 assert table.variable_ids == ref.variable_ids
                 assert table.axis_sizes == ref.axis_sizes
@@ -480,9 +482,10 @@ class TestMaxProbBound:
         assert result.passed is not corrupt
 
     def test_peak_allocation(self):
-        """One sweep step's Dirichlet draws and entropy terms are freed before
-        the next step draws: the where-based sweep peaked at 2.82 MB."""
-        assert traced_peak(check_max_prob_bound, np.random.default_rng(0)) < 2_500_000
+        """One block's Dirichlet draws and entropy terms are freed before the
+        next block draws (0.79 MB): one draw per label count peaked at
+        2.13 MB, the where-based sweep at 2.82 MB."""
+        assert traced_peak(check_max_prob_bound, np.random.default_rng(0)) < 1_000_000
 
 
 class TestTheoryChecks:
@@ -515,6 +518,12 @@ class TestTheoryChecks:
                 theory_check_run(seed=0, tables=tables)
             assert err.value.code == "bad-config"
 
+    def test_optimal_outputs_records_stay_within_the_table_budget(self):
+        """The budget that bounds ``--tables`` covers the check's traced peak."""
+        tables = 5000
+        peak = traced_peak(experiments.check_optimal_outputs, np.random.default_rng(0), tables)
+        assert peak < tables * experiments._TABLE_BYTES, peak
+
     def test_report_csv_layout(self):
         results = theory_check_run(seed=0, tables=10)
         lines = rows_csv("check,passed,max_deviation", results).splitlines()
@@ -531,7 +540,10 @@ class TestStackedChecks:
     @pytest.mark.parametrize("check, reference", [
         (experiments.check_training_error, looped_check_training_error),
         (experiments.check_strict_invariance, looped_check_strict_invariance),
-    ], ids=["training-error", "strict-invariance"])
+        (experiments.check_optimal_outputs, looped_check_optimal_outputs),
+        (partial(experiments.check_optimal_outputs, corrupt=True),
+         partial(looped_check_optimal_outputs, corrupt=True)),
+    ], ids=["training-error", "strict-invariance", "optimal-outputs", "optimal-outputs-corrupt"])
     def test_equal_to_the_per_table_loop(self, check, reference, tables):
         for seed in range(6):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)

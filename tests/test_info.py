@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from gvlab.core import ExemplarTable, marginalize
 from gvlab.errors import GvlabError
-from gvlab.experiments import block_entropies, random_count_table, truth_table_counts
+from gvlab.experiments import _cell_table, _random_counts, block_entropies, truth_table_counts
 from gvlab.info import LABELS, conditional_entropy, count_entropy, entropy, mutual_information
 from gvlab.theory import addition_rule
 
@@ -235,7 +235,7 @@ def reference_information(table, a, b, c, with_labels=False):
 def test_array_tables_match_the_dict_reference(seed, data):
     """Marginals, entropies, information and the addition rule on the arrays
     equal the dict loops they replaced: exactly for counts, to 1e-12 in nats."""
-    table = random_count_table(np.random.default_rng(seed))
+    table = _cell_table(_random_counts(np.random.default_rng(seed)))
     keep = data.draw(keep_ids(table.variable_ids))
     rest = tuple(v for v in table.variable_ids if v not in keep)
 

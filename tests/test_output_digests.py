@@ -1,0 +1,61 @@
+"""Output digests of ``theory-check``: reruns each pinned command in-process
+through ``cli.main`` and compares the sha256 of ``theory_report.csv``, of
+stdout and the exit status with the committed ones.
+
+The digests hold for the numpy version stored next to them.  A change that
+moves output on purpose rewrites them in the same commit with
+``python tests/test_output_digests.py`` and names the moved bytes.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from gvlab import cli
+
+DIGESTS = Path(__file__).with_name("theory_check_digests.json")
+
+#: Two seeds, no hook and each hook, at a small and the default table count.
+CASES = [["theory-check", "--seed", str(seed), "--tables", str(tables)] + hook
+         for seed in (0, 20240501)
+         for hook in ([], ["--corrupt", "max-prob-bound"],
+                      ["--corrupt", "optimal-outputs-closed-form"])
+         for tables in (7, 200)]
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest(argv: list[str], out: Path) -> dict:
+    """Exit status and sha256 of the report and of stdout for one in-process run."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        status = cli.main([*argv, "--out", str(out)])
+    return {"status": status,
+            "theory_report.csv": sha256((out / "theory_report.csv").read_bytes()),
+            "stdout": sha256(stdout.getvalue().encode())}
+
+
+def test_theory_check_outputs_match_the_committed_digests(tmp_path):
+    pinned = json.loads(DIGESTS.read_text())
+    assert [case["argv"] for case in pinned["cases"]] == CASES
+    moved = [" ".join(case["argv"]) for i, case in enumerate(pinned["cases"])
+             if digest(case["argv"], tmp_path / str(i)) != case["digests"]]
+    assert not moved, (f"output moved for {moved}; digests were taken with numpy "
+                       f"{pinned['numpy']}, this run has numpy {np.__version__}")
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        cases = [{"argv": argv, "digests": digest(argv, Path(scratch) / str(i))}
+                 for i, argv in enumerate(CASES)]
+    DIGESTS.write_text(json.dumps({"numpy": np.__version__, "cases": cases}, indent=1) + "\n")
+    print(f"wrote {len(cases)} digests to {DIGESTS}", file=sys.stderr)

@@ -9,7 +9,7 @@ from gvlab import theory
 from gvlab.core import ExemplarTable, marginalize, rows_csv
 from gvlab.errors import GvlabError
 from gvlab.experiments import (_cell_table, _label_copy_counts, _product_counts,
-                               argmax_zero_one_error, check_optimal_outputs, random_count_table,
+                               _random_counts, argmax_zero_one_error, check_optimal_outputs,
                                theory_check_run)
 from gvlab.theory import (GAP_TOL, INVARIANCE_TOL, BoundReport, OptimalOutputs, addition_rule,
                           check_strict_invariance, estimated_training_error,
@@ -19,7 +19,8 @@ from gvlab.theory import (GAP_TOL, INVARIANCE_TOL, BoundReport, OptimalOutputs, 
 from dict_tables import reference_marginal, table_dict
 from dict_tables import table_from_dict as table_from_counts
 from memory import traced_peak
-from theory_loops import single_argmax_error, single_strict_invariance, single_training_error
+from theory_loops import (row_reduce_pgd_conditionals, single_argmax_error,
+                          single_strict_invariance, single_training_error)
 
 LN2 = math.log(2.0)
 
@@ -231,7 +232,7 @@ class TestDerivedObjects:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.data())
     def test_match_the_checked_construction(self, seed, data):
-        table = random_count_table(np.random.default_rng(seed))
+        table = _cell_table(_random_counts(np.random.default_rng(seed)))
         keep = data.draw(keep_ids(table.variable_ids))
         marg = marginalize(table, keep)
         reference = dict(sorted(reference_marginal(table, keep).items()))
@@ -321,7 +322,7 @@ class TestStrictInvariance:
     @pytest.mark.parametrize("make", [
         lambda rng: _cell_table(_product_counts(rng)),
         lambda rng: _cell_table(_label_copy_counts(rng)),
-        random_count_table], ids=["product", "dependent", "random"])
+        lambda rng: _cell_table(_random_counts(rng))], ids=["product", "dependent", "random"])
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
     def test_stacked_deviation_equals_the_double_loop(self, make, seed, data):
@@ -414,7 +415,7 @@ class TestGroupedForms:
                    (eight_configuration_table(np.random.default_rng(len(seeds))), 3)]
         for seed in seeds:
             rng = np.random.default_rng(seed)
-            table = random_count_table(rng, max_count=data.draw(st.sampled_from([1, 16])))
+            table = _cell_table(_random_counts(rng, data.draw(st.sampled_from([1, 16]))))
             entries.append((table, data.draw(st.integers(1, len(table.variable_ids)))))
         entries = data.draw(st.permutations(entries))
         stack = stack_of([prefix_rest_cells(t, p) for t, p in entries], (8, 8), 4)
@@ -461,7 +462,7 @@ class TestGroupedForms:
     def test_a_group_of_one_is_the_single_table_call(self):
         rng = np.random.default_rng(5)
         for _ in range(40):
-            table = random_count_table(rng)
+            table = _cell_table(_random_counts(rng))
             stack = stack_of([prefix_rest_cells(table, len(table.variable_ids))], (8, 1), 4)
             estimate = estimated_training_error(optimal_outputs(stack, (0, 1)), stack,
                                                 grouped=True)
@@ -616,16 +617,23 @@ class TestOracleCertificate:
             assert (row[k:] == 0.0).all()
 
     def test_theory_check_runs_the_oracle_once(self, monkeypatch):
-        calls = []
+        """One closed-form call on the stack of every table, one oracle run."""
+        calls, closed = [], []
 
         def counting(q, *args, **kwargs):
             calls.append(q.shape)
             return pgd_conditionals(q, *args, **kwargs)
 
+        def counting_closed(*args):
+            closed.append(args[1])
+            return optimal_outputs(*args)
+
         monkeypatch.setattr(theory, "pgd_conditionals", counting)
+        monkeypatch.setattr(theory, "optimal_outputs", counting_closed)
         result = check_optimal_outputs(np.random.default_rng(3), 40)
         assert result.passed
         assert len(calls) == 1 and calls[0][1] == 4
+        assert closed == [(0, 1)]
 
     def test_corrupted_closed_form_still_fails(self):
         results = {r.name: r for r in theory_check_run(seed=0, tables=20)}
@@ -680,6 +688,34 @@ class TestMirrorDescentOracle:
             warnings.simplefilter("error")
             psi = pgd_conditionals(q)
         assert certified(q, psi)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 50).flatmap(lambda rows: st.integers(1, 12).flatmap(
+        lambda width: st.tuples(
+            st.lists(st.lists(st.integers(0, 64), min_size=width, max_size=width)
+                     .filter(any), min_size=rows, max_size=rows),
+            st.lists(st.booleans(), min_size=width, max_size=width)))),
+        st.integers(0, 12))
+    def test_equals_the_row_reduce_reference(self, drawn, cap):
+        """Column folds and the reused gradient move no bit, on widths across
+        numpy's 8-wide pairwise sum and with zero-mass padded columns; a small
+        cap raises exactly where the reference raises."""
+        counts, padded = drawn
+        counts = np.array(counts, dtype=np.float64)
+        counts[:, np.array(padded)] = 0.0
+        counts = counts[counts.any(axis=1)]
+        if not len(counts):
+            counts = np.eye(1, len(padded))
+        q = counts / counts.sum(axis=1, keepdims=True)
+        assert pgd_conditionals(q).tobytes() == row_reduce_pgd_conditionals(q).tobytes()
+        try:
+            expected = row_reduce_pgd_conditionals(q, cap)
+        except GvlabError as err:
+            with pytest.raises(GvlabError) as raised:
+                pgd_conditionals(q, cap)
+            assert raised.value.code == err.code == "not-converged"
+        else:
+            assert pgd_conditionals(q, cap).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_theory_check_rows_certify_within_32_iterations(self, monkeypatch, seed):

@@ -1,10 +1,12 @@
 """Per-table theory checks, kept as the reference for the stacked ones.
 
-``check_training_error`` and ``check_strict_invariance`` evaluate all their
-random tables as one stacked table through the grouped closed forms.  These
-helpers keep the loops they replaced, one table and one closed-form call at
-a time, and the single-table closed forms as they were before the grouped
-forms, so tests can pin the stacked code against them.
+``check_optimal_outputs``, ``check_training_error`` and
+``check_strict_invariance`` evaluate all their random tables as one stacked
+table.  These helpers keep the loops they replaced, one table and one
+closed-form call at a time, the single-table closed forms as they were
+before the grouped forms, and the mirror-descent oracle as it was before its
+row maxima became column folds, so tests can pin the stacked code against
+them.
 """
 
 from fractions import Fraction
@@ -12,9 +14,12 @@ from fractions import Fraction
 import numpy as np
 
 from gvlab.core import _run_heads, marginalize
+from gvlab import theory
+from gvlab.errors import GvlabError
 from gvlab.experiments import (CheckResult, _cell_table, _label_copy_counts, _product_counts,
-                               random_count_table)
-from gvlab.theory import INVARIANCE_TOL, InvarianceReport, _label_counts, optimal_outputs
+                               _random_counts)
+from gvlab.theory import (GAP_TOL, INVARIANCE_TOL, InvarianceReport, _label_counts,
+                          optimal_outputs)
 
 
 def single_training_error(opt, table):
@@ -45,10 +50,45 @@ def single_strict_invariance(table, determining_ids, invariant_ids):
     return InvarianceReport(worst <= INVARIANCE_TOL, worst)
 
 
+def row_reduce_pgd_conditionals(q, iterations=10_000):
+    """``theory.pgd_conditionals`` with both row maxima as ``max(axis=1)`` and a
+    fresh gradient array per step, input checks left out."""
+    q = np.asarray(q, dtype=np.float64)
+    support = q > 0.0
+    psi = support / support.sum(axis=1, keepdims=True)
+    log_psi = np.log(psi, out=np.full_like(psi, -np.inf), where=support)
+    for _ in range(iterations):
+        grad = np.divide(q, psi, out=np.zeros_like(q), where=support)
+        top = grad.max(axis=1, keepdims=True)
+        if top.max() - 1.0 <= GAP_TOL:
+            return psi
+        log_psi += grad / top
+        log_psi -= log_psi.max(axis=1, keepdims=True)
+        log_psi -= np.log(np.exp(log_psi).sum(axis=1, keepdims=True))
+        psi = np.exp(log_psi)
+    raise GvlabError("not-converged", f"duality gap above {GAP_TOL} after {iterations} "
+                                      "mirror-descent iterations")
+
+
+def looped_check_optimal_outputs(rng, tables, corrupt=False):
+    probs = [theory.optimal_outputs(table, table.variable_ids).probs
+             for table in (_cell_table(_random_counts(rng)) for _ in range(tables))]
+    ends = np.cumsum([len(p) for p in probs])
+    stacked = np.zeros((ends[-1], max(p.shape[1] for p in probs)))
+    for p, end in zip(probs, ends):
+        stacked[end - len(p):end, :p.shape[1]] = p
+    numeric = theory.pgd_conditionals(stacked)
+    if corrupt:
+        numeric = numeric + 0.002
+    worst = float((0.5 * np.abs(numeric - stacked).sum(axis=1)).max())
+    return CheckResult("optimal-outputs-closed-form", worst <= 1e-4, worst,
+                       f"{tables} random tables vs mirror-descent minimizer")
+
+
 def looped_check_training_error(rng, tables):
     worst = 0.0
     for _ in range(tables):
-        table = random_count_table(rng)
+        table = _cell_table(_random_counts(rng))
         ids = table.variable_ids[:int(rng.integers(0, len(table.variable_ids))) + 1]
         estimate = single_training_error(optimal_outputs(table, ids), table)
         worst = max(worst, abs(estimate - float(single_argmax_error(table, ids))))
