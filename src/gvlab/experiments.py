@@ -5,7 +5,9 @@ Three experiment families:
 - Toy influence / balance: generate synthetic Gaussian tasks, train the
   sigmoid classifier, compare conditional-entropy influence ranks against
   trained-weight ranks, and measure the effect of balancing single input
-  dimensions.
+  dimensions.  One training per dataset serves both protocols: the
+  original model trains beside its balanced retrainings in one lockstep
+  loop (:func:`toy_run`).
 - Grid augmentation sweep: an 8x8 synthetic-image task (the label is
   carried by a central pattern block, the periphery is noise) trained
   under random erasing whose parameter law varies by mixture weight and
@@ -30,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .augment import AugmentDistribution, PositionLaw, erase_batch, prediction_changing_ratio
-from .core import (BinningPolicy, Dataset, ExemplarTable, _freeze, _run_heads, _unchecked,
+from .core import (BinningPolicy, ExemplarTable, _freeze, _run_heads, _unchecked,
                    build_table, check_seed_keys, derive_seed, marginalize)
 from .errors import GvlabError
 from .info import conditional_entropy, count_entropy, entropy
@@ -45,9 +47,10 @@ from . import theory
 RECORD_BUDGET = 2**29
 
 #: Upper bounds of those records per item (``tracemalloc`` measured about
-#: 4.5 KB, 1 KB and 1.75 KB): a toy dataset's work tuple, ten result rows and
-#: their CSV text; an augmentation cell's; a random table's block and its
-#: rows of the stack in :func:`check_optimal_outputs`, at the oracle's peak.
+#: 5.6 KB, 1 KB and 1.75 KB): a toy dataset's work tuple, its ten influence
+#: rows, the ten balance rows beside them and their CSV text; an augmentation
+#: cell's; a random table's block and its rows of the stack in
+#: :func:`check_optimal_outputs`, at the oracle's peak.
 _DATASET_BYTES, _CELL_BYTES, _TABLE_BYTES = 8192, 2048, 2048
 
 #: Rows per Dirichlet draw of the max-prob sweep; consecutive draws read the stream as one does.
@@ -174,26 +177,26 @@ def _rank_positions(values: Sequence[float], ids: Sequence[int], ascending: bool
     return {var_id: position + 1 for position, (_, var_id) in enumerate(keyed)}
 
 
-def _nuisance_ranks(view: Dataset, model: LinearModel, protocol: ToyProtocol
-                    ) -> tuple[dict[int, float], dict[int, float], dict[int, int], dict[int, int]]:
-    """Per nuisance dimension: H(label | dim), |trained weight|, and the
-    estimated (:func:`influence_rank` order) and true (descending |weight|) ranks."""
+def _toy_worker(args: tuple[int, int, ToyProtocol, bool]) -> tuple:
+    """One dataset's influence rows, their Spearman and its MI gap, and with
+    ``balance`` its balance rows, from one lockstep SGD loop: the original
+    model, beside one retrained model per balanced nuisance dimension when
+    ``balance`` is set.  Without ``balance`` the test half is never drawn."""
+    base_seed, index, protocol, balance = args
+    data = _toy_dataset(base_seed, index, protocol)
+    trainer = protocol.trainer(derive_seed(base_seed, 12, index))
     dims = protocol.nuisance_dims
+    substitutions = [(j, balance_column(data.train.n, derive_seed(base_seed, 13, index, j)))
+                     for j in dims if balance]
+    model, *retrained = (r.model for r in train_lockstep(data.train, trainer, substitutions))
+    # Per nuisance dimension: H(label | dim), |trained weight|, and the
+    # estimated (``influence_rank`` order) and true (descending |weight|) ranks.
+    view = as_variable_dataset(data.train, protocol.task_correlated_dims)
     ranked = influence_rank(view, dims, protocol.binning)
+    h_by_id = dict(ranked)
     weights = {j: abs(float(model.weights[0, j])) for j in dims}
     rank_est = {var_id: position for position, (var_id, _) in enumerate(ranked, 1)}
     rank_true = _rank_positions([weights[j] for j in dims], dims, ascending=False)
-    return dict(ranked), weights, rank_est, rank_true
-
-
-def _influence_worker(args: tuple[int, int, ToyProtocol]) -> tuple:
-    base_seed, index, protocol = args
-    data = _toy_dataset(base_seed, index, protocol)
-    trainer = protocol.trainer(derive_seed(base_seed, 12, index))
-    model = train(data.train, trainer).model
-    dims = protocol.nuisance_dims
-    view = as_variable_dataset(data.train, protocol.task_correlated_dims)
-    h_by_id, weights, rank_est, rank_true = _nuisance_ranks(view, model, protocol)
     rows = tuple(InfluenceRow(index, j, h_by_id[j], weights[j], rank_est[j], rank_true[j])
                  for j in dims)
     corr = spearman([rank_est[j] for j in dims], [rank_true[j] for j in dims])
@@ -211,51 +214,40 @@ def _influence_worker(args: tuple[int, int, ToyProtocol]) -> tuple:
         pred_table = build_table(pred_view, [j], protocol.binning)
         mi_pred = h_pred - conditional_entropy(pred_table, "labels", [j])
         gaps.append(abs(h_label - h_by_id[j] - mi_pred))
-    return rows, corr, float(np.mean(gaps))
+
+    balanced = ()
+    if balance:
+        acc_before = 1.0 - risk(model, data.test).zero_one_error
+        balanced = tuple(BalanceRow(index, j, weights[j], abs(float(after.weights[0, j])),
+                                    acc_before, 1.0 - risk(after, data.test).zero_one_error,
+                                    rank_est[j], rank_true[j])
+                         for j, after in zip(dims, retrained))
+    return rows, corr, float(np.mean(gaps)), balanced
+
+
+def toy_run(base_seed: int, n_datasets: int, protocol: ToyProtocol = ToyProtocol(),
+            jobs: int = 1, balance: bool = False
+            ) -> tuple[InfluenceResult, tuple[BalanceRow, ...]]:
+    """Both toy protocols from one training per dataset: the influence result
+    and, with ``balance``, the balance rows (none without it)."""
+    _check_records("datasets", n_datasets, _DATASET_BYTES)
+    results = parallel_map(_toy_worker,
+                           [(base_seed, i, protocol, balance) for i in range(n_datasets)], jobs)
+    correlations = tuple(result[1] for result in results)
+    influence = InfluenceResult(tuple(row for result in results for row in result[0]),
+                                correlations, float(np.mean(correlations)),
+                                float(np.mean([result[2] for result in results])))
+    return influence, tuple(row for result in results for row in result[3])
 
 
 def toy_influence_run(base_seed: int, n_datasets: int, protocol: ToyProtocol = ToyProtocol(),
                       jobs: int = 1) -> InfluenceResult:
-    _check_records("datasets", n_datasets, _DATASET_BYTES)
-    results = parallel_map(_influence_worker,
-                           [(base_seed, i, protocol) for i in range(n_datasets)], jobs)
-    rows = tuple(row for result in results for row in result[0])
-    correlations = tuple(result[1] for result in results)
-    return InfluenceResult(rows, correlations, float(np.mean(correlations)),
-                           float(np.mean([result[2] for result in results])))
-
-
-def _balance_worker(args: tuple[int, int, ToyProtocol]) -> tuple[BalanceRow, ...]:
-    """Train the original model and one retrained model per balanced
-    nuisance dimension, all in one lockstep SGD loop."""
-    base_seed, index, protocol = args
-    data = _toy_dataset(base_seed, index, protocol)
-    trainer = protocol.trainer(derive_seed(base_seed, 12, index))
-    dims = protocol.nuisance_dims
-    substitutions = [(j, balance_column(data.train.n, derive_seed(base_seed, 13, index, j)))
-                     for j in dims]
-    original, *retrained = (r.model for r in train_lockstep(data.train, trainer, substitutions))
-    acc_before = 1.0 - risk(original, data.test).zero_one_error
-    view = as_variable_dataset(data.train, protocol.task_correlated_dims)
-    _, weights, rank_est, rank_true = _nuisance_ranks(view, original, protocol)
-    return tuple(
-        BalanceRow(
-            index, j,
-            weights[j],
-            abs(float(model.weights[0, j])),
-            acc_before,
-            1.0 - risk(model, data.test).zero_one_error,
-            rank_est[j], rank_true[j],
-        )
-        for j, model in zip(dims, retrained))
+    return toy_run(base_seed, n_datasets, protocol, jobs)[0]
 
 
 def toy_balance_run(base_seed: int, n_datasets: int, protocol: ToyProtocol = ToyProtocol(),
                     jobs: int = 1) -> tuple[BalanceRow, ...]:
-    _check_records("datasets", n_datasets, _DATASET_BYTES)
-    results = parallel_map(_balance_worker,
-                           [(base_seed, i, protocol) for i in range(n_datasets)], jobs)
-    return tuple(row for rows in results for row in rows)
+    return toy_run(base_seed, n_datasets, protocol, jobs, balance=True)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,7 @@ from gvlab.cli import main as cli_main
 from gvlab.experiments import (GridProtocol, ToyProtocol, addition_rule_sweep,
                                augment_sweep_run, check_gap_bound, check_max_prob_bound,
                                check_optimal_outputs, check_strict_invariance,
-                               check_training_error, derive_seed, toy_balance_run,
-                               toy_influence_run)
+                               check_training_error, derive_seed, toy_run)
 from gvlab.models import LinearModel, loss_and_gradients
 
 SEED = 20240501
@@ -38,13 +37,9 @@ def report(number: int, ok: bool, detail: str, started: float) -> bool:
 
 
 @pytest.fixture(scope="module")
-def influence_result():
-    return toy_influence_run(SEED, 100, ToyProtocol(), jobs=JOBS)
-
-
-@pytest.fixture(scope="module")
-def balance_rows():
-    return toy_balance_run(SEED, 100, ToyProtocol(), jobs=JOBS)
+def toy_results():
+    """The influence result and the balance rows, from one training per dataset."""
+    return toy_run(SEED, 100, ToyProtocol(), jobs=JOBS, balance=True)
 
 
 @pytest.fixture(scope="module")
@@ -97,8 +92,9 @@ def test_criterion_06_gap_bound_closed_form_and_monotonicity():
     run_check(6, check_gap_bound)
 
 
-def test_criterion_07_toy_influence_rank_agreement(influence_result):
+def test_criterion_07_toy_influence_rank_agreement(toy_results):
     started = time.time()
+    influence_result = toy_results[0]
     mean = influence_result.mean_spearman
     ok = mean >= 0.6
     assert report(7, ok, f"mean Spearman over 100 datasets {mean:.4f} (>= 0.6); "
@@ -106,8 +102,9 @@ def test_criterion_07_toy_influence_rank_agreement(influence_result):
                   started)
 
 
-def test_criterion_08_balance_shrinks_weights_and_helps_accuracy(balance_rows):
+def test_criterion_08_balance_shrinks_weights_and_helps_accuracy(toy_results):
     started = time.time()
+    balance_rows = toy_results[1]
     details = []
     ok = True
     for rank in (1, 2, 3):

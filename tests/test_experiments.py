@@ -248,11 +248,36 @@ class TestToyRunners:
 
         for module in (experiments, synth):  # synth.influence_rank builds the label tables
             monkeypatch.setattr(module, "build_table", counting_build_table)
-        experiments._influence_worker((123, 0, SMALL_TOY))
+        experiments._toy_worker((123, 0, SMALL_TOY, False))
         # A label and a prediction table per nuisance dimension, and the label
         # marginal of each, which H(label) and H(prediction) are taken from.
         assert len(built) == 2 * len(SMALL_TOY.nuisance_dims) + 2
         assert len(set(built)) == len(built)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_run_gives_both_protocols(self, jobs):
+        """The original model trained beside the balanced ones gives the
+        influence result of the model trained alone."""
+        influence, balance = experiments.toy_run(123, 2, SMALL_TOY, jobs=jobs, balance=True)
+        assert influence == experiments.toy_influence_run(123, 2, SMALL_TOY, jobs=jobs)
+        assert balance == experiments.toy_balance_run(123, 2, SMALL_TOY, jobs=jobs)
+
+    def test_one_run_trains_each_dataset_once(self, monkeypatch):
+        calls = {"_toy_dataset": 0, "train_lockstep": 0}
+
+        def counting(name):
+            original = getattr(experiments, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(experiments, name, counting(name))
+        influence, balance = experiments.toy_run(123, 2, SMALL_TOY, jobs=1, balance=True)
+        assert calls == {"_toy_dataset": 2, "train_lockstep": 2}
+        assert len(influence.rows) == len(balance) == 2 * len(SMALL_TOY.nuisance_dims)
 
     def test_balance_rows(self):
         rows = experiments.toy_balance_run(123, 1, SMALL_TOY, jobs=1)

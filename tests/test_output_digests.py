@@ -1,6 +1,6 @@
-"""Output digests of ``theory-check``: reruns each pinned command in-process
-through ``cli.main`` and compares the sha256 of ``theory_report.csv``, of
-stdout and the exit status with the committed ones.
+"""Output digests: reruns each pinned command in-process through ``cli.main``
+and compares the sha256 of every file it writes (CSVs and SVGs), of stdout
+and the exit status with the committed ones.
 
 The digests hold for the numpy version stored next to them.  A change that
 moves output on purpose rewrites them in the same commit with
@@ -16,18 +16,25 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from gvlab import cli
 
-DIGESTS = Path(__file__).with_name("theory_check_digests.json")
+DIGESTS = Path(__file__).with_name("output_digests.json")
 
-#: Two seeds, no hook and each hook, at a small and the default table count.
-CASES = [["theory-check", "--seed", str(seed), "--tables", str(tables)] + hook
-         for seed in (0, 20240501)
-         for hook in ([], ["--corrupt", "max-prob-bound"],
-                      ["--corrupt", "optimal-outputs-closed-form"])
-         for tables in (7, 200)]
+#: ``theory-check``: two seeds, no hook and each hook, at a small and the
+#: default table count.
+THEORY_CASES = [["theory-check", "--seed", str(seed), "--tables", str(tables)] + hook
+                for seed in (0, 20240501)
+                for hook in ([], ["--corrupt", "max-prob-bound"],
+                             ["--corrupt", "optimal-outputs-closed-form"])
+                for tables in (7, 200)]
+#: The toy protocols: two seeds at a reduced scale, and one run over two workers.
+TOY_SCALE = ["--datasets", "12", "--per-class", "300", "--epochs", "5"]
+TOY_CASES = [[command, "--seed", str(seed), *TOY_SCALE]
+             for command in ("toy-influence", "toy-balance")
+             for seed in (0, 20240501)]
+TOY_CASES.append(["toy-balance", "--seed", "20240501", *TOY_SCALE, "--jobs", "2"])
+CASES = THEORY_CASES + TOY_CASES
 
 
 def sha256(data: bytes) -> str:
@@ -35,16 +42,16 @@ def sha256(data: bytes) -> str:
 
 
 def digest(argv: list[str], out: Path) -> dict:
-    """Exit status and sha256 of the report and of stdout for one in-process run."""
+    """Exit status and sha256 of each written file and of stdout for one in-process run."""
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         status = cli.main([*argv, "--out", str(out)])
     return {"status": status,
-            "theory_report.csv": sha256((out / "theory_report.csv").read_bytes()),
+            **{path.name: sha256(path.read_bytes()) for path in sorted(out.iterdir())},
             "stdout": sha256(stdout.getvalue().encode())}
 
 
-def test_theory_check_outputs_match_the_committed_digests(tmp_path):
+def test_outputs_match_the_committed_digests(tmp_path):
     pinned = json.loads(DIGESTS.read_text())
     assert [case["argv"] for case in pinned["cases"]] == CASES
     moved = [" ".join(case["argv"]) for i, case in enumerate(pinned["cases"])
