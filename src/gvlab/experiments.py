@@ -35,7 +35,7 @@ from .augment import AugmentDistribution, PositionLaw, erase_batch, prediction_c
 from .core import (BinningPolicy, ExemplarTable, _freeze, _run_heads, _unchecked,
                    build_table, check_seed_keys, derive_seed, marginalize)
 from .errors import GvlabError
-from .info import conditional_entropy, count_entropy, entropy
+from .info import conditional_entropy, entropy
 from .models import LinearModel, TrainConfig, VectorDataset, risk, train, train_lockstep
 from .synth import (ToyData, as_variable_dataset, balance_column, generate_toy, influence_rank,
                     random_toy_spec)
@@ -43,7 +43,7 @@ from . import theory
 
 
 #: Bytes a run may set aside for records that grow with its item count and
-#: live until it ends; a count past it is ``bad-config`` before any work.
+#: live until it ends; a count past it, or below 1, is ``bad-config`` before any work.
 RECORD_BUDGET = 2**29
 
 #: Upper bounds of those records per item (``tracemalloc`` measured about
@@ -58,6 +58,8 @@ _MAX_PROB_BLOCK = 4096
 
 
 def _check_records(what: str, count: int, item_bytes: int) -> None:
+    if count < 1:
+        raise GvlabError("bad-config", f"{what} must be >= 1, got {count}")
     if count * item_bytes > RECORD_BUDGET:
         raise GvlabError("bad-config", f"{what} = {count} would set aside about "
                                        f"{count * item_bytes} bytes of records, past the "
@@ -497,42 +499,24 @@ def truth_table_counts(laws: np.ndarray) -> np.ndarray:
     return counts.reshape(256, len(laws), 2, 2, 2, 2)
 
 
-def block_entropies(counts: np.ndarray) -> dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]:
-    """``H(prediction, block)`` and ``H(block)`` in nats for every variable block.
-
-    ``counts`` is a :func:`truth_table_counts` array.  The result maps each
-    ascending tuple of variable indices, the empty block included, to two
-    ``(256, laws)`` arrays.  The prediction axis is summed first, so a truth
-    table and its complement get bit-equal entropies.
-    """
-    result = {}
-    for size in range(4):
-        for block in combinations(range(3), size):
-            dropped = tuple(2 + i for i in range(3) if i not in block)
-            joint = counts.sum(axis=dropped).reshape(counts.shape[:2] + (2 ** len(block), 2))
-            total = joint.sum(axis=(2, 3))[..., None]
-            result[block] = (count_entropy(joint, total[..., None], group_axes=2),
-                             count_entropy(joint.sum(axis=3), total))
-    return result
+def block_counts(counts: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
+    """Per ascending tuple of variable indices, the empty block included, the
+    ``(256, laws, configurations, 2)`` label counts of that block in a
+    :func:`truth_table_counts` array, configurations in C order."""
+    return {block: counts.sum(axis=tuple(2 + i for i in range(3) if i not in block))
+            .reshape(counts.shape[:2] + (2 ** len(block), 2))
+            for size in range(4) for block in combinations(range(3), size)}
 
 
 def addition_rule_margins(laws: np.ndarray) -> np.ndarray:
-    """Influence sum minus prediction entropy given the task block, per case.
-
-    The result has shape ``(256, laws, 7)`` over (truth table, law, split in
-    :data:`ADDITION_SPLITS`); each entry is what :func:`theory.addition_rule`
-    gives on that case's table, with the same terms and clamps.
-    """
-    entropies = block_entropies(truth_table_counts(laws))
-    margins = np.empty((256, len(laws), len(ADDITION_SPLITS)))
-    for s, (task, nuisance) in enumerate(ADDITION_SPLITS):
-        h_pred_task, h_task = entropies[task]
-        influence_sum = np.zeros(margins.shape[:2])
-        for var_id in nuisance:
-            h_pred_joint, h_joint = entropies[tuple(sorted(task + (var_id,)))]
-            influence_sum += np.maximum(h_pred_task - h_task - h_pred_joint + h_joint, 0.0)
-        margins[..., s] = influence_sum - np.maximum(h_pred_task - h_task, 0.0)
-    return margins
+    """Influence sum minus prediction entropy given the task block, per case:
+    ``(256, laws, 7)`` over (truth table, law, split in :data:`ADDITION_SPLITS`),
+    each entry bit for bit what :func:`theory.addition_rule` gives on that
+    case's table.  Each block's entropies are computed once for all splits."""
+    entropies = {block: theory._block_entropies(joint)
+                 for block, joint in block_counts(truth_table_counts(laws)).items()}
+    return np.stack([np.subtract(*theory._addition_sides(entropies, task, nuisance))
+                     for task, nuisance in ADDITION_SPLITS], axis=-1)
 
 
 def addition_rule_sweep(seed: int, laws_per_case: int = 4,
@@ -703,8 +687,6 @@ def theory_check_run(seed: int = 0, corrupt: str | None = None,
     if corrupt is not None and corrupt not in CORRUPTIBLE_CHECKS:
         raise GvlabError("bad-variable", f"check {corrupt!r} has no corrupt hook; "
                                          f"hooked: {list(CORRUPTIBLE_CHECKS)}")
-    if tables < 1:
-        raise GvlabError("bad-config", f"tables must be >= 1, got {tables}")
     _check_records("tables", tables, _TABLE_BYTES)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 51)))
     return (

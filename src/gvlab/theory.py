@@ -19,6 +19,9 @@ Contents:
   subset (zero total-variation spread across its values).
 - ``addition_rule``: per-variable conditional-information sum and the
   prediction entropy given the task block, for deterministic predictors.
+  Its one kernel, block entropies from ``(..., configurations, k)`` label
+  counts and one formula over them, also runs the criterion-05 sweep on
+  all 256 truth tables at once.
 - ``numeric_optimal_outputs``: independent entropic mirror-descent
   minimizer of the empirical cross-entropy, used only to validate the
   closed form; it stops on a duality-gap certificate.
@@ -47,7 +50,7 @@ import numpy as np
 from .core import (ExemplarTable, _check_row_order, _equal_fields, _freeze, _run_heads,
                    _unchecked, marginalize)
 from .errors import GvlabError
-from .info import Nats, _group_entropy
+from .info import Nats, count_entropy
 
 LN2 = math.log(2.0)
 
@@ -158,7 +161,7 @@ class OptimalOutputs:
 def _label_counts(table: ExemplarTable, ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Observed configurations over ``ids``, sorted and read-only, and their (c, k) label counts."""
     if not len(table.counts):
-        raise GvlabError("empty-table", "optimal outputs need a non-empty table")
+        raise GvlabError("empty-table", "the table has no counts")
     ids = tuple(ids)
     # On a prefix of its variables the table's own cells already run by configuration.
     marg = table if ids == table.variable_ids[:len(ids)] else marginalize(table, ids)
@@ -280,17 +283,30 @@ def addition_rule(table: ExemplarTable, task_ids: Sequence[int],
     if same_config.any():
         config = tuple(table.cells[same_config.argmax(), :-1].tolist())
         raise GvlabError("not-a-hypothesis", f"configuration {config} maps to several predictions")
-    # I(pred; u | task) = H(pred,task) - H(task) - H(pred,task,u) + H(task,u);
-    # the task-only terms are shared across the sum.
-    h_pred_task = _group_entropy(table, task, True)
-    h_task = _group_entropy(table, task, False)
+    blocks = {tuple(sorted(task))} | {tuple(sorted(task + (v,))) for v in nuisance}
+    entropies = {block: _block_entropies(_label_counts(table, block)[1]) for block in blocks}
+    return AdditionRule(*map(float, _addition_sides(entropies, task, nuisance)))
+
+
+def _block_entropies(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``H(label, block)`` and ``H(block)`` in nats from a block's ``(..., configurations, k)``
+    label counts; leading axes index independent tables.  The label axis is summed
+    first, so complement predictions tie bit for bit; unobserved configurations add 0.0."""
+    total = joint.sum(axis=(-2, -1))[..., None]
+    return (count_entropy(joint, total[..., None], group_axes=2),
+            count_entropy(joint.sum(axis=-1), total))
+
+
+def _addition_sides(entropies: dict, task: tuple[int, ...], nuisance: tuple[int, ...]):
+    """Both sides of the rule from the :func:`_block_entropies` of blocks keyed by
+    ascending ids: I(pred; u | task) = H(pred,task) - H(task) - H(pred,task,u) + H(task,u),
+    summed over ``nuisance`` in order, and H(pred | task)."""
+    h_pred_task, h_task = entropies[tuple(sorted(task))]
     influence_sum = 0.0
     for var_id in nuisance:
-        joint = task + (var_id,)
-        term = (h_pred_task - h_task
-                - _group_entropy(table, joint, True) + _group_entropy(table, joint, False))
-        influence_sum += max(term, 0.0)
-    return AdditionRule(influence_sum, max(h_pred_task - h_task, 0.0))
+        h_pred_joint, h_joint = entropies[tuple(sorted(task + (var_id,)))]
+        influence_sum += np.maximum(h_pred_task - h_task - h_pred_joint + h_joint, 0.0)
+    return influence_sum, np.maximum(h_pred_task - h_task, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,18 +12,18 @@ from gvlab.experiments import (ADDITION_SPLITS, CORRUPTIBLE_CHECKS, AdditionRule
                                GridProtocol, ToyProtocol, addition_rule_margins,
                                _cell_table, _label_copy_counts, _product_counts,
                                _random_counts, addition_rule_sweep, argmax_zero_one_error,
-                               block_entropies, check_max_prob_bound, derive_seed,
+                               block_counts, check_max_prob_bound, derive_seed,
                                make_grid_task, parallel_map, spearman, theory_check_run,
                                truth_table_counts)
 from gvlab.models import risk, train
 from gvlab.synth import balance_substitute
-from gvlab.theory import (addition_rule, check_strict_invariance, estimated_training_error,
-                          max_prob_lower_bound, optimal_outputs)
+from gvlab.theory import (_block_entropies, addition_rule, check_strict_invariance,
+                          estimated_training_error, max_prob_lower_bound, optimal_outputs)
 
 from dict_tables import table_dict, table_from_dict
 from memory import traced_peak
 from theory_loops import (looped_check_optimal_outputs, looped_check_strict_invariance,
-                          looped_check_training_error)
+                          looped_check_training_error, single_addition_rule)
 
 SMALL_TOY = ToyProtocol(per_class=300, epochs=8)
 SMALL_GRID = GridProtocol(train_per_class=12, test_per_class=6, epochs=6, repeats=5,
@@ -396,21 +396,24 @@ def sweep_laws(seed: int) -> np.ndarray:
 
 class TestVectorizedAdditionRule:
     def test_margins_match_the_table_addition_rule(self):
+        """The sweep against the sparse per-table reference to 1e-12, and equal
+        bit for bit to the library rule, which runs the same kernel."""
         laws = sweep_laws(SEED)
         margins = addition_rule_margins(laws)
-        reference = np.empty_like(margins)
+        reference, library = np.empty_like(margins), np.empty_like(margins)
         configs = list(product(range(2), repeat=3))
         for bits in range(256):
             for index, law in enumerate(laws):
                 counts = {(config, (bits >> i) & 1): int(law[i]) for i, config in enumerate(configs)}
                 table = table_from_dict(counts, (2, 2, 2), 2)
                 for split, (task, nuisance) in enumerate(ADDITION_SPLITS):
-                    result = addition_rule(table, task, nuisance)
-                    reference[bits, index, split] = (result.influence_sum
-                                                     - result.entropy_given_task)
+                    for out, rule in ((reference, single_addition_rule), (library, addition_rule)):
+                        result = rule(table, task, nuisance)
+                        out[bits, index, split] = result.influence_sum - result.entropy_given_task
         assert margins.shape == (256, 4, 7)
         assert np.abs(margins - reference).max() <= 1e-12
         assert np.array_equal(margins < -1e-10, reference < -1e-10)
+        assert library.tobytes() == margins.tobytes()
 
     def test_complement_truth_tables_have_bit_equal_margins(self):
         margins = addition_rule_margins(sweep_laws(SEED))
@@ -424,8 +427,15 @@ class TestVectorizedAdditionRule:
         assert sweep.worst_violation == pytest.approx(0.6845524330113413, abs=1e-12)
 
 
+def sweep_entropies(laws):
+    """``H(prediction, block)`` and ``H(block)`` per block of the truth tables
+    under ``laws``, from the addition-rule kernel's block-entropy step."""
+    return {block: _block_entropies(joint)
+            for block, joint in block_counts(truth_table_counts(laws)).items()}
+
+
 def conditional_information(entropies, given, var_id):
-    """I(prediction; var_id | given) from ``block_entropies``."""
+    """I(prediction; var_id | given) from :func:`sweep_entropies`."""
     h_pred_given, h_given = entropies[tuple(sorted(given))]
     h_pred_joint, h_joint = entropies[tuple(sorted(given + (var_id,)))]
     return h_pred_given - h_given - h_pred_joint + h_joint
@@ -467,19 +477,19 @@ class TestAdditionStatementsThatHold:
     the redundancy of Williams & Beer (arXiv:1004.2515)."""
 
     def test_chain_rule_is_exact(self):
-        entropies = block_entropies(truth_table_counts(sweep_laws(SEED)))
+        entropies = sweep_entropies(sweep_laws(SEED))
         assert chain_rule_deviation(entropies) <= 1e-12
 
     def test_chain_rule_without_earlier_variables_fails(self):
-        entropies = block_entropies(truth_table_counts(sweep_laws(SEED)))
+        entropies = sweep_entropies(sweep_laws(SEED))
         assert chain_rule_deviation(entropies, condition_on_earlier=False) > 0.1
 
     def test_subadditive_under_product_laws(self):
-        entropies = block_entropies(truth_table_counts(product_laws()))
+        entropies = sweep_entropies(product_laws())
         assert subadditivity_excess(entropies) <= 1e-12
 
     def test_subadditivity_fails_under_dependent_laws(self):
-        entropies = block_entropies(truth_table_counts(sweep_laws(SEED)))
+        entropies = sweep_entropies(sweep_laws(SEED))
         assert subadditivity_excess(entropies) > 0.01
 
 
@@ -537,12 +547,6 @@ class TestTheoryChecks:
                 theory_check_run(seed=0, corrupt=name, tables=10)
             assert err.value.code == "bad-variable"
 
-    def test_fewer_than_one_table_rejected(self):
-        for tables in (0, -1):
-            with pytest.raises(GvlabError) as err:
-                theory_check_run(seed=0, tables=tables)
-            assert err.value.code == "bad-config"
-
     def test_optimal_outputs_records_stay_within_the_table_budget(self):
         """The budget that bounds ``--tables`` covers the check's traced peak."""
         tables = 5000
@@ -555,6 +559,26 @@ class TestTheoryChecks:
         assert lines[0] == "check,passed,max_deviation"
         assert len(lines) == len(results) + 1
         assert all(line.split(",")[1] in ("true", "false") for line in lines[1:])
+
+
+@pytest.mark.parametrize("run", [
+    partial(experiments.toy_influence_run, 1, 0),
+    partial(experiments.toy_influence_run, 1, -1),
+    partial(experiments.toy_balance_run, 1, 0),
+    partial(experiments.toy_run, 1, 0, balance=True),
+    partial(experiments.augment_sweep_run, 1, 0, (0.0,), ("uniform",)),
+    partial(experiments.augment_sweep_run, 1, 1, (), ("uniform",)),
+    partial(experiments.augment_sweep_run, 1, 1, (0.0,), ()),
+    partial(theory_check_run, seed=0, tables=0),
+    partial(theory_check_run, seed=0, tables=-1),
+], ids=["toy-influence-0", "toy-influence-neg", "toy-balance-0", "toy-run-0", "augment-0-seeds",
+        "augment-0-alphas", "augment-0-laws", "theory-check-0", "theory-check-neg"])
+def test_fewer_than_one_item_rejected(run):
+    """Every runner rejects an item count below 1 before any work, rather than
+    return empty rows or ``nan`` means."""
+    with pytest.raises(GvlabError) as err:
+        run()
+    assert err.value.code == "bad-config"
 
 
 class TestStackedChecks:

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from gvlab.core import ExemplarTable, marginalize
 from gvlab.errors import GvlabError
-from gvlab.experiments import _cell_table, _random_counts, block_entropies, truth_table_counts
+from gvlab.experiments import _cell_table, _random_counts, block_counts, truth_table_counts
 from gvlab.info import LABELS, conditional_entropy, count_entropy, entropy, mutual_information
-from gvlab.theory import addition_rule
+from gvlab.theory import _block_entropies, addition_rule
 
 from dict_tables import reference_entropy, reference_marginal, table_dict
 from dict_tables import table_from_dict as table_from_counts
@@ -198,10 +198,11 @@ class TestCountEntropy:
             assert h == count_entropy(row.ravel(), row.sum())
 
     def test_block_entropies_use_it(self):
-        """Criterion 05's block entropies are this function on the summed count array."""
+        """The addition-rule kernel's block entropies, on criterion 05's counts,
+        are this function on the summed count array."""
         laws = np.array([[9, 5, 15, 7, 9, 11, 4, 10]])
         counts = truth_table_counts(laws)
-        h_pred_block, h_block = block_entropies(counts)[(0, 2)]
+        h_pred_block, h_block = _block_entropies(block_counts(counts)[(0, 2)])
         joint = counts.sum(axis=3).reshape(256, 1, 4, 2)
         total = joint.sum(axis=(2, 3))
         assert h_pred_block.tobytes() == count_entropy(joint, total[..., None, None], 2).tobytes()

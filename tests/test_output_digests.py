@@ -34,7 +34,15 @@ TOY_CASES = [[command, "--seed", str(seed), *TOY_SCALE]
              for command in ("toy-influence", "toy-balance")
              for seed in (0, 20240501)]
 TOY_CASES.append(["toy-balance", "--seed", "20240501", *TOY_SCALE, "--jobs", "2"])
-CASES = THEORY_CASES + TOY_CASES
+#: ``bounds``: two n and two gamma values, at the default and at a second (T, K, delta).
+BOUNDS_GRID = ["--n-grid", "100,1000", "--gamma-grid", "0,0.5"]
+BOUNDS_CASES = [["bounds", *BOUNDS_GRID],
+                ["bounds", "--T", "4", "--K", "3", "--delta", "0.01", *BOUNDS_GRID]]
+#: ``augment-sweep``: two seeds at a reduced scale.
+AUGMENT_SCALE = ["--datasets", "1", "--alphas", "0,1", "--laws", "uniform,center_m1",
+                 "--epochs", "5", "--repeats", "3"]
+AUGMENT_CASES = [["augment-sweep", "--seed", str(seed), *AUGMENT_SCALE] for seed in (0, 20240501)]
+CASES = THEORY_CASES + TOY_CASES + BOUNDS_CASES + AUGMENT_CASES
 
 
 def sha256(data: bytes) -> str:
@@ -42,13 +50,14 @@ def sha256(data: bytes) -> str:
 
 
 def digest(argv: list[str], out: Path) -> dict:
-    """Exit status and sha256 of each written file and of stdout for one in-process run."""
+    """Exit status and sha256 of each written file and of stdout for one in-process run;
+    stdout names the output directory as ``<out>`` (``bounds`` prints its path)."""
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         status = cli.main([*argv, "--out", str(out)])
     return {"status": status,
             **{path.name: sha256(path.read_bytes()) for path in sorted(out.iterdir())},
-            "stdout": sha256(stdout.getvalue().encode())}
+            "stdout": sha256(stdout.getvalue().replace(str(out), "<out>").encode())}
 
 
 def test_outputs_match_the_committed_digests(tmp_path):

@@ -4,9 +4,10 @@
 ``check_strict_invariance`` evaluate all their random tables as one stacked
 table.  These helpers keep the loops they replaced, one table and one
 closed-form call at a time, the single-table closed forms as they were
-before the grouped forms, and the mirror-descent oracle as it was before its
-row maxima became column folds, so tests can pin the stacked code against
-them.
+before the grouped forms, the mirror-descent oracle as it was before its
+row maxima became column folds, and the addition rule as it was before its
+kernel took label-count matrices (one sparse entropy per marginal, in the
+caller's id order), so tests can pin the stacked code against them.
 """
 
 from fractions import Fraction
@@ -18,7 +19,8 @@ from gvlab import theory
 from gvlab.errors import GvlabError
 from gvlab.experiments import (CheckResult, _cell_table, _label_copy_counts, _product_counts,
                                _random_counts)
-from gvlab.theory import (GAP_TOL, INVARIANCE_TOL, InvarianceReport, _label_counts,
+from gvlab.info import _group_entropy
+from gvlab.theory import (GAP_TOL, INVARIANCE_TOL, AdditionRule, InvarianceReport, _label_counts,
                           optimal_outputs)
 
 
@@ -48,6 +50,23 @@ def single_strict_invariance(table, determining_ids, invariant_ids):
     same = (configs[:, None, kept] == configs[None, :, kept]).all(axis=2)
     worst = float(0.5 * np.abs(q[:, None] - q[None]).sum(axis=2)[same].max())
     return InvarianceReport(worst <= INVARIANCE_TOL, worst)
+
+
+def single_addition_rule(table, task_ids, nuisance_ids):
+    """Both sides of the addition rule on one table from the entropies of its
+    sparse marginals, input checks left out."""
+    task, nuisance = tuple(task_ids), tuple(nuisance_ids)
+    # I(pred; u | task) = H(pred,task) - H(task) - H(pred,task,u) + H(task,u);
+    # the task-only terms are shared across the sum.
+    h_pred_task = _group_entropy(table, task, True)
+    h_task = _group_entropy(table, task, False)
+    influence_sum = 0.0
+    for var_id in nuisance:
+        joint = task + (var_id,)
+        term = (h_pred_task - h_task
+                - _group_entropy(table, joint, True) + _group_entropy(table, joint, False))
+        influence_sum += max(term, 0.0)
+    return AdditionRule(influence_sum, max(h_pred_task - h_task, 0.0))
 
 
 def row_reduce_pgd_conditionals(q, iterations=10_000):
