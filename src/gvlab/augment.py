@@ -41,6 +41,7 @@ from typing import Literal, Mapping
 
 import numpy as np
 
+from .core import stream
 from .errors import GvlabError
 from .models import LinearModel
 
@@ -245,7 +246,7 @@ def prediction_changing_ratio(model: LinearModel, grids: np.ndarray,
     """
     if repeats < 1:
         raise GvlabError("bad-config", "repeats must be >= 1")
-    rng = np.random.default_rng(0) if rng is None else rng
+    rng = stream(0) if rng is None else rng
     values, labels = _batch(grids, labels)
     bounds = _bounds(dist, labels)
     n = len(values)

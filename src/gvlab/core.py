@@ -37,18 +37,22 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def check_seed_keys(*keys: int) -> None:
-    """Raise ``bad-variable`` unless every seed key is an integer >= 0, as
-    numpy's seeding requires."""
+def _seed_sequence(keys: tuple) -> np.random.SeedSequence:
+    """``SeedSequence(keys)``, or ``bad-variable`` unless each key is an integer >= 0."""
     if not all(_is_int(key) and key >= 0 for key in keys):
         raise GvlabError("bad-variable", f"seed keys must be integers >= 0, got {keys}")
+    return np.random.SeedSequence(keys)
+
+
+def stream(seed: int, *path: int) -> np.random.Generator:
+    """The random stream keyed by (seed, purpose path); ``stream(s)`` draws what
+    ``np.random.default_rng(s)`` draws."""
+    return np.random.default_rng(_seed_sequence((seed,) + path))
 
 
 def derive_seed(base: int, *path: int) -> int:
-    """Stable 64-bit seed for a (base seed, purpose path) pair of
-    non-negative integers."""
-    check_seed_keys(base, *path)
-    return int(np.random.SeedSequence((base,) + path).generate_state(1)[0])
+    """Stable 32-bit seed for a (base seed, purpose path) pair of non-negative integers."""
+    return int(_seed_sequence((base,) + path).generate_state(1)[0])
 
 
 @dataclass(frozen=True)
@@ -234,6 +238,9 @@ class ExemplarTable:
                     raise GvlabError("bad-variable", f"{name} outside 0..{size - 1}")
             if counts.min() < 1:
                 raise GvlabError("bad-variable", "counts must be positive")
+            # a float sum far from the limit rules out wraparound without a Python-int sum
+            if counts.sum(dtype=np.float64) > 2.0**62 and sum(counts.tolist()) > _INT64_MAX:
+                raise GvlabError("bad-variable", "counts must total at most 2**63 - 1")
             _check_row_order(cells, "cells")
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "counts", counts)
@@ -326,7 +333,8 @@ def marginalize(table: ExemplarTable, keep_ids: Sequence[int]) -> ExemplarTable:
     sizes = tuple(table.axis_sizes[p] for p in positions[:-1])
     _, first, inverse = np.unique(_cell_codes(selected.T, sizes + (table.k,)),
                                   return_index=True, return_inverse=True)
-    counts = np.bincount(inverse, weights=table.counts).astype(np.int64)  # exact below 2**53
+    counts = np.zeros(len(first), dtype=np.int64)
+    np.add.at(counts, inverse, table.counts)
     return _unchecked(ExemplarTable, keep, sizes, _freeze(selected[first]), _freeze(counts),
                       table.k)
 

@@ -16,7 +16,7 @@ Three experiment families:
   against brute-force or independent numeric computation.
 
 Every run is keyed by (base seed, dataset index, purpose tag) through
-``SeedSequence``, so results are identical whatever the worker count.
+:func:`core.stream`, so results are identical whatever the worker count.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .augment import AugmentDistribution, PositionLaw, erase_batch, prediction_changing_ratio
 from .core import (BinningPolicy, ExemplarTable, _freeze, _run_heads, _unchecked,
-                   build_table, check_seed_keys, derive_seed, marginalize)
+                   build_table, derive_seed, marginalize, stream)
 from .errors import GvlabError
 from .info import conditional_entropy, entropy
 from .models import LinearModel, TrainConfig, VectorDataset, risk, train, train_lockstep
@@ -173,9 +173,9 @@ def _toy_dataset(base_seed: int, index: int, protocol: ToyProtocol) -> ToyData:
     return generate_toy(spec)
 
 
-def _rank_positions(values: Sequence[float], ids: Sequence[int], ascending: bool) -> dict[int, int]:
-    """1-based rank per id; ties break by ascending id for determinism."""
-    keyed = sorted(zip(values, ids), key=lambda p: (p[0] if ascending else -p[0], p[1]))
+def _rank_positions(values: Sequence[float], ids: Sequence[int]) -> dict[int, int]:
+    """1-based rank per id, largest value first; ties break by ascending id for determinism."""
+    keyed = sorted(zip(values, ids), key=lambda p: (-p[0], p[1]))
     return {var_id: position + 1 for position, (_, var_id) in enumerate(keyed)}
 
 
@@ -198,7 +198,7 @@ def _toy_worker(args: tuple[int, int, ToyProtocol, bool]) -> tuple:
     h_by_id = dict(ranked)
     weights = {j: abs(float(model.weights[0, j])) for j in dims}
     rank_est = {var_id: position for position, (var_id, _) in enumerate(ranked, 1)}
-    rank_true = _rank_positions([weights[j] for j in dims], dims, ascending=False)
+    rank_true = _rank_positions([weights[j] for j in dims], dims)
     rows = tuple(InfluenceRow(index, j, h_by_id[j], weights[j], rank_est[j], rank_true[j])
                  for j in dims)
     corr = spearman([rank_est[j] for j in dims], [rank_true[j] for j in dims])
@@ -305,8 +305,7 @@ def make_grid_task(seed: int, protocol: GridProtocol = GridProtocol()) -> GridTa
     Uniform(0, background) noise, independent of the label.  Each sample
     draws its background and then its block perturbation, class by class.
     """
-    check_seed_keys(seed)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 31)))
+    rng = stream(seed, 31)
     side, ps = protocol.side, protocol.pattern_side
     lo = (side - ps) // 2
     prototypes = rng.random((protocol.classes, ps, ps))
@@ -336,8 +335,7 @@ def train_with_erasing(task: GridTask, dist: AugmentDistribution, trainer: Train
     damage from a destroyed pattern block then persists for all epochs,
     the same way an unlucky augmented dataset persists for a full run.
     """
-    rng = np.random.default_rng(np.random.SeedSequence((erase_seed, 0)))
-    erased = erase_batch(task.train_grids, task.train.y, dist, rng)
+    erased = erase_batch(task.train_grids, task.train.y, dist, stream(erase_seed, 0))
     return train(VectorDataset(erased, task.train.y, task.train.k), trainer).model
 
 
@@ -366,7 +364,7 @@ def _augment_worker(args: tuple[int, int, float, PositionLaw, GridProtocol,
                                 area_range=dist.area_range, aspect_range=dist.aspect_range)
     ratio = prediction_changing_ratio(
         model, task.test_grids, probe, task.test.y, protocol.repeats,
-        np.random.default_rng(np.random.SeedSequence((derive_seed(base_seed, 24, *cell),))))
+        stream(derive_seed(base_seed, 24, *cell)))
     return AugmentRow(alpha, law, ratio, risk(model, task.test).zero_one_error, seed_index)
 
 
@@ -519,20 +517,19 @@ def addition_rule_margins(laws: np.ndarray) -> np.ndarray:
                      for task, nuisance in ADDITION_SPLITS], axis=-1)
 
 
-def addition_rule_sweep(seed: int, laws_per_case: int = 4,
-                        max_count: int = 16) -> AdditionRuleSweep:
+def addition_rule_sweep(seed: int, laws_per_case: int = 4) -> AdditionRuleSweep:
     """Exhaustive check of the influence addition rule on 3 binary variables.
 
     Every deterministic binary predictor over (g0, g1, g2), all 256 truth
     tables, is paired with every split of the three variables into a
     task-correlated and a non-empty task-uncorrelated block, under several
-    seeded random integer-count joint laws.  A case is a violation when
-    the per-variable information sum falls short of the prediction entropy
-    given the task block by more than 1e-10.  The worst case reported is
-    the first in (truth table, law, split) order.
+    seeded random joint laws with cell counts in 1..16.  A case is a
+    violation when the per-variable information sum falls short of the
+    prediction entropy given the task block by more than 1e-10.  The worst
+    case reported is the first in (truth table, law, split) order.
     """
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 41)))
-    laws = np.array([rng.integers(1, max_count + 1, size=8)
+    rng = stream(seed, 41)
+    laws = np.array([rng.integers(1, 17, size=8)
                      for _ in range(laws_per_case)]).reshape(-1, 8)  # (0, 8) when empty
     margins = addition_rule_margins(laws)
     violations = int((margins < -1e-10).sum())
@@ -688,7 +685,7 @@ def theory_check_run(seed: int = 0, corrupt: str | None = None,
         raise GvlabError("bad-variable", f"check {corrupt!r} has no corrupt hook; "
                                          f"hooked: {list(CORRUPTIBLE_CHECKS)}")
     _check_records("tables", tables, _TABLE_BYTES)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 51)))
+    rng = stream(seed, 51)
     return (
         check_max_prob_bound(rng, corrupt == "max-prob-bound"),
         check_optimal_outputs(rng, tables, corrupt == "optimal-outputs-closed-form"),

@@ -24,7 +24,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .core import _is_int
+from .core import _is_int, stream
 from .errors import GvlabError
 
 Head = Literal["sigmoid", "softmax"]
@@ -222,10 +222,6 @@ class TrainResult:
     loss_curve: tuple[float, ...]
 
 
-def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, epoch)))
-
-
 def train(data: VectorDataset, config: TrainConfig) -> TrainResult:
     """Mini-batch SGD with momentum from zero initialization.
 
@@ -299,7 +295,7 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
     diverged_at = np.full(models, -1)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence detected per epoch
         for epoch in range(config.epochs):
-            order = _epoch_rng(config.seed, epoch).permutation(data.n)
+            order = stream(config.seed, epoch).permutation(data.n)
             # "clip" never clips a permutation; unlike "raise" it writes
             # straight into ``out`` without a temporary.
             np.take(data.x, order, axis=0, out=epoch_x, mode="clip")

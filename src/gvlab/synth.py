@@ -22,8 +22,8 @@ so the first-block marginal is exactly the training marginal; the
 covariance itself is never assembled.
 
 The two halves come from independent streams keyed by the spec's seed:
-the training half from ``SeedSequence((seed, 1))``, drawn by
-:func:`generate_toy`, and the test half from ``SeedSequence((seed, 2))``,
+the training half from ``core.stream(seed, 1)``, drawn by
+:func:`generate_toy`, and the test half from ``core.stream(seed, 2)``,
 drawn on first access of ``ToyData.test``.  Reading the test half, or not,
 never changes the training bytes.
 
@@ -45,8 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (BinningPolicy, Dataset, VariableSpec, _is_int, build_table, check_seed_keys,
-                   derive_seed)
+from .core import BinningPolicy, Dataset, VariableSpec, _is_int, build_table, derive_seed, stream
 from .errors import GvlabError
 from .info import Nats, conditional_entropy
 from .models import LinearModel, TrainConfig, TrainResult, VectorDataset, train
@@ -109,8 +108,7 @@ def random_toy_spec(seed: int, dims: int = 20, task_correlated_dims: int = 10,
     while the influence ranking stays recoverable and balanced dimensions
     retrain to near-zero weight.
     """
-    check_seed_keys(seed)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+    rng = stream(seed, 0)
     means, covs = [], []
     for _ in range(classes):
         means.append(rng.uniform(-1.0, 1.0, dims))
@@ -148,7 +146,7 @@ def generate_toy(spec: ToySpec) -> ToyData:
     ``not-psd`` before any test instance is drawn.
     """
     n_half = spec.per_class // 2
-    rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 1)))
+    rng = stream(spec.seed, 1)
     train_x = [mean + rng.standard_normal((n_half, spec.dims)) @ _cholesky_or_raise(cov).T
                for mean, cov in zip(spec.class_means, spec.class_covariances)]
     return ToyData(spec, VectorDataset(np.vstack(train_x), _class_labels(spec), spec.classes))
@@ -163,7 +161,7 @@ def _sample_test(spec: ToySpec) -> VectorDataset:
     distribution that keeps the task-correlated block of the training law;
     drawn class by class and block by block as the module docstring says."""
     n_half = spec.per_class // 2
-    rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 2)))
+    rng = stream(spec.seed, 2)
     x = np.empty((spec.classes * n_half, spec.dims))
     for c, (mean, cov) in enumerate(zip(spec.class_means, spec.class_covariances)):
         _fill_test_class(x[c * n_half:(c + 1) * n_half], spec, mean, cov, rng)
@@ -234,8 +232,7 @@ def influence_rank(dataset: Dataset, candidate_ids: Sequence[int],
 
 def balance_column(n: int, seed: int) -> np.ndarray:
     """The Balance operation's substitute column: n i.i.d. Uniform(0,1) draws."""
-    check_seed_keys(seed)
-    return np.random.default_rng(seed).uniform(0.0, 1.0, n)
+    return stream(seed).uniform(0.0, 1.0, n)
 
 
 def balance_substitute(data: VectorDataset, dim: int, seed: int) -> VectorDataset:

@@ -1,16 +1,19 @@
+import ast
 import math
 import sys
 import types
 import warnings
+from pathlib import Path
 from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import gvlab
 from gvlab.core import (BinningPolicy, Dataset, Exemplar, ExemplarTable, VariableSpec,
                         _column_codes, build_table, marginalize, read_dataset_csv,
-                        rows_csv, write_dataset_csv)
+                        rows_csv, stream, write_dataset_csv)
 from gvlab.errors import GvlabError
 from gvlab.experiments import CheckResult
 from gvlab.synth import as_variable_dataset, generate_toy, random_toy_spec
@@ -195,6 +198,10 @@ class TestMarginalize:
             marginalize(self.table, [5])
         assert err.value.code == "bad-variable"
 
+    def test_counts_sum_exactly_past_float_precision(self):
+        table = ExemplarTable((0,), (2,), [[0, 0], [1, 0]], [2**53 + 1, 1], 2)
+        assert marginalize(table, []).counts.tolist() == [2**53 + 2] == [table.total]
+
 
 @st.composite
 def small_discrete_datasets(draw):
@@ -330,6 +337,7 @@ def test_expand_and_rebuild_roundtrip(ds):
     pytest.param((0,), (2,), [[0.5, 0], [1, 1]], [1, 1], 2, id="fractional-config"),
     pytest.param((0,), (2,), [[0, 0.0], [1, 1]], [1, 1], 2, id="float-label"),
     pytest.param((0,), (2,), [[0, 0], [1, 1]], [True, True], 2, id="bool-count"),
+    pytest.param((0,), (2,), [[0, 0], [1, 1]], [2**62, 2**62], 2, id="total-past-int64"),
     pytest.param((0,), (2.0,), [[0, 0], [1, 1]], [1, 1], 2, id="float-axis-size"),
     pytest.param((0,), (2,), [[0, 0], [1, 1]], [1, 1], 2.0, id="float-k"),
     pytest.param((0,), (2,), [[0, 0], [1]], [1, 1], 2, id="ragged-cells"),
@@ -348,6 +356,11 @@ def test_exemplar_table_accepts_numpy_integers():
                           np.int64(2))
     assert table.total == 5
     assert table.cells.dtype == table.counts.dtype == np.int64
+
+
+def test_exemplar_table_total_reaches_int64_max():
+    table = ExemplarTable((0,), (2,), [[0, 0], [1, 1]], [2**62, 2**62 - 1], 2)
+    assert table.total == 2**63 - 1
 
 
 def test_exemplar_table_owns_read_only_arrays():
@@ -439,3 +452,29 @@ def test_rows_csv_writes_numpy_scalars_as_python_values():
     check = CheckResult("c", np.bool_(True), np.float64(0.05), "detail")
     assert rows_csv("check,passed,max_deviation", [check]) == (
         "check,passed,max_deviation\nc,true,0.05\n")
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**31 + 5, 2**63 + 11, 20240501])
+def test_stream_draws_what_default_rng_draws(seed):
+    assert stream(seed).bytes(64) == np.random.default_rng(seed).bytes(64)
+
+
+def _dotted_name(node) -> str:
+    if isinstance(node, ast.Attribute):
+        return f"{_dotted_name(node.value)}.{node.attr}"
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def test_only_core_builds_random_generators():
+    """``core.stream`` and ``core.derive_seed`` are the one seed derivation: no
+    other module builds a generator or calls numpy's legacy global-state functions."""
+    calls = []
+    for path in sorted(Path(gvlab.__file__).parent.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = _dotted_name(node.func) if isinstance(node, ast.Call) else ""
+            if (name.rpartition(".")[2] in ("default_rng", "SeedSequence")
+                    or name.startswith(("np.random.", "numpy.random."))):
+                calls.append(f"{path.name}:{node.lineno} {name}")
+    assert calls == []

@@ -6,7 +6,7 @@ import pytest
 import scipy.stats
 
 from gvlab import experiments, synth
-from gvlab.core import build_table, rows_csv
+from gvlab.core import build_table, rows_csv, stream
 from gvlab.errors import GvlabError
 from gvlab.experiments import (ADDITION_SPLITS, CORRUPTIBLE_CHECKS, AdditionRuleSweep,
                                GridProtocol, ToyProtocol, addition_rule_margins,
@@ -54,18 +54,25 @@ def test_derive_seed_is_stable_and_path_sensitive():
     assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
 
 
-def test_derive_seed_rejects_negative_keys():
-    for base, path in ((-1, ()), (1, (2, -3))):
-        with pytest.raises(GvlabError) as err:
-            derive_seed(base, *path)
-        assert err.value.code == "bad-variable"
+#: Every public entry point that keys a random stream, seed key last.
+KEYED_ENTRY_POINTS = {
+    "derive_seed": derive_seed,
+    "derive_seed-path": partial(derive_seed, 1, 2),
+    "stream": stream,
+    "stream-path": partial(stream, 1),
+    "theory_check_run": theory_check_run,
+    "addition_rule_sweep": addition_rule_sweep,
+    "make_grid_task": make_grid_task,
+    "random_toy_spec": synth.random_toy_spec,
+    "balance_column": partial(synth.balance_column, 3),
+}
 
 
-@pytest.mark.parametrize("base, path", [(1.5, (2,)), (1, (2.0,)), (True, ()),
-                                        (3, (np.float64(1),)), ("7", ())])
-def test_derive_seed_rejects_non_integer_keys(base, path):
+@pytest.mark.parametrize("key", [-1, 2.5, True, 2.0, np.float64(1), "7"])
+@pytest.mark.parametrize("entry", KEYED_ENTRY_POINTS)
+def test_keyed_entry_points_reject_bad_seed_keys(entry, key):
     with pytest.raises(GvlabError) as err:
-        derive_seed(base, *path)
+        KEYED_ENTRY_POINTS[entry](key)
     assert err.value.code == "bad-variable"
 
 
