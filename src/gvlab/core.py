@@ -329,14 +329,13 @@ def marginalize(table: ExemplarTable, keep_ids: Sequence[int]) -> ExemplarTable:
     if len(set(keep)) != len(keep) or not set(keep) <= set(table.variable_ids):
         raise GvlabError("bad-variable", f"keep ids {keep} not a subset of {table.variable_ids}")
     positions = [table.variable_ids.index(var_id) for var_id in keep] + [-1]
-    selected = table.cells[:, positions]
     sizes = tuple(table.axis_sizes[p] for p in positions[:-1])
-    _, first, inverse = np.unique(_cell_codes(selected.T, sizes + (table.k,)),
-                                  return_index=True, return_inverse=True)
+    codes = _cell_codes([table.cells[:, p] for p in positions], sizes + (table.k,))  # no copy
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     counts = np.zeros(len(first), dtype=np.int64)
     np.add.at(counts, inverse, table.counts)
-    return _unchecked(ExemplarTable, keep, sizes, _freeze(selected[first]), _freeze(counts),
-                      table.k)
+    return _unchecked(ExemplarTable, keep, sizes, _freeze(table.cells[np.ix_(first, positions)]),
+                      _freeze(counts), table.k)
 
 
 def _run_heads(rows: np.ndarray) -> np.ndarray:

@@ -390,39 +390,45 @@ def augment_sweep_run(base_seed: int, n_seeds: int, alphas: Sequence[float],
 
 _TABLE_SHAPES: tuple[tuple[int, ...], ...] = (
     (2,), (3,), (4,), (5,), (6,), (7,), (8,), (2, 2), (2, 3), (2, 4), (2, 2, 2))
+_TABLE_NDIMS = np.array([len(shape) for shape in _TABLE_SHAPES])
+#: Per table shape, the configurations of its variables after the first p, p = 0..3.
+_TABLE_RESTS = np.array([[math.prod(shape[p:]) for p in range(4)] for shape in _TABLE_SHAPES])
 
 
-def _random_counts(rng: np.random.Generator, max_count: int = 16) -> np.ndarray:
-    """Dense ``config + (label,)`` counts: at most 8 configurations, K <= 4,
-    cell counts <= max_count."""
-    shape = _TABLE_SHAPES[rng.integers(len(_TABLE_SHAPES))]
-    k = int(rng.integers(2, 5))
-    return rng.integers(0, max_count + 1, size=shape + (k,))
+def _random_tables(rng: np.random.Generator, tables: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``tables`` random tables as one :func:`_boxed` ``(tables, 8, 4)`` count
+    array over (table, flat configuration, label), and per table its index
+    into :data:`_TABLE_SHAPES` (uniform), its ``k`` (uniform on 2..4) and a
+    prefix length of its variables (uniform on 1..ndim); cells are uniform on 0..16."""
+    shapes = rng.integers(len(_TABLE_SHAPES), size=tables)
+    ks = rng.integers(2, 5, size=tables)
+    prefixes = rng.integers(1, _TABLE_NDIMS[shapes] + 1)
+    counts = _boxed(rng.integers(0, 17, size=(tables, 8, 4)), _TABLE_RESTS[shapes, 0], ks)
+    return counts, shapes, ks, prefixes
 
 
-def _product_counts(rng: np.random.Generator) -> np.ndarray:
-    """Dense counts where variable 0 is independent of (variable 1, label) by construction."""
-    card_t = int(rng.integers(2, 5))
-    card_c = int(rng.integers(2, 5))
-    k = int(rng.integers(2, 5))
-    u = rng.integers(1, 6, card_t)
-    v = rng.integers(0, 7, (card_c, k))
-    return u[:, None, None] * v
+def _invariance_tables(rng: np.random.Generator, tables: int
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``tables`` product and ``tables`` label-copy tables as two :func:`_boxed`
+    ``(tables, 4, 4, 4)`` count arrays over (table, g_t, g_c, label), and their
+    sizes, each on 2..4: card_t, card_c, k of the products, then card_t, card_c
+    of the copies.  A product cell is u[g_t] * v[g_c, label], u on 1..5 and v on
+    0..6; a label-copy cell is on 1..8 where the label equals g_t, else 0."""
+    sizes = rng.integers(2, 5, size=(5, tables))
+    u = rng.integers(1, 6, size=(tables, 4, 1, 1))
+    v = rng.integers(0, 7, size=(tables, 1, 4, 4))
+    copies = rng.integers(1, 9, size=(tables, 4, 4, 1)) * np.eye(4, dtype=np.int64)[:, None]
+    return _boxed(u * v, *sizes[:3]), _boxed(copies, *sizes[3:]), sizes
 
 
-def _label_copy_counts(rng: np.random.Generator) -> np.ndarray:
-    """Dense counts where the label deterministically copies variable 0."""
-    card_t = int(rng.integers(2, 5))
-    card_c = int(rng.integers(2, 5))
-    cells = np.zeros((card_t, card_c, card_t), dtype=np.int64)
-    diagonal = np.arange(card_t)  # the label axis copies variable 0
-    cells[diagonal, :, diagonal] = rng.integers(1, 9, size=(card_t, card_c))
-    return cells
-
-
-def _nonempty(stack: np.ndarray) -> np.ndarray:
-    """C-contiguous ``stack`` of dense blocks along axis 0, each all-zero block
-    given one count at its first cell, in place: a table needs a cell."""
+def _boxed(stack: np.ndarray, *sizes: np.ndarray) -> np.ndarray:
+    """C-contiguous ``stack`` of dense blocks along axis 0, in place: block ``t``
+    keeps its cells below ``sizes[i][t]`` on axis ``i + 1`` and loses the rest,
+    and a block left all zero gets one count at its first cell (a table needs one)."""
+    for axis, size in enumerate(sizes, 1):
+        codes = np.arange(stack.shape[axis]).reshape((-1,) + (1,) * (stack.ndim - axis - 1))
+        stack *= codes < size.reshape((-1,) + (1,) * (stack.ndim - 1))
     flat = stack.reshape(len(stack), -1)
     flat[:, 0] += ~flat.any(axis=1)
     return stack
@@ -430,21 +436,10 @@ def _nonempty(stack: np.ndarray) -> np.ndarray:
 
 def _cell_table(dense: np.ndarray) -> ExemplarTable:
     """Table over variables ``0..m-1`` from a dense ``config + (label,)`` count
-    array; its nonzero cells, in C order, become the table's cells (an all-zero
-    array is a stack of one block to :func:`_nonempty`)."""
-    dense = dense if dense.any() else _nonempty(dense[None].copy())[0]
+    array with a nonzero cell; its nonzero cells, in C order, become the table's."""
     index = dense.nonzero()
     return _unchecked(ExemplarTable, tuple(range(dense.ndim - 1)), dense.shape[:-1],
                       _freeze(np.column_stack(index)), _freeze(dense[index]), dense.shape[-1])
-
-
-def _stacked_table(blocks: Sequence[np.ndarray], shape: tuple[int, ...]) -> ExemplarTable:
-    """One table of dense count blocks, each zero-padded to ``shape`` (labels
-    last): variable 0 is the block index and the rest are the block's axes."""
-    stack = np.zeros((len(blocks),) + shape, dtype=np.int64)
-    for t, block in enumerate(blocks):
-        stack[(t,) + tuple(map(slice, block.shape))] = block
-    return _cell_table(_nonempty(stack))
 
 
 def argmax_zero_one_error(table: ExemplarTable,
@@ -589,9 +584,8 @@ def check_optimal_outputs(rng: np.random.Generator, tables: int,
                           corrupt: bool = False) -> CheckResult:
     """One closed-form call on the stack of all tables over (table, flat configuration) against
     one oracle run on its rows, padded to the widest ``k`` by labels of zero mass and zero cost."""
-    blocks = [d.reshape(-1, d.shape[-1]) for d in (_random_counts(rng) for _ in range(tables))]
-    widest = max(block.shape[1] for block in blocks)
-    closed = theory.optimal_outputs(_stacked_table(blocks, (8, 4)), (0, 1)).probs[:, :widest]
+    counts, _, ks, _ = _random_tables(rng, tables)
+    closed = theory.optimal_outputs(_cell_table(counts), (0, 1)).probs[:, :ks.max()]
     numeric = theory.pgd_conditionals(closed)
     if corrupt:
         numeric = numeric + 0.002
@@ -600,16 +594,23 @@ def check_optimal_outputs(rng: np.random.Generator, tables: int,
                        f"{tables} random tables vs mirror-descent minimizer")
 
 
+def _prefix_table(rng: np.random.Generator, tables: int) -> ExemplarTable:
+    """Random tables, each with its determining ids a random prefix of its
+    variables, as one table over (table, prefix code, rest code): in C order
+    a prefix configuration is a run of ``rest`` flat ones, so flat
+    configuration ``c`` has codes ``c // rest`` and ``c % rest``."""
+    counts, shapes, _, prefixes = _random_tables(rng, tables)
+    table, config, label = counts.nonzero()
+    codes = np.divmod(config, _TABLE_RESTS[shapes, prefixes][table])
+    return _unchecked(ExemplarTable, (0, 1, 2), (tables, 8, 8),
+                      _freeze(np.column_stack([table, *codes, label])),
+                      _freeze(counts[table, config, label]), 4)
+
+
 def check_training_error(rng: np.random.Generator, tables: int) -> CheckResult:
-    """Each random table, with its determining ids a random prefix of its
-    variables, becomes the configurations (table, prefix code, rest code) of
-    one stack: in C order a prefix configuration is a run of flat ones."""
-    blocks = []
-    for _ in range(tables):
-        dense = _random_counts(rng)
-        prefix = int(rng.integers(0, dense.ndim - 1)) + 1
-        blocks.append(dense.reshape(math.prod(dense.shape[:prefix]), -1, dense.shape[-1]))
-    stack = _stacked_table(blocks, (8, 8, 4))
+    """The training-error equality on each table of a :func:`_prefix_table` stack,
+    built in its own call so that its draw is freed before the closed forms run."""
+    stack = _prefix_table(rng, tables)
     estimates = theory.estimated_training_error(theory.optimal_outputs(stack, (0, 1)), stack,
                                                 grouped=True)
     exact = argmax_zero_one_error(stack, (0, 1))
@@ -621,11 +622,9 @@ def check_training_error(rng: np.random.Generator, tables: int) -> CheckResult:
 def check_strict_invariance(rng: np.random.Generator, tables: int) -> CheckResult:
     """One stack of product tables, then one of dependent tables, each table
     over (table index, g_t, g_c) with g_t the candidate invariant variable."""
-    def reports(draw: Callable[[np.random.Generator], np.ndarray]):
-        stack = _stacked_table([draw(rng) for _ in range(tables)], (4, 4, 4))
-        return theory.check_strict_invariance(stack, (0, 1, 2), (1,), grouped=True)
-
-    products, dependent = reports(_product_counts), reports(_label_copy_counts)
+    products, dependent = (
+        theory.check_strict_invariance(_cell_table(stack), (0, 1, 2), (1,), grouped=True)
+        for stack in _invariance_tables(rng, tables)[:2])
     worst = max(r.max_deviation for r in products)
     missed = sum(not r.is_invariant for r in products) + sum(r.is_invariant for r in dependent)
     passed = worst <= 1e-12 and missed == 0
@@ -678,19 +677,20 @@ CORRUPTIBLE_CHECKS = ("max-prob-bound", "optimal-outputs-closed-form")
 
 def theory_check_run(seed: int = 0, corrupt: str | None = None,
                      tables: int = 200) -> tuple[CheckResult, ...]:
-    """Run every closed-form verification sweep; ``corrupt`` is a test hook
+    """Run every closed-form verification sweep, each on its own stream, so
+    ``tables`` moves only the optimal-outputs row; ``corrupt`` is a test hook
     that perturbs one named check's closed form to prove the harness fails
     loudly."""
     if corrupt is not None and corrupt not in CORRUPTIBLE_CHECKS:
         raise GvlabError("bad-variable", f"check {corrupt!r} has no corrupt hook; "
                                          f"hooked: {list(CORRUPTIBLE_CHECKS)}")
     _check_records("tables", tables, _TABLE_BYTES)
-    rng = stream(seed, 51)
     return (
-        check_max_prob_bound(rng, corrupt == "max-prob-bound"),
-        check_optimal_outputs(rng, tables, corrupt == "optimal-outputs-closed-form"),
-        check_training_error(rng, 500),
-        check_strict_invariance(rng, 100),
+        check_max_prob_bound(stream(seed, 51), corrupt == "max-prob-bound"),
+        check_optimal_outputs(stream(seed, 51, 1), tables,
+                              corrupt == "optimal-outputs-closed-form"),
+        check_training_error(stream(seed, 51, 2), 500),
+        check_strict_invariance(stream(seed, 51, 3), 100),
         check_addition_rule(seed),
         check_gap_bound(),
         check_excess_risk(),

@@ -1,17 +1,18 @@
+import math
 from functools import partial
 from itertools import product
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from gvlab import experiments, synth
 from gvlab.core import build_table, rows_csv, stream
 from gvlab.errors import GvlabError
 from gvlab.experiments import (ADDITION_SPLITS, CORRUPTIBLE_CHECKS, AdditionRuleSweep,
                                GridProtocol, ToyProtocol, addition_rule_margins,
-                               _cell_table, _label_copy_counts, _product_counts,
-                               _random_counts, addition_rule_sweep, argmax_zero_one_error,
+                               _cell_table, addition_rule_sweep, argmax_zero_one_error,
                                block_counts, check_max_prob_bound, derive_seed,
                                make_grid_task, parallel_map, spearman, theory_check_run,
                                truth_table_counts)
@@ -22,8 +23,9 @@ from gvlab.theory import (_block_entropies, addition_rule, check_strict_invarian
 
 from dict_tables import table_dict, table_from_dict
 from memory import traced_peak
-from theory_loops import (looped_check_optimal_outputs, looped_check_strict_invariance,
-                          looped_check_training_error, single_addition_rule)
+from theory_loops import (invariance_blocks, label_copy_counts, looped_sweep, nonempty,
+                          product_counts, random_counts, single_addition_rule, single_argmax_error,
+                          single_strict_invariance, single_training_error, table_blocks)
 
 SMALL_TOY = ToyProtocol(per_class=300, epochs=8)
 SMALL_GRID = GridProtocol(train_per_class=12, test_per_class=6, epochs=6, repeats=5,
@@ -113,7 +115,7 @@ def _square(i):
 
 
 def per_cell_count_table(rng, max_count=16):
-    """Reference for ``_cell_table(_random_counts(rng))``: one scalar draw per cell, in C order."""
+    """Reference for ``_cell_table(random_counts(rng))``: one scalar draw per cell, in C order."""
     shape = experiments._TABLE_SHAPES[rng.integers(len(experiments._TABLE_SHAPES))]
     k = int(rng.integers(2, 5))
     counts = {}
@@ -128,7 +130,7 @@ def per_cell_count_table(rng, max_count=16):
 
 
 def looped_product_table(rng):
-    """Reference for ``_cell_table(_product_counts(rng))``: one loop per axis,
+    """Reference for ``_cell_table(product_counts(rng))``: one loop per axis,
     checked constructor."""
     card_t, card_c, k = (int(rng.integers(2, 5)) for _ in range(3))
     u = rng.integers(1, 6, card_t)
@@ -146,7 +148,7 @@ def looped_product_table(rng):
 
 
 def looped_label_copy_table(rng):
-    """Reference for ``_cell_table(_label_copy_counts(rng))``: one scalar draw per cell."""
+    """Reference for ``_cell_table(label_copy_counts(rng))``: one scalar draw per cell."""
     card_t, card_c = int(rng.integers(2, 5)), int(rng.integers(2, 5))
     counts = {((gt, gc), gt): int(rng.integers(1, 9))
               for gt in range(card_t) for gc in range(card_c)}
@@ -157,7 +159,7 @@ class TestRandomTables:
     def test_random_count_table_within_limits(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            table = _cell_table(_random_counts(rng))
+            table = _cell_table(random_counts(rng))
             assert int(np.prod(table.axis_sizes)) <= 8
             assert 2 <= table.k <= 4
             assert all(0 < c <= 16 for c in table.counts.tolist())
@@ -168,7 +170,7 @@ class TestRandomTables:
         for seed in (0, 1, 7, 20240501):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(60):
-                table, ref = _cell_table(_random_counts(rng)), per_cell_count_table(ref_rng)
+                table, ref = _cell_table(random_counts(rng)), per_cell_count_table(ref_rng)
                 assert table == ref
                 assert table.variable_ids == ref.variable_ids
                 assert table.axis_sizes == ref.axis_sizes
@@ -177,8 +179,8 @@ class TestRandomTables:
             assert rng.random() == ref_rng.random()
 
     @pytest.mark.parametrize("draw, reference", [
-        (_product_counts, looped_product_table),
-        (_label_copy_counts, looped_label_copy_table),
+        (product_counts, looped_product_table),
+        (label_copy_counts, looped_label_copy_table),
     ], ids=["product", "label-copy"])
     def test_generators_match_the_checked_construction(self, draw, reference):
         """The dense-cell generators give the tables of one draw per cell
@@ -197,12 +199,12 @@ class TestRandomTables:
         rng = np.random.default_rng(2)
         from gvlab.info import mutual_information
         for _ in range(20):
-            table = _cell_table(_product_counts(rng))
+            table = _cell_table(product_counts(rng))
             assert mutual_information(table, [0], [1]) <= 1e-12
 
     def test_label_copy_table(self):
         rng = np.random.default_rng(3)
-        table = _cell_table(_label_copy_counts(rng))
+        table = _cell_table(label_copy_counts(rng))
         for (config, label), count in table_dict(table).items():
             assert label == config[0]
 
@@ -214,6 +216,58 @@ class TestRandomTables:
         assert argmax_zero_one_error(table, (1,)) == (Fraction(1, 4), Fraction(1, 2))
         opt = optimal_outputs(table, (0, 1))
         assert estimated_training_error(opt, table) == pytest.approx(1 / 3, abs=1e-15)
+
+
+def uniform_p(values, low, high):
+    """Chi-square p-value of ``values`` against the uniform law on ``low..high``;
+    a value outside that range fails at once."""
+    values = np.asarray(values)
+    assert low <= values.min() and values.max() <= high
+    return scipy.stats.chisquare(np.bincount(values - low, minlength=high - low + 1)).pvalue
+
+
+class TestArrayDrawLaw:
+    """Chi-square tests of the array draws against the per-table law they
+    keep: each marginal must pass at p > 0.001, and a cell outside a table's
+    box must be zero, so a wrong mask or an off-by-one bound fails loudly."""
+
+    def test_random_tables(self):
+        counts, shapes, ks, prefixes = experiments._random_tables(np.random.default_rng(12), 4000)
+        assert uniform_p(shapes, 0, len(experiments._TABLE_SHAPES) - 1) > 1e-3
+        assert uniform_p(ks, 2, 4) > 1e-3
+        table_shapes = [experiments._TABLE_SHAPES[s] for s in shapes.tolist()]
+        ndims = np.array([len(shape) for shape in table_shapes])
+        assert (prefixes[ndims == 1] == 1).all()
+        for ndim in (2, 3):
+            assert uniform_p(prefixes[ndims == ndim], 1, ndim) > 1e-3
+        configs = np.array([math.prod(shape) for shape in table_shapes])
+        inside = ((np.arange(8)[:, None] < configs[:, None, None])
+                  & (np.arange(4) < ks[:, None, None]))
+        assert not counts[~inside].any()
+        assert uniform_p(counts[inside], 0, 16) > 1e-3
+
+    def test_invariance_tables(self):
+        products, copies, sizes = experiments._invariance_tables(np.random.default_rng(13), 4000)
+        for size in sizes:
+            assert uniform_p(size, 2, 4) > 1e-3
+        codes = np.arange(4)
+        t_p, c_p, k_p, t_d, c_d = (size[:, None, None, None] for size in sizes)
+        inside = (codes[:, None, None] < t_p) & (codes[:, None] < c_p) & (codes < k_p)
+        assert not products[~inside].any()
+        # u[g_t] * v[g_c, label]: every g_t row is a multiple of every other
+        rows = products.reshape(len(products), 4, 16)
+        sums = rows.sum(axis=2, keepdims=True)
+        assert (rows * sums[:, :1] == rows[:, :1] * sums).all()
+        # the first cell, inside every table, follows the law of u * v
+        law = np.bincount((np.arange(1, 6)[:, None] * np.arange(7)).ravel()) / 35
+        observed = np.bincount(products[:, 0, 0, 0], minlength=len(law))
+        assert len(observed) == len(law) and not observed[law == 0].any()
+        assert scipy.stats.chisquare(observed[law > 0],
+                                     law[law > 0] * len(products)).pvalue > 1e-3
+        inside = ((codes[:, None, None] < t_d) & (codes[:, None] < c_d)
+                  & (codes[:, None] == codes)[:, None])  # the label copies g_t
+        assert not copies[~inside].any()
+        assert uniform_p(copies[inside], 1, 8) > 1e-3
 
 
 class TestToyRunners:
@@ -588,77 +642,131 @@ def test_fewer_than_one_item_rejected(run):
     assert err.value.code == "bad-config"
 
 
+#: The stacked checks under the names ``looped_sweep`` knows them by.
+STACKED_CHECKS = {
+    "training-error": experiments.check_training_error,
+    "strict-invariance": experiments.check_strict_invariance,
+    "optimal-outputs": experiments.check_optimal_outputs,
+    "optimal-outputs-corrupt": partial(experiments.check_optimal_outputs, corrupt=True),
+}
+
+
 class TestStackedChecks:
     """The stacked theory checks against the per-table loops they replaced
-    (``tests/theory_loops.py``)."""
+    (``tests/theory_loops.py``), run on the blocks cut from their array draws."""
 
     @pytest.mark.parametrize("tables", [1, 7, 500])
-    @pytest.mark.parametrize("check, reference", [
-        (experiments.check_training_error, looped_check_training_error),
-        (experiments.check_strict_invariance, looped_check_strict_invariance),
-        (experiments.check_optimal_outputs, looped_check_optimal_outputs),
-        (partial(experiments.check_optimal_outputs, corrupt=True),
-         partial(looped_check_optimal_outputs, corrupt=True)),
-    ], ids=["training-error", "strict-invariance", "optimal-outputs", "optimal-outputs-corrupt"])
-    def test_equal_to_the_per_table_loop(self, check, reference, tables):
+    @pytest.mark.parametrize("sweep", list(STACKED_CHECKS))
+    def test_equal_to_the_per_table_loop(self, sweep, tables):
         for seed in range(6):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            result, expected = check(rng, tables), reference(ref_rng, tables)
+            result, expected = STACKED_CHECKS[sweep](rng, tables), looped_sweep(sweep, ref_rng,
+                                                                                tables)
             assert result == expected
             assert result.max_deviation.hex() == expected.max_deviation.hex()
             assert type(result.max_deviation) is float
             assert rng.random() == ref_rng.random()
 
+    @settings(max_examples=40, deadline=None)
+    @given(tables=st.integers(1, 120), seed=st.integers(0, 2 ** 32 - 1),
+           sweep=st.sampled_from(["optimal-outputs", "training-error", "strict-invariance"]))
+    def test_stack_closed_forms_equal_the_per_table_calls(self, tables, seed, sweep):
+        """Each table's rows of the closed forms on the array stack are, bit
+        for bit, the single-table calls on its block cut from that stack."""
+        if sweep == "strict-invariance":
+            products, copies, sizes = experiments._invariance_tables(stream(seed), tables)
+            for stack, blocks in zip((products, copies),
+                                     invariance_blocks(products, copies, sizes)):
+                reports = check_strict_invariance(_cell_table(stack), (0, 1, 2), (1,),
+                                                  grouped=True)
+                assert len(reports) == tables
+                for report, block in zip(reports, blocks):
+                    table = _cell_table(block)
+                    single = check_strict_invariance(table, (0, 1), (0,))
+                    assert report == single == single_strict_invariance(table, (0, 1), (0,))
+                    assert report.max_deviation.hex() == single.max_deviation.hex()
+            return
+        counts, shapes, ks, prefixes = experiments._random_tables(stream(seed), tables)
+        blocks = table_blocks(counts, shapes, ks)
+        if sweep == "optimal-outputs":
+            stack, ids = _cell_table(counts), [block.ndim - 1 for block in blocks]
+        else:
+            stack, ids = experiments._prefix_table(stream(seed), tables), prefixes.tolist()
+            estimates = estimated_training_error(optimal_outputs(stack, (0, 1)), stack,
+                                                 grouped=True)
+            exact = argmax_zero_one_error(stack, (0, 1))
+        opt = optimal_outputs(stack, (0, 1))
+        for t, (block, prefix, k) in enumerate(zip(blocks, ids, ks.tolist())):
+            table = _cell_table(block)
+            single = optimal_outputs(table, table.variable_ids[:prefix])
+            rows = opt.configs[:, 0] == t
+            codes = np.ravel_multi_index(single.configs.T, table.axis_sizes[:prefix])
+            assert opt.configs[rows, 1].tolist() == codes.tolist()
+            assert opt.probs[rows, :k].tobytes() == single.probs.tobytes()
+            assert not opt.probs[rows, k:].any()
+            if sweep == "training-error":
+                estimate = estimated_training_error(single, table)
+                assert estimates[t].hex() == estimate.hex()
+                assert estimate.hex() == single_training_error(single, table).hex()
+                assert exact[t] == single_argmax_error(table, single.variable_ids)
+
     def test_one_dependent_table_in_the_product_stack_is_one_miss(self, monkeypatch):
         """Fails loudly: a dependent table among product tables is counted,
         and its deviation, the one it gives alone, is reported."""
-        product_counts, calls, alone = experiments._product_counts, [], []
+        draw, alone = experiments._invariance_tables, []
 
-        def third_is_dependent(rng):
-            calls.append(rng)
-            if len(calls) != 3:
-                return product_counts(rng)
-            dense = experiments._label_copy_counts(rng)
-            alone.append(check_strict_invariance(experiments._cell_table(dense), (0, 1), (0,)))
-            return dense
+        def third_is_dependent(rng, tables):
+            products, copies, sizes = draw(rng, tables)
+            products[2] = copies[0]
+            alone.append(check_strict_invariance(_cell_table(copies[0]), (0, 1), (0,)))
+            return products, copies, sizes
 
-        monkeypatch.setattr(experiments, "_product_counts", third_is_dependent)
+        monkeypatch.setattr(experiments, "_invariance_tables", third_is_dependent)
         result = experiments.check_strict_invariance(np.random.default_rng(4), 5)
-        assert len(calls) == 5 and not alone[0].is_invariant
+        assert len(alone) == 1 and not alone[0].is_invariant
         assert result.max_deviation == alone[0].max_deviation > 0.5
         assert result.detail.endswith("misclassified: 1") and not result.passed
 
     def test_grouped_reports_count_the_one_dependent_table(self):
-        rng = np.random.default_rng(9)
-        blocks = [experiments._product_counts(rng) for _ in range(6)]
-        dependent = experiments._label_copy_counts(rng)
-        blocks.insert(2, dependent)
-        stack = experiments._stacked_table(blocks, (4, 4, 4))
-        reports = check_strict_invariance(stack, (0, 1, 2), (1,), grouped=True)
+        products, copies, _ = experiments._invariance_tables(np.random.default_rng(9), 7)
+        products[2] = copies[2]
+        reports = check_strict_invariance(_cell_table(products), (0, 1, 2), (1,), grouped=True)
         assert len(reports) == 7
         assert [r.is_invariant for r in reports] == [True, True, False, True, True, True, True]
-        alone = check_strict_invariance(experiments._cell_table(dependent), (0, 1), (0,))
-        assert reports[2] == alone
+        assert reports[2] == check_strict_invariance(_cell_table(copies[2]), (0, 1), (0,))
 
     def test_outputs_of_another_stack_raise_table_mismatch(self):
-        rng = np.random.default_rng(2)
-        dense = [experiments._random_counts(rng) for _ in range(10)]
-        stacks = [experiments._stacked_table([d.reshape(-1, 1, d.shape[-1]) for d in half],
-                                             (8, 1, 4)) for half in (dense[:5], dense[5:])]
+        counts = experiments._random_tables(np.random.default_rng(2), 10)[0]
+        stacks = [_cell_table(half) for half in (counts[:5], counts[5:])]
         opt = optimal_outputs(stacks[0], (0, 1))
         with pytest.raises(GvlabError) as err:
             estimated_training_error(opt, stacks[1], grouped=True)
         assert err.value.code == "table-mismatch"
 
     def test_all_zero_block_keeps_the_one_count_fallback(self):
-        """An all-zero table has one count at its first cell, alone and in a stack."""
-        rng = np.random.default_rng(3)
-        zero = np.zeros((2, 3, 2), dtype=np.int64)
-        blocks = [experiments._product_counts(rng), zero, experiments._product_counts(rng)]
-        stack = experiments._stacked_table(blocks, (4, 4, 4))
-        alone = experiments._cell_table(zero)
+        """An all-zero table has one count at its first cell, drawn alone
+        (the per-table reference) and in a stack."""
+        alone = _cell_table(nonempty(np.zeros((2, 3, 2), dtype=np.int64)))
         assert alone.cells.tolist() == [[0, 0, 0]] and alone.counts.tolist() == [1]
+        products, _, sizes = experiments._invariance_tables(np.random.default_rng(3), 3)
+        products[1] = 0
+        stack = _cell_table(experiments._boxed(products, *sizes[:3]))
         in_stack = stack.cells[:, 0] == 1
         assert stack.cells[in_stack].tolist() == [[1, 0, 0, 0]]
         assert stack.counts[in_stack].tolist() == [1]
-        assert not zero.any()  # the caller's array is left as it was
+
+    def test_tables_moves_only_the_optimal_outputs_row(self):
+        """Each sweep reads its own stream, so ``tables`` changes no other check."""
+        small, large = theory_check_run(5, tables=7), theory_check_run(5, tables=200)
+        for a, b in zip(small, large):
+            if a.name == "optimal-outputs-closed-form":
+                assert (a.detail, b.detail) == ("7 random tables vs mirror-descent minimizer",
+                                                "200 random tables vs mirror-descent minimizer")
+            else:
+                assert a == b and a.max_deviation.hex() == b.max_deviation.hex()
+
+    def test_training_error_peak_allocation(self):
+        """The flat ``(500, 8, 4)`` draw and its nonzero cells keep the check
+        under 1 MB; a ``(500, 8, 8, 4)`` padded stack peaked at 1.83 MB."""
+        assert traced_peak(experiments.check_training_error,
+                           np.random.default_rng(0), 500) < 1_000_000

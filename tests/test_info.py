@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from gvlab.core import ExemplarTable, marginalize
 from gvlab.errors import GvlabError
-from gvlab.experiments import _cell_table, _random_counts, block_counts, truth_table_counts
+from gvlab.experiments import _cell_table, block_counts, truth_table_counts
 from gvlab.info import LABELS, conditional_entropy, count_entropy, entropy, mutual_information
 from gvlab.theory import _block_entropies, addition_rule
 
 from dict_tables import reference_entropy, reference_marginal, table_dict
 from dict_tables import table_from_dict as table_from_counts
+from theory_loops import random_counts
 
 LN2 = math.log(2.0)
 
@@ -236,7 +237,7 @@ def reference_information(table, a, b, c, with_labels=False):
 def test_array_tables_match_the_dict_reference(seed, data):
     """Marginals, entropies, information and the addition rule on the arrays
     equal the dict loops they replaced: exactly for counts, to 1e-12 in nats."""
-    table = _cell_table(_random_counts(np.random.default_rng(seed)))
+    table = _cell_table(random_counts(np.random.default_rng(seed)))
     keep = data.draw(keep_ids(table.variable_ids))
     rest = tuple(v for v in table.variable_ids if v not in keep)
 

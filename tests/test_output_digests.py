@@ -3,8 +3,10 @@ and compares the sha256 of every file it writes (CSVs and SVGs), of stdout
 and the exit status with the committed ones.
 
 The digests hold for the numpy version stored next to them.  A change that
-moves output on purpose rewrites them in the same commit with
-``python tests/test_output_digests.py`` and names the moved bytes.
+moves output on purpose rewrites them in the same commit and names the moved
+bytes: ``python tests/test_output_digests.py theory-check`` reruns only the
+cases of the named commands and keeps every other entry as it is; with no
+command named, every case is rerun.
 """
 
 import contextlib
@@ -70,8 +72,21 @@ def test_outputs_match_the_committed_digests(tmp_path):
 
 
 if __name__ == "__main__":
+    only = set(sys.argv[1:])
+    if only - {argv[0] for argv in CASES}:
+        sys.exit(f"no pinned case runs {sorted(only - {argv[0] for argv in CASES})}")
+    kept = {}
+    if only:
+        pinned = json.loads(DIGESTS.read_text())
+        if pinned["numpy"] != np.__version__:
+            sys.exit(f"digests were taken with numpy {pinned['numpy']}, this is {np.__version__}: "
+                     "rerun every case")
+        kept = {tuple(case["argv"]): case["digests"] for case in pinned["cases"]}
     with tempfile.TemporaryDirectory() as scratch:
-        cases = [{"argv": argv, "digests": digest(argv, Path(scratch) / str(i))}
+        cases = [{"argv": argv,
+                  "digests": (digest(argv, Path(scratch) / str(i)) if not only or argv[0] in only
+                              else kept[tuple(argv)])}
                  for i, argv in enumerate(CASES)]
     DIGESTS.write_text(json.dumps({"numpy": np.__version__, "cases": cases}, indent=1) + "\n")
-    print(f"wrote {len(cases)} digests to {DIGESTS}", file=sys.stderr)
+    rerun = sum(not only or argv[0] in only for argv in CASES)
+    print(f"reran {rerun} of {len(cases)} digests in {DIGESTS}", file=sys.stderr)

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from gvlab import theory
 from gvlab.core import ExemplarTable, marginalize, rows_csv
 from gvlab.errors import GvlabError
-from gvlab.experiments import (_cell_table, _label_copy_counts, _product_counts,
-                               _random_counts, argmax_zero_one_error, check_optimal_outputs,
+from gvlab.experiments import (_cell_table, argmax_zero_one_error, check_optimal_outputs,
                                theory_check_run)
 from gvlab.theory import (GAP_TOL, INVARIANCE_TOL, BoundReport, OptimalOutputs, addition_rule,
                           check_strict_invariance, estimated_training_error,
@@ -19,7 +18,8 @@ from gvlab.theory import (GAP_TOL, INVARIANCE_TOL, BoundReport, OptimalOutputs, 
 from dict_tables import reference_marginal, table_dict
 from dict_tables import table_from_dict as table_from_counts
 from memory import traced_peak
-from theory_loops import (row_reduce_pgd_conditionals, single_argmax_error,
+from theory_loops import (label_copy_counts, product_counts, random_counts,
+                          row_reduce_pgd_conditionals, single_argmax_error,
                           single_strict_invariance, single_training_error)
 
 LN2 = math.log(2.0)
@@ -232,7 +232,7 @@ class TestDerivedObjects:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.data())
     def test_match_the_checked_construction(self, seed, data):
-        table = _cell_table(_random_counts(np.random.default_rng(seed)))
+        table = _cell_table(random_counts(np.random.default_rng(seed)))
         keep = data.draw(keep_ids(table.variable_ids))
         marg = marginalize(table, keep)
         reference = dict(sorted(reference_marginal(table, keep).items()))
@@ -320,9 +320,9 @@ class TestStrictInvariance:
         assert report.max_deviation == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("make", [
-        lambda rng: _cell_table(_product_counts(rng)),
-        lambda rng: _cell_table(_label_copy_counts(rng)),
-        lambda rng: _cell_table(_random_counts(rng))], ids=["product", "dependent", "random"])
+        lambda rng: _cell_table(product_counts(rng)),
+        lambda rng: _cell_table(label_copy_counts(rng)),
+        lambda rng: _cell_table(random_counts(rng))], ids=["product", "dependent", "random"])
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
     def test_stacked_deviation_equals_the_double_loop(self, make, seed, data):
@@ -415,7 +415,7 @@ class TestGroupedForms:
                    (eight_configuration_table(np.random.default_rng(len(seeds))), 3)]
         for seed in seeds:
             rng = np.random.default_rng(seed)
-            table = _cell_table(_random_counts(rng, data.draw(st.sampled_from([1, 16]))))
+            table = _cell_table(random_counts(rng, data.draw(st.sampled_from([1, 16]))))
             entries.append((table, data.draw(st.integers(1, len(table.variable_ids)))))
         entries = data.draw(st.permutations(entries))
         stack = stack_of([prefix_rest_cells(t, p) for t, p in entries], (8, 8), 4)
@@ -442,8 +442,8 @@ class TestGroupedForms:
                                     st.integers(0, 2 ** 32 - 1)), max_size=8),
            data=st.data())
     def test_strict_invariance_groups_equal_single_tables(self, seeds, data):
-        make = {"product": lambda rng: _cell_table(_product_counts(rng)),
-                "dependent": lambda rng: _cell_table(_label_copy_counts(rng)),
+        make = {"product": lambda rng: _cell_table(product_counts(rng)),
+                "dependent": lambda rng: _cell_table(label_copy_counts(rng)),
                 "sparse": two_variable_table}
         tables = [one_cell_table_2d()] + [make[kind](np.random.default_rng(seed))
                                           for kind, seed in seeds]
@@ -462,7 +462,7 @@ class TestGroupedForms:
     def test_a_group_of_one_is_the_single_table_call(self):
         rng = np.random.default_rng(5)
         for _ in range(40):
-            table = _cell_table(_random_counts(rng))
+            table = _cell_table(random_counts(rng))
             stack = stack_of([prefix_rest_cells(table, len(table.variable_ids))], (8, 1), 4)
             estimate = estimated_training_error(optimal_outputs(stack, (0, 1)), stack,
                                                 grouped=True)
@@ -470,7 +470,7 @@ class TestGroupedForms:
             assert estimate.tolist() == [single_training_error(single, table)]
             assert argmax_zero_one_error(stack, (0, 1)) == (
                 single_argmax_error(table, table.variable_ids),)
-            pair = _cell_table(_product_counts(rng))
+            pair = _cell_table(product_counts(rng))
             (report,) = check_strict_invariance(stack_of([(pair.cells, pair.counts)], (4, 4), 4),
                                                 (0, 1, 2), (1,), grouped=True)
             assert report == single_strict_invariance(pair, (0, 1), (0,))

@@ -1,9 +1,12 @@
 """Per-table theory checks, kept as the reference for the stacked ones.
 
 ``check_optimal_outputs``, ``check_training_error`` and
-``check_strict_invariance`` evaluate all their random tables as one stacked
-table.  These helpers keep the loops they replaced, one table and one
-closed-form call at a time, the single-table closed forms as they were
+``check_strict_invariance`` draw all their random tables as one array and
+evaluate them as one stacked table.  These helpers keep the per-table draws
+they replaced (one generator call per table and parameter, the law the
+array draws keep), the blocks cut from an array draw, the loops over
+those blocks, one table and one closed-form call at a time, the
+single-table closed forms as they were
 before the grouped forms, the mirror-descent oracle as it was before its
 row maxima became column folds, and the addition rule as it was before its
 kernel took label-count matrices (one sparse entropy per marginal, in the
@@ -17,11 +20,60 @@ import numpy as np
 from gvlab.core import _run_heads, marginalize
 from gvlab import theory
 from gvlab.errors import GvlabError
-from gvlab.experiments import (CheckResult, _cell_table, _label_copy_counts, _product_counts,
-                               _random_counts)
+from gvlab.experiments import (_TABLE_RESTS, _TABLE_SHAPES, CheckResult, _cell_table,
+                               _invariance_tables, _random_tables)
 from gvlab.info import _group_entropy
 from gvlab.theory import (GAP_TOL, INVARIANCE_TOL, AdditionRule, InvarianceReport, _label_counts,
                           optimal_outputs)
+
+
+def nonempty(dense):
+    """``dense`` with one count at its first cell if it has none, in place."""
+    dense.flat[0] += not dense.any()
+    return dense
+
+
+def random_counts(rng, max_count=16):
+    """Dense ``config + (label,)`` counts of one random table: a shape of
+    ``_TABLE_SHAPES``, ``k`` in 2..4 and cell counts in 0..max_count."""
+    shape = _TABLE_SHAPES[rng.integers(len(_TABLE_SHAPES))]
+    k = int(rng.integers(2, 5))
+    return nonempty(rng.integers(0, max_count + 1, size=shape + (k,)))
+
+
+def product_counts(rng):
+    """Dense counts where variable 0 is independent of (variable 1, label) by construction."""
+    card_t = int(rng.integers(2, 5))
+    card_c = int(rng.integers(2, 5))
+    k = int(rng.integers(2, 5))
+    u = rng.integers(1, 6, card_t)
+    v = rng.integers(0, 7, (card_c, k))
+    return nonempty(u[:, None, None] * v)
+
+
+def label_copy_counts(rng):
+    """Dense counts where the label deterministically copies variable 0."""
+    card_t = int(rng.integers(2, 5))
+    card_c = int(rng.integers(2, 5))
+    cells = np.zeros((card_t, card_c, card_t), dtype=np.int64)
+    diagonal = np.arange(card_t)  # the label axis copies variable 0
+    cells[diagonal, :, diagonal] = rng.integers(1, 9, size=(card_t, card_c))
+    return cells
+
+
+def table_blocks(counts, shapes, ks):
+    """Each table of a ``_random_tables`` draw as its own dense
+    ``shape + (k,)`` block, cut from the ``(tables, 8, 4)`` array."""
+    return [counts[t, :_TABLE_RESTS[s, 0], :k].reshape(_TABLE_SHAPES[s] + (k,))
+            for t, (s, k) in enumerate(zip(shapes.tolist(), ks.tolist()))]
+
+
+def invariance_blocks(products, copies, sizes):
+    """The product and the label-copy tables of an ``_invariance_tables``
+    draw, each as its own dense ``(card_t, card_c, k)`` block."""
+    t_p, c_p, k_p, t_d, c_d = sizes.tolist()
+    return ([block[:a, :b, :c] for block, a, b, c in zip(products, t_p, c_p, k_p)],
+            [block[:a, :b, :a] for block, a, b in zip(copies, t_d, c_d)])
 
 
 def single_training_error(opt, table):
@@ -89,9 +141,9 @@ def row_reduce_pgd_conditionals(q, iterations=10_000):
                                       "mirror-descent iterations")
 
 
-def looped_check_optimal_outputs(rng, tables, corrupt=False):
+def looped_check_optimal_outputs(blocks, corrupt=False):
     probs = [theory.optimal_outputs(table, table.variable_ids).probs
-             for table in (_cell_table(_random_counts(rng)) for _ in range(tables))]
+             for table in map(_cell_table, blocks)]
     ends = np.cumsum([len(p) for p in probs])
     stacked = np.zeros((ends[-1], max(p.shape[1] for p in probs)))
     for p, end in zip(probs, ends):
@@ -101,32 +153,41 @@ def looped_check_optimal_outputs(rng, tables, corrupt=False):
         numeric = numeric + 0.002
     worst = float((0.5 * np.abs(numeric - stacked).sum(axis=1)).max())
     return CheckResult("optimal-outputs-closed-form", worst <= 1e-4, worst,
-                       f"{tables} random tables vs mirror-descent minimizer")
+                       f"{len(blocks)} random tables vs mirror-descent minimizer")
 
 
-def looped_check_training_error(rng, tables):
+def looped_check_training_error(blocks, prefixes):
     worst = 0.0
-    for _ in range(tables):
-        table = _cell_table(_random_counts(rng))
-        ids = table.variable_ids[:int(rng.integers(0, len(table.variable_ids))) + 1]
+    for table, prefix in zip(map(_cell_table, blocks), prefixes):
+        ids = table.variable_ids[:prefix]
         estimate = single_training_error(optimal_outputs(table, ids), table)
         worst = max(worst, abs(estimate - float(single_argmax_error(table, ids))))
     return CheckResult("training-error-equality", worst <= 1e-12, worst,
-                       f"{tables} random tables, argmax predictor vs estimate")
+                       f"{len(blocks)} random tables, argmax predictor vs estimate")
 
 
-def looped_check_strict_invariance(rng, tables):
+def looped_check_strict_invariance(products, copies):
     worst = 0.0
     missed = 0
-    for _ in range(tables):
-        table = _cell_table(_product_counts(rng))
+    for table in map(_cell_table, products):
         report = single_strict_invariance(table, table.variable_ids, (0,))
         worst = max(worst, report.max_deviation)
         missed += not report.is_invariant
-    for _ in range(tables):
-        table = _cell_table(_label_copy_counts(rng))
+    for table in map(_cell_table, copies):
         missed += single_strict_invariance(table, table.variable_ids, (0,)).is_invariant
     return CheckResult("strict-invariance", worst <= 1e-12 and missed == 0, worst,
-                       f"{tables} product tables and {tables} dependent tables; "
+                       f"{len(products)} product tables and {len(copies)} dependent tables; "
                        f"misclassified: {missed}")
 
+
+def looped_sweep(sweep, rng, tables):
+    """The per-table loop of one stacked check (``sweep``, or
+    ``optimal-outputs-corrupt`` for its hooked form) on the blocks cut from
+    the array draw that check makes on ``rng``."""
+    if sweep == "strict-invariance":
+        return looped_check_strict_invariance(*invariance_blocks(*_invariance_tables(rng, tables)))
+    counts, shapes, ks, prefixes = _random_tables(rng, tables)
+    blocks = table_blocks(counts, shapes, ks)
+    if sweep == "training-error":
+        return looped_check_training_error(blocks, prefixes.tolist())
+    return looped_check_optimal_outputs(blocks, sweep == "optimal-outputs-corrupt")
