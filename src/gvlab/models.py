@@ -9,9 +9,10 @@ under cross-entropy loss, deterministic given the config seed:
   the convex objective and 100-run averages are reproducible;
 - each epoch shuffles with a generator seeded by (base seed, epoch);
 - the loss uses log-sum-exp / log1p-of-exp stabilized forms;
-- training records each epoch's mean loss, computed once per epoch from
-  the forward terms its steps stored; the mean-max-output error estimate
-  is taken once, from :func:`risk` on the trained model;
+- training returns the last epoch's mean loss, computed once from the
+  forward terms its steps stored; the other epochs only check that their
+  loss sums stay finite; the mean-max-output error estimate is taken
+  once, from :func:`risk` on the trained model;
 - models whose data differ only in substituted columns train in one
   lockstep loop (:func:`train_lockstep`), bit-identical to separate runs.
 """
@@ -219,13 +220,13 @@ class TrainConfig:
 @dataclass(frozen=True)
 class TrainResult:
     model: LinearModel
-    loss_curve: tuple[float, ...]
+    loss: float  # the last epoch's mean sample loss
 
 
 def train(data: VectorDataset, config: TrainConfig) -> TrainResult:
     """Mini-batch SGD with momentum from zero initialization.
 
-    The loss curve holds each epoch's mean sample loss.
+    The result's loss is the last epoch's mean sample loss.
     """
     return train_lockstep(data, config)[0]
 
@@ -247,8 +248,9 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
     substitutions, each step writes its per-model batches into one stacked
     buffer allocated once per call: the shared rows, then the step's
     substitute columns.  Each step stores its forward terms in one epoch
-    buffer; the epoch's losses are computed from that buffer once, after
-    its last step, and summed batch by batch in step order.
+    buffer.  After each epoch's last step, that buffer shows whether every
+    model's loss sum is finite; the losses themselves are computed once,
+    from the last epoch's buffer, and summed batch by batch in step order.
     A model that diverges raises at the epoch where that ``train`` call
     would; with several, the first model in order decides.
     """
@@ -256,12 +258,12 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
         raise GvlabError("empty-dataset", "cannot train on an empty dataset")
     if config.batch_size > data.n:
         raise GvlabError("bad-config", f"batch size {config.batch_size} exceeds n={data.n}")
-    loss_bytes = config.epochs * (len(substitutions) + 1) * 8
-    if loss_bytes > np.iinfo(np.intp).max:  # numpy cannot even shape the loss array
-        raise GvlabError("bad-config", f"epochs={config.epochs} makes the loss array "
-                                       f"{loss_bytes} bytes, beyond numpy's array limit")
+    updates = config.epochs * (len(substitutions) + 1) * -(-data.n // config.batch_size)
+    if updates >= 2**60:  # over 36 years even at a nanosecond per update
+        raise GvlabError("bad-config", f"epochs={config.epochs} makes {updates} model "
+                                       f"updates, a run that could never finish")
     dims = np.empty(len(substitutions), dtype=np.int64)
-    noise = np.empty((len(dims), data.n))
+    noise = np.empty((data.n, len(dims)))  # row-major: each epoch gathers rows
     for i, (j, column) in enumerate(substitutions):
         if not (_is_int(j) and 0 <= j < data.d):
             raise GvlabError("bad-variable", f"dimension {j!r} is not an integer in "
@@ -271,7 +273,7 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
             raise GvlabError("bad-input-dim", f"substitute for dimension {j} must have "
                                               f"shape ({data.n},), got {column.shape}")
         dims[i] = j
-        noise[i] = column
+        noise[:, i] = column
     models = len(dims) + 1
     substituted = np.arange(1, models)
     head: Head = "sigmoid" if data.k == 2 else "softmax"
@@ -283,15 +285,14 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
     step = np.empty_like(params)
     w, b = params[..., :data.d], params[..., data.d]
     gw, gb = grads[..., :data.d], grads[..., data.d]
-    # The forward terms of a whole epoch, in epoch order: the losses are
-    # computed from them once after the epoch's last step.
+    # The forward terms of a whole epoch, in epoch order: the loss check
+    # reads them after the epoch's last step.
     terms = np.empty((models, data.n) if head == "sigmoid" else (models, data.n, rows))
     epoch_x, epoch_noise = np.empty_like(data.x), np.empty_like(noise)
     # A ragged last batch uses the leading rows, so BLAS sees the row count
     # of a sequential run.
     stacked = np.empty((models, config.batch_size, data.d)) if len(dims) else None
 
-    losses = np.empty((config.epochs, models))
     diverged_at = np.full(models, -1)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence detected per epoch
         for epoch in range(config.epochs):
@@ -299,7 +300,7 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
             # "clip" never clips a permutation; unlike "raise" it writes
             # straight into ``out`` without a temporary.
             np.take(data.x, order, axis=0, out=epoch_x, mode="clip")
-            np.take(noise, order, axis=1, out=epoch_noise, mode="clip")
+            np.take(noise, order, axis=0, out=epoch_noise, mode="clip")
             labels = _labels(head, data.y[order])
             for start in range(0, data.n, config.batch_size):
                 stop = start + config.batch_size
@@ -307,23 +308,26 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
                 if stacked is not None:
                     x = stacked[:, :x.shape[1]]
                     x[...] = epoch_x[start:stop]
-                    x[substituted, :, dims] = epoch_noise[:, start:stop]
+                    x[substituted, :, dims] = epoch_noise[start:stop].T
                 batch_terms = _forward_terms(w, b, head, x, out=terms[:, start:stop])
                 _gradients(batch_terms, head, x, labels[start:stop], gw, gb)
                 velocity *= config.momentum
                 velocity += grads
                 params -= np.multiply(velocity, config.learning_rate, out=step)
-            loss_sum = _epoch_loss_sums(_sample_losses(terms, head, labels), config.batch_size)
-            finite = np.isfinite(params).all(axis=(1, 2)) & np.isfinite(loss_sum)
+            finite = (np.isfinite(params).all(axis=(1, 2))
+                      & _finite_loss_sums(terms, head, labels, config.batch_size))
             diverged_at[(diverged_at < 0) & ~finite] = epoch
             if (diverged_at >= 0).all():
                 break
-            losses[epoch] = loss_sum / data.n
-    if (diverged_at >= 0).any():
-        epoch = diverged_at[diverged_at >= 0][0]
-        raise GvlabError("diverged", f"non-finite parameters or loss at epoch {epoch}")
-    return tuple(TrainResult(LinearModel(w[i], b[i], head), tuple(losses[:, i].tolist()))
-                 for i in range(models))
+        if (diverged_at >= 0).any():
+            epoch = diverged_at[diverged_at >= 0][0]
+            raise GvlabError("diverged", f"non-finite parameters or loss at epoch {epoch}")
+        # Still under errstate: a finite loss can pass through an overflowing
+        # softmax shift.
+        losses = _epoch_loss_sums(_sample_losses(terms, head, labels),
+                                  config.batch_size) / data.n
+    return tuple(TrainResult(LinearModel(w[i], b[i], head), loss)
+                 for i, loss in enumerate(losses.tolist()))
 
 
 def _epoch_loss_sums(sample_losses: np.ndarray, batch_size: int) -> np.ndarray:
@@ -336,6 +340,29 @@ def _epoch_loss_sums(sample_losses: np.ndarray, batch_size: int) -> np.ndarray:
     if full < n:
         sums = np.concatenate([sums, sample_losses[:, full:].sum(axis=1, keepdims=True)], axis=1)
     return np.add.accumulate(sums, axis=1)[:, -1]
+
+
+#: Below this bound on ``max|term| * n`` no epoch loss sum can overflow: a
+#: sample's loss is at most ``2 * max|term| + ln k`` (``|z| + ln 2`` for a
+#: sigmoid), so the sum stays under 2**1023.
+_SAFE_PEAK_TIMES_N = 2.0 ** 1021
+
+
+def _finite_loss_sums(terms: np.ndarray, head: Head, y: np.ndarray,
+                      batch_size: int) -> np.ndarray:
+    """Whether each model's epoch loss sum is finite, equal to
+    ``np.isfinite(_epoch_loss_sums(_sample_losses(terms, head, y), batch_size))``.
+
+    A model whose largest ``|term|`` times n stays below the bound has a
+    finite sum; an infinite or NaN term fails that test.  Only when some
+    model fails it are the losses themselves computed.
+    """
+    flat = terms.reshape(len(terms), -1)
+    peak = np.maximum(flat.max(axis=1), -flat.min(axis=1))  # NaN stays NaN
+    safe = peak * terms.shape[1] < _SAFE_PEAK_TIMES_N
+    if safe.all():
+        return safe
+    return np.isfinite(_epoch_loss_sums(_sample_losses(terms, head, y), batch_size))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from gvlab import models
 from gvlab.errors import GvlabError
 from gvlab.models import (LinearModel, TrainConfig, VectorDataset, load_model,
                           loss_and_gradients, risk, save_model, train, train_lockstep)
@@ -63,20 +65,24 @@ class TestTrain:
         assert risk(result.model, data).zero_one_error == 0.0
 
     def test_zero_learning_rate_freezes_initialization(self):
+        """The model stays at zero, and every epoch's loss (the final loss of
+        a run cut after that epoch) is the same."""
         data = separable_data()
-        result = train(data, TrainConfig(0.0, 0.9, 16, 5, seed=3))
+        config = TrainConfig(0.0, 0.9, 16, 5, seed=3)
+        result = train(data, config)
         assert np.all(result.model.weights == 0.0)
         assert np.all(result.model.bias == 0.0)
-        assert len(set(result.loss_curve)) == 1
+        assert_bit_equal(result, *reference_train(data, config))
+        prefixes = {train(data, replace(config, epochs=e)).loss for e in range(1, 6)}
+        assert prefixes == {result.loss}
 
     def test_same_seed_is_bit_identical(self):
         data = separable_data()
         config = TrainConfig(0.05, 0.9, 16, 20, seed=11)
         a = train(data, config)
         b = train(data, config)
-        assert a.model.weights.tobytes() == b.model.weights.tobytes()
-        assert a.model.bias.tobytes() == b.model.bias.tobytes()
-        assert a.loss_curve == b.loss_curve
+        assert_bit_equal(a, b.model.weights, b.model.bias, (b.loss,))
+        assert_bit_equal(a, *reference_train(data, config))
 
     def test_softmax_head_for_multiclass(self):
         rng = np.random.default_rng(5)
@@ -87,11 +93,14 @@ class TestTrain:
 
     def test_full_batch_descent_is_monotone(self):
         """Convex objective: full-batch steps with a small rate never increase
-        the loss."""
+        the loss.  Epoch e's permutation is keyed by (seed, e), so a run cut
+        after epoch e reports epoch e's loss of the full run."""
         rng = np.random.default_rng(9)
         data = VectorDataset(rng.normal(size=(40, 3)), rng.integers(0, 2, 40), 2)
-        result = train(data, TrainConfig(1e-3, 0.0, 40, 60, seed=0))
-        diffs = np.diff(result.loss_curve)
+        config = TrainConfig(1e-3, 0.0, 40, 60, seed=0)
+        losses = [train(data, replace(config, epochs=e)).loss for e in range(1, 61)]
+        assert losses[-1] == train(data, config).loss
+        diffs = np.diff(losses)
         assert np.all(diffs <= 1e-12)
 
     def test_full_batch_epoch_steps_by_the_checked_gradient(self):
@@ -194,9 +203,10 @@ def substituted(data, substitutions):
 
 
 def assert_bit_equal(result, w, b, losses):
+    """``result`` holds weights ``w``, bias ``b`` and the last of ``losses``."""
     assert result.model.weights.tobytes() == w.tobytes()
     assert result.model.bias.tobytes() == b.tobytes()
-    assert result.loss_curve == losses
+    assert np.float64(result.loss).tobytes() == np.float64(losses[-1]).tobytes()
 
 
 @st.composite
@@ -232,16 +242,13 @@ class TestTrainLockstep:
         assert len(lockstep) == len(datasets)
         for got, dataset in zip(lockstep, datasets):
             for result in (got, train(dataset, config)):
-                w, b, losses = reference_train(dataset, config)
-                assert np.array_equal(result.model.weights, w)
-                assert np.array_equal(result.model.bias, b)
-                assert result.loss_curve == losses
+                assert_bit_equal(result, *reference_train(dataset, config))
 
     @settings(max_examples=60, deadline=None)
     @given(training_cases())
     def test_matches_the_reference_bit_for_bit(self, case):
         """Every lockstep model equals the per-step reference loop on its own
-        substituted dataset: weights, bias and loss curve."""
+        substituted dataset: weights, bias and final loss."""
         data, config, substitutions = case
         results = train_lockstep(data, config, substitutions)
         datasets = [data]
@@ -251,9 +258,7 @@ class TestTrainLockstep:
             datasets.append(VectorDataset(x, data.y, data.k))
         for result, dataset in zip(results, datasets, strict=True):
             w, b, losses = reference_train(dataset, config)
-            assert result.model.weights.tobytes() == w.tobytes()
-            assert result.model.bias.tobytes() == b.tobytes()
-            assert result.loss_curve == losses
+            assert_bit_equal(result, w, b, losses)
             model = LinearModel(w, b, result.model.head)
             loss, gw, gb = loss_and_gradients(model, dataset.x, dataset.y)
             ref_loss, ref_gw, ref_gb = reference_batch(w, b, dataset.x, dataset.y)
@@ -314,8 +319,10 @@ class TestTrainLockstep:
         first = train_lockstep(a, config, subs_a)
         train_lockstep(b, config, subs_b)
         again = train_lockstep(a, config, subs_a)
-        for x, y in zip(first, again, strict=True):
-            assert_bit_equal(x, y.model.weights, y.model.bias, y.loss_curve)
+        for x, y, dataset in zip(first, again, substituted(a, subs_a), strict=True):
+            expected = reference_train(dataset, config)
+            assert_bit_equal(x, *expected)
+            assert_bit_equal(y, *expected)
         for (_, column), before in zip(subs_a + subs_b, columns, strict=True):
             assert column.tobytes() == before.tobytes()
 
@@ -336,10 +343,107 @@ class TestTrainLockstep:
             messages.append(str(err.value))
         first_epochs = [int(message.rsplit(" ", 1)[1]) for message in messages]
         assert first_epochs[0] > first_epochs[1]
+        # The reference loop cut after each epoch: the first epoch whose
+        # parameters or loss are not finite.
+        reference_epochs = []
+        for dataset in substituted(data, substitutions)[1:]:
+            with np.errstate(all="ignore"):
+                runs = (reference_train(dataset, replace(config, epochs=e + 1))
+                        for e in range(config.epochs))
+                reference_epochs.append(next(
+                    e for e, (w, b, losses) in enumerate(runs)
+                    if not np.isfinite([*w.ravel(), *b, losses[-1]]).all()))
+        assert reference_epochs == first_epochs
         with pytest.raises(GvlabError) as err:
             train_lockstep(data, config, substitutions)
         assert err.value.code == "diverged"
         assert str(err.value) == messages[0]
+        assert str(err.value).endswith(f" {reference_epochs[0]}")
+
+    def test_a_finite_run_computes_the_losses_once(self, monkeypatch):
+        """At toy scale with 10 substitutions, a run that stays finite checks
+        each epoch without the per-sample losses and computes them once."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sample_losses(*args)
+
+        sample_losses = models._sample_losses
+        monkeypatch.setattr(models, "_sample_losses", counted)
+        data = generate_toy(random_toy_spec(seed=2)).train
+        substitutions = [(j, balance_column(data.n, 40 + j)) for j in range(10, 20)]
+        results = train_lockstep(data, TrainConfig(0.01, 0.9, 256, 20, seed=4), substitutions)
+        assert len(results) == 11
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("epochs, substitutions", [
+        (2**60, 0), (10**30, 0), (2**59, 1), (2**57, 10)])
+    def test_a_run_that_could_never_finish_is_rejected(self, epochs, substitutions):
+        """Epoch counts of 2**60 model updates or more are refused before any
+        work, as bad-config."""
+        data = separable_data(n=16)
+        columns = [(0, np.zeros(16))] * substitutions
+        with pytest.raises(GvlabError) as err:
+            train_lockstep(data, TrainConfig(0.1, 0.9, 16, epochs), columns)
+        assert err.value.code == "bad-config"
+        assert "never finish" in str(err.value)
+
+
+def guard_case(head, k, models_, n, batch_size, big, weights, seed, worst_labels):
+    """Forward terms (models_, n) or (models_, n, k) drawn from ordinary
+    values, ``big`` and its fractions, the infinities and NaN with the given
+    weights, and labels: each sample's worst label under model 0 (its largest
+    loss) or uniform ones."""
+    palette = np.array([0.0, 1.5, -3.0, big, -big, -big / 7, np.inf, -np.inf, np.nan])
+    weights = np.asarray(weights, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    shape = (models_, n) if head == "sigmoid" else (models_, n, k)
+    terms = rng.choice(palette, size=shape, p=weights / weights.sum())
+    if not worst_labels:
+        y = rng.integers(0, k, n)
+    elif head == "sigmoid":
+        y = (terms[0] < 0).astype(np.int64)
+    else:
+        y = np.nan_to_num(terms[0], nan=0.0).argmin(axis=1)
+    return head, terms, models._labels(head, y), batch_size
+
+
+@st.composite
+def guard_cases(draw):
+    """Large finite terms push ``max|term| * n`` across the guard's bound on
+    up to 3000 samples, so that a loss sum can overflow while every term is
+    finite."""
+    head = draw(st.sampled_from(["sigmoid", "softmax"]))
+    k = 2 if head == "sigmoid" else draw(st.integers(2, 4))
+    n = draw(st.integers(1, 3000))
+    big = draw(st.one_of(st.floats(1e150, 1.7e308),
+                         st.floats(0.05, 1.0).map(lambda share: share * 1.7e308 / n)))
+    finite_weights = draw(st.lists(st.sampled_from([0, 1, 4]), min_size=6, max_size=6)
+                          .filter(any))
+    special_weights = draw(st.sampled_from([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
+                                            [1, 1, 1]]))
+    return guard_case(head, k, draw(st.integers(1, 3)), n, draw(st.integers(1, n)), big,
+                      finite_weights + special_weights, draw(st.integers(0, 2**32 - 1)),
+                      draw(st.booleans()))
+
+
+class TestLossGuard:
+    @settings(max_examples=300, deadline=None)
+    @given(guard_cases())
+    # Softmax sums just past the float maximum with max|term| * n below it,
+    # and large terms whose losses stay finite.
+    @example(guard_case("softmax", 4, 2, 1000, 256, 0.9 * 1.7e308 / 1000,
+                        [0, 0, 0, 1, 1, 0, 0, 0, 0], 1, True))
+    @example(guard_case("sigmoid", 2, 2, 100, 16, 1e306, [0, 0, 0, 1, 1, 0, 0, 0, 0], 2,
+                        False))
+    def test_guard_equals_the_finiteness_of_the_loss_sums(self, case):
+        head, terms, y, batch_size = case
+        with np.errstate(all="ignore"):
+            expected = np.isfinite(models._epoch_loss_sums(
+                models._sample_losses(terms, head, y), batch_size))
+            got = models._finite_loss_sums(terms, head, y, batch_size)
+        assert got.tolist() == expected.tolist()
 
 
 class TestRisk:
