@@ -22,22 +22,27 @@ Erased pixels are filled with i.i.d. Uniform(0,1) noise so the fill adds
 no label information; rectangles are centered at the position draw and
 clipped to the grid.
 
-A batch is erased in one vectorized pass over the stacked
+A batch is erased in vectorized chunks of the stacked
 ``(n, height, width, channels)`` grids.  Its random stream is laid out as
 all parameters first, one ``(n, 5)`` unit draw whose row i holds the coin,
 area, aspect, pos_x and pos_y of grid i, then the fill noise of every
 erased pixel in row-major order over (grid, y, x, channel).  The
-prediction-changing-ratio probe consumes ``repeats`` such streams back to
-back, exactly as ``repeats`` consecutive ``erase_batch`` calls.  No path
+prediction-changing-ratio probe reads the stream of one ``erase_batch``
+call on the ``repeats``-fold stack of its grids: every repeat's
+parameters, then every repeat's fills.  A draw is thus a function of its
+position in that stream, not of the order in which chunks are erased: the
+parameters are replayed in blocks from a copy of the generator, and the
+chunk and block sizes bound memory without changing a value.  No path
 erases a single grid.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Literal, Mapping
+from typing import Iterator, Literal, Mapping
 
 import numpy as np
 
@@ -63,9 +68,11 @@ LABEL_INTERVALS: Mapping[int, tuple[tuple[float, float], tuple[float, float]]] =
     9: ((0.0, 0.0), (0.0, 0.0)),
 })
 
-#: Grid values the probe erases and scores at once (about 1 000 grids of
-#: 8x8x1): several repeats share a mask and a forward pass while the peak
-#: allocation stays far below a stack of every repeat.
+#: Grid values erased and scored at once (about 1 000 grids of 8x8x1):
+#: several repeats share a mask and a forward pass while the peak
+#: allocation stays far below a stack of every repeat.  Parameters are
+#: drawn in blocks of ``PROBE_CHUNK_VALUES // 32`` rows, whose arrays hold
+#: about as many values.
 PROBE_CHUNK_VALUES = 64_000
 
 
@@ -175,33 +182,53 @@ def _rectangles(width: int, height: int, params: np.ndarray,
 
 
 def _erase_copies(grids: np.ndarray, bounds: tuple[np.ndarray, np.ndarray],
-                  dist: AugmentDistribution, copies: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """``copies`` erased copies ``(copies, n, height, width, channels)`` of the
-    stacked grids.
+                  dist: AugmentDistribution, copies: int, rng: np.random.Generator,
+                  out: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """Erased chunks of the ``copies``-fold stack of the grids, in stack order.
 
-    Each copy consumes the stream of one ``erase_batch`` call, its parameter
-    draw and then its fill, before the next copy draws.  One mask over all
-    copies then enumerates the pixels in (copy, grid, y, x, channel) order,
-    the order in which the fills were drawn.
+    Yields ``(start, erased)``: the ``(rows, height, width, channels)`` grids
+    at stack rows ``start..start + rows``; stack row r holds grid ``r % n``.
+    The stream is that of one ``erase_batch`` call on the stack: one
+    ``(copies * n, 5)`` parameter draw, then the fill noise of every erased
+    pixel in (row, y, x, channel) order.  A copy of ``rng`` replays the
+    parameters block by block, after ``rng`` has skipped them; each chunk
+    then draws its fills from ``rng``.  Block and chunk sizes bound the
+    memory and never change a value.  The chunks are written into ``out``,
+    the whole ``(copies * n, height, width, channels)`` stack, when it is
+    given, and otherwise into one buffer, so that each must be read before
+    the next is asked for.
     """
     n, height, width, channels = grids.shape
-    rects = np.empty((copies, n, 4), dtype=np.int64)
-    fills = []
-    for rect in rects:
-        rect[:] = _rectangles(width, height, _draw(dist, *bounds, rng)[0], dist.area_range,
-                              dist.aspect_range)
-        pixels = int(((rect[:, 1] - rect[:, 0]) * (rect[:, 3] - rect[:, 2])).sum())
-        fills.append(rng.random(pixels * channels))
-    out = np.broadcast_to(grids, (copies,) + grids.shape).copy()
-    # built (y, x, grid) so that each comparison runs along all the grids
-    x0, x1, y0, y1 = rects.reshape(-1, 4).T
-    rows = np.arange(height)[:, None, None]
-    cols = np.arange(width)[:, None]
-    mask = ((y0 <= rows) & (rows < y1)) & ((x0 <= cols) & (cols < x1))
-    mask = np.moveaxis(mask, -1, 0).reshape(out.shape[:-1] + (1,))
-    out[np.broadcast_to(mask, out.shape)] = np.concatenate(fills)
-    return out
+    total = copies * n
+    block = max(1, PROBE_CHUNK_VALUES // 32)
+    chunk = max(1, PROBE_CHUNK_VALUES // grids[0].size)
+    params_rng = copy.deepcopy(rng)
+    for start in range(0, total, block):
+        rng.random((min(block, total - start), 5))
+    ys, xs = np.arange(height)[:, None], np.arange(width)[:, None]
+    if out is None:
+        out = np.empty((min(chunk, block, total),) + grids.shape[1:])
+    whole = len(out) == total
+    for first in range(0, total, block):
+        grid_of = np.arange(first, min(first + block, total)) % n
+        params = _draw(dist, bounds[0][grid_of], bounds[1][grid_of], params_rng)[0]
+        x0, x1, y0, y1 = np.ascontiguousarray(
+            _rectangles(width, height, params, dist.area_range, dist.aspect_range).T)
+        for start in range(0, len(grid_of), chunk):
+            part = slice(start, start + chunk)
+            # (y, grid) and (x, grid) bands and their (y, x, grid) product, so
+            # that each operation runs along the grids, then laid out by grid
+            rows = (y0[part] <= ys) & (ys < y1[part])
+            cols = (x0[part] <= xs) & (xs < x1[part])
+            mask = np.ascontiguousarray((rows[:, None] & cols).transpose(2, 0, 1))[..., None]
+            at = first + start if whole else 0
+            erased = out[at:at + len(mask)]
+            # "clip" never clips these indices; unlike "raise" it writes straight into ``out``
+            np.take(grids, grid_of[part], axis=0, out=erased, mode="clip")
+            erased[np.broadcast_to(mask, erased.shape)] = rng.random(
+                int(np.count_nonzero(mask)) * channels)
+            yield first + start, erased
+        del grid_of, params, x0, x1, y0, y1, rows, cols, mask  # freed before the next block
 
 
 def _batch(grids, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -229,34 +256,40 @@ def erase_batch(grids: np.ndarray, labels: np.ndarray, dist: AugmentDistribution
     label per grid; it is left unchanged.
     """
     values, labels = _batch(grids, labels)
-    erased = _erase_copies(values, _bounds(dist, labels), dist, 1, rng)
-    return erased.reshape(len(values), -1)
+    out = np.empty(values.shape)
+    for _ in _erase_copies(values, _bounds(dist, labels), dist, 1, rng, out):
+        pass
+    return out.reshape(len(values), -1)
 
 
 def prediction_changing_ratio(model: LinearModel, grids: np.ndarray,
                               dist: AugmentDistribution, labels: np.ndarray,
                               repeats: int = 100,
                               rng: np.random.Generator | None = None) -> float:
-    """Mean fraction of inputs whose argmax prediction changes under erasing.
+    """Mean fraction of inputs whose prediction changes under erasing.
 
-    For each repeat the whole batch is erased with fresh parameter draws
-    and re-scored; the fraction differing from the clean-input predictions
-    is averaged over repeats.  Repeats are erased and scored
-    ``PROBE_CHUNK_VALUES`` grid values at a time.
+    Each repeat erases the whole batch with fresh parameter draws and
+    re-scores it with ``model.predict``; the fraction differing from the
+    clean-input predictions is averaged over repeats.  The repeats read the
+    stream of one ``erase_batch`` call on their ``repeats``-fold stack of
+    the grids, erased and scored ``PROBE_CHUNK_VALUES`` grid values at a
+    time.
     """
     if repeats < 1:
         raise GvlabError("bad-config", "repeats must be >= 1")
     rng = stream(0) if rng is None else rng
     values, labels = _batch(grids, labels)
-    bounds = _bounds(dist, labels)
     n = len(values)
-    base = model.forward(values.reshape(n, -1)).argmax(axis=1)
-    per_chunk = max(1, PROBE_CHUNK_VALUES // values.size)
-    changed = 0.0
-    for done in range(0, repeats, per_chunk):
-        erased = _erase_copies(values, bounds, dist, min(per_chunk, repeats - done), rng)
-        scores = model.forward(erased.reshape(-1, values[0].size))
+    base = model.predict(values.reshape(n, -1))
+    changed, flips = 0.0, 0  # the finished repeats' fractions; the open repeat's flips
+    for start, erased in _erase_copies(values, _bounds(dist, labels), dist, repeats, rng):
+        rows = np.arange(start, start + len(erased))
+        changes = model.predict(erased.reshape(len(erased), -1)) != base[rows % n]
+        counts = np.bincount(rows[changes] // n - start // n,
+                             minlength=rows[-1] // n - start // n + 1).tolist()
+        counts[0] += flips
+        flips = counts.pop() if (rows[-1] + 1) % n else 0
         # one float per repeat, added in repeat order, as repeat-by-repeat scoring adds them
-        for fraction in (scores.argmax(axis=1).reshape(-1, n) != base).mean(axis=1).tolist():
-            changed += fraction
+        for count in counts:
+            changed += count / n
     return changed / repeats

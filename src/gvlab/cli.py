@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import inspect
 import sys
 from pathlib import Path
@@ -292,8 +293,12 @@ class _Parser(argparse.ArgumentParser):
         raise GvlabError("bad-config", message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """Flags keep their text; ``main`` casts it together with the config file's."""
+    """Flags keep their text; ``main`` casts it together with the config file's.
+
+    Built once per process: parsing leaves the parser as it was, so every
+    ``main`` call reuses it."""
     parser = _Parser(prog="gvlab", description="generative-variable experiment harness")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, text, keys) in _COMMANDS.items():

@@ -31,7 +31,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .augment import AugmentDistribution, PositionLaw, erase_batch, prediction_changing_ratio
+from .augment import (POSITION_LAWS, AugmentDistribution, PositionLaw, erase_batch,
+                      prediction_changing_ratio)
 from .core import (BinningPolicy, ExemplarTable, _freeze, _run_heads, _unchecked,
                    build_table, derive_seed, marginalize, stream)
 from .errors import GvlabError
@@ -206,7 +207,7 @@ def _toy_worker(args: tuple[int, int, ToyProtocol, bool]) -> tuple:
     # Gap between the label-based and prediction-based information on each
     # nuisance dimension (the ranking uses the label end; the prediction end
     # is what the influence argument is actually about).
-    predictions = model.forward(data.train.x).argmax(axis=1).astype(np.int64)
+    predictions = model.predict(data.train.x)
     pred_view = as_variable_dataset(VectorDataset(data.train.x, predictions, data.train.k),
                                     protocol.task_correlated_dims)
     h_label = entropy(build_table(view, [], protocol.binning))
@@ -353,8 +354,7 @@ def _augment_worker(args: tuple[int, int, float, PositionLaw, GridProtocol,
     base_seed, seed_index, alpha, law, protocol, base_dist = args
     task = make_grid_task(derive_seed(base_seed, 21, seed_index), protocol)
     dist = replace(base_dist, alpha=alpha, position_law=law)
-    cell = (seed_index, int(round(alpha * 1000)), ("uniform", "periphery_m0",
-                                                   "center_m1").index(law))
+    cell = (seed_index, int(round(alpha * 1000)), POSITION_LAWS.index(law))
     model = train_with_erasing(task, dist, protocol.trainer(derive_seed(base_seed, 22, *cell)),
                                derive_seed(base_seed, 23, *cell))
     # All cells are probed under the same label-independent, uniform-position

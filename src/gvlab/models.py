@@ -2,7 +2,8 @@
 
 A :class:`LinearModel` is an affine map with a sigmoid head (binary, one
 weight row) or a softmax head (K rows), producing a score vector in
-``[0,1]^K`` that sums to one.  Training is mini-batch SGD with momentum
+``[0,1]^K`` that sums to one; its prediction is read from the logits, with
+no softmax.  Training is mini-batch SGD with momentum
 under cross-entropy loss, deterministic given the config seed:
 
 - weights and bias start at zero, so repeated runs share the optimum of
@@ -94,15 +95,29 @@ class LinearModel:
     def k(self) -> int:
         return 2 if self.head == "sigmoid" else self.weights.shape[0]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Score vector(s) for one input (d,) or a batch (n, d)."""
+    def _batch(self, x: np.ndarray) -> tuple[np.ndarray, bool]:
+        """One input (d,) or a batch (n, d) as a float64 batch, and whether it was one."""
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         batch = x[None, :] if single else x
         if batch.ndim != 2 or batch.shape[1] != self.d:
             raise GvlabError("bad-input-dim", f"expected inputs of dimension {self.d}")
+        return batch, single
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Score vector(s) for one input (d,) or a batch (n, d)."""
+        batch, single = self._batch(x)
         probs = _probs(self.weights[None], self.bias[None], self.head, batch[None])[0]
         return probs[0] if single else probs
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Predicted label(s) for one input (d,) or a batch (n, d), read from
+        the forward terms: the argmax of the logits, ties to the lowest label,
+        or ``z > 0`` for a sigmoid head."""
+        batch, single = self._batch(x)
+        terms = _forward_terms(self.weights[None], self.bias[None], self.head, batch[None])[0]
+        labels = (terms > 0).astype(np.int64) if self.head == "sigmoid" else terms.argmax(axis=1)
+        return labels[0] if single else labels
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -252,7 +267,8 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
     model's loss sum is finite; the losses themselves are computed once,
     from the last epoch's buffer, and summed batch by batch in step order.
     A model that diverges raises at the epoch where that ``train`` call
-    would; with several, the first model in order decides.
+    would; with several, the first model in order decides, so training
+    stops at the end of the epoch where model 0 diverges.
     """
     if data.n == 0:
         raise GvlabError("empty-dataset", "cannot train on an empty dataset")
@@ -317,7 +333,7 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
             finite = (np.isfinite(params).all(axis=(1, 2))
                       & _finite_loss_sums(terms, head, labels, config.batch_size))
             diverged_at[(diverged_at < 0) & ~finite] = epoch
-            if (diverged_at >= 0).all():
+            if diverged_at[0] >= 0:  # model 0 decides the raised epoch
                 break
         if (diverged_at >= 0).any():
             epoch = diverged_at[diverged_at >= 0][0]
@@ -372,12 +388,11 @@ class RiskReport:
 
 
 def risk(model: LinearModel, data: VectorDataset) -> RiskReport:
-    """0/1 error (argmax prediction, ties to the lowest label) and mean max score."""
+    """0/1 error of :meth:`LinearModel.predict` and mean max score."""
     if data.n == 0:
         raise GvlabError("empty-dataset", "risk needs a non-empty dataset")
-    probs = model.forward(data.x)
-    predictions = probs.argmax(axis=1)
-    return RiskReport(float((predictions != data.y).mean()), float(probs.max(axis=1).mean()))
+    return RiskReport(float((model.predict(data.x) != data.y).mean()),
+                      float(model.forward(data.x).max(axis=1).mean()))
 
 
 def loss_and_gradients(model: LinearModel, x: np.ndarray, y: np.ndarray

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from gvlab import augment
 from gvlab.augment import (LABEL_INTERVALS, POSITION_LAWS, PROBE_CHUNK_VALUES,
                            AugmentDistribution, _rectangles, draw_params, erase_batch,
                            position_inverse_cdf, prediction_changing_ratio)
@@ -113,12 +114,15 @@ class TestApplyErasing:
 
 
 def reference_changing_ratio(model, grids, dist, labels, repeats, rng):
-    """The probe one repeat at a time: one ``erase_batch`` and one forward each."""
-    base = model.forward(grids.reshape(len(grids), -1)).argmax(axis=1)
+    """The probe as one ``erase_batch`` call on the ``repeats``-fold stack of
+    the grids, scored with ``predict``: one fraction per repeat, added in
+    repeat order."""
+    n = len(grids)
+    base = model.predict(grids.reshape(n, -1))
+    erased = erase_batch(np.tile(grids, (repeats, 1, 1, 1)), np.tile(labels, repeats), dist, rng)
     changed = 0.0
-    for _ in range(repeats):
-        erased = erase_batch(grids, labels, dist, rng)
-        changed += float((model.forward(erased).argmax(axis=1) != base).mean())
+    for fraction in (model.predict(erased).reshape(repeats, n) != base).mean(axis=1).tolist():
+        changed += fraction
     return changed / repeats
 
 
@@ -178,27 +182,60 @@ class TestPredictionChangingRatio:
                                       self.labels, repeats=0)
 
 
-class TestChunkedProbeMatchesReference:
-    """The chunked probe equals the repeat-by-repeat loop bit for bit."""
+PROBE_CASES = {
+    # chunks of 1 000 grids split the repeats of 300; the last chunk holds 100
+    "partial-last-chunk": (300, (8, 8, 1), 7, AugmentDistribution()),
+    # one batch is larger than a chunk
+    "batch-above-chunk": (1100, (8, 8, 1), 3, AugmentDistribution()),
+    "two-channels": (150, (5, 7, 2), 9, AugmentDistribution(area_range=(0.1, 0.6))),
+    "dependent-center": (200, (8, 8, 1), 11,
+                         AugmentDistribution(alpha=0.5, position_law="center_m1")),
+    # 12 000 parameter rows, drawn in several blocks
+    "several-blocks": (30, (8, 8, 1), 400, AugmentDistribution(alpha=0.5)),
+}
 
-    @pytest.mark.parametrize("n, shape, repeats, dist", [
-        # three repeats per chunk, the last chunk holds one
-        (300, (8, 8, 1), 7, AugmentDistribution()),
-        # one batch is larger than a chunk
-        (1100, (8, 8, 1), 3, AugmentDistribution()),
-        (150, (5, 7, 2), 9, AugmentDistribution(area_range=(0.1, 0.6))),
-        (200, (8, 8, 1), 11, AugmentDistribution(alpha=0.5, position_law="center_m1")),
-    ], ids=["partial-last-chunk", "batch-above-chunk", "two-channels", "dependent-center"])
-    def test_equals_reference(self, n, shape, repeats, dist):
+
+class TestChunkedProbeMatchesReference:
+    """The chunked probe equals one ``erase_batch`` on the repeats-fold stack
+    bit for bit, whatever the chunk and block sizes."""
+
+    @pytest.mark.parametrize("case", PROBE_CASES)
+    def test_equals_reference(self, case):
+        n, shape, repeats, dist = PROBE_CASES[case]
         model, grids, labels = probe_case(n, shape, seed=n)
         ratio = prediction_changing_ratio(model, grids, dist, labels, repeats,
                                           np.random.default_rng(18))
         assert ratio == reference_changing_ratio(model, grids, dist, labels, repeats,
                                                  np.random.default_rng(18))
 
-    def test_cases_straddle_the_chunk_bound(self):
-        assert PROBE_CHUNK_VALUES // (300 * 64) == 3  # 7 repeats: chunks of 3, 3 and 1
-        assert PROBE_CHUNK_VALUES < 1100 * 64
+    @pytest.mark.parametrize("case", PROBE_CASES)
+    @pytest.mark.parametrize("scale", [0.25, 4.0])
+    def test_chunk_size_changes_no_value(self, monkeypatch, case, scale):
+        """The chunk, and the parameter block sized from it, set memory only."""
+        n, shape, repeats, dist = PROBE_CASES[case]
+        model, grids, labels = probe_case(n, shape, seed=n)
+        expected = prediction_changing_ratio(model, grids, dist, labels, repeats,
+                                             np.random.default_rng(18))
+        monkeypatch.setattr(augment, "PROBE_CHUNK_VALUES", int(PROBE_CHUNK_VALUES * scale))
+        assert prediction_changing_ratio(model, grids, dist, labels, repeats,
+                                         np.random.default_rng(18)) == expected
+
+    def test_cases_straddle_the_chunk_bound(self, monkeypatch):
+        assert PROBE_CHUNK_VALUES // 64 == 1000  # 8x8x1 grids per chunk
+        assert 1000 % 300 and PROBE_CHUNK_VALUES < 1100 * 64
+        # the several-blocks case draws its parameters in more than one block
+        draws = []
+
+        def counted(*args):
+            draws.append(args)
+            return draw(*args)
+
+        draw = augment._draw
+        monkeypatch.setattr(augment, "_draw", counted)
+        n, shape, repeats, dist = PROBE_CASES["several-blocks"]
+        model, grids, labels = probe_case(n, shape, seed=n)
+        prediction_changing_ratio(model, grids, dist, labels, repeats, np.random.default_rng(18))
+        assert len(draws) > 1
 
     def test_peak_allocation_is_far_below_a_full_stack(self):
         model, grids, labels = probe_case(500, (8, 8, 1), seed=19)
@@ -206,6 +243,14 @@ class TestChunkedProbeMatchesReference:
         peak = traced_peak(prediction_changing_ratio, model, grids, AugmentDistribution(),
                            labels, 100, np.random.default_rng(20))
         assert peak < full_stack / 8, peak
+
+    def test_repeats_allocate_nothing_per_repeat(self):
+        """A hundredfold repeat count leaves the traced peak within 10 %."""
+        model, grids, labels = probe_case(20, (4, 4, 1), seed=21)
+        peaks = [traced_peak(prediction_changing_ratio, model, grids, AugmentDistribution(),
+                             labels, repeats, np.random.default_rng(22))
+                 for repeats in (100, 10_000)]
+        assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 # Frozen copy of the per-sample erasing code that the batch path replaced.
@@ -342,6 +387,16 @@ class TestBatchMatchesReference:
             assert np.array_equal(erased[~inside], grid[~inside])
             assert np.all((erased[inside] >= 0.0) & (erased[inside] < 1.0))
         assert sum(rect is None for rect in rects) < 300
+
+    def test_batch_of_several_parameter_blocks_matches_reference(self):
+        """9 000 grids: the parameters are replayed in several blocks and the
+        fills drawn in many chunks, on the stream of one reference batch."""
+        values = random_grids(9000, shape=(3, 4, 2))
+        labels = np.arange(9000) % 10
+        dist = AugmentDistribution(alpha=0.5, position_law="periphery_m0")
+        out = erase_batch(values, labels, dist, np.random.default_rng(16))
+        expected, _ = reference_erase_batch(values, labels, dist, np.random.default_rng(16))
+        assert out.tobytes() == expected.reshape(9000, -1).tobytes()
 
     def test_empty_rectangles_leave_the_batch_unchanged(self):
         values = random_grids(20)

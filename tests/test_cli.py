@@ -1,4 +1,5 @@
 import argparse
+import functools
 import math
 import os
 import pickle
@@ -78,11 +79,39 @@ class TestConfigFile:
         assert captured.err.count("\n") == 1 and captured.out == ""
         assert "usage" not in captured.err
 
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        """A good call, an unknown flag, then a good call again in one process
+        give what calls on freshly built parsers give."""
+        argv = ["theory-check", "--seed", "3", "--tables", "7", "--out"]
+        calls = [argv + [str(tmp_path / "a")], ["theory-check", "--bogus"],
+                 argv + [str(tmp_path / "b")]]
+
+        def outcomes(fresh):
+            seen = []
+            for call in calls:
+                if fresh:
+                    cli.build_parser.cache_clear()
+                code = run(call)
+                seen.append((code, capsys.readouterr()))
+            return seen
+
+        shared, fresh = outcomes(False), outcomes(True)
+        assert shared == fresh
+        assert [code for code, _ in shared] == [1, 1, 1]  # the addition-rule check fails by design
+        assert shared[1][1].err.startswith("error: bad-config: unrecognized arguments: --bogus")
+        assert shared[0][1].out == shared[2][1].out.replace("/b", "/a")
+        report = (tmp_path / "a" / "theory_report.csv").read_bytes()
+        assert report == (tmp_path / "b" / "theory_report.csv").read_bytes()
+        assert cli.build_parser() is cli.build_parser()
+
     @pytest.mark.parametrize("argv", [["--help"]] + [[name, "--help"] for name in _COMMANDS])
     def test_help_exits_0_with_the_plain_argparse_text(self, monkeypatch, capsys, argv):
         texts = []
+        # a private parser cache, so each class builds its own parser and none outlives the test
+        monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser.__wrapped__))
         for parser_class in (cli._Parser, argparse.ArgumentParser):
             monkeypatch.setattr(cli, "_Parser", parser_class)
+            cli.build_parser.cache_clear()
             with pytest.raises(SystemExit) as exit_:
                 run(argv)
             assert exit_.value.code == 0

@@ -50,6 +50,34 @@ class TestForward:
             sigmoid_model([np.inf, 0.0], 0.0)
 
 
+class TestPredict:
+    @pytest.mark.parametrize("rows, head", [(1, "sigmoid"), (2, "softmax"), (7, "softmax")])
+    def test_equals_the_argmax_of_the_scores(self, rows, head):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            model = LinearModel(rng.normal(size=(rows, 6)), rng.normal(size=rows), head)
+            x = rng.normal(size=(300, 6)) * 10.0 ** seed
+            expected = model.forward(x).argmax(axis=1)
+            assert model.predict(x).tobytes() == expected.tobytes()
+            assert model.predict(x[0]) == expected[0]
+
+    def test_a_tie_goes_to_the_lowest_label(self):
+        model = LinearModel([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]], np.zeros(3), "softmax")
+        assert model.predict([[1.0, 1.0], [2.0, 1.0], [0.0, 0.0]]).tolist() == [0, 1, 0]
+
+    def test_sigmoid_predicts_one_only_above_zero(self):
+        model = sigmoid_model([1.0, 0.0], 0.0)
+        assert model.predict([[0.0, 5.0], [1e-300, 0.0], [-1e-300, 0.0]]).tolist() == [0, 1, 0]
+
+    @pytest.mark.parametrize("x", [np.zeros(3), np.zeros((4, 3)), np.zeros((1, 2, 2))])
+    def test_dimension_mismatch(self, x):
+        model = sigmoid_model([1.0, 0.0], 0.0)
+        for method in (model.forward, model.predict):
+            with pytest.raises(GvlabError) as err:
+                method(x)
+            assert err.value.code == "bad-input-dim"
+
+
 def separable_data(n=60, seed=1):
     rng = np.random.default_rng(seed)
     x = rng.normal(0, 0.2, size=(n, 2))
@@ -376,6 +404,30 @@ class TestTrainLockstep:
         results = train_lockstep(data, TrainConfig(0.01, 0.9, 256, 20, seed=4), substitutions)
         assert len(results) == 11
         assert len(calls) == 1
+
+    def test_a_run_stops_once_model_0_diverges(self, monkeypatch):
+        """Model 0 diverges in epoch 0 while its substituted model stays
+        finite; the run raises after that one epoch, as ``train`` does."""
+        data = separable_data()
+        x = data.x.copy()
+        x[:, 0] *= 1e300
+        huge = VectorDataset(x, data.y, 2)
+        config = TrainConfig(0.05, 0.9, 16, 10, seed=0)
+        substitutions = [(0, balance_column(data.n, 5))]
+        train_lockstep(substituted(huge, substitutions)[1], config)  # finite on its own
+        epochs = []
+
+        def counted(*args):
+            epochs.append(args)
+            return stream(*args)
+
+        stream = models.stream
+        monkeypatch.setattr(models, "stream", counted)
+        with pytest.raises(GvlabError) as err:
+            train_lockstep(huge, config, substitutions)
+        assert len(epochs) == 1
+        assert err.value.code == "diverged"
+        assert str(err.value) == "diverged: non-finite parameters or loss at epoch 0"
 
     @pytest.mark.parametrize("epochs, substitutions", [
         (2**60, 0), (10**30, 0), (2**59, 1), (2**57, 10)])
