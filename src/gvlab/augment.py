@@ -31,9 +31,9 @@ prediction-changing-ratio probe reads the stream of one ``erase_batch``
 call on the ``repeats``-fold stack of its grids: every repeat's
 parameters, then every repeat's fills.  A draw is thus a function of its
 position in that stream, not of the order in which chunks are erased: the
-parameters are replayed in blocks from a copy of the generator, and the
-chunk and block sizes bound memory without changing a value.  No path
-erases a single grid.
+parameters of a stack longer than one block are replayed in blocks from a
+copy of the generator, and the chunk and block sizes bound memory without
+changing a value.  No path erases a single grid.
 """
 
 from __future__ import annotations
@@ -190,9 +190,10 @@ def _erase_copies(grids: np.ndarray, bounds: tuple[np.ndarray, np.ndarray],
     at stack rows ``start..start + rows``; stack row r holds grid ``r % n``.
     The stream is that of one ``erase_batch`` call on the stack: one
     ``(copies * n, 5)`` parameter draw, then the fill noise of every erased
-    pixel in (row, y, x, channel) order.  A copy of ``rng`` replays the
-    parameters block by block, after ``rng`` has skipped them; each chunk
-    then draws its fills from ``rng``.  Block and chunk sizes bound the
+    pixel in (row, y, x, channel) order.  When the parameters span several
+    blocks, a copy of ``rng`` replays them block by block, after ``rng`` has
+    skipped them; one block is drawn from ``rng`` itself.  Each chunk then
+    draws its fills from ``rng``.  Block and chunk sizes bound the
     memory and never change a value.  The chunks are written into ``out``,
     the whole ``(copies * n, height, width, channels)`` stack, when it is
     given, and otherwise into one buffer, so that each must be read before
@@ -202,9 +203,11 @@ def _erase_copies(grids: np.ndarray, bounds: tuple[np.ndarray, np.ndarray],
     total = copies * n
     block = max(1, PROBE_CHUNK_VALUES // 32)
     chunk = max(1, PROBE_CHUNK_VALUES // grids[0].size)
-    params_rng = copy.deepcopy(rng)
-    for start in range(0, total, block):
-        rng.random((min(block, total - start), 5))
+    params_rng = rng  # one block: its parameters come straight off ``rng``, then the fills
+    if total > block:
+        params_rng = copy.deepcopy(rng)
+        for start in range(0, total, block):
+            rng.random((min(block, total - start), 5))
     ys, xs = np.arange(height)[:, None], np.arange(width)[:, None]
     if out is None:
         out = np.empty((min(chunk, block, total),) + grids.shape[1:])

@@ -22,7 +22,6 @@ Every run is keyed by (base seed, dataset index, purpose tag) through
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
@@ -33,13 +32,12 @@ import numpy as np
 
 from .augment import (POSITION_LAWS, AugmentDistribution, PositionLaw, erase_batch,
                       prediction_changing_ratio)
-from .core import (BinningPolicy, ExemplarTable, _freeze, _run_heads, _unchecked,
-                   build_table, derive_seed, marginalize, stream)
+from .core import (BinningPolicy, ExemplarTable, _freeze, _run_heads, _unchecked, derive_seed,
+                   stream)
 from .errors import GvlabError
-from .info import conditional_entropy, entropy
 from .models import LinearModel, TrainConfig, VectorDataset, risk, train, train_lockstep
-from .synth import (ToyData, as_variable_dataset, balance_column, generate_toy, influence_rank,
-                    random_toy_spec)
+from .synth import (ToyData, _conditional_entropies, _ranked, as_variable_dataset,
+                    balance_column, generate_toy, random_toy_spec)
 from . import theory
 
 
@@ -73,6 +71,8 @@ def parallel_map(fn: Callable, items: Sequence, jobs: int = 1) -> list:
     processes when both exceed 1."""
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor  # imported only by runs that fan out
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(fn, items))
 
@@ -194,29 +194,21 @@ def _toy_worker(args: tuple[int, int, ToyProtocol, bool]) -> tuple:
     model, *retrained = (r.model for r in train_lockstep(data.train, trainer, substitutions))
     # Per nuisance dimension: H(label | dim), |trained weight|, and the
     # estimated (``influence_rank`` order) and true (descending |weight|) ranks.
+    # The labels and the predictions are counted on one binning of the dims.
     view = as_variable_dataset(data.train, protocol.task_correlated_dims)
-    ranked = influence_rank(view, dims, protocol.binning)
-    h_by_id = dict(ranked)
+    (h_cond, h_label), (h_pred_cond, h_pred) = _conditional_entropies(
+        view, dims, protocol.binning, data.train.y, model.predict(data.train.x))
+    ranked = _ranked(dims, h_cond)
     weights = {j: abs(float(model.weights[0, j])) for j in dims}
     rank_est = {var_id: position for position, (var_id, _) in enumerate(ranked, 1)}
     rank_true = _rank_positions([weights[j] for j in dims], dims)
-    rows = tuple(InfluenceRow(index, j, h_by_id[j], weights[j], rank_est[j], rank_true[j])
-                 for j in dims)
+    rows = tuple(InfluenceRow(index, j, h, weights[j], rank_est[j], rank_true[j])
+                 for j, h in zip(dims, h_cond))
     corr = spearman([rank_est[j] for j in dims], [rank_true[j] for j in dims])
-
     # Gap between the label-based and prediction-based information on each
     # nuisance dimension (the ranking uses the label end; the prediction end
     # is what the influence argument is actually about).
-    predictions = model.predict(data.train.x)
-    pred_view = as_variable_dataset(VectorDataset(data.train.x, predictions, data.train.k),
-                                    protocol.task_correlated_dims)
-    h_label = entropy(build_table(view, [], protocol.binning))
-    h_pred = entropy(build_table(pred_view, [], protocol.binning))
-    gaps = []
-    for j in dims:
-        pred_table = build_table(pred_view, [j], protocol.binning)
-        mi_pred = h_pred - conditional_entropy(pred_table, "labels", [j])
-        gaps.append(abs(h_label - h_by_id[j] - mi_pred))
+    gaps = [abs(h_label - h - (h_pred - hp)) for h, hp in zip(h_cond, h_pred_cond)]
 
     balanced = ()
     if balance:
@@ -448,14 +440,23 @@ def argmax_zero_one_error(table: ExemplarTable,
     per value of the leading determining variable, the index of tables
     stacked as in :func:`theory.estimated_training_error` (one error when
     there is no determining variable)."""
+    wrong, totals = _argmax_errors(table, determining_ids)
+    return tuple(Fraction(w, t) for w, t in zip(wrong.tolist(), totals.tolist()))
+
+
+def _argmax_errors(table: ExemplarTable, determining_ids: Sequence[int]
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The argmax predictor's wrong and total counts (int64) per group of
+    :func:`argmax_zero_one_error`, from :func:`theory._label_counts`, whose
+    float counts are exact integers below 2**53."""
     ids = tuple(determining_ids)
-    marg = marginalize(table, ids)
-    starts = _run_heads(marg.cells[:, :-1]).nonzero()[0]
-    groups = _run_heads(marg.cells[starts, :min(len(ids), 1)]).nonzero()[0]
+    configs, counts = theory._label_counts(table, ids)
+    groups = _run_heads(configs[:, :min(len(ids), 1)]).nonzero()[0]
     # integer maxima per configuration, summed per group
-    hits = np.add.reduceat(np.maximum.reduceat(marg.counts, starts), groups).tolist()
-    totals = np.add.reduceat(marg.counts, starts[groups]).tolist()
-    return tuple(Fraction(total - hit, total) for hit, total in zip(hits, totals))
+    counts = counts.astype(np.int64)
+    hits = np.add.reduceat(counts.max(axis=1), groups)
+    totals = np.add.reduceat(counts.sum(axis=1), groups)
+    return totals - hits, totals
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +614,9 @@ def check_training_error(rng: np.random.Generator, tables: int) -> CheckResult:
     stack = _prefix_table(rng, tables)
     estimates = theory.estimated_training_error(theory.optimal_outputs(stack, (0, 1)), stack,
                                                 grouped=True)
-    exact = argmax_zero_one_error(stack, (0, 1))
-    worst = max(abs(e - float(x)) for e, x in zip(estimates.tolist(), exact))
+    wrong, totals = _argmax_errors(stack, (0, 1))
+    # float64 division of the integer counts rounds as float(Fraction(wrong, total)) does
+    worst = max(abs(e - x) for e, x in zip(estimates.tolist(), (wrong / totals).tolist()))
     return CheckResult("training-error-equality", worst <= 1e-12, worst,
                        f"{tables} random tables, argmax predictor vs estimate")
 

@@ -121,14 +121,20 @@ class LinearModel:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Sigmoid of ``z`` from one ``exp(-|z|)``.
+    """Sigmoid of ``z`` from one ``exp(-|z|)``, computed in place in two new arrays.
 
     The numerator picks the stable form for each sign of ``z``: 1 where
-    ``z >= 0`` (``e <= 1`` there) and ``e`` elsewhere, NaN staying NaN, so
-    the values equal the textbook masked evaluation bit for bit.
+    ``z >= 0`` (the step function is 1 there, and ``e <= 1``) and ``e``
+    elsewhere, NaN staying NaN, so the values equal the textbook masked
+    evaluation bit for bit.
     """
-    e = np.exp(-np.abs(z))
-    return np.maximum(e, z >= 0) / (1.0 + e)
+    e = np.copysign(z, -1.0)  # -|z|
+    np.exp(e, out=e)
+    s = np.heaviside(z, 1.0)
+    np.maximum(e, s, out=s)
+    e += 1.0
+    s /= e
+    return s
 
 
 def _forward_terms(w: np.ndarray, b: np.ndarray, head: Head, x: np.ndarray,
@@ -173,7 +179,7 @@ def _gradients(terms: np.ndarray, head: Head, x: np.ndarray, y: np.ndarray,
         g -= y
         g /= n
         np.matmul(g[:, None, :], x, out=gw)
-        g.sum(axis=1, out=gb[:, 0])
+        np.add.reduce(g, axis=1, out=gb[:, 0])
     else:
         g = terms - terms.max(axis=2, keepdims=True)
         np.exp(g, out=g)
@@ -181,7 +187,7 @@ def _gradients(terms: np.ndarray, head: Head, x: np.ndarray, y: np.ndarray,
         g[:, np.arange(n), y] -= 1.0
         g /= n
         np.matmul(g.transpose(0, 2, 1), x, out=gw)
-        g.sum(axis=1, out=gb)
+        np.add.reduce(g, axis=1, out=gb)
 
 
 def _sample_losses(terms: np.ndarray, head: Head, y: np.ndarray) -> np.ndarray:
@@ -257,9 +263,10 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
     so they share every epoch's permutation, and each result is
     bit-identical to ``train`` on its own substituted dataset: stacked
     ``matmul`` calls BLAS once per model and every reduction runs along one
-    model's row.  At the start of each epoch its permutation of the rows,
-    and of the substitute columns, is gathered once into buffers reused by
-    every epoch, so each step's batch is a contiguous slice.  With
+    model's row.  At the start of each epoch its permutation of the rows
+    and labels, and of the substitute columns when there are any, is
+    gathered once into buffers reused by every epoch, so each step's batch
+    is a contiguous slice.  With
     substitutions, each step writes its per-model batches into one stacked
     buffer allocated once per call: the shared rows, then the step's
     substitute columns.  Each step stores its forward terms in one epoch
@@ -304,7 +311,8 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
     # The forward terms of a whole epoch, in epoch order: the loss check
     # reads them after the epoch's last step.
     terms = np.empty((models, data.n) if head == "sigmoid" else (models, data.n, rows))
-    epoch_x, epoch_noise = np.empty_like(data.x), np.empty_like(noise)
+    labels = _labels(head, data.y)
+    epoch_x, epoch_labels, epoch_noise = (np.empty_like(a) for a in (data.x, labels, noise))
     # A ragged last batch uses the leading rows, so BLAS sees the row count
     # of a sequential run.
     stacked = np.empty((models, config.batch_size, data.d)) if len(dims) else None
@@ -316,22 +324,23 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
             # "clip" never clips a permutation; unlike "raise" it writes
             # straight into ``out`` without a temporary.
             np.take(data.x, order, axis=0, out=epoch_x, mode="clip")
-            np.take(noise, order, axis=0, out=epoch_noise, mode="clip")
-            labels = _labels(head, data.y[order])
+            np.take(labels, order, out=epoch_labels, mode="clip")
+            if stacked is not None:
+                np.take(noise, order, axis=0, out=epoch_noise, mode="clip")
             for start in range(0, data.n, config.batch_size):
-                stop = start + config.batch_size
-                x = epoch_x[None, start:stop]
+                batch = slice(start, start + config.batch_size)
+                x = epoch_x[None, batch]
                 if stacked is not None:
                     x = stacked[:, :x.shape[1]]
-                    x[...] = epoch_x[start:stop]
-                    x[substituted, :, dims] = epoch_noise[start:stop].T
-                batch_terms = _forward_terms(w, b, head, x, out=terms[:, start:stop])
-                _gradients(batch_terms, head, x, labels[start:stop], gw, gb)
+                    x[...] = epoch_x[batch]
+                    x[substituted, :, dims] = epoch_noise[batch].T
+                batch_terms = _forward_terms(w, b, head, x, out=terms[:, batch])
+                _gradients(batch_terms, head, x, epoch_labels[batch], gw, gb)
                 velocity *= config.momentum
                 velocity += grads
                 params -= np.multiply(velocity, config.learning_rate, out=step)
             finite = (np.isfinite(params).all(axis=(1, 2))
-                      & _finite_loss_sums(terms, head, labels, config.batch_size))
+                      & _finite_loss_sums(terms, head, epoch_labels, config.batch_size))
             diverged_at[(diverged_at < 0) & ~finite] = epoch
             if diverged_at[0] >= 0:  # model 0 decides the raised epoch
                 break
@@ -340,7 +349,7 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
             raise GvlabError("diverged", f"non-finite parameters or loss at epoch {epoch}")
         # Still under errstate: a finite loss can pass through an overflowing
         # softmax shift.
-        losses = _epoch_loss_sums(_sample_losses(terms, head, labels),
+        losses = _epoch_loss_sums(_sample_losses(terms, head, epoch_labels),
                                   config.batch_size) / data.n
     return tuple(TrainResult(LinearModel(w[i], b[i], head), loss)
                  for i, loss in enumerate(losses.tolist()))

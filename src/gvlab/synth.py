@@ -34,6 +34,11 @@ instances; consecutive draws continue one stream, so the bytes equal one
 whole draw.  The (n, p, p) residual tensor is drawn whole: its contraction
 needs ``xi``, which the stream draws after it, so blocking it would mean
 replaying the stream.
+
+The influence ranking bins each candidate column once and counts every
+candidate's (bin, label) cells with one ``bincount``, bit for bit as a table
+per candidate would; the toy protocols count the labels and the model's
+predictions on the same binned columns (:func:`_conditional_entropies`).
 """
 
 from __future__ import annotations
@@ -45,9 +50,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BinningPolicy, Dataset, VariableSpec, _is_int, build_table, derive_seed, stream
+from .core import (BinningPolicy, Dataset, VariableSpec, _column_codes, _is_int, build_table,
+                   derive_seed, stream)
 from .errors import GvlabError
-from .info import Nats, conditional_entropy
+from .info import Nats, conditional_entropy, count_entropy
 from .models import LinearModel, TrainConfig, TrainResult, VectorDataset, train
 
 _JITTER = 1e-9
@@ -219,15 +225,65 @@ def influence_rank(dataset: Dataset, candidate_ids: Sequence[int],
     """Candidates ordered by ascending conditional label entropy.
 
     The lowest H(Y | variable) comes first (most influential); ties break
-    by ascending variable id.
+    by ascending variable id.  Each entropy equals
+    ``conditional_entropy(build_table(dataset, [id], binning), "labels", [id])``
+    bit for bit, from one binned count of every candidate.
     """
-    if not tuple(candidate_ids):
+    ids = tuple(candidate_ids)
+    if not ids:
         raise GvlabError("bad-variable", "need at least one candidate id")
-    scored = []
-    for var_id in candidate_ids:
-        table = build_table(dataset, [var_id], binning)
-        scored.append((int(var_id), conditional_entropy(table, "labels", [var_id])))
-    return tuple(sorted(scored, key=lambda pair: (pair[1], pair[0])))
+    h_cond = _conditional_entropies(dataset, ids, binning, dataset.labels)[0][0]
+    return _ranked(ids, h_cond)
+
+
+def _ranked(ids: Sequence[int], entropies: Sequence[Nats]) -> tuple[tuple[int, Nats], ...]:
+    return tuple(sorted(((int(var_id), h) for var_id, h in zip(ids, entropies)),
+                        key=lambda pair: (pair[1], pair[0])))
+
+
+def _conditional_entropies(dataset: Dataset, ids: Sequence[int], binning: BinningPolicy,
+                           *targets: np.ndarray) -> list[tuple[list[Nats], Nats]]:
+    """Per target column (n codes in ``0..dataset.k - 1``): H(target | variable)
+    for each of ``ids``, and H(target).
+
+    Each column is binned once.  One ``bincount`` of (variable, bin, target)
+    codes fills a dense ``(variables, bins * k)`` count array; row j lists
+    the cells of ``build_table(dataset, [ids[j]])`` in their order, with
+    zeros for the cells it leaves out.  ``count_entropy`` adds a row in that
+    order and a zero cell adds exactly 0.0, so every value equals
+    ``conditional_entropy`` (or ``entropy``) over that table bit for bit.  A
+    column or target whose codes reach n is first ranked to dense codes,
+    which keeps their order, so the array has at most ``n * n`` cells per
+    variable whatever the bin count, cardinalities and k.
+    """
+    if dataset.n == 0:
+        raise GvlabError("empty-dataset", "cannot build a table from an empty dataset")
+    known = {s.var_id: s for s in dataset.specs}
+    codes = np.empty((len(ids), dataset.n), dtype=np.int64)
+    for row, var_id in zip(codes, ids):
+        if var_id not in known:
+            raise GvlabError("bad-variable", f"unknown variable id {var_id}")
+        row[:] = _dense(_column_codes(dataset, known[var_id], binning))
+    width = int(codes.max(initial=0)) + 1
+    codes += np.arange(0, len(ids) * width, width)[:, None]
+    results = []
+    for target in targets:
+        target = _dense(np.asarray(target, dtype=np.int64))
+        k = int(target.max()) + 1
+        joint = np.bincount((codes * k + target).ravel(), minlength=len(ids) * width * k)
+        joint = joint.reshape(len(ids), width, k)
+        h_joint = count_entropy(joint.reshape(len(ids), -1), dataset.n).tolist()
+        h_given = count_entropy(joint.sum(axis=2), dataset.n).tolist()
+        h_target = max(float(count_entropy(np.bincount(target), dataset.n)), 0.0)
+        results.append(([max(a - b, 0.0) for a, b in zip(h_joint, h_given)], h_target))
+    return results
+
+
+def _dense(codes: np.ndarray) -> np.ndarray:
+    """Non-negative codes, ranked to ``0..distinct - 1`` in their order when one reaches n."""
+    if codes.max() < len(codes):
+        return codes
+    return np.unique(codes, return_inverse=True)[1]
 
 
 def balance_column(n: int, seed: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import types
 import warnings
 
 import numpy as np
@@ -397,6 +398,21 @@ class TestBatchMatchesReference:
         out = erase_batch(values, labels, dist, np.random.default_rng(16))
         expected, _ = reference_erase_batch(values, labels, dist, np.random.default_rng(16))
         assert out.tobytes() == expected.reshape(9000, -1).tobytes()
+
+    def test_one_parameter_block_copies_no_generator(self, monkeypatch):
+        """A batch of exactly one parameter block draws its parameters straight
+        from the generator, with no copy, on the stream of one reference batch."""
+        def refuse(rng):
+            raise AssertionError("copied the generator")
+
+        block = PROBE_CHUNK_VALUES // 32
+        monkeypatch.setattr(augment, "copy", types.SimpleNamespace(deepcopy=refuse))
+        values = random_grids(block, shape=(3, 4, 2))
+        labels = np.arange(block) % 10
+        dist = AugmentDistribution(alpha=0.5, position_law="center_m1")
+        out = erase_batch(values, labels, dist, np.random.default_rng(17))
+        expected, _ = reference_erase_batch(values, labels, dist, np.random.default_rng(17))
+        assert out.tobytes() == expected.reshape(block, -1).tobytes()
 
     def test_empty_rectangles_leave_the_batch_unchanged(self):
         values = random_grids(20)

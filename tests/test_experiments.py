@@ -1,14 +1,19 @@
+import concurrent.futures
 import math
+import os
+import subprocess
+import sys
 from functools import partial
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
-from gvlab import experiments, synth
-from gvlab.core import build_table, rows_csv, stream
+from gvlab import core, experiments, synth
+from gvlab.core import rows_csv, stream
 from gvlab.errors import GvlabError
 from gvlab.experiments import (ADDITION_SPLITS, CORRUPTIBLE_CHECKS, AdditionRuleSweep,
                                GridProtocol, ToyProtocol, addition_rule_margins,
@@ -105,9 +110,23 @@ def test_parallel_map_starts_no_more_workers_than_items(monkeypatch, jobs, items
         def map(self, fn, seq):
             return map(fn, seq)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", StubPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
     assert parallel_map(_square, list(range(items)), jobs) == [i * i for i in range(items)]
     assert started == [workers]
+
+
+def test_the_process_pool_is_imported_only_to_fan_out():
+    """A fresh interpreter that loads the CLI and maps with one job imports
+    neither ``concurrent.futures`` nor ``multiprocessing``."""
+    code = ("import sys; from gvlab import cli, experiments; "
+            "assert experiments.parallel_map(abs, [-1, -2], 1) == [1, 2]; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def _square(i):
@@ -300,20 +319,24 @@ class TestToyRunners:
             ToyProtocol(dims=20, task_correlated_dims=tcd)
         assert err.value.code == "bad-config"
 
-    def test_influence_builds_each_table_once(self, monkeypatch):
-        built = []
+    def test_influence_bins_each_nuisance_column_once(self, monkeypatch):
+        """The worker builds no table: it bins each nuisance column once and
+        counts the labels and the predictions from those codes."""
+        binned = []
 
-        def counting_build_table(dataset, variable_ids, binning):
-            built.append((id(dataset), tuple(variable_ids)))
-            return build_table(dataset, variable_ids, binning)
+        def counting_column_codes(dataset, spec, binning):
+            binned.append(spec.var_id)
+            return column_codes(dataset, spec, binning)
 
-        for module in (experiments, synth):  # synth.influence_rank builds the label tables
-            monkeypatch.setattr(module, "build_table", counting_build_table)
+        def refuse(*args):
+            raise AssertionError("the toy worker built a table")
+
+        column_codes = synth._column_codes
+        monkeypatch.setattr(synth, "_column_codes", counting_column_codes)
+        for module in (core, synth, experiments):
+            monkeypatch.setattr(module, "build_table", refuse, raising=False)
         experiments._toy_worker((123, 0, SMALL_TOY, False))
-        # A label and a prediction table per nuisance dimension, and the label
-        # marginal of each, which H(label) and H(prediction) are taken from.
-        assert len(built) == 2 * len(SMALL_TOY.nuisance_dims) + 2
-        assert len(set(built)) == len(built)
+        assert binned == list(SMALL_TOY.nuisance_dims)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_one_run_gives_both_protocols(self, jobs):

@@ -480,6 +480,20 @@ def guard_cases(draw):
                       draw(st.booleans()))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=1, max_size=40))
+@example([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 745.2, -745.2, 1e300])
+def test_sigmoid_equals_the_masked_textbook_form_bit_for_bit(values):
+    z = np.array(values)
+    with np.errstate(all="ignore"):
+        textbook = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+        got = models._sigmoid(z[None])[0]
+    nan = np.isnan(textbook)
+    assert np.isnan(got).tolist() == nan.tolist()
+    assert got[~nan].tobytes() == textbook[~nan].tobytes()
+
+
 class TestLossGuard:
     @settings(max_examples=300, deadline=None)
     @given(guard_cases())

@@ -265,6 +265,85 @@ class TestInfluenceRank:
         with pytest.raises(GvlabError):
             influence_rank(label_copy_dataset(), [])
 
+    def test_generator_of_ids_ranks_every_candidate(self):
+        ds = label_copy_dataset()
+        assert influence_rank(ds, (j for j in [2, 0, 1])) == influence_rank(ds, [2, 0, 1])
+        assert len(influence_rank(ds, iter([1, 1]))) == 2
+
+    def test_labels_past_the_row_count_are_ranked(self):
+        """Label codes past n (here k = 2**40) are counted on their ranks, with
+        the same bits and no array as wide as k."""
+        specs = (VariableSpec.discrete(0, "g0", 3), VariableSpec.continuous(1, "g1", 0.0, 1.0))
+        values = np.array([[0, 0.1], [2, 0.5], [2, 0.9], [1, 0.2], [0, 0.3]])
+        ds = Dataset(specs, values, np.array([2**40 - 1, 0, 2**40 - 1, 2**39, 0]), 2**40)
+        assert_ranks_match_tables(ds, [0, 1, 0], BinningPolicy(4))
+
+
+def per_candidate_rank(ds, ids, binning):
+    """Reference: one table and one conditional entropy per candidate."""
+    scored = [(j, conditional_entropy(build_table(ds, [j], binning), "labels", [j])) for j in ids]
+    return sorted(scored, key=lambda pair: (pair[1], pair[0]))
+
+
+def assert_ranks_match_tables(ds, ids, binning):
+    """``influence_rank`` and the worker's helper equal the table references bit for bit."""
+    expected = [(j, h.hex()) for j, h in per_candidate_rank(ds, ids, binning)]
+    assert [(j, h.hex()) for j, h in influence_rank(ds, ids, binning)] == expected
+    (h_cond, h_label), = synth._conditional_entropies(ds, ids, binning, ds.labels)
+    assert h_label.hex() == entropy(build_table(ds, [], binning)).hex()
+    assert [(j, h.hex()) for j, h in synth._ranked(ids, h_cond)] == expected
+
+
+@st.composite
+def influence_datasets(draw):
+    """Discrete columns (small or huge cardinality) and continuous ones (values
+    inside and outside their range), k in 2..4."""
+    n = draw(st.integers(1, 40))
+    specs, columns = [], []
+    for j in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            card = draw(st.sampled_from([1, 2, 5, 2**40]))
+            codes = st.sampled_from(sorted({0, card // 3, card - 1}))
+            specs.append(VariableSpec.discrete(j, f"g{j}", card))
+            columns.append([draw(codes) for _ in range(n)])
+        else:
+            lo, width = draw(st.floats(-5.0, 5.0)), draw(st.floats(1e-3, 5.0))
+            specs.append(VariableSpec.continuous(j, f"g{j}", lo, lo + width))
+            columns.append([draw(st.floats(lo - width, lo + 2 * width)) for _ in range(n)])
+    k = draw(st.integers(2, 4))
+    labels = [draw(st.integers(0, k - 1)) for _ in range(n)]
+    return Dataset(tuple(specs), np.array(columns, dtype=float).T.reshape(n, -1),
+                   np.array(labels), k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(influence_datasets(), st.sampled_from([2, 3, 10, 2**40]), st.data())
+def test_one_pass_matches_per_candidate_tables(ds, bins, data):
+    """Every entropy equals ``conditional_entropy(build_table(...))`` bit for bit,
+    with repeated ids and bin codes past the row count."""
+    ids = data.draw(st.lists(st.integers(0, ds.m - 1), min_size=1, max_size=6))
+    assert_ranks_match_tables(ds, ids, BinningPolicy(bins))
+
+
+def narrow_dataset():
+    spec = VariableSpec.continuous(0, "g0", 0.0, 5e-324)
+    return Dataset((spec,), np.zeros((3, 1)), np.array([0, 1, 1]), 2)
+
+
+@pytest.mark.parametrize("ds, ids", [
+    (label_copy_dataset(), [0, 3]),
+    (Dataset(label_copy_dataset().specs, np.zeros((0, 3)), np.zeros(0), 2), [0]),
+    (narrow_dataset(), [0]),
+])
+def test_influence_errors_match_the_tables(ds, ids):
+    """An unknown id, an empty dataset and a too-narrow range raise what building
+    the candidates' tables raises."""
+    with pytest.raises(GvlabError) as expected:
+        per_candidate_rank(ds, ids, BinningPolicy())
+    with pytest.raises(GvlabError) as err:
+        influence_rank(ds, ids)
+    assert (err.value.code, str(err.value)) == (expected.value.code, str(expected.value))
+
 
 class TestBalanceSubstitute:
     def test_substituted_column_decorrelates_from_labels(self):
