@@ -322,7 +322,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if settings["jobs"] < 1:
             raise GvlabError("bad-config", f"jobs must be >= 1, got {settings['jobs']}")
         return handler(settings)
-    except (GvlabError, OSError) as err:
+    except (GvlabError, OSError, MemoryError) as err:
+        if isinstance(err, MemoryError):  # numpy raises one for an array too large to allocate
+            err = GvlabError("out-of-memory", str(err))
         print(f"error: {err}", file=sys.stderr)
         return 1
 

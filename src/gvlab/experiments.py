@@ -194,10 +194,11 @@ def _toy_worker(args: tuple[int, int, ToyProtocol, bool]) -> tuple:
     model, *retrained = (r.model for r in train_lockstep(data.train, trainer, substitutions))
     # Per nuisance dimension: H(label | dim), |trained weight|, and the
     # estimated (``influence_rank`` order) and true (descending |weight|) ranks.
-    # The labels and the predictions are counted on one binning of the dims.
-    view = as_variable_dataset(data.train, protocol.task_correlated_dims)
+    # The labels and the predictions are counted on one binning of the dims,
+    # viewed alone as variables 0.. in their order.
+    view = as_variable_dataset(data.train, protocol.task_correlated_dims, dims)
     (h_cond, h_label), (h_pred_cond, h_pred) = _conditional_entropies(
-        view, dims, protocol.binning, data.train.y, model.predict(data.train.x))
+        view, range(len(dims)), protocol.binning, data.train.y, model.predict(data.train.x))
     ranked = _ranked(dims, h_cond)
     weights = {j: abs(float(model.weights[0, j])) for j in dims}
     rank_est = {var_id: position for position, (var_id, _) in enumerate(ranked, 1)}

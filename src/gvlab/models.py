@@ -9,9 +9,12 @@ under cross-entropy loss, deterministic given the config seed:
 - weights and bias start at zero, so repeated runs share the optimum of
   the convex objective and 100-run averages are reproducible;
 - each epoch shuffles with a generator seeded by (base seed, epoch);
-- the loss uses log-sum-exp / log1p-of-exp stabilized forms;
-- training returns the last epoch's mean loss, computed once from the
-  forward terms its steps stored; the other epochs only check that their
+- the loss uses log-sum-exp / log1p-of-exp stabilized forms, and the
+  sigmoid one ``exp(-|z|)`` with the numerator ``max(exp(-|z|), z >= 0)``,
+  bit-identical to the textbook masked form;
+- each step stores its forward terms as one contiguous block of a
+  batch-major epoch buffer; training returns the last epoch's mean loss,
+  computed once from that buffer; the other epochs only check that their
   loss sums stay finite; the mean-max-output error estimate is taken
   once, from :func:`risk` on the trained model;
 - models whose data differ only in substituted columns train in one
@@ -121,16 +124,19 @@ class LinearModel:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Sigmoid of ``z`` from one ``exp(-|z|)``, computed in place in two new arrays.
+    """Sigmoid of ``z`` from one ``exp(-|z|)``, computed in place in two new
+    contiguous arrays; ``z`` is left intact and may be any strided view.
 
-    The numerator picks the stable form for each sign of ``z``: 1 where
-    ``z >= 0`` (the step function is 1 there, and ``e <= 1``) and ``e``
-    elsewhere, NaN staying NaN, so the values equal the textbook masked
-    evaluation bit for bit.
+    ``e = exp(-|z|)`` takes ``-|z|`` as ``np.abs`` negated in place.  The
+    numerator is ``max(e, step)`` with the step ``z >= 0`` cast to float: 1
+    where ``z >= 0`` (including -0.0, and ``e <= 1`` there) and ``e``
+    elsewhere, a NaN ``z`` giving a NaN ``e`` that ``maximum`` keeps, so the
+    values equal the textbook masked evaluation bit for bit.
     """
-    e = np.copysign(z, -1.0)  # -|z|
+    e = np.abs(z)
+    np.negative(e, out=e)
     np.exp(e, out=e)
-    s = np.heaviside(z, 1.0)
+    s = (z >= 0).astype(np.float64)
     np.maximum(e, s, out=s)
     e += 1.0
     s /= e
@@ -263,16 +269,17 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
     so they share every epoch's permutation, and each result is
     bit-identical to ``train`` on its own substituted dataset: stacked
     ``matmul`` calls BLAS once per model and every reduction runs along one
-    model's row.  At the start of each epoch its permutation of the rows
-    and labels, and of the substitute columns when there are any, is
-    gathered once into buffers reused by every epoch, so each step's batch
-    is a contiguous slice.  With
+    model's row.  The substitute columns are stored one per row.  At the
+    start of each epoch its permutation of the rows and labels, and of each
+    substitute row when there are any, is gathered once into buffers reused
+    by every epoch, so each step's batch is a contiguous slice.  With
     substitutions, each step writes its per-model batches into one stacked
-    buffer allocated once per call: the shared rows, then the step's
-    substitute columns.  Each step stores its forward terms in one epoch
-    buffer.  After each epoch's last step, that buffer shows whether every
-    model's loss sum is finite; the losses themselves are computed once,
-    from the last epoch's buffer, and summed batch by batch in step order.
+    buffer allocated once per call: the shared rows, then the step's slice
+    of the substitute rows.  Each step stores its forward terms as one
+    contiguous block of a batch-major epoch buffer.  After each epoch's
+    last step, that buffer shows whether every model's loss sum is finite;
+    the losses themselves are computed once, from the last epoch's buffer,
+    and summed batch by batch in step order.
     A model that diverges raises at the epoch where that ``train`` call
     would; with several, the first model in order decides, so training
     stops at the end of the epoch where model 0 diverges.
@@ -281,12 +288,13 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
         raise GvlabError("empty-dataset", "cannot train on an empty dataset")
     if config.batch_size > data.n:
         raise GvlabError("bad-config", f"batch size {config.batch_size} exceeds n={data.n}")
-    updates = config.epochs * (len(substitutions) + 1) * -(-data.n // config.batch_size)
+    batches = -(-data.n // config.batch_size)
+    updates = config.epochs * (len(substitutions) + 1) * batches
     if updates >= 2**60:  # over 36 years even at a nanosecond per update
         raise GvlabError("bad-config", f"epochs={config.epochs} makes {updates} model "
                                        f"updates, a run that could never finish")
     dims = np.empty(len(substitutions), dtype=np.int64)
-    noise = np.empty((data.n, len(dims)))  # row-major: each epoch gathers rows
+    noise = np.empty((len(dims), data.n))
     for i, (j, column) in enumerate(substitutions):
         if not (_is_int(j) and 0 <= j < data.d):
             raise GvlabError("bad-variable", f"dimension {j!r} is not an integer in "
@@ -296,7 +304,7 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
             raise GvlabError("bad-input-dim", f"substitute for dimension {j} must have "
                                               f"shape ({data.n},), got {column.shape}")
         dims[i] = j
-        noise[:, i] = column
+        noise[i] = column
     models = len(dims) + 1
     substituted = np.arange(1, models)
     head: Head = "sigmoid" if data.k == 2 else "softmax"
@@ -308,9 +316,12 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
     step = np.empty_like(params)
     w, b = params[..., :data.d], params[..., data.d]
     gw, gb = grads[..., :data.d], grads[..., data.d]
-    # The forward terms of a whole epoch, in epoch order: the loss check
-    # reads them after the epoch's last step.
-    terms = np.empty((models, data.n) if head == "sigmoid" else (models, data.n, rows))
+    # The forward terms of a whole epoch, batch-major: each step writes one
+    # contiguous (models, batch) block, and the loss check reads the buffer
+    # after the epoch's last step.  Zeros, so the padding of a ragged last
+    # batch cannot raise the check's peak.
+    terms = np.zeros((batches, models, config.batch_size)
+                     + (() if head == "sigmoid" else (rows,)))
     labels = _labels(head, data.y)
     epoch_x, epoch_labels, epoch_noise = (np.empty_like(a) for a in (data.x, labels, noise))
     # A ragged last batch uses the leading rows, so BLAS sees the row count
@@ -326,15 +337,15 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
             np.take(data.x, order, axis=0, out=epoch_x, mode="clip")
             np.take(labels, order, out=epoch_labels, mode="clip")
             if stacked is not None:
-                np.take(noise, order, axis=0, out=epoch_noise, mode="clip")
-            for start in range(0, data.n, config.batch_size):
+                np.take(noise, order, axis=1, out=epoch_noise, mode="clip")
+            for block, start in zip(terms, range(0, data.n, config.batch_size)):
                 batch = slice(start, start + config.batch_size)
                 x = epoch_x[None, batch]
                 if stacked is not None:
                     x = stacked[:, :x.shape[1]]
                     x[...] = epoch_x[batch]
-                    x[substituted, :, dims] = epoch_noise[batch].T
-                batch_terms = _forward_terms(w, b, head, x, out=terms[:, batch])
+                    x[substituted, :, dims] = epoch_noise[:, batch]
+                batch_terms = _forward_terms(w, b, head, x, out=block[:, :x.shape[1]])
                 _gradients(batch_terms, head, x, epoch_labels[batch], gw, gb)
                 velocity *= config.momentum
                 velocity += grads
@@ -348,11 +359,21 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
             epoch = diverged_at[diverged_at >= 0][0]
             raise GvlabError("diverged", f"non-finite parameters or loss at epoch {epoch}")
         # Still under errstate: a finite loss can pass through an overflowing
-        # softmax shift.
-        losses = _epoch_loss_sums(_sample_losses(terms, head, epoch_labels),
-                                  config.batch_size) / data.n
-    return tuple(TrainResult(LinearModel(w[i], b[i], head), loss)
-                 for i, loss in enumerate(losses.tolist()))
+        # softmax shift.  Model by model, so no transient outgrows one model's
+        # terms.
+        sums = [_epoch_loss_sums(_sample_losses(_model_major(terms[:, i:i + 1], data.n), head,
+                                                epoch_labels), config.batch_size)[0]
+                for i in range(models)]
+    return tuple(TrainResult(LinearModel(w[i], b[i], head), float(total / data.n))
+                 for i, total in enumerate(sums))
+
+
+def _model_major(terms: np.ndarray, n: int) -> np.ndarray:
+    """An epoch's forward terms from their batch-major buffer (batches,
+    models, batch_size) or (batches, models, batch_size, k) in model-major
+    order, (models, n) or (models, n, k): each model's terms in epoch order,
+    without the padding of a ragged last batch."""
+    return np.swapaxes(terms, 0, 1).reshape((terms.shape[1], -1) + terms.shape[3:])[:, :n]
 
 
 def _epoch_loss_sums(sample_losses: np.ndarray, batch_size: int) -> np.ndarray:
@@ -375,19 +396,20 @@ _SAFE_PEAK_TIMES_N = 2.0 ** 1021
 
 def _finite_loss_sums(terms: np.ndarray, head: Head, y: np.ndarray,
                       batch_size: int) -> np.ndarray:
-    """Whether each model's epoch loss sum is finite, equal to
-    ``np.isfinite(_epoch_loss_sums(_sample_losses(terms, head, y), batch_size))``.
+    """Whether each model's epoch loss sum is finite, from the batch-major
+    epoch terms with zero padding, equal to ``np.isfinite(_epoch_loss_sums(
+    _sample_losses(_model_major(terms, n), head, y), batch_size))`` for the
+    n labels ``y``.
 
-    A model whose largest ``|term|`` times n stays below the bound has a
-    finite sum; an infinite or NaN term fails that test.  Only when some
-    model fails it are the losses themselves computed.
+    When the largest ``|term|`` of all models times n stays below the bound,
+    every sum is finite; an infinite or NaN term fails that test.  Only
+    then are the losses themselves computed.
     """
-    flat = terms.reshape(len(terms), -1)
-    peak = np.maximum(flat.max(axis=1), -flat.min(axis=1))  # NaN stays NaN
-    safe = peak * terms.shape[1] < _SAFE_PEAK_TIMES_N
-    if safe.all():
-        return safe
-    return np.isfinite(_epoch_loss_sums(_sample_losses(terms, head, y), batch_size))
+    peak = np.maximum(terms.max(), -terms.min())  # NaN stays NaN; padding adds 0
+    if peak * len(y) < _SAFE_PEAK_TIMES_N:
+        return np.ones(terms.shape[1], dtype=bool)
+    return np.isfinite(_epoch_loss_sums(_sample_losses(_model_major(terms, len(y)), head, y),
+                                        batch_size))
 
 
 @dataclass(frozen=True)

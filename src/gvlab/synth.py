@@ -201,23 +201,32 @@ def _fill_test_class(out: np.ndarray, spec: ToySpec, mean: np.ndarray, cov: np.n
     x2 += np.sqrt(_SCHUR_FLOOR) * rng.standard_normal((n_half, p))
 
 
-def as_variable_dataset(data: VectorDataset, task_correlated_dims: int) -> Dataset:
+def as_variable_dataset(data: VectorDataset, task_correlated_dims: int,
+                        columns: Sequence[int] | None = None) -> Dataset:
     """View vector data as a generative-variable dataset.
 
-    Every column becomes a continuous variable ranged by its own min/max
-    (widened by a hair when constant, since declared ranges must be
-    non-degenerate); the first ``task_correlated_dims`` columns are marked
-    task-correlated.
+    Each of ``columns`` (every column by default), in that order, becomes a
+    continuous variable numbered from 0 and named ``g<column>``, ranged by
+    its own min/max (widened by a hair when constant, since declared ranges
+    must be non-degenerate); columns below ``task_correlated_dims`` are
+    marked task-correlated.
     """
+    if columns is None:
+        columns, values = range(data.d), data.x
+    elif all(_is_int(j) and 0 <= j < data.d for j in columns):
+        values = data.x[:, list(columns)]
+    else:
+        raise GvlabError("bad-variable", f"columns must be integers in 0..{data.d - 1}, "
+                                         f"got {columns!r}")
     specs = []
-    for j in range(data.d):
-        col = data.x[:, j]
+    for var_id, j in enumerate(columns):
+        col = values[:, var_id]
         lo, hi = float(col.min()), float(col.max())
         if lo == hi:
             hi = lo + 1e-9
         correlation = "task_correlated" if j < task_correlated_dims else "task_uncorrelated"
-        specs.append(VariableSpec.continuous(j, f"g{j}", lo, hi, correlation))
-    return Dataset(tuple(specs), data.x, data.y, data.k)
+        specs.append(VariableSpec.continuous(var_id, f"g{j}", lo, hi, correlation))
+    return Dataset(tuple(specs), values, data.y, data.k)
 
 
 def influence_rank(dataset: Dataset, candidate_ids: Sequence[int],

@@ -425,6 +425,26 @@ def test_worker_errors_keep_their_code(tmp_path, capsys):
     assert_bad_config(run(argv), capsys)
 
 
+# 2**54 rows per class make a 1.25 EiB training half, more than any 64-bit
+# address space holds, so numpy refuses the array before touching memory.
+# Never test this with a size a machine might try to fill.
+UNALLOCATABLE_PER_CLASS = str(2**54)
+
+
+@pytest.mark.parametrize("datasets, jobs", [("1", "1"), ("2", "2")])
+@pytest.mark.parametrize("command", ["toy-influence", "toy-balance"])
+def test_an_allocation_too_large_is_out_of_memory(tmp_path, capsys, command, datasets, jobs):
+    """numpy's MemoryError, raised in process or in a worker, exits 1 with
+    the coded line and no traceback."""
+    argv = [command, "--datasets", datasets, "--jobs", jobs, "--epochs", "1",
+            "--per-class", UNALLOCATABLE_PER_CLASS, "--out", str(tmp_path / "out")]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out-of-memory: Unable to allocate 1.25 EiB"), err
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_errors_survive_pickling():
     err = pickle.loads(pickle.dumps(GvlabError("bad-config", "jobs must be >= 1")))
     assert (err.code, str(err)) == ("bad-config", "bad-config: jobs must be >= 1")

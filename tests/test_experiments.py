@@ -320,12 +320,13 @@ class TestToyRunners:
         assert err.value.code == "bad-config"
 
     def test_influence_bins_each_nuisance_column_once(self, monkeypatch):
-        """The worker builds no table: it bins each nuisance column once and
-        counts the labels and the predictions from those codes."""
+        """The worker builds no table: it bins each nuisance column once, on a
+        view that holds only those columns (no range or spec of any other),
+        and counts the labels and the predictions from those codes."""
         binned = []
 
         def counting_column_codes(dataset, spec, binning):
-            binned.append(spec.var_id)
+            binned.append((spec.name, dataset.m))
             return column_codes(dataset, spec, binning)
 
         def refuse(*args):
@@ -336,7 +337,8 @@ class TestToyRunners:
         for module in (core, synth, experiments):
             monkeypatch.setattr(module, "build_table", refuse, raising=False)
         experiments._toy_worker((123, 0, SMALL_TOY, False))
-        assert binned == list(SMALL_TOY.nuisance_dims)
+        dims = SMALL_TOY.nuisance_dims
+        assert binned == [(f"g{j}", len(dims)) for j in dims]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_one_run_gives_both_protocols(self, jobs):

@@ -390,7 +390,8 @@ class TestTrainLockstep:
 
     def test_a_finite_run_computes_the_losses_once(self, monkeypatch):
         """At toy scale with 10 substitutions, a run that stays finite checks
-        each epoch without the per-sample losses and computes them once."""
+        each epoch without the per-sample losses and computes them once, one
+        model at a time, so no transient holds more than one model's terms."""
         calls = []
 
         def counted(*args):
@@ -403,7 +404,7 @@ class TestTrainLockstep:
         substitutions = [(j, balance_column(data.n, 40 + j)) for j in range(10, 20)]
         results = train_lockstep(data, TrainConfig(0.01, 0.9, 256, 20, seed=4), substitutions)
         assert len(results) == 11
-        assert len(calls) == 1
+        assert [args[0].shape for args in calls] == [(1, data.n)] * 11
 
     def test_a_run_stops_once_model_0_diverges(self, monkeypatch):
         """Model 0 diverges in epoch 0 while its substituted model stays
@@ -461,6 +462,17 @@ def guard_case(head, k, models_, n, batch_size, big, weights, seed, worst_labels
     return head, terms, models._labels(head, y), batch_size
 
 
+def batch_major(terms, batch_size):
+    """Model-major terms (models, n) or (models, n, k) laid out as the
+    lockstep epoch buffer: (batches, models, batch_size[, k]), the ragged
+    last batch padded with zeros."""
+    models_, n = terms.shape[:2]
+    batches = -(-n // batch_size)
+    padded = np.zeros((models_, batches * batch_size) + terms.shape[2:])
+    padded[:, :n] = terms
+    return np.swapaxes(padded.reshape((models_, batches, batch_size) + terms.shape[2:]), 0, 1)
+
+
 @st.composite
 def guard_cases(draw):
     """Large finite terms push ``max|term| * n`` across the guard's bound on
@@ -480,18 +492,32 @@ def guard_cases(draw):
                       draw(st.booleans()))
 
 
+SIGMOID_SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 745.2, -745.2,
+                    1e300]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
-                min_size=1, max_size=40))
-@example([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 745.2, -745.2, 1e300])
-def test_sigmoid_equals_the_masked_textbook_form_bit_for_bit(values):
-    z = np.array(values)
-    with np.errstate(all="ignore"):
-        textbook = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
-        got = models._sigmoid(z[None])[0]
-    nan = np.isnan(textbook)
-    assert np.isnan(got).tolist() == nan.tolist()
-    assert got[~nan].tobytes() == textbook[~nan].tobytes()
+                min_size=1, max_size=40), st.integers(0, 2**32 - 1))
+@example(SIGMOID_SPECIALS, 0)
+def test_sigmoid_equals_the_masked_textbook_form_bit_for_bit(values, seed):
+    """On a 1-D row, and scattered into the 2-D views a training step passes:
+    the (11, 256) step block as a strided view of a wider epoch buffer, and a
+    view strided along both axes.  The input stays intact."""
+    rng = np.random.default_rng(seed)
+    wide = rng.normal(0.0, 40.0, size=(11, 600))
+    step = wide[:, 100:356]
+    step.flat[rng.choice(step.size, len(values), replace=False)] = values
+    step.flat[rng.choice(step.size, len(SIGMOID_SPECIALS), replace=False)] = SIGMOID_SPECIALS
+    for z in (np.array(values)[None], step, wide[1::3, ::5]):
+        before = z.tobytes()
+        with np.errstate(all="ignore"):
+            textbook = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+            got = models._sigmoid(z)
+        assert z.tobytes() == before
+        nan = np.isnan(textbook)
+        assert np.isnan(got).tolist() == nan.tolist()
+        assert got[~nan].tobytes() == textbook[~nan].tobytes()
 
 
 class TestLossGuard:
@@ -505,10 +531,12 @@ class TestLossGuard:
                         False))
     def test_guard_equals_the_finiteness_of_the_loss_sums(self, case):
         head, terms, y, batch_size = case
+        epoch_buffer = batch_major(terms, batch_size)
+        assert models._model_major(epoch_buffer, len(y)).tobytes() == terms.tobytes()
         with np.errstate(all="ignore"):
             expected = np.isfinite(models._epoch_loss_sums(
                 models._sample_losses(terms, head, y), batch_size))
-            got = models._finite_loss_sums(terms, head, y, batch_size)
+            got = models._finite_loss_sums(epoch_buffer, head, y, batch_size)
         assert got.tolist() == expected.tolist()
 
 

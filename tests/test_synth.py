@@ -450,6 +450,33 @@ def test_as_variable_dataset_marks_correlation_split():
     assert conditional_entropy(table, "labels", [1]) < 0.05
 
 
+def test_as_variable_dataset_of_some_columns_bins_them_as_the_full_view():
+    """A view of some columns holds them as variables 0.. in their order,
+    with the full view's ranges, names and correlation marks, so their
+    conditional entropies of the labels and of any other target are
+    bit-identical."""
+    data = generate_toy(random_toy_spec(seed=13, per_class=300)).train
+    columns = (15, 10, 19, 3)
+    full = as_variable_dataset(data, task_correlated_dims=10)
+    part = as_variable_dataset(data, 10, columns)
+    assert [replace(spec, var_id=j) for spec, j in zip(part.specs, columns, strict=True)] == \
+        [full.specs[j] for j in columns]
+    assert [spec.var_id for spec in part.specs] == [0, 1, 2, 3]
+    assert part.values.tobytes() == np.ascontiguousarray(full.values[:, columns]).tobytes()
+    other = (data.x[:, 0] > 0).astype(np.int64)
+    binning = BinningPolicy(10)
+    assert synth._conditional_entropies(part, range(4), binning, data.y, other) == \
+        synth._conditional_entropies(full, columns, binning, data.y, other)
+
+
+@pytest.mark.parametrize("columns", [(20,), (-1,), (1.5,), (True,), (3, 20)])
+def test_as_variable_dataset_rejects_a_column_outside_the_data(columns):
+    data = generate_toy(random_toy_spec(seed=13, per_class=30)).train
+    with pytest.raises(GvlabError) as err:
+        as_variable_dataset(data, 10, columns)
+    assert err.value.code == "bad-variable"
+
+
 def test_estimated_error_tracks_true_training_error():
     """On the toy task the trained model's mean-max-output estimate lies
     near the true 0/1 training error, and below the zero model's 0.5."""
