@@ -18,7 +18,10 @@ under cross-entropy loss, deterministic given the config seed:
   loss sums stay finite; the mean-max-output error estimate is taken
   once, from :func:`risk` on the trained model;
 - models whose data differ only in substituted columns train in one
-  lockstep loop (:func:`train_lockstep`), bit-identical to separate runs.
+  lockstep loop (:func:`train_lockstep`): the first bit-identical to
+  :func:`train`, the substitute models from one shared product on rows
+  extended by their substitute columns, within the rounding of those
+  longer dot products of separate runs.
 """
 
 from __future__ import annotations
@@ -146,15 +149,25 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def _forward_terms(w: np.ndarray, b: np.ndarray, head: Head, x: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
     """Pre-activation terms of stacked models ``w`` (models, rows_w, d), ``b``
-    (models, rows_w) on stacked inputs ``x`` (models, rows, d): sigmoid ``z``
-    (models, rows) or softmax logits (models, rows, k), written into ``out``
-    when given."""
-    if head == "sigmoid":
+    (models, rows_w): sigmoid ``z`` (models, rows) or softmax logits
+    (models, rows, k), written into ``out`` when given.
+
+    On stacked inputs ``x`` (models, rows, d) each model takes its own
+    product.  On one batch ``x`` (rows, d) read by every model, one product
+    serves them all and ``out`` must be given; softmax moves its logits axis
+    into place with one copy.
+    """
+    if x.ndim == 2:
+        if head == "sigmoid":
+            np.matmul(w[:, 0], x.T, out=out)
+        else:
+            logits = np.matmul(w.reshape(-1, x.shape[1]), x.T)
+            out[...] = logits.reshape(w.shape[0], w.shape[1], -1).transpose(0, 2, 1)
+    elif head == "sigmoid":
         out = np.matmul(x, w[:, 0, :, None], out=None if out is None else out[..., None])[..., 0]
-        out += b
     else:
         out = np.matmul(x, w.transpose(0, 2, 1), out=out)
-        out += b[:, None, :]
+    out += b if head == "sigmoid" else b[:, None, :]
     return out
 
 
@@ -169,31 +182,44 @@ def _probs(w: np.ndarray, b: np.ndarray, head: Head, x: np.ndarray) -> np.ndarra
     return e / e.sum(axis=2, keepdims=True)
 
 
-def _gradients(terms: np.ndarray, head: Head, x: np.ndarray, y: np.ndarray,
-               gw: np.ndarray, gb: np.ndarray) -> None:
-    """Write the gradients of each model's mean batch loss into ``gw``
-    (models, rows_w, d) and ``gb`` (models, rows_w).
+def _output_error(terms: np.ndarray, head: Head, y: np.ndarray) -> np.ndarray:
+    """Each model's gradient of its mean batch loss with respect to its
+    forward terms (models, rows[, k]): its sigmoid or softmax minus the
+    labels, over the batch size.
 
-    ``terms`` come from :func:`_forward_terms` on ``x`` and are left intact;
-    labels ``y`` are floats for the sigmoid head and integers for softmax.
-    This is the one gradient: ``train_lockstep`` steps with it and
-    ``loss_and_gradients`` exposes it for checking.
+    ``terms`` come from :func:`_forward_terms` and are left intact; labels
+    ``y`` are floats for the sigmoid head and integers for softmax.  This is
+    the one gradient: ``train_lockstep`` steps with it and
+    ``loss_and_gradients`` exposes it for checking; only its product with
+    the inputs, :func:`_parameter_gradients`, depends on how a model reads
+    them.
     """
-    n = x.shape[1]
+    n = terms.shape[1]
     if head == "sigmoid":
         g = _sigmoid(terms)
         g -= y
-        g /= n
-        np.matmul(g[:, None, :], x, out=gw)
-        np.add.reduce(g, axis=1, out=gb[:, 0])
     else:
         g = terms - terms.max(axis=2, keepdims=True)
         np.exp(g, out=g)
         g /= g.sum(axis=2, keepdims=True)
         g[:, np.arange(n), y] -= 1.0
-        g /= n
-        np.matmul(g.transpose(0, 2, 1), x, out=gw)
-        np.add.reduce(g, axis=1, out=gb)
+    g /= n
+    return g
+
+
+def _parameter_gradients(g: np.ndarray, head: Head, x: np.ndarray,
+                         gw: np.ndarray, gb: np.ndarray) -> None:
+    """Write the gradients of models with output error ``g`` into ``gw`` and
+    ``gb`` (models, rows_w): the error's product with the inputs and its sum
+    over the batch.  On stacked inputs ``x`` (models, rows, d) each model
+    takes its own product, into ``gw`` (models, rows_w, d); on one batch
+    ``x`` (rows, d) read by every model, one product serves them all, into
+    ``gw`` (models * rows_w, d)."""
+    by_row = g[:, None, :] if head == "sigmoid" else g.transpose(0, 2, 1)
+    if x.ndim == 2:  # row-major for any model count: BLAS may round a column-major one differently
+        by_row = np.ascontiguousarray(by_row).reshape(-1, g.shape[1])
+    np.matmul(by_row, x, out=gw)
+    np.add.reduce(g, axis=1, out=gb[:, 0] if head == "sigmoid" else gb)
 
 
 def _sample_losses(terms: np.ndarray, head: Head, y: np.ndarray) -> np.ndarray:
@@ -266,23 +292,29 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
     Model 0 trains on ``data``; model ``i`` trains on ``data`` with column
     ``substitutions[i-1][0]`` replaced by the length-n column
     ``substitutions[i-1][1]``.  All models start from zero under one seed,
-    so they share every epoch's permutation, and each result is
-    bit-identical to ``train`` on its own substituted dataset: stacked
-    ``matmul`` calls BLAS once per model and every reduction runs along one
-    model's row.  The substitute columns are stored one per row.  At the
-    start of each epoch its permutation of the rows and labels, and of each
-    substitute row when there are any, is gathered once into buffers reused
-    by every epoch, so each step's batch is a contiguous slice.  With
-    substitutions, each step writes its per-model batches into one stacked
-    buffer allocated once per call: the shared rows, then the step's slice
-    of the substitute rows.  Each step stores its forward terms as one
-    contiguous block of a batch-major epoch buffer.  After each epoch's
-    last step, that buffer shows whether every model's loss sum is finite;
-    the losses themselves are computed once, from the last epoch's buffer,
-    and summed batch by batch in step order.
-    A model that diverges raises at the epoch where that ``train`` call
-    would; with several, the first model in order decides, so training
-    stops at the end of the epoch where model 0 diverges.
+    so they share every epoch's permutation.  Model 0 is bit-identical to
+    ``train`` on ``data``.
+
+    The substitute columns extend the rows of ``data`` once per call, and
+    each epoch gathers its permutation of the extended rows and of the
+    labels into buffers reused by every epoch, so each step's batch is a
+    contiguous slice.  Model 0 reads the first ``d`` columns with its own
+    product.  The substitute models read the extended batch with one shared
+    product: model ``i``'s weight on the original column and on the other
+    models' substitute columns is a structural zero that its masked
+    gradient keeps at exactly 0, and its weight on its own substitute
+    column is read back as the weight of the substituted dimension.  So a
+    substitute model differs from ``train`` on its substituted dataset only
+    by the rounding of dot products over ``d + len(substitutions)`` columns
+    instead of ``d``.
+
+    Each step stores its forward terms as one contiguous block of a
+    batch-major epoch buffer.  After each epoch's last step, that buffer
+    shows whether every model's loss sum is finite; the losses themselves
+    are computed once, from the last epoch's buffer, and summed batch by
+    batch in step order.  A model that diverges raises at the epoch where
+    it diverged; with several, the first model in order decides, so
+    training stops at the end of the epoch where model 0 diverges.
     """
     if data.n == 0:
         raise GvlabError("empty-dataset", "cannot train on an empty dataset")
@@ -293,8 +325,12 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
     if updates >= 2**60:  # over 36 years even at a nanosecond per update
         raise GvlabError("bad-config", f"epochs={config.epochs} makes {updates} model "
                                        f"updates, a run that could never finish")
+    # The extended rows [x | substitute columns], (n, d + substitutions).
+    ext = data.x
+    if substitutions:
+        ext = np.empty((data.n, data.d + len(substitutions)))
+        ext[:, :data.d] = data.x
     dims = np.empty(len(substitutions), dtype=np.int64)
-    noise = np.empty((len(dims), data.n))
     for i, (j, column) in enumerate(substitutions):
         if not (_is_int(j) and 0 <= j < data.d):
             raise GvlabError("bad-variable", f"dimension {j!r} is not an integer in "
@@ -304,18 +340,32 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
             raise GvlabError("bad-input-dim", f"substitute for dimension {j} must have "
                                               f"shape ({data.n},), got {column.shape}")
         dims[i] = j
-        noise[i] = column
+        ext[:, data.d + i] = column
+    width = ext.shape[1]
     models = len(dims) + 1
-    substituted = np.arange(1, models)
     head: Head = "sigmoid" if data.k == 2 else "softmax"
     rows = 1 if head == "sigmoid" else data.k
-    # Weights and bias share one array, so momentum updates both at once.
-    params = np.zeros((models, rows, data.d + 1))
+    # Weights and bias share one flat array, so momentum updates every model
+    # at once: model 0's (rows, d + 1) block, laid out as in ``train``, then
+    # the substitute models' weight rows and their biases.
+    own_size, shared_rows = rows * (data.d + 1), len(dims) * rows
+    params = np.zeros(own_size + shared_rows * (width + 1))
     velocity = np.zeros_like(params)
-    grads = np.empty_like(params)
+    grads = np.zeros_like(params)
     step = np.empty_like(params)
-    w, b = params[..., :data.d], params[..., data.d]
-    gw, gb = grads[..., :data.d], grads[..., data.d]
+
+    def views(a):
+        """Model 0's weights and bias, and the substitute models' (as
+        (substitutions, rows, width) and (substitutions, rows)) in ``a``."""
+        a0, rest = a[:own_size].reshape(1, rows, data.d + 1), a[own_size:]
+        return (a0[..., :data.d], a0[..., data.d],
+                rest[:shared_rows * width].reshape(len(dims), rows, width),
+                rest[shared_rows * width:].reshape(len(dims), rows))
+
+    w0, b0, ws, bs = views(params)
+    gw0, gb0, gws, gbs = views(grads)
+    gws = gws.reshape(shared_rows, width)
+    mask = _substitute_mask(data.d, dims, rows)
     # The forward terms of a whole epoch, batch-major: each step writes one
     # contiguous (models, batch) block, and the loss check reads the buffer
     # after the epoch's last step.  Zeros, so the padding of a ragged last
@@ -323,10 +373,7 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
     terms = np.zeros((batches, models, config.batch_size)
                      + (() if head == "sigmoid" else (rows,)))
     labels = _labels(head, data.y)
-    epoch_x, epoch_labels, epoch_noise = (np.empty_like(a) for a in (data.x, labels, noise))
-    # A ragged last batch uses the leading rows, so BLAS sees the row count
-    # of a sequential run.
-    stacked = np.empty((models, config.batch_size, data.d)) if len(dims) else None
+    epoch_ext, epoch_labels = np.empty_like(ext), np.empty_like(labels)
 
     diverged_at = np.full(models, -1)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence detected per epoch
@@ -334,24 +381,31 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
             order = stream(config.seed, epoch).permutation(data.n)
             # "clip" never clips a permutation; unlike "raise" it writes
             # straight into ``out`` without a temporary.
-            np.take(data.x, order, axis=0, out=epoch_x, mode="clip")
+            np.take(ext, order, axis=0, out=epoch_ext, mode="clip")
             np.take(labels, order, out=epoch_labels, mode="clip")
-            if stacked is not None:
-                np.take(noise, order, axis=1, out=epoch_noise, mode="clip")
             for block, start in zip(terms, range(0, data.n, config.batch_size)):
                 batch = slice(start, start + config.batch_size)
-                x = epoch_x[None, batch]
-                if stacked is not None:
-                    x = stacked[:, :x.shape[1]]
-                    x[...] = epoch_x[batch]
-                    x[substituted, :, dims] = epoch_noise[:, batch]
-                batch_terms = _forward_terms(w, b, head, x, out=block[:, :x.shape[1]])
-                _gradients(batch_terms, head, x, epoch_labels[batch], gw, gb)
+                x = epoch_ext[None, batch, :data.d]
+                if len(dims):
+                    # Model 0 reads its rows contiguous, as ``train`` does:
+                    # BLAS may sum a strided view in another order.
+                    x = np.ascontiguousarray(x)
+                size = x.shape[1]
+                _forward_terms(w0, b0, head, x, out=block[:1, :size])
+                if len(dims):
+                    _forward_terms(ws, bs, head, epoch_ext[batch], out=block[1:, :size])
+                g = _output_error(block[:, :size], head, epoch_labels[batch])
+                _parameter_gradients(g[:1], head, x, gw0, gb0)
+                if len(dims):
+                    _parameter_gradients(g[1:], head, epoch_ext[batch], gws, gbs)
+                    gws *= mask
                 velocity *= config.momentum
                 velocity += grads
                 params -= np.multiply(velocity, config.learning_rate, out=step)
-            finite = (np.isfinite(params).all(axis=(1, 2))
-                      & _finite_loss_sums(terms, head, epoch_labels, config.batch_size))
+            fw0, fb0, fws, fbs = views(np.isfinite(params))
+            finite = np.concatenate([fw0.all(axis=(1, 2)) & fb0.all(axis=1),
+                                     fws.all(axis=(1, 2)) & fbs.all(axis=1)])
+            finite &= _finite_loss_sums(terms, head, epoch_labels, config.batch_size)
             diverged_at[(diverged_at < 0) & ~finite] = epoch
             if diverged_at[0] >= 0:  # model 0 decides the raised epoch
                 break
@@ -364,8 +418,26 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
         sums = [_epoch_loss_sums(_sample_losses(_model_major(terms[:, i:i + 1], data.n), head,
                                                 epoch_labels), config.batch_size)[0]
                 for i in range(models)]
-    return tuple(TrainResult(LinearModel(w[i], b[i], head), float(total / data.n))
+    # Each substitute model's weight on its own column is that of its dimension.
+    weights = np.concatenate([w0, ws[..., :data.d]])
+    sub = np.arange(len(dims))
+    weights[1 + sub, :, dims] = ws[sub, :, data.d + sub]
+    biases = np.concatenate([b0, bs])
+    return tuple(TrainResult(LinearModel(weights[i], biases[i], head), float(total / data.n))
                  for i, total in enumerate(sums))
+
+
+def _substitute_mask(d: int, dims: np.ndarray, rows: int) -> np.ndarray:
+    """The 0/1 mask ((substitutions * rows, d + substitutions)) of the weights
+    that each substitute model trains: substitute model ``i`` (rows ``i *
+    rows`` on) trains every original column but ``dims[i]``, and of the
+    substitute columns only its own, ``d + i``."""
+    count = len(dims)
+    mask = np.zeros((count, d + count))
+    mask[:, :d] = 1.0
+    mask[np.arange(count), dims] = 0.0
+    mask[np.arange(count), d + np.arange(count)] = 1.0
+    return np.repeat(mask, rows, axis=0)
 
 
 def _model_major(terms: np.ndarray, n: int) -> np.ndarray:
@@ -452,7 +524,7 @@ def loss_and_gradients(model: LinearModel, x: np.ndarray, y: np.ndarray
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite results raise below
         x = x.astype(np.float64)
         terms = _forward_terms(model.weights[None], model.bias[None], model.head, x[None])
-        _gradients(terms, model.head, x[None], labels, gw, gb)
+        _parameter_gradients(_output_error(terms, model.head, labels), model.head, x[None], gw, gb)
         loss = float(_sample_losses(terms, model.head, labels)[0].sum()) / len(y)
     if not (np.isfinite(loss) and np.isfinite(gw).all() and np.isfinite(gb).all()):
         raise GvlabError("bad-variable", "loss or gradient is not finite: inputs must be "

@@ -214,7 +214,7 @@ def as_variable_dataset(data: VectorDataset, task_correlated_dims: int,
     if columns is None:
         columns, values = range(data.d), data.x
     elif all(_is_int(j) and 0 <= j < data.d for j in columns):
-        values = data.x[:, list(columns)]
+        values = np.take(data.x, columns, axis=1)  # C-contiguous, so ``Dataset`` keeps it
     else:
         raise GvlabError("bad-variable", f"columns must be integers in 0..{data.d - 1}, "
                                          f"got {columns!r}")

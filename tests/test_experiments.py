@@ -21,12 +21,13 @@ from gvlab.experiments import (ADDITION_SPLITS, CORRUPTIBLE_CHECKS, AdditionRule
                                block_counts, check_max_prob_bound, derive_seed,
                                make_grid_task, parallel_map, spearman, theory_check_run,
                                truth_table_counts)
-from gvlab.models import risk, train
-from gvlab.synth import balance_substitute
+from gvlab.models import LinearModel, risk, train
+from gvlab.synth import balance_column, balance_substitute
 from gvlab.theory import (_block_entropies, addition_rule, check_strict_invariance,
                           estimated_training_error, max_prob_lower_bound, optimal_outputs)
 
 from dict_tables import table_dict, table_from_dict
+from lockstep_reference import gamma, reference_substitutes, substitute_bound
 from memory import traced_peak
 from theory_loops import (invariance_blocks, label_copy_counts, looped_sweep, nonempty,
                           product_counts, random_counts, single_addition_rule, single_argmax_error,
@@ -373,16 +374,38 @@ class TestToyRunners:
         assert all(0.0 <= r.acc_after <= 1.0 for r in rows)
 
     def test_balance_rows_match_sequential_retraining(self):
-        """The lockstep worker retrains exactly the models that ``train`` gives
-        on ``balance_substitute``'s datasets, the Balance operation InvarTG uses."""
+        """The lockstep worker's original model is the one ``train`` gives;
+        each retrained model equals the extended-row reference bit for bit,
+        and lies within the rounding bound of ``train`` on
+        ``balance_substitute``'s dataset, the Balance operation InvarTG uses:
+        its |weight| within the bound, and its test accuracy moved by at most
+        the test rows whose forward term lies within the terms' bound of 0."""
         rows = experiments.toy_balance_run(123, 1, SMALL_TOY, jobs=1)
         data = experiments._toy_dataset(123, 0, SMALL_TOY)
         trainer = SMALL_TOY.trainer(derive_seed(123, 12, 0))
-        for r in rows:
-            balanced = balance_substitute(data.train, r.dim, derive_seed(123, 13, 0, r.dim))
+        substitutions = [(r.dim, balance_column(data.train.n, derive_seed(123, 13, 0, r.dim)))
+                         for r in rows]
+        original = train(data.train, trainer).model
+        bound, _ = substitute_bound(data.train, trainer, substitutions)
+        x_test = np.abs(data.test.x)
+        x_peak = max(1.0, float(x_test.max()))
+        references = reference_substitutes(data.train, trainer, substitutions)
+        for r, (j, _), (w, b, _) in zip(rows, substitutions, references, strict=True):
+            assert r.w_before == abs(float(original.weights[0, j]))
+            assert r.acc_before == 1.0 - risk(original, data.test).zero_one_error
+            assert r.w_after == abs(float(w[0, j]))
+            assert r.acc_after == 1.0 - risk(LinearModel(w, b, "sigmoid"), data.test).zero_one_error
+            balanced = balance_substitute(data.train, j, derive_seed(123, 13, 0, j))
             model = train(balanced, trainer).model
-            assert r.w_after == abs(float(model.weights[0, r.dim]))
-            assert r.acc_after == 1.0 - risk(model, data.test).zero_one_error
+            assert abs(r.w_after - abs(float(model.weights[0, j]))) <= bound
+            # A prediction flips only where the two models' terms straddle 0.
+            weights, bias = np.abs(model.weights[0]) + bound, abs(float(model.bias[0])) + bound
+            margin = ((data.test.d + 1) * x_peak * bound
+                      + 2.0 * gamma(data.test.d + 1) * (x_test @ weights + bias))
+            z = data.test.x @ model.weights[0] + model.bias[0]
+            flips = int((np.abs(z) <= margin).sum())
+            acc = 1.0 - risk(model, data.test).zero_one_error
+            assert abs(r.acc_after - acc) <= flips / data.test.n
 
     def test_balance_deterministic_across_job_counts(self):
         serial = experiments.toy_balance_run(123, 2, SMALL_TOY, jobs=1)

@@ -12,6 +12,10 @@ from gvlab.models import (LinearModel, TrainConfig, VectorDataset, load_model,
                           loss_and_gradients, risk, save_model, train, train_lockstep)
 from gvlab.synth import balance_column, balance_substitute, generate_toy, random_toy_spec
 
+from lockstep_reference import (assert_bit_equal, check_model_0,
+                                check_substitutes_match_reference, check_substitutes_near_train,
+                                reference_batch, reference_train, substitute_mask, substituted)
+
 
 def sigmoid_model(weights, bias):
     return LinearModel(np.atleast_2d(np.asarray(weights, float)),
@@ -170,73 +174,6 @@ class TestTrain:
         assert err.value.code == "bad-config"
 
 
-def reference_batch(w, b, x, y):
-    """One model's summed batch loss and the gradients of its mean, written
-    with plain 2-D numpy, a masked sigmoid and one-hot labels."""
-    def sigmoid(z):
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
-
-    if len(w) == 1:
-        z = x @ w[0] + b[0]
-        yf = y.astype(np.float64)
-        loss_sum = float(np.sum(np.maximum(z, 0.0) - z * yf + np.log1p(np.exp(-np.abs(z)))))
-        gz = (sigmoid(z) - yf) / len(y)
-        return loss_sum, (gz @ x)[None, :], np.array([gz.sum()])
-    logits = x @ w.T + b
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    total = e.sum(axis=1, keepdims=True)
-    lse = np.log(total[:, 0]) + logits.max(axis=1)
-    loss_sum = float(np.sum(lse - logits[np.arange(len(y)), y]))
-    gl = (e / total - np.eye(len(w))[y]) / len(y)
-    return loss_sum, gl.T @ x, gl.sum(axis=0)
-
-
-def reference_train(data, config):
-    """One model's SGD written with plain 2-D numpy, accumulating each
-    step's loss: the reference that the stacked kernel must match bit for
-    bit."""
-    rows = 1 if data.k == 2 else data.k
-    w, b = np.zeros((rows, data.d)), np.zeros(rows)
-    vw, vb = np.zeros_like(w), np.zeros_like(b)
-    losses = []
-    for epoch in range(config.epochs):
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, epoch)))
-        order = rng.permutation(data.n)
-        loss_sum = 0.0
-        for start in range(0, data.n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            batch_loss, gw, gb = reference_batch(w, b, data.x[idx], data.y[idx])
-            loss_sum += batch_loss
-            vw = config.momentum * vw + gw
-            vb = config.momentum * vb + gb
-            w = w - config.learning_rate * vw
-            b = b - config.learning_rate * vb
-        losses.append(loss_sum / data.n)
-    return w, b, tuple(losses)
-
-
-def substituted(data, substitutions):
-    """``data`` followed by one copy per substitution with its column replaced."""
-    datasets = [data]
-    for j, column in substitutions:
-        x = data.x.copy()
-        x[:, j] = column
-        datasets.append(VectorDataset(x, data.y, data.k))
-    return datasets
-
-
-def assert_bit_equal(result, w, b, losses):
-    """``result`` holds weights ``w``, bias ``b`` and the last of ``losses``."""
-    assert result.model.weights.tobytes() == w.tobytes()
-    assert result.model.bias.tobytes() == b.tobytes()
-    assert np.float64(result.loss).tobytes() == np.float64(losses[-1]).tobytes()
-
-
 @st.composite
 def training_cases(draw):
     """A dataset with a ragged last batch, a short config and substitutions."""
@@ -255,44 +192,72 @@ def training_cases(draw):
 
 
 class TestTrainLockstep:
+    """Three checks tie each lockstep run to its references: model 0 equals
+    ``train`` and the plain reference loop bit for bit, each substitute model
+    equals the extended-row reference bit for bit, and ``train`` on its
+    substituted dataset within the first-order rounding bound of
+    ``lockstep_reference.substitute_bound``."""
+
+    @staticmethod
+    def check(results, data, config, substitutions):
+        assert len(results) == len(substitutions) + 1
+        check_model_0(results[0], data, config)
+        check_substitutes_match_reference(results[1:], data, config, substitutions)
+        check_substitutes_near_train(results[1:], data, config, substitutions)
+
     @pytest.mark.parametrize("k", [2, 3])
-    def test_matches_sequential_training_bit_for_bit(self, k):
-        """K substitutions trained in lockstep give exactly the K+1 models
-        that sequential ``train`` calls give on the substituted datasets,
-        and both match the plain single-model reference loop."""
+    def test_matches_sequential_training(self, k):
+        """K substitutions trained in lockstep give the K+1 models of
+        sequential ``train`` calls on ``balance_substitute``'s datasets."""
         rng = np.random.default_rng(17)
         data = VectorDataset(rng.normal(size=(70, 5)), rng.integers(0, k, 70), k)
         config = TrainConfig(0.1, 0.9, 16, 6, seed=8)  # 70 rows: a ragged last batch of 6
         dims = (4, 1, 2)
-        lockstep = train_lockstep(data, config,
-                                  [(j, balance_column(data.n, 30 + j)) for j in dims])
-        datasets = [data] + [balance_substitute(data, j, 30 + j) for j in dims]
-        assert len(lockstep) == len(datasets)
-        for got, dataset in zip(lockstep, datasets):
-            for result in (got, train(dataset, config)):
-                assert_bit_equal(result, *reference_train(dataset, config))
+        substitutions = [(j, balance_column(data.n, 30 + j)) for j in dims]
+        balanced = [balance_substitute(data, j, 30 + j) for j in dims]
+        assert [s.x.tobytes() for s in balanced] == [
+            s.x.tobytes() for s in substituted(data, substitutions)[1:]]
+        self.check(train_lockstep(data, config, substitutions), data, config, substitutions)
 
     @settings(max_examples=60, deadline=None)
     @given(training_cases())
     def test_matches_the_reference_bit_for_bit(self, case):
-        """Every lockstep model equals the per-step reference loop on its own
-        substituted dataset: weights, bias and final loss."""
+        """Both heads, ragged batches and 0 to 3 substitutions: model 0 equals
+        the per-step reference loop, each substitute the extended-row one,
+        and ``loss_and_gradients`` the reference batch on every dataset."""
         data, config, substitutions = case
         results = train_lockstep(data, config, substitutions)
-        datasets = [data]
-        for j, column in substitutions:
-            x = data.x.copy()
-            x[:, j] = column
-            datasets.append(VectorDataset(x, data.y, data.k))
-        for result, dataset in zip(results, datasets, strict=True):
-            w, b, losses = reference_train(dataset, config)
-            assert_bit_equal(result, w, b, losses)
-            model = LinearModel(w, b, result.model.head)
-            loss, gw, gb = loss_and_gradients(model, dataset.x, dataset.y)
+        self.check(results, data, config, substitutions)
+        for result, dataset in zip(results, substituted(data, substitutions), strict=True):
+            w, b = result.model.weights, result.model.bias
+            loss, gw, gb = loss_and_gradients(result.model, dataset.x, dataset.y)
             ref_loss, ref_gw, ref_gb = reference_batch(w, b, dataset.x, dataset.y)
             assert loss == ref_loss / dataset.n
             assert gw.tobytes() == ref_gw.tobytes()
             assert gb.tobytes() == ref_gb.tobytes()
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_a_mask_that_reads_the_substituted_column_fails(self, k, monkeypatch):
+        """A planted defect, a mask that lets substitute model i train its
+        weight on the original column ``dims[i]``, fails both the reference
+        check and the bound against ``train``."""
+        def leaky_mask(d, dims, rows):
+            mask = substitute_mask(d, dims, rows)
+            for i, j in enumerate(dims):
+                mask[i * rows:(i + 1) * rows, j] = 1.0
+            return mask
+
+        monkeypatch.setattr(models, "_substitute_mask", leaky_mask)
+        rng = np.random.default_rng(17)
+        data = VectorDataset(rng.normal(size=(70, 5)), rng.integers(0, k, 70), k)
+        config = TrainConfig(0.1, 0.9, 16, 6, seed=8)
+        substitutions = [(j, balance_column(data.n, 30 + j)) for j in (4, 1, 2)]
+        results = train_lockstep(data, config, substitutions)
+        check_model_0(results[0], data, config)
+        with pytest.raises(AssertionError):
+            check_substitutes_match_reference(results[1:], data, config, substitutions)
+        with pytest.raises(AssertionError):
+            check_substitutes_near_train(results[1:], data, config, substitutions)
 
     @pytest.mark.parametrize("dim, length, code", [
         (2, 60, "bad-variable"),
@@ -310,29 +275,22 @@ class TestTrainLockstep:
     @pytest.mark.parametrize("k", [2, 3])
     def test_one_row_last_batch_matches_the_reference(self, k):
         """With n = batch_size + 1 the last step trains every model on one
-        row, taken from the leading row of the stacked batch buffer."""
+        row."""
         rng = np.random.default_rng(23)
         data = VectorDataset(rng.normal(size=(17, 4)), rng.integers(0, k, 17), k)
         config = TrainConfig(0.1, 0.9, 16, 3, seed=2)
         substitutions = [(3, rng.normal(size=17)), (0, rng.normal(size=17))]
-        results = train_lockstep(data, config, substitutions)
-        for result, dataset in zip(results, substituted(data, substitutions), strict=True):
-            assert_bit_equal(result, *reference_train(dataset, config))
+        self.check(train_lockstep(data, config, substitutions), data, config, substitutions)
 
     def test_toy_scale_matches_sequential_training(self):
         """At the toy protocols' scale (d = 20, batches of 256 rows, 10
         balanced dimensions) BLAS runs other kernels than in the small
-        cases above; every model still equals its own ``train`` run and the
-        plain reference loop."""
+        cases above; the three checks still hold."""
         data = generate_toy(random_toy_spec(seed=2)).train
         assert (data.n, data.d) == (5000, 20)
         config = TrainConfig(0.01, 0.9, 256, 2, seed=4)
         substitutions = [(j, balance_column(data.n, 40 + j)) for j in range(10, 20)]
-        lockstep = train_lockstep(data, config, substitutions)
-        for got, dataset in zip(lockstep, substituted(data, substitutions), strict=True):
-            expected = reference_train(dataset, config)
-            assert_bit_equal(got, *expected)
-            assert_bit_equal(train(dataset, config), *expected)
+        self.check(train_lockstep(data, config, substitutions), data, config, substitutions)
 
     def test_calls_share_no_state(self):
         """Training on A, then on B, then on A again returns A's results
@@ -347,10 +305,9 @@ class TestTrainLockstep:
         first = train_lockstep(a, config, subs_a)
         train_lockstep(b, config, subs_b)
         again = train_lockstep(a, config, subs_a)
-        for x, y, dataset in zip(first, again, substituted(a, subs_a), strict=True):
-            expected = reference_train(dataset, config)
-            assert_bit_equal(x, *expected)
-            assert_bit_equal(y, *expected)
+        self.check(first, a, config, subs_a)
+        for x, y in zip(first, again, strict=True):
+            assert_bit_equal(y, x.model.weights, x.model.bias, [x.loss])
         for (_, column), before in zip(subs_a + subs_b, columns, strict=True):
             assert column.tobytes() == before.tobytes()
 

@@ -469,6 +469,17 @@ def test_as_variable_dataset_of_some_columns_bins_them_as_the_full_view():
         synth._conditional_entropies(full, columns, binning, data.y, other)
 
 
+def test_as_variable_dataset_of_some_columns_holds_one_copy_of_them():
+    """A view of 10 columns of 5 000 rows traces at most one copy of them
+    (400 000 bytes) and a quarter more for its specs: no second,
+    column-major copy on the way to the ``Dataset``."""
+    data = generate_toy(random_toy_spec(seed=2)).train
+    columns = tuple(range(10, 20))
+    assert (data.n, len(columns)) == (5000, 10)
+    copy_bytes = data.n * len(columns) * 8
+    assert traced_peak(as_variable_dataset, data, 10, columns) <= 1.25 * copy_bytes
+
+
 @pytest.mark.parametrize("columns", [(20,), (-1,), (1.5,), (True,), (3, 20)])
 def test_as_variable_dataset_rejects_a_column_outside_the_data(columns):
     data = generate_toy(random_toy_spec(seed=13, per_class=30)).train
