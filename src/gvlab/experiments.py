@@ -35,7 +35,7 @@ from .augment import (POSITION_LAWS, AugmentDistribution, PositionLaw, erase_bat
 from .core import (BinningPolicy, ExemplarTable, _freeze, _run_heads, _unchecked, derive_seed,
                    stream)
 from .errors import GvlabError
-from .models import LinearModel, TrainConfig, VectorDataset, risk, train, train_lockstep
+from .models import LinearModel, TrainConfig, VectorDataset, train, train_lockstep, zero_one_error
 from .synth import (ToyData, _conditional_entropies, _ranked, as_variable_dataset,
                     balance_column, generate_toy, random_toy_spec)
 from . import theory
@@ -213,9 +213,9 @@ def _toy_worker(args: tuple[int, int, ToyProtocol, bool]) -> tuple:
 
     balanced = ()
     if balance:
-        acc_before = 1.0 - risk(model, data.test).zero_one_error
+        acc_before = 1.0 - zero_one_error(model, data.test)
         balanced = tuple(BalanceRow(index, j, weights[j], abs(float(after.weights[0, j])),
-                                    acc_before, 1.0 - risk(after, data.test).zero_one_error,
+                                    acc_before, 1.0 - zero_one_error(after, data.test),
                                     rank_est[j], rank_true[j])
                          for j, after in zip(dims, retrained))
     return rows, corr, float(np.mean(gaps)), balanced
@@ -358,7 +358,7 @@ def _augment_worker(args: tuple[int, int, float, PositionLaw, GridProtocol,
     ratio = prediction_changing_ratio(
         model, task.test_grids, probe, task.test.y, protocol.repeats,
         stream(derive_seed(base_seed, 24, *cell)))
-    return AugmentRow(alpha, law, ratio, risk(model, task.test).zero_one_error, seed_index)
+    return AugmentRow(alpha, law, ratio, zero_one_error(model, task.test), seed_index)
 
 
 def augment_sweep_run(base_seed: int, n_seeds: int, alphas: Sequence[float],

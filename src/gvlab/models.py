@@ -10,10 +10,14 @@ under cross-entropy loss, deterministic given the config seed:
   the convex objective and 100-run averages are reproducible;
 - each epoch shuffles with a generator seeded by (base seed, epoch);
 - the loss uses log-sum-exp / log1p-of-exp stabilized forms, and the
-  sigmoid one ``exp(-|z|)`` with the numerator ``max(exp(-|z|), z >= 0)``,
+  sigmoid one ``exp(-|z|)`` with the numerator ``max(exp(-|z|), sign(z))``,
   bit-identical to the textbook masked form;
+- one model's forward and gradient are plain 2-D products of its batch
+  (n, d) with its weights (rows, d), one BLAS call each; stacked weights
+  (models, rows, width) are several models reading one shared batch;
 - each step stores its forward terms as one contiguous block of a
-  batch-major epoch buffer; training returns the last epoch's mean loss,
+  batch-major epoch buffer, and its output error and sigmoid in buffers
+  reused by every step; training returns the last epoch's mean loss,
   computed once from that buffer; the other epochs only check that their
   loss sums stay finite; the mean-max-output error estimate is taken
   once, from :func:`risk` on the trained model;
@@ -113,7 +117,7 @@ class LinearModel:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Score vector(s) for one input (d,) or a batch (n, d)."""
         batch, single = self._batch(x)
-        probs = _probs(self.weights[None], self.bias[None], self.head, batch[None])[0]
+        probs = _probs(self.weights, self.bias, self.head, batch)
         return probs[0] if single else probs
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -121,25 +125,28 @@ class LinearModel:
         the forward terms: the argmax of the logits, ties to the lowest label,
         or ``z > 0`` for a sigmoid head."""
         batch, single = self._batch(x)
-        terms = _forward_terms(self.weights[None], self.bias[None], self.head, batch[None])[0]
+        terms = _forward_terms(self.weights, self.bias, self.head, batch)
         labels = (terms > 0).astype(np.int64) if self.head == "sigmoid" else terms.argmax(axis=1)
         return labels[0] if single else labels
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Sigmoid of ``z`` from one ``exp(-|z|)``, computed in place in two new
-    contiguous arrays; ``z`` is left intact and may be any strided view.
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None,
+             scratch: np.ndarray | None = None) -> np.ndarray:
+    """Sigmoid of ``z`` from one ``exp(-|z|)``, computed in place in two
+    float arrays of ``z``'s shape: ``out``, which is returned, and
+    ``scratch``, new ones when not given; ``z`` is left intact and may be
+    any strided view.
 
     ``e = exp(-|z|)`` takes ``-|z|`` as ``np.abs`` negated in place.  The
-    numerator is ``max(e, step)`` with the step ``z >= 0`` cast to float: 1
-    where ``z >= 0`` (including -0.0, and ``e <= 1`` there) and ``e``
-    elsewhere, a NaN ``z`` giving a NaN ``e`` that ``maximum`` keeps, so the
-    values equal the textbook masked evaluation bit for bit.
+    numerator is ``max(e, sign(z))``: 1 where ``z > 0`` (``e <= 1``), ``e``
+    where ``z < 0`` (``e >= 0 > -1``) and ``e = 1`` at ``z = ±0``, a NaN
+    ``z`` giving a NaN ``e`` that ``maximum`` keeps, so the values equal the
+    textbook masked evaluation bit for bit.
     """
-    e = np.abs(z)
+    e = np.abs(z, out=scratch)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    s = (z >= 0).astype(np.float64)
+    s = np.sign(z, out=out)
     np.maximum(e, s, out=s)
     e += 1.0
     s /= e
@@ -148,83 +155,91 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def _forward_terms(w: np.ndarray, b: np.ndarray, head: Head, x: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
-    """Pre-activation terms of stacked models ``w`` (models, rows_w, d), ``b``
-    (models, rows_w): sigmoid ``z`` (models, rows) or softmax logits
-    (models, rows, k), written into ``out`` when given.
+    """Pre-activation terms, sigmoid ``z`` or softmax logits, written into
+    ``out`` when given.
 
-    On stacked inputs ``x`` (models, rows, d) each model takes its own
-    product.  On one batch ``x`` (rows, d) read by every model, one product
-    serves them all and ``out`` must be given; softmax moves its logits axis
-    into place with one copy.
+    2-D weights ``w`` (rows_w, d) and bias ``b`` (rows_w,) are one model on
+    its own batch ``x`` (rows, d): one plain product ``x @ w.T`` (for a
+    sigmoid, the ``gemv`` ``x @ w[0]``) gives terms (rows,) or (rows, k).
+    Stacked weights ``w`` (models, rows_w, width) and ``b`` (models, rows_w)
+    are several models sharing one batch ``x`` (rows, width): one product
+    serves them all, into ``out`` (models, rows) or (models, rows, k), which
+    must be given; softmax moves its logits axis into place with one copy.
     """
-    if x.ndim == 2:
-        if head == "sigmoid":
-            np.matmul(w[:, 0], x.T, out=out)
-        else:
-            logits = np.matmul(w.reshape(-1, x.shape[1]), x.T)
-            out[...] = logits.reshape(w.shape[0], w.shape[1], -1).transpose(0, 2, 1)
+    if w.ndim == 2:
+        out = np.matmul(x, w[0] if head == "sigmoid" else w.T, out=out)
     elif head == "sigmoid":
-        out = np.matmul(x, w[:, 0, :, None], out=None if out is None else out[..., None])[..., 0]
+        np.matmul(w[:, 0], x.T, out=out)
     else:
-        out = np.matmul(x, w.transpose(0, 2, 1), out=out)
-    out += b if head == "sigmoid" else b[:, None, :]
+        logits = np.matmul(w.reshape(-1, x.shape[1]), x.T)
+        out[...] = logits.reshape(w.shape[0], w.shape[1], -1).transpose(0, 2, 1)
+    out += b if head == "sigmoid" else b[..., None, :]
     return out
 
 
 def _probs(w: np.ndarray, b: np.ndarray, head: Head, x: np.ndarray) -> np.ndarray:
-    """Score vectors (models, rows, k) of stacked models on stacked inputs."""
+    """Score vectors (rows, k) of one model (2-D ``w``) on its batch."""
     terms = _forward_terms(w, b, head, x)
     if head == "sigmoid":
         s = _sigmoid(terms)
         return np.stack([1.0 - s, s], axis=-1)
-    terms -= terms.max(axis=2, keepdims=True)
+    terms -= terms.max(axis=-1, keepdims=True)
     e = np.exp(terms)
-    return e / e.sum(axis=2, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def _output_error(terms: np.ndarray, head: Head, y: np.ndarray) -> np.ndarray:
-    """Each model's gradient of its mean batch loss with respect to its
-    forward terms (models, rows[, k]): its sigmoid or softmax minus the
-    labels, over the batch size.
+def _output_error(terms: np.ndarray, head: Head, y: np.ndarray, out: np.ndarray | None = None,
+                  scratch: np.ndarray | None = None) -> np.ndarray:
+    """The gradient of a mean batch loss with respect to its forward terms,
+    one model's (rows[, k]) or stacked models' (models, rows[, k]): the
+    sigmoid or softmax minus the labels, over the batch size, written into
+    ``out`` when given (and the sigmoid's ``exp(-|z|)`` into ``scratch``).
 
     ``terms`` come from :func:`_forward_terms` and are left intact; labels
-    ``y`` are floats for the sigmoid head and integers for softmax.  This is
-    the one gradient: ``train_lockstep`` steps with it and
+    ``y`` (rows,) are floats for the sigmoid head and integers for softmax.
+    This is the one gradient: ``train_lockstep`` steps with it and
     ``loss_and_gradients`` exposes it for checking; only its product with
     the inputs, :func:`_parameter_gradients`, depends on how a model reads
     them.
     """
-    n = terms.shape[1]
+    n = float(len(y))  # a float divides faster than an int, to the same value
     if head == "sigmoid":
-        g = _sigmoid(terms)
+        g = _sigmoid(terms, out, scratch)
         g -= y
     else:
-        g = terms - terms.max(axis=2, keepdims=True)
+        g = np.subtract(terms, terms.max(axis=-1, keepdims=True), out=out)
         np.exp(g, out=g)
-        g /= g.sum(axis=2, keepdims=True)
-        g[:, np.arange(n), y] -= 1.0
+        g /= g.sum(axis=-1, keepdims=True)
+        g[..., np.arange(len(y)), y] -= 1.0
     g /= n
     return g
 
 
 def _parameter_gradients(g: np.ndarray, head: Head, x: np.ndarray,
                          gw: np.ndarray, gb: np.ndarray) -> None:
-    """Write the gradients of models with output error ``g`` into ``gw`` and
-    ``gb`` (models, rows_w): the error's product with the inputs and its sum
-    over the batch.  On stacked inputs ``x`` (models, rows, d) each model
-    takes its own product, into ``gw`` (models, rows_w, d); on one batch
-    ``x`` (rows, d) read by every model, one product serves them all, into
-    ``gw`` (models * rows_w, d)."""
-    by_row = g[:, None, :] if head == "sigmoid" else g.transpose(0, 2, 1)
-    if x.ndim == 2:  # row-major for any model count: BLAS may round a column-major one differently
-        by_row = np.ascontiguousarray(by_row).reshape(-1, g.shape[1])
-    np.matmul(by_row, x, out=gw)
+    """Write the gradients for output error ``g`` into ``gw`` and ``gb``:
+    the error's product with the inputs and its sum over the batch.
+
+    2-D ``gw`` (rows_w, d), with ``gb`` (rows_w,), is one model's gradient
+    on its own batch ``x`` (rows, d): one plain product ``g.T @ x`` of its
+    error (rows,) or (rows, k).  Stacked ``gw`` (models, rows_w, width),
+    with ``gb`` (models, rows_w), holds several models' gradients on one
+    shared batch ``x`` (rows, width): one product of their errors (models,
+    rows[, k]) serves them all.
+    """
+    if gw.ndim == 2:
+        np.matmul(g.T, x, out=gw[0] if head == "sigmoid" else gw)
+        np.add.reduce(g, axis=0, out=gb[..., 0] if head == "sigmoid" else gb)
+        return
+    # Row-major for any model count: BLAS may round a column-major one differently.
+    by_row = np.ascontiguousarray(g[:, None, :] if head == "sigmoid" else g.transpose(0, 2, 1))
+    np.matmul(by_row.reshape(-1, g.shape[1]), x, out=gw.reshape(-1, x.shape[1]))
     np.add.reduce(g, axis=1, out=gb[:, 0] if head == "sigmoid" else gb)
 
 
 def _sample_losses(terms: np.ndarray, head: Head, y: np.ndarray) -> np.ndarray:
-    """Cross-entropy (models, rows) of each sample from its forward terms, in
-    the log1p-of-exp / log-sum-exp stabilized forms."""
+    """Cross-entropy of each sample, (rows,) or (models, rows), from its
+    forward terms, in the log1p-of-exp / log-sum-exp stabilized forms."""
     if head == "sigmoid":
         loss = np.maximum(terms, 0.0)
         loss -= terms * y
@@ -233,11 +248,11 @@ def _sample_losses(terms: np.ndarray, head: Head, y: np.ndarray) -> np.ndarray:
         np.exp(softplus, out=softplus)
         loss += np.log1p(softplus, out=softplus)
         return loss
-    top = terms.max(axis=2)
+    top = terms.max(axis=-1)
     shifted = terms - top[..., None]
-    loss = np.log(np.exp(shifted, out=shifted).sum(axis=2))
+    loss = np.log(np.exp(shifted, out=shifted).sum(axis=-1))
     loss += top
-    loss -= terms[:, np.arange(terms.shape[1]), y]
+    loss -= terms[..., np.arange(len(y)), y]
     return loss
 
 
@@ -298,23 +313,30 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
     The substitute columns extend the rows of ``data`` once per call, and
     each epoch gathers its permutation of the extended rows and of the
     labels into buffers reused by every epoch, so each step's batch is a
-    contiguous slice.  Model 0 reads the first ``d`` columns with its own
-    product.  The substitute models read the extended batch with one shared
-    product: model ``i``'s weight on the original column and on the other
-    models' substitute columns is a structural zero that its masked
+    contiguous slice.  Model 0 is one model on its own batch: plain 2-D
+    products of its first ``d`` columns with its (rows, d) weights, the
+    same BLAS calls as ``train``; with substitutions it reads those columns
+    through a reused contiguous copy, since BLAS may sum a strided view in
+    another order.  The substitute models read the extended batch with one
+    shared product: model ``i``'s weight on the original column and on the
+    other models' substitute columns is a structural zero that its masked
     gradient keeps at exactly 0, and its weight on its own substitute
     column is read back as the weight of the substituted dimension.  So a
     substitute model differs from ``train`` on its substituted dataset only
     by the rounding of dot products over ``d + len(substitutions)`` columns
     instead of ``d``.
 
-    Each step stores its forward terms as one contiguous block of a
-    batch-major epoch buffer.  After each epoch's last step, that buffer
-    shows whether every model's loss sum is finite; the losses themselves
-    are computed once, from the last epoch's buffer, and summed batch by
-    batch in step order.  A model that diverges raises at the epoch where
-    it diverged; with several, the first model in order decides, so
-    training stops at the end of the epoch where model 0 diverges.
+    Every step's views of those buffers (its rows, model 0's copy, its
+    block of forward terms, its labels, and its output error and sigmoid
+    buffers) are resolved once per call.  Each step stores its forward
+    terms as one contiguous block of a batch-major epoch buffer.  After
+    each epoch's last step, one finiteness pass over the parameters and
+    that buffer show whether every model's parameters and loss sum are
+    finite; the losses themselves are computed once, from the last epoch's
+    buffer, and summed batch by batch in step order.  A model that diverges
+    raises at the epoch where it diverged; with several, the first model in
+    order decides, so training stops at the end of the epoch where model 0
+    diverges.
     """
     if data.n == 0:
         raise GvlabError("empty-dataset", "cannot train on an empty dataset")
@@ -355,25 +377,43 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
     step = np.empty_like(params)
 
     def views(a):
-        """Model 0's weights and bias, and the substitute models' (as
-        (substitutions, rows, width) and (substitutions, rows)) in ``a``."""
-        a0, rest = a[:own_size].reshape(1, rows, data.d + 1), a[own_size:]
-        return (a0[..., :data.d], a0[..., data.d],
+        """Model 0's weights (rows, d) and bias (rows,), and the substitute
+        models' (as (substitutions, rows, width) and (substitutions, rows))
+        in ``a``."""
+        a0, rest = a[:own_size].reshape(rows, data.d + 1), a[own_size:]
+        return (a0[:, :data.d], a0[:, data.d],
                 rest[:shared_rows * width].reshape(len(dims), rows, width),
                 rest[shared_rows * width:].reshape(len(dims), rows))
 
     w0, b0, ws, bs = views(params)
     gw0, gb0, gws, gbs = views(grads)
-    gws = gws.reshape(shared_rows, width)
+    masked = gws.reshape(shared_rows, width)
     mask = _substitute_mask(data.d, dims, rows)
     # The forward terms of a whole epoch, batch-major: each step writes one
     # contiguous (models, batch) block, and the loss check reads the buffer
     # after the epoch's last step.  Zeros, so the padding of a ragged last
     # batch cannot raise the check's peak.
-    terms = np.zeros((batches, models, config.batch_size)
-                     + (() if head == "sigmoid" else (rows,)))
+    tail = () if head == "sigmoid" else (rows,)
+    terms = np.zeros((batches, models, config.batch_size) + tail)
+    errors, scratch = np.empty((2, models, config.batch_size) + tail)
     labels = _labels(head, data.y)
     epoch_ext, epoch_labels = np.empty_like(ext), np.empty_like(labels)
+    # With substitutions, model 0 reads a contiguous copy of its columns, as
+    # ``train`` does: OpenBLAS rounds a strided (batch, d) operand
+    # differently for d of 1 to 3.
+    own_rows = np.empty((config.batch_size, data.d)) if len(dims) else None
+    # Each step's views, resolved once: its extended rows, model 0's rows and
+    # their source, its terms block with model 0's row and the substitutes',
+    # its labels, its output error with the same split, and the sigmoid's
+    # scratch.
+    steps = []
+    for block, start in zip(terms, range(0, data.n, config.batch_size)):
+        x = epoch_ext[start:start + config.batch_size]
+        size = len(x)
+        x0 = own_rows[:size] if len(dims) else x
+        g = errors[:, :size]
+        steps.append((x, x0, x[:, :data.d], block[:, :size], block[0, :size], block[1:, :size],
+                      epoch_labels[start:start + size], g, g[0], g[1:], scratch[:, :size]))
 
     diverged_at = np.full(models, -1)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence detected per epoch
@@ -383,29 +423,23 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
             # straight into ``out`` without a temporary.
             np.take(ext, order, axis=0, out=epoch_ext, mode="clip")
             np.take(labels, order, out=epoch_labels, mode="clip")
-            for block, start in zip(terms, range(0, data.n, config.batch_size)):
-                batch = slice(start, start + config.batch_size)
-                x = epoch_ext[None, batch, :data.d]
+            for x, x0, own, block, t0, ts, y, g, g0, gs, e in steps:
                 if len(dims):
-                    # Model 0 reads its rows contiguous, as ``train`` does:
-                    # BLAS may sum a strided view in another order.
-                    x = np.ascontiguousarray(x)
-                size = x.shape[1]
-                _forward_terms(w0, b0, head, x, out=block[:1, :size])
+                    np.copyto(x0, own)
+                    _forward_terms(ws, bs, head, x, out=ts)
+                _forward_terms(w0, b0, head, x0, out=t0)
+                _output_error(block, head, y, out=g, scratch=e)
+                _parameter_gradients(g0, head, x0, gw0, gb0)
                 if len(dims):
-                    _forward_terms(ws, bs, head, epoch_ext[batch], out=block[1:, :size])
-                g = _output_error(block[:, :size], head, epoch_labels[batch])
-                _parameter_gradients(g[:1], head, x, gw0, gb0)
-                if len(dims):
-                    _parameter_gradients(g[1:], head, epoch_ext[batch], gws, gbs)
-                    gws *= mask
+                    _parameter_gradients(gs, head, x, gws, gbs)
+                    masked *= mask
                 velocity *= config.momentum
                 velocity += grads
                 params -= np.multiply(velocity, config.learning_rate, out=step)
-            fw0, fb0, fws, fbs = views(np.isfinite(params))
-            finite = np.concatenate([fw0.all(axis=(1, 2)) & fb0.all(axis=1),
-                                     fws.all(axis=(1, 2)) & fbs.all(axis=1)])
-            finite &= _finite_loss_sums(terms, head, epoch_labels, config.batch_size)
+            finite = _finite_loss_sums(terms, head, epoch_labels, config.batch_size)
+            if not np.isfinite(params).all():
+                fw0, fb0, fws, fbs = views(np.isfinite(params))
+                finite &= [fw0.all() & fb0.all(), *(fws.all(axis=(1, 2)) & fbs.all(axis=1))]
             diverged_at[(diverged_at < 0) & ~finite] = epoch
             if diverged_at[0] >= 0:  # model 0 decides the raised epoch
                 break
@@ -419,10 +453,10 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
                                                 epoch_labels), config.batch_size)[0]
                 for i in range(models)]
     # Each substitute model's weight on its own column is that of its dimension.
-    weights = np.concatenate([w0, ws[..., :data.d]])
+    weights = np.concatenate([w0[None], ws[..., :data.d]])
     sub = np.arange(len(dims))
     weights[1 + sub, :, dims] = ws[sub, :, data.d + sub]
-    biases = np.concatenate([b0, bs])
+    biases = np.concatenate([b0[None], bs])
     return tuple(TrainResult(LinearModel(weights[i], biases[i], head), float(total / data.n))
                  for i, total in enumerate(sums))
 
@@ -490,11 +524,16 @@ class RiskReport:
     mean_max_output: float
 
 
-def risk(model: LinearModel, data: VectorDataset) -> RiskReport:
-    """0/1 error of :meth:`LinearModel.predict` and mean max score."""
+def zero_one_error(model: LinearModel, data: VectorDataset) -> float:
+    """0/1 error of :meth:`LinearModel.predict` on ``data``."""
     if data.n == 0:
         raise GvlabError("empty-dataset", "risk needs a non-empty dataset")
-    return RiskReport(float((model.predict(data.x) != data.y).mean()),
+    return float((model.predict(data.x) != data.y).mean())
+
+
+def risk(model: LinearModel, data: VectorDataset) -> RiskReport:
+    """:func:`zero_one_error` and mean max score."""
+    return RiskReport(zero_one_error(model, data),
                       float(model.forward(data.x).max(axis=1).mean()))
 
 
@@ -520,16 +559,16 @@ def loss_and_gradients(model: LinearModel, x: np.ndarray, y: np.ndarray
     if y.min() < 0 or y.max() >= model.k:
         raise GvlabError("bad-variable", f"labels must lie in 0..{model.k - 1}")
     labels = _labels(model.head, y.astype(np.int64))
-    gw, gb = np.empty((1,) + model.weights.shape), np.empty((1,) + model.bias.shape)
+    gw, gb = np.empty(model.weights.shape), np.empty(model.bias.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite results raise below
         x = x.astype(np.float64)
-        terms = _forward_terms(model.weights[None], model.bias[None], model.head, x[None])
-        _parameter_gradients(_output_error(terms, model.head, labels), model.head, x[None], gw, gb)
-        loss = float(_sample_losses(terms, model.head, labels)[0].sum()) / len(y)
+        terms = _forward_terms(model.weights, model.bias, model.head, x)
+        _parameter_gradients(_output_error(terms, model.head, labels), model.head, x, gw, gb)
+        loss = float(_sample_losses(terms, model.head, labels).sum()) / len(y)
     if not (np.isfinite(loss) and np.isfinite(gw).all() and np.isfinite(gb).all()):
         raise GvlabError("bad-variable", "loss or gradient is not finite: inputs must be "
                                          "finite and small enough for this model")
-    return loss, gw[0], gb[0]
+    return loss, gw, gb
 
 
 def save_model(model: LinearModel, path: str) -> None:

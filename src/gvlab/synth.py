@@ -50,10 +50,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (BinningPolicy, Dataset, VariableSpec, _column_codes, _is_int, build_table,
-                   derive_seed, stream)
+from .core import BinningPolicy, Dataset, VariableSpec, _column_codes, _is_int, derive_seed, stream
 from .errors import GvlabError
-from .info import Nats, conditional_entropy, count_entropy
+from .info import Nats, count_entropy
 from .models import LinearModel, TrainConfig, TrainResult, VectorDataset, train
 
 _JITTER = 1e-9
@@ -359,14 +358,18 @@ def invar_tg(data: VectorDataset, candidate_ids: Sequence[int], config: InvarTGC
     for round_index in range(config.max_rounds):
         if not remaining:
             break
-        ranked = influence_rank(as_variable_dataset(current, tc), remaining, config.binning)
-        chosen, h_before = ranked[0]
+        # Only the remaining columns are binned, each by its own range, as
+        # variables 0.. of the view; ties break by column id.
+        view = as_variable_dataset(current, tc, remaining)
+        h_cond = _conditional_entropies(view, range(len(remaining)), config.binning,
+                                        view.labels)[0][0]
+        chosen, h_before = _ranked(remaining, h_cond)[0]
         if h_before > config.threshold:
             break
         current = balance_substitute(current, chosen,
                                      derive_seed(trainer.seed, 101, round_index, chosen))
-        table = build_table(as_variable_dataset(current, tc), [chosen], config.binning)
-        h_after = conditional_entropy(table, "labels", [chosen])
+        h_after = influence_rank(as_variable_dataset(current, tc, [chosen]), [0],
+                                 config.binning)[0][1]
         log.append(RoundRecord(round_index, chosen, h_before, h_after))
         balanced.append(chosen)
         remaining.remove(chosen)

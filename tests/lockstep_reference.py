@@ -4,7 +4,10 @@ tie ``models.train_lockstep`` to them.
 Model 0 of a lockstep run equals ``train`` and :func:`reference_train` bit
 for bit.  A substitute model equals :func:`reference_substitutes`, the
 extended-row step written with 2-D arrays, bit for bit, and ``train`` on its
-substituted dataset within :func:`substitute_bound`.
+substituted dataset within :func:`substitute_bound`.  One model's 2-D
+products equal the stacked form, a stack of one model on a stack of one
+batch in 3-D ``matmul``s (:func:`stacked_forward_terms`,
+:func:`stacked_parameter_gradients` and :func:`stacked_train`), bit for bit.
 """
 
 import numpy as np
@@ -66,6 +69,72 @@ def reference_train(data, config):
             b = b - config.learning_rate * vb
         losses.append(loss_sum / data.n)
     return w, b, tuple(losses)
+
+
+def stacked_forward_terms(w, b, head, x):
+    """The stacked form of the forward terms: models ``w`` (models, rows_w,
+    d) and ``b`` (models, rows_w), each on its own inputs ``x`` (models,
+    rows, d), in one 3-D ``matmul``; terms (models, rows) or (models, rows,
+    k)."""
+    if head == "sigmoid":
+        out = np.matmul(x, w[:, 0, :, None])[..., 0]
+    else:
+        out = np.matmul(x, w.transpose(0, 2, 1))
+    out += b if head == "sigmoid" else b[:, None, :]
+    return out
+
+
+def stacked_parameter_gradients(g, head, x):
+    """The stacked form of the parameter gradients: output errors ``g``
+    (models, rows[, k]) on inputs ``x`` (models, rows, d), in one 3-D
+    ``matmul``; weights (models, rows_w, d) and bias (models, rows_w)."""
+    gw = np.matmul(g[:, None, :] if head == "sigmoid" else g.transpose(0, 2, 1), x)
+    gb = np.add.reduce(g, axis=1)
+    return gw, gb[:, None] if head == "sigmoid" else gb
+
+
+def stacked_probs(w, b, head, x):
+    """Score vectors (models, rows, k) from :func:`stacked_forward_terms`,
+    with the masked textbook sigmoid."""
+    terms = stacked_forward_terms(w, b, head, x)
+    if head == "sigmoid":
+        with np.errstate(over="ignore"):
+            s = np.where(terms >= 0, 1.0 / (1.0 + np.exp(-terms)),
+                         np.exp(terms) / (1.0 + np.exp(terms)))
+        return np.stack([1.0 - s, s], axis=-1)
+    terms -= terms.max(axis=2, keepdims=True)
+    e = np.exp(terms)
+    return e / e.sum(axis=2, keepdims=True)
+
+
+def stacked_train(data, config):
+    """One model's SGD in the stacked form: its weights and bias as strided
+    views of one flat (rows, d + 1) block, as ``train_lockstep`` lays them
+    out, stepped by :func:`stacked_forward_terms`, :func:`reference_error`
+    and :func:`stacked_parameter_gradients` on a stack of one batch.
+    Returns weights (rows, d), bias and per-epoch losses."""
+    head = "sigmoid" if data.k == 2 else "softmax"
+    rows = 1 if head == "sigmoid" else data.k
+    params = np.zeros(rows * (data.d + 1))
+    velocity = np.zeros_like(params)
+    block = params.reshape(1, rows, data.d + 1)
+    w, b = block[..., :data.d], block[..., data.d]
+    losses = []
+    for epoch in range(config.epochs):
+        rng = np.random.default_rng(np.random.SeedSequence((config.seed, epoch)))
+        order = rng.permutation(data.n)
+        loss_sum = 0.0
+        for start in range(0, data.n, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            x = data.x[idx][None]
+            batch_loss, g = reference_error(stacked_forward_terms(w, b, head, x)[0], data.y[idx])
+            loss_sum += batch_loss
+            gw, gb = stacked_parameter_gradients(g[None], head, x)
+            velocity *= config.momentum
+            velocity += np.concatenate([gw[0], gb[0][:, None]], axis=1).ravel()
+            params -= config.learning_rate * velocity
+        losses.append(loss_sum / data.n)
+    return w[0].copy(), b[0].copy(), tuple(losses)
 
 
 def substitute_mask(d, dims, rows):

@@ -14,7 +14,9 @@ from gvlab.synth import balance_column, balance_substitute, generate_toy, random
 
 from lockstep_reference import (assert_bit_equal, check_model_0,
                                 check_substitutes_match_reference, check_substitutes_near_train,
-                                reference_batch, reference_train, substitute_mask, substituted)
+                                reference_batch, reference_error, reference_train,
+                                stacked_forward_terms, stacked_parameter_gradients, stacked_probs,
+                                stacked_train, substitute_mask, substituted)
 
 
 def sigmoid_model(weights, bias):
@@ -400,6 +402,93 @@ class TestTrainLockstep:
         assert "never finish" in str(err.value)
 
 
+@st.composite
+def one_model_cases(draw):
+    """One model of either head with its weights and bias as strided views of
+    one flat (rows, d + 1) block, and a batch of n rows and labels, n and d
+    in 1..8, where OpenBLAS takes its small-``lda`` paths."""
+    head = draw(st.sampled_from(["sigmoid", "softmax"]))
+    k = 2 if head == "sigmoid" else draw(st.integers(3, 4))
+    n, d = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = 1 if head == "sigmoid" else k
+    block = rng.normal(size=rows * (d + 1)).reshape(rows, d + 1)
+    return head, block[:, :d], block[:, d], rng.normal(size=(n, d)), rng.integers(0, k, n)
+
+
+def short_training(k, n, d, seed, momentum, batch_size, epochs, substitutions):
+    """Data of n rows and d columns drawn from ``seed``, a short config and
+    that many substitutions."""
+    rng = np.random.default_rng(seed)
+    data = VectorDataset(rng.normal(size=(n, d)), rng.integers(0, k, n), k)
+    columns = [(int(rng.integers(d)), rng.normal(size=n)) for _ in range(substitutions)]
+    return data, TrainConfig(0.3, momentum, batch_size, epochs, seed % 2**16), columns
+
+
+@st.composite
+def short_trainings(draw):
+    """A short training on n rows and d columns in 1..8, with a ragged last
+    batch when the batch size does not divide n, and 0 to 2 substitutions,
+    which make model 0 read a copy of its columns of the extended rows."""
+    n = draw(st.integers(1, 8))
+    return short_training(draw(st.sampled_from([2, 3])), n, draw(st.integers(1, 8)),
+                          draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from([0.0, 0.9])),
+                          draw(st.integers(1, n)), draw(st.integers(1, 3)),
+                          draw(st.integers(0, 2)))
+
+
+class TestOneModelProducts:
+    """One model's plain 2-D products equal the stacked form (a stack of one
+    model on a stack of one batch, in 3-D ``matmul``s) bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(one_model_cases())
+    def test_forward_and_gradients_equal_the_stacked_form(self, case):
+        head, w, b, x, y = case
+        terms = models._forward_terms(w, b, head, x)
+        expected = stacked_forward_terms(w[None], b[None], head, x[None])[0]
+        assert terms.shape == expected.shape
+        assert terms.tobytes() == expected.tobytes()
+        g = models._output_error(terms, head, models._labels(head, y))
+        grads = np.full(w.size + b.size, np.nan).reshape(w.shape[0], -1)
+        models._parameter_gradients(g, head, x, grads[:, :-1], grads[:, -1])
+        gw, gb = stacked_parameter_gradients(g[None], head, x[None])
+        assert grads[:, :-1].tobytes() == gw[0].tobytes()
+        assert grads[:, -1].tobytes() == gb[0].tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(one_model_cases())
+    def test_model_methods_equal_the_stacked_form(self, case):
+        head, w, b, x, y = case
+        model = LinearModel(w, b, head)
+        probs = stacked_probs(w[None], b[None], head, x[None])[0]
+        assert model.forward(x).tobytes() == probs.tobytes()
+        one = stacked_probs(w[None], b[None], head, x[None, :1])[0, 0]
+        assert model.forward(x[0]).tobytes() == one.tobytes()
+        terms = stacked_forward_terms(w[None], b[None], head, x[None])[0]
+        labels = (terms > 0).astype(np.int64) if head == "sigmoid" else terms.argmax(axis=1)
+        assert model.predict(x).tolist() == labels.tolist()
+        loss_sum, g = reference_error(terms, y)
+        gw, gb = stacked_parameter_gradients(g[None], head, x[None])
+        loss, got_gw, got_gb = loss_and_gradients(model, x, y)
+        assert loss == loss_sum / len(y)
+        assert got_gw.tobytes() == gw[0].tobytes()
+        assert got_gb.tobytes() == gb[0].tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(short_trainings())
+    # Full sigmoid batches of 8 rows with a substitution, where model 0 would
+    # round differently on strided rows at d = 1 to 3.
+    @example(short_training(2, 8, 1, 0, 0.9, 8, 1, 1))
+    @example(short_training(2, 8, 2, 0, 0.9, 8, 1, 1))
+    @example(short_training(2, 8, 3, 0, 0.9, 8, 1, 1))
+    def test_model_0_trains_as_the_stacked_form(self, case):
+        data, config, substitutions = case
+        expected = stacked_train(data, config)
+        assert_bit_equal(train_lockstep(data, config, substitutions)[0], *expected)
+        assert_bit_equal(train(data, config), *expected)
+
+
 def guard_case(head, k, models_, n, batch_size, big, weights, seed, worst_labels):
     """Forward terms (models_, n) or (models_, n, k) drawn from ordinary
     values, ``big`` and its fractions, the infinities and NaN with the given
@@ -449,8 +538,8 @@ def guard_cases(draw):
                       draw(st.booleans()))
 
 
-SIGMOID_SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 745.2, -745.2,
-                    1e300]
+SIGMOID_SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, -1e-310,
+                    745.2, -745.2, 1e300]
 
 
 @settings(max_examples=200, deadline=None)
@@ -460,21 +549,32 @@ SIGMOID_SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 7
 def test_sigmoid_equals_the_masked_textbook_form_bit_for_bit(values, seed):
     """On a 1-D row, and scattered into the 2-D views a training step passes:
     the (11, 256) step block as a strided view of a wider epoch buffer, and a
-    view strided along both axes.  The input stays intact."""
+    view strided along both axes.  The input stays intact.  Written into
+    given ``out`` and ``scratch`` views of wider buffers, as a training step
+    passes them, the values are the same, and one buffer pair serves two
+    calls, on ``z`` and on ``-z``."""
+    def check(z, got):
+        textbook = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+        nan = np.isnan(textbook)
+        assert np.isnan(got).tolist() == nan.tolist()
+        assert got[~nan].tobytes() == textbook[~nan].tobytes()
+
     rng = np.random.default_rng(seed)
     wide = rng.normal(0.0, 40.0, size=(11, 600))
     step = wide[:, 100:356]
     step.flat[rng.choice(step.size, len(values), replace=False)] = values
     step.flat[rng.choice(step.size, len(SIGMOID_SPECIALS), replace=False)] = SIGMOID_SPECIALS
+    out, scratch = np.full((2, 11, 300), np.nan)
     for z in (np.array(values)[None], step, wide[1::3, ::5]):
         before = z.tobytes()
+        rows, cols = z.shape
         with np.errstate(all="ignore"):
-            textbook = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
-            got = models._sigmoid(z)
+            check(z, models._sigmoid(z))
+            for value in (z, np.negative(z)):
+                got = models._sigmoid(value, out[:rows, :cols], scratch[:rows, :cols])
+                assert np.shares_memory(got, out)
+                check(value, got)
         assert z.tobytes() == before
-        nan = np.isnan(textbook)
-        assert np.isnan(got).tolist() == nan.tolist()
-        assert got[~nan].tobytes() == textbook[~nan].tobytes()
 
 
 class TestLossGuard:

@@ -62,11 +62,20 @@ def digest(argv: list[str], out: Path) -> dict:
             "stdout": sha256(stdout.getvalue().replace(str(out), "<out>").encode())}
 
 
+def moved_names(got: dict, pinned: dict) -> list[str]:
+    """The entries of two digests that differ, a file written or missing on
+    one side included: file names, ``status`` and ``stdout``."""
+    return [name for name in {**got, **pinned} if got.get(name) != pinned.get(name)]
+
+
 def test_outputs_match_the_committed_digests(tmp_path):
     pinned = json.loads(DIGESTS.read_text())
     assert [case["argv"] for case in pinned["cases"]] == CASES
-    moved = [" ".join(case["argv"]) for i, case in enumerate(pinned["cases"])
-             if digest(case["argv"], tmp_path / str(i)) != case["digests"]]
+    moved = []
+    for i, case in enumerate(pinned["cases"]):
+        got = digest(case["argv"], tmp_path / str(i))
+        if got != case["digests"]:
+            moved.append(f"{' '.join(case['argv'])} ({', '.join(moved_names(got, case['digests']))})")
     assert not moved, (f"output moved for {moved}; digests were taken with numpy "
                        f"{pinned['numpy']}, this run has numpy {np.__version__}")
 

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gvlab import synth
-from gvlab.core import BinningPolicy, Dataset, VariableSpec, build_table, rows_csv
+from gvlab.core import BinningPolicy, Dataset, VariableSpec, build_table, derive_seed, rows_csv
 from gvlab.errors import GvlabError
 from gvlab.info import conditional_entropy, entropy
 from gvlab.models import TrainConfig, VectorDataset
-from gvlab.synth import (InvarTGConfig, ToySpec, as_variable_dataset, balance_substitute,
-                         generate_toy, influence_rank, invar_tg, random_toy_spec,
-                         _cholesky_or_raise)
+from gvlab.synth import (InvarTGConfig, RoundRecord, ToySpec, as_variable_dataset,
+                         balance_substitute, generate_toy, influence_rank, invar_tg,
+                         random_toy_spec, _cholesky_or_raise)
 
 from memory import traced_peak
 
@@ -439,6 +439,37 @@ class TestInvarTG:
         lines = text.splitlines()
         assert lines[0] == "round,chosen_id,h_before,h_after"
         assert lines[1].startswith("0,1,")
+
+
+    @pytest.mark.parametrize("candidates, duplicate", [([15, 10, 19, 3, 12], False),
+                                                       ([19, 14, 4, 16], True)])
+    def test_rounds_equal_full_width_tables_bit_for_bit(self, candidates, duplicate):
+        """Each round equals the full-width reference, which ranks every
+        candidate on a view of all columns and takes ``h_after`` from a
+        table over that view, in every entropy; with column 19 a copy of
+        column 4 the two tie, and the lower column id goes first."""
+        data = generate_toy(random_toy_spec(seed=13, per_class=300)).train
+        if duplicate:
+            x = data.x.copy()
+            x[:, 19] = x[:, 4]
+            data = VectorDataset(x, data.y, data.k)
+        config = InvarTGConfig(threshold=10.0, max_rounds=4)
+        remaining, current, expected = list(candidates), data, []
+        for round_index in range(config.max_rounds):
+            full = as_variable_dataset(current, 10)
+            chosen, h_before = influence_rank(full, remaining, config.binning)[0]
+            current = balance_substitute(current, chosen,
+                                         derive_seed(self.trainer.seed, 101, round_index, chosen))
+            table = build_table(as_variable_dataset(current, 10), [chosen], config.binning)
+            expected.append(RoundRecord(round_index, chosen, h_before,
+                                        conditional_entropy(table, "labels", [chosen])))
+            remaining.remove(chosen)
+        result = invar_tg(data, candidates, config, self.trainer, task_correlated_dims=10)
+        assert result.log == tuple(expected)
+        assert result.balanced_ids == tuple(r.chosen_id for r in expected)
+        if duplicate:
+            assert expected[0].chosen_id == 4 and expected[1].chosen_id == 19
+            assert expected[0].h_before == expected[1].h_before
 
 
 def test_as_variable_dataset_marks_correlation_split():
