@@ -5,7 +5,19 @@ generalization bounds with exact oracles for cross-entropy-optimal
 hypotheses, from-scratch linear classifiers, a synthetic Gaussian task
 with the InvarTG balancing loop, random-erasing parameter laws, and a
 deterministic experiment harness.
+
+Importing the package pins BLAS to one thread (``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` set to ``"1"``) unless the
+environment already sets them, and unless numpy was imported first: BLAS
+reads them once, when it loads.  The products here are small, and
+``--jobs`` worker processes run in parallel already; with BLAS threads
+on top, workers oversubscribe the cores.
 """
+
+import os as _os
+
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    _os.environ.setdefault(_name, "1")
 
 from .core import (BinningPolicy, Dataset, Exemplar, ExemplarTable, VariableSpec,
                    build_table, marginalize, read_dataset_csv, rows_csv, write_dataset_csv)

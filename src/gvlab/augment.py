@@ -130,12 +130,20 @@ def _bounds(dist: AugmentDistribution, labels: np.ndarray) -> tuple[np.ndarray, 
     return rows[..., 0], rows[..., 1]
 
 
-def _draw(dist: AugmentDistribution, lo: np.ndarray, hi: np.ndarray,
+def _draw(dist: AugmentDistribution, bounds: tuple[np.ndarray, np.ndarray], rows: np.ndarray,
           rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    q = rng.random((len(lo), 5))
+    """One ``(len(rows), 5)`` unit draw as :func:`draw_params` returns it,
+    row i reading the label bounds of grid ``rows[i]``: those bounds are
+    gathered, and the (area, aspect) mapped into them, only for the rows
+    whose coin chose the label-dependent law."""
+    q = rng.random((len(rows), 5))
     dependent = q[:, 0] < dist.alpha
-    params = np.empty((len(lo), 4))
-    params[:, :2] = np.where(dependent[:, None], lo + q[:, 1:3] * (hi - lo), q[:, 1:3])
+    params = np.empty((len(rows), 4))
+    params[:, :2] = q[:, 1:3]
+    if dependent.any():
+        at = rows[dependent]
+        lo, hi = bounds[0][at], bounds[1][at]
+        params[dependent, :2] = lo + q[dependent, 1:3] * (hi - lo)
     params[:, 2:] = position_inverse_cdf(dist.position_law, q[:, 3:5])
     return params, dependent
 
@@ -151,13 +159,13 @@ def draw_params(dist: AugmentDistribution, labels,
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1:
         raise GvlabError("bad-input-dim", f"labels must be one-dimensional, got {labels.shape}")
-    return _draw(dist, *_bounds(dist, labels), rng)
+    return _draw(dist, _bounds(dist, labels), np.arange(len(labels)), rng)
 
 
 def _rectangles(width: int, height: int, params: np.ndarray,
                 area_range: tuple[float, float],
                 aspect_range: tuple[float, float]) -> np.ndarray:
-    """Pixel rectangles ``(n, 4)`` of columns x0, x1, y0, y1 for ``(n, 4)`` draws.
+    """Pixel rectangles ``(4, n)`` of rows x0, x1, y0, y1 for ``(n, 4)`` draws.
 
     Half-up rounding of the side lengths, center placement, clipping to
     the grid bounds; an empty rectangle is all zeros.  A side past twice
@@ -174,10 +182,14 @@ def _rectangles(width: int, height: int, params: np.ndarray,
         h = np.minimum(np.floor(np.sqrt(area_px / ratio) + 0.5), 2 * height + 2)
     x0 = np.floor(pos_x * width - w / 2.0 + 0.5)
     y0 = np.floor(pos_y * height - h / 2.0 + 0.5)
-    rects = np.stack([np.maximum(x0, 0), np.minimum(x0 + w, width),
-                      np.maximum(y0, 0), np.minimum(y0 + h, height)], axis=1).astype(np.int64)
-    empty = (w < 1) | (h < 1) | (rects[:, 0] >= rects[:, 1]) | (rects[:, 2] >= rects[:, 3])
-    rects[empty] = 0
+    # Each whole float bound is cast as it is written into its int64 row.
+    rects = np.empty((4, len(params)), dtype=np.int64)
+    np.maximum(x0, 0, out=rects[0], casting="unsafe")
+    np.minimum(x0 + w, width, out=rects[1], casting="unsafe")
+    np.maximum(y0, 0, out=rects[2], casting="unsafe")
+    np.minimum(y0 + h, height, out=rects[3], casting="unsafe")
+    empty = (w < 1) | (h < 1) | (rects[0] >= rects[1]) | (rects[2] >= rects[3])
+    rects[:, empty] = 0
     return rects
 
 
@@ -214,9 +226,8 @@ def _erase_copies(grids: np.ndarray, bounds: tuple[np.ndarray, np.ndarray],
     whole = len(out) == total
     for first in range(0, total, block):
         grid_of = np.arange(first, min(first + block, total)) % n
-        params = _draw(dist, bounds[0][grid_of], bounds[1][grid_of], params_rng)[0]
-        x0, x1, y0, y1 = np.ascontiguousarray(
-            _rectangles(width, height, params, dist.area_range, dist.aspect_range).T)
+        params = _draw(dist, bounds, grid_of, params_rng)[0]
+        x0, x1, y0, y1 = _rectangles(width, height, params, dist.area_range, dist.aspect_range)
         for start in range(0, len(grid_of), chunk):
             part = slice(start, start + chunk)
             # (y, grid) and (x, grid) bands and their (y, x, grid) product, so

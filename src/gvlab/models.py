@@ -15,9 +15,16 @@ under cross-entropy loss, deterministic given the config seed:
 - one model's forward and gradient are plain 2-D products of its batch
   (n, d) with its weights (rows, d), one BLAS call each; stacked weights
   (models, rows, width) are several models reading one shared batch;
-- each step stores its forward terms as one contiguous block of a
-  batch-major epoch buffer, and its output error and sigmoid in buffers
-  reused by every step; training returns the last epoch's mean loss,
+- softmax logits are class-major, (k, n) for one model and (models, k, n)
+  for several, so the max, the one-hot label subtraction and the
+  normalizer (:func:`_class_sum`, in numpy's row-sum order) run along
+  contiguous class rows, bit for bit as over row-major logits; the
+  gradient products and bias sums read the error row-major, through one
+  reused transposing copy for one model, and the loss reads the logits
+  through one transposing copy (:func:`_row_major`);
+- each step stores its forward terms as one block of a batch-major epoch
+  buffer, and its output error and sigmoid in buffers reused by every
+  step; training returns the last epoch's mean loss,
   computed once from that buffer; the other epochs only check that their
   loss sums stay finite; the mean-max-output error estimate is taken
   once, from :func:`risk` on the trained model;
@@ -126,7 +133,7 @@ class LinearModel:
         or ``z > 0`` for a sigmoid head."""
         batch, single = self._batch(x)
         terms = _forward_terms(self.weights, self.bias, self.head, batch)
-        labels = (terms > 0).astype(np.int64) if self.head == "sigmoid" else terms.argmax(axis=1)
+        labels = (terms > 0).astype(np.int64) if self.head == "sigmoid" else terms.argmax(axis=0)
         return labels[0] if single else labels
 
 
@@ -155,26 +162,58 @@ def _sigmoid(z: np.ndarray, out: np.ndarray | None = None,
 
 def _forward_terms(w: np.ndarray, b: np.ndarray, head: Head, x: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
-    """Pre-activation terms, sigmoid ``z`` or softmax logits, written into
-    ``out`` when given.
+    """Pre-activation terms, sigmoid ``z`` or class-major softmax logits,
+    written into ``out`` when given.
 
     2-D weights ``w`` (rows_w, d) and bias ``b`` (rows_w,) are one model on
-    its own batch ``x`` (rows, d): one plain product ``x @ w.T`` (for a
-    sigmoid, the ``gemv`` ``x @ w[0]``) gives terms (rows,) or (rows, k).
-    Stacked weights ``w`` (models, rows_w, width) and ``b`` (models, rows_w)
-    are several models sharing one batch ``x`` (rows, width): one product
-    serves them all, into ``out`` (models, rows) or (models, rows, k), which
-    must be given; softmax moves its logits axis into place with one copy.
+    its own batch ``x`` (rows, d): one plain product, the ``gemv`` ``x @
+    w[0]`` for a sigmoid and ``w @ x.T`` for softmax, gives terms (rows,) or
+    (k, rows).  Stacked weights ``w`` (models, rows_w, width) and ``b``
+    (models, rows_w) are several models sharing one batch ``x`` (rows,
+    width): one product serves them all, into ``out`` (models, rows) or
+    (models, k, rows), which must be given, as a view whose leading axes
+    merge into one (the steps' contiguous blocks are).
     """
     if w.ndim == 2:
-        out = np.matmul(x, w[0] if head == "sigmoid" else w.T, out=out)
-    elif head == "sigmoid":
-        np.matmul(w[:, 0], x.T, out=out)
+        out = np.matmul(x, w[0], out=out) if head == "sigmoid" else np.matmul(w, x.T, out=out)
     else:
-        logits = np.matmul(w.reshape(-1, x.shape[1]), x.T)
-        out[...] = logits.reshape(w.shape[0], w.shape[1], -1).transpose(0, 2, 1)
-    out += b if head == "sigmoid" else b[..., None, :]
+        np.matmul(w.reshape(-1, x.shape[1]), x.T, out=out.reshape(-1, len(x)))
+    out += b if head == "sigmoid" else b[..., None]
     return out
+
+
+def _class_sum(a: np.ndarray) -> np.ndarray:
+    """Sums (..., 1, rows) over the class axis of class-major ``a`` (..., k,
+    rows), bit for bit numpy's ``sum(axis=-1)`` of the row-major layout (NaN
+    signs aside): for k below 8 in sequence, up to 128 in 8 accumulators
+    folded pairwise, above that as the sum of two halves cut at a multiple
+    of 8."""
+    k = a.shape[-2]
+    if k < 8:
+        total = a[..., :1, :] + 0.0  # numpy starts from 0.0, so -0.0 rows sum to 0.0
+        for i in range(1, k):
+            total += a[..., i:i + 1, :]
+        return total
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        return _class_sum(a[..., :half, :]) + _class_sum(a[..., half:, :])
+    full = k - k % 8
+    total = a[..., :8, :]
+    for i in range(8, full, 8):
+        total = np.add(total, a[..., i:i + 8, :], out=None if i == 8 else total)
+    while total.shape[-2] > 1:
+        total = total[..., 0::2, :] + total[..., 1::2, :]
+    for i in range(full, k):
+        total += a[..., i:i + 1, :]
+    total += 0.0
+    return total
+
+
+def _row_major(terms: np.ndarray) -> np.ndarray:
+    """Class-major softmax terms (..., k, rows) as a contiguous (..., rows, k)
+    copy, laid out as the per-sample reductions of the loss and the scores
+    read them."""
+    return np.ascontiguousarray(np.swapaxes(terms, -1, -2))
 
 
 def _probs(w: np.ndarray, b: np.ndarray, head: Head, x: np.ndarray) -> np.ndarray:
@@ -183,6 +222,7 @@ def _probs(w: np.ndarray, b: np.ndarray, head: Head, x: np.ndarray) -> np.ndarra
     if head == "sigmoid":
         s = _sigmoid(terms)
         return np.stack([1.0 - s, s], axis=-1)
+    terms = _row_major(terms)
     terms -= terms.max(axis=-1, keepdims=True)
     e = np.exp(terms)
     return e / e.sum(axis=-1, keepdims=True)
@@ -191,55 +231,67 @@ def _probs(w: np.ndarray, b: np.ndarray, head: Head, x: np.ndarray) -> np.ndarra
 def _output_error(terms: np.ndarray, head: Head, y: np.ndarray, out: np.ndarray | None = None,
                   scratch: np.ndarray | None = None) -> np.ndarray:
     """The gradient of a mean batch loss with respect to its forward terms,
-    one model's (rows[, k]) or stacked models' (models, rows[, k]): the
+    one model's ((k,) rows) or stacked models' (models, (k,) rows): the
     sigmoid or softmax minus the labels, over the batch size, written into
     ``out`` when given (and the sigmoid's ``exp(-|z|)`` into ``scratch``).
 
-    ``terms`` come from :func:`_forward_terms` and are left intact; labels
-    ``y`` (rows,) are floats for the sigmoid head and integers for softmax.
-    This is the one gradient: ``train_lockstep`` steps with it and
-    ``loss_and_gradients`` exposes it for checking; only its product with
-    the inputs, :func:`_parameter_gradients`, depends on how a model reads
-    them.
+    ``terms`` come from :func:`_forward_terms` and are left intact; the
+    targets ``y`` from :func:`_targets`, floats (rows,) for the sigmoid head
+    and a class-major one-hot block (k, rows) for softmax, whose zeros leave
+    every other entry's bits.  The softmax normalizer is
+    :func:`_class_sum`.  This is the one gradient: ``train_lockstep`` steps
+    with it and ``loss_and_gradients`` exposes it for checking; only its
+    product with the inputs, :func:`_parameter_gradients`, depends on how a
+    model reads them.
     """
-    n = float(len(y))  # a float divides faster than an int, to the same value
+    n = float(y.shape[-1])  # a float divides faster than an int, to the same value
     if head == "sigmoid":
         g = _sigmoid(terms, out, scratch)
-        g -= y
     else:
-        g = np.subtract(terms, terms.max(axis=-1, keepdims=True), out=out)
+        g = np.subtract(terms, terms.max(axis=-2, keepdims=True), out=out)
         np.exp(g, out=g)
-        g /= g.sum(axis=-1, keepdims=True)
-        g[..., np.arange(len(y)), y] -= 1.0
+        g /= _class_sum(g)
+    g -= y
     g /= n
     return g
 
 
 def _parameter_gradients(g: np.ndarray, head: Head, x: np.ndarray,
-                         gw: np.ndarray, gb: np.ndarray) -> None:
+                         gw: np.ndarray, gb: np.ndarray,
+                         by_row: np.ndarray | None = None) -> None:
     """Write the gradients for output error ``g`` into ``gw`` and ``gb``:
     the error's product with the inputs and its sum over the batch.
 
     2-D ``gw`` (rows_w, d), with ``gb`` (rows_w,), is one model's gradient
     on its own batch ``x`` (rows, d): one plain product ``g.T @ x`` of its
-    error (rows,) or (rows, k).  Stacked ``gw`` (models, rows_w, width),
-    with ``gb`` (models, rows_w), holds several models' gradients on one
-    shared batch ``x`` (rows, width): one product of their errors (models,
-    rows[, k]) serves them all.
+    error (rows,), or of its softmax error (k, rows) copied row-major into
+    ``by_row`` (rows, k) (a new array when not given).  Stacked ``gw``
+    (models, rows_w, width), with ``gb`` (models, rows_w), holds several
+    models' gradients on one shared batch ``x`` (rows, width): one product
+    of their errors (models, (k,) rows) serves them all.  A softmax bias sum
+    runs down the batch in sequence, over row-major errors: numpy would pair
+    a sum along a class-major row.
     """
     if gw.ndim == 2:
+        if head == "softmax":
+            by_row = np.empty(g.shape[::-1]) if by_row is None else by_row
+            np.copyto(by_row, g.T)
+            g = by_row
         np.matmul(g.T, x, out=gw[0] if head == "sigmoid" else gw)
         np.add.reduce(g, axis=0, out=gb[..., 0] if head == "sigmoid" else gb)
         return
     # Row-major for any model count: BLAS may round a column-major one differently.
-    by_row = np.ascontiguousarray(g[:, None, :] if head == "sigmoid" else g.transpose(0, 2, 1))
-    np.matmul(by_row.reshape(-1, g.shape[1]), x, out=gw.reshape(-1, x.shape[1]))
-    np.add.reduce(g, axis=1, out=gb[:, 0] if head == "sigmoid" else gb)
+    by_model = np.ascontiguousarray(g[:, None, :] if head == "sigmoid" else g)
+    np.matmul(by_model.reshape(-1, len(x)), x, out=gw.reshape(-1, x.shape[1]))
+    np.add.reduce(g if head == "sigmoid" else _row_major(g), axis=1,
+                  out=gb[:, 0] if head == "sigmoid" else gb)
 
 
 def _sample_losses(terms: np.ndarray, head: Head, y: np.ndarray) -> np.ndarray:
     """Cross-entropy of each sample, (rows,) or (models, rows), from its
-    forward terms, in the log1p-of-exp / log-sum-exp stabilized forms."""
+    forward terms, sigmoid ``z`` or row-major softmax logits ((models,)
+    rows, k) (see :func:`_row_major`), in the log1p-of-exp / log-sum-exp
+    stabilized forms, for labels from :func:`_labels`."""
     if head == "sigmoid":
         loss = np.maximum(terms, 0.0)
         loss -= terms * y
@@ -259,6 +311,14 @@ def _sample_losses(terms: np.ndarray, head: Head, y: np.ndarray) -> np.ndarray:
 def _labels(head: Head, y: np.ndarray) -> np.ndarray:
     """Labels as the head's loss reads them: floats for sigmoid, codes for softmax."""
     return y.astype(np.float64) if head == "sigmoid" else y
+
+
+def _targets(head: Head, y: np.ndarray, k: int) -> np.ndarray:
+    """Labels as the output error reads them: floats (n,) for sigmoid, a
+    class-major one-hot block (k, n) for softmax."""
+    if head == "sigmoid":
+        return _labels(head, y)
+    return (np.arange(k)[:, None] == y).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -312,12 +372,12 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
 
     The substitute columns extend the rows of ``data`` once per call, and
     each epoch gathers its permutation of the extended rows and of the
-    labels into buffers reused by every epoch, so each step's batch is a
-    contiguous slice.  Model 0 is one model on its own batch: plain 2-D
-    products of its first ``d`` columns with its (rows, d) weights, the
-    same BLAS calls as ``train``; with substitutions it reads those columns
-    through a reused contiguous copy, since BLAS may sum a strided view in
-    another order.  The substitute models read the extended batch with one
+    targets (for softmax, the class-major one-hot block) into buffers
+    reused by every epoch, so each step's batch is a contiguous slice.
+    Model 0 is one model on its own batch: plain 2-D products of its first
+    ``d`` columns with its (rows, d) weights, the same BLAS calls as
+    ``train``; with substitutions it reads those columns through a reused
+    contiguous copy, since BLAS may sum a strided view in another order.  The substitute models read the extended batch with one
     shared product: model ``i``'s weight on the original column and on the
     other models' substitute columns is a structural zero that its masked
     gradient keeps at exactly 0, and its weight on its own substitute
@@ -327,13 +387,14 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
     instead of ``d``.
 
     Every step's views of those buffers (its rows, model 0's copy, its
-    block of forward terms, its labels, and its output error and sigmoid
-    buffers) are resolved once per call.  Each step stores its forward
-    terms as one contiguous block of a batch-major epoch buffer.  After
-    each epoch's last step, one finiteness pass over the parameters and
-    that buffer show whether every model's parameters and loss sum are
-    finite; the losses themselves are computed once, from the last epoch's
-    buffer, and summed batch by batch in step order.  A model that diverges
+    block of forward terms, its targets, its output error and sigmoid
+    buffers, and model 0's row-major softmax error) are resolved once per
+    call.  Each step stores its forward terms, softmax logits class-major,
+    as one block of a batch-major epoch buffer.  After each epoch's last
+    step, one finiteness pass over the parameters and that buffer show
+    whether every model's parameters and loss sum are finite; the losses
+    themselves are computed once, from the last epoch's buffer, and summed
+    batch by batch in step order.  A model that diverges
     raises at the epoch where it diverged; with several, the first model in
     order decides, so training stops at the end of the epoch where model 0
     diverges.
@@ -389,31 +450,37 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
     gw0, gb0, gws, gbs = views(grads)
     masked = gws.reshape(shared_rows, width)
     mask = _substitute_mask(data.d, dims, rows)
-    # The forward terms of a whole epoch, batch-major: each step writes one
-    # contiguous (models, batch) block, and the loss check reads the buffer
-    # after the epoch's last step.  Zeros, so the padding of a ragged last
-    # batch cannot raise the check's peak.
-    tail = () if head == "sigmoid" else (rows,)
-    terms = np.zeros((batches, models, config.batch_size) + tail)
-    errors, scratch = np.empty((2, models, config.batch_size) + tail)
-    labels = _labels(head, data.y)
-    epoch_ext, epoch_labels = np.empty_like(ext), np.empty_like(labels)
+    # The forward terms of a whole epoch, batch-major: each step writes its
+    # (models, batch) or class-major (models, k, batch) block, contiguous, a
+    # ragged last one too, and the loss check reads them after the epoch's
+    # last step.  The output error and the sigmoid's scratch are the leading
+    # part of buffers that every step reuses.
+    classes = () if head == "sigmoid" else (rows,)
+    terms = np.empty(models * rows * data.n)
+    errors, scratch = np.empty((2, models * rows * config.batch_size))
+    # Model 0's softmax error, copied row-major for its gradient products.
+    by_row = np.empty((config.batch_size, rows)) if classes else None
+    targets = _targets(head, data.y, data.k)
+    epoch_ext, epoch_targets = np.empty_like(ext), np.empty_like(targets)
     # With substitutions, model 0 reads a contiguous copy of its columns, as
     # ``train`` does: OpenBLAS rounds a strided (batch, d) operand
     # differently for d of 1 to 3.
     own_rows = np.empty((config.batch_size, data.d)) if len(dims) else None
     # Each step's views, resolved once: its extended rows, model 0's rows and
     # their source, its terms block with model 0's row and the substitutes',
-    # its labels, its output error with the same split, and the sigmoid's
-    # scratch.
-    steps = []
-    for block, start in zip(terms, range(0, data.n, config.batch_size)):
+    # its targets, its output error with the same split, the sigmoid's
+    # scratch and model 0's row-major error.
+    steps, blocks = [], []
+    for start in range(0, data.n, config.batch_size):
         x = epoch_ext[start:start + config.batch_size]
         size = len(x)
         x0 = own_rows[:size] if len(dims) else x
-        g = errors[:, :size]
-        steps.append((x, x0, x[:, :data.d], block[:, :size], block[0, :size], block[1:, :size],
-                      epoch_labels[start:start + size], g, g[0], g[1:], scratch[:, :size]))
+        shape, at = (models,) + classes + (size,), models * rows * start
+        t, g, e = (a[:models * rows * size].reshape(shape)
+                   for a in (terms[at:], errors, scratch))
+        blocks.append(t)
+        steps.append((x, x0, x[:, :data.d], t, t[0], t[1:], epoch_targets[..., start:start + size],
+                      g, g[0], g[1:], e, by_row[:size] if classes else None))
 
     diverged_at = np.full(models, -1)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence detected per epoch
@@ -422,21 +489,22 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
             # "clip" never clips a permutation; unlike "raise" it writes
             # straight into ``out`` without a temporary.
             np.take(ext, order, axis=0, out=epoch_ext, mode="clip")
-            np.take(labels, order, out=epoch_labels, mode="clip")
-            for x, x0, own, block, t0, ts, y, g, g0, gs, e in steps:
+            np.take(targets, order, axis=-1, out=epoch_targets, mode="clip")
+            for x, x0, own, block, t0, ts, y, g, g0, gs, e, g0_rows in steps:
                 if len(dims):
                     np.copyto(x0, own)
                     _forward_terms(ws, bs, head, x, out=ts)
                 _forward_terms(w0, b0, head, x0, out=t0)
                 _output_error(block, head, y, out=g, scratch=e)
-                _parameter_gradients(g0, head, x0, gw0, gb0)
+                _parameter_gradients(g0, head, x0, gw0, gb0, g0_rows)
                 if len(dims):
                     _parameter_gradients(gs, head, x, gws, gbs)
                     masked *= mask
                 velocity *= config.momentum
                 velocity += grads
                 params -= np.multiply(velocity, config.learning_rate, out=step)
-            finite = _finite_loss_sums(terms, head, epoch_labels, config.batch_size)
+            epoch_labels = epoch_targets if head == "sigmoid" else data.y[order]
+            finite = _finite_loss_sums(terms, blocks, head, epoch_labels, config.batch_size)
             if not np.isfinite(params).all():
                 fw0, fb0, fws, fbs = views(np.isfinite(params))
                 finite &= [fw0.all() & fb0.all(), *(fws.all(axis=(1, 2)) & fbs.all(axis=1))]
@@ -449,7 +517,7 @@ def train_lockstep(data: VectorDataset, config: TrainConfig,
         # Still under errstate: a finite loss can pass through an overflowing
         # softmax shift.  Model by model, so no transient outgrows one model's
         # terms.
-        sums = [_epoch_loss_sums(_sample_losses(_model_major(terms[:, i:i + 1], data.n), head,
+        sums = [_epoch_loss_sums(_sample_losses(_model_major([t[i:i + 1] for t in blocks]), head,
                                                 epoch_labels), config.batch_size)[0]
                 for i in range(models)]
     # Each substitute model's weight on its own column is that of its dimension.
@@ -474,12 +542,13 @@ def _substitute_mask(d: int, dims: np.ndarray, rows: int) -> np.ndarray:
     return np.repeat(mask, rows, axis=0)
 
 
-def _model_major(terms: np.ndarray, n: int) -> np.ndarray:
-    """An epoch's forward terms from their batch-major buffer (batches,
-    models, batch_size) or (batches, models, batch_size, k) in model-major
-    order, (models, n) or (models, n, k): each model's terms in epoch order,
-    without the padding of a ragged last batch."""
-    return np.swapaxes(terms, 0, 1).reshape((terms.shape[1], -1) + terms.shape[3:])[:, :n]
+def _model_major(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """An epoch's forward terms from their per-step blocks (models, batch) or
+    class-major (models, k, batch), in step order, as one model-major array,
+    (models, n) or row-major (models, n, k): each model's terms in epoch
+    order."""
+    terms = np.concatenate(blocks, axis=-1)
+    return terms if terms.ndim == 2 else _row_major(terms)
 
 
 def _epoch_loss_sums(sample_losses: np.ndarray, batch_size: int) -> np.ndarray:
@@ -500,21 +569,21 @@ def _epoch_loss_sums(sample_losses: np.ndarray, batch_size: int) -> np.ndarray:
 _SAFE_PEAK_TIMES_N = 2.0 ** 1021
 
 
-def _finite_loss_sums(terms: np.ndarray, head: Head, y: np.ndarray,
-                      batch_size: int) -> np.ndarray:
-    """Whether each model's epoch loss sum is finite, from the batch-major
-    epoch terms with zero padding, equal to ``np.isfinite(_epoch_loss_sums(
-    _sample_losses(_model_major(terms, n), head, y), batch_size))`` for the
-    n labels ``y``.
+def _finite_loss_sums(terms: np.ndarray, blocks: Sequence[np.ndarray], head: Head,
+                      y: np.ndarray, batch_size: int) -> np.ndarray:
+    """Whether each model's epoch loss sum is finite, from the epoch's terms
+    (any array holding exactly the values of its per-step ``blocks``) for
+    the n labels ``y``: equal to ``np.isfinite(_epoch_loss_sums(
+    _sample_losses(_model_major(blocks), head, y), batch_size))``.
 
     When the largest ``|term|`` of all models times n stays below the bound,
     every sum is finite; an infinite or NaN term fails that test.  Only
     then are the losses themselves computed.
     """
-    peak = np.maximum(terms.max(), -terms.min())  # NaN stays NaN; padding adds 0
+    peak = np.maximum(terms.max(), -terms.min())  # NaN stays NaN
     if peak * len(y) < _SAFE_PEAK_TIMES_N:
-        return np.ones(terms.shape[1], dtype=bool)
-    return np.isfinite(_epoch_loss_sums(_sample_losses(_model_major(terms, len(y)), head, y),
+        return np.ones(len(blocks[0]), dtype=bool)
+    return np.isfinite(_epoch_loss_sums(_sample_losses(_model_major(blocks), head, y),
                                         batch_size))
 
 
@@ -558,13 +627,16 @@ def loss_and_gradients(model: LinearModel, x: np.ndarray, y: np.ndarray
         raise GvlabError("bad-variable", "labels must be integers")
     if y.min() < 0 or y.max() >= model.k:
         raise GvlabError("bad-variable", f"labels must lie in 0..{model.k - 1}")
-    labels = _labels(model.head, y.astype(np.int64))
+    y = y.astype(np.int64)
     gw, gb = np.empty(model.weights.shape), np.empty(model.bias.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite results raise below
         x = x.astype(np.float64)
         terms = _forward_terms(model.weights, model.bias, model.head, x)
-        _parameter_gradients(_output_error(terms, model.head, labels), model.head, x, gw, gb)
-        loss = float(_sample_losses(terms, model.head, labels).sum()) / len(y)
+        g = _output_error(terms, model.head, _targets(model.head, y, model.k))
+        _parameter_gradients(g, model.head, x, gw, gb)
+        if model.head == "softmax":
+            terms = _row_major(terms)
+        loss = float(_sample_losses(terms, model.head, _labels(model.head, y)).sum()) / len(y)
     if not (np.isfinite(loss) and np.isfinite(gw).all() and np.isfinite(gb).all()):
         raise GvlabError("bad-variable", "loss or gradient is not finite: inputs must be "
                                          "finite and small enough for this model")

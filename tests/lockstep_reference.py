@@ -31,6 +31,9 @@ def reference_error(terms, y):
         s[~pos] = ez / (1.0 + ez)
         loss_sum = float(np.sum(np.maximum(z, 0.0) - z * yf + np.log1p(np.exp(-np.abs(z)))))
         return loss_sum, (s - yf) / len(y)
+    # Row-major: numpy sums a row pairwise only along a contiguous row, and in
+    # sequence along a strided one (they differ from 8 classes on).
+    terms = np.ascontiguousarray(terms)
     top = terms.max(axis=1, keepdims=True)
     e = np.exp(terms - top)
     total = e.sum(axis=1, keepdims=True)

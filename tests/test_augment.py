@@ -348,7 +348,7 @@ class TestBatchMatchesReference:
             assert tuple(row.tolist()) == expected and flag == expected_dependent
             for width, height in ((16, 16), (5, 9)):
                 rect = _rectangles(width, height, row[None], dist.area_range,
-                                   dist.aspect_range)[0]
+                                   dist.aspect_range)[:, 0]
                 assert (tuple(rect.tolist()) if rect[1] > rect[0] else None) == \
                     reference_rectangle(width, height, expected, dist.area_range,
                                         dist.aspect_range)
@@ -514,7 +514,7 @@ class TestExtremeAspectRanges:
         """Sides past twice the grid side are capped; no rectangle moves."""
         params = np.random.default_rng(5).random((400, 4))
         rects = _rectangles(8, 8, params, (0.02, 1.0), aspect)
-        for p, rect in zip(params, rects.tolist()):
+        for p, rect in zip(params, rects.T.tolist()):
             assert tuple(rect) == (reference_rectangle(8, 8, p, (0.02, 1.0), aspect)
                                    or (0, 0, 0, 0))
 

@@ -178,8 +178,9 @@ class TestTrain:
 
 @st.composite
 def training_cases(draw):
-    """A dataset with a ragged last batch, a short config and substitutions."""
-    k = draw(st.sampled_from([2, 3, 4]))
+    """A dataset with a ragged last batch, a short config and substitutions;
+    from k = 8 on numpy sums a softmax row pairwise, not in sequence."""
+    k = draw(st.sampled_from([2, 3, 4, 8, 9, 10, 11, 12]))
     n = draw(st.integers(8, 60))
     d = draw(st.integers(1, 5))
     batch_size = draw(st.integers(2, n - 1).filter(lambda size: n % size))
@@ -294,6 +295,28 @@ class TestTrainLockstep:
         substitutions = [(j, balance_column(data.n, 40 + j)) for j in range(10, 20)]
         self.check(train_lockstep(data, config, substitutions), data, config, substitutions)
 
+    def test_grid_task_scale_softmax_matches_the_references(self):
+        """At the augmentation sweep's scale (n 600, d 64, k = 10 class-major
+        rows, batches of 256 with a ragged last one, 2 epochs) model 0 equals
+        the reference loops, the stacked form and ``loss_and_gradients`` the
+        reference batch, ``predict`` reads the reference logits, and a stack
+        of softmax models with substitutions passes the three checks."""
+        rng = np.random.default_rng(33)
+        data = VectorDataset(rng.random((600, 64)), np.repeat(np.arange(10), 60), 10)
+        config = TrainConfig(0.05, 0.9, 256, 2, seed=5)
+        substitutions = [(j, rng.random(600)) for j in (27, 3)]
+        results = train_lockstep(data, config, substitutions)
+        self.check(results, data, config, substitutions)
+        assert_bit_equal(results[0], *stacked_train(data, config))
+        model = results[0].model
+        loss, gw, gb = loss_and_gradients(model, data.x, data.y)
+        ref_loss, ref_gw, ref_gb = reference_batch(model.weights, model.bias, data.x, data.y)
+        assert loss == ref_loss / data.n
+        assert (gw.tobytes(), gb.tobytes()) == (ref_gw.tobytes(), ref_gb.tobytes())
+        terms = stacked_forward_terms(model.weights[None], model.bias[None], "softmax",
+                                      data.x[None])[0]
+        assert model.predict(data.x).tolist() == terms.argmax(axis=1).tolist()
+
     def test_calls_share_no_state(self):
         """Training on A, then on B, then on A again returns A's results
         unchanged, and the caller's substitute columns stay as they were."""
@@ -406,9 +429,10 @@ class TestTrainLockstep:
 def one_model_cases(draw):
     """One model of either head with its weights and bias as strided views of
     one flat (rows, d + 1) block, and a batch of n rows and labels, n and d
-    in 1..8, where OpenBLAS takes its small-``lda`` paths."""
+    in 1..8, where OpenBLAS takes its small-``lda`` paths; softmax k in 3..4
+    or 8..12, where numpy sums a row pairwise."""
     head = draw(st.sampled_from(["sigmoid", "softmax"]))
-    k = 2 if head == "sigmoid" else draw(st.integers(3, 4))
+    k = 2 if head == "sigmoid" else draw(st.one_of(st.integers(3, 4), st.integers(8, 12)))
     n, d = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = 1 if head == "sigmoid" else k
@@ -431,7 +455,7 @@ def short_trainings(draw):
     batch when the batch size does not divide n, and 0 to 2 substitutions,
     which make model 0 read a copy of its columns of the extended rows."""
     n = draw(st.integers(1, 8))
-    return short_training(draw(st.sampled_from([2, 3])), n, draw(st.integers(1, 8)),
+    return short_training(draw(st.sampled_from([2, 3, 8, 10, 12])), n, draw(st.integers(1, 8)),
                           draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from([0.0, 0.9])),
                           draw(st.integers(1, n)), draw(st.integers(1, 3)),
                           draw(st.integers(0, 2)))
@@ -444,17 +468,38 @@ class TestOneModelProducts:
     @settings(max_examples=200, deadline=None)
     @given(one_model_cases())
     def test_forward_and_gradients_equal_the_stacked_form(self, case):
+        """Softmax terms and errors are class-major (k, rows), so they are
+        compared through their transposed views, and the stacked form reads
+        the error row-major, as the library's gradient products do."""
         head, w, b, x, y = case
         terms = models._forward_terms(w, b, head, x)
         expected = stacked_forward_terms(w[None], b[None], head, x[None])[0]
-        assert terms.shape == expected.shape
-        assert terms.tobytes() == expected.tobytes()
-        g = models._output_error(terms, head, models._labels(head, y))
+        by_row = terms if head == "sigmoid" else terms.T
+        assert by_row.shape == expected.shape
+        assert by_row.tobytes() == expected.tobytes()
+        g = models._output_error(terms, head, models._targets(head, y, len(w)))
+        _, expected_g = reference_error(expected, y)
+        g_by_row = g if head == "sigmoid" else np.ascontiguousarray(g.T)
+        assert g_by_row.tobytes() == expected_g.tobytes()
         grads = np.full(w.size + b.size, np.nan).reshape(w.shape[0], -1)
         models._parameter_gradients(g, head, x, grads[:, :-1], grads[:, -1])
-        gw, gb = stacked_parameter_gradients(g[None], head, x[None])
+        gw, gb = stacked_parameter_gradients(g_by_row[None], head, x[None])
         assert grads[:, :-1].tobytes() == gw[0].tobytes()
         assert grads[:, -1].tobytes() == gb[0].tobytes()
+
+    def test_class_major_logits_equal_the_row_major_product(self):
+        """``w @ x.T`` gives the row-major ``x @ w.T`` bit for bit up to 11
+        classes, on batches up to 1 000 rows; with OpenBLAS 0.3.31 a batch of
+        more than 192 rows that is not a multiple of 8 can differ in the
+        last bit from 12 classes on."""
+        rng = np.random.default_rng(43)
+        for k in range(2, 12):
+            for n in (1, 7, 88, 193, 256, 300, 500, 600, 1000):
+                for d in (1, 8, 64):
+                    block = rng.normal(size=(k, d + 1))
+                    w, b, x = block[:, :d], block[:, d], rng.normal(size=(n, d))
+                    logits = models._forward_terms(w, b, "softmax", x)
+                    assert logits.T.tobytes() == (x @ w.T + b).tobytes(), (k, n, d)
 
     @settings(max_examples=200, deadline=None)
     @given(one_model_cases())
@@ -510,13 +555,17 @@ def guard_case(head, k, models_, n, batch_size, big, weights, seed, worst_labels
 
 def batch_major(terms, batch_size):
     """Model-major terms (models, n) or (models, n, k) laid out as the
-    lockstep epoch buffer: (batches, models, batch_size[, k]), the ragged
-    last batch padded with zeros."""
-    models_, n = terms.shape[:2]
-    batches = -(-n // batch_size)
-    padded = np.zeros((models_, batches * batch_size) + terms.shape[2:])
-    padded[:, :n] = terms
-    return np.swapaxes(padded.reshape((models_, batches, batch_size) + terms.shape[2:]), 0, 1)
+    lockstep epoch buffer: one flat array of per-step blocks (models, size)
+    or class-major (models, k, size), in step order, and those blocks."""
+    n = terms.shape[1]
+    steps = [terms[:, start:start + batch_size] for start in range(0, n, batch_size)]
+    blocks = [step if terms.ndim == 2 else np.swapaxes(step, 1, 2) for step in steps]
+    flat = np.concatenate([block.ravel() for block in blocks])
+    views, at = [], 0
+    for block in blocks:
+        views.append(flat[at:at + block.size].reshape(block.shape))
+        at += block.size
+    return flat, views
 
 
 @st.composite
@@ -525,7 +574,7 @@ def guard_cases(draw):
     up to 3000 samples, so that a loss sum can overflow while every term is
     finite."""
     head = draw(st.sampled_from(["sigmoid", "softmax"]))
-    k = 2 if head == "sigmoid" else draw(st.integers(2, 4))
+    k = 2 if head == "sigmoid" else draw(st.one_of(st.integers(2, 4), st.integers(8, 12)))
     n = draw(st.integers(1, 3000))
     big = draw(st.one_of(st.floats(1e150, 1.7e308),
                          st.floats(0.05, 1.0).map(lambda share: share * 1.7e308 / n)))
@@ -536,6 +585,48 @@ def guard_cases(draw):
     return guard_case(head, k, draw(st.integers(1, 3)), n, draw(st.integers(1, n)), big,
                       finite_weights + special_weights, draw(st.integers(0, 2**32 - 1)),
                       draw(st.booleans()))
+
+
+def check_class_sums(class_sum):
+    """``class_sum`` of class-major (..., k, rows) values equals numpy's
+    ``np.add.reduce(axis=-1)`` of their row-major layout for every k in
+    2..300, one model's and stacked, bit for bit on values spread over 16
+    decades and rows holding NaN, ±inf, ±0.0 and overflowing pairs (NaN
+    signs aside, which the compiler may set either way)."""
+    rng = np.random.default_rng(41)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324])
+    for k in range(2, 301):
+        for shape in ((12, k), (2, 12, k)):
+            values = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+            values[..., 0, :] = -0.0
+            values[..., 1, :] = rng.choice(specials, size=k)
+            values[..., 2, :] = rng.choice([np.inf, -np.inf, 1.0], size=k)
+            values[..., 3, :] = rng.choice([np.nan, 2.0], size=k)
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = np.add.reduce(values, axis=-1)
+                got = class_sum(np.ascontiguousarray(np.swapaxes(values, -1, -2)))
+            assert got.shape == shape[:-2] + (1, shape[-2])
+            got = got[..., 0, :]
+            nan = np.isnan(expected)
+            assert np.isnan(got).tolist() == nan.tolist(), k
+            assert got[~nan].tobytes() == expected[~nan].tobytes(), k
+
+
+def test_class_sums_equal_numpy_row_sums():
+    check_class_sums(models._class_sum)
+
+
+def test_a_sequential_class_sum_fails():
+    """A planted defect: a plain sum down the class rows, numpy's order only
+    below 8 classes, fails the check."""
+    def sequential(a):
+        total = a[..., :1, :] + 0.0
+        for i in range(1, a.shape[-2]):
+            total += a[..., i:i + 1, :]
+        return total
+
+    with pytest.raises(AssertionError, match=r"^(8|9|1\d)\b"):
+        check_class_sums(sequential)
 
 
 SIGMOID_SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, -1e-310,
@@ -588,12 +679,12 @@ class TestLossGuard:
                         False))
     def test_guard_equals_the_finiteness_of_the_loss_sums(self, case):
         head, terms, y, batch_size = case
-        epoch_buffer = batch_major(terms, batch_size)
-        assert models._model_major(epoch_buffer, len(y)).tobytes() == terms.tobytes()
+        epoch_buffer, blocks = batch_major(terms, batch_size)
+        assert models._model_major(blocks).tobytes() == terms.tobytes()
         with np.errstate(all="ignore"):
             expected = np.isfinite(models._epoch_loss_sums(
                 models._sample_losses(terms, head, y), batch_size))
-            got = models._finite_loss_sums(epoch_buffer, head, y, batch_size)
+            got = models._finite_loss_sums(epoch_buffer, blocks, head, y, batch_size)
         assert got.tolist() == expected.tolist()
 
 
