@@ -19,19 +19,18 @@ import os as _os
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     _os.environ.setdefault(_name, "1")
 
-from .core import (BinningPolicy, Dataset, Exemplar, ExemplarTable, VariableSpec,
-                   build_table, marginalize, read_dataset_csv, rows_csv, write_dataset_csv)
+from .core import (BinningPolicy, Dataset, ExemplarTable, VariableSpec, build_table, marginalize,
+                   rows_csv)
 from .errors import GvlabError
-from .info import LABELS, Nats, conditional_entropy, count_entropy, entropy, mutual_information
+from .info import Nats, conditional_entropy, count_entropy, entropy
 from .models import (LinearModel, RiskReport, TrainConfig, TrainResult, VectorDataset,
-                     load_model, loss_and_gradients, risk, save_model, train, train_lockstep)
-from .synth import (InvarTGConfig, InvarTGResult, ToyData, ToySpec, as_variable_dataset,
-                    balance_column, balance_substitute, generate_toy, influence_rank, invar_tg,
-                    random_toy_spec)
+                     loss_and_gradients, risk, train, train_lockstep)
+from .synth import (InvarTGConfig, InvarTGResult, ToyData, ToySpec, balance_column,
+                    balance_substitute, generate_toy, influence_rank, invar_tg, random_toy_spec)
 from .theory import (AdditionRule, BoundReport, InvarianceReport, OptimalOutputs,
                      addition_rule, check_strict_invariance,
                      estimated_training_error, excess_risk_bound, gap_bound,
-                     max_prob_lower_bound, numeric_optimal_outputs, optimal_outputs)
+                     max_prob_lower_bound, optimal_outputs)
 from .augment import (LABEL_INTERVALS, POSITION_LAWS, AugmentDistribution, draw_params,
                       position_inverse_cdf, prediction_changing_ratio)
 

@@ -2,20 +2,21 @@
 
 A classification task is described by a set of *generative variables*
 (discrete or continuous latent factors), and every observation is an
-*exemplar*: one value per variable plus an integer label.  All
-information-theoretic machinery in this package operates on
+*exemplar*: one value per variable plus an integer label, one row of a
+:class:`Dataset`.  The table-level information machinery operates on
 :class:`ExemplarTable`, the empirical joint count table over a chosen
 subset of variables and the label.
 
 Continuous variables are discretized by equal-width binning over their
-declared range before counting.  Values outside the declared range are
-clamped into the boundary bins so that estimators stay total-preserving
-even when evaluation data exceeds the range observed at fit time.
+declared range before counting (:func:`_range_codes`, the one binning rule;
+the toy protocols bin vector columns over their own min/max with it).
+Values outside the declared range are clamped into the boundary bins so
+that estimators stay total-preserving even when evaluation data exceeds
+the range observed at fit time.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 import sys
@@ -98,14 +99,6 @@ class VariableSpec:
         return VariableSpec(var_id, name, "continuous", lo=lo, hi=hi, correlation=correlation)
 
 
-@dataclass(frozen=True)
-class Exemplar:
-    """One observation: generative-variable values plus a label code."""
-
-    g: tuple[float, ...]
-    y: int
-
-
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
@@ -128,7 +121,7 @@ def _check_row_order(rows: np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Exemplar collection with its variable specs and label count.
+    """Exemplars (value rows) with their variable specs and label count.
 
     Values are stored column-aligned with ``specs``; labels are dense
     integer codes ``0..k-1``.  Instances are immutable and safe to share
@@ -170,17 +163,6 @@ class Dataset:
     @property
     def m(self) -> int:
         return len(self.specs)
-
-    def exemplar(self, i: int) -> Exemplar:
-        return Exemplar(tuple(self.values[i]), int(self.labels[i]))
-
-    @staticmethod
-    def from_exemplars(specs: Sequence[VariableSpec], exemplars: Iterable[Exemplar],
-                       k: int) -> "Dataset":
-        rows = list(exemplars)
-        values = np.array([e.g for e in rows], dtype=np.float64).reshape(len(rows), len(specs))
-        labels = np.array([e.y for e in rows], dtype=np.int64)
-        return Dataset(tuple(specs), values, labels, k)
 
 
 @dataclass(frozen=True)
@@ -259,18 +241,25 @@ def _unchecked(cls, *values):
     return obj
 
 
+def _range_codes(col: np.ndarray, lo: float, hi: float, bins: int, name: str) -> np.ndarray:
+    """Equal-width bin codes ``0..bins - 1`` of ``col`` over ``[lo, hi]``, lo < hi.
+
+    Out-of-range values land in the boundary bins; clamping before the
+    division keeps far-out values from overflowing to inf.
+    """
+    width = (hi - lo) / bins
+    if width < sys.float_info.min:
+        raise GvlabError("bad-variable", f"variable {name!r}: range [{lo}, {hi}] "
+                                         f"is too narrow for {bins} bins")
+    codes = np.floor((np.clip(col, lo, hi) - lo) / width)
+    return np.minimum(codes, bins - 1).astype(np.int64)
+
+
 def _column_codes(dataset: Dataset, spec: VariableSpec, binning: BinningPolicy) -> np.ndarray:
     col = dataset.values[:, spec.var_id]
     if spec.kind == "discrete":
         return col.astype(np.int64)
-    # Out-of-range values land in the boundary bins; clamping before the
-    # division keeps far-out values from overflowing to inf.
-    width = (spec.hi - spec.lo) / binning.bins
-    if width < sys.float_info.min:
-        raise GvlabError("bad-variable", f"variable {spec.name!r}: range [{spec.lo}, {spec.hi}] "
-                                         f"is too narrow for {binning.bins} bins")
-    codes = np.floor((np.clip(col, spec.lo, spec.hi) - spec.lo) / width)
-    return np.minimum(codes, binning.bins - 1).astype(np.int64)
+    return _range_codes(col, spec.lo, spec.hi, binning.bins, spec.name)
 
 
 def _cell_codes(columns: Sequence[np.ndarray], sizes: Sequence[int]) -> np.ndarray:
@@ -346,7 +335,7 @@ def _run_heads(rows: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization: datasets as g0,...,g{m-1},y; reports from row dataclasses.
+# CSV serialization: reports from row dataclasses.
 # ---------------------------------------------------------------------------
 
 def _csv_cell(value) -> str:
@@ -370,39 +359,3 @@ def rows_csv(header: str, rows: Iterable) -> str:
     lines = [",".join(_csv_cell(getattr(row, f.name)) for f in fields(row)[:width])
              for row in rows]
     return "\n".join([header, *lines]) + "\n"
-
-
-def write_dataset_csv(dataset: Dataset, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"g{j}" for j in range(dataset.m)] + ["y"])
-        for i in range(dataset.n):
-            row = []
-            for spec, value in zip(dataset.specs, dataset.values[i]):
-                row.append(str(int(value)) if spec.kind == "discrete" else repr(float(value)))
-            row.append(str(int(dataset.labels[i])))
-            writer.writerow(row)
-
-
-def read_dataset_csv(path: str, specs: Sequence[VariableSpec], k: int) -> Dataset:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = [f"g{j}" for j in range(len(specs))] + ["y"]
-        if header != expected:
-            raise GvlabError("bad-variable", f"unexpected CSV header {header}")
-        values, labels = [], []
-        for row in reader:
-            if len(row) != len(expected):
-                raise GvlabError("bad-csv", f"{path}:{reader.line_num}: expected "
-                                            f"{len(expected)} fields, got {len(row)}")
-            try:
-                values.append([float(v) for v in row[:-1]])
-                labels.append(int(row[-1]))
-            except ValueError as err:
-                raise GvlabError("bad-csv", f"{path}:{reader.line_num}: {err}") from None
-            if not 0 <= labels[-1] < k:
-                raise GvlabError("bad-csv", f"{path}:{reader.line_num}: label {labels[-1]} "
-                                            f"outside 0..{k - 1}")
-    data = np.array(values, dtype=np.float64).reshape(len(labels), len(specs))
-    return Dataset(tuple(specs), data, np.array(labels, dtype=np.int64), k)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from typing import Callable, Sequence
@@ -36,8 +35,8 @@ from .core import (BinningPolicy, ExemplarTable, _freeze, _run_heads, _unchecked
                    stream)
 from .errors import GvlabError
 from .models import LinearModel, TrainConfig, VectorDataset, train, train_lockstep, zero_one_error
-from .synth import (ToyData, _conditional_entropies, _ranked, as_variable_dataset,
-                    balance_column, generate_toy, random_toy_spec)
+from .synth import (ToyData, _conditional_entropies, _ranked, _vector_codes, balance_column,
+                    generate_toy, random_toy_spec)
 from . import theory
 
 
@@ -195,10 +194,10 @@ def _toy_worker(args: tuple[int, int, ToyProtocol, bool]) -> tuple:
     # Per nuisance dimension: H(label | dim), |trained weight|, and the
     # estimated (``influence_rank`` order) and true (descending |weight|) ranks.
     # The labels and the predictions are counted on one binning of the dims,
-    # viewed alone as variables 0.. in their order.
-    view = as_variable_dataset(data.train, protocol.task_correlated_dims, dims)
+    # each over its own range.
     (h_cond, h_label), (h_pred_cond, h_pred) = _conditional_entropies(
-        view, range(len(dims)), protocol.binning, data.train.y, model.predict(data.train.x))
+        _vector_codes(data.train, dims, protocol.binning), data.train.y,
+        model.predict(data.train.x))
     ranked = _ranked(dims, h_cond)
     weights = {j: abs(float(model.weights[0, j])) for j in dims}
     rank_est = {var_id: position for position, (var_id, _) in enumerate(ranked, 1)}
@@ -435,21 +434,13 @@ def _cell_table(dense: np.ndarray) -> ExemplarTable:
                       _freeze(np.column_stack(index)), _freeze(dense[index]), dense.shape[-1])
 
 
-def argmax_zero_one_error(table: ExemplarTable,
-                          determining_ids: Sequence[int]) -> tuple[Fraction, ...]:
-    """Exact 0/1 training error of the argmax-of-conditional predictor, one
-    per value of the leading determining variable, the index of tables
-    stacked as in :func:`theory.estimated_training_error` (one error when
-    there is no determining variable)."""
-    wrong, totals = _argmax_errors(table, determining_ids)
-    return tuple(Fraction(w, t) for w, t in zip(wrong.tolist(), totals.tolist()))
-
-
 def _argmax_errors(table: ExemplarTable, determining_ids: Sequence[int]
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """The argmax predictor's wrong and total counts (int64) per group of
-    :func:`argmax_zero_one_error`, from :func:`theory._label_counts`, whose
-    float counts are exact integers below 2**53."""
+    """The argmax-of-conditional predictor's wrong and total counts (int64),
+    one per value of the leading determining variable (the index of tables
+    stacked as in :func:`theory.estimated_training_error`; one pair when
+    there is no determining variable), from :func:`theory._label_counts`,
+    whose float counts are exact integers below 2**53."""
     ids = tuple(determining_ids)
     configs, counts = theory._label_counts(table, ids)
     groups = _run_heads(configs[:, :min(len(ids), 1)]).nonzero()[0]

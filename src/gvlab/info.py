@@ -15,9 +15,6 @@ import numpy as np
 from .core import ExemplarTable, _run_heads, marginalize
 from .errors import GvlabError
 
-#: Pseudo-id addressing the label column on side A of mutual_information.
-LABELS = -1
-
 #: Non-negative real in natural-log units.
 Nats = float
 
@@ -63,24 +60,3 @@ def conditional_entropy(table: ExemplarTable, target: Literal["labels"] = "label
         raise GvlabError("bad-variable", "only the label column can be the target")
     given = tuple(given_ids)
     return max(_group_entropy(table, given, True) - _group_entropy(table, given, False), 0.0)
-
-
-def mutual_information(table: ExemplarTable, ids_a: Sequence[int], ids_b: Sequence[int],
-                       given_ids: Sequence[int] = ()) -> Nats:
-    """Empirical conditional mutual information I(A ; B | C), clamped at 0.
-
-    Side A may contain the :data:`LABELS` pseudo-id to measure information
-    between the label column and variable groups; sides B and C must be
-    real variable ids.  Computed as H(A|C) - H(A|B,C) from the same counts,
-    so the chain rule holds to float rounding.
-    """
-    a, b, c = tuple(ids_a), tuple(ids_b), tuple(given_ids)
-    with_labels = LABELS in a
-    a = tuple(v for v in a if v != LABELS)
-    if LABELS in b or LABELS in c:
-        raise GvlabError("bad-variable", "the label pseudo-id is only allowed on side A")
-    if len(set(a + b + c)) != len(a + b + c):
-        raise GvlabError("overlapping-variables", "id groups must be disjoint")
-    h = _group_entropy  # unknown ids raise bad-variable in marginalize
-    return max((h(table, a + c, with_labels) - h(table, c, False))
-               - (h(table, a + b + c, with_labels) - h(table, b + c, False)), 0.0)

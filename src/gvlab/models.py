@@ -641,26 +641,3 @@ def loss_and_gradients(model: LinearModel, x: np.ndarray, y: np.ndarray
         raise GvlabError("bad-variable", "loss or gradient is not finite: inputs must be "
                                          "finite and small enough for this model")
     return loss, gw, gb
-
-
-def save_model(model: LinearModel, path: str) -> None:
-    """Plain-text rows: one line per weight row, then the bias line (17 sig digits)."""
-    with open(path, "w") as fh:
-        for row in model.weights:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-        fh.write(" ".join(f"{v:.17g}" for v in model.bias) + "\n")
-
-
-def load_model(path: str) -> LinearModel:
-    """Read a model written by :func:`save_model`."""
-    try:
-        with open(path) as fh:
-            rows = [[float(v) for v in line.split()] for line in fh if line.strip()]
-    except ValueError as err:
-        raise GvlabError("bad-model-file", f"{path}: {err}") from None
-    if len(rows) < 2 or len({len(row) for row in rows[:-1]}) != 1:
-        raise GvlabError("bad-model-file",
-                         f"{path}: need weight rows of one length, then a bias line")
-    weights = np.array(rows[:-1])
-    head: Head = "sigmoid" if weights.shape[0] == 1 else "softmax"
-    return LinearModel(weights, np.array(rows[-1]), head)

@@ -37,8 +37,10 @@ replaying the stream.
 
 The influence ranking bins each candidate column once and counts every
 candidate's (bin, label) cells with one ``bincount``, bit for bit as a table
-per candidate would; the toy protocols count the labels and the model's
-predictions on the same binned columns (:func:`_conditional_entropies`).
+per candidate would (:func:`_conditional_entropies`).  Vector data is binned
+directly, each column over its own min/max (:func:`_vector_codes`); the toy
+protocols and InvarTG count the labels, and the toy protocols the model's
+predictions, on those codes.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BinningPolicy, Dataset, VariableSpec, _column_codes, _is_int, derive_seed, stream
+from .core import (BinningPolicy, Dataset, _column_codes, _is_int, _range_codes, derive_seed,
+                   stream)
 from .errors import GvlabError
 from .info import Nats, count_entropy
 from .models import LinearModel, TrainConfig, TrainResult, VectorDataset, train
@@ -200,32 +203,30 @@ def _fill_test_class(out: np.ndarray, spec: ToySpec, mean: np.ndarray, cov: np.n
     x2 += np.sqrt(_SCHUR_FLOOR) * rng.standard_normal((n_half, p))
 
 
-def as_variable_dataset(data: VectorDataset, task_correlated_dims: int,
-                        columns: Sequence[int] | None = None) -> Dataset:
-    """View vector data as a generative-variable dataset.
+def _vector_codes(data: VectorDataset, columns: Sequence[int],
+                  binning: BinningPolicy) -> np.ndarray:
+    """``(len(columns), n)`` bin codes of the given columns of ``data``.
 
-    Each of ``columns`` (every column by default), in that order, becomes a
-    continuous variable numbered from 0 and named ``g<column>``, ranged by
-    its own min/max (widened by a hair when constant, since declared ranges
-    must be non-degenerate); columns below ``task_correlated_dims`` are
-    marked task-correlated.
+    Column ``j`` is binned by :func:`core._range_codes` over its own min/max,
+    as a continuous variable named ``g<j>``; a constant column is one bin,
+    code 0.  A NaN or inf in a column, or a range that overflows to inf,
+    raises ``bad-variable``.
     """
-    if columns is None:
-        columns, values = range(data.d), data.x
-    elif all(_is_int(j) and 0 <= j < data.d for j in columns):
-        values = np.take(data.x, columns, axis=1)  # C-contiguous, so ``Dataset`` keeps it
-    else:
+    if data.n == 0:
+        raise GvlabError("empty-dataset", "cannot build a table from an empty dataset")
+    if not all(_is_int(j) and 0 <= j < data.d for j in columns):
         raise GvlabError("bad-variable", f"columns must be integers in 0..{data.d - 1}, "
                                          f"got {columns!r}")
-    specs = []
-    for var_id, j in enumerate(columns):
-        col = values[:, var_id]
+    codes = np.zeros((len(columns), data.n), dtype=np.int64)
+    for row, j in zip(codes, columns):
+        col = data.x[:, j]
         lo, hi = float(col.min()), float(col.max())
-        if lo == hi:
-            hi = lo + 1e-9
-        correlation = "task_correlated" if j < task_correlated_dims else "task_uncorrelated"
-        specs.append(VariableSpec.continuous(var_id, f"g{j}", lo, hi, correlation))
-    return Dataset(tuple(specs), values, data.y, data.k)
+        if not math.isfinite(hi - lo):
+            raise GvlabError("bad-variable", f"column {j} needs finite values with a finite "
+                                             f"range, got [{lo}, {hi}]")
+        if lo < hi:
+            row[:] = _range_codes(col, lo, hi, binning.bins, f"g{j}")
+    return codes
 
 
 def influence_rank(dataset: Dataset, candidate_ids: Sequence[int],
@@ -240,30 +241,6 @@ def influence_rank(dataset: Dataset, candidate_ids: Sequence[int],
     ids = tuple(candidate_ids)
     if not ids:
         raise GvlabError("bad-variable", "need at least one candidate id")
-    h_cond = _conditional_entropies(dataset, ids, binning, dataset.labels)[0][0]
-    return _ranked(ids, h_cond)
-
-
-def _ranked(ids: Sequence[int], entropies: Sequence[Nats]) -> tuple[tuple[int, Nats], ...]:
-    return tuple(sorted(((int(var_id), h) for var_id, h in zip(ids, entropies)),
-                        key=lambda pair: (pair[1], pair[0])))
-
-
-def _conditional_entropies(dataset: Dataset, ids: Sequence[int], binning: BinningPolicy,
-                           *targets: np.ndarray) -> list[tuple[list[Nats], Nats]]:
-    """Per target column (n codes in ``0..dataset.k - 1``): H(target | variable)
-    for each of ``ids``, and H(target).
-
-    Each column is binned once.  One ``bincount`` of (variable, bin, target)
-    codes fills a dense ``(variables, bins * k)`` count array; row j lists
-    the cells of ``build_table(dataset, [ids[j]])`` in their order, with
-    zeros for the cells it leaves out.  ``count_entropy`` adds a row in that
-    order and a zero cell adds exactly 0.0, so every value equals
-    ``conditional_entropy`` (or ``entropy``) over that table bit for bit.  A
-    column or target whose codes reach n is first ranked to dense codes,
-    which keeps their order, so the array has at most ``n * n`` cells per
-    variable whatever the bin count, cardinalities and k.
-    """
     if dataset.n == 0:
         raise GvlabError("empty-dataset", "cannot build a table from an empty dataset")
     known = {s.var_id: s for s in dataset.specs}
@@ -271,18 +248,45 @@ def _conditional_entropies(dataset: Dataset, ids: Sequence[int], binning: Binnin
     for row, var_id in zip(codes, ids):
         if var_id not in known:
             raise GvlabError("bad-variable", f"unknown variable id {var_id}")
-        row[:] = _dense(_column_codes(dataset, known[var_id], binning))
+        row[:] = _column_codes(dataset, known[var_id], binning)
+    return _ranked(ids, _conditional_entropies(codes, dataset.labels)[0][0])
+
+
+def _ranked(ids: Sequence[int], entropies: Sequence[Nats]) -> tuple[tuple[int, Nats], ...]:
+    return tuple(sorted(((int(var_id), h) for var_id, h in zip(ids, entropies)),
+                        key=lambda pair: (pair[1], pair[0])))
+
+
+def _conditional_entropies(codes: np.ndarray, *targets: np.ndarray
+                           ) -> list[tuple[list[Nats], Nats]]:
+    """Per target column (n codes >= 0): H(target | variable) for each row of
+    ``codes``, a ``(variables, n)`` array of bin codes >= 0 with n >= 1, and
+    H(target).  ``codes`` is overwritten.
+
+    One ``bincount`` of (variable, bin, target) codes fills a dense
+    ``(variables, bins * k)`` count array; row j lists the cells of a table
+    over variable j alone in their order, with zeros for the cells it leaves
+    out.  ``count_entropy`` adds a row in that order and a zero cell adds
+    exactly 0.0, so every value equals ``conditional_entropy`` (or
+    ``entropy``) over that table bit for bit.  A row or target whose codes
+    reach n is first ranked to dense codes, which keeps their order, so the
+    array has at most ``n * n`` cells per variable whatever the bin count,
+    cardinalities and k.
+    """
+    n = codes.shape[1]
+    for row in codes:
+        row[:] = _dense(row)
     width = int(codes.max(initial=0)) + 1
-    codes += np.arange(0, len(ids) * width, width)[:, None]
+    codes += np.arange(0, len(codes) * width, width)[:, None]
     results = []
     for target in targets:
         target = _dense(np.asarray(target, dtype=np.int64))
         k = int(target.max()) + 1
-        joint = np.bincount((codes * k + target).ravel(), minlength=len(ids) * width * k)
-        joint = joint.reshape(len(ids), width, k)
-        h_joint = count_entropy(joint.reshape(len(ids), -1), dataset.n).tolist()
-        h_given = count_entropy(joint.sum(axis=2), dataset.n).tolist()
-        h_target = max(float(count_entropy(np.bincount(target), dataset.n)), 0.0)
+        joint = np.bincount((codes * k + target).ravel(), minlength=len(codes) * width * k)
+        joint = joint.reshape(len(codes), width, k)
+        h_joint = count_entropy(joint.reshape(len(codes), -1), n).tolist()
+        h_given = count_entropy(joint.sum(axis=2), n).tolist()
+        h_target = max(float(count_entropy(np.bincount(target), n)), 0.0)
         results.append(([max(a - b, 0.0) for a, b in zip(h_joint, h_given)], h_target))
     return results
 
@@ -338,7 +342,7 @@ class InvarTGResult:
 
 
 def invar_tg(data: VectorDataset, candidate_ids: Sequence[int], config: InvarTGConfig,
-             trainer: TrainConfig, task_correlated_dims: int | None = None) -> InvarTGResult:
+             trainer: TrainConfig) -> InvarTGResult:
     """Iteratively balance the most influential candidate, then train once.
 
     Each round ranks the remaining candidates by conditional label entropy
@@ -351,25 +355,23 @@ def invar_tg(data: VectorDataset, candidate_ids: Sequence[int], config: InvarTGC
     remaining = list(dict.fromkeys(int(v) for v in candidate_ids))
     if not remaining:
         raise GvlabError("bad-variable", "need at least one candidate id")
-    tc = data.d if task_correlated_dims is None else task_correlated_dims
     current = data
     log: list[RoundRecord] = []
     balanced: list[int] = []
     for round_index in range(config.max_rounds):
         if not remaining:
             break
-        # Only the remaining columns are binned, each by its own range, as
-        # variables 0.. of the view; ties break by column id.
-        view = as_variable_dataset(current, tc, remaining)
-        h_cond = _conditional_entropies(view, range(len(remaining)), config.binning,
-                                        view.labels)[0][0]
+        # Only the remaining columns are binned, each by its own range; ties
+        # break by column id.
+        h_cond = _conditional_entropies(_vector_codes(current, remaining, config.binning),
+                                        current.y)[0][0]
         chosen, h_before = _ranked(remaining, h_cond)[0]
         if h_before > config.threshold:
             break
         current = balance_substitute(current, chosen,
                                      derive_seed(trainer.seed, 101, round_index, chosen))
-        h_after = influence_rank(as_variable_dataset(current, tc, [chosen]), [0],
-                                 config.binning)[0][1]
+        h_after = _conditional_entropies(_vector_codes(current, [chosen], config.binning),
+                                         current.y)[0][0][0]
         log.append(RoundRecord(round_index, chosen, h_before, h_after))
         balanced.append(chosen)
         remaining.remove(chosen)

@@ -22,9 +22,9 @@ Contents:
   Its one kernel, block entropies from ``(..., configurations, k)`` label
   counts and one formula over them, also runs the criterion-05 sweep on
   all 256 truth tables at once.
-- ``numeric_optimal_outputs``: independent entropic mirror-descent
-  minimizer of the empirical cross-entropy, used only to validate the
-  closed form; it stops on a duality-gap certificate.
+- ``pgd_conditionals``: independent entropic mirror-descent minimizer of
+  a cross-entropy per row, used only to validate the closed form; it stops
+  on a duality-gap certificate.
 
 Many small tables are evaluated as one: stacked into one table whose
 leading variable is the table index, and with ``k`` padded to the widest.
@@ -351,17 +351,3 @@ def pgd_conditionals(q: np.ndarray, iterations: int = 10_000) -> np.ndarray:
         psi = np.exp(log_psi)
     raise GvlabError("not-converged", f"duality gap above {GAP_TOL} after {iterations} "
                                       "mirror-descent iterations")
-
-
-def numeric_optimal_outputs(table: ExemplarTable, determining_ids: Sequence[int],
-                            iterations: int = 10_000) -> OptimalOutputs:
-    """Minimize the empirical cross-entropy numerically, per configuration.
-
-    Independent reference for :func:`optimal_outputs`: the training
-    cross-entropy decouples into one conditional problem per observed
-    configuration, each solved by :func:`pgd_conditionals`.  Exists solely
-    to validate the closed form.
-    """
-    configs, counts = _label_counts(table, determining_ids)
-    psi = pgd_conditionals(counts / counts.sum(axis=1, keepdims=True), iterations)
-    return OptimalOutputs(tuple(determining_ids), configs, psi, table.k)

@@ -49,3 +49,10 @@ def reference_entropy(table, ids, with_labels):
         groups[key] = groups.get(key, 0) + count
     total = table.total
     return -sum(count / total * math.log(count / total) for count in groups.values())
+
+
+def reference_information(table, a, b, c, with_labels=False):
+    """I(A; B | C) from dict-loop entropies, with the label joining side A if asked."""
+    h = reference_entropy
+    return max((h(table, a + c, with_labels) - h(table, c, False))
+               - (h(table, a + b + c, with_labels) - h(table, b + c, False)), 0.0)

@@ -155,7 +155,7 @@ class TestConfigFile:
         section = readme[readme.index("## Error codes"):]
         section = section[:section.index("\n## ", 1)]
         documented = set(re.findall(r"^\| `([^`]+)` \|", section, re.MULTILINE))
-        assert len(raised) >= 19
+        assert len(raised) >= 18
         assert raised - documented == set()
         assert documented - raised == set()
 

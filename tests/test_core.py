@@ -11,16 +11,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import gvlab
-from gvlab.core import (BinningPolicy, Dataset, Exemplar, ExemplarTable, VariableSpec,
-                        _column_codes, build_table, marginalize, read_dataset_csv,
-                        rows_csv, stream, write_dataset_csv)
+from gvlab.core import (BinningPolicy, Dataset, ExemplarTable, VariableSpec, _column_codes,
+                        build_table, marginalize, rows_csv, stream)
 from gvlab.errors import GvlabError
 from gvlab.experiments import CheckResult
-from gvlab.synth import as_variable_dataset, generate_toy, random_toy_spec
+from gvlab.synth import generate_toy, random_toy_spec
 from gvlab.theory import BoundReport
 
 from csv_reference import REFERENCE
 from dict_tables import table_dict, table_from_dict
+from vector_view import as_variable_dataset
 
 
 def discrete_dataset(values, labels, cards, k):
@@ -70,12 +70,6 @@ class TestDataset:
         specs = (VariableSpec.continuous(0, "g0", 0.0, 1.0),)
         with pytest.raises(GvlabError):
             Dataset(specs, np.array([[float("nan")]]), np.zeros(1, dtype=int), 2)
-
-    def test_exemplar_roundtrip(self):
-        ds = discrete_dataset([[0, 1], [1, 0]], [0, 1], cards=[2, 2], k=2)
-        assert ds.exemplar(1) == Exemplar((1.0, 0.0), 1)
-        rebuilt = Dataset.from_exemplars(ds.specs, [ds.exemplar(i) for i in range(ds.n)], ds.k)
-        assert np.array_equal(rebuilt.values, ds.values)
 
 
 class TestBuildTable:
@@ -272,7 +266,7 @@ def test_counts_keep_row_sort_order(ds, data, bins):
 
 def test_wide_toy_view_matches_reference():
     data = generate_toy(random_toy_spec(seed=3, dims=20, task_correlated_dims=10, per_class=400))
-    view = as_variable_dataset(data.train, task_correlated_dims=10)
+    view = as_variable_dataset(data.train)
     for ids in (list(range(20)), list(range(19, -1, -1)), [12, 3, 7], []):
         assert_matches_reference(view, ids)
 
@@ -306,10 +300,8 @@ def test_build_then_marginalize_equals_direct_build(ds, data):
 def test_expand_and_rebuild_roundtrip(ds):
     """Expanding a table to weighted exemplars and recounting reproduces it."""
     table = build_table(ds, list(range(ds.m)))
-    exemplars = []
-    for (config, label), count in table_dict(table).items():
-        exemplars.extend([Exemplar(tuple(float(v) for v in config), label)] * count)
-    rebuilt = build_table(Dataset.from_exemplars(ds.specs, exemplars, ds.k),
+    rows = np.repeat(table.cells, table.counts, axis=0)
+    rebuilt = build_table(Dataset(ds.specs, rows[:, :-1], rows[:, -1], ds.k),
                           list(range(ds.m)))
     assert rebuilt == table
 
@@ -392,33 +384,6 @@ def test_empty_table_has_zero_total(sizes):
         assert marg.cells.shape == (0, len(keep) + 1) and marg.total == 0
 
 
-def test_dataset_csv_roundtrip(tmp_path):
-    specs = (VariableSpec.discrete(0, "g0", 3),
-             VariableSpec.continuous(1, "g1", -1.0, 1.0))
-    rng = np.random.default_rng(3)
-    values = np.column_stack([rng.integers(0, 3, 20), rng.uniform(-1, 1, 20)])
-    ds = Dataset(specs, values, rng.integers(0, 2, 20), 2)
-    path = tmp_path / "data.csv"
-    write_dataset_csv(ds, str(path))
-    header = path.read_text().splitlines()[0]
-    assert header == "g0,g1,y"
-    back = read_dataset_csv(str(path), specs, 2)
-    np.testing.assert_array_equal(back.values, ds.values)
-    np.testing.assert_array_equal(back.labels, ds.labels)
-
-
-@pytest.mark.parametrize("row", ["1,0.5", "1,abc,0"])
-def test_dataset_csv_malformed_row_rejected(tmp_path, row):
-    specs = (VariableSpec.discrete(0, "g0", 3),
-             VariableSpec.continuous(1, "g1", -1.0, 1.0))
-    path = tmp_path / "data.csv"
-    path.write_text(f"g0,g1,y\n0,0.25,1\n{row}\n")
-    with pytest.raises(GvlabError) as err:
-        read_dataset_csv(str(path), specs, 2)
-    assert err.value.code == "bad-csv"
-    assert ":3:" in str(err.value)
-
-
 #: Floats with the edge cases of ``repr`` mixed in: signed zeros, the
 #: smallest subnormal and values near the top of the range.
 CSV_FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300]))
@@ -478,3 +443,100 @@ def test_only_core_builds_random_generators():
                     or name.startswith(("np.random.", "numpy.random."))):
                 calls.append(f"{path.name}:{node.lineno} {name}")
     assert calls == []
+
+
+#: Functions of ``src/gvlab`` that no CLI run reaches, kept on purpose, by
+#: ``module.qualname``.
+UNREACHED_BY_THE_CLI = {
+    **dict.fromkeys(
+        ["core.Dataset.__post_init__", "core.Dataset.n", "core.Dataset.m",
+         "core.VariableSpec.__post_init__", "core.VariableSpec.continuous",
+         "core.VariableSpec.discrete", "core.ExemplarTable.__post_init__",
+         "core.ExemplarTable.total", "core._equal_fields", "core._check_row_order",
+         "core._column_codes", "core._cell_codes", "core.build_table", "core.marginalize",
+         "info._group_entropy", "info.entropy", "info.conditional_entropy"],
+        "the Dataset/build_table/marginalize/entropy table layer: library API for the "
+        "theory tests and ROADMAP item 16"),
+    **dict.fromkeys(
+        ["synth.invar_tg", "synth.InvarTGConfig.__post_init__", "synth.balance_substitute",
+         "synth.influence_rank"],
+        "the paper's algorithm, InvarTG, which no CLI protocol runs"),
+    "theory.addition_rule": "the library rule that criterion 05 is stated over",
+    "models.loss_and_gradients": "criterion 09",
+    "models.LinearModel.k": "read by loss_and_gradients (criterion 09)",
+    "augment.draw_params": "criterion 10",
+    "models.risk": "ROADMAP item 3",
+    "models.LinearModel.forward": "ROADMAP item 3",
+    "models._probs": "the scores of LinearModel.forward (ROADMAP item 3)",
+    "theory.OptimalOutputs.__post_init__": "the public constructor's checks",
+    "cli._list_of": "called while cli is imported, to build _CONFIG_KEYS",
+    "errors.GvlabError.__reduce__": "pickles an error out of a worker; --jobs 1 runs none",
+}
+
+
+def _defined_functions() -> dict[tuple[str, int], str]:
+    """``module.qualname`` of every function in ``src/gvlab`` by (file, first
+    line), the line of its first decorator, as ``co_firstlineno`` counts."""
+    found = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[str(path), first] = f"{path.stem}.{prefix}{child.name}"
+                visit(child, path, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, path, f"{prefix}{child.name}.")
+            else:
+                visit(child, path, prefix)
+
+    for path in sorted(Path(gvlab.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path, "")
+    return found
+
+
+def test_every_function_is_reached_by_a_cli_run_or_kept(tmp_path, monkeypatch):
+    """Every subcommand, both ``--corrupt`` hooks, config files and error paths,
+    run in-process at small scale under ``sys.setprofile``: each function of
+    ``src/gvlab`` is reached, or on the keep list with its reason."""
+    from gvlab.cli import build_parser, entry, main
+
+    build_parser.cache_clear()  # so that this run builds the parser, whatever ran before
+
+    config = tmp_path / "run.cfg"
+    config.write_text("# a comment\nplot = true\nlearning_rate = 0.01\nbins = 8\n"
+                      "interval_3 = 0.1, 0.4, 0.2, 0.5\narea_lo = 0.05\n")
+    small_toy = ["--datasets", "1", "--per-class", "600", "--epochs", "2"]
+    runs = [
+        ["toy-influence", *small_toy, "--config", str(config)],
+        ["toy-balance", *small_toy],
+        ["bounds", "--n-grid", "100,200", "--gamma-grid", "0.1"],
+        ["theory-check", "--tables", "5"],
+        *(["theory-check", "--tables", "5", "--corrupt", name]
+          for name in ("max-prob-bound", "optimal-outputs-closed-form")),
+        ["augment-sweep", "--datasets", "1", "--alphas", "0.5", "--laws", "uniform",
+         "--epochs", "1", "--repeats", "1", "--config", str(config)],
+        ["bounds", "--config", str(tmp_path / "missing.cfg")],
+        ["bounds", "--delta", "two"],
+    ]
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            reached.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    monkeypatch.setattr(sys, "argv", ["gvlab", "bounds", "--bogus"])
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        codes = [main([*argv, "--jobs", "1", "--out", str(tmp_path / "out")]) for argv in runs]
+        with pytest.raises(SystemExit) as exit_status:
+            entry()
+    finally:
+        sys.setprofile(previous)
+    assert codes == [0, 0, 0, 1, 1, 1, 0, 1, 1] and exit_status.value.code == 1
+    defined = _defined_functions()
+    assert set(UNREACHED_BY_THE_CLI) <= set(defined.values())
+    unreached = sorted(name for key, name in defined.items()
+                       if key not in reached and name not in UNREACHED_BY_THE_CLI)
+    assert unreached == []

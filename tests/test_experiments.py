@@ -17,7 +17,7 @@ from gvlab.core import rows_csv, stream
 from gvlab.errors import GvlabError
 from gvlab.experiments import (ADDITION_SPLITS, CORRUPTIBLE_CHECKS, AdditionRuleSweep,
                                GridProtocol, ToyProtocol, addition_rule_margins,
-                               _cell_table, addition_rule_sweep, argmax_zero_one_error,
+                               _cell_table, addition_rule_sweep,
                                block_counts, check_max_prob_bound, derive_seed,
                                make_grid_task, parallel_map, spearman, theory_check_run,
                                truth_table_counts)
@@ -26,12 +26,13 @@ from gvlab.synth import balance_column, balance_substitute
 from gvlab.theory import (_block_entropies, addition_rule, check_strict_invariance,
                           estimated_training_error, max_prob_lower_bound, optimal_outputs)
 
-from dict_tables import table_dict, table_from_dict
+from dict_tables import reference_information, table_dict, table_from_dict
 from lockstep_reference import gamma, reference_substitutes, substitute_bound
 from memory import traced_peak
-from theory_loops import (invariance_blocks, label_copy_counts, looped_sweep, nonempty,
-                          product_counts, random_counts, single_addition_rule, single_argmax_error,
-                          single_strict_invariance, single_training_error, table_blocks)
+from theory_loops import (argmax_zero_one_error, invariance_blocks, label_copy_counts,
+                          looped_sweep, nonempty, product_counts, random_counts,
+                          single_addition_rule, single_argmax_error, single_strict_invariance,
+                          single_training_error, table_blocks)
 
 SMALL_TOY = ToyProtocol(per_class=300, epochs=8)
 SMALL_GRID = GridProtocol(train_per_class=12, test_per_class=6, epochs=6, repeats=5,
@@ -217,10 +218,9 @@ class TestRandomTables:
 
     def test_product_table_is_independent(self):
         rng = np.random.default_rng(2)
-        from gvlab.info import mutual_information
         for _ in range(20):
             table = _cell_table(product_counts(rng))
-            assert mutual_information(table, [0], [1]) <= 1e-12
+            assert reference_information(table, (0,), (1,), ()) <= 1e-12
 
     def test_label_copy_table(self):
         rng = np.random.default_rng(3)
@@ -321,25 +321,27 @@ class TestToyRunners:
         assert err.value.code == "bad-config"
 
     def test_influence_bins_each_nuisance_column_once(self, monkeypatch):
-        """The worker builds no table: it bins each nuisance column once, on a
-        view that holds only those columns (no range or spec of any other),
-        and counts the labels and the predictions from those codes."""
+        """The worker builds no table and no ``Dataset``: it bins each nuisance
+        column once, over that column's own range, and counts the labels and
+        the predictions from those codes."""
         binned = []
 
-        def counting_column_codes(dataset, spec, binning):
-            binned.append((spec.name, dataset.m))
-            return column_codes(dataset, spec, binning)
+        def counting_range_codes(col, lo, hi, bins, name):
+            binned.append((name, len(col), lo, hi))
+            return range_codes(col, lo, hi, bins, name)
 
         def refuse(*args):
-            raise AssertionError("the toy worker built a table")
+            raise AssertionError("the toy worker built a table or a Dataset")
 
-        column_codes = synth._column_codes
-        monkeypatch.setattr(synth, "_column_codes", counting_column_codes)
+        range_codes = synth._range_codes
+        monkeypatch.setattr(synth, "_range_codes", counting_range_codes)
+        monkeypatch.setattr(core.Dataset, "__post_init__", refuse)
         for module in (core, synth, experiments):
             monkeypatch.setattr(module, "build_table", refuse, raising=False)
         experiments._toy_worker((123, 0, SMALL_TOY, False))
-        dims = SMALL_TOY.nuisance_dims
-        assert binned == [(f"g{j}", len(dims)) for j in dims]
+        x = experiments._toy_dataset(123, 0, SMALL_TOY).train.x
+        assert binned == [(f"g{j}", len(x), x[:, j].min(), x[:, j].max())
+                          for j in SMALL_TOY.nuisance_dims]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_one_run_gives_both_protocols(self, jobs):

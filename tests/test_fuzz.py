@@ -1,5 +1,5 @@
-"""Fuzz the user-facing input boundaries: config, dataset-CSV and model-file
-text, and the batches given to ``loss_and_gradients``.
+"""Fuzz the user-facing input boundaries: config text, the batches given to
+``loss_and_gradients``, and whole CLI runs.
 
 Every input either parses or raises a coded ``GvlabError``; no other
 exception may escape.  Text is drawn both from arbitrary characters and
@@ -14,14 +14,12 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gvlab import cli
-from gvlab.core import VariableSpec, read_dataset_csv
 from gvlab.errors import GvlabError
-from gvlab.models import LinearModel, load_model, loss_and_gradients
+from gvlab.models import LinearModel, loss_and_gradients
 
 FUZZ = settings(max_examples=60, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -67,30 +65,6 @@ def test_config_text_parses_or_raises_coded_error(tmp_path, text):
     _parsed_or_coded(cli.distribution_from_config, settings)
 
 
-SPECS = (VariableSpec.discrete(0, "g0", 3), VariableSpec.continuous(1, "g1", -1.0, 1.0))
-
-
-@FUZZ
-@given(st.lists(st.one_of(TEXT, _joined(","), st.lists(NUMBER, min_size=3, max_size=3)
-                          .map(",".join)), max_size=5), st.booleans())
-def test_dataset_csv_text_parses_or_raises_coded_error(tmp_path, rows, with_header):
-    path = tmp_path / "fuzz.csv"
-    path.write_text("\n".join(["g0,g1,y"] * with_header + rows))
-    data = _parsed_or_coded(read_dataset_csv, str(path), SPECS, 2)
-    if data is not None:
-        assert data.values.shape == (data.n, 2)
-
-
-@FUZZ
-@given(st.lists(st.one_of(TEXT, _joined(" ")), max_size=5))
-def test_model_file_text_parses_or_raises_coded_error(tmp_path, lines):
-    path = tmp_path / "fuzz.model"
-    path.write_text("\n".join(lines))
-    model = _parsed_or_coded(load_model, str(path))
-    if model is not None:
-        assert all(math.isfinite(v) for v in model.weights.ravel())
-
-
 BATCH_DTYPES = st.sampled_from([np.float64, np.float32, np.float16, np.int64, np.int8,
                                 np.uint8, np.bool_, np.complex128, np.str_])
 
@@ -126,16 +100,6 @@ def test_loss_and_gradients_returns_or_raises_coded_error(batch):
         loss, gw, gb = result
         assert math.isfinite(loss) and loss >= 0.0
         assert gw.shape == model.weights.shape and gb.shape == model.bias.shape
-
-
-@pytest.mark.parametrize("label", ["99999999999999999999", "2", "-1"])
-def test_dataset_csv_label_out_of_range_rejected(tmp_path, label):
-    path = tmp_path / "data.csv"
-    path.write_text(f"g0,g1,y\n0,0.5,1\n1,0.25,{label}\n")
-    with pytest.raises(GvlabError) as err:
-        read_dataset_csv(str(path), SPECS, 2)
-    assert err.value.code == "bad-csv"
-    assert ":3:" in str(err.value)
 
 
 # ---------------------------------------------------------------------------

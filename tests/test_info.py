@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from gvlab.core import ExemplarTable, marginalize
 from gvlab.errors import GvlabError
 from gvlab.experiments import _cell_table, block_counts, truth_table_counts
-from gvlab.info import LABELS, conditional_entropy, count_entropy, entropy, mutual_information
+from gvlab.info import conditional_entropy, count_entropy, entropy
 from gvlab.theory import _block_entropies, addition_rule
 
 from dict_tables import reference_entropy, reference_marginal, table_dict
@@ -83,67 +83,6 @@ class TestConditionalEntropy:
         assert err.value.code == "bad-variable"
 
 
-class TestMutualInformation:
-    def test_independent_variables_have_zero_information(self):
-        counts = {}
-        for a in range(2):
-            for b in range(3):
-                counts[((a, b), 0)] = (a + 1) * (b + 1)  # product structure
-        table = table_from_counts(counts, (2, 3), 2)
-        assert mutual_information(table, [0], [1]) == pytest.approx(0.0, abs=1e-12)
-
-    def test_identical_columns_give_full_entropy(self):
-        counts = {((0, 0), 0): 1, ((1, 1), 0): 1}
-        table = table_from_counts(counts, (2, 2), 2)
-        assert mutual_information(table, [0], [1]) == pytest.approx(LN2, abs=1e-12)
-
-    def test_overlapping_groups_rejected(self):
-        table = table_from_counts({((0, 0), 0): 1}, (2, 2), 2)
-        with pytest.raises(GvlabError) as err:
-            mutual_information(table, [0], [0])
-        assert err.value.code == "overlapping-variables"
-
-    def test_labels_pseudo_id_only_on_side_a(self):
-        table = table_from_counts({((0, 0), 0): 1}, (2, 2), 2)
-        with pytest.raises(GvlabError):
-            mutual_information(table, [0], [LABELS])
-
-    def test_label_side_equals_entropy_difference(self):
-        rng = np.random.default_rng(1)
-        for _ in range(30):
-            table = random_table(rng)
-            var = table.variable_ids[0]
-            mi = mutual_information(table, [LABELS], [var])
-            expected = entropy(table, "labels") - conditional_entropy(table, "labels", [var])
-            assert mi == pytest.approx(expected, abs=1e-12)
-
-
-def test_chain_rule_on_random_tables():
-    """I(Y; G0, G1) = I(Y; G0) + I(Y; G1 | G0) from the same counts."""
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        table = random_table(rng, max_vars=3)
-        if len(table.variable_ids) < 2:
-            continue
-        a, b = table.variable_ids[:2]
-        joint = mutual_information(table, [LABELS], [a, b])
-        chained = (mutual_information(table, [LABELS], [a])
-                   + mutual_information(table, [LABELS], [b], [a]))
-        assert joint == pytest.approx(chained, abs=1e-10)
-
-
-def test_full_chain_rule_accumulates_all_variables():
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        table = random_table(rng, max_vars=4, max_card=4)
-        ids = table.variable_ids
-        joint = mutual_information(table, [LABELS], list(ids))
-        total = 0.0
-        for i, var in enumerate(ids):
-            total += mutual_information(table, [LABELS], [var], list(ids[:i]))
-        assert joint == pytest.approx(total, abs=1e-10)
-
-
 def test_conditioning_reduces_entropy_and_range():
     rng = np.random.default_rng(4)
     for _ in range(60):
@@ -152,31 +91,6 @@ def test_conditioning_reduces_entropy_and_range():
         h_cond = conditional_entropy(table, "labels", list(table.variable_ids))
         assert 0.0 <= h_cond <= h_y + 1e-12
         assert h_y <= math.log(table.k) + 1e-12
-
-
-def test_information_is_nonnegative_and_symmetric():
-    rng = np.random.default_rng(5)
-    for _ in range(40):
-        table = random_table(rng, max_vars=3)
-        if len(table.variable_ids) < 2:
-            continue
-        a, b = table.variable_ids[:2]
-        given = list(table.variable_ids[2:])
-        ab = mutual_information(table, [a], [b], given)
-        ba = mutual_information(table, [b], [a], given)
-        assert ab >= 0.0
-        assert ab == pytest.approx(ba, abs=1e-10)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6))
-def test_label_information_identity(seed):
-    """I(Y;G) computed conditionally equals H(Y) - H(Y|G) exactly."""
-    table = random_table(np.random.default_rng(seed))
-    ids = list(table.variable_ids)
-    lhs = mutual_information(table, [LABELS], ids)
-    rhs = entropy(table, "labels") - conditional_entropy(table, "labels", ids)
-    assert lhs == pytest.approx(max(rhs, 0.0), abs=1e-12)
 
 
 class TestCountEntropy:
@@ -225,17 +139,10 @@ def one_prediction_per_configuration(table):
     return table_from_counts(kept, table.axis_sizes, table.k)
 
 
-def reference_information(table, a, b, c, with_labels=False):
-    """I(A; B | C) from dict-loop entropies, with the label joining side A if asked."""
-    h = reference_entropy
-    return max((h(table, a + c, with_labels) - h(table, c, False))
-               - (h(table, a + b + c, with_labels) - h(table, b + c, False)), 0.0)
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.data())
 def test_array_tables_match_the_dict_reference(seed, data):
-    """Marginals, entropies, information and the addition rule on the arrays
+    """Marginals, entropies and the addition rule on the arrays
     equal the dict loops they replaced: exactly for counts, to 1e-12 in nats."""
     table = _cell_table(random_counts(np.random.default_rng(seed)))
     keep = data.draw(keep_ids(table.variable_ids))
@@ -253,11 +160,6 @@ def test_array_tables_match_the_dict_reference(seed, data):
     assert conditional_entropy(table, "labels", keep) == pytest.approx(
         max(reference_entropy(table, keep, True) - reference_entropy(table, keep, False), 0.0),
         abs=1e-12)
-    assert mutual_information(table, [LABELS], keep) == pytest.approx(
-        reference_information(table, (), keep, (), with_labels=True), abs=1e-12)
-    if keep and rest:
-        assert mutual_information(table, keep[:1], rest, keep[1:]) == pytest.approx(
-            reference_information(table, keep[:1], rest, keep[1:]), abs=1e-12)
 
     hypothesis = one_prediction_per_configuration(table)
     if rest:

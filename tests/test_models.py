@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from gvlab import models
 from gvlab.errors import GvlabError
-from gvlab.models import (LinearModel, TrainConfig, VectorDataset, load_model,
-                          loss_and_gradients, risk, save_model, train, train_lockstep)
+from gvlab.models import (LinearModel, TrainConfig, VectorDataset, loss_and_gradients, risk,
+                          train, train_lockstep)
 from gvlab.synth import balance_column, balance_substitute, generate_toy, random_toy_spec
 
 from lockstep_reference import (assert_bit_equal, check_model_0,
@@ -778,30 +778,3 @@ class TestGradients:
         assert as_floats[0] == as_ints[0]
         assert np.array_equal(as_floats[1], as_ints[1])
         assert np.array_equal(as_floats[2], as_ints[2])
-
-
-class TestSerialization:
-    def test_roundtrip_is_exact(self, tmp_path):
-        rng = np.random.default_rng(21)
-        model = LinearModel(rng.normal(size=(3, 5)), rng.normal(size=3), "softmax")
-        path = tmp_path / "model.txt"
-        save_model(model, str(path))
-        back = load_model(str(path))
-        assert back.head == "softmax"
-        np.testing.assert_array_equal(back.weights, model.weights)
-        np.testing.assert_array_equal(back.bias, model.bias)
-
-    @pytest.mark.parametrize("text", ["", "1.0 2.0\n", "1.0 2.0\n3.0\n0.5 0.5\n",
-                                      "1.0 abc\n0.5\n"])
-    def test_malformed_file_rejected(self, tmp_path, text):
-        path = tmp_path / "model.txt"
-        path.write_text(text)
-        with pytest.raises(GvlabError) as err:
-            load_model(str(path))
-        assert err.value.code == "bad-model-file"
-
-    def test_single_row_loads_as_sigmoid(self, tmp_path):
-        model = sigmoid_model([0.25, -1.5], 0.75)
-        path = tmp_path / "model.txt"
-        save_model(model, str(path))
-        assert load_model(str(path)).head == "sigmoid"

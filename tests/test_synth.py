@@ -6,15 +6,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gvlab import synth
-from gvlab.core import BinningPolicy, Dataset, VariableSpec, build_table, derive_seed, rows_csv
+from gvlab.core import (BinningPolicy, Dataset, VariableSpec, _column_codes, build_table,
+                        derive_seed, rows_csv)
 from gvlab.errors import GvlabError
 from gvlab.info import conditional_entropy, entropy
 from gvlab.models import TrainConfig, VectorDataset
-from gvlab.synth import (InvarTGConfig, RoundRecord, ToySpec, as_variable_dataset,
-                         balance_substitute, generate_toy, influence_rank, invar_tg,
-                         random_toy_spec, _cholesky_or_raise)
+from gvlab.synth import (InvarTGConfig, RoundRecord, ToySpec, balance_substitute, generate_toy,
+                         influence_rank, invar_tg, random_toy_spec, _cholesky_or_raise,
+                         _vector_codes)
 
 from memory import traced_peak
+from vector_view import as_variable_dataset
 
 LN2 = math.log(2.0)
 
@@ -289,7 +291,8 @@ def assert_ranks_match_tables(ds, ids, binning):
     """``influence_rank`` and the worker's helper equal the table references bit for bit."""
     expected = [(j, h.hex()) for j, h in per_candidate_rank(ds, ids, binning)]
     assert [(j, h.hex()) for j, h in influence_rank(ds, ids, binning)] == expected
-    (h_cond, h_label), = synth._conditional_entropies(ds, ids, binning, ds.labels)
+    codes = np.array([_column_codes(ds, ds.specs[j], binning) for j in ids])
+    (h_cond, h_label), = synth._conditional_entropies(codes, ds.labels)
     assert h_label.hex() == entropy(build_table(ds, [], binning)).hex()
     assert [(j, h.hex()) for j, h in synth._ranked(ids, h_cond)] == expected
 
@@ -416,7 +419,7 @@ class TestInvarTG:
         assert result.balanced_ids == (1,)
         assert len(result.log) == 1
         assert result.log[0].chosen_id == 1
-        assert result.log[0].h_before <= LN2 / 2
+        assert result.log[0].h_before < 0.05
         assert result.log[0].h_after > result.log[0].h_before
 
     def test_never_balances_twice_and_stays_within_candidates(self):
@@ -441,6 +444,25 @@ class TestInvarTG:
         assert lines[1].startswith("0,1,")
 
 
+    @pytest.mark.parametrize("value", [2.0**24, -2.0**24, 1.7e7, 1e8])
+    def test_constant_column_at_large_magnitude_is_one_bin(self, value):
+        """A constant column is one bin, so H(label | column) = H(label), also
+        where its value plus 1e-9 rounds back to it."""
+        rng = np.random.default_rng(8)
+        y = rng.integers(0, 2, 50)
+        data = VectorDataset(np.column_stack([rng.normal(size=50), np.full(50, value)]), y, 2)
+        result = invar_tg(data, [1], InvarTGConfig(threshold=10.0, max_rounds=1), self.trainer)
+        label_only = build_table(Dataset((), np.zeros((50, 0)), y, 2), [])
+        assert result.log[0].chosen_id == 1
+        assert result.log[0].h_before == entropy(label_only)
+        assert not _vector_codes(data, [1], BinningPolicy()).any()
+
+    def test_empty_data_is_empty_dataset(self):
+        data = VectorDataset(np.empty((0, 3)), np.empty(0, dtype=np.int64), 2)
+        with pytest.raises(GvlabError) as err:
+            invar_tg(data, [0, 2], InvarTGConfig(threshold=1.0), self.trainer)
+        assert err.value.code == "empty-dataset"
+
     @pytest.mark.parametrize("candidates, duplicate", [([15, 10, 19, 3, 12], False),
                                                        ([19, 14, 4, 16], True)])
     def test_rounds_equal_full_width_tables_bit_for_bit(self, candidates, duplicate):
@@ -456,15 +478,15 @@ class TestInvarTG:
         config = InvarTGConfig(threshold=10.0, max_rounds=4)
         remaining, current, expected = list(candidates), data, []
         for round_index in range(config.max_rounds):
-            full = as_variable_dataset(current, 10)
+            full = as_variable_dataset(current)
             chosen, h_before = influence_rank(full, remaining, config.binning)[0]
             current = balance_substitute(current, chosen,
                                          derive_seed(self.trainer.seed, 101, round_index, chosen))
-            table = build_table(as_variable_dataset(current, 10), [chosen], config.binning)
+            table = build_table(as_variable_dataset(current), [chosen], config.binning)
             expected.append(RoundRecord(round_index, chosen, h_before,
                                         conditional_entropy(table, "labels", [chosen])))
             remaining.remove(chosen)
-        result = invar_tg(data, candidates, config, self.trainer, task_correlated_dims=10)
+        result = invar_tg(data, candidates, config, self.trainer)
         assert result.log == tuple(expected)
         assert result.balanced_ids == tuple(r.chosen_id for r in expected)
         if duplicate:
@@ -472,50 +494,118 @@ class TestInvarTG:
             assert expected[0].h_before == expected[1].h_before
 
 
-def test_as_variable_dataset_marks_correlation_split():
-    data = vectors_label_copy()
-    ds = as_variable_dataset(data, task_correlated_dims=1)
-    assert ds.specs[0].correlation == "task_correlated"
-    assert ds.specs[1].correlation == "task_uncorrelated"
-    table = build_table(ds, [1], BinningPolicy(10))
-    assert conditional_entropy(table, "labels", [1]) < 0.05
-
-
-def test_as_variable_dataset_of_some_columns_bins_them_as_the_full_view():
-    """A view of some columns holds them as variables 0.. in their order,
-    with the full view's ranges, names and correlation marks, so their
-    conditional entropies of the labels and of any other target are
-    bit-identical."""
+def test_vector_codes_of_some_columns_bin_them_as_the_full_view():
+    """The codes of some columns, in their order, are the full view's codes of
+    those columns, so their conditional entropies of the labels and of any
+    other target are bit-identical."""
     data = generate_toy(random_toy_spec(seed=13, per_class=300)).train
     columns = (15, 10, 19, 3)
-    full = as_variable_dataset(data, task_correlated_dims=10)
-    part = as_variable_dataset(data, 10, columns)
-    assert [replace(spec, var_id=j) for spec, j in zip(part.specs, columns, strict=True)] == \
-        [full.specs[j] for j in columns]
-    assert [spec.var_id for spec in part.specs] == [0, 1, 2, 3]
-    assert part.values.tobytes() == np.ascontiguousarray(full.values[:, columns]).tobytes()
-    other = (data.x[:, 0] > 0).astype(np.int64)
+    full = as_variable_dataset(data)
     binning = BinningPolicy(10)
-    assert synth._conditional_entropies(part, range(4), binning, data.y, other) == \
-        synth._conditional_entropies(full, columns, binning, data.y, other)
+    codes = _vector_codes(data, columns, binning)
+    expected = np.array([_column_codes(full, full.specs[j], binning) for j in columns])
+    assert codes.tobytes() == expected.tobytes()
+    other = (data.x[:, 0] > 0).astype(np.int64)
+    assert synth._conditional_entropies(codes, data.y, other) == \
+        synth._conditional_entropies(expected, data.y, other)
 
 
-def test_as_variable_dataset_of_some_columns_holds_one_copy_of_them():
-    """A view of 10 columns of 5 000 rows traces at most one copy of them
-    (400 000 bytes) and a quarter more for its specs: no second,
-    column-major copy on the way to the ``Dataset``."""
+def test_vector_codes_hold_their_array_and_one_column_of_temporaries():
+    """Binning 10 columns of 5 000 rows traces at most the (10, 5 000) int64
+    code array and one column's temporaries, the six column-sized arrays that
+    ``core._range_codes`` makes (clipped, shifted, scaled, floored, clamped to
+    the top bin, cast to int64) even if none were freed before the next: no
+    copy of the columns themselves (400 000 bytes) fits beside them."""
     data = generate_toy(random_toy_spec(seed=2)).train
     columns = tuple(range(10, 20))
     assert (data.n, len(columns)) == (5000, 10)
-    copy_bytes = data.n * len(columns) * 8
-    assert traced_peak(as_variable_dataset, data, 10, columns) <= 1.25 * copy_bytes
+    code_bytes, column_bytes = len(columns) * data.n * 8, data.n * 8
+    assert traced_peak(_vector_codes, data, columns, BinningPolicy()) <= \
+        code_bytes + 6 * column_bytes
+
+
+@st.composite
+def vector_columns(draw, n):
+    """One column of n floats: spread, constant, a few ulps wide, or of large
+    magnitude (so that its range may overflow to inf)."""
+    kind = draw(st.sampled_from(["spread", "constant", "ulps", "large"]))
+    if kind == "spread":
+        return draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    if kind == "large":
+        return draw(st.lists(st.one_of(finite, st.sampled_from([1e308, -1e308])),
+                             min_size=n, max_size=n))
+    base = draw(st.one_of(finite, st.sampled_from([2.0**24, -1.7e7, 1e8, 1.6e7, 5e-324])))
+    if kind == "constant":
+        return [base] * n
+    column = []
+    for steps in draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)):
+        value = base
+        for _ in range(steps):
+            value = math.nextafter(value, math.inf)
+        column.append(value)
+    return column
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 30).flatmap(lambda n: st.lists(vector_columns(n), min_size=1,
+                                                     max_size=4)),
+       st.one_of(st.sampled_from([2, 3, 10, 2**40, 2**53]), st.integers(2, 2**53)),
+       st.data())
+def test_vector_codes_equal_the_column_codes_of_the_view(columns, bins, data):
+    """Each column's codes equal ``_column_codes`` on the reference view of that
+    column wherever the view builds, and a constant column whose widened
+    range the view cannot build is one bin; a range that overflows to inf is
+    ``bad-variable``; a too-narrow range raises what the view's binning raises."""
+    n = len(columns[0])
+    vectors = VectorDataset(np.array(columns).T, np.arange(n) % 2, 2)
+    ids = data.draw(st.lists(st.integers(0, vectors.d - 1), min_size=1, max_size=5))
+    binning = BinningPolicy(bins)
+    expected, error = [], None
+    for j in ids:
+        col = vectors.x[:, j]
+        try:
+            view = as_variable_dataset(vectors, [j])
+        except GvlabError as err:
+            assert err.code == "bad-variable"
+            if col.min() == col.max() and math.isfinite(col[0]):  # lo + 1e-9 rounds to lo
+                assert abs(col[0]) >= 2.0**24
+                expected.append(np.zeros(n, dtype=np.int64))
+            else:  # a NaN, an inf or a range that overflows
+                error = error or (err.code, None)
+            continue
+        try:
+            expected.append(_column_codes(view, view.specs[0], binning))
+        except GvlabError as err:  # too narrow for the bin count
+            error = error or (err.code, str(err))
+    if error is None:
+        assert _vector_codes(vectors, ids, binning).tobytes() == np.array(expected).tobytes()
+        return
+    with pytest.raises(GvlabError) as err:
+        _vector_codes(vectors, ids, binning)
+    assert err.value.code == error[0]
+    assert error[1] is None or str(err.value) == error[1]
+
+
+@pytest.mark.parametrize("column", [[0.0, math.nan, 1.0], [0.0, math.inf, 1.0],
+                                    [-math.inf, -math.inf, -math.inf], [-1e308, 0.0, 1e308]],
+                         ids=["nan", "inf", "all-minus-inf", "overflowing-range"])
+def test_vector_codes_reject_a_non_finite_range(column):
+    """A NaN or inf, or a range past the largest float, is ``bad-variable``, as
+    the reference view's ``VariableSpec`` raises."""
+    vectors = VectorDataset(np.column_stack([[0.5, 0.25, 0.0], column]), [0, 1, 1], 2)
+    for call in (lambda: as_variable_dataset(vectors, [1]),
+                 lambda: _vector_codes(vectors, [0, 1], BinningPolicy())):
+        with pytest.raises(GvlabError) as err:
+            call()
+        assert err.value.code == "bad-variable"
 
 
 @pytest.mark.parametrize("columns", [(20,), (-1,), (1.5,), (True,), (3, 20)])
-def test_as_variable_dataset_rejects_a_column_outside_the_data(columns):
+def test_vector_codes_reject_a_column_outside_the_data(columns):
     data = generate_toy(random_toy_spec(seed=13, per_class=30)).train
     with pytest.raises(GvlabError) as err:
-        as_variable_dataset(data, 10, columns)
+        _vector_codes(data, columns, BinningPolicy())
     assert err.value.code == "bad-variable"
 
 
@@ -528,16 +618,3 @@ def test_estimated_error_tracks_true_training_error():
     estimate = 1.0 - report.mean_max_output
     assert estimate < 0.5
     assert abs(estimate - report.zero_one_error) < 0.05
-
-
-def test_toy_data_exports_through_dataset_csv(tmp_path):
-    """Generated toy data round-trips through the shared CSV format."""
-    from gvlab.core import read_dataset_csv, write_dataset_csv
-    data = generate_toy(random_toy_spec(seed=13, per_class=60))
-    ds = as_variable_dataset(data.train, task_correlated_dims=10)
-    path = tmp_path / "toy.csv"
-    write_dataset_csv(ds, str(path))
-    back = read_dataset_csv(str(path), ds.specs, ds.k)
-    np.testing.assert_array_equal(back.values, ds.values)
-    table = build_table(ds, [10, 15])
-    assert build_table(back, [10, 15]) == table

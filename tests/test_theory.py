@@ -8,19 +8,18 @@ from hypothesis import given, settings, strategies as st
 from gvlab import theory
 from gvlab.core import ExemplarTable, marginalize, rows_csv
 from gvlab.errors import GvlabError
-from gvlab.experiments import (_cell_table, argmax_zero_one_error, check_optimal_outputs,
-                               theory_check_run)
+from gvlab.experiments import _cell_table, check_optimal_outputs, theory_check_run
 from gvlab.theory import (GAP_TOL, INVARIANCE_TOL, BoundReport, OptimalOutputs, addition_rule,
                           check_strict_invariance, estimated_training_error,
                           excess_risk_bound, gap_bound, max_prob_lower_bound,
-                          numeric_optimal_outputs, optimal_outputs, pgd_conditionals)
+                          optimal_outputs, pgd_conditionals)
 
 from dict_tables import reference_marginal, table_dict
 from dict_tables import table_from_dict as table_from_counts
 from memory import traced_peak
-from theory_loops import (label_copy_counts, product_counts, random_counts,
-                          row_reduce_pgd_conditionals, single_argmax_error,
-                          single_strict_invariance, single_training_error)
+from theory_loops import (argmax_zero_one_error, label_copy_counts, numeric_optimal_outputs,
+                          product_counts, random_counts, row_reduce_pgd_conditionals,
+                          single_argmax_error, single_strict_invariance, single_training_error)
 
 LN2 = math.log(2.0)
 

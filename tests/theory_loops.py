@@ -10,7 +10,9 @@ single-table closed forms as they were
 before the grouped forms, the mirror-descent oracle as it was before its
 row maxima became column folds, and the addition rule as it was before its
 kernel took label-count matrices (one sparse entropy per marginal, in the
-caller's id order), so tests can pin the stacked code against them.
+caller's id order), so tests can pin the stacked code against them.  The
+numeric optimal outputs and the exact argmax error are the independent
+references of ``optimal_outputs`` and ``estimated_training_error``.
 """
 
 from fractions import Fraction
@@ -20,11 +22,11 @@ import numpy as np
 from gvlab.core import _run_heads, marginalize
 from gvlab import theory
 from gvlab.errors import GvlabError
-from gvlab.experiments import (_TABLE_RESTS, _TABLE_SHAPES, CheckResult, _cell_table,
-                               _invariance_tables, _random_tables)
+from gvlab.experiments import (_TABLE_RESTS, _TABLE_SHAPES, CheckResult, _argmax_errors,
+                               _cell_table, _invariance_tables, _random_tables)
 from gvlab.info import _group_entropy
-from gvlab.theory import (GAP_TOL, INVARIANCE_TOL, AdditionRule, InvarianceReport, _label_counts,
-                          optimal_outputs)
+from gvlab.theory import (GAP_TOL, INVARIANCE_TOL, AdditionRule, InvarianceReport,
+                          OptimalOutputs, _label_counts, optimal_outputs)
 
 
 def nonempty(dense):
@@ -90,6 +92,27 @@ def single_argmax_error(table, determining_ids):
     starts = _run_heads(marg.cells[:, :-1]).nonzero()[0]
     hits = int(np.maximum.reduceat(marg.counts, starts).sum())
     return Fraction(marg.total - hits, marg.total)
+
+
+def argmax_zero_one_error(table, determining_ids):
+    """Exact 0/1 training error of the argmax-of-conditional predictor, one
+    per value of the leading determining variable, the index of tables
+    stacked as in ``theory.estimated_training_error`` (one error when there
+    is no determining variable)."""
+    wrong, totals = _argmax_errors(table, determining_ids)
+    return tuple(Fraction(w, t) for w, t in zip(wrong.tolist(), totals.tolist()))
+
+
+def numeric_optimal_outputs(table, determining_ids, iterations=10_000):
+    """Minimize the empirical cross-entropy numerically, per configuration.
+
+    Independent reference for ``theory.optimal_outputs``: the training
+    cross-entropy decouples into one conditional problem per observed
+    configuration, each solved by ``theory.pgd_conditionals``.
+    """
+    configs, counts = _label_counts(table, determining_ids)
+    psi = theory.pgd_conditionals(counts / counts.sum(axis=1, keepdims=True), iterations)
+    return OptimalOutputs(tuple(determining_ids), configs, psi, table.k)
 
 
 def single_strict_invariance(table, determining_ids, invariant_ids):
