@@ -28,8 +28,6 @@ import numpy as np
 
 from .errors import GvlabError
 
-Correlation = Literal["task_correlated", "task_uncorrelated", "unknown"]
-
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -71,7 +69,6 @@ class VariableSpec:
     cardinality: int | None = None
     lo: float | None = None
     hi: float | None = None
-    correlation: Correlation = "unknown"
 
     def __post_init__(self):
         if self.var_id < 0:
@@ -89,14 +86,12 @@ class VariableSpec:
             raise GvlabError("bad-variable", f"unknown variable kind {self.kind!r}")
 
     @staticmethod
-    def discrete(var_id: int, name: str, cardinality: int,
-                 correlation: Correlation = "unknown") -> "VariableSpec":
-        return VariableSpec(var_id, name, "discrete", cardinality=cardinality, correlation=correlation)
+    def discrete(var_id: int, name: str, cardinality: int) -> "VariableSpec":
+        return VariableSpec(var_id, name, "discrete", cardinality=cardinality)
 
     @staticmethod
-    def continuous(var_id: int, name: str, lo: float, hi: float,
-                   correlation: Correlation = "unknown") -> "VariableSpec":
-        return VariableSpec(var_id, name, "continuous", lo=lo, hi=hi, correlation=correlation)
+    def continuous(var_id: int, name: str, lo: float, hi: float) -> "VariableSpec":
+        return VariableSpec(var_id, name, "continuous", lo=lo, hi=hi)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -330,8 +325,14 @@ def marginalize(table: ExemplarTable, keep_ids: Sequence[int]) -> ExemplarTable:
 def _run_heads(rows: np.ndarray) -> np.ndarray:
     """Whether each row differs from the one before it.  Cells sort by
     configuration first, so on ``cells[:, :r]`` each head starts the run of
-    cells that share a configuration of the first ``r`` variables."""
-    return np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))[:len(rows)]
+    cells that share a configuration of the first ``r`` variables.  The
+    columns are compared one at a time and ORed in: exact, and without
+    numpy's per-row overhead on short rows."""
+    heads = np.zeros(len(rows), dtype=bool)
+    heads[:1] = True
+    for col in rows.T:
+        heads[1:] |= col[1:] != col[:-1]
+    return heads
 
 
 # ---------------------------------------------------------------------------

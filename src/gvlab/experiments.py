@@ -34,7 +34,8 @@ from .augment import (POSITION_LAWS, AugmentDistribution, PositionLaw, erase_bat
 from .core import (BinningPolicy, ExemplarTable, _freeze, _run_heads, _unchecked, derive_seed,
                    stream)
 from .errors import GvlabError
-from .models import LinearModel, TrainConfig, VectorDataset, train, train_lockstep, zero_one_error
+from .models import (LinearModel, TrainConfig, VectorDataset, _class_sum, train, train_lockstep,
+                     zero_one_error)
 from .synth import (ToyData, _conditional_entropies, _ranked, _vector_codes, balance_column,
                     generate_toy, random_toy_spec)
 from . import theory
@@ -444,10 +445,9 @@ def _argmax_errors(table: ExemplarTable, determining_ids: Sequence[int]
     ids = tuple(determining_ids)
     configs, counts = theory._label_counts(table, ids)
     groups = _run_heads(configs[:, :min(len(ids), 1)]).nonzero()[0]
-    # integer maxima per configuration, summed per group
-    counts = counts.astype(np.int64)
-    hits = np.add.reduceat(counts.max(axis=1), groups)
-    totals = np.add.reduceat(counts.sum(axis=1), groups)
+    columns = counts.T.astype(np.int64)  # folds over the columns: exact on integers
+    hits = np.add.reduceat(reduce(np.maximum, columns), groups)
+    totals = np.add.reduceat(reduce(np.add, columns), groups)
     return totals - hits, totals
 
 
@@ -488,9 +488,19 @@ def truth_table_counts(laws: np.ndarray) -> np.ndarray:
 def block_counts(counts: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
     """Per ascending tuple of variable indices, the empty block included, the
     ``(256, laws, configurations, 2)`` label counts of that block in a
-    :func:`truth_table_counts` array, configurations in C order."""
-    return {block: counts.sum(axis=tuple(2 + i for i in range(3) if i not in block))
-            .reshape(counts.shape[:2] + (2 ** len(block), 2))
+    :func:`truth_table_counts` array, configurations in C order.
+
+    Each block is its parent block, with the block's lowest missing variable
+    added, summed over that variable: the two halves of one size-2 axis
+    added, exact on integers."""
+    dense = {(0, 1, 2): counts}
+    for size in (2, 1, 0):
+        for block in combinations(range(3), size):
+            var = min(set(range(3)) - set(block))
+            parent = tuple(sorted(block + (var,)))
+            halves = np.moveaxis(dense[parent], 2 + parent.index(var), 0)
+            dense[block] = halves[0] + halves[1]
+    return {block: dense[block].reshape(counts.shape[:2] + (2 ** len(block), 2))
             for size in range(4) for block in combinations(range(3), size)}
 
 
@@ -559,18 +569,25 @@ def check_max_prob_bound(rng: np.random.Generator, corrupt: bool = False) -> Che
 def _max_prob_gap(p: np.ndarray, corrupt: bool) -> float:
     """Largest excess of the entropy bound over max_y p(y) across the rows of ``p``.
 
-    The entropy terms share one buffer, which is freed with ``p`` on return,
-    before the next sweep step draws."""
-    terms = np.maximum(p, 1e-300)
-    np.log(terms, out=terms)
-    terms *= p
-    terms[~(p > 0)] = 0.0  # 0 log 0 = 0
-    h = -terms.sum(axis=1)
+    Both row reductions are column folds, without numpy's per-row overhead
+    on short rows: the maxima are exact in any order, and the entropy sums
+    run through :func:`models._class_sum` in numpy's row-sum order, so every
+    bit is that of ``(p log p).sum(axis=1)``.  The entropy terms overwrite
+    ``p`` once its maxima are taken, so the fold's temporaries sit beside
+    one block, not two, and everything is freed before the next sweep step
+    draws."""
+    top = reduce(np.maximum, p.T)
+    logs = np.maximum(p, 1e-300)
+    np.log(logs, out=logs)
+    # A zero p, where 0 log 0 = 0, gives 0 * log(1e-300) = -0.0, which adds
+    # nothing to a row sum; Dirichlet rows hold no NaN, inf or negative p.
+    p *= logs
+    del logs
+    h = -_class_sum(p.T)[0]
     bound = np.maximum(0.0, 1.0 - h / (2.0 * np.log(2.0)))
     if corrupt:
         bound = bound + 0.01
-    # column-wise maxima: exact, so equal to p.max(axis=1), without its per-row reduce
-    return float((bound - reduce(np.maximum, p.T)).max())
+    return float((bound - top).max())
 
 
 def check_optimal_outputs(rng: np.random.Generator, tables: int,
@@ -582,7 +599,7 @@ def check_optimal_outputs(rng: np.random.Generator, tables: int,
     numeric = theory.pgd_conditionals(closed)
     if corrupt:
         numeric = numeric + 0.002
-    worst = float((0.5 * np.abs(numeric - closed).sum(axis=1)).max())
+    worst = float((0.5 * _class_sum(np.abs(numeric - closed).T)).max())
     return CheckResult("optimal-outputs-closed-form", worst <= 1e-4, worst,
                        f"{tables} random tables vs mirror-descent minimizer")
 

@@ -345,27 +345,23 @@ def invar_tg(data: VectorDataset, candidate_ids: Sequence[int], config: InvarTGC
              trainer: TrainConfig) -> InvarTGResult:
     """Iteratively balance the most influential candidate, then train once.
 
-    Each round ranks the remaining candidates by conditional label entropy
-    on the current (already partially balanced) data, stops when the
-    minimum exceeds the threshold, the candidates are exhausted, or
-    ``max_rounds`` is hit, and otherwise substitutes the winning column
-    with Uniform(0,1) noise.  Entropies are recomputed after every
-    substitution; no id is balanced twice.
+    Each round takes the remaining candidate of lowest conditional label
+    entropy, stops when that entropy exceeds the threshold, the candidates
+    are exhausted, or ``max_rounds`` is hit, and otherwise substitutes the
+    winning column with Uniform(0,1) noise; no id is balanced twice.  A
+    substitution changes only the chosen column, which then leaves the
+    candidates, so the entropies are ranked once and walked in that order:
+    every round's ranking of the remaining candidates is that walk's rest.
     """
-    remaining = list(dict.fromkeys(int(v) for v in candidate_ids))
-    if not remaining:
+    candidates = list(dict.fromkeys(int(v) for v in candidate_ids))
+    if not candidates:
         raise GvlabError("bad-variable", "need at least one candidate id")
+    # Each column is binned by its own range; ties break by column id.
+    h_cond = _conditional_entropies(_vector_codes(data, candidates, config.binning), data.y)[0][0]
     current = data
     log: list[RoundRecord] = []
-    balanced: list[int] = []
-    for round_index in range(config.max_rounds):
-        if not remaining:
-            break
-        # Only the remaining columns are binned, each by its own range; ties
-        # break by column id.
-        h_cond = _conditional_entropies(_vector_codes(current, remaining, config.binning),
-                                        current.y)[0][0]
-        chosen, h_before = _ranked(remaining, h_cond)[0]
+    ranked = _ranked(candidates, h_cond)[:config.max_rounds]
+    for round_index, (chosen, h_before) in enumerate(ranked):
         if h_before > config.threshold:
             break
         current = balance_substitute(current, chosen,
@@ -373,7 +369,5 @@ def invar_tg(data: VectorDataset, candidate_ids: Sequence[int], config: InvarTGC
         h_after = _conditional_entropies(_vector_codes(current, [chosen], config.binning),
                                          current.y)[0][0][0]
         log.append(RoundRecord(round_index, chosen, h_before, h_after))
-        balanced.append(chosen)
-        remaining.remove(chosen)
     result = train(current, trainer)
-    return InvarTGResult(result.model, tuple(balanced), tuple(log), result)
+    return InvarTGResult(result.model, tuple(r.chosen_id for r in log), tuple(log), result)

@@ -47,10 +47,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (ExemplarTable, _check_row_order, _equal_fields, _freeze, _run_heads,
-                   _unchecked, marginalize)
+from .core import (ExemplarTable, _cell_codes, _check_row_order, _equal_fields, _freeze,
+                   _run_heads, _unchecked, marginalize)
 from .errors import GvlabError
 from .info import Nats, count_entropy
+from .models import _class_sum
 
 LN2 = math.log(2.0)
 
@@ -166,10 +167,13 @@ def _label_counts(table: ExemplarTable, ids: Sequence[int]) -> tuple[np.ndarray,
     # On a prefix of its variables the table's own cells already run by configuration.
     marg = table if ids == table.variable_ids[:len(ids)] else marginalize(table, ids)
     cells = marg.cells
-    starts = _run_heads(cells[:, :len(ids)]).nonzero()[0]
-    by_label = np.zeros((len(cells), marg.k))
-    by_label[np.arange(len(cells)), cells[:, -1]] = marg.counts
-    return _freeze(cells[starts, :len(ids)]), np.add.reduceat(by_label, starts)
+    heads = _run_heads(cells[:, :len(ids)])
+    starts = heads.nonzero()[0]
+    # One bin per (configuration, label), summed exactly in int64 (a table
+    # totals at most 2**63 - 1) and rounded to float once, as a marginal's are.
+    counts = np.zeros(len(starts) * marg.k, dtype=np.int64)
+    np.add.at(counts, (np.cumsum(heads) - 1) * marg.k + cells[:, -1], marg.counts)
+    return _freeze(cells[starts, :len(ids)]), counts.reshape(len(starts), marg.k).astype(float)
 
 
 def optimal_outputs(table: ExemplarTable, determining_ids: Sequence[int]) -> OptimalOutputs:
@@ -180,7 +184,7 @@ def optimal_outputs(table: ExemplarTable, determining_ids: Sequence[int]) -> Opt
     """
     configs, counts = _label_counts(table, determining_ids)
     return _unchecked(OptimalOutputs, tuple(determining_ids), configs,
-                      _freeze(counts / counts.sum(axis=1, keepdims=True)), table.k)
+                      _freeze(counts / _class_sum(counts.T).T), table.k)
 
 
 def estimated_training_error(opt: OptimalOutputs, table: ExemplarTable,
@@ -198,11 +202,11 @@ def estimated_training_error(opt: OptimalOutputs, table: ExemplarTable,
     configs, counts = _label_counts(table, opt.variable_ids)
     if not np.array_equal(configs, opt.configs):
         raise GvlabError("table-mismatch", "configuration sets differ between outputs and table")
-    n = counts.sum(axis=1)
+    n = _class_sum(counts.T)[0]
     starts = _run_heads(configs[:, :int(grouped)]).nonzero()[0]  # one run when not grouped
     # The builtin sum adds each group's n * max q strictly in configuration
     # order; numpy's sum would pair the additions from 8 terms on.
-    terms, bounds = (n * opt.probs.max(axis=1)).tolist(), starts.tolist() + [len(n)]
+    terms, bounds = (n * reduce(np.maximum, opt.probs.T)).tolist(), starts.tolist() + [len(n)]
     hits = np.array([sum(terms[a:b]) for a, b in zip(bounds, bounds[1:])])
     errors = 1.0 - hits / np.add.reduceat(n, starts)
     return errors if grouped else float(errors[0])
@@ -237,18 +241,24 @@ def check_strict_invariance(table: ExemplarTable, determining_ids: Sequence[int]
     kept = [i for i, var_id in enumerate(det) if var_id not in inv]
     # Pairwise total variation within each set of configurations that agree
     # on the kept variables, one array per set size: never a pair across sets.
-    keys, members = np.unique(opt.configs[:, kept], axis=0, return_inverse=True)
+    # A set is keyed by the mixed-radix code of its kept values, which sorts
+    # as their rows do; with nothing kept, every configuration is one set.
+    codes = (_cell_codes([opt.configs[:, i] for i in kept],
+                         [table.axis_sizes[table.variable_ids.index(det[i])] for i in kept])
+             if kept else np.zeros(len(opt.configs), dtype=np.int64))
+    _, first, members = np.unique(codes, return_index=True, return_inverse=True)
     order = np.argsort(members, kind="stable")
     sizes = np.bincount(members)
     starts = np.cumsum(sizes) - sizes
-    spread = np.zeros(len(keys))  # a set of one has no spread
+    spread = np.zeros(len(first))  # a set of one has no spread
     # A Python set: numpy's 1-D integer unique keeps heap in use after its first call.
     for size in set(sizes.tolist()) - {1}:
         sets = (sizes == size).nonzero()[0]
         q = opt.probs[order[starts[sets, None] + np.arange(size)]]
         spread[sets] = (0.5 * np.abs(q[:, :, None] - q[:, None]).sum(axis=3)).max(axis=(1, 2))
-    # Keys sort by the leading kept variable, the table index when grouped.
-    worst = np.maximum.reduceat(spread, _run_heads(keys[:, :int(grouped)]).nonzero()[0]).tolist()
+    # Sets sort by the leading kept variable, the table index when grouped.
+    worst = np.maximum.reduceat(spread, _run_heads(opt.configs[first, :int(grouped)]).nonzero()[0]
+                                ).tolist()
     reports = tuple(InvarianceReport(w <= INVARIANCE_TOL, w) for w in worst)
     return reports if grouped else reports[0]
 
@@ -328,8 +338,9 @@ def pgd_conditionals(q: np.ndarray, iterations: int = 10_000) -> np.ndarray:
     whose gap, taken over all rows, is at most :data:`GAP_TOL`.
     ``iterations`` is a hard cap; reaching it raises ``GvlabError("not-converged")``.
     Input other than a stack of probability rows raises ``GvlabError("bad-variable")``.
-    Row maxima are column folds (exact: a maximum ignores order); the log-sum-exp
-    keeps the row sum, whose pairwise order from 8 labels on a fold would change.
+    Row reductions are column folds: the maxima exact (a maximum ignores
+    order), the log-sum-exp's row sums through :func:`models._class_sum` in
+    numpy's own row-sum order, pairwise from 8 labels on.
     """
     q = np.asarray(q, dtype=np.float64)
     if (q.ndim != 2 or q.size == 0 or not np.isfinite(q).all() or (q < 0.0).any()
@@ -347,7 +358,7 @@ def pgd_conditionals(q: np.ndarray, iterations: int = 10_000) -> np.ndarray:
             return psi
         log_psi += grad / top
         log_psi -= reduce(np.maximum, log_psi.T)[:, None]
-        log_psi -= np.log(np.exp(log_psi).sum(axis=1, keepdims=True))
+        log_psi -= np.log(_class_sum(np.exp(log_psi).T).T)
         psi = np.exp(log_psi)
     raise GvlabError("not-converged", f"duality gap above {GAP_TOL} after {iterations} "
                                       "mirror-descent iterations")

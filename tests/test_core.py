@@ -40,7 +40,7 @@ class TestVariableSpec:
 
     def test_valid_specs(self):
         VariableSpec.discrete(0, "g0", 1)
-        VariableSpec.continuous(1, "g1", -2.0, 3.0, "task_uncorrelated")
+        VariableSpec.continuous(1, "g1", -2.0, 3.0)
 
     def test_continuous_range_must_be_finite(self):
         with pytest.raises(GvlabError):

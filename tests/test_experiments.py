@@ -21,7 +21,7 @@ from gvlab.experiments import (ADDITION_SPLITS, CORRUPTIBLE_CHECKS, AdditionRule
                                block_counts, check_max_prob_bound, derive_seed,
                                make_grid_task, parallel_map, spearman, theory_check_run,
                                truth_table_counts)
-from gvlab.models import LinearModel, risk, train
+from gvlab.models import LinearModel, _class_sum, risk, train
 from gvlab.synth import balance_column, balance_substitute
 from gvlab.theory import (_block_entropies, addition_rule, check_strict_invariance,
                           estimated_training_error, max_prob_lower_bound, optimal_outputs)
@@ -30,9 +30,10 @@ from dict_tables import reference_information, table_dict, table_from_dict
 from lockstep_reference import gamma, reference_substitutes, substitute_bound
 from memory import traced_peak
 from theory_loops import (argmax_zero_one_error, invariance_blocks, label_copy_counts,
-                          looped_sweep, nonempty, product_counts, random_counts,
-                          single_addition_rule, single_argmax_error, single_strict_invariance,
-                          single_training_error, table_blocks)
+                          looped_sweep, masked_max_prob_gap, multi_axis_block_counts, nonempty,
+                          product_counts, random_counts, single_addition_rule,
+                          single_argmax_error, single_strict_invariance, single_training_error,
+                          table_blocks)
 
 SMALL_TOY = ToyProtocol(per_class=300, epochs=8)
 SMALL_GRID = GridProtocol(train_per_class=12, test_per_class=6, epochs=6, repeats=5,
@@ -581,6 +582,21 @@ def product_laws() -> np.ndarray:
                      for a in weights for b in weights for c in weights])
 
 
+@pytest.mark.parametrize("laws", [sweep_laws(0), sweep_laws(SEED), product_laws()[:9],
+                                  np.zeros((0, 8), dtype=np.int64),
+                                  np.full((2, 8), 2**55, dtype=np.int64)],
+                         ids=["seed-0", "seed", "product", "no-laws", "large"])
+def test_block_counts_equal_one_multi_axis_sum_each(laws):
+    """Each block, its parent's two halves added, is the one multi-axis sum
+    of the reference bit for bit, in the same block order."""
+    counts = truth_table_counts(laws)
+    got, expected = block_counts(counts), multi_axis_block_counts(counts)
+    assert list(got) == list(expected)
+    for block, joint in got.items():
+        assert joint.dtype == expected[block].dtype and joint.shape == expected[block].shape
+        assert joint.tobytes() == expected[block].tobytes()
+
+
 class TestAdditionStatementsThatHold:
     """The addition statements that do hold for deterministic predictors,
     beside the per-variable inequality that criterion 05 shows failing.  The
@@ -618,7 +634,34 @@ def reference_max_prob_gap(rng, corrupt):
     return max(worst, abs(max_prob_lower_bound(np.log(2.0)) - 0.5))
 
 
+def max_prob_rows(k, rng):
+    """Dirichlet rows on ``k`` labels beside rows that hold exact 0.0 and
+    1.0: one-hot rows, rows with zeroed labels renormalized, and rows with
+    probabilities below the 1e-300 floor of the logarithm."""
+    p = rng.dirichlet(np.ones(k), size=400)
+    p[:60] = np.eye(k)[rng.integers(k, size=60)]
+    zeroed = p[60:200] * (rng.random((140, k)) < 0.5)
+    zeroed[np.arange(140), rng.integers(k, size=140)] += 0.25
+    p[60:200] = zeroed / zeroed.sum(axis=1, keepdims=True)
+    p[200:220] = 5e-324
+    p[200:220, 0] = 1.0
+    return p
+
+
 class TestMaxProbBound:
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_class_major_entropy_sums_with_zeros_and_ones(self, k):
+        """Unmasked terms summed class-major equal the masked terms summed
+        by ``sum(axis=1)`` bit for bit: a zero p adds -0.0."""
+        p = max_prob_rows(k, np.random.default_rng(k))
+        assert (p == 0.0).any() and (p == 1.0).any()
+        terms = np.log(np.maximum(p, 1e-300)) * p
+        masked = np.where(p > 0, terms, 0.0)
+        assert _class_sum(terms.T)[0].tobytes() == masked.sum(axis=1).tobytes()
+        for corrupt in (False, True):
+            gap = experiments._max_prob_gap(p.copy(), corrupt)
+            assert gap.hex() == masked_max_prob_gap(p, corrupt).hex()
+
     @pytest.mark.parametrize("corrupt", [False, True])
     @pytest.mark.parametrize("seed", [0, 1, 20240501])
     def test_equals_the_where_and_row_max_reference(self, seed, corrupt):

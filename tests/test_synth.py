@@ -10,7 +10,7 @@ from gvlab.core import (BinningPolicy, Dataset, VariableSpec, _column_codes, bui
                         derive_seed, rows_csv)
 from gvlab.errors import GvlabError
 from gvlab.info import conditional_entropy, entropy
-from gvlab.models import TrainConfig, VectorDataset
+from gvlab.models import TrainConfig, VectorDataset, train
 from gvlab.synth import (InvarTGConfig, RoundRecord, ToySpec, balance_substitute, generate_toy,
                          influence_rank, invar_tg, random_toy_spec, _cholesky_or_raise,
                          _vector_codes)
@@ -401,8 +401,51 @@ def vectors_label_copy(n=600, seed=0):
     return VectorDataset(x, y, 2)
 
 
+def per_round_invar_tg(data, candidate_ids, config, trainer):
+    """``synth.invar_tg`` as first written: each round bins and ranks every
+    remaining candidate on the current data, then balances the first."""
+    remaining = list(dict.fromkeys(int(v) for v in candidate_ids))
+    current, log = data, []
+    for round_index in range(config.max_rounds):
+        if not remaining:
+            break
+        h_cond = synth._conditional_entropies(_vector_codes(current, remaining, config.binning),
+                                              current.y)[0][0]
+        chosen, h_before = synth._ranked(remaining, h_cond)[0]
+        if h_before > config.threshold:
+            break
+        current = balance_substitute(current, chosen,
+                                     derive_seed(trainer.seed, 101, round_index, chosen))
+        h_after = synth._conditional_entropies(_vector_codes(current, [chosen], config.binning),
+                                               current.y)[0][0][0]
+        log.append(RoundRecord(round_index, chosen, h_before, h_after))
+        remaining.remove(chosen)
+    return tuple(log), tuple(r.chosen_id for r in log), train(current, trainer)
+
+
 class TestInvarTG:
     trainer = TrainConfig(0.1, 0.9, 32, 10, seed=3)
+
+    @pytest.mark.parametrize("candidates, threshold, max_rounds", [
+        ([15, 10, 19, 3, 12], 10.0, 4),
+        ([15, 10, 19, 3, 12, 10, 15], 10.0, 100),
+        (list(range(20)), 0.675, 100),
+        ([19, 4, 14, 16], 0.0, 3),
+        ([7], 10.0, 1),
+    ], ids=["cap", "exhausted-duplicates", "threshold", "none", "one"])
+    def test_one_ranking_equals_the_per_round_loop(self, candidates, threshold, max_rounds):
+        """The rounds walked from one ranking log, balance and train exactly
+        as re-ranking the remaining candidates every round, bit for bit."""
+        data = generate_toy(random_toy_spec(seed=13, per_class=300)).train
+        config = InvarTGConfig(threshold=threshold, max_rounds=max_rounds)
+        log, balanced, training = per_round_invar_tg(data, candidates, config, self.trainer)
+        result = invar_tg(data, candidates, config, self.trainer)
+        assert [(r.round, r.chosen_id, r.h_before.hex(), r.h_after.hex()) for r in result.log] \
+            == [(r.round, r.chosen_id, r.h_before.hex(), r.h_after.hex()) for r in log]
+        assert result.balanced_ids == balanced
+        assert result.model.weights.tobytes() == training.model.weights.tobytes()
+        assert result.model.bias.tobytes() == training.model.bias.tobytes()
+        assert result.training.loss.hex() == training.loss.hex()
 
     def test_threshold_below_all_entropies_means_zero_rounds(self):
         rng = np.random.default_rng(5)

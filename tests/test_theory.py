@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gvlab import theory
-from gvlab.core import ExemplarTable, marginalize, rows_csv
+from gvlab.core import ExemplarTable, _run_heads, marginalize, rows_csv
 from gvlab.errors import GvlabError
-from gvlab.experiments import _cell_table, check_optimal_outputs, theory_check_run
-from gvlab.theory import (GAP_TOL, INVARIANCE_TOL, BoundReport, OptimalOutputs, addition_rule,
+from gvlab.experiments import (_cell_table, _invariance_tables, _prefix_table,
+                               check_optimal_outputs, theory_check_run)
+from gvlab.theory import (GAP_TOL, INVARIANCE_TOL, BoundReport, InvarianceReport,
+                          OptimalOutputs, addition_rule,
                           check_strict_invariance, estimated_training_error,
                           excess_risk_bound, gap_bound, max_prob_lower_bound,
                           optimal_outputs, pgd_conditionals)
@@ -18,8 +20,10 @@ from dict_tables import reference_marginal, table_dict
 from dict_tables import table_from_dict as table_from_counts
 from memory import traced_peak
 from theory_loops import (argmax_zero_one_error, label_copy_counts, numeric_optimal_outputs,
-                          product_counts, random_counts, row_reduce_pgd_conditionals,
-                          single_argmax_error, single_strict_invariance, single_training_error)
+                          product_counts, random_counts, reduceat_label_counts,
+                          row_any_run_heads, row_reduce_pgd_conditionals, single_argmax_error,
+                          single_strict_invariance, single_training_error,
+                          unique_rows_strict_invariance)
 
 LN2 = math.log(2.0)
 
@@ -758,3 +762,97 @@ class TestBoundReport:
         assert lines[1].startswith("2,2,1000,0.05,,0.1074087")
         assert lines[2].split(",")[4] == "0.0"
         assert lines[3] == lines[2]
+
+
+def same_array(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestColumnFolds:
+    """The column folds and integer keys of the sweeps give the bits of the
+    row reductions they replaced (``tests/theory_loops.py``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 4).flatmap(lambda width: st.lists(
+        st.lists(st.integers(-2, 2) | st.sampled_from([-2**63, 2**63 - 1]),
+                 min_size=width, max_size=width), max_size=60)
+        .map(lambda rows: np.array(rows, dtype=np.int64).reshape(len(rows), width))))
+    def test_run_heads_equal_the_row_any_reference(self, rows):
+        assert same_array(_run_heads(rows), row_any_run_heads(rows))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (1, 0), (1, 2), (5, 0)])
+    def test_run_heads_at_the_edges(self, shape):
+        rows = np.zeros(shape, dtype=np.int64)
+        assert same_array(_run_heads(rows), row_any_run_heads(rows))
+        assert _run_heads(rows).tolist() == [True, False, False, False, False][:shape[0]]
+
+    @pytest.mark.parametrize("make", [random_counts, product_counts, label_copy_counts],
+                             ids=["random", "product", "dependent"])
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_label_counts_equal_the_reduceat_reference(self, make, seed, data):
+        table = _cell_table(make(np.random.default_rng(seed)))
+        ids = data.draw(keep_ids(table.variable_ids))
+        for got, expected in zip(theory._label_counts(table, ids),
+                                 reduceat_label_counts(table, ids)):
+            assert same_array(got, expected)
+
+    def test_label_counts_of_a_prefix_past_2_53_round_once_as_a_marginal(self):
+        """On a prefix, the cells of one configuration and label add exactly
+        and round once, as the marginal's counts do, also past 2**53, where
+        the float sums of the reference round in numpy's reduceat order."""
+        cells = [[0, b, 1] for b in range(3)] + [[0, 3, 0], [1, 0, 0], [1, 1, 1], [1, 2, 1]]
+        counts = [2**53, 1, 1, 2**60, 3, 2**53, 2**61]
+        table = ExemplarTable((0, 1), (2, 4), cells, counts, 2)
+        configs, got = theory._label_counts(table, (0,))
+        marginal = theory._label_counts(marginalize(table, (0,)), (0,))
+        assert same_array(configs, marginal[0]) and same_array(got, marginal[1])
+        assert got.tolist() == [[2.0**60, 2.0**53 + 2], [3.0, float(2**61 + 2**53)]]
+
+    def test_label_counts_of_the_training_error_stack(self):
+        stack = _prefix_table(np.random.default_rng(3), 300)
+        for ids in ((0, 1), (0,), ()):
+            for got, expected in zip(theory._label_counts(stack, ids),
+                                     reduceat_label_counts(stack, ids)):
+                assert same_array(got, expected)
+
+    @pytest.mark.parametrize("make", [random_counts, product_counts, label_copy_counts],
+                             ids=["random", "product", "dependent"])
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_invariance_sets_equal_the_unique_rows_reference(self, make, seed, data):
+        table = _cell_table(make(np.random.default_rng(seed)))
+        det = data.draw(keep_ids(table.variable_ids))
+        inv = data.draw(st.lists(st.sampled_from(det), unique=True)) if det else []
+        got = check_strict_invariance(table, det, inv)
+        expected = unique_rows_strict_invariance(table, det, inv)
+        assert got == expected and got.max_deviation.hex() == expected.max_deviation.hex()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_grouped_invariance_sets_equal_the_unique_rows_reference(self, seed):
+        for stack in _invariance_tables(np.random.default_rng(seed), 100)[:2]:
+            table = _cell_table(stack)
+            got = check_strict_invariance(table, (0, 1, 2), (1,), grouped=True)
+            expected = unique_rows_strict_invariance(table, (0, 1, 2), (1,), grouped=True)
+            assert [r.max_deviation.hex() for r in got] == \
+                [r.max_deviation.hex() for r in expected]
+            assert got == expected
+
+    def test_invariance_keys_past_int64_are_ranked_in_row_order(self):
+        """Kept axis sizes whose product passes 2**63 are keyed without overflow."""
+        cells = [[a, b, c, y] for a, b, c, y in [(0, 5, 1, 0), (0, 5, 2, 1), (3, 0, 2**40 - 1, 0),
+                                                  (3, 2**40 - 1, 0, 1), (3, 2**40 - 1, 7, 0),
+                                                  (2**40 - 1, 1, 1, 1)]]
+        table = ExemplarTable((0, 1, 2), (2**40,) * 3, cells, [1, 2, 3, 4, 5, 6], 2)
+        for inv in ([], [2], [1], [0, 2]):
+            got = check_strict_invariance(table, (0, 1, 2), inv)
+            assert got == unique_rows_strict_invariance(table, (0, 1, 2), inv)
+        assert not check_strict_invariance(table, (0, 1, 2), [2]).is_invariant
+
+    def test_every_determining_variable_invariant_is_one_set(self):
+        """With nothing kept, every configuration is one set: the two rows of
+        [[3, 1], [1, 3]] are 0.5 apart."""
+        table = _cell_table(np.array([[3, 1], [1, 3]]))
+        report = check_strict_invariance(table, (0,), (0,))
+        assert report == InvarianceReport(False, 0.5)
+        assert report == unique_rows_strict_invariance(table, (0,), (0,))

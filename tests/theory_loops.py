@@ -13,13 +13,20 @@ kernel took label-count matrices (one sparse entropy per marginal, in the
 caller's id order), so tests can pin the stacked code against them.  The
 numeric optimal outputs and the exact argmax error are the independent
 references of ``optimal_outputs`` and ``estimated_training_error``.
+
+The sweeps reduce short rows as column folds; the row reductions they
+replaced are kept here too: run heads from ``any(axis=1)``, label counts
+from a one-hot matrix summed by ``add.reduceat``, invariance sets keyed by
+``np.unique(axis=0)``, addition-rule blocks from one multi-axis sum each,
+and the max-prob gap from masked entropy terms summed by ``sum(axis=1)``.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
-from gvlab.core import _run_heads, marginalize
+from gvlab.core import _freeze, _run_heads, marginalize
 from gvlab import theory
 from gvlab.errors import GvlabError
 from gvlab.experiments import (_TABLE_RESTS, _TABLE_SHAPES, CheckResult, _argmax_errors,
@@ -214,3 +221,61 @@ def looped_sweep(sweep, rng, tables):
     if sweep == "training-error":
         return looped_check_training_error(blocks, prefixes.tolist())
     return looped_check_optimal_outputs(blocks, sweep == "optimal-outputs-corrupt")
+
+
+def row_any_run_heads(rows):
+    """``core._run_heads`` as a reduction of each row of differences."""
+    return np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))[:len(rows)]
+
+
+def reduceat_label_counts(table, ids):
+    """``theory._label_counts`` with the label counts as one-hot rows summed per run."""
+    ids = tuple(ids)
+    marg = table if ids == table.variable_ids[:len(ids)] else marginalize(table, ids)
+    cells = marg.cells
+    starts = row_any_run_heads(cells[:, :len(ids)]).nonzero()[0]
+    by_label = np.zeros((len(cells), marg.k))
+    by_label[np.arange(len(cells)), cells[:, -1]] = marg.counts
+    return _freeze(cells[starts, :len(ids)]), np.add.reduceat(by_label, starts)
+
+
+def unique_rows_strict_invariance(table, determining_ids, invariant_ids, grouped=False):
+    """``theory.check_strict_invariance`` with its sets keyed by the kept
+    columns' rows through ``np.unique(axis=0)``, input checks left out."""
+    det, inv = tuple(determining_ids), set(invariant_ids)
+    opt = optimal_outputs(table, det)
+    kept = [i for i, var_id in enumerate(det) if var_id not in inv]
+    keys, members = np.unique(opt.configs[:, kept], axis=0, return_inverse=True)
+    order = np.argsort(members, kind="stable")
+    sizes = np.bincount(members)
+    starts = np.cumsum(sizes) - sizes
+    spread = np.zeros(len(keys))
+    for size in set(sizes.tolist()) - {1}:
+        sets = (sizes == size).nonzero()[0]
+        q = opt.probs[order[starts[sets, None] + np.arange(size)]]
+        spread[sets] = (0.5 * np.abs(q[:, :, None] - q[:, None]).sum(axis=3)).max(axis=(1, 2))
+    worst = np.maximum.reduceat(spread,
+                                row_any_run_heads(keys[:, :int(grouped)]).nonzero()[0]).tolist()
+    reports = tuple(InvarianceReport(w <= INVARIANCE_TOL, w) for w in worst)
+    return reports if grouped else reports[0]
+
+
+def multi_axis_block_counts(counts):
+    """``experiments.block_counts`` with each block one sum over its missing axes."""
+    return {block: counts.sum(axis=tuple(2 + i for i in range(3) if i not in block))
+            .reshape(counts.shape[:2] + (2 ** len(block), 2))
+            for size in range(4) for block in combinations(range(3), size)}
+
+
+def masked_max_prob_gap(p, corrupt):
+    """``experiments._max_prob_gap`` with the terms of zero ``p`` set to 0.0
+    and each row summed by ``sum(axis=1)``; ``p`` is left as it is."""
+    terms = np.maximum(p, 1e-300)
+    np.log(terms, out=terms)
+    terms *= p
+    terms[~(p > 0)] = 0.0
+    h = -terms.sum(axis=1)
+    bound = np.maximum(0.0, 1.0 - h / (2.0 * np.log(2.0)))
+    if corrupt:
+        bound = bound + 0.01
+    return float((bound - p.max(axis=1)).max())
