@@ -1,6 +1,6 @@
 """gvlab: a generalization-theory laboratory over generative variables.
 
-Empirical information measures on exemplar count tables, closed-form
+Exemplar count tables and their plug-in entropy, closed-form
 generalization bounds with exact oracles for cross-entropy-optimal
 hypotheses, from-scratch linear classifiers, a synthetic Gaussian task
 with the InvarTG balancing loop, random-erasing parameter laws, and a
@@ -19,10 +19,9 @@ import os as _os
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     _os.environ.setdefault(_name, "1")
 
-from .core import (BinningPolicy, Dataset, ExemplarTable, VariableSpec, build_table, marginalize,
-                   rows_csv)
+from .core import BinningPolicy, ExemplarTable, rows_csv
 from .errors import GvlabError
-from .info import Nats, conditional_entropy, count_entropy, entropy
+from .info import Nats, count_entropy
 from .models import (LinearModel, RiskReport, TrainConfig, TrainResult, VectorDataset,
                      loss_and_gradients, risk, train, train_lockstep)
 from .synth import (InvarTGConfig, InvarTGResult, ToyData, ToySpec, balance_column,

@@ -1,28 +1,22 @@
-"""Domain types for generative-variable data and empirical count tables.
+"""Seeded random streams, the one binning rule, count tables and CSV reports.
 
-A classification task is described by a set of *generative variables*
-(discrete or continuous latent factors), and every observation is an
-*exemplar*: one value per variable plus an integer label, one row of a
-:class:`Dataset`.  The table-level information machinery operates on
-:class:`ExemplarTable`, the empirical joint count table over a chosen
-subset of variables and the label.
+A classification task is described by *generative variables*, and the
+theory operates on :class:`ExemplarTable`, the empirical joint count table
+over a subset of those variables and the label, in coordinate form.  Data
+itself is a ``models.VectorDataset``, one row per exemplar.
 
-Continuous variables are discretized by equal-width binning over their
-declared range before counting (:func:`_range_codes`, the one binning rule;
-the toy protocols bin vector columns over their own min/max with it).
-Values outside the declared range are clamped into the boundary bins so
-that estimators stay total-preserving even when evaluation data exceeds
-the range observed at fit time.
+Continuous values are discretized by equal-width binning over a range
+before counting (:func:`_range_codes`, the one binning rule; the toy
+protocols and InvarTG bin each vector column over its own min/max with
+it).  Values outside the range are clamped into the boundary bins.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 import sys
 from dataclasses import dataclass, fields
-from functools import cached_property
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -54,46 +48,6 @@ def derive_seed(base: int, *path: int) -> int:
     return int(_seed_sequence((base,) + path).generate_state(1)[0])
 
 
-@dataclass(frozen=True)
-class VariableSpec:
-    """Description of one generative variable.
-
-    Discrete variables take integer codes ``0..cardinality-1``; continuous
-    variables take reals and must declare a non-degenerate closed range
-    ``[lo, hi]`` used for equal-width binning.
-    """
-
-    var_id: int
-    name: str
-    kind: Literal["discrete", "continuous"]
-    cardinality: int | None = None
-    lo: float | None = None
-    hi: float | None = None
-
-    def __post_init__(self):
-        if self.var_id < 0:
-            raise GvlabError("bad-variable", f"variable id must be >= 0, got {self.var_id}")
-        if self.kind == "discrete":
-            if self.cardinality is None or self.cardinality < 1:
-                raise GvlabError("bad-variable", f"discrete variable {self.var_id} needs cardinality >= 1")
-        elif self.kind == "continuous":
-            if (self.lo is None or self.hi is None or not self.lo < self.hi
-                    or not math.isfinite(self.hi - self.lo)):
-                raise GvlabError("bad-variable",
-                                 f"continuous variable {self.var_id} needs lo < hi "
-                                 f"with a finite width")
-        else:
-            raise GvlabError("bad-variable", f"unknown variable kind {self.kind!r}")
-
-    @staticmethod
-    def discrete(var_id: int, name: str, cardinality: int) -> "VariableSpec":
-        return VariableSpec(var_id, name, "discrete", cardinality=cardinality)
-
-    @staticmethod
-    def continuous(var_id: int, name: str, lo: float, hi: float) -> "VariableSpec":
-        return VariableSpec(var_id, name, "continuous", lo=lo, hi=hi)
-
-
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
@@ -112,52 +66,6 @@ def _check_row_order(rows: np.ndarray, what: str) -> None:
     increasing lexicographic order (so at most one row of width 0)."""
     if not np.array_equal(np.unique(rows, axis=0), rows):
         raise GvlabError("bad-variable", f"{what} must be distinct and in lexicographic order")
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """Exemplars (value rows) with their variable specs and label count.
-
-    Values are stored column-aligned with ``specs``; labels are dense
-    integer codes ``0..k-1``.  Instances are immutable and safe to share
-    across threads.
-    """
-
-    specs: tuple[VariableSpec, ...]
-    values: np.ndarray  # (n, m) float64
-    labels: np.ndarray  # (n,)   int64
-    k: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(np.asarray(self.values, dtype=np.float64)))
-        object.__setattr__(self, "labels", _freeze(np.asarray(self.labels, dtype=np.int64)))
-        if self.values.ndim != 2 or self.values.shape[1] != len(self.specs):
-            raise GvlabError("bad-variable", "value matrix width must equal the number of specs")
-        if self.labels.shape != (self.values.shape[0],):
-            raise GvlabError("bad-variable", "labels must align with value rows")
-        ids = [s.var_id for s in self.specs]
-        if ids != list(range(len(self.specs))):
-            raise GvlabError("bad-variable", "variable ids must be unique and dense from 0")
-        if self.k < 1:
-            raise GvlabError("bad-variable", "label count must be >= 1")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.k):
-            raise GvlabError("bad-variable", "label codes must lie in 0..k-1")
-        if self.values.size and not np.isfinite(self.values).all():
-            raise GvlabError("bad-variable", "variable values must be finite")
-        for j, spec in enumerate(self.specs):
-            if spec.kind == "discrete" and self.values.size:
-                col = self.values[:, j]
-                if np.any(col != np.floor(col)) or col.min() < 0 or col.max() >= spec.cardinality:
-                    raise GvlabError("bad-variable",
-                                     f"discrete variable {spec.var_id} has out-of-range codes")
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def m(self) -> int:
-        return len(self.specs)
 
 
 @dataclass(frozen=True)
@@ -224,10 +132,6 @@ class ExemplarTable:
 
     __eq__ = _equal_fields
 
-    @cached_property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 def _unchecked(cls, *values):
     """``cls(*values)`` without ``__post_init__``: for values derived from checked input."""
@@ -250,13 +154,6 @@ def _range_codes(col: np.ndarray, lo: float, hi: float, bins: int, name: str) ->
     return np.minimum(codes, bins - 1).astype(np.int64)
 
 
-def _column_codes(dataset: Dataset, spec: VariableSpec, binning: BinningPolicy) -> np.ndarray:
-    col = dataset.values[:, spec.var_id]
-    if spec.kind == "discrete":
-        return col.astype(np.int64)
-    return _range_codes(col, spec.lo, spec.hi, binning.bins, spec.name)
-
-
 def _cell_codes(columns: Sequence[np.ndarray], sizes: Sequence[int]) -> np.ndarray:
     """One int64 code per row: C-order mixed radix over ``sizes``.
 
@@ -274,52 +171,6 @@ def _cell_codes(columns: Sequence[np.ndarray], sizes: Sequence[int]) -> np.ndarr
         code = code * size + col
         radix *= size
     return code
-
-
-def build_table(dataset: Dataset, variable_ids: Sequence[int],
-                binning: BinningPolicy = BinningPolicy()) -> ExemplarTable:
-    """Aggregate a dataset into the joint count table over ``variable_ids``.
-
-    An empty id list yields the label-marginal table with the single
-    configuration ``()``.
-    """
-    if dataset.n == 0:
-        raise GvlabError("empty-dataset", "cannot build a table from an empty dataset")
-    known = {s.var_id: s for s in dataset.specs}
-    specs = []
-    for var_id in variable_ids:
-        if var_id not in known:
-            raise GvlabError("bad-variable", f"unknown variable id {var_id}")
-        specs.append(known[var_id])
-    if len(set(variable_ids)) != len(tuple(variable_ids)):
-        raise GvlabError("bad-variable", "duplicate variable ids")
-
-    columns = [_column_codes(dataset, s, binning) for s in specs] + [dataset.labels]
-    sizes = tuple(s.cardinality if s.kind == "discrete" else binning.bins for s in specs)
-    # One sort of flat cell codes; each cell is read back from the first row
-    # of its code, so cells come out in the lexicographic order of the rows.
-    _, first, counts = np.unique(_cell_codes(columns, sizes + (dataset.k,)),
-                                 return_index=True, return_counts=True)
-    cells = np.column_stack([col[first] for col in columns])
-    return _unchecked(ExemplarTable, tuple(variable_ids), sizes, _freeze(cells), _freeze(counts),
-                      dataset.k)
-
-
-def marginalize(table: ExemplarTable, keep_ids: Sequence[int]) -> ExemplarTable:
-    """Sum counts over every variable not in ``keep_ids``; total preserved."""
-    keep = tuple(keep_ids)
-    if keep == table.variable_ids:  # tables are immutable, so a copy buys nothing
-        return table
-    if len(set(keep)) != len(keep) or not set(keep) <= set(table.variable_ids):
-        raise GvlabError("bad-variable", f"keep ids {keep} not a subset of {table.variable_ids}")
-    positions = [table.variable_ids.index(var_id) for var_id in keep] + [-1]
-    sizes = tuple(table.axis_sizes[p] for p in positions[:-1])
-    codes = _cell_codes([table.cells[:, p] for p in positions], sizes + (table.k,))  # no copy
-    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    counts = np.zeros(len(first), dtype=np.int64)
-    np.add.at(counts, inverse, table.counts)
-    return _unchecked(ExemplarTable, keep, sizes, _freeze(table.cells[np.ix_(first, positions)]),
-                      _freeze(counts), table.k)
 
 
 def _run_heads(rows: np.ndarray) -> np.ndarray:

@@ -52,8 +52,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (BinningPolicy, Dataset, _column_codes, _is_int, _range_codes, derive_seed,
-                   stream)
+from .core import BinningPolicy, _is_int, _range_codes, derive_seed, stream
 from .errors import GvlabError
 from .info import Nats, count_entropy
 from .models import LinearModel, TrainConfig, TrainResult, VectorDataset, train
@@ -229,27 +228,19 @@ def _vector_codes(data: VectorDataset, columns: Sequence[int],
     return codes
 
 
-def influence_rank(dataset: Dataset, candidate_ids: Sequence[int],
+def influence_rank(data: VectorDataset, columns: Sequence[int],
                    binning: BinningPolicy = BinningPolicy()) -> tuple[tuple[int, Nats], ...]:
-    """Candidates ordered by ascending conditional label entropy.
+    """Columns ordered by ascending H(label | column), the lowest (most
+    influential) first; ties break by ascending column id.
 
-    The lowest H(Y | variable) comes first (most influential); ties break
-    by ascending variable id.  Each entropy equals
-    ``conditional_entropy(build_table(dataset, [id], binning), "labels", [id])``
-    bit for bit, from one binned count of every candidate.
+    Each column is binned over its own range (:func:`_vector_codes`), and every
+    column's entropy comes from one count (:func:`_conditional_entropies`).
     """
-    ids = tuple(candidate_ids)
-    if not ids:
+    columns = tuple(columns)
+    if not columns:
         raise GvlabError("bad-variable", "need at least one candidate id")
-    if dataset.n == 0:
-        raise GvlabError("empty-dataset", "cannot build a table from an empty dataset")
-    known = {s.var_id: s for s in dataset.specs}
-    codes = np.empty((len(ids), dataset.n), dtype=np.int64)
-    for row, var_id in zip(codes, ids):
-        if var_id not in known:
-            raise GvlabError("bad-variable", f"unknown variable id {var_id}")
-        row[:] = _column_codes(dataset, known[var_id], binning)
-    return _ranked(ids, _conditional_entropies(codes, dataset.labels)[0][0])
+    return _ranked(columns, _conditional_entropies(_vector_codes(data, columns, binning),
+                                                   data.y)[0][0])
 
 
 def _ranked(ids: Sequence[int], entropies: Sequence[Nats]) -> tuple[tuple[int, Nats], ...]:
@@ -264,14 +255,15 @@ def _conditional_entropies(codes: np.ndarray, *targets: np.ndarray
     H(target).  ``codes`` is overwritten.
 
     One ``bincount`` of (variable, bin, target) codes fills a dense
-    ``(variables, bins * k)`` count array; row j lists the cells of a table
-    over variable j alone in their order, with zeros for the cells it leaves
-    out.  ``count_entropy`` adds a row in that order and a zero cell adds
-    exactly 0.0, so every value equals ``conditional_entropy`` (or
-    ``entropy``) over that table bit for bit.  A row or target whose codes
-    reach n is first ranked to dense codes, which keeps their order, so the
-    array has at most ``n * n`` cells per variable whatever the bin count,
-    cardinalities and k.
+    ``(variables, bins * k)`` count array; row j lists the cells of a count
+    table over variable j alone in their lexicographic order, with zeros for
+    the cells it leaves out.  ``count_entropy`` adds a row in that order and a
+    zero cell adds exactly 0.0, so every value equals, bit for bit, the one
+    read from that table: the entropy of its cells minus that of its per-bin
+    sums, clipped at 0 (or that of the target's counts).  A row or target
+    whose codes reach n is first ranked to dense codes, which keeps their
+    order, so the array has at most ``n * n`` cells per variable whatever the
+    bin count, cardinalities and k.
     """
     n = codes.shape[1]
     for row in codes:
@@ -353,14 +345,10 @@ def invar_tg(data: VectorDataset, candidate_ids: Sequence[int], config: InvarTGC
     candidates, so the entropies are ranked once and walked in that order:
     every round's ranking of the remaining candidates is that walk's rest.
     """
-    candidates = list(dict.fromkeys(int(v) for v in candidate_ids))
-    if not candidates:
-        raise GvlabError("bad-variable", "need at least one candidate id")
-    # Each column is binned by its own range; ties break by column id.
-    h_cond = _conditional_entropies(_vector_codes(data, candidates, config.binning), data.y)[0][0]
+    ranked = influence_rank(data, dict.fromkeys(int(v) for v in candidate_ids),
+                            config.binning)[:config.max_rounds]
     current = data
     log: list[RoundRecord] = []
-    ranked = _ranked(candidates, h_cond)[:config.max_rounds]
     for round_index, (chosen, h_before) in enumerate(ranked):
         if h_before > config.threshold:
             break

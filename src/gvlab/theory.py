@@ -48,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (ExemplarTable, _cell_codes, _check_row_order, _equal_fields, _freeze,
-                   _run_heads, _unchecked, marginalize)
+                   _run_heads, _unchecked)
 from .errors import GvlabError
 from .info import Nats, count_entropy
 from .models import _class_sum
@@ -160,20 +160,32 @@ class OptimalOutputs:
 
 
 def _label_counts(table: ExemplarTable, ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Observed configurations over ``ids``, sorted and read-only, and their (c, k) label counts."""
+    """Observed configurations over ``ids``, sorted and read-only, and their (c, k) label counts.
+
+    On a prefix of the table's variables the cells already run by configuration,
+    so ``_run_heads`` numbers the configurations; on other ids, one ``np.unique``
+    of their mixed-radix codes does.
+    """
     if not len(table.counts):
         raise GvlabError("empty-table", "the table has no counts")
-    ids = tuple(ids)
-    # On a prefix of its variables the table's own cells already run by configuration.
-    marg = table if ids == table.variable_ids[:len(ids)] else marginalize(table, ids)
-    cells = marg.cells
-    heads = _run_heads(cells[:, :len(ids)])
-    starts = heads.nonzero()[0]
+    ids, cells = tuple(ids), table.cells
+    if ids == table.variable_ids[:len(ids)]:
+        heads = _run_heads(cells[:, :len(ids)])
+        first = heads.nonzero()[0]
+        configs, inverse = cells[first, :len(ids)], np.cumsum(heads) - 1
+    else:
+        if len(set(ids)) != len(ids) or not set(ids) <= set(table.variable_ids):
+            raise GvlabError("bad-variable", f"ids {ids} not a subset of {table.variable_ids}")
+        positions = [table.variable_ids.index(var_id) for var_id in ids]
+        _, first, inverse = np.unique(
+            _cell_codes([cells[:, p] for p in positions], [table.axis_sizes[p] for p in positions]),
+            return_index=True, return_inverse=True)
+        configs = cells[np.ix_(first, positions)]
     # One bin per (configuration, label), summed exactly in int64 (a table
-    # totals at most 2**63 - 1) and rounded to float once, as a marginal's are.
-    counts = np.zeros(len(starts) * marg.k, dtype=np.int64)
-    np.add.at(counts, (np.cumsum(heads) - 1) * marg.k + cells[:, -1], marg.counts)
-    return _freeze(cells[starts, :len(ids)]), counts.reshape(len(starts), marg.k).astype(float)
+    # totals at most 2**63 - 1) and rounded to float once.
+    counts = np.zeros(len(first) * table.k, dtype=np.int64)
+    np.add.at(counts, inverse * table.k + cells[:, -1], table.counts)
+    return _freeze(configs), counts.reshape(len(first), table.k).astype(float)
 
 
 def optimal_outputs(table: ExemplarTable, determining_ids: Sequence[int]) -> OptimalOutputs:

@@ -1,5 +1,4 @@
 import ast
-import math
 import sys
 import types
 import warnings
@@ -11,140 +10,105 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import gvlab
-from gvlab.core import (BinningPolicy, Dataset, ExemplarTable, VariableSpec, _column_codes,
-                        build_table, marginalize, rows_csv, stream)
+from gvlab import theory
+from gvlab.core import BinningPolicy, ExemplarTable, _range_codes, rows_csv, stream
 from gvlab.errors import GvlabError
-from gvlab.experiments import CheckResult
-from gvlab.synth import generate_toy, random_toy_spec
-from gvlab.theory import BoundReport
+from gvlab.experiments import CheckResult, _cell_table
+from gvlab.models import VectorDataset
+from gvlab.synth import _vector_codes, generate_toy, random_toy_spec
+from gvlab.theory import BoundReport, optimal_outputs
 
 from csv_reference import REFERENCE
-from dict_tables import table_dict, table_from_dict
-from vector_view import as_variable_dataset
+from dict_tables import count_table, marginal, table_dict, vector_codes
 
 
-def discrete_dataset(values, labels, cards, k):
-    specs = tuple(VariableSpec.discrete(j, f"g{j}", c) for j, c in enumerate(cards))
-    return Dataset(specs, np.array(values, dtype=float), np.array(labels), k)
+def label_count_rows(table):
+    """``{configuration: [count per label]}`` of a table, in cell order, by a dict loop."""
+    rows = {}
+    for (config, label), count in table_dict(table).items():
+        rows.setdefault(config, [0] * table.k)[label] += count
+    return rows
 
 
-class TestVariableSpec:
-    def test_discrete_needs_positive_cardinality(self):
-        with pytest.raises(GvlabError) as err:
-            VariableSpec.discrete(0, "g0", 0)
-        assert err.value.code == "bad-variable"
-
-    def test_continuous_needs_nondegenerate_range(self):
-        with pytest.raises(GvlabError):
-            VariableSpec.continuous(0, "g0", 1.0, 1.0)
-
-    def test_valid_specs(self):
-        VariableSpec.discrete(0, "g0", 1)
-        VariableSpec.continuous(1, "g1", -2.0, 3.0)
-
-    def test_continuous_range_must_be_finite(self):
-        with pytest.raises(GvlabError):
-            VariableSpec.continuous(0, "g0", 0.0, float("inf"))
-
-    def test_continuous_width_must_be_finite(self):
-        with pytest.raises(GvlabError) as err:
-            VariableSpec.continuous(0, "g", -1e308, 1e308)
-        assert err.value.code == "bad-variable"
+def assert_label_counts(table, ids, expected):
+    """``theory._label_counts(table, ids)`` holds the rows of ``expected``, a
+    table over ``ids`` counted some other way, in its order."""
+    configs, counts = theory._label_counts(table, ids)
+    assert list(zip(map(tuple, configs.tolist()), counts.tolist())) == \
+        list(label_count_rows(expected).items())
 
 
 class TestDataset:
-    def test_ids_must_be_dense_from_zero(self):
-        specs = (VariableSpec.discrete(1, "g1", 2),)
-        with pytest.raises(GvlabError):
-            Dataset(specs, np.zeros((1, 1)), np.zeros(1, dtype=int), 2)
-
-    def test_discrete_codes_validated(self):
-        with pytest.raises(GvlabError):
-            discrete_dataset([[2]], [0], cards=[2], k=2)
+    """``VectorDataset`` is the one data model: its labels are checked, and its
+    values wherever they are binned."""
 
     def test_labels_validated(self):
-        with pytest.raises(GvlabError):
-            discrete_dataset([[0]], [2], cards=[2], k=2)
+        with pytest.raises(GvlabError) as err:
+            VectorDataset([[0.0]], [2], 2)
+        assert err.value.code == "bad-variable"
 
     def test_values_must_be_finite(self):
-        specs = (VariableSpec.continuous(0, "g0", 0.0, 1.0),)
-        with pytest.raises(GvlabError):
-            Dataset(specs, np.array([[float("nan")]]), np.zeros(1, dtype=int), 2)
+        with pytest.raises(GvlabError) as err:
+            _vector_codes(VectorDataset([[float("nan")], [0.0]], [0, 1], 2), [0], BinningPolicy())
+        assert err.value.code == "bad-variable"
 
 
 class TestBuildTable:
+    """What tables are built from: the one binning rule, ``core._range_codes``;
+    the checks of the vector path that feeds it; and the reference's row count."""
+
     def test_direct_counting(self):
-        ds = discrete_dataset([[0], [0], [1], [1]], [0, 0, 1, 1], cards=[2], k=2)
-        table = build_table(ds, [0])
+        table = count_table([np.array([0, 0, 1, 1])], np.array([0, 0, 1, 1]), 2)
         assert table_dict(table) == {((0,), 0): 2, ((1,), 1): 2}
-        assert table.total == 4
 
     def test_empty_id_list_gives_label_marginals(self):
-        ds = discrete_dataset([[0], [1], [1]], [0, 1, 1], cards=[2], k=2)
-        table = build_table(ds, [])
-        assert table_dict(table) == {((), 0): 1, ((), 1): 2}
-        assert table.total == 3
+        table = count_table([np.array([0, 1, 1])], np.array([0, 1, 1]), 2)
+        configs, counts = theory._label_counts(table, [])
+        assert configs.shape == (1, 0) and counts.tolist() == [[1.0, 2.0]]
 
     def test_equal_width_binning(self):
-        specs = (VariableSpec.continuous(0, "g0", 0.0, 1.0),)
-        ds = Dataset(specs, np.array([[0.1], [0.9]]), np.array([0, 1]), 2)
-        table = build_table(ds, [0], BinningPolicy(bins=2))
-        assert table_dict(table) == {((0,), 0): 1, ((1,), 1): 1}
+        assert _range_codes(np.array([0.1, 0.9]), 0.0, 1.0, 2, "g0").tolist() == [0, 1]
 
     def test_out_of_range_values_clamp_to_boundary_bins(self):
-        specs = (VariableSpec.continuous(0, "g0", 0.0, 1.0),)
-        ds = Dataset(specs, np.array([[-5.0], [7.0]]), np.array([0, 1]), 2)
-        table = build_table(ds, [0], BinningPolicy(bins=4))
-        assert table_dict(table) == {((0,), 0): 1, ((3,), 1): 1}
-        assert table.total == 2
+        assert _range_codes(np.array([-5.0, 7.0]), 0.0, 1.0, 4, "g0").tolist() == [0, 3]
 
     def test_far_out_values_clamp_without_overflow(self):
-        specs = (VariableSpec.continuous(0, "g0", 0.0, 1e-300),)
-        ds = Dataset(specs, np.array([[1e10], [-1e10], [0.6e-300]]), np.array([0, 1, 1]), 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = build_table(ds, [0], BinningPolicy(bins=4))
-        assert table_dict(table) == {((0,), 1): 1, ((2,), 1): 1, ((3,), 0): 1}
+            codes = _range_codes(np.array([1e10, -1e10, 0.6e-300]), 0.0, 1e-300, 4, "g0")
+        assert codes.tolist() == [3, 0, 2]
 
     def test_range_too_narrow_to_bin_rejected(self):
         """A bin width that underflows below the smallest normal float is
         ``bad-variable`` naming the variable, not a division by zero."""
-        specs = (VariableSpec.continuous(0, "g", 0.0, 5e-324),)
-        ds = Dataset(specs, np.array([[0.0], [5e-324]]), np.array([0, 1]), 2)
         with pytest.raises(GvlabError) as err:
-            build_table(ds, [0], BinningPolicy(bins=4))
+            _range_codes(np.array([0.0, 5e-324]), 0.0, 5e-324, 4, "g")
         assert err.value.code == "bad-variable"
         assert "'g'" in str(err.value)
 
     def test_narrowest_binnable_range_is_accepted(self):
         tiny = sys.float_info.min
-        specs = (VariableSpec.continuous(0, "g", 0.0, 4 * tiny),)
-        ds = Dataset(specs, np.array([[0.0], [1.5 * tiny], [4 * tiny]]), np.array([0, 1, 1]), 2)
-        table = build_table(ds, [0], BinningPolicy(bins=4))
-        assert table_dict(table) == {((0,), 0): 1, ((1,), 1): 1, ((3,), 1): 1}
+        codes = _range_codes(np.array([0.0, 1.5 * tiny, 4 * tiny]), 0.0, 4 * tiny, 4, "g")
+        assert codes.tolist() == [0, 1, 3]
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(-1e6, 1e6), st.floats(1e-6, 1e6), st.integers(2, 50), st.data())
     def test_in_range_bins_are_plain_floor(self, lo, span, bins, data):
         hi = lo + span
         assume(lo < hi)
-        values = data.draw(st.lists(st.floats(lo, hi), min_size=1, max_size=20))
-        spec = VariableSpec.continuous(0, "g0", lo, hi)
-        ds = Dataset((spec,), np.array(values)[:, None], np.zeros(len(values), dtype=int), 1)
-        width = (hi - lo) / bins
-        expected = np.minimum(np.floor((np.array(values) - lo) / width), bins - 1)
-        np.testing.assert_array_equal(_column_codes(ds, spec, BinningPolicy(bins)), expected)
+        values = np.array(data.draw(st.lists(st.floats(lo, hi), min_size=1, max_size=20)))
+        expected = np.minimum(np.floor((values - lo) / ((hi - lo) / bins)), bins - 1)
+        np.testing.assert_array_equal(_range_codes(values, lo, hi, bins, "g0"), expected)
 
     def test_empty_dataset_rejected(self):
-        ds = discrete_dataset(np.zeros((0, 1)), [], cards=[2], k=2)
+        data = VectorDataset(np.zeros((0, 1)), np.zeros(0, dtype=int), 2)
         with pytest.raises(GvlabError) as err:
-            build_table(ds, [0])
+            _vector_codes(data, [0], BinningPolicy())
         assert err.value.code == "empty-dataset"
 
     def test_unknown_variable_rejected(self):
-        ds = discrete_dataset([[0]], [0], cards=[2], k=2)
         with pytest.raises(GvlabError) as err:
-            build_table(ds, [3])
+            _vector_codes(VectorDataset([[0.0]], [0], 2), [3], BinningPolicy())
         assert err.value.code == "bad-variable"
 
     def test_binning_policy_requires_two_bins(self):
@@ -161,149 +125,126 @@ class TestBuildTable:
 
 
 class TestMarginalize:
+    """``theory._label_counts`` sums a table's counts over the variables it
+    leaves out, as counting the rows over the kept ones directly does."""
+
     def setup_method(self):
         rng = np.random.default_rng(7)
-        values = rng.integers(0, 3, size=(40, 2))
-        self.ds = discrete_dataset(values, rng.integers(0, 2, size=40), cards=[3, 3], k=2)
-        self.table = build_table(self.ds, [0, 1])
+        self.codes, self.labels = rng.integers(0, 3, size=(2, 40)), rng.integers(0, 2, size=40)
+        self.table = count_table(self.codes, self.labels, 2)
+
+    def direct(self, ids):
+        return count_table(self.codes[list(ids)], self.labels, 2)
 
     def test_sums_over_dropped_variable(self):
-        marg = marginalize(self.table, [0])
-        assert marg == build_table(self.ds, [0])
-        assert marg.total == self.table.total
+        for ids in ((0,), (1,)):
+            assert_label_counts(self.table, ids, self.direct(ids))
 
     def test_keeping_all_ids_is_identity(self):
-        assert marginalize(self.table, [0, 1]) == self.table
+        assert_label_counts(self.table, (0, 1), self.table)
 
-    def test_keeping_all_ids_in_order_returns_the_table(self):
-        assert marginalize(self.table, self.table.variable_ids) is self.table
+    def test_keeping_all_ids_in_order_returns_the_table(self, monkeypatch):
+        """On the table's ids in order, or a prefix of them, the cells already
+        run by configuration: nothing is sorted."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a prefix of the table's ids was sorted")
+
+        expected = {ids: self.direct(ids) for ids in ((0, 1), (0,), ())}
+        monkeypatch.setattr(np, "unique", refuse)
+        for ids, direct in expected.items():
+            assert_label_counts(self.table, ids, direct)
 
     def test_permuted_keep_builds_a_new_table(self):
-        marg = marginalize(self.table, [1, 0])
-        assert marg is not self.table
-        assert marg.variable_ids == (1, 0)
-        assert marg == build_table(self.ds, [1, 0])
+        assert_label_counts(self.table, (1, 0), self.direct((1, 0)))
 
     def test_full_marginalization_keeps_label_counts(self):
-        assert marginalize(self.table, []) == build_table(self.ds, [])
+        configs, counts = theory._label_counts(self.table, ())
+        assert configs.shape == (1, 0)
+        assert counts.tolist() == [np.bincount(self.labels, minlength=2).tolist()]
 
     def test_non_subset_rejected(self):
-        with pytest.raises(GvlabError) as err:
-            marginalize(self.table, [5])
-        assert err.value.code == "bad-variable"
+        for ids in ([5], [1, 1]):
+            with pytest.raises(GvlabError) as err:
+                optimal_outputs(self.table, ids)
+            assert err.value.code == "bad-variable"
 
     def test_counts_sum_exactly_past_float_precision(self):
-        table = ExemplarTable((0,), (2,), [[0, 0], [1, 0]], [2**53 + 1, 1], 2)
-        assert marginalize(table, []).counts.tolist() == [2**53 + 2] == [table.total]
+        table = ExemplarTable((0, 1), (2, 2), [[0, 0, 0], [1, 0, 0]], [2**53 + 1, 1], 2)
+        assert theory._label_counts(table, (1,))[1].tolist() == [[float(2**53 + 2), 0.0]]
 
 
 @st.composite
-def small_discrete_datasets(draw):
-    m = draw(st.integers(1, 3))
-    cards = [draw(st.integers(1, 3)) for _ in range(m)]
-    k = draw(st.integers(1, 3))
-    n = draw(st.integers(1, 25))
-    values = [[draw(st.integers(0, c - 1)) for c in cards] for _ in range(n)]
-    labels = [draw(st.integers(0, k - 1)) for _ in range(n)]
-    return discrete_dataset(values, labels, cards, k)
+def small_code_tables(draw):
+    """Rows of 1..3 code columns (1..3 codes each) with labels in 0..k-1, k in 1..3."""
+    m, k, n = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 25))
+    codes = np.array([[draw(st.integers(0, 2)) for _ in range(n)] for _ in range(m)])
+    return codes, np.array([draw(st.integers(0, k - 1)) for _ in range(n)]), k
 
 
-def reference_counts(dataset, variable_ids, binning=BinningPolicy()):
-    """Row-sort counting: keys in the lexicographic order of (config, label) rows."""
-    columns = [_column_codes(dataset, dataset.specs[j], binning) for j in variable_ids]
-    stacked = np.column_stack(columns + [dataset.labels])
-    rows, counts = np.unique(stacked, axis=0, return_counts=True)
-    table_counts = {}
-    for row, count in zip(rows, counts):
-        table_counts[(tuple(int(v) for v in row[:-1]), int(row[-1]))] = int(count)
-    return table_counts
-
-
-def assert_matches_reference(dataset, variable_ids, binning=BinningPolicy()):
-    table = build_table(dataset, variable_ids, binning)
-    reference = reference_counts(dataset, variable_ids, binning)
-    assert list(table_dict(table).items()) == list(reference.items())
-    specs = [dataset.specs[j] for j in variable_ids]
-    assert table.axis_sizes == tuple(s.cardinality if s.kind == "discrete" else binning.bins
-                                     for s in specs)
-    assert table.total == dataset.n
-    # build_table skips the constructor's checks; the checked build agrees.
-    assert table == table_from_dict(reference, table.axis_sizes, dataset.k, table.variable_ids)
-    assert table.cells.dtype == table.counts.dtype == np.int64
-    for array in (table.cells, table.counts):
-        with pytest.raises(ValueError):
-            array[0] = 0
-
-
-@st.composite
-def mixed_datasets(draw):
-    m = draw(st.integers(1, 4))
-    specs, columns = [], []
-    for j in range(m):
-        if draw(st.booleans()):
-            card = draw(st.integers(1, 4))
-            specs.append(VariableSpec.discrete(j, f"g{j}", card))
-            columns.append(("discrete", card))
-        else:
-            specs.append(VariableSpec.continuous(j, f"g{j}", -1.0, 1.0))
-            columns.append(("continuous", None))
-    k = draw(st.integers(1, 3))
-    n = draw(st.integers(1, 30))
-    values = [[draw(st.integers(0, card - 1)) if kind == "discrete"
-               else draw(st.floats(-1.5, 1.5)) for kind, card in columns] for _ in range(n)]
-    labels = [draw(st.integers(0, k - 1)) for _ in range(n)]
-    return Dataset(tuple(specs), np.array(values, dtype=float), np.array(labels), k)
+def ordered_subsets(m):
+    """Strategy: an ordered subset of ``range(m)``, possibly empty."""
+    return st.permutations(range(m)).flatmap(
+        lambda perm: st.integers(0, len(perm)).map(lambda size: tuple(perm[:size])))
 
 
 @settings(max_examples=150, deadline=None)
-@given(mixed_datasets(), st.data(), st.integers(2, 5))
-def test_counts_keep_row_sort_order(ds, data, bins):
-    """Keys, axis sizes and total match the row-sort reference, order included."""
-    ids = data.draw(st.permutations(range(ds.m)).flatmap(
-        lambda perm: st.integers(0, len(perm)).map(lambda size: perm[:size])))
-    assert_matches_reference(ds, ids, BinningPolicy(bins))
+@given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+           st.lists(st.lists(st.floats(-1.5, 1.5), min_size=n, max_size=n), min_size=1, max_size=4),
+           st.lists(st.integers(0, 2), min_size=n, max_size=n))),
+       st.integers(2, 5), st.data())
+def test_counts_keep_row_sort_order(rows, bins, data):
+    """Label counts over any ordered subset of binned vector columns hold the
+    rows of a direct row-sort count over that subset, order included."""
+    columns, labels = rows
+    vectors = VectorDataset(np.array(columns).T, labels, 3)
+    codes = _vector_codes(vectors, range(vectors.d), BinningPolicy(bins))
+    ids = data.draw(ordered_subsets(vectors.d))
+    assert_label_counts(count_table(codes, vectors.y, 3), ids,
+                        count_table(codes[list(ids)], vectors.y, 3))
 
 
 def test_wide_toy_view_matches_reference():
     data = generate_toy(random_toy_spec(seed=3, dims=20, task_correlated_dims=10, per_class=400))
-    view = as_variable_dataset(data.train)
+    codes = _vector_codes(data.train, range(20), BinningPolicy())
+    assert codes.tobytes() == vector_codes(data.train, range(20), 10).tobytes()
+    table = count_table(codes, data.train.y, 2)
     for ids in (list(range(20)), list(range(19, -1, -1)), [12, 3, 7], []):
-        assert_matches_reference(view, ids)
+        assert_label_counts(table, ids, count_table(codes[ids], data.train.y, 2))
 
 
 @pytest.mark.parametrize("cards", [[2 ** 40, 2 ** 40, 3], [5, 2 ** 64, 7]])
 def test_cell_space_beyond_int64_matches_reference(cards):
-    """Tables whose cardinality product passes 2**63 are counted without overflow."""
+    """Label counts over axes whose size product passes 2**63 are keyed without overflow."""
     rng = np.random.default_rng(11)
     n = 200
-    values = np.column_stack([rng.integers(0, min(c, 2 ** 40), n) for c in cards])
-    values[n // 2:] = values[:n - n // 2]  # repeated rows give counts above 1
-    ds = discrete_dataset(values, rng.integers(0, 3, n), cards=cards, k=3)
-    assert math.prod(cards) * ds.k > 2 ** 63
-    assert_matches_reference(ds, [0, 1, 2])
-    assert_matches_reference(ds, [2, 0, 1])
+    codes = np.array([rng.integers(0, min(c, 2 ** 40), n) for c in cards])
+    codes[:, n // 2:] = codes[:, :n - n // 2]  # repeated rows give counts above 1
+    table = count_table(codes, rng.integers(0, 3, n), 3, cards)
+    for ids in ((2, 0, 1), (1, 2), (0, 1, 2)):
+        assert_label_counts(table, ids, marginal(table, ids))
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_discrete_datasets(), st.data())
-def test_build_then_marginalize_equals_direct_build(ds, data):
-    keep = data.draw(st.lists(st.sampled_from(range(ds.m)), unique=True))
-    table = build_table(ds, list(range(ds.m)))
-    marg = marginalize(table, keep)
-    direct = build_table(ds, keep)
-    assert marg == direct
-    assert marg.total == direct.total == ds.n
+@given(small_code_tables(), st.data())
+def test_build_then_marginalize_equals_direct_build(rows, data):
+    """The optimal outputs over some variables of a table are those of the
+    table counted directly over them, bit for bit."""
+    codes, labels, k = rows
+    keep = data.draw(ordered_subsets(len(codes)))
+    got = optimal_outputs(count_table(codes, labels, k), keep)
+    direct = optimal_outputs(count_table(codes[list(keep)], labels, k), range(len(keep)))
+    assert got.configs.tobytes() == direct.configs.tobytes()
+    assert got.probs.tobytes() == direct.probs.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_discrete_datasets())
-def test_expand_and_rebuild_roundtrip(ds):
+@given(st.integers(0, 2 ** 32 - 1))
+def test_expand_and_rebuild_roundtrip(seed):
     """Expanding a table to weighted exemplars and recounting reproduces it."""
-    table = build_table(ds, list(range(ds.m)))
+    rng = np.random.default_rng(seed)
+    table = _cell_table(rng.integers(0, 4, size=(2, 3, 2)) + (np.arange(12) == 0).reshape(2, 3, 2))
     rows = np.repeat(table.cells, table.counts, axis=0)
-    rebuilt = build_table(Dataset(ds.specs, rows[:, :-1], rows[:, -1], ds.k),
-                          list(range(ds.m)))
-    assert rebuilt == table
+    assert count_table(rows.T[:-1], rows[:, -1], table.k, table.axis_sizes) == table
 
 
 @pytest.mark.parametrize("ids, sizes, cells, counts, k", [
@@ -346,13 +287,13 @@ def test_exemplar_table_accepts_numpy_integers():
     cells = np.array([[0, 1], [1, 0]], dtype=np.int32)
     table = ExemplarTable((0,), (np.int64(2),), cells, np.array([2, 3], dtype=np.uint8),
                           np.int64(2))
-    assert table.total == 5
+    assert table.counts.tolist() == [2, 3]
     assert table.cells.dtype == table.counts.dtype == np.int64
 
 
 def test_exemplar_table_total_reaches_int64_max():
     table = ExemplarTable((0,), (2,), [[0, 0], [1, 1]], [2**62, 2**62 - 1], 2)
-    assert table.total == 2**63 - 1
+    assert sum(table.counts.tolist()) == 2**63 - 1
 
 
 def test_exemplar_table_owns_read_only_arrays():
@@ -376,12 +317,14 @@ def test_exemplar_table_equality_compares_fields():
 
 @pytest.mark.parametrize("sizes", [(2, 3), (2 ** 40, 2 ** 40)])
 def test_empty_table_has_zero_total(sizes):
+    """An empty table is a valid table; the theory refuses it as ``empty-table``."""
     table = ExemplarTable((0, 1), sizes, np.zeros((0, 3), dtype=np.int64),
                           np.zeros(0, dtype=np.int64), 3)
-    assert table.total == 0
+    assert table.counts.sum() == 0
     for keep in ([], [1, 0]):
-        marg = marginalize(table, keep)
-        assert marg.cells.shape == (0, len(keep) + 1) and marg.total == 0
+        with pytest.raises(GvlabError) as err:
+            optimal_outputs(table, keep)
+        assert err.value.code == "empty-table"
 
 
 #: Floats with the edge cases of ``repr`` mixed in: signed zeros, the
@@ -449,15 +392,6 @@ def test_only_core_builds_random_generators():
 #: ``module.qualname``.
 UNREACHED_BY_THE_CLI = {
     **dict.fromkeys(
-        ["core.Dataset.__post_init__", "core.Dataset.n", "core.Dataset.m",
-         "core.VariableSpec.__post_init__", "core.VariableSpec.continuous",
-         "core.VariableSpec.discrete", "core.ExemplarTable.__post_init__",
-         "core.ExemplarTable.total", "core._equal_fields", "core._check_row_order",
-         "core._column_codes", "core._cell_codes", "core.build_table", "core.marginalize",
-         "info._group_entropy", "info.entropy", "info.conditional_entropy"],
-        "the Dataset/build_table/marginalize/entropy table layer: library API for the "
-        "theory tests and ROADMAP item 16"),
-    **dict.fromkeys(
         ["synth.invar_tg", "synth.InvarTGConfig.__post_init__", "synth.balance_substitute",
          "synth.influence_rank"],
         "the paper's algorithm, InvarTG, which no CLI protocol runs"),
@@ -468,7 +402,9 @@ UNREACHED_BY_THE_CLI = {
     "models.risk": "ROADMAP item 3",
     "models.LinearModel.forward": "ROADMAP item 3",
     "models._probs": "the scores of LinearModel.forward (ROADMAP item 3)",
-    "theory.OptimalOutputs.__post_init__": "the public constructor's checks",
+    **dict.fromkeys(["core.ExemplarTable.__post_init__", "theory.OptimalOutputs.__post_init__",
+                     "core._check_row_order"], "the public constructor's checks"),
+    "core._equal_fields": "== of ExemplarTable and OptimalOutputs",
     "cli._list_of": "called while cli is imported, to build _CONFIG_KEYS",
     "errors.GvlabError.__reduce__": "pickles an error out of a worker; --jobs 1 runs none",
 }

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gvlab.core import ExemplarTable, marginalize
+from gvlab import synth
+from gvlab.core import ExemplarTable
 from gvlab.errors import GvlabError
 from gvlab.experiments import _cell_table, block_counts, truth_table_counts
-from gvlab.info import conditional_entropy, count_entropy, entropy
-from gvlab.theory import _block_entropies, addition_rule
+from gvlab.info import count_entropy
+from gvlab.models import VectorDataset
+from gvlab.theory import _block_entropies, _label_counts, addition_rule
 
 from dict_tables import reference_entropy, reference_marginal, table_dict
 from dict_tables import table_from_dict as table_from_counts
@@ -32,65 +34,71 @@ def random_table(rng, max_vars=3, max_card=4, max_k=4):
     return table_from_counts(counts, sizes, k)
 
 
+def block_entropies(table, ids=()):
+    """``(H(label, block), H(block))`` of a table over the block ``ids``, as the
+    addition rule takes them."""
+    return tuple(map(float, _block_entropies(_label_counts(table, ids)[1])))
+
+
 class TestEntropy:
     def test_point_mass_is_zero(self):
         table = table_from_counts({((0,), 1): 7}, (2,), 2)
-        assert entropy(table, "labels") == 0.0
+        assert block_entropies(table)[0] == 0.0
 
     def test_uniform_binary_labels(self):
         table = table_from_counts({((0,), 0): 5, ((0,), 1): 5}, (1,), 2)
-        assert entropy(table, "labels") == pytest.approx(LN2, abs=1e-12)
+        assert block_entropies(table)[0] == pytest.approx(LN2, abs=1e-12)
 
     def test_uniform_four_labels(self):
         counts = {((0,), y): 3 for y in range(4)}
         table = table_from_counts(counts, (1,), 4)
-        assert entropy(table, "labels") == pytest.approx(math.log(4.0), abs=1e-12)
+        assert block_entropies(table)[0] == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_variables_and_joint_marginals(self):
         counts = {((0,), 0): 1, ((1,), 0): 1, ((0,), 1): 1, ((1,), 1): 1}
-        table = table_from_counts(counts, (2,), 2)
-        assert entropy(table, "variables") == pytest.approx(LN2, abs=1e-12)
-        assert entropy(table, "joint") == pytest.approx(math.log(4.0), abs=1e-12)
+        h_joint, h_variables = block_entropies(table_from_counts(counts, (2,), 2), (0,))
+        assert h_variables == pytest.approx(LN2, abs=1e-12)
+        assert h_joint == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_empty_table_rejected(self):
         table = ExemplarTable((0,), (2,), np.zeros((0, 2), dtype=np.int64),
                               np.zeros(0, dtype=np.int64), 2)
         with pytest.raises(GvlabError) as err:
-            entropy(table, "labels")
+            block_entropies(table)
         assert err.value.code == "empty-table"
+
+
+def conditional_entropies(codes, labels):
+    """``(H(label | row) per row of codes, H(label))`` by the influence ranking's one count."""
+    return synth._conditional_entropies(np.array(codes, dtype=np.int64), np.array(labels))[0]
 
 
 class TestConditionalEntropy:
     def test_functional_dependence_is_zero(self):
-        counts = {((0,), 0): 3, ((1,), 1): 5}
-        assert conditional_entropy(table_from_counts(counts, (2,), 2), "labels", [0]) == 0.0
+        assert conditional_entropies([[0, 0, 0, 1, 1]], [0, 0, 0, 1, 1])[0] == [0.0]
 
     def test_uniform_conditionals(self):
-        counts = {((0,), 0): 2, ((0,), 1): 2, ((1,), 0): 1, ((1,), 1): 1}
-        table = table_from_counts(counts, (2,), 2)
-        assert conditional_entropy(table, "labels", [0]) == pytest.approx(LN2, abs=1e-12)
+        h_cond, _ = conditional_entropies([[0, 0, 0, 0, 1, 1]], [0, 0, 1, 1, 0, 1])
+        assert h_cond[0] == pytest.approx(LN2, abs=1e-12)
 
     def test_conditioning_on_nothing_is_label_entropy(self):
-        rng = np.random.default_rng(0)
-        table = random_table(rng)
-        assert conditional_entropy(table, "labels", []) == pytest.approx(
-            entropy(table, "labels"), abs=1e-15)
+        labels = np.random.default_rng(0).integers(0, 4, 50)
+        (h_cond,), h_label = conditional_entropies([np.zeros(50)], labels)
+        assert h_cond == pytest.approx(h_label, abs=1e-15)
 
     def test_unknown_given_id_rejected(self):
-        table = table_from_counts({((0,), 0): 1}, (2,), 2)
         with pytest.raises(GvlabError) as err:
-            conditional_entropy(table, "labels", [9])
+            synth.influence_rank(VectorDataset([[0.0]], [0], 2), [9])
         assert err.value.code == "bad-variable"
 
 
 def test_conditioning_reduces_entropy_and_range():
     rng = np.random.default_rng(4)
     for _ in range(60):
-        table = random_table(rng)
-        h_y = entropy(table, "labels")
-        h_cond = conditional_entropy(table, "labels", list(table.variable_ids))
-        assert 0.0 <= h_cond <= h_y + 1e-12
-        assert h_y <= math.log(table.k) + 1e-12
+        n, k = int(rng.integers(1, 40)), int(rng.integers(2, 5))
+        h_cond, h_y = conditional_entropies(rng.integers(0, 4, size=(3, n)), rng.integers(0, k, n))
+        assert all(0.0 <= h <= h_y + 1e-12 for h in h_cond)
+        assert h_y <= math.log(k) + 1e-12
 
 
 class TestCountEntropy:
@@ -148,16 +156,18 @@ def test_array_tables_match_the_dict_reference(seed, data):
     keep = data.draw(keep_ids(table.variable_ids))
     rest = tuple(v for v in table.variable_ids if v not in keep)
 
-    marg = marginalize(table, keep)
-    assert list(table_dict(marg).items()) == sorted(reference_marginal(table, keep).items())
-    assert marg.total == table.total
+    configs, counts = _label_counts(table, keep)
+    cells = [((tuple(config), label), count) for config, row in zip(configs.tolist(), counts.tolist())
+             for label, count in enumerate(row) if count]
+    assert cells == sorted(reference_marginal(table, keep).items())
 
     ids = table.variable_ids
-    for over, ref_ids, with_labels in (("labels", (), True), ("variables", ids, False),
-                                       ("joint", ids, True)):
-        assert entropy(table, over) == pytest.approx(
-            max(reference_entropy(table, ref_ids, with_labels), 0.0), abs=1e-12)
-    assert conditional_entropy(table, "labels", keep) == pytest.approx(
+    for ref_ids, with_labels, h in ((), True, block_entropies(table)[0]),\
+            (ids, False, block_entropies(table, ids)[1]), (ids, True, block_entropies(table, ids)[0]):
+        assert h == pytest.approx(max(reference_entropy(table, ref_ids, with_labels), 0.0),
+                                  abs=1e-12)
+    h_label_keep, h_keep = block_entropies(table, keep)
+    assert max(h_label_keep - h_keep, 0.0) == pytest.approx(
         max(reference_entropy(table, keep, True) - reference_entropy(table, keep, False), 0.0),
         abs=1e-12)
 

@@ -26,14 +26,15 @@ from itertools import combinations
 
 import numpy as np
 
-from gvlab.core import _freeze, _run_heads, marginalize
+from gvlab.core import _freeze, _run_heads
 from gvlab import theory
 from gvlab.errors import GvlabError
 from gvlab.experiments import (_TABLE_RESTS, _TABLE_SHAPES, CheckResult, _argmax_errors,
                                _cell_table, _invariance_tables, _random_tables)
-from gvlab.info import _group_entropy
 from gvlab.theory import (GAP_TOL, INVARIANCE_TOL, AdditionRule, InvarianceReport,
                           OptimalOutputs, _label_counts, optimal_outputs)
+
+from dict_tables import marginal, reference_entropy
 
 
 def nonempty(dense):
@@ -90,15 +91,15 @@ def single_training_error(opt, table):
     by the builtin sum, in order."""
     _, counts = _label_counts(table, opt.variable_ids)
     hit = sum(n * q for n, q in zip(counts.sum(axis=1).tolist(), opt.probs.max(axis=1).tolist()))
-    return 1.0 - hit / table.total
+    return 1.0 - hit / sum(table.counts.tolist())
 
 
 def single_argmax_error(table, determining_ids):
     """Exact 0/1 training error of the argmax predictor on one table."""
-    marg = marginalize(table, determining_ids)
+    marg = marginal(table, determining_ids)
     starts = _run_heads(marg.cells[:, :-1]).nonzero()[0]
-    hits = int(np.maximum.reduceat(marg.counts, starts).sum())
-    return Fraction(marg.total - hits, marg.total)
+    hits, total = int(np.maximum.reduceat(marg.counts, starts).sum()), sum(marg.counts.tolist())
+    return Fraction(total - hits, total)
 
 
 def argmax_zero_one_error(table, determining_ids):
@@ -140,13 +141,13 @@ def single_addition_rule(table, task_ids, nuisance_ids):
     task, nuisance = tuple(task_ids), tuple(nuisance_ids)
     # I(pred; u | task) = H(pred,task) - H(task) - H(pred,task,u) + H(task,u);
     # the task-only terms are shared across the sum.
-    h_pred_task = _group_entropy(table, task, True)
-    h_task = _group_entropy(table, task, False)
+    h_pred_task = reference_entropy(table, task, True)
+    h_task = reference_entropy(table, task, False)
     influence_sum = 0.0
     for var_id in nuisance:
         joint = task + (var_id,)
         term = (h_pred_task - h_task
-                - _group_entropy(table, joint, True) + _group_entropy(table, joint, False))
+                - reference_entropy(table, joint, True) + reference_entropy(table, joint, False))
         influence_sum += max(term, 0.0)
     return AdditionRule(influence_sum, max(h_pred_task - h_task, 0.0))
 
@@ -231,7 +232,7 @@ def row_any_run_heads(rows):
 def reduceat_label_counts(table, ids):
     """``theory._label_counts`` with the label counts as one-hot rows summed per run."""
     ids = tuple(ids)
-    marg = table if ids == table.variable_ids[:len(ids)] else marginalize(table, ids)
+    marg = table if ids == table.variable_ids[:len(ids)] else marginal(table, ids)
     cells = marg.cells
     starts = row_any_run_heads(cells[:, :len(ids)]).nonzero()[0]
     by_label = np.zeros((len(cells), marg.k))
