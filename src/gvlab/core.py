@@ -8,7 +8,7 @@ itself is a ``models.VectorDataset``, one row per exemplar.
 Continuous values are discretized by equal-width binning over a range
 before counting (:func:`_range_codes`, the one binning rule; the toy
 protocols and InvarTG bin each vector column over its own min/max with
-it).  Values outside the range are clamped into the boundary bins.
+it, so every value lies in the range it is binned over).
 """
 
 from __future__ import annotations
@@ -141,16 +141,13 @@ def _unchecked(cls, *values):
 
 
 def _range_codes(col: np.ndarray, lo: float, hi: float, bins: int, name: str) -> np.ndarray:
-    """Equal-width bin codes ``0..bins - 1`` of ``col`` over ``[lo, hi]``, lo < hi.
-
-    Out-of-range values land in the boundary bins; clamping before the
-    division keeps far-out values from overflowing to inf.
-    """
+    """Equal-width bin codes ``0..bins - 1`` of ``col``, whose values lie in
+    ``[lo, hi]``, lo < hi; ``hi`` itself lands in the top bin."""
     width = (hi - lo) / bins
     if width < sys.float_info.min:
         raise GvlabError("bad-variable", f"variable {name!r}: range [{lo}, {hi}] "
                                          f"is too narrow for {bins} bins")
-    codes = np.floor((np.clip(col, lo, hi) - lo) / width)
+    codes = np.floor((col - lo) / width)
     return np.minimum(codes, bins - 1).astype(np.int64)
 
 

@@ -10,30 +10,31 @@ dimensions are therefore informative on the training set (their class
 means differ) yet unreliable at test time, which is exactly the regime
 the influence ranking and the Balance operation target.
 
-Per-instance test covariances are built PSD by construction: with the
-training block S11 fixed, a random coupling W and residual factor D give
+Per-instance test covariances are PSD by construction: with the training
+block S11 fixed, a coupling W and residual factor D of i.i.d. normals give
 
     cross block      C   = S11 @ W
     bottom-right     S22 = W.T @ S11 @ W + D @ D.T + 1e-6 I
 
 whose Schur complement is D @ D.T + 1e-6 I >= 0.  Sampling uses the
 conditional decomposition x2 = mu2 + W.T (x1 - mu1) + D xi + sqrt(1e-6) z,
-so the first-block marginal is exactly the training marginal; the
-covariance itself is never assembled.
+so the first-block marginal is exactly the training marginal.  The
+covariance is never assembled, and W and D are never drawn: each is used
+once, through one matrix-vector product, and given its vector v such a
+product with i.i.d. N(0, s^2) entries has independent N(0, s^2 |v|^2)
+entries (the standard normal is rotation invariant).  So both terms are
+drawn exactly in law, as sqrt(coupling_var) |x1 - mu1| z and
+sqrt(residual_var) |xi| z', with |xi|^2 one chi-square draw of p degrees
+of freedom.
 
 The two halves come from independent streams keyed by the spec's seed:
 the training half from ``core.stream(seed, 1)``, drawn by
 :func:`generate_toy`, and the test half from ``core.stream(seed, 2)``,
 drawn on first access of ``ToyData.test``.  Reading the test half, or not,
-never changes the training bytes.
-
-The test half is drawn class by class into one preallocated array, so one
-class's per-instance tensors are freed before the next class draws.  The
-(n, q, p) coupling tensor is drawn and contracted in blocks of 256
-instances; consecutive draws continue one stream, so the bytes equal one
-whole draw.  The (n, p, p) residual tensor is drawn whole: its contraction
-needs ``xi``, which the stream draws after it, so blocking it would mean
-replaying the stream.
+never changes the training bytes.  The test half is drawn class by class
+into one preallocated array; per class the stream draws x1, the uniform
+mu2, the coupling z, the chi-square |xi|^2, the residual z' and the floor
+noise, in that order.
 
 The influence ranking bins each candidate column once and counts every
 candidate's (bin, label) cells with one ``bincount``, bit for bit as a table
@@ -59,7 +60,6 @@ from .models import LinearModel, TrainConfig, TrainResult, VectorDataset, train
 
 _JITTER = 1e-9
 _SCHUR_FLOOR = 1e-6
-_TEST_BLOCK = 256  # test instances per coupling block: 200 KB at q = p = 10
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ def _class_labels(spec: ToySpec) -> np.ndarray:
 def _sample_test(spec: ToySpec) -> VectorDataset:
     """The test half: ``per_class / 2`` instances per class, each from its own
     distribution that keeps the task-correlated block of the training law;
-    drawn class by class and block by block as the module docstring says."""
+    drawn class by class as the module docstring says."""
     n_half = spec.per_class // 2
     rng = stream(spec.seed, 2)
     x = np.empty((spec.classes * n_half, spec.dims))
@@ -179,8 +179,9 @@ def _fill_test_class(out: np.ndarray, spec: ToySpec, mean: np.ndarray, cov: np.n
                      rng: np.random.Generator) -> None:
     """Draw one class's test instances into ``out``, its rows of the test half.
 
-    ``x2`` sums in place in a fixed order, which the output bytes depend on:
-    mu2, coupling term, residual term, floor noise."""
+    ``x2`` is drawn in law as the module docstring says, and sums in place in
+    a fixed order, which the output bytes depend on: mu2, coupling term,
+    residual term, floor noise."""
     n_half, q = len(out), spec.task_correlated_dims
     p = spec.dims - q
     chol = _cholesky_or_raise(cov)
@@ -190,15 +191,10 @@ def _fill_test_class(out: np.ndarray, spec: ToySpec, mean: np.ndarray, cov: np.n
     x1, x2 = out[:, :q], out[:, q:]
     x1[:] = mean[:q] + rng.standard_normal((n_half, q)) @ chol[:q, :q].T  # chol(S11 + jitter)
     x2[:] = rng.uniform(*spec.test_mean_range, (n_half, p))
-    # abs: numpy rejects a scale of -0.0, which the spec accepts as a variance
-    coupling_scale = np.sqrt(abs(spec.coupling_var))
-    for lo in range(0, n_half, _TEST_BLOCK):
-        hi = min(lo + _TEST_BLOCK, n_half)
-        coupling = rng.normal(0.0, coupling_scale, (hi - lo, q, p))
-        x2[lo:hi] += np.einsum("nqp,nq->np", coupling, x1[lo:hi] - mean[:q])
-    # drawn whole: its contraction needs xi, which the stream draws after it
-    residual = rng.normal(0.0, np.sqrt(abs(spec.residual_var)), (n_half, p, p))
-    x2 += np.einsum("nij,nj->ni", residual, rng.standard_normal((n_half, p)))
+    coupling = np.sqrt(spec.coupling_var) * np.linalg.norm(x1 - mean[:q], axis=1)
+    x2 += coupling[:, None] * rng.standard_normal((n_half, p))
+    residual = np.sqrt(spec.residual_var * rng.chisquare(p, n_half))
+    x2 += residual[:, None] * rng.standard_normal((n_half, p))
     x2 += np.sqrt(_SCHUR_FLOOR) * rng.standard_normal((n_half, p))
 
 

@@ -5,8 +5,9 @@ and the exit status with the committed ones.
 The digests hold for the numpy version stored next to them.  A change that
 moves output on purpose rewrites them in the same commit and names the moved
 bytes: ``python tests/test_output_digests.py theory-check`` reruns only the
-cases of the named commands and keeps every other entry as it is; with no
-command named, every case is rerun.
+cases of the named commands, prints the entries that moved in each of them
+and keeps every other entry as it is; with no command named, every case is
+rerun.
 """
 
 import contextlib
@@ -84,18 +85,21 @@ if __name__ == "__main__":
     only = set(sys.argv[1:])
     if only - {argv[0] for argv in CASES}:
         sys.exit(f"no pinned case runs {sorted(only - {argv[0] for argv in CASES})}")
-    kept = {}
-    if only:
-        pinned = json.loads(DIGESTS.read_text())
-        if pinned["numpy"] != np.__version__:
-            sys.exit(f"digests were taken with numpy {pinned['numpy']}, this is {np.__version__}: "
-                     "rerun every case")
-        kept = {tuple(case["argv"]): case["digests"] for case in pinned["cases"]}
+    pinned = json.loads(DIGESTS.read_text())
+    if only and pinned["numpy"] != np.__version__:
+        sys.exit(f"digests were taken with numpy {pinned['numpy']}, this is {np.__version__}: "
+                 "rerun every case")
+    kept = {tuple(case["argv"]): case["digests"] for case in pinned["cases"]}
+    cases = []
     with tempfile.TemporaryDirectory() as scratch:
-        cases = [{"argv": argv,
-                  "digests": (digest(argv, Path(scratch) / str(i)) if not only or argv[0] in only
-                              else kept[tuple(argv)])}
-                 for i, argv in enumerate(CASES)]
+        for i, argv in enumerate(CASES):
+            digests = kept.get(tuple(argv))
+            if not only or argv[0] in only:
+                got = digest(argv, Path(scratch) / str(i))
+                print(f"{' '.join(argv)}: moved "
+                      f"{', '.join(moved_names(got, digests or {})) or 'nothing'}")
+                digests = got
+            cases.append({"argv": argv, "digests": digests})
     DIGESTS.write_text(json.dumps({"numpy": np.__version__, "cases": cases}, indent=1) + "\n")
     rerun = sum(not only or argv[0] in only for argv in CASES)
     print(f"reran {rerun} of {len(cases)} digests in {DIGESTS}", file=sys.stderr)
