@@ -52,7 +52,8 @@ RECORD_BUDGET = 2**29
 #: :func:`check_optimal_outputs`, at the oracle's peak.
 _DATASET_BYTES, _CELL_BYTES, _TABLE_BYTES = 8192, 2048, 2048
 
-#: Rows per Dirichlet draw of the max-prob sweep; consecutive draws read the stream as one does.
+#: Rows per Dirichlet draw of the max-prob sweep, each block held class-major
+#: ``(k, rows)``; consecutive draws read the stream as one does.
 _MAX_PROB_BLOCK = 4096
 
 
@@ -275,6 +276,10 @@ class GridProtocol:
     epochs: int = 60
     repeats: int = 100
 
+    def __post_init__(self):
+        if not 0.0 <= self.noise_sd < math.inf:
+            raise GvlabError("bad-config", f"noise_sd must be finite and >= 0, got {self.noise_sd}")
+
     def trainer(self, seed: int) -> TrainConfig:
         return TrainConfig(self.learning_rate, self.momentum, self.batch_size,
                            self.epochs, seed)
@@ -297,7 +302,9 @@ def make_grid_task(seed: int, protocol: GridProtocol = GridProtocol()) -> GridTa
     The central ``pattern_side`` square is the prototype of the class with
     Gaussian perturbation (clipped to [0,1]); every other pixel is dim
     Uniform(0, background) noise, independent of the label.  Each sample
-    draws its background and then its block perturbation, class by class.
+    draws its background and then its block perturbation, class by class;
+    the perturbations are standard normals scaled once afterwards, bit for
+    bit ``rng.normal(0.0, noise_sd)``, which computes ``0.0 + noise_sd * z``.
     """
     rng = stream(seed, 31)
     side, ps = protocol.side, protocol.pattern_side
@@ -310,7 +317,8 @@ def make_grid_task(seed: int, protocol: GridProtocol = GridProtocol()) -> GridTa
         blocks = np.empty((len(labels), ps, ps))
         for grid, block in zip(grids, blocks):
             rng.random(out=grid)
-            block[:] = rng.normal(0.0, protocol.noise_sd, (ps, ps))
+            rng.standard_normal(out=block)
+        blocks *= protocol.noise_sd
         grids *= protocol.background
         grids[:, lo:lo + ps, lo:lo + ps, 0] = np.clip(prototypes[labels] + blocks, 0.0, 1.0)
         grids.setflags(write=False)
@@ -559,31 +567,49 @@ def check_max_prob_bound(rng: np.random.Generator, corrupt: bool = False) -> Che
     for k in range(2, 11):
         n = per_k if k < 10 else draws - 8 * per_k
         for start in range(0, n, _MAX_PROB_BLOCK):
-            p = rng.dirichlet(np.ones(k), size=min(_MAX_PROB_BLOCK, n - start))
-            worst = max(worst, _max_prob_gap(p, corrupt))
+            # Unbound, each block is freed before the next one draws.
+            worst = max(worst, _max_prob_gap(
+                _flat_dirichlet(rng, k, min(_MAX_PROB_BLOCK, n - start)), corrupt))
     worst = max(worst, abs(theory.max_prob_lower_bound(np.log(2.0)) - 0.5))
     return CheckResult("max-prob-bound", worst <= 1e-12, worst,
                        f"sweep of {draws} random label distributions, K in 2..10")
 
 
-def _max_prob_gap(p: np.ndarray, corrupt: bool) -> float:
-    """Largest excess of the entropy bound over max_y p(y) across the rows of ``p``.
+def _flat_dirichlet(rng: np.random.Generator, k: int, rows: int) -> np.ndarray:
+    """``rng.dirichlet(np.ones(k), size=rows)`` bit for bit, from the same
+    draws of the stream, laid out class-major ``(k, rows)``.
 
-    Both row reductions are column folds, without numpy's per-row overhead
-    on short rows: the maxima are exact in any order, and the entropy sums
-    run through :func:`models._class_sum` in numpy's row-sum order, so every
-    bit is that of ``(p log p).sum(axis=1)``.  The entropy terms overwrite
-    ``p`` once its maxima are taken, so the fold's temporaries sit beside
-    one block, not two, and everything is freed before the next sweep step
-    draws."""
-    top = reduce(np.maximum, p.T)
+    A Dirichlet(1, ..., 1) row is a row of unit exponentials divided by their
+    sum (Devroye, *Non-Uniform Random Variate Generation*, 1986, ch. XI).
+    numpy's loop sums each row in sequence from 0.0 and multiplies it by
+    ``1.0 / sum``; the fold over the draw's columns does the same, and the
+    multiply writes the class-major block.  The row-major draw is freed on
+    return, so at most two blocks are alive at a time."""
+    draw = rng.standard_exponential((rows, k)).T
+    total = draw[0] + 0.0
+    for column in draw[1:]:
+        total += column
+    return np.multiply(draw, 1.0 / total, out=np.empty((k, rows)))
+
+
+def _max_prob_gap(p: np.ndarray, corrupt: bool) -> float:
+    """Largest excess of the entropy bound over max_y p(y) across the
+    distributions of class-major ``p``, one per column of its ``(k, rows)``.
+
+    Both reductions run along the contiguous class rows: the maxima are
+    exact in any order, and the entropy sums run through
+    :func:`models._class_sum` in numpy's row-sum order, so every bit is that
+    of ``(p log p).sum(axis=1)`` on the row-major layout.  The entropy terms
+    overwrite ``p`` once its maxima are taken, so the fold's temporaries sit
+    beside one block, not two."""
+    top = reduce(np.maximum, p)
     logs = np.maximum(p, 1e-300)
     np.log(logs, out=logs)
     # A zero p, where 0 log 0 = 0, gives 0 * log(1e-300) = -0.0, which adds
     # nothing to a row sum; Dirichlet rows hold no NaN, inf or negative p.
     p *= logs
     del logs
-    h = -_class_sum(p.T)[0]
+    h = -_class_sum(p)[0]
     bound = np.maximum(0.0, 1.0 - h / (2.0 * np.log(2.0)))
     if corrupt:
         bound = bound + 0.01
@@ -660,11 +686,8 @@ def check_gap_bound() -> CheckResult:
         (5, 4, 20000, 0.2): math.sqrt(2 * (20 * math.log(2.0) + math.log(5.0)) / 20000),
     }
     worst = max(abs(theory.gap_bound(*args) - value) for args, value in frozen.items())
-    ts = ks = (1, 2, 3, 4, 5)
-    ns = (100, 200, 400, 800, 1600)
-    deltas = (0.01, 0.05, 0.1, 0.2, 0.4)
-    grid = np.array([[[[theory.gap_bound(t, k, n, d) for d in deltas] for n in ns]
-                      for k in ks] for t in ts])
+    grid = theory.gap_bound_grid((1, 2, 3, 4, 5), (1, 2, 3, 4, 5), (100, 200, 400, 800, 1600),
+                                 (0.01, 0.05, 0.1, 0.2, 0.4))
     monotone = (np.all(np.diff(grid, axis=0) > 0) and np.all(np.diff(grid, axis=1) > 0)
                 and np.all(np.diff(grid, axis=2) < 0) and np.all(np.diff(grid, axis=3) < 0))
     return CheckResult("gap-bound-grid", worst <= 1e-6 and bool(monotone), worst,

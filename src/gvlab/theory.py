@@ -4,7 +4,8 @@ Contents:
 
 - ``gap_bound``: uniform-convergence gap for hypotheses whose prediction
   is a function of a variable block with ``t`` configurations over ``k``
-  labels: ``sqrt(2 (t k ln2 + ln(1/delta)) / n)``.
+  labels: ``sqrt(2 (t k ln2 + ln(1/delta)) / n)``; ``gap_bound_grid``
+  evaluates it over a whole grid of inputs at once.
 - ``excess_risk_bound``: excess-risk bound for hypotheses whose
   prediction entropy given the task-correlated block is at most ``gamma``
   nats: twice the gap bound plus ``gamma / ln2``.
@@ -71,20 +72,55 @@ def gap_bound(t: int, k: int, n: int, delta: float) -> float:
     the label count, ``n`` the sample count, ``delta`` the failure
     probability.
     """
-    if not (0.0 < delta < 1.0 and 1.0 / delta < math.inf):
-        raise GvlabError("bad-delta", f"delta must lie in (0,1) with a finite 1/delta, "
-                                      f"got {delta}")
-    if n < 1:
-        raise GvlabError("bad-n", f"sample count must be >= 1, got {n}")
-    if t < 1 or k < 1:
-        raise GvlabError("bad-variable", f"t and k must be >= 1, got t={t} k={k}")
+    log_inverse_delta, = _gap_log_terms((t,), (k,), (n,), (delta,))
     try:
-        gap = math.sqrt(2.0 * (t * k * LN2 + math.log(1.0 / delta)) / n)
+        gap = float(_gap(t * k, n, log_inverse_delta))
     except OverflowError:  # an integer past the float range
         gap = math.inf
     if gap == math.inf:
         raise GvlabError("bad-variable", f"t={t}, k={k}, n={n} put the bound past the float range")
     return gap
+
+
+def gap_bound_grid(ts: Sequence[int], ks: Sequence[int], ns: Sequence[int],
+                   deltas: Sequence[float]) -> np.ndarray:
+    """:func:`gap_bound` at every point of the grid ``ts x ks x ns x deltas``,
+    shape ``(len(ts), len(ks), len(ns), len(deltas))``, each entry bit for
+    bit the scalar call's; each axis value is validated once."""
+    logs = _gap_log_terms(ts, ks, ns, deltas)
+    try:  # each t * k an exact integer rounded to float once, as in the scalar call
+        tk = np.array([[t * k for k in ks] for t in ts], dtype=float)
+        n = np.array(ns, dtype=float)
+        with np.errstate(over="ignore"):
+            grid = _gap(tk[..., None, None], n[:, None], np.array(logs))
+    except OverflowError:
+        grid = np.array(math.inf)
+    if not np.isfinite(grid).all():
+        raise GvlabError("bad-variable", "the grid puts the bound past the float range")
+    return grid
+
+
+def _gap_log_terms(ts, ks, ns, deltas) -> list[float]:
+    """Validates the gap-bound axes and returns ``ln(1/delta)`` per delta, each
+    taken by ``math.log``: numpy's vectorized log can differ from it in the
+    last bit, and the four arithmetic steps of :func:`_gap` cannot."""
+    for delta in deltas:
+        if not (0.0 < delta < 1.0 and 1.0 / delta < math.inf):
+            raise GvlabError("bad-delta", f"delta must lie in (0,1) with a finite 1/delta, "
+                                          f"got {delta}")
+    if min(ns) < 1:
+        raise GvlabError("bad-n", f"sample count must be >= 1, got {min(ns)}")
+    if min(ts) < 1 or min(ks) < 1:
+        raise GvlabError("bad-variable", f"t and k must be >= 1, got t={min(ts)} k={min(ks)}")
+    return [math.log(1.0 / delta) for delta in deltas]
+
+
+def _gap(tk, n, log_inverse_delta):
+    """The closed form ``sqrt(2 (t k ln2 + ln(1/delta)) / n)`` from the product
+    ``tk = t k``, on scalars or broadcast arrays alike: ``+``, ``*``, ``/``
+    and ``sqrt`` round correctly in numpy and in Python, so both give the
+    same bits."""
+    return np.sqrt(2.0 * (tk * LN2 + log_inverse_delta) / n)
 
 
 def excess_risk_bound(t: int, k: int, n: int, delta: float, gamma: Nats) -> float:
@@ -313,10 +349,14 @@ def addition_rule(table: ExemplarTable, task_ids: Sequence[int],
 def _block_entropies(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``H(label, block)`` and ``H(block)`` in nats from a block's ``(..., configurations, k)``
     label counts; leading axes index independent tables.  The label axis is summed
-    first, so complement predictions tie bit for bit; unobserved configurations add 0.0."""
-    total = joint.sum(axis=(-2, -1))[..., None]
+    first, so complement predictions tie bit for bit; unobserved configurations add 0.0.
+    Its sum is a fold over the label columns, and the total sums those; both are
+    exact on integer counts (the sweep's int64, ``addition_rule``'s floats below 2**53),
+    so every bit is that of numpy's ``sum(axis=-1)`` and ``sum(axis=(-2, -1))``."""
+    margin = reduce(np.add, np.moveaxis(joint, -1, 0))
+    total = margin.sum(axis=-1)[..., None]
     return (count_entropy(joint, total[..., None], group_axes=2),
-            count_entropy(joint.sum(axis=-1), total))
+            count_entropy(margin, total))
 
 
 def _addition_sides(entropies: dict, task: tuple[int, ...], nuisance: tuple[int, ...]):

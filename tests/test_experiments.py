@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from functools import partial
 from itertools import product
 from pathlib import Path
@@ -452,6 +453,19 @@ class TestGridTask:
             make_grid_task(-1, SMALL_GRID)
         assert err.value.code == "bad-variable"
 
+    @pytest.mark.parametrize("noise_sd", [-0.1, -math.inf, math.inf, math.nan])
+    def test_negative_or_non_finite_noise_rejected(self, noise_sd):
+        """numpy's scaled draw raised ``scale < 0`` and accepted NaN; the
+        protocol rejects both before any draw."""
+        with pytest.raises(GvlabError) as err:
+            GridProtocol(noise_sd=noise_sd)
+        assert err.value.code == "bad-config"
+
+    def test_zero_noise_leaves_the_prototypes(self):
+        task = make_grid_task(3, replace(SMALL_GRID, noise_sd=0.0))
+        blocks = task.train_grids[:, 2:6, 2:6, 0].reshape(10, 12, 4, 4)
+        assert (blocks == blocks[:, :1]).all()
+
     def test_pattern_block_is_brighter_than_periphery(self):
         task = make_grid_task(6, SMALL_GRID)
         values = task.train_grids[0][:, :, 0]
@@ -626,6 +640,15 @@ def reference_max_prob_gap(rng, corrupt):
     return max(worst, abs(max_prob_lower_bound(np.log(2.0)) - 0.5))
 
 
+def dirichlet_sweep_state(rng):
+    """``rng`` after the max-prob sweep's draws taken by ``rng.dirichlet``."""
+    for k in range(2, 11):
+        n = 11_111 if k < 10 else 100_000 - 8 * 11_111
+        for start in range(0, n, experiments._MAX_PROB_BLOCK):
+            rng.dirichlet(np.ones(k), size=min(experiments._MAX_PROB_BLOCK, n - start))
+    return rng
+
+
 def max_prob_rows(k, rng):
     """Dirichlet rows on ``k`` labels beside rows that hold exact 0.0 and
     1.0: one-hot rows, rows with zeroed labels renormalized, and rows with
@@ -651,8 +674,28 @@ class TestMaxProbBound:
         masked = np.where(p > 0, terms, 0.0)
         assert _class_sum(terms.T)[0].tobytes() == masked.sum(axis=1).tobytes()
         for corrupt in (False, True):
-            gap = experiments._max_prob_gap(p.copy(), corrupt)
+            gap = experiments._max_prob_gap(p.T.copy(), corrupt)
             assert gap.hex() == masked_max_prob_gap(p, corrupt).hex()
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_class_major_draw_is_numpy_dirichlet(self, k):
+        """Unit exponentials over their sequential row sum, class-major, are
+        ``rng.dirichlet`` bit for bit, and leave the stream where it does; the
+        last rows count is the sweep's ragged last block."""
+        ragged = (11_111 if k < 10 else 11_112) % experiments._MAX_PROB_BLOCK
+        for rows in (1, 2, 4095, 4096, ragged):
+            ours, numpy_rng = np.random.default_rng((k, rows)), np.random.default_rng((k, rows))
+            p = experiments._flat_dirichlet(ours, k, rows)
+            assert p.shape == (k, rows) and p.flags.c_contiguous
+            expected = numpy_rng.dirichlet(np.ones(k), size=rows)
+            assert p.T.tobytes(order="C") == expected.tobytes()
+            assert ours.random() == numpy_rng.random()
+
+    def test_sweep_reads_the_stream_as_dirichlet_draws_do(self):
+        rng = np.random.default_rng(5)
+        check_max_prob_bound(rng)
+        assert rng.random(4).tobytes() == dirichlet_sweep_state(
+            np.random.default_rng(5)).random(4).tobytes()
 
     @pytest.mark.parametrize("corrupt", [False, True])
     @pytest.mark.parametrize("seed", [0, 1, 20240501])
@@ -663,9 +706,9 @@ class TestMaxProbBound:
         assert result.passed is not corrupt
 
     def test_peak_allocation(self):
-        """One block's Dirichlet draws and entropy terms are freed before the
-        next block draws (0.79 MB): one draw per label count peaked at
-        2.13 MB, the where-based sweep at 2.82 MB."""
+        """One block's draws and entropy terms are freed before the next
+        block draws (0.72 MB, two class-major blocks at most): one draw per
+        label count peaked at 2.13 MB, the where-based sweep at 2.82 MB."""
         assert traced_peak(check_max_prob_bound, np.random.default_rng(0)) < 1_000_000
 
 

@@ -73,6 +73,35 @@ class TestGapBound:
         assert gap_bound(2, 2, 200, 0.05) < gap_bound(2, 2, 100, 0.05)
         assert gap_bound(2, 2, 100, 0.10) < gap_bound(2, 2, 100, 0.05)
 
+    @pytest.mark.parametrize("axes", [
+        ((1, 2, 3, 4, 5), (1, 2, 3, 4, 5), (100, 200, 400, 800, 1600), (0.01, 0.05, 0.1, 0.2, 0.4)),
+        ((7, 1000), (3,), (1, 99_999, 2**40), (1e-300, 0.3333, 1 - 1e-12)),
+        ((2**61, 3), (2**61 + 1,), (2**64 + 2**11 + 1,), (0.5,)),
+    ], ids=["check-grid", "edges", "past-int64"])
+    def test_grid_equals_the_scalar_calls(self, axes):
+        """One evaluation of the closed form over the grid, with the delta logs
+        taken by ``math.log``, gives each scalar call's bits."""
+        ts, ks, ns, deltas = axes
+        expected = [[[[gap_bound(t, k, n, d) for d in deltas] for n in ns] for k in ks]
+                    for t in ts]
+        grid = theory.gap_bound_grid(ts, ks, ns, deltas)
+        assert grid.shape == tuple(map(len, axes))
+        assert grid.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("axes, code", [
+        (((1, 2), (2,), (100,), (0.05, 1.0)), "bad-delta"),
+        (((1, 2), (2,), (100, 0), (0.05,)), "bad-n"),
+        (((0, 2), (2,), (100,), (0.05,)), "bad-variable"),
+        (((1,), (2,), (100,), (5e-324,)), "bad-delta"),
+        (((10**200,), (10**200,), (1,), (0.05,)), "bad-variable"),
+        (((2,), (2,), (1, 10**400), (0.05,)), "bad-variable"),
+        (((17 * 10**307,), (1,), (1,), (0.05,)), "bad-variable"),
+    ], ids=["delta", "n", "t", "delta-reciprocal", "huge-t-times-k", "huge-n", "float-overflow"])
+    def test_grid_rejects_what_the_scalar_rejects(self, axes, code):
+        with pytest.raises(GvlabError) as err:
+            theory.gap_bound_grid(*axes)
+        assert err.value.code == code
+
 
 class TestExcessRiskBound:
     def test_zero_dependence_reduces_to_twice_the_gap(self):
